@@ -14,7 +14,7 @@ from .core import (
     is_ancestor,
     is_future,
 )
-from .pool import Mempool, PoolError, PrecheckReport, Verdict
+from .pool import Mempool, PoolError, PrecheckReport, SenderChain, Verdict
 from .policies import (
     ChildlessPricePolicy,
     MinFeeChainTailPolicy,

@@ -12,8 +12,9 @@ is the transaction's static ``gas_used``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Block, Reason, Transaction, WorldState
 from .pool import Mempool
@@ -31,15 +32,16 @@ def candidate_order(pool: Mempool) -> List[Transaction]:
     """Pending txs by price descending (ties oldest first), ancestors promoted
     ahead of their descendants."""
     ranked = sorted(pool.pending(), key=lambda tx: (-tx.price, pool.seq_of(tx)))
-    placed = set()
+    # per sender, how long a prefix of its nonce-sorted chain is placed
+    placed: Dict[str, int] = {}
     order: List[Transaction] = []
     for tx in ranked:
-        if tx.id in placed:
-            continue
-        for anc in pool.sender_txs(tx.sender):
-            if anc.nonce <= tx.nonce and anc.id not in placed:
-                placed.add(anc.id)
-                order.append(anc)
+        start = placed.get(tx.sender, 0)
+        chain = pool.chain(tx.sender)
+        end = bisect_right(chain.nonces, tx.nonce, start)
+        if end > start:
+            order.extend(chain.txs[start:end])
+            placed[tx.sender] = end
     return order
 
 

@@ -1,13 +1,15 @@
 """Bounded transaction pool with price-ordered and sender/nonce-ordered indexes.
 
-The pool keeps three synchronized views of the pending set:
+The pool keeps these synchronized views of the pending set:
 
-* ``by_price``   - all pending txs ordered by (price, insertion seq)
-* ``by_sender``  - per-sender lists ordered by ascending nonce
-* ``min_fee_by_sender`` - lowest pending fee per sender
-
-plus a derived ordered view of childless transactions (each sender's
-maximal-nonce tx), which is what chain-safe eviction scans.
+* ``_by_price`` / ``_by_fee`` - all pending txs ordered by (price or fee,
+  insertion seq)
+* ``_childless`` - each sender's maximal-nonce tx ordered by (price, seq),
+  which is what chain-safe eviction scans
+* one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs in
+  ascending nonce order with their running cost and minimum fee, and the
+  end of the contiguous nonce run from any start (``run_end``), which is
+  what the future test reads
 
 Mutations are single-writer; reads on a snapshot (``clone``) are safe to
 share across threads.
@@ -58,6 +60,97 @@ class PoolError(Exception):
     pass
 
 
+class SenderChain:
+    """One sender's pending transactions, sorted by nonce.
+
+    ``nonces`` mirrors ``txs`` so lookups bisect a plain ``int`` list.
+    ``fees`` counts the chain's txs per fee; ``min_fee`` caches its minimum
+    and is recomputed only when the last tx at that fee leaves.
+    """
+
+    __slots__ = ("txs", "nonces", "cost", "fees", "min_fee")
+
+    def __init__(self) -> None:
+        self.txs: List[Transaction] = []
+        self.nonces: List[int] = []
+        self.cost = 0
+        self.fees: Dict[int, int] = {}
+        self.min_fee: Optional[int] = None
+
+    def __len__(self) -> int:
+        return len(self.txs)
+
+    def copy(self) -> "SenderChain":
+        other = SenderChain()
+        other.txs = list(self.txs)
+        other.nonces = list(self.nonces)
+        other.cost = self.cost
+        other.fees = dict(self.fees)
+        other.min_fee = self.min_fee
+        return other
+
+    def run_end(self, start: int) -> int:
+        """First nonce >= ``start`` that the chain does not hold.
+
+        Nonces strictly increase, so ``nonces[i] - i`` never decreases and
+        the run that begins at ``start`` is the stretch where it stays equal.
+        """
+        nonces = self.nonces
+        i = bisect_left(nonces, start)
+        if i == len(nonces) or nonces[i] != start:
+            return start
+        last = len(nonces) - 1
+        offset = start - i
+        if nonces[last] - last == offset:
+            return nonces[last] + 1
+        # nonces[hi] - hi > offset; find the first index where it exceeds
+        lo, hi = i + 1, last
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if nonces[mid] - mid > offset:
+                hi = mid
+            else:
+                lo = mid + 1
+        return nonces[lo - 1] + 1
+
+    def insert(self, tx: Transaction) -> None:
+        nonce = tx.nonce
+        if not self.nonces or nonce > self.nonces[-1]:
+            self.txs.append(tx)
+            self.nonces.append(nonce)
+        else:
+            i = bisect_left(self.nonces, nonce)
+            self.txs.insert(i, tx)
+            self.nonces.insert(i, nonce)
+        self.cost += tx.cost
+        fee = tx.fee
+        self.fees[fee] = self.fees.get(fee, 0) + 1
+        if self.min_fee is None or fee < self.min_fee:
+            self.min_fee = fee
+
+    def remove(self, tx: Transaction) -> None:
+        if self.txs[-1] is tx:
+            self.txs.pop()
+            self.nonces.pop()
+        else:
+            i = bisect_left(self.nonces, tx.nonce)
+            del self.txs[i]
+            del self.nonces[i]
+        self.cost -= tx.cost
+        fee = tx.fee
+        left = self.fees[fee] - 1
+        if left:
+            self.fees[fee] = left
+        else:
+            del self.fees[fee]
+            if fee == self.min_fee:
+                self.min_fee = min(self.fees) if self.fees else None
+
+
+# returned by ``Mempool.chain`` for a sender with nothing pending; never mutated
+_NO_CHAIN = SenderChain()
+
+
 class Mempool(PendingView):
     def __init__(self, capacity: int, per_sender_limit: Optional[int] = None):
         if capacity < 1:
@@ -65,7 +158,7 @@ class Mempool(PendingView):
         self.capacity = capacity
         self.per_sender_limit = per_sender_limit
         self._by_key: Dict[Tuple[str, int], Transaction] = {}
-        self._by_sender: Dict[str, List[Transaction]] = {}
+        self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[int, int] = {}
         self._next_seq = 0
         # price index over all pending; tie broken by insertion order
@@ -74,9 +167,7 @@ class Mempool(PendingView):
         self._by_fee = SortedKeyList(key=lambda tx: (tx.fee, self._seq_of[tx.id]))
         # price index over childless txs only
         self._childless = SortedKeyList(key=lambda tx: (tx.price, self._seq_of[tx.id]))
-        self.min_fee_by_sender: Dict[str, int] = {}
         self.declined: List[Tuple[Transaction, Reason]] = []
-        self._cost_by_sender: Dict[str, int] = {}
         self._price_sum = 0
         self._fee_sum = 0
 
@@ -95,8 +186,12 @@ class Mempool(PendingView):
     def get(self, sender: str, nonce: int) -> Optional[Transaction]:
         return self._by_key.get((sender, nonce))
 
+    def chain(self, sender: str) -> SenderChain:
+        """``sender``'s pending chain (read-only; empty if nothing is pending)."""
+        return self._chains.get(sender, _NO_CHAIN)
+
     def sender_txs(self, sender: str) -> List[Transaction]:
-        return list(self._by_sender.get(sender, ()))
+        return list(self.chain(sender).txs)
 
     def pending(self) -> List[Transaction]:
         return list(self._by_key.values())
@@ -139,47 +234,42 @@ class Mempool(PendingView):
             if tx.price != lowest:
                 break
             group.append(tx)
-        return min(group, key=lambda tx: (self.min_fee_by_sender[tx.sender], self._seq_of[tx.id]))
+        return min(group, key=lambda tx: (self._chains[tx.sender].min_fee, self._seq_of[tx.id]))
 
     def descendant_victim(self, seed: Transaction) -> Transaction:
         """Maximal-nonce pending tx of ``seed``'s sender; ``seed`` itself if childless."""
         if seed not in self:
             raise PoolError(f"seed {seed!r} not pending")
-        return self._by_sender[seed.sender][-1]
+        return self._chains[seed.sender].txs[-1]
 
     def chain_tail_victims(self, seed: Transaction, count: int = 1) -> List[Transaction]:
         """Last ``count`` transactions (by nonce) of ``seed``'s sender chain."""
         if seed not in self:
             raise PoolError(f"seed {seed!r} not pending")
-        chain = self._by_sender[seed.sender]
-        return list(reversed(chain[-count:]))
+        return self._chains[seed.sender].txs[-count:][::-1]
 
     # ------------------------------------------------------------- checks
 
     def precheck(self, tx: Transaction, world: WorldState) -> PrecheckReport:
         """Validity gate applied in order stale -> duplicate -> future -> overdraft.
 
-        Uses the sorted per-sender index for O(log chain) checks; equivalent
-        to the generic ``is_future`` / ``cumulative_cost`` predicates.
+        Reads the sender's chain in O(log chain) when ``tx`` extends it;
+        equivalent to the generic ``is_future`` / ``cumulative_cost``
+        predicates.
         """
         confirmed = world.nonce_of(tx.sender)
         if tx.nonce < confirmed:
             return PrecheckReport(Verdict.STALE, f"nonce {tx.nonce} < confirmed {confirmed}")
         if (tx.sender, tx.nonce) in self._by_key:
             return PrecheckReport(Verdict.DUPLICATE, f"({tx.sender},{tx.nonce}) already pending")
-        chain = self._by_sender.get(tx.sender, [])
-        if tx.nonce > confirmed:
-            # nonces are unique and sorted, so [confirmed, tx.nonce) is fully
-            # covered iff the index span matches the nonce span
-            lo = bisect_left(chain, confirmed, key=lambda t: t.nonce)
-            hi = bisect_left(chain, tx.nonce, key=lambda t: t.nonce)
-            if hi - lo != tx.nonce - confirmed:
-                return PrecheckReport(Verdict.FUTURE, "missing ancestor nonce")
-        hi = bisect_left(chain, tx.nonce, key=lambda t: t.nonce)
-        if hi == len(chain):
-            below = self._cost_by_sender.get(tx.sender, 0)
+        chain = self.chain(tx.sender)
+        if tx.nonce > confirmed and chain.run_end(confirmed) < tx.nonce:
+            return PrecheckReport(Verdict.FUTURE, "missing ancestor nonce")
+        nonces = chain.nonces
+        if not nonces or tx.nonce > nonces[-1]:
+            below = chain.cost
         else:
-            below = sum(t.cost for t in chain[:hi])
+            below = sum(t.cost for t in chain.txs[: bisect_left(nonces, tx.nonce)])
         reserved = below + tx.cost
         balance = world.balance_of(tx.sender)
         if reserved > balance:
@@ -189,32 +279,20 @@ class Mempool(PendingView):
     # ---------------------------------------------------------- mutation
 
     def _insert(self, tx: Transaction) -> None:
-        key = (tx.sender, tx.nonce)
         self._seq_of[tx.id] = self._next_seq
         self._next_seq += 1
-        self._by_key[key] = tx
-        chain = self._by_sender.setdefault(tx.sender, [])
-        if chain and tx.nonce > chain[-1].nonce:
-            old_tail = chain[-1]
-            self._childless.remove(old_tail)
-            chain.append(tx)
-            self._childless.add(tx)
-        else:
-            # out-of-order insert keeps the chain sorted by nonce
-            old_tail = chain[-1] if chain else None
-            chain.append(tx)
-            chain.sort(key=lambda t: t.nonce)
-            if old_tail is None:
-                self._childless.add(tx)
-            elif chain[-1] is not old_tail:
+        self._by_key[(tx.sender, tx.nonce)] = tx
+        chain = self._chains.get(tx.sender)
+        if chain is None:
+            chain = self._chains[tx.sender] = SenderChain()
+        old_tail = chain.txs[-1] if chain.txs else None
+        chain.insert(tx)
+        if chain.txs[-1] is tx:
+            if old_tail is not None:
                 self._childless.remove(old_tail)
-                self._childless.add(chain[-1])
+            self._childless.add(tx)
         self._by_price.add(tx)
         self._by_fee.add(tx)
-        prev = self.min_fee_by_sender.get(tx.sender)
-        if prev is None or tx.fee < prev:
-            self.min_fee_by_sender[tx.sender] = tx.fee
-        self._cost_by_sender[tx.sender] = self._cost_by_sender.get(tx.sender, 0) + tx.cost
         self._price_sum += tx.price
         self._fee_sum += tx.fee
 
@@ -223,22 +301,17 @@ class Mempool(PendingView):
         if self._by_key.get(key) != tx:
             raise PoolError(f"{tx!r} not pending")
         del self._by_key[key]
-        chain = self._by_sender[tx.sender]
-        was_tail = chain[-1] is tx
+        chain = self._chains[tx.sender]
+        was_tail = chain.txs[-1] is tx
         chain.remove(tx)
         if was_tail:
             self._childless.remove(tx)
-            if chain:
-                self._childless.add(chain[-1])
+            if chain.txs:
+                self._childless.add(chain.txs[-1])
+        if not chain.txs:
+            del self._chains[tx.sender]
         self._by_price.remove(tx)
         self._by_fee.remove(tx)
-        if not chain:
-            del self._by_sender[tx.sender]
-            del self.min_fee_by_sender[tx.sender]
-            del self._cost_by_sender[tx.sender]
-        else:
-            self.min_fee_by_sender[tx.sender] = min(t.fee for t in chain)
-            self._cost_by_sender[tx.sender] -= tx.cost
         self._price_sum -= tx.price
         self._fee_sum -= tx.fee
         del self._seq_of[tx.id]
@@ -272,7 +345,7 @@ class Mempool(PendingView):
             self.decline(tx, reason)
             return AdmissionOutcome(OutcomeKind.DECLINED, reason, tx)
         if self.per_sender_limit is not None:
-            if len(self._by_sender.get(tx.sender, ())) >= self.per_sender_limit:
+            if len(self.chain(tx.sender)) >= self.per_sender_limit:
                 self.decline(tx, Reason.SENDER_LIMIT)
                 return AdmissionOutcome(OutcomeKind.DECLINED, Reason.SENDER_LIMIT, tx)
         decision = policy.decide(self, tx)
@@ -292,15 +365,13 @@ class Mempool(PendingView):
     def clone(self) -> "Mempool":
         other = Mempool(self.capacity, self.per_sender_limit)
         other._by_key = dict(self._by_key)
-        other._by_sender = {s: list(chain) for s, chain in self._by_sender.items()}
+        other._chains = {s: chain.copy() for s, chain in self._chains.items()}
         other._seq_of = dict(self._seq_of)
         other._next_seq = self._next_seq
         other._by_price.update(self._by_key.values())
         other._by_fee.update(self._by_key.values())
-        other._childless.update(chain[-1] for chain in other._by_sender.values())
-        other.min_fee_by_sender = dict(self.min_fee_by_sender)
+        other._childless.update(chain.txs[-1] for chain in other._chains.values())
         other.declined = list(self.declined)
-        other._cost_by_sender = dict(self._cost_by_sender)
         other._price_sum = self._price_sum
         other._fee_sum = self._fee_sum
         return other

@@ -11,6 +11,7 @@ import hashlib
 import json
 import statistics
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -18,7 +19,7 @@ from .builder import build_block, drain
 from .core import AdmissionOutcome, Block, OutcomeKind, Transaction, WorldState
 from .metrics import OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
-from .pool import Mempool, PoolError
+from .pool import Mempool, PoolError, SenderChain
 from .trace import TraceEvent, world_for_trace
 
 
@@ -114,31 +115,61 @@ class RunReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _first_gap(confirmed: int, nonces) -> int:
-    n = confirmed
-    while n in nonces:
-        n += 1
-    return n
+def _gap_before(
+    chain: SenderChain, after: int, admitted: Optional[int], removed: Sequence[int]
+) -> int:
+    """First missing nonce from the confirmed one in the chain as it was
+    before ``admitted`` (a nonce or None) joined it and the ``removed``
+    nonces left; ``after`` is the chain's first missing nonce now."""
+    if admitted is not None and admitted < after:
+        return admitted
+    # below ``after`` both states hold the same nonces
+    gap = after
+    while gap in removed:
+        end = chain.run_end(gap + 1)
+        if admitted is not None and gap < admitted < end:
+            return admitted
+        gap = end
+    return gap
 
 
-def _sender_flags(
-    world: WorldState,
-    sender: str,
-    before_nonces: set,
-    after_nonces: set,
+def _transition(
+    chain: SenderChain, confirmed: int, admitted: Optional[int], removed: Sequence[int]
 ) -> Tuple[bool, bool]:
-    confirmed = world.nonce_of(sender)
-    gap_before = _first_gap(confirmed, before_nonces)
-    gap_after = _first_gap(confirmed, after_nonces)
+    """(future turned pending, pending turned future) among one sender's txs
+    resident before and after an admission.
+
+    A resident is future iff its nonce lies above the first gap, so it flips
+    iff it lies strictly between the gap before and the gap after. The
+    admitted nonce never does: it is the gap before, or above both gaps.
+    """
+    after = chain.run_end(confirmed)
+    before = _gap_before(chain, after, admitted, removed)
+    lo, hi = (before, after) if before < after else (after, before)
+    if hi - lo < 2 or bisect_left(chain.nonces, hi) == bisect_right(chain.nonces, lo):
+        return False, False
+    return before < after, after < before
+
+
+_NO_FLAGS = OutcomeFlags(False, False)
+
+
+def _admission_flags(
+    pool: Mempool, world: WorldState, tx: Transaction, victims: Sequence[Transaction]
+) -> OutcomeFlags:
+    """Flags of an admission that inserted ``tx`` and evicted ``victims``."""
+    removed: Dict[str, List[int]] = {tx.sender: []}
+    for v in victims:
+        removed.setdefault(v.sender, []).append(v.nonce)
     ftp = ptf = False
-    for nonce in before_nonces & after_nonces:
-        was = nonce > gap_before
-        now = nonce > gap_after
-        if was and not now:
-            ftp = True
-        elif now and not was:
-            ptf = True
-    return ftp, ptf
+    for sender, nonces in removed.items():
+        admitted = tx.nonce if sender == tx.sender else None
+        f, p = _transition(pool.chain(sender), world.nonce_of(sender), admitted, nonces)
+        ftp |= f
+        ptf |= p
+    if ftp or ptf:
+        return OutcomeFlags(ftp, ptf)
+    return _NO_FLAGS
 
 
 def replay(
@@ -153,9 +184,6 @@ def replay(
         )
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
-    pool_fees = 0
-    block_fees = 0
-    declined_fees = 0
 
     def snapshot(index: int, ts: int) -> None:
         report.snapshots.append(
@@ -169,41 +197,24 @@ def replay(
             elif event.kind == "block_trigger":
                 if config.drain_mode == "interleaved":
                     result = build_block(pool, world)
-                    moved = result.block.revenue
-                    pool_fees -= moved
-                    block_fees += moved
                     report.blocks.append(result.block)
                     report.util.record("block", 0, 0)
             else:
                 tx = event.tx
                 outcome = pool.admit(tx, world, policy)
-                affected = {tx.sender} | {v.sender for v in outcome.victims}
-                # before-state per sender reconstructed from the after-state:
-                # drop the admitted tx, re-add this sender's victims
-                flags_ftp = flags_ptf = False
-                for s in affected:
-                    after_nonces = {t.nonce for t in pool.sender_txs(s)}
-                    before_nonces = set(after_nonces)
-                    if outcome.admitted and tx.sender == s:
-                        before_nonces.discard(tx.nonce)
-                    for v in outcome.victims:
-                        if v.sender == s:
-                            before_nonces.add(v.nonce)
-                    ftp, ptf = _sender_flags(world, s, before_nonces, after_nonces)
-                    flags_ftp |= ftp
-                    flags_ptf |= ptf
-                flags = OutcomeFlags(flags_ftp, flags_ptf)
-                if flags.future_turn_pending or flags.pending_turn_future:
-                    report.flags.append((index, flags))
                 if outcome.kind is OutcomeKind.DECLINED:
+                    # the pool did not change, so no resident changed status
+                    flags = _NO_FLAGS
                     inside, outside = 0, tx.fee
-                elif outcome.kind is OutcomeKind.ADMITTED_NO_EVICT:
-                    inside, outside = tx.fee, 0
                 else:
-                    evicted = sum(v.fee for v in outcome.victims)
-                    inside, outside = tx.fee - evicted, evicted
-                pool_fees += inside
-                declined_fees += outside
+                    flags = _admission_flags(pool, world, tx, outcome.victims)
+                    if flags.future_turn_pending or flags.pending_turn_future:
+                        report.flags.append((index, flags))
+                    if outcome.kind is OutcomeKind.ADMITTED_NO_EVICT:
+                        inside, outside = tx.fee, 0
+                    else:
+                        evicted = sum(v.fee for v in outcome.victims)
+                        inside, outside = tx.fee - evicted, evicted
                 report.util.record(classify_outcome(outcome).value, inside, outside, flags)
                 report.outcomes.append(outcome)
                 reason = outcome.reason.value
@@ -218,16 +229,10 @@ def replay(
     snapshot(len(events), events[-1].ts_ms if events else 0)
     if config.final_drain and (config.drain_mode == "end_only" or len(pool) > 0):
         declined_before = len(pool.declined)
-        end_blocks = drain(pool, world)
-        for block in end_blocks:
-            moved = block.revenue
-            pool_fees -= moved
-            block_fees += moved
+        for block in drain(pool, world):
             report.blocks.append(block)
             report.util.record("block", 0, 0)
-        for tx, reason in pool.declined[declined_before:]:
-            pool_fees -= tx.fee
-            declined_fees += tx.fee
+        for tx, _ in pool.declined[declined_before:]:
             report.util.record("unbuildable", -tx.fee, tx.fee)
     report.final_pending = pool.pending()
     report.declined = [(tx, reason.value) for tx, reason in pool.declined]

@@ -3,7 +3,8 @@
 A trace file is UTF-8 JSON-lines: one object per line with the fields
 {kind, ts_ms, sender, nonce, price, gas_used, gas_limit, value, source}.
 Transaction fields are only present for ``tx_arrival`` events. Parsing is
-strict: unknown fields and timestamp regressions are rejected with the
+strict: unknown fields, timestamp regressions, numbers that are not JSON
+integers, a non-string sender and an unknown source are rejected with the
 offending line number.
 """
 
@@ -18,6 +19,8 @@ from .core import Transaction, WorldState
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
+_INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
+_SOURCES = ("benign", "adversarial")
 
 
 class TraceError(Exception):
@@ -69,35 +72,47 @@ def _event_to_record(event: TraceEvent) -> Dict:
 
 
 def _record_to_event(record: Dict, line: int) -> TraceEvent:
-    unknown = set(record) - _ALL_FIELDS
-    if unknown:
-        raise TraceError(f"unknown fields {sorted(unknown)}", line)
+    if not _ALL_FIELDS.issuperset(record):
+        raise TraceError(f"unknown fields {sorted(set(record) - _ALL_FIELDS)}", line)
     if "kind" not in record or "ts_ms" not in record:
         raise TraceError("missing kind or ts_ms", line)
     kind = record["kind"]
     if kind not in KINDS:
         raise TraceError(f"unknown event kind {kind!r}", line)
+    ts_ms = record["ts_ms"]
+    # bool is an int subclass, and JSON numbers such as 1.0 or 1e3 are floats
+    if type(ts_ms) is not int:
+        raise TraceError(f"ts_ms must be an integer, got {ts_ms!r}", line)
+    # the record holds known fields only, so its size tells which are present
     if kind != "tx_arrival":
-        extra = [f for f in _TX_FIELDS if f in record]
-        if extra:
+        if len(record) != 2:
+            extra = [f for f in _TX_FIELDS if f in record]
             raise TraceError(f"{kind} event carries tx fields {extra}", line)
-        return TraceEvent(kind, record["ts_ms"])
-    missing = [f for f in _TX_FIELDS if f not in record]
-    if missing:
+        return TraceEvent(kind, ts_ms)
+    if len(record) != len(_ALL_FIELDS):
+        missing = [f for f in _TX_FIELDS if f not in record]
         raise TraceError(f"tx_arrival missing fields {missing}", line)
+    for name in _INT_FIELDS:
+        if type(record[name]) is not int:
+            raise TraceError(f"{name} must be an integer, got {record[name]!r}", line)
+    sender, source = record["sender"], record["source"]
+    if type(sender) is not str:
+        raise TraceError(f"sender must be a string, got {sender!r}", line)
+    if source not in _SOURCES:
+        raise TraceError(f"source must be one of {_SOURCES}, got {source!r}", line)
     try:
         tx = Transaction(
-            sender=record["sender"],
+            sender=sender,
             nonce=record["nonce"],
             price=record["price"],
             gas_used=record["gas_used"],
             gas_limit=record["gas_limit"],
             value=record["value"],
-            label=record["source"],
+            label=source,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise TraceError(str(exc), line) from exc
-    return TraceEvent(kind, record["ts_ms"], tx, record["source"])
+    return TraceEvent(kind, ts_ms, tx, source)
 
 
 def dump_events(events: Iterable[TraceEvent]) -> str:

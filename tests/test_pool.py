@@ -1,9 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mempoolsim import Mempool, PolicyConfig, PoolError, Transaction, Verdict, WorldState
+from mempoolsim import (
+    Mempool,
+    PolicyConfig,
+    PoolError,
+    Transaction,
+    Verdict,
+    WorldState,
+    build_block,
+)
 
 from conftest import (
     WEI,
@@ -177,9 +186,9 @@ class TestApplyAdmission:
             pool.apply_admission(tx("Y", 0, 9), [tx("W", 0, 1)])
 
 
-def _rebuild_check(pool: Mempool):
-    """Index coherence: all views hold exactly the pending set, and
-    min_fee_by_sender matches recomputation."""
+def _rebuild_check(pool: Mempool, world: WorldState):
+    """Index coherence: all views hold exactly the pending set, and every
+    sender's chain matches recomputation from it."""
     pending = pool.pending()
     ids = {t.id for t in pending}
     assert {t.id for t in pool.pending_by_price()} == ids
@@ -188,10 +197,23 @@ def _rebuild_check(pool: Mempool):
     by_sender = {}
     for t in pending:
         by_sender.setdefault(t.sender, []).append(t)
-    assert set(pool.min_fee_by_sender) == set(by_sender)
+    assert {s for s in world.accounts if pool.chain(s).min_fee is not None} == set(by_sender)
     for s, chain in by_sender.items():
-        assert pool.min_fee_by_sender[s] == min(t.fee for t in chain)
+        assert pool.chain(s).min_fee == min(t.fee for t in chain)
         assert [t.nonce for t in pool.sender_txs(s)] == sorted(t.nonce for t in chain)
+    for s in world.accounts:
+        chain = pool.chain(s)
+        held = sorted(by_sender.get(s, []), key=lambda t: t.nonce)
+        assert [t.id for t in chain.txs] == [t.id for t in held]
+        assert chain.nonces == [t.nonce for t in chain.txs]
+        assert chain.cost == sum(t.cost for t in held)
+        assert chain.fees == dict(Counter(t.fee for t in held))
+        nonces = set(chain.nonces)
+        for start in range(world.nonce_of(s), max(nonces, default=0) + 2):
+            gap = start
+            while gap in nonces:
+                gap += 1
+            assert chain.run_end(start) == gap
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
@@ -216,9 +238,40 @@ def test_index_coherence_under_random_traffic(policy_kind):
         for victim in outcome.victims:
             next_nonce[victim.sender] = min(next_nonce[victim.sender], victim.nonce)
         if step % 20 == 0:
-            _rebuild_check(pool)
+            _rebuild_check(pool, world)
         assert len(pool) <= pool.capacity
-    _rebuild_check(pool)
+    _rebuild_check(pool, world)
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
+    rng = random.Random(seed)
+    pool = Mempool(capacity=16)
+    # blocks hold a few txs, so chains are cut at the head as well as the tail
+    world = WorldState(block_gas_limit=4 * 60_000)
+    policy = PolicyConfig(kind=policy_kind).build()
+    senders = [f"c{i}" for i in range(6)]
+    for s in senders:
+        world.fund(s, WEI)
+    spare = None  # the other side of the last clone, which must not change
+    for step in range(300):
+        roll = rng.random()
+        if roll < 0.1:
+            build_block(pool, world)
+        elif roll < 0.15:
+            spare = pool.clone()
+            if rng.random() < 0.5:
+                pool, spare = spare, pool
+        else:
+            sender = rng.choice(senders)
+            top = world.nonce_of(sender) + len(pool.chain(sender))
+            nonce = rng.randint(world.nonce_of(sender), top + 1)
+            t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
+            pool.admit(t, world, policy)
+        _rebuild_check(pool, world)
+        if spare is not None:
+            _rebuild_check(spare, world)
 
 
 def test_declined_ledger_append_only_and_replay_stable():

@@ -102,6 +102,30 @@ class TestTraceFormat:
         with pytest.raises(TraceError, match="not an object"):
             parse_trace_text("[1, 2, 3]")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("nonce", True),
+            ("price", 1.5),
+            ("gas_used", "21000"),
+            ("gas_limit", 21000.0),
+            ("value", None),
+            ("ts_ms", 0.5),
+            ("sender", 5),
+            ("source", "friendly"),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, field, value):
+        record = json.loads(dump_events([arrival(tx("A", 0, 5), 1)]))
+        record[field] = value
+        with pytest.raises(TraceError, match=field) as exc:
+            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+        assert exc.value.line == 2
+
+    def test_non_integer_trigger_timestamp_rejected(self):
+        with pytest.raises(TraceError, match="ts_ms"):
+            parse_trace_text(json.dumps({"kind": "block_trigger", "ts_ms": False}))
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         events = gen_cp_lock({"chain_len": 8})
@@ -276,6 +300,14 @@ class TestCli:
         bad.write_text("{nope\n")
         assert main(["replay", str(bad)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_fractional_price_is_usage_error(self, tmp_path, capsys):
+        record = json.loads(dump_events([arrival(tx("A", 0, 5), 1)]))
+        record["price"] = 1.5
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        assert main(["replay", str(bad)]) == 1
+        assert "line 1: price must be an integer" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
