@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Block, Reason, Transaction, WorldState
@@ -30,18 +31,31 @@ class BuildResult:
 
 def candidate_order(pool: Mempool) -> List[Transaction]:
     """Pending txs by price descending (ties oldest first), ancestors promoted
-    ahead of their descendants."""
-    ranked = sorted(pool.pending(), key=lambda tx: (-tx.price, pool.seq_of(tx)))
+    ahead of their descendants.
+
+    ``pool.pending()`` lists txs in admission order and Python's sort is
+    stable also with ``reverse=True``, so one sort on price ranks by
+    (-price, admission seq). Walking that ranking, each tx places the
+    not-yet-placed part of its sender's chain up to and including itself.
+    """
+    ranked = sorted(pool.pending(), key=attrgetter("price"), reverse=True)
     # per sender, how long a prefix of its nonce-sorted chain is placed
     placed: Dict[str, int] = {}
     order: List[Transaction] = []
     for tx in ranked:
-        start = placed.get(tx.sender, 0)
-        chain = pool.chain(tx.sender)
+        sender = tx.sender
+        start = placed.get(sender, 0)
+        chain = pool.chain(sender)
+        txs = chain.txs
+        if start < len(txs) and txs[start] is tx:
+            # the chain's next unplaced tx: nothing to promote
+            order.append(tx)
+            placed[sender] = start + 1
+            continue
         end = bisect_right(chain.nonces, tx.nonce, start)
         if end > start:
-            order.extend(chain.txs[start:end])
-            placed[tx.sender] = end
+            order.extend(txs[start:end])
+            placed[sender] = end
     return order
 
 
@@ -52,9 +66,11 @@ def build_block(
     block = Block()
     skipped: List[Tuple[Transaction, str]] = []
     gas_total = 0
-    next_nonce = {}
+    next_nonce: Dict[str, int] = {}
     for tx in candidate_order(pool):
-        expected = next_nonce.get(tx.sender, world.nonce_of(tx.sender))
+        expected = next_nonce.get(tx.sender)
+        if expected is None:
+            expected = world.nonce_of(tx.sender)
         if tx.nonce != expected:
             skipped.append((tx, "nonce-gap"))
             continue

@@ -1,18 +1,30 @@
 """Bounded transaction pool with price-ordered and sender/nonce-ordered indexes.
 
-The pool keeps these synchronized views of the pending set:
+The pool always keeps these views of the pending set:
 
-* ``_by_price`` / ``_by_fee`` - all pending txs ordered by (price or fee,
-  insertion seq)
-* ``_childless`` - each sender's maximal-nonce tx ordered by (price, seq),
-  which is what chain-safe eviction scans
+* ``_by_key`` - ``(sender, nonce) -> tx`` in admission order: every insert
+  adds a fresh key, so ``pending()`` lists txs oldest first
 * one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs in
   ascending nonce order with their running cost and minimum fee, and the
   end of the contiguous nonce run from any start (``run_end``), which is
   what the future test reads
 
+and these order indexes, each a ``SortedList`` of ``(key, seq, tx)``
+tuples, where ``seq`` is the tx's unique admission number (so ties go
+oldest first and a comparison never reaches ``tx``):
+
+* ``_by_price`` / ``_by_fee`` - all pending txs by price or fee
+* ``_childless`` - each sender's maximal-nonce tx by price, which is what
+  chain-safe eviction scans
+
+An order index does not exist until something first reads it; it is then
+built from ``_by_key`` or the chains and kept current by every later
+insert and removal. Each policy reads one order, so a replay maintains
+only the index its policy uses.
+
 Mutations are single-writer; reads on a snapshot (``clone``) are safe to
-share across threads.
+share across threads. A first read builds an index from state no reader
+changes, so two racing first reads build equal indexes.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
-from sortedcontainers import SortedKeyList
+from sortedcontainers import SortedList
 
 from .core import (
     AdmissionOutcome,
@@ -161,12 +173,10 @@ class Mempool(PendingView):
         self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[int, int] = {}
         self._next_seq = 0
-        # price index over all pending; tie broken by insertion order
-        self._by_price = SortedKeyList(key=lambda tx: (tx.price, self._seq_of[tx.id]))
-        # fee index over all pending, for minimum-fee lookups
-        self._by_fee = SortedKeyList(key=lambda tx: (tx.fee, self._seq_of[tx.id]))
-        # price index over childless txs only
-        self._childless = SortedKeyList(key=lambda tx: (tx.price, self._seq_of[tx.id]))
+        # order indexes of (key, seq, tx), each built on its first read
+        self._by_price: Optional[SortedList] = None
+        self._by_fee: Optional[SortedList] = None
+        self._childless: Optional[SortedList] = None
         self.declined: List[Tuple[Transaction, Reason]] = []
         self._price_sum = 0
         self._fee_sum = 0
@@ -194,13 +204,15 @@ class Mempool(PendingView):
         return list(self.chain(sender).txs)
 
     def pending(self) -> List[Transaction]:
+        """All pending txs in admission order, oldest first.
+
+        ``_by_key`` is a dict and every insert adds a fresh key, so its order
+        is ascending admission seq; ``candidate_order`` relies on this.
+        """
         return list(self._by_key.values())
 
     def pending_by_price(self) -> List[Transaction]:
-        return list(self._by_price)
-
-    def seq_of(self, tx: Transaction) -> int:
-        return self._seq_of[tx.id]
+        return [entry[2] for entry in self._price_index()]
 
     def price_sum(self) -> int:
         return self._price_sum
@@ -208,17 +220,38 @@ class Mempool(PendingView):
     def fee_sum(self) -> int:
         return self._fee_sum
 
+    def _price_index(self) -> SortedList:
+        if self._by_price is None:
+            seq_of = self._seq_of
+            self._by_price = SortedList((t.price, seq_of[t.id], t) for t in self._by_key.values())
+        return self._by_price
+
+    def _fee_index(self) -> SortedList:
+        if self._by_fee is None:
+            seq_of = self._seq_of
+            self._by_fee = SortedList((t.fee, seq_of[t.id], t) for t in self._by_key.values())
+        return self._by_fee
+
+    def _childless_index(self) -> SortedList:
+        if self._childless is None:
+            seq_of = self._seq_of
+            tails = [chain.txs[-1] for chain in self._chains.values()]
+            self._childless = SortedList((t.price, seq_of[t.id], t) for t in tails)
+        return self._childless
+
     def min_price_tx(self) -> Optional[Transaction]:
         """Globally cheapest pending tx, oldest first among equal prices."""
-        return self._by_price[0] if self._by_price else None
+        index = self._price_index()
+        return index[0][2] if index else None
 
     def min_fee_tx(self) -> Optional[Transaction]:
         """Pending tx with minimal fee, oldest first among equal fees."""
-        return self._by_fee[0] if self._by_fee else None
+        index = self._fee_index()
+        return index[0][2] if index else None
 
     def find_childless(self) -> List[Transaction]:
-        """Each sender's maximal-nonce pending transaction."""
-        return list(self._childless)
+        """Each sender's maximal-nonce pending transaction, by (price, seq)."""
+        return [entry[2] for entry in self._childless_index()]
 
     def min_price_childless(self) -> Optional[Transaction]:
         """Cheapest childless tx.
@@ -226,24 +259,25 @@ class Mempool(PendingView):
         Among equal prices the tx whose sender holds the smaller chain-minimum
         fee is preferred, then insertion order (oldest first).
         """
-        if not self._childless:
+        index = self._childless_index()
+        if not index:
             return None
-        lowest = self._childless[0].price
-        group = []
-        for tx in self._childless:
-            if tx.price != lowest:
+        lowest = index[0][0]
+        chains = self._chains
+        best = None
+        for price, seq, tx in index:
+            if price != lowest:
                 break
-            group.append(tx)
-        return min(group, key=lambda tx: (self._chains[tx.sender].min_fee, self._seq_of[tx.id]))
-
-    def descendant_victim(self, seed: Transaction) -> Transaction:
-        """Maximal-nonce pending tx of ``seed``'s sender; ``seed`` itself if childless."""
-        if seed not in self:
-            raise PoolError(f"seed {seed!r} not pending")
-        return self._chains[seed.sender].txs[-1]
+            rank = (chains[tx.sender].min_fee, seq)
+            if best is None or rank < best[0]:
+                best = (rank, tx)
+        return best[1]
 
     def chain_tail_victims(self, seed: Transaction, count: int = 1) -> List[Transaction]:
-        """Last ``count`` transactions (by nonce) of ``seed``'s sender chain."""
+        """Last ``count`` transactions (by nonce) of ``seed``'s sender chain.
+
+        ``seed`` itself is the one victim when it is childless.
+        """
         if seed not in self:
             raise PoolError(f"seed {seed!r} not pending")
         return self._chains[seed.sender].txs[-count:][::-1]
@@ -279,42 +313,54 @@ class Mempool(PendingView):
     # ---------------------------------------------------------- mutation
 
     def _insert(self, tx: Transaction) -> None:
-        self._seq_of[tx.id] = self._next_seq
-        self._next_seq += 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        self._seq_of[tx.id] = seq
         self._by_key[(tx.sender, tx.nonce)] = tx
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
         old_tail = chain.txs[-1] if chain.txs else None
         chain.insert(tx)
-        if chain.txs[-1] is tx:
+        price = tx.price
+        childless = self._childless
+        if childless is not None and chain.txs[-1] is tx:
             if old_tail is not None:
-                self._childless.remove(old_tail)
-            self._childless.add(tx)
-        self._by_price.add(tx)
-        self._by_fee.add(tx)
-        self._price_sum += tx.price
-        self._fee_sum += tx.fee
+                childless.remove((old_tail.price, self._seq_of[old_tail.id], old_tail))
+            childless.add((price, seq, tx))
+        if self._by_price is not None:
+            self._by_price.add((price, seq, tx))
+        fee = tx.fee
+        if self._by_fee is not None:
+            self._by_fee.add((fee, seq, tx))
+        self._price_sum += price
+        self._fee_sum += fee
 
     def _remove(self, tx: Transaction) -> None:
         key = (tx.sender, tx.nonce)
         if self._by_key.get(key) != tx:
             raise PoolError(f"{tx!r} not pending")
         del self._by_key[key]
+        seq = self._seq_of.pop(tx.id)
         chain = self._chains[tx.sender]
         was_tail = chain.txs[-1] is tx
         chain.remove(tx)
-        if was_tail:
-            self._childless.remove(tx)
+        price = tx.price
+        childless = self._childless
+        if childless is not None and was_tail:
+            childless.remove((price, seq, tx))
             if chain.txs:
-                self._childless.add(chain.txs[-1])
+                tail = chain.txs[-1]
+                childless.add((tail.price, self._seq_of[tail.id], tail))
         if not chain.txs:
             del self._chains[tx.sender]
-        self._by_price.remove(tx)
-        self._by_fee.remove(tx)
-        self._price_sum -= tx.price
-        self._fee_sum -= tx.fee
-        del self._seq_of[tx.id]
+        if self._by_price is not None:
+            self._by_price.remove((price, seq, tx))
+        fee = tx.fee
+        if self._by_fee is not None:
+            self._by_fee.remove((fee, seq, tx))
+        self._price_sum -= price
+        self._fee_sum -= fee
 
     def apply_admission(self, tx: Transaction, victims: List[Transaction]) -> None:
         """Remove ``victims`` (recorded as evicted), then insert ``tx``."""
@@ -363,14 +409,18 @@ class Mempool(PendingView):
     # ---------------------------------------------------------- snapshot
 
     def clone(self) -> "Mempool":
+        """Independent copy; only the order indexes that exist are copied."""
         other = Mempool(self.capacity, self.per_sender_limit)
         other._by_key = dict(self._by_key)
         other._chains = {s: chain.copy() for s, chain in self._chains.items()}
         other._seq_of = dict(self._seq_of)
         other._next_seq = self._next_seq
-        other._by_price.update(self._by_key.values())
-        other._by_fee.update(self._by_key.values())
-        other._childless.update(chain.txs[-1] for chain in other._chains.values())
+        if self._by_price is not None:
+            other._by_price = self._by_price.copy()
+        if self._by_fee is not None:
+            other._by_fee = self._by_fee.copy()
+        if self._childless is not None:
+            other._childless = self._childless.copy()
         other.declined = list(self.declined)
         other._price_sum = self._price_sum
         other._fee_sum = self._fee_sum

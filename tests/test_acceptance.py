@@ -36,7 +36,7 @@ from mempoolsim import (
     workload_batch_insert,
     world_for_trace,
 )
-from mempoolsim.core import ListPendingView
+from mempoolsim.core import PendingView
 
 from conftest import WEI, fill_pool, record_criterion, rich_world, tx
 
@@ -125,9 +125,22 @@ def _xt6_trace(params, capacity):
     return events
 
 
+class _KeyedPendingView(PendingView):
+    """A fixed tx list keyed by (sender, nonce): ``get`` is one dict lookup."""
+
+    def __init__(self, txs):
+        self._by_key = {(t.sender, t.nonce): t for t in txs}
+
+    def get(self, sender, nonce):
+        return self._by_key.get((sender, nonce))
+
+    def sender_txs(self, sender):
+        return [t for t in self._by_key.values() if t.sender == sender]
+
+
 def _non_future_pending(report, events):
     world = world_for_trace(events)
-    view = ListPendingView(report.final_pending)
+    view = _KeyedPendingView(report.final_pending)
     return [t for t in report.final_pending if not is_future(t, view, world)]
 
 

@@ -1,5 +1,10 @@
+import random
+
+import pytest
+
 from mempoolsim import (
     Mempool,
+    PolicyConfig,
     Reason,
     Transaction,
     WorldState,
@@ -51,6 +56,66 @@ class TestCandidateOrder:
         for t in candidate_order(pool):
             assert seen.get(t.sender, -1) < t.nonce
             seen[t.sender] = t.nonce
+
+
+def _oracle_candidate_order(pending, admitted_at):
+    """Rank by (-price, admission order), then let each ranked tx place its
+    sender's unplaced txs up to its own nonce, found by list scans."""
+    ranked = sorted(pending, key=lambda t: (-t.price, admitted_at[t.id]))
+    order = []
+    for t in ranked:
+        group = [u for u in pending if u.sender == t.sender and u.nonce <= t.nonce]
+        order.extend(sorted((u for u in group if u not in order), key=lambda u: u.nonce))
+    return order
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_candidate_order_matches_oracle(policy_kind, seed):
+    # random pools whose admission order differs from (sender, nonce) order:
+    # evicted (sender, nonce) pairs are sent again and re-admitted, and the
+    # pool is swapped for its clone now and then
+    rng = random.Random(seed)
+    world = WorldState(block_gas_limit=3 * 60_000)
+    senders = [f"c{i}" for i in range(5)]
+    for s in senders:
+        world.fund(s, WEI)
+    pool = Mempool(capacity=12)
+    policy = PolicyConfig(kind=policy_kind).build()
+    admitted_at = {}  # tx id -> admission order, counted here
+    evicted = set()  # (sender, nonce) of evicted txs
+    readmitted = clones = 0
+    for step in range(300):
+        roll = rng.random()
+        if roll < 0.04:
+            build_block(pool, world)
+        elif roll < 0.09:
+            clones += 1
+            copy = pool.clone()
+            if rng.random() < 0.5:
+                pool = copy
+        else:
+            resend = sorted(
+                (s, n) for s, n in evicted if n >= world.nonce_of(s) and pool.get(s, n) is None
+            )
+            if resend and roll < 0.29:
+                # priced up, as a re-sent tx would be, so it can win its slot back
+                sender, nonce = rng.choice(resend)
+                price = rng.randint(150, 450)
+            else:
+                sender = rng.choice(senders)
+                top = world.nonce_of(sender) + len(pool.chain(sender))
+                nonce = rng.randint(world.nonce_of(sender), top + 1)
+                price = rng.randint(1, 300)
+            t = tx(sender, nonce, price, gas=rng.choice((21_000, 60_000)))
+            outcome = pool.admit(t, world, policy)
+            if outcome.admitted:
+                admitted_at[t.id] = len(admitted_at)
+                readmitted += (sender, nonce) in evicted
+            evicted.update((v.sender, v.nonce) for v in outcome.victims)
+        expected = _oracle_candidate_order(pool.pending(), admitted_at)
+        assert [t.id for t in candidate_order(pool)] == [t.id for t in expected], step
+    assert readmitted > 0 and clones > 0
 
 
 def _a2a_pool(block_gas_limit):

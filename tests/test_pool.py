@@ -141,25 +141,27 @@ class TestChildless:
 
 
 class TestDescendantVictim:
+    # map's victim: the chain tail of the seed's sender
+
     def test_walks_to_chain_tail(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
         world.fund("A", WEI, nonce=1)
         txs = [tx("A", 1, 5), tx("A", 2, 5), tx("A", 3, 5)]
         fill_pool(pool, world, txs)
-        assert pool.descendant_victim(txs[0]) == txs[2] == oracle_descendant(txs, txs[0])
+        assert pool.chain_tail_victims(txs[0], 1)[0] == txs[2] == oracle_descendant(txs, txs[0])
 
     def test_childless_seed_is_fixed_point(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
         only = tx("A", 0, 5)
         fill_pool(pool, world, [only])
-        assert pool.descendant_victim(only) == only
+        assert pool.chain_tail_victims(only, 1)[0] == only
 
     def test_seed_not_pending_raises(self):
         pool = Mempool(capacity=8)
         with pytest.raises(PoolError):
-            pool.descendant_victim(tx("Z", 0, 1))
+            pool.chain_tail_victims(tx("Z", 0, 1), 1)
 
 
 class TestApplyAdmission:
@@ -353,3 +355,150 @@ def test_admit_never_admits_future_under_cp():
         for victim in outcome.victims:
             next_nonce[victim.sender] = victim.nonce
         assert not any(is_future(p, pool, world) for p in pool.pending())
+
+
+def _oracle_orders(pending, admitted_at):
+    """Every order the pool serves, by brute force: sort by (key, admission
+    order), with the admission order counted by the caller."""
+
+    def seq(t):
+        return admitted_at[t.id]
+
+    by_price = sorted(pending, key=lambda t: (t.price, seq(t)))
+    childless = sorted(oracle_childless(pending), key=lambda t: (t.price, seq(t)))
+    min_fee_of = {}
+    for t in pending:
+        min_fee_of[t.sender] = min(min_fee_of.get(t.sender, t.fee), t.fee)
+    lowest = [t for t in childless if t.price == childless[0].price] if childless else []
+    return {
+        "pending_by_price": [t.id for t in by_price],
+        "find_childless": [t.id for t in childless],
+        "min_price_tx": by_price[0].id if by_price else None,
+        "min_fee_tx": min(pending, key=lambda t: (t.fee, seq(t))).id if pending else None,
+        "min_price_childless": (
+            min(lowest, key=lambda t: (min_fee_of[t.sender], seq(t))).id if lowest else None
+        ),
+    }
+
+
+# the readers behind each lazily built order index
+_INDEX_READERS = {
+    "price": ("pending_by_price", "min_price_tx"),
+    "fee": ("min_fee_tx",),
+    "childless": ("find_childless", "min_price_childless"),
+}
+
+
+def _read(pool, reader):
+    got = getattr(pool, reader)()
+    if isinstance(got, list):
+        return [t.id for t in got]
+    return got.id if got is not None else None
+
+
+def _built(pool):
+    return [index is not None for index in (pool._by_price, pool._by_fee, pool._childless)]
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
+    # pool A reads every order from step 0; pool B reads each order first at
+    # its own random later step and is cloned while only some indexes exist
+    rng = random.Random(100 + seed)
+    steps = 300
+    first_read = {group: rng.randint(1, steps - 1) for group in _INDEX_READERS}
+    world_a = WorldState(block_gas_limit=4 * 60_000)
+    senders = [f"c{i}" for i in range(6)]
+    for s in senders:
+        world_a.fund(s, WEI)
+    world_b = world_a.clone()
+    pool_a, pool_b = Mempool(capacity=16), Mempool(capacity=16)
+    policy = PolicyConfig(kind=policy_kind).build()
+    admitted_at = {}  # tx id -> admission order, counted here
+    pending = {}  # tx id -> tx, the pending set mirrored here
+    partial_clones = 0
+    spares = spare_expected = None
+    for step in range(steps):
+        roll = rng.random()
+        if roll < 0.1:
+            built_a = build_block(pool_a, world_a).block.txs
+            built_b = build_block(pool_b, world_b).block.txs
+            assert [t.id for t in built_a] == [t.id for t in built_b]
+            for t in built_a:
+                del pending[t.id]
+        elif roll < 0.17:
+            partial_clones += 0 < sum(_built(pool_b)) < 3
+            clones = pool_a.clone(), pool_b.clone()
+            assert [_built(c) for c in clones] == [_built(pool_a), _built(pool_b)]
+            if rng.random() < 0.5:
+                (pool_a, pool_b), clones = clones, (pool_a, pool_b)
+            # the side of each clone left behind must keep this step's orders
+            spares, spare_expected = clones, None
+        else:
+            sender = rng.choice(senders)
+            top = world_a.nonce_of(sender) + len(pool_a.chain(sender))
+            nonce = rng.randint(world_a.nonce_of(sender), top + 1)
+            t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
+            out_a = pool_a.admit(t, world_a, policy)
+            out_b = pool_b.admit(t, world_b, policy)
+            assert (out_a.kind, out_a.victims) == (out_b.kind, out_b.victims)
+            if out_a.admitted:
+                admitted_at[t.id] = len(admitted_at)
+                pending[t.id] = t
+            for victim in out_a.victims:
+                del pending[victim.id]
+        assert {t.id for t in pool_a.pending()} == set(pending)
+        assert {t.id for t in pool_b.pending()} == set(pending)
+        expected = _oracle_orders(list(pending.values()), admitted_at)
+        if spares and spare_expected is None:
+            spare_expected = expected
+        for group, readers in _INDEX_READERS.items():
+            for reader in readers:
+                assert _read(pool_a, reader) == expected[reader], (step, reader)
+                if spares:
+                    assert _read(spares[0], reader) == spare_expected[reader], (step, reader)
+                if step >= first_read[group]:
+                    assert _read(pool_b, reader) == expected[reader], (step, reader)
+                    if spares:
+                        assert _read(spares[1], reader) == spare_expected[reader], (step, reader)
+    assert partial_clones > 0
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
+    import importlib
+
+    from mempoolsim import AttackPlan, ScenarioConfig, block_trigger, replay
+
+    replay_module = importlib.import_module("mempoolsim.replay")
+    pools = []
+
+    class RecordingMempool(Mempool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(replay_module, "Mempool", RecordingMempool)
+    plan = AttackPlan("random_adversary", {"steps": 600, "seed": 4})
+    events = []
+    for step, event in enumerate(plan.events()):
+        events.append(event)
+        if (step + 1) % 200 == 0:
+            events.append(block_trigger(event.ts_ms))
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind=policy_kind),
+        capacity=64,
+        account_seeds=plan.account_seeds(),
+        drain_mode="interleaved",
+    )
+    report = replay(config, events)
+    assert any(o.victims for o in report.outcomes)  # the pool filled and evicted
+    (pool,) = pools
+    # built: [_by_price, _by_fee, _childless]
+    expected = {
+        "baseline": [True, False, False],
+        "cp": [False, False, True],
+        "map": [False, True, False],
+    }
+    assert _built(pool) == expected[policy_kind]
