@@ -13,6 +13,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
+_INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 
 _id_counter = itertools.count(1)
 
@@ -35,6 +36,16 @@ class Transaction:
     id: int = field(default_factory=lambda: next(_id_counter))
 
     def __post_init__(self) -> None:
+        # exact types, before the ranges: bool is an int subclass, and a float
+        # or a non-string sender would break integer wei and the report encoding
+        if not (
+            type(self.nonce) is type(self.price) is type(self.gas_used)
+            is type(self.gas_limit) is type(self.value) is int
+        ):
+            name = next(n for n in _INT_FIELDS if type(getattr(self, n)) is not int)
+            raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if type(self.sender) is not str:
+            raise ValueError(f"sender must be a string, got {self.sender!r}")
         if self.gas_limit == 0:
             object.__setattr__(self, "gas_limit", self.gas_used)
         if self.nonce < 0:

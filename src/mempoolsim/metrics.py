@@ -168,6 +168,12 @@ class UtilEntry:
     dutil: int = 0
     count: int = 0
 
+    def add(self, inside_delta: int, outside_delta: int) -> None:
+        self.inside_delta += inside_delta
+        self.outside_delta += outside_delta
+        self.dutil += inside_delta - outside_delta
+        self.count += 1
+
 
 @dataclass
 class UtilLedger:
@@ -176,28 +182,20 @@ class UtilLedger:
     total: UtilEntry = field(default_factory=UtilEntry)
 
     def record(self, label: str, inside_delta: int, outside_delta: int, flags: Optional[OutcomeFlags] = None) -> None:
-        d = inside_delta - outside_delta
-        for bucket, key in ((self.per_class, label),):
-            entry = bucket.setdefault(key, UtilEntry())
-            entry.inside_delta += inside_delta
-            entry.outside_delta += outside_delta
-            entry.dutil += d
-            entry.count += 1
-        if flags:
-            for name, on in (
-                ("future_turn_pending", flags.future_turn_pending),
-                ("pending_turn_future", flags.pending_turn_future),
-            ):
-                if on:
-                    entry = self.flagged.setdefault(name, UtilEntry())
-                    entry.inside_delta += inside_delta
-                    entry.outside_delta += outside_delta
-                    entry.dutil += d
-                    entry.count += 1
-        self.total.inside_delta += inside_delta
-        self.total.outside_delta += outside_delta
-        self.total.dutil += d
-        self.total.count += 1
+        _entry(self.per_class, label).add(inside_delta, outside_delta)
+        if flags is not None:
+            if flags.future_turn_pending:
+                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
+            if flags.pending_turn_future:
+                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
+        self.total.add(inside_delta, outside_delta)
+
+
+def _entry(bucket: Dict[str, UtilEntry], key: str) -> UtilEntry:
+    entry = bucket.get(key)
+    if entry is None:
+        entry = bucket[key] = UtilEntry()
+    return entry
 
 
 def dutil(

@@ -46,7 +46,6 @@ class PolicyDecision:
 class PolicyConfig:
     kind: str = "cp"  # one of {"baseline", "cp", "map"}
     per_sender_limit: Optional[int] = None
-    compare_by: Optional[str] = None  # "price" or "fee"; default per policy kind
     map_gate_nonfull: bool = False
 
     def build(self):

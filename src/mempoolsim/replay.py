@@ -2,7 +2,8 @@
 blocks on triggers (or at end-of-trace), and folds the metrics ledgers.
 
 The same (config, events) pair always produces a byte-identical report;
-``RunReport.report_hash()`` is the cheap way to check that.
+``RunReport.report_hash()``, the sha256 of the report's canonical JSON
+(docs/format.md), checks that.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import statistics
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
@@ -95,23 +97,50 @@ class RunReport:
             "pending": len(self.final_pending),
         }
 
-    def canonical(self) -> Dict:
-        def tx_key(tx: Transaction):
-            return [tx.sender, tx.nonce, tx.price, tx.gas_used, tx.gas_limit, tx.value]
-
-        return {
-            "summary": self.summary(),
-            "outcomes": [
-                [o.kind.value, o.reason.value, tx_key(o.tx), [tx_key(v) for v in o.victims]]
-                for o in self.outcomes
-            ],
-            "blocks": [[tx_key(tx) for tx in b.txs] for b in self.blocks],
-            "declined": [[tx_key(tx), reason] for tx, reason in self.declined],
-            "price_sums": self.price_sum_series,
-        }
-
     def report_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        """sha256 of the report's canonical JSON, as docs/format.md defines it.
+
+        The hashed bytes are the compact, sorted-key, ASCII-escaped JSON of
+        ``{blocks, declined, outcomes, price_sums, summary}``, each tx as
+        ``[sender, nonce, price, gas_used, gas_limit, value]``: what
+        ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
+        that object. They are written directly instead, each tx encoded once
+        however often the report names it. ``Transaction`` fields are exact
+        ints, for which ``str`` writes what json writes.
+        """
+        enc = encode_basestring_ascii
+        txs: Dict[int, str] = {}
+
+        def tx_json(tx: Transaction) -> str:
+            key = id(tx)
+            text = txs.get(key)
+            if text is None:
+                text = txs[key] = (
+                    f"[{enc(tx.sender)},{tx.nonce},{tx.price},"
+                    f"{tx.gas_used},{tx.gas_limit},{tx.value}]"
+                )
+            return text
+
+        heads: Dict[Tuple[int, int], str] = {}
+        outcomes = []
+        for o in self.outcomes:
+            kind, reason = o.kind, o.reason
+            # enum members are singletons: id() skips Enum.__hash__ and .value
+            head = heads.get((id(kind), id(reason)))
+            if head is None:
+                head = heads[id(kind), id(reason)] = f"[{enc(kind.value)},{enc(reason.value)},"
+            outcomes.append(f"{head}{tx_json(o.tx)},[{','.join(map(tx_json, o.victims))}]]")
+        blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
+        declined = ",".join(f"[{tx_json(tx)},{enc(reason)}]" for tx, reason in self.declined)
+        compact = (",", ":")
+        blob = "".join((
+            '{"blocks":[', blocks,
+            '],"declined":[', declined,
+            '],"outcomes":[', ",".join(outcomes),
+            '],"price_sums":', json.dumps(self.price_sum_series, separators=compact),
+            ',"summary":', json.dumps(self.summary(), sort_keys=True, separators=compact),
+            "}",
+        ))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

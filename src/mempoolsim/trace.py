@@ -19,7 +19,6 @@ from .core import Transaction, WorldState
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
-_INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 _SOURCES = ("benign", "adversarial")
 
 
@@ -92,17 +91,11 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
     if len(record) != len(_ALL_FIELDS):
         missing = [f for f in _TX_FIELDS if f not in record]
         raise TraceError(f"tx_arrival missing fields {missing}", line)
-    for name in _INT_FIELDS:
-        if type(record[name]) is not int:
-            raise TraceError(f"{name} must be an integer, got {record[name]!r}", line)
-    sender, source = record["sender"], record["source"]
-    if type(sender) is not str:
-        raise TraceError(f"sender must be a string, got {sender!r}", line)
-    if source not in _SOURCES:
-        raise TraceError(f"source must be one of {_SOURCES}, got {source!r}", line)
+    source = record["source"]
+    # Transaction checks the field types (exact int, str sender), then ranges
     try:
         tx = Transaction(
-            sender=sender,
+            sender=record["sender"],
             nonce=record["nonce"],
             price=record["price"],
             gas_used=record["gas_used"],
@@ -112,6 +105,8 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
         )
     except ValueError as exc:
         raise TraceError(str(exc), line) from exc
+    if source not in _SOURCES:
+        raise TraceError(f"source must be one of {_SOURCES}, got {source!r}", line)
     return TraceEvent(kind, ts_ms, tx, source)
 
 

@@ -28,6 +28,27 @@ class TestTransaction:
         with pytest.raises(ValueError):
             tx("A", 0, 0)
 
+    @pytest.mark.parametrize("field", ["nonce", "price", "gas_used", "gas_limit", "value"])
+    @pytest.mark.parametrize("bad", [True, False, 30_000.0, 1.5, float("inf"), "7", None])
+    def test_integer_fields_must_be_exact_ints(self, field, bad):
+        fields = dict(sender="A", nonce=0, price=1, gas_used=21_000, gas_limit=21_000, value=0)
+        fields[field] = bad
+        # the type check runs first: False as price is not "price must be positive"
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            Transaction(**fields)
+
+    @pytest.mark.parametrize("sender", [5, b"A", None, ("A",)])
+    def test_sender_must_be_str(self, sender):
+        with pytest.raises(ValueError, match="^sender must be a string, got "):
+            Transaction(sender=sender, nonce=0, price=1)
+
+    def test_str_subclass_sender_rejected(self):
+        class Name(str):
+            pass
+
+        with pytest.raises(ValueError, match="sender must be a string"):
+            Transaction(sender=Name("A"), nonce=0, price=1)
+
     @given(gas=st.integers(21_000, 10**6), price=st.integers(1, 10**9))
     def test_fee_exact_integer(self, gas, price):
         assert tx("A", 0, price, gas=gas).fee == gas * price

@@ -1,8 +1,9 @@
 """Golden replays: the report hash and the future-flag digest of a fixed
 matrix of traces x policies x drain modes.
 
-``RunReport.canonical()`` leaves out the future<->pending flags, so each
-cell also pins a sha256 over ``report.flags`` and ``report.util.flagged``.
+The ``report_hash`` JSON (docs/format.md) leaves out the future<->pending
+flags, so each cell also pins a sha256 over ``report.flags`` and
+``report.util.flagged``.
 A change to the pool, builder or replay that keeps every value here keeps
 the simulator's observable behaviour.
 

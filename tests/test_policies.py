@@ -197,6 +197,5 @@ def test_cp_locking_counterexample():
 
 def test_config_defaults_and_unknown_kind():
     assert PolicyConfig().kind == "cp"
-    assert PolicyConfig(kind="baseline").compare_by is None
     with pytest.raises(ValueError):
         PolicyConfig(kind="lru").build()
