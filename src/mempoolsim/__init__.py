@@ -9,21 +9,17 @@ from .core import (
     OutcomeKind,
     Reason,
     Transaction,
+    PoolError,
     WorldState,
-    cumulative_cost,
-    is_ancestor,
-    is_future,
 )
-from .pool import Mempool, PoolError, PrecheckReport, SenderChain, Verdict
+from .pool import Mempool, SenderChain
 from .policies import (
     ChildlessPricePolicy,
     MinFeeChainTailPolicy,
     PolicyConfig,
-    PolicyDecision,
     PriceOnlyPolicy,
-    mdf,
 )
-from .builder import BuildResult, build_block, candidate_order, drain, drained_fees
+from .builder import BuildResult, build_block, candidate_order, drain
 from .attacks import (
     AttackCostReport,
     AttackPlan,
@@ -35,7 +31,6 @@ from .attacks import (
     gen_mempurge,
     gen_random_adversary,
     gen_xt6,
-    xt6_event_count,
 )
 from .metrics import (
     BoundEstimate,
@@ -46,7 +41,6 @@ from .metrics import (
     eviction_bound_baseline_under_xt6,
     eviction_bound_cp,
     gamma,
-    revenue_series,
 )
 from .trace import (
     TraceEvent,

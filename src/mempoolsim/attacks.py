@@ -10,10 +10,11 @@ for the overdraft attack).
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import Transaction
+from .core import PoolError, Transaction
 from .trace import TraceEvent, arrival
 
 ATTACK_KINDS = ("xt6", "deter_future", "mempurge_overdraft", "cp_lock", "random_adversary")
@@ -129,10 +130,6 @@ def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent
     return events
 
 
-def xt6_event_count(params: Dict) -> int:
-    return params["n_seq"] * params["seq_len"] + params["n_parents_evicted"] + params["big_chain"] + 1
-
-
 def deter_params(params: Optional[Dict] = None) -> Dict:
     p = {"count": 10, "price": 100}
     p.update(params or {})
@@ -224,13 +221,14 @@ def _random_adversary(params: Optional[Dict], start_ms: int):
     events: List[TraceEvent] = []
     seeds: Dict[str, Tuple[int, int]] = {}
     next_nonce: Dict[str, int] = {}
+    chained: List[str] = []  # the keys of next_nonce, sorted
     fresh_count = 0
     for step in range(steps):
         kind = rng.choices(choices, weights)[0] if choices else "fresh"
         price = rng.randint(1, 10_000)
         gas = rng.choice((21_000, 50_000, 100_000))
         if kind == "chain" and next_nonce:
-            sender = rng.choice(sorted(next_nonce))
+            sender = rng.choice(chained)
             nonce = next_nonce[sender]
             next_nonce[sender] = nonce + 1
         elif kind == "future":
@@ -249,6 +247,7 @@ def _random_adversary(params: Optional[Dict], start_ms: int):
             fresh_count += 1
             nonce = 0
             next_nonce[sender] = 1
+            insort(chained, sender)
         events.append(arrival(_adv(sender, nonce, price, gas_used=gas), ts_ms=start_ms + step))
     return events, seeds
 
@@ -269,7 +268,7 @@ class AttackCostReport:
 
     def __post_init__(self) -> None:
         if self.fees_charged > self.fees_at_risk:
-            raise ValueError("charged fees cannot exceed fees at risk")
+            raise PoolError("charged fees cannot exceed fees at risk")
 
 
 def attack_cost(included_txs, pending_txs) -> AttackCostReport:

@@ -105,7 +105,3 @@ def drain(pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None) -> L
             break
         blocks.append(result.block)
     return blocks
-
-
-def drained_fees(blocks: Sequence[Block]) -> int:
-    return sum(b.revenue for b in blocks)

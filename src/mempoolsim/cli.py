@@ -18,6 +18,7 @@ import sys
 from typing import List, Optional
 
 from .attacks import ATTACK_KINDS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
+from .core import PoolError
 from .metrics import eviction_bound_baseline_under_xt6, eviction_bound_cp, gamma
 from .policies import POLICY_KINDS, PolicyConfig
 from .replay import ReplayAbort, ScenarioConfig, bench, replay
@@ -42,7 +43,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--full", action="store_true", help="full-scale profile (capacity 5120)")
     parser.add_argument("--drain-mode", choices=("end_only", "interleaved"), default="end_only")
     parser.add_argument("--per-sender-limit", type=int, default=None)
-    parser.add_argument("--snapshot-every", type=int, default=None)
     parser.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
 
 
@@ -52,7 +52,6 @@ def _scenario(args) -> ScenarioConfig:
         policy=PolicyConfig(kind=args.policy, per_sender_limit=args.per_sender_limit),
         capacity=capacity,
         drain_mode=args.drain_mode,
-        snapshot_every=args.snapshot_every,
     )
 
 
@@ -212,7 +211,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ReplayAbort as exc:
+    except (ReplayAbort, PoolError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""Domain types and pure helper predicates shared by the whole simulator.
+"""Domain types shared by the whole simulator.
 
 All monetary and gas quantities are plain Python integers (wei / gas units).
 No floating point is used anywhere in admission logic.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
@@ -119,6 +119,10 @@ class WorldState:
         )
 
 
+class PoolError(Exception):
+    """An engine invariant broke: the pool or a report is inconsistent."""
+
+
 class OutcomeKind(Enum):
     DECLINED = "declined"
     ADMITTED_NO_EVICT = "admitted-no-evict"
@@ -141,6 +145,9 @@ class Reason(Enum):
 
 @dataclass(frozen=True)
 class AdmissionOutcome:
+    """One admission decision: what a policy's ``decide`` returns and what
+    ``Mempool.admit`` applies, returns and a replay reports."""
+
     kind: OutcomeKind
     reason: Reason
     tx: Transaction
@@ -148,7 +155,7 @@ class AdmissionOutcome:
 
     def __post_init__(self) -> None:
         if self.kind is OutcomeKind.ADMITTED_EVICTING and not self.victims:
-            raise ValueError("eviction outcome needs at least one victim")
+            raise PoolError("eviction outcome needs at least one victim")
 
     @property
     def admitted(self) -> bool:
@@ -166,56 +173,3 @@ class Block:
     @property
     def revenue(self) -> int:
         return sum(tx.fee for tx in self.txs)
-
-
-def is_ancestor(a: Transaction, b: Transaction) -> bool:
-    """True iff ``a`` is an ancestor (parent) of ``b``: same sender, lower nonce."""
-    return a.sender == b.sender and a.nonce < b.nonce
-
-
-def is_future(tx: Transaction, pool: "PendingView", world: WorldState) -> bool:
-    """True iff some ancestor nonce of ``tx`` is neither confirmed nor pending.
-
-    The nonce chain from the sender's confirmed nonce up to ``tx.nonce - 1``
-    must be fully covered by pending transactions for ``tx`` to be executable.
-    """
-    start = world.nonce_of(tx.sender)
-    for nonce in range(start, tx.nonce):
-        if pool.get(tx.sender, nonce) is None:
-            return True
-    return False
-
-
-def cumulative_cost(sender: str, up_to_nonce: int, pool: "PendingView") -> int:
-    """Sum of cost over the sender's pending transactions with nonce <= up_to_nonce."""
-    return sum(tx.cost for tx in pool.sender_txs(sender) if tx.nonce <= up_to_nonce)
-
-
-class PendingView:
-    """Minimal read interface over a set of pending transactions.
-
-    The mempool engine implements this; tests also back it with a plain
-    list-based reference for oracle comparisons.
-    """
-
-    def get(self, sender: str, nonce: int) -> Optional[Transaction]:
-        raise NotImplementedError
-
-    def sender_txs(self, sender: str) -> Iterable[Transaction]:
-        raise NotImplementedError
-
-
-class ListPendingView(PendingView):
-    """Brute-force view over a transaction list; used as a test oracle."""
-
-    def __init__(self, txs: Iterable[Transaction]):
-        self.txs = list(txs)
-
-    def get(self, sender: str, nonce: int) -> Optional[Transaction]:
-        for tx in self.txs:
-            if tx.sender == sender and tx.nonce == nonce:
-                return tx
-        return None
-
-    def sender_txs(self, sender: str) -> List[Transaction]:
-        return [tx for tx in self.txs if tx.sender == sender]

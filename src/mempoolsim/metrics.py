@@ -1,5 +1,5 @@
-"""Quantitative reports: eviction bounds, locking (gamma) statistics,
-per-admission fee-utility accounting, and revenue series.
+"""Quantitative reports: eviction bounds, locking (gamma) statistics and
+per-admission fee-utility accounting.
 
 All accounting is integer-exact; gamma ratios are the only floating-point
 values and are reported, never used in admission decisions.
@@ -10,18 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
-from .core import (
-    AdmissionOutcome,
-    Block,
-    ListPendingView,
-    MIN_TX_GAS,
-    OutcomeKind,
-    Transaction,
-    WorldState,
-    is_future,
-)
+from .core import AdmissionOutcome, MIN_TX_GAS, OutcomeKind, Transaction, WorldState
 
 BASIS_CHAIN_SAFE = "cp_21000_price_sum"
 BASIS_PRICE_ONLY = "geth_maxprice_blockgas"
@@ -141,26 +132,6 @@ def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
     return OutcomeClass.OTHER
 
 
-def transition_flags(
-    before: Sequence[Transaction], after: Sequence[Transaction], world: WorldState
-) -> OutcomeFlags:
-    """Diff the future status of transactions resident in both states."""
-    before_view = ListPendingView(before)
-    after_view = ListPendingView(after)
-    before_ids = {tx.id for tx in before}
-    ftp = ptf = False
-    for tx in after:
-        if tx.id not in before_ids:
-            continue
-        was = is_future(tx, before_view, world)
-        now = is_future(tx, after_view, world)
-        if was and not now:
-            ftp = True
-        elif now and not was:
-            ptf = True
-    return OutcomeFlags(future_turn_pending=ftp, pending_turn_future=ptf)
-
-
 @dataclass
 class UtilEntry:
     inside_delta: int = 0
@@ -196,37 +167,3 @@ def _entry(bucket: Dict[str, UtilEntry], key: str) -> UtilEntry:
     if entry is None:
         entry = bucket[key] = UtilEntry()
     return entry
-
-
-def dutil(
-    pool_fees_before: int,
-    pool_fees_after: int,
-    block_fees_before: int,
-    block_fees_after: int,
-    declined_fees_before: int,
-    declined_fees_after: int,
-) -> Tuple[int, int, int]:
-    """Returns (inside_delta, outside_delta, dutil) for one state transition.
-
-    Inside counts fees in the pool and in produced blocks; outside counts
-    fees of declined or evicted transactions. dutil = inside - outside.
-    """
-    inside = (pool_fees_after + block_fees_after) - (pool_fees_before + block_fees_before)
-    outside = declined_fees_after - declined_fees_before
-    return inside, outside, inside - outside
-
-
-# -------------------------------------------------------------- revenue
-
-
-def revenue_series(blocks: Sequence[Block]) -> List[Tuple[int, int]]:
-    return [(i, b.revenue) for i, b in enumerate(blocks)]
-
-
-def revenue_running_average(blocks: Sequence[Block]) -> List[Tuple[int, float]]:
-    out: List[Tuple[int, float]] = []
-    total = 0
-    for i, b in enumerate(blocks):
-        total += b.revenue
-        out.append((i, total / (i + 1)))
-    return out

@@ -13,40 +13,24 @@ Three policies are provided:
   the lowest fee, and the actual victim is that sender's chain tail, so no
   resident is ever orphaned.
 
-Policies are pure decision functions over a pool snapshot; they never
-mutate the pool.
+Each policy's ``decide(pool, tx)`` is a pure function of a pool snapshot
+and a prechecked arrival: it never mutates the pool and returns the
+``AdmissionOutcome`` that ``Mempool.admit`` applies and returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from .core import Reason, Transaction
+from .core import AdmissionOutcome, OutcomeKind, Reason, Transaction
 from .pool import Mempool
-
-
-@dataclass(frozen=True)
-class PolicyDecision:
-    declined: bool
-    reason: Reason
-    victims: Tuple[Transaction, ...] = ()
-
-    @staticmethod
-    def admit(victims: Tuple[Transaction, ...] = ()) -> "PolicyDecision":
-        reason = Reason.EVICTION if victims else Reason.POOL_NOT_FULL
-        return PolicyDecision(False, reason, victims)
-
-    @staticmethod
-    def decline(reason: Reason) -> "PolicyDecision":
-        return PolicyDecision(True, reason)
 
 
 @dataclass
 class PolicyConfig:
     kind: str = "cp"  # one of {"baseline", "cp", "map"}
     per_sender_limit: Optional[int] = None
-    map_gate_nonfull: bool = False
 
     def build(self):
         if self.kind == "baseline":
@@ -54,8 +38,20 @@ class PolicyConfig:
         if self.kind == "cp":
             return ChildlessPricePolicy()
         if self.kind == "map":
-            return MinFeeChainTailPolicy(gate_nonfull=self.map_gate_nonfull)
+            return MinFeeChainTailPolicy()
         raise ValueError(f"unknown policy kind: {self.kind}")
+
+
+def _free_slot(tx: Transaction) -> AdmissionOutcome:
+    return AdmissionOutcome(OutcomeKind.ADMITTED_NO_EVICT, Reason.POOL_NOT_FULL, tx)
+
+
+def _evict(tx: Transaction, victim: Transaction) -> AdmissionOutcome:
+    return AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, tx, (victim,))
+
+
+def _decline(tx: Transaction, reason: Reason) -> AdmissionOutcome:
+    return AdmissionOutcome(OutcomeKind.DECLINED, reason, tx)
 
 
 class PriceOnlyPolicy:
@@ -63,13 +59,13 @@ class PriceOnlyPolicy:
 
     name = "baseline"
 
-    def decide(self, pool: Mempool, tx: Transaction) -> PolicyDecision:
+    def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return PolicyDecision.admit()
+            return _free_slot(tx)
         victim = pool.min_price_tx()
         if tx.price > victim.price:
-            return PolicyDecision.admit((victim,))
-        return PolicyDecision.decline(Reason.PRICE_TOO_LOW)
+            return _evict(tx, victim)
+        return _decline(tx, Reason.PRICE_TOO_LOW)
 
 
 class ChildlessPricePolicy:
@@ -78,49 +74,31 @@ class ChildlessPricePolicy:
 
     name = "cp"
 
-    def decide(self, pool: Mempool, tx: Transaction) -> PolicyDecision:
+    def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return PolicyDecision.admit()
+            return _free_slot(tx)
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
-            return PolicyDecision.decline(Reason.PRICE_TOO_LOW)
-        return PolicyDecision.admit((victim,))
+            return _decline(tx, Reason.PRICE_TOO_LOW)
+        return _evict(tx, victim)
 
 
 class MinFeeChainTailPolicy:
     """Seeds eviction at the minimum-fee pending tx and evicts its sender's
-    chain tail instead, preserving nonce-chain integrity.
-
-    ``gate_nonfull=True`` additionally requires ``tx.fee > mdf(pool)`` even
-    when slots are free.
-    """
+    chain tail instead, preserving nonce-chain integrity."""
 
     name = "map"
 
-    def __init__(self, gate_nonfull: bool = False):
-        self.gate_nonfull = gate_nonfull
-
-    def decide(self, pool: Mempool, tx: Transaction, slots_needed: int = 1) -> PolicyDecision:
+    def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            if self.gate_nonfull and len(pool) > 0 and tx.fee <= mdf(pool):
-                return PolicyDecision.decline(Reason.FEE_TOO_LOW)
-            return PolicyDecision.admit()
+            return _free_slot(tx)
         seed = pool.min_fee_tx()
         if tx.fee <= seed.fee:
-            return PolicyDecision.decline(Reason.FEE_TOO_LOW)
-        victims = pool.chain_tail_victims(seed, count=slots_needed)
-        if any(v.sender == tx.sender for v in victims):
+            return _decline(tx, Reason.FEE_TOO_LOW)
+        if seed.sender == tx.sender:
             # evicting the arrival's own chain tail would orphan the arrival
-            return PolicyDecision.decline(Reason.SELF_EVICTION)
-        return PolicyDecision.admit(tuple(victims))
-
-
-def mdf(pool: Mempool) -> int:
-    """Minimum fee among pending transactions; errors on an empty pool."""
-    seed = pool.min_fee_tx()
-    if seed is None:
-        raise ValueError("mdf undefined on empty pool")
-    return seed.fee
+            return _decline(tx, Reason.SELF_EVICTION)
+        return _evict(tx, pool.chain(seed.sender).txs[-1])
 
 
 POLICY_KINDS = ("baseline", "cp", "map")

@@ -1,5 +1,11 @@
 """Bounded transaction pool with price-ordered and sender/nonce-ordered indexes.
 
+``Mempool.admit`` is the one admission path: ``precheck`` returns the
+``Reason`` a tx is invalid (None if it is valid), then the policy's
+``decide`` reads the pool and returns an ``AdmissionOutcome``, which
+``admit`` applies (``apply_admission`` for an admission) and returns
+unchanged.
+
 The pool always keeps these views of the pending set:
 
 * ``_by_key`` - ``(sender, nonce) -> tx`` in admission order: every insert
@@ -30,46 +36,11 @@ changes, so two racing first reads build equal indexes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from sortedcontainers import SortedList
 
-from .core import (
-    AdmissionOutcome,
-    OutcomeKind,
-    PendingView,
-    Reason,
-    Transaction,
-    WorldState,
-)
-
-
-class Verdict(Enum):
-    VALID = "valid"
-    FUTURE = "future"
-    OVERDRAFT = "overdraft"
-    STALE = "stale"
-    DUPLICATE = "duplicate"
-
-
-@dataclass(frozen=True)
-class PrecheckReport:
-    verdict: Verdict
-    detail: str = ""
-
-
-_VERDICT_REASON = {
-    Verdict.FUTURE: Reason.INVALID_FUTURE,
-    Verdict.OVERDRAFT: Reason.INVALID_OVERDRAFT,
-    Verdict.STALE: Reason.STALE,
-    Verdict.DUPLICATE: Reason.DUPLICATE,
-}
-
-
-class PoolError(Exception):
-    pass
+from .core import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
 
 
 class SenderChain:
@@ -163,7 +134,7 @@ class SenderChain:
 _NO_CHAIN = SenderChain()
 
 
-class Mempool(PendingView):
+class Mempool:
     def __init__(self, capacity: int, per_sender_limit: Optional[int] = None):
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -199,9 +170,6 @@ class Mempool(PendingView):
     def chain(self, sender: str) -> SenderChain:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""
         return self._chains.get(sender, _NO_CHAIN)
-
-    def sender_txs(self, sender: str) -> List[Transaction]:
-        return list(self.chain(sender).txs)
 
     def pending(self) -> List[Transaction]:
         """All pending txs in admission order, oldest first.
@@ -273,42 +241,32 @@ class Mempool(PendingView):
                 best = (rank, tx)
         return best[1]
 
-    def chain_tail_victims(self, seed: Transaction, count: int = 1) -> List[Transaction]:
-        """Last ``count`` transactions (by nonce) of ``seed``'s sender chain.
-
-        ``seed`` itself is the one victim when it is childless.
-        """
-        if seed not in self:
-            raise PoolError(f"seed {seed!r} not pending")
-        return self._chains[seed.sender].txs[-count:][::-1]
-
     # ------------------------------------------------------------- checks
 
-    def precheck(self, tx: Transaction, world: WorldState) -> PrecheckReport:
-        """Validity gate applied in order stale -> duplicate -> future -> overdraft.
+    def precheck(self, tx: Transaction, world: WorldState) -> Optional[Reason]:
+        """Why ``tx`` is invalid, or None if it is valid.
 
-        Reads the sender's chain in O(log chain) when ``tx`` extends it;
-        equivalent to the generic ``is_future`` / ``cumulative_cost``
-        predicates.
+        Checks run in the order stale -> duplicate -> future -> overdraft and
+        read the sender's chain: the future test is one ``run_end`` and the
+        overdraft test sums the chain's cost below ``tx.nonce`` (O(1) when
+        ``tx`` extends the chain).
         """
         confirmed = world.nonce_of(tx.sender)
         if tx.nonce < confirmed:
-            return PrecheckReport(Verdict.STALE, f"nonce {tx.nonce} < confirmed {confirmed}")
+            return Reason.STALE
         if (tx.sender, tx.nonce) in self._by_key:
-            return PrecheckReport(Verdict.DUPLICATE, f"({tx.sender},{tx.nonce}) already pending")
+            return Reason.DUPLICATE
         chain = self.chain(tx.sender)
         if tx.nonce > confirmed and chain.run_end(confirmed) < tx.nonce:
-            return PrecheckReport(Verdict.FUTURE, "missing ancestor nonce")
+            return Reason.INVALID_FUTURE
         nonces = chain.nonces
         if not nonces or tx.nonce > nonces[-1]:
             below = chain.cost
         else:
             below = sum(t.cost for t in chain.txs[: bisect_left(nonces, tx.nonce)])
-        reserved = below + tx.cost
-        balance = world.balance_of(tx.sender)
-        if reserved > balance:
-            return PrecheckReport(Verdict.OVERDRAFT, f"reserved {reserved} > balance {balance}")
-        return PrecheckReport(Verdict.VALID)
+        if below + tx.cost > world.balance_of(tx.sender):
+            return Reason.INVALID_OVERDRAFT
+        return None
 
     # ---------------------------------------------------------- mutation
 
@@ -362,7 +320,7 @@ class Mempool(PendingView):
         self._price_sum -= price
         self._fee_sum -= fee
 
-    def apply_admission(self, tx: Transaction, victims: List[Transaction]) -> None:
+    def apply_admission(self, tx: Transaction, victims: Sequence[Transaction]) -> None:
         """Remove ``victims`` (recorded as evicted), then insert ``tx``."""
         for victim in victims:
             if victim not in self:
@@ -384,27 +342,24 @@ class Mempool(PendingView):
     # ---------------------------------------------------------- admission
 
     def admit(self, tx: Transaction, world: WorldState, policy) -> AdmissionOutcome:
-        """Run precheck, delegate victim selection to ``policy``, apply the result."""
-        report = self.precheck(tx, world)
-        if report.verdict is not Verdict.VALID:
-            reason = _VERDICT_REASON[report.verdict]
+        """Precheck ``tx``, let ``policy.decide`` choose, apply its outcome.
+
+        The outcome returned is the policy's own, or a decline built here
+        when the precheck or the per-sender limit refuses ``tx``.
+        """
+        reason = self.precheck(tx, world)
+        if reason is None and self.per_sender_limit is not None:
+            if len(self.chain(tx.sender)) >= self.per_sender_limit:
+                reason = Reason.SENDER_LIMIT
+        if reason is not None:
             self.decline(tx, reason)
             return AdmissionOutcome(OutcomeKind.DECLINED, reason, tx)
-        if self.per_sender_limit is not None:
-            if len(self.chain(tx.sender)) >= self.per_sender_limit:
-                self.decline(tx, Reason.SENDER_LIMIT)
-                return AdmissionOutcome(OutcomeKind.DECLINED, Reason.SENDER_LIMIT, tx)
-        decision = policy.decide(self, tx)
-        if decision.declined:
-            self.decline(tx, decision.reason)
-            return AdmissionOutcome(OutcomeKind.DECLINED, decision.reason, tx)
-        victims = list(decision.victims)
-        self.apply_admission(tx, victims)
-        if victims:
-            return AdmissionOutcome(
-                OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, tx, tuple(victims)
-            )
-        return AdmissionOutcome(OutcomeKind.ADMITTED_NO_EVICT, Reason.POOL_NOT_FULL, tx)
+        outcome = policy.decide(self, tx)
+        if outcome.kind is OutcomeKind.DECLINED:
+            self.decline(tx, outcome.reason)
+        else:
+            self.apply_admission(tx, outcome.victims)
+        return outcome
 
     # ---------------------------------------------------------- snapshot
 

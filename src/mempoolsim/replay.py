@@ -18,10 +18,10 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
-from .core import AdmissionOutcome, Block, OutcomeKind, Transaction, WorldState
+from .core import AdmissionOutcome, Block, OutcomeKind, PoolError, Transaction, WorldState
 from .metrics import OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
-from .pool import Mempool, PoolError, SenderChain
+from .pool import Mempool, SenderChain
 from .trace import TraceEvent, world_for_trace
 
 
@@ -41,7 +41,6 @@ class ScenarioConfig:
     block_gas_limit: int = 30_000_000
     account_seeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     drain_mode: str = "end_only"  # or "interleaved"
-    snapshot_every: Optional[int] = None
     final_drain: bool = True
 
     def __post_init__(self) -> None:
@@ -49,8 +48,6 @@ class ScenarioConfig:
             raise ValueError("capacity must be positive")
         if self.drain_mode not in ("end_only", "interleaved"):
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be positive")
 
 
 @dataclass
@@ -251,8 +248,6 @@ def replay(
                 report.price_sum_series.append(pool.price_sum())
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
-        if config.snapshot_every and (index + 1) % config.snapshot_every == 0:
-            snapshot(index, event.ts_ms)
 
     report.event_count = len(events)
     snapshot(len(events), events[-1].ts_ms if events else 0)

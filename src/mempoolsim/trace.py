@@ -30,10 +30,11 @@ class TraceError(Exception):
 
 @dataclass(frozen=True)
 class TraceEvent:
+    """One trace line; an arrival's ``source`` field is its ``tx.label``."""
+
     kind: str
     ts_ms: int = 0
     tx: Optional[Transaction] = None
-    source: str = "benign"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -42,8 +43,8 @@ class TraceEvent:
             raise ValueError("tx_arrival event needs a transaction payload")
 
 
-def arrival(tx: Transaction, ts_ms: int = 0, source: Optional[str] = None) -> TraceEvent:
-    return TraceEvent("tx_arrival", ts_ms, tx, source if source is not None else tx.label)
+def arrival(tx: Transaction, ts_ms: int = 0) -> TraceEvent:
+    return TraceEvent("tx_arrival", ts_ms, tx)
 
 
 def block_trigger(ts_ms: int = 0) -> TraceEvent:
@@ -65,7 +66,7 @@ def _event_to_record(event: TraceEvent) -> Dict:
             gas_used=tx.gas_used,
             gas_limit=tx.gas_limit,
             value=tx.value,
-            source=event.source,
+            source=tx.label,
         )
     return record
 
@@ -107,7 +108,7 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
         raise TraceError(str(exc), line) from exc
     if source not in _SOURCES:
         raise TraceError(f"source must be one of {_SOURCES}, got {source!r}", line)
-    return TraceEvent(kind, ts_ms, tx, source)
+    return TraceEvent(kind, ts_ms, tx)
 
 
 def dump_events(events: Iterable[TraceEvent]) -> str:

@@ -59,6 +59,14 @@ def fill_pool(
         assert outcome.admitted, f"setup admission failed: {outcome}"
 
 
+def mdf(pool: Mempool) -> int:
+    """Minimum fee among pending transactions; errors on an empty pool."""
+    seed = pool.min_fee_tx()
+    if seed is None:
+        raise ValueError("mdf undefined on empty pool")
+    return seed.fee
+
+
 # ---------------------------------------------------------------- oracles
 # linear-scan reference implementations, deliberately independent of the
 # pool's index bookkeeping

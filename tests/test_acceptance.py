@@ -30,15 +30,13 @@ from mempoolsim import (
     gamma,
     gen_cp_lock,
     gen_random_adversary,
-    is_future,
     replay,
     snapshot_marker,
     workload_batch_insert,
     world_for_trace,
 )
-from mempoolsim.core import PendingView
-
-from conftest import WEI, fill_pool, record_criterion, rich_world, tx
+from conftest import WEI, fill_pool, mdf, record_criterion, rich_world, tx
+from oracles import PendingView, is_future
 
 MIN_GAS = 21_000
 CAPACITY_DESK = 192
@@ -262,8 +260,6 @@ def test_criterion_6_cp_locking_counterexample():
 
 
 def test_criterion_7_order_insensitivity():
-    from mempoolsim import mdf
-
     rng = random.Random(7_000)
     policy = PolicyConfig(kind="map").build()
     world = rich_world(*(f"s{i}" for i in range(4)), "xa", "xb")

@@ -14,24 +14,21 @@ from mempoolsim import (
     gen_deter_future,
     gen_random_adversary,
     gen_xt6,
-    is_future,
     replay,
     world_for_trace,
-    xt6_event_count,
 )
 
 from conftest import tx
+from oracles import is_future
 
 
 class TestXt6Generator:
     def test_full_scale_event_count(self):
-        assert xt6_event_count(XT6_FULL) == 384 * 16 + 69 + 5120 + 1 == 11334
-        assert len(gen_xt6(XT6_FULL)) == 11334
+        assert len(gen_xt6(XT6_FULL)) == 384 * 16 + 69 + 5120 + 1 == 11334
 
     def test_event_count_formula_at_one_thirtysecond_scale(self):
         params = dict(XT6_DESK, big_chain=160)
-        assert xt6_event_count(params) == 24 * 8 + 5 + 160 + 1 == 358
-        assert len(gen_xt6(params)) == 358
+        assert len(gen_xt6(params)) == 24 * 8 + 5 + 160 + 1 == 358
 
     def test_zero_sequences_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +220,7 @@ class TestAttackCost:
         assert report.fees_at_risk == adv1.fee + adv2.fee
 
     def test_charged_cannot_exceed_at_risk(self):
-        from mempoolsim import AttackCostReport
+        from mempoolsim import AttackCostReport, PoolError
 
-        with pytest.raises(ValueError):
+        with pytest.raises(PoolError):
             AttackCostReport(fees_charged=2, fees_at_risk=1)

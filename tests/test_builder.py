@@ -11,7 +11,6 @@ from mempoolsim import (
     build_block,
     candidate_order,
     drain,
-    drained_fees,
 )
 
 from conftest import WEI, fill_pool, rich_world, tx
@@ -207,14 +206,14 @@ class TestDrain:
         pool, world = _pool([tx("A", 0, 3), tx("B", 0, 2)])
         blocks = drain(pool, world)
         assert len(blocks) == 1 and len(pool) == 0
-        assert drained_fees(blocks) == 21_000 * 5
+        assert sum(b.revenue for b in blocks) == 21_000 * 5
 
     def test_overfull_pool_takes_two_blocks(self):
         txs = [tx(f"s{i}", 0, 2, gas=10_000_000, gas_limit=10_000_000) for i in range(4)]
         pool, world = _pool(txs)
         blocks = drain(pool, world)
         assert [len(b.txs) for b in blocks] == [3, 1]
-        assert drained_fees(blocks) == sum(t.fee for t in txs)
+        assert sum(b.revenue for b in blocks) == sum(t.fee for t in txs)
 
     def test_permanent_nonce_gap_becomes_unbuildable(self):
         # world nonce jumps past a pending tx between admission and drain,
@@ -232,5 +231,5 @@ class TestDrain:
         pool = Mempool(capacity=1)
         fill_pool(pool, world, [t])
         blocks = drain(pool, world)
-        assert blocks == [] and drained_fees(blocks) == 0
+        assert blocks == [] and sum(b.revenue for b in blocks) == 0
         assert pool.declined[-1] == (t, Reason.UNBUILDABLE)

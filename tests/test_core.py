@@ -1,10 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from mempoolsim import Transaction, WorldState, cumulative_cost, is_ancestor, is_future
-from mempoolsim.core import ListPendingView
+from mempoolsim import Transaction, WorldState
 
 from conftest import tx
+from oracles import ListPendingView, cumulative_cost, is_future
 
 
 class TestTransaction:
@@ -52,27 +52,6 @@ class TestTransaction:
     @given(gas=st.integers(21_000, 10**6), price=st.integers(1, 10**9))
     def test_fee_exact_integer(self, gas, price):
         assert tx("A", 0, price, gas=gas).fee == gas * price
-
-
-class TestIsAncestor:
-    def test_lower_nonce_same_sender(self):
-        assert is_ancestor(tx("A", 1, 1), tx("A", 3, 1))
-
-    def test_equal_nonce_is_not_ancestor(self):
-        assert not is_ancestor(tx("A", 3, 1), tx("A", 3, 1))
-
-    def test_different_senders(self):
-        assert not is_ancestor(tx("B", 1, 1), tx("A", 2, 1))
-
-    @given(st.data())
-    def test_strict_partial_order_per_sender(self, data):
-        nonces = data.draw(st.lists(st.integers(0, 50), min_size=3, max_size=3, unique=True))
-        a, b, c = (tx("A", n, 1) for n in nonces)
-        assert not is_ancestor(a, a)
-        if is_ancestor(a, b) and is_ancestor(b, c):
-            assert is_ancestor(a, c)
-        # totality over distinct nonces of one sender
-        assert is_ancestor(a, b) or is_ancestor(b, a)
 
 
 class TestIsFuture:

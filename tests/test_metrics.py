@@ -13,22 +13,16 @@ from mempoolsim import (
     eviction_bound_baseline_under_xt6,
     eviction_bound_cp,
     gamma,
+    arrival,
     gen_random_adversary,
-    revenue_series,
     replay,
-    Block,
     PolicyConfig,
     ScenarioConfig,
 )
-from mempoolsim.metrics import (
-    OutcomeFlags,
-    dutil,
-    nearest_rank_percentile,
-    revenue_running_average,
-    transition_flags,
-)
+from mempoolsim.metrics import OutcomeFlags, nearest_rank_percentile
 
-from conftest import random_pool_txs, tx
+from conftest import random_pool_txs, rich_world, tx
+from oracles import transition_flags
 
 
 class TestEvictionBounds:
@@ -178,15 +172,22 @@ class TestTransitionFlags:
 
 
 class TestDutilAccounting:
+    def _entry(self, t, outcome_class):
+        config = ScenarioConfig(capacity=4, final_drain=False)
+        report = replay(config, [arrival(t)], world=rich_world("A"))
+        entry = report.util.per_class[outcome_class]
+        assert report.util.total == entry
+        return entry.inside_delta, entry.outside_delta, entry.dutil
+
     def test_decline_contributes_negative_fee(self):
-        f = tx("A", 0, 5).fee
-        inside, outside, d = dutil(0, 0, 0, 0, 0, f)
-        assert (inside, outside, d) == (0, f, -f)
+        t = tx("A", 2, 5)  # confirmed nonce 0: a future arrival, declined
+        f = t.fee
+        assert self._entry(t, "declined") == (0, f, -f)
 
     def test_free_slot_admit_contributes_positive_fee(self):
-        f = tx("A", 0, 5).fee
-        inside, outside, d = dutil(0, f, 0, 0, 0, 0)
-        assert (inside, outside, d) == (f, 0, f)
+        t = tx("A", 0, 5)
+        f = t.fee
+        assert self._entry(t, "admitted-free-slot") == (f, 0, f)
 
     def test_ledger_totals_accumulate(self):
         ledger = UtilLedger()
@@ -213,29 +214,10 @@ class TestDutilAccounting:
 
 
 class TestRevenueSeries:
-    def _blocks(self, fees):
-        blocks = []
-        for i, price in enumerate(fees):
-            b = Block()
-            b.txs.append(tx(f"s{i}", 0, price))
-            blocks.append(b)
-        return blocks
-
-    def test_empty(self):
-        assert revenue_series([]) == []
-        assert revenue_running_average([]) == []
-
-    def test_per_block_and_average(self):
-        blocks = self._blocks([3, 5])
-        series = revenue_series(blocks)
-        assert series == [(0, 3 * 21_000), (1, 5 * 21_000)]
-        avg = revenue_running_average(blocks)
-        assert avg[-1] == (1, 4 * 21_000)
-
     def test_replay_determinism(self):
         events = gen_random_adversary({"steps": 300, "seed": 3})
         config = ScenarioConfig(policy=PolicyConfig(kind="cp"), capacity=48)
         a = replay(config, events)
         b = replay(config, events)
-        assert revenue_series(a.blocks) == revenue_series(b.blocks)
+        assert [x.revenue for x in a.blocks] == [x.revenue for x in b.blocks]
         assert a.report_hash() == b.report_hash()

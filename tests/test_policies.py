@@ -4,18 +4,18 @@ import pytest
 
 from mempoolsim import (
     Mempool,
+    OutcomeKind,
     PolicyConfig,
     Reason,
     WorldState,
-    is_future,
-    mdf,
 )
 
-from conftest import WEI, fill_pool, oracle_min_fee, random_pool_txs, rich_world, tx
+from conftest import WEI, fill_pool, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
+from oracles import is_future
 
 
-def _policy(kind, **kw):
-    return PolicyConfig(kind=kind, **kw).build()
+def _policy(kind):
+    return PolicyConfig(kind=kind).build()
 
 
 class TestBaseline:
@@ -24,20 +24,20 @@ class TestBaseline:
         world = rich_world("A", "B", "C")
         fill_pool(pool, world, [tx("A", 0, 5), tx("B", 0, 9)])
         decision = _policy("baseline").decide(pool, tx("C", 0, 6))
-        assert not decision.declined
+        assert decision.admitted
         assert [v.sender for v in decision.victims] == ["A"]
 
     def test_equal_price_declined(self):
         pool = Mempool(capacity=1)
         fill_pool(pool, rich_world("A"), [tx("A", 0, 5)])
         decision = _policy("baseline").decide(pool, tx("B", 0, 5))
-        assert decision.declined and decision.reason is Reason.PRICE_TOO_LOW
+        assert not decision.admitted and decision.reason is Reason.PRICE_TOO_LOW
 
     def test_free_slot_admits_without_victims(self):
         pool = Mempool(capacity=2)
         fill_pool(pool, rich_world("A"), [tx("A", 0, 5)])
         decision = _policy("baseline").decide(pool, tx("B", 0, 1))
-        assert not decision.declined and decision.victims == ()
+        assert decision.admitted and decision.victims == ()
 
     def test_can_orphan_children(self):
         # evicting a parent leaves its child future: the intentional flaw
@@ -62,22 +62,22 @@ class TestChildlessPrice:
 
         probe = tx("C", 0, 2)
         cp = _policy("cp").decide(build(), probe)
-        assert cp.declined and cp.reason is Reason.PRICE_TOO_LOW
+        assert not cp.admitted and cp.reason is Reason.PRICE_TOO_LOW
         base = _policy("baseline").decide(build(), probe)
-        assert not base.declined and base.victims[0].price == 1
+        assert base.admitted and base.victims[0].price == 1
 
     def test_admits_above_childless_min(self):
         pool = Mempool(capacity=2)
         world = rich_world("A", "B")
         fill_pool(pool, world, [tx("A", 0, 1), tx("A", 1, 3)])
         decision = _policy("cp").decide(pool, tx("B", 0, 4))
-        assert not decision.declined
+        assert decision.admitted
         assert len(decision.victims) == 1
         assert decision.victims[0] == pool.get("A", 1)
 
     def test_empty_pool_admits(self):
         decision = _policy("cp").decide(Mempool(capacity=4), tx("A", 0, 1))
-        assert not decision.declined and decision.victims == ()
+        assert decision.admitted and decision.victims == ()
 
     def test_single_childless_victim_fuzz(self):
         rng = random.Random(11)
@@ -86,7 +86,7 @@ class TestChildlessPrice:
             pool = Mempool(capacity=len(txs))
             fill_pool(pool, rich_world(*{t.sender for t in txs}), txs)
             decision = _policy("cp").decide(pool, tx("fresh", 0, rng.randint(1, 40)))
-            if decision.declined:
+            if not decision.admitted:
                 continue
             assert len(decision.victims) == 1
             victim = decision.victims[0]
@@ -107,14 +107,14 @@ class TestMinFeeChainTail:
         fill_pool(pool, world, txs)
         assert mdf(pool) == 21_000
         decision = _policy("map").decide(pool, tx("C", 0, 2))
-        assert not decision.declined
+        assert decision.admitted
         assert decision.victims == (pool.get("A", 2),)
 
     def test_fee_equal_to_mdf_declined(self):
         pool = Mempool(capacity=1)
         fill_pool(pool, rich_world("A"), [tx("A", 0, 3)])
         decision = _policy("map").decide(pool, tx("B", 0, 3))
-        assert decision.declined and decision.reason is Reason.FEE_TOO_LOW
+        assert not decision.admitted and decision.reason is Reason.FEE_TOO_LOW
 
     def test_childless_min_fee_is_its_own_victim(self):
         pool = Mempool(capacity=2)
@@ -129,23 +129,7 @@ class TestMinFeeChainTail:
         world = rich_world("A", "B")
         fill_pool(pool, world, [tx("A", 0, 1), tx("B", 0, 9)])
         decision = _policy("map").decide(pool, tx("A", 1, 5))
-        assert decision.declined and decision.reason is Reason.SELF_EVICTION
-
-    def test_nonfull_gate_flag(self):
-        pool = Mempool(capacity=4)
-        fill_pool(pool, rich_world("A"), [tx("A", 0, 10)])
-        cheap = tx("B", 0, 1)
-        assert _policy("map").decide(pool, cheap).declined is False
-        gated = _policy("map", map_gate_nonfull=True).decide(pool, cheap)
-        assert gated.declined and gated.reason is Reason.FEE_TOO_LOW
-
-    def test_two_victim_variant(self):
-        pool = Mempool(capacity=3)
-        world = rich_world("A", "B")
-        fill_pool(pool, world, [tx("A", 0, 1), tx("A", 1, 1), tx("B", 0, 9)])
-        decision = _policy("map").decide(pool, tx("C", 0, 5), slots_needed=2)
-        assert not decision.declined
-        assert [(v.sender, v.nonce) for v in decision.victims] == [("A", 1), ("A", 0)]
+        assert not decision.admitted and decision.reason is Reason.SELF_EVICTION
 
     def test_mdf_matches_brute_force(self):
         rng = random.Random(4)
@@ -170,7 +154,7 @@ class TestCpMonotonePriceSum:
             sender = f"s{rng.randint(0, 30)}"
             if sender not in world.accounts:
                 world.fund(sender, WEI)
-            chain = pool.sender_txs(sender)
+            chain = pool.chain(sender).txs
             base = max((t.nonce for t in chain), default=world.nonce_of(sender) - 1)
             nonce = base + rng.choice((1, 1, 1, 2, 0))
             pool.admit(tx(sender, max(nonce, 0), rng.randint(1, 200)), world, policy)
@@ -190,9 +174,44 @@ def test_cp_locking_counterexample():
     policy = _policy("cp")
     for price in (1, 2, 100, 9_999, 10_000):
         decision = policy.decide(pool, tx("probe", 0, price))
-        assert decision.declined and decision.reason is Reason.PRICE_TOO_LOW
+        assert not decision.admitted and decision.reason is Reason.PRICE_TOO_LOW
     winning = policy.decide(pool, tx("probe", 0, 10_001))
-    assert not winning.declined
+    assert winning.admitted
+
+
+@pytest.mark.parametrize("kind", ["baseline", "cp", "map"])
+def test_admit_returns_the_outcome_decide_returned(kind):
+    rng = random.Random(5)
+    pool = Mempool(capacity=6)
+    world = WorldState()
+    policy = _policy(kind)
+    decided = []
+    decide = policy.decide
+    policy.decide = lambda p, t: decided.append(decide(p, t)) or decided[-1]
+    seen = set()
+    for step in range(300):
+        sender = f"s{rng.randint(0, 9)}"
+        if sender not in world.accounts:
+            world.fund(sender, WEI)
+        nonce = world.nonce_of(sender) + len(pool.chain(sender)) + rng.choice((0, 0, 0, 1))
+        t = tx(sender, nonce, rng.randint(1, 200))
+        asked = len(decided)
+        outcome = pool.admit(t, world, policy)
+        assert outcome.tx is t
+        if len(decided) > asked:
+            assert outcome is decided[-1]
+        else:  # the precheck declined (the pool is unchanged), the policy was not asked
+            assert outcome.reason is pool.precheck(t, world) is not None
+        expected_reason = {
+            OutcomeKind.ADMITTED_NO_EVICT: Reason.POOL_NOT_FULL,
+            OutcomeKind.ADMITTED_EVICTING: Reason.EVICTION,
+        }.get(outcome.kind)
+        assert expected_reason in (None, outcome.reason)
+        assert bool(outcome.victims) == (outcome.kind is OutcomeKind.ADMITTED_EVICTING)
+        if not outcome.admitted:
+            assert pool.declined[-1] == (t, outcome.reason)
+        seen.add(outcome.kind)
+    assert seen == set(OutcomeKind)
 
 
 def test_config_defaults_and_unknown_kind():

@@ -8,8 +8,8 @@ from mempoolsim import (
     Mempool,
     PolicyConfig,
     PoolError,
+    Reason,
     Transaction,
-    Verdict,
     WorldState,
     build_block,
 )
@@ -22,18 +22,19 @@ from conftest import (
     rich_world,
     tx,
 )
+from oracles import transition_flags
 
 
 class TestPrecheck:
     def test_valid(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
-        assert pool.precheck(tx("A", 0, 10), world).verdict is Verdict.VALID
+        assert pool.precheck(tx("A", 0, 10), world) is None
 
     def test_future_nonce_gap(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
-        assert pool.precheck(tx("A", 2, 10), world).verdict is Verdict.FUTURE
+        assert pool.precheck(tx("A", 2, 10), world) is Reason.INVALID_FUTURE
 
     def test_latent_overdraft_counts_pending_chain(self):
         pool = Mempool(capacity=8)
@@ -42,19 +43,19 @@ class TestPrecheck:
         a1 = Transaction(sender="A", nonce=1, price=1, gas_used=21_000, gas_limit=30_000)
         world.fund("A", a0.cost + a1.cost - 1)
         fill_pool(pool, world, [a0])
-        assert pool.precheck(a1, world).verdict is Verdict.OVERDRAFT
+        assert pool.precheck(a1, world) is Reason.INVALID_OVERDRAFT
 
     def test_stale_nonce(self):
         pool = Mempool(capacity=8)
         world = WorldState()
         world.fund("A", WEI, nonce=3)
-        assert pool.precheck(tx("A", 2, 10), world).verdict is Verdict.STALE
+        assert pool.precheck(tx("A", 2, 10), world) is Reason.STALE
 
     def test_duplicate_sender_nonce(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
         fill_pool(pool, world, [tx("A", 0, 10)])
-        assert pool.precheck(tx("A", 0, 99), world).verdict is Verdict.DUPLICATE
+        assert pool.precheck(tx("A", 0, 99), world) is Reason.DUPLICATE
 
     def test_check_order_stale_before_duplicate(self):
         # a stale nonce that is also "pending" cannot happen, but a duplicate
@@ -64,8 +65,7 @@ class TestPrecheck:
         a0 = tx("A", 0, 10)
         world.fund("A", a0.cost)
         fill_pool(pool, world, [a0])
-        report = pool.precheck(tx("A", 0, 10**9), world)
-        assert report.verdict is Verdict.DUPLICATE
+        assert pool.precheck(tx("A", 0, 10**9), world) is Reason.DUPLICATE
 
 
 class TestChildless:
@@ -149,19 +149,14 @@ class TestDescendantVictim:
         world.fund("A", WEI, nonce=1)
         txs = [tx("A", 1, 5), tx("A", 2, 5), tx("A", 3, 5)]
         fill_pool(pool, world, txs)
-        assert pool.chain_tail_victims(txs[0], 1)[0] == txs[2] == oracle_descendant(txs, txs[0])
+        assert pool.chain(txs[0].sender).txs[-1] == txs[2] == oracle_descendant(txs, txs[0])
 
     def test_childless_seed_is_fixed_point(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
         only = tx("A", 0, 5)
         fill_pool(pool, world, [only])
-        assert pool.chain_tail_victims(only, 1)[0] == only
-
-    def test_seed_not_pending_raises(self):
-        pool = Mempool(capacity=8)
-        with pytest.raises(PoolError):
-            pool.chain_tail_victims(tx("Z", 0, 1), 1)
+        assert pool.chain(only.sender).txs[-1] == only
 
 
 class TestApplyAdmission:
@@ -202,7 +197,7 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     assert {s for s in world.accounts if pool.chain(s).min_fee is not None} == set(by_sender)
     for s, chain in by_sender.items():
         assert pool.chain(s).min_fee == min(t.fee for t in chain)
-        assert [t.nonce for t in pool.sender_txs(s)] == sorted(t.nonce for t in chain)
+        assert [t.nonce for t in pool.chain(s).txs] == sorted(t.nonce for t in chain)
     for s in world.accounts:
         chain = pool.chain(s)
         held = sorted(by_sender.get(s, []), key=lambda t: t.nonce)
@@ -245,11 +240,14 @@ def test_index_coherence_under_random_traffic(policy_kind):
     _rebuild_check(pool, world)
 
 
-@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
-@pytest.mark.parametrize("seed", range(3))
-def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
+def _drive_admit_build_clone(policy_kind, seed, capacity):
+    """Random admit / ``build_block`` / ``clone`` steps over a few senders
+    that re-send and skip nonces. After every step each index is checked
+    against recomputation; after every cp or map admission no resident may
+    have turned future, and under cp the price sum may not have fallen.
+    Returns how many admissions turned a resident future."""
     rng = random.Random(seed)
-    pool = Mempool(capacity=16)
+    pool = Mempool(capacity=capacity)
     # blocks hold a few txs, so chains are cut at the head as well as the tail
     world = WorldState(block_gas_limit=4 * 60_000)
     policy = PolicyConfig(kind=policy_kind).build()
@@ -257,6 +255,7 @@ def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
     for s in senders:
         world.fund(s, WEI)
     spare = None  # the other side of the last clone, which must not change
+    turned_future = 0
     for step in range(300):
         roll = rng.random()
         if roll < 0.1:
@@ -270,10 +269,37 @@ def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
             top = world.nonce_of(sender) + len(pool.chain(sender))
             nonce = rng.randint(world.nonce_of(sender), top + 1)
             t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
+            before, price_sum = pool.pending(), pool.price_sum()
             pool.admit(t, world, policy)
+            if transition_flags(before, pool.pending(), world).pending_turn_future:
+                turned_future += 1
+                assert policy_kind == "baseline", (step, "resident turned future")
+            if policy_kind == "cp":
+                assert pool.price_sum() >= price_sum, (step, "price sum fell")
         _rebuild_check(pool, world)
         if spare is not None:
             _rebuild_check(spare, world)
+    return turned_future
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
+    _drive_admit_build_clone(policy_kind, seed, capacity=16)
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("capacity", [4, 8])
+@pytest.mark.parametrize("seed", range(3))
+def test_sender_chains_coherent_at_small_capacities(policy_kind, capacity, seed):
+    # a small pool is full most of the time, so most admissions evict
+    _drive_admit_build_clone(policy_kind, seed, capacity)
+
+
+def test_baseline_turns_residents_future_in_random_steps():
+    # the cp/map check above can fail: under baseline the same random steps
+    # evict parents and turn their residents future
+    assert sum(_drive_admit_build_clone("baseline", seed, 8) for seed in range(3)) > 0
 
 
 def test_declined_ledger_append_only_and_replay_stable():
@@ -303,8 +329,7 @@ def test_declined_ledger_append_only_and_replay_stable():
 
 def test_precheck_matches_generic_predicates():
     # the index-backed precheck must agree with the brute-force predicates
-    from mempoolsim import cumulative_cost, is_future
-    from mempoolsim.core import ListPendingView
+    from oracles import ListPendingView, cumulative_cost, is_future
 
     rng = random.Random(13)
     pool = Mempool(capacity=32)
@@ -318,23 +343,23 @@ def test_precheck_matches_generic_predicates():
         view = ListPendingView(pool.pending())
         confirmed = world.nonce_of(sender)
         if t.nonce < confirmed:
-            expected = Verdict.STALE
+            expected = Reason.STALE
         elif pool.get(sender, t.nonce) is not None:
-            expected = Verdict.DUPLICATE
+            expected = Reason.DUPLICATE
         elif is_future(t, view, world):
-            expected = Verdict.FUTURE
+            expected = Reason.INVALID_FUTURE
         elif cumulative_cost(sender, t.nonce, view) + t.cost > world.balance_of(sender):
-            expected = Verdict.OVERDRAFT
+            expected = Reason.INVALID_OVERDRAFT
         else:
-            expected = Verdict.VALID
-        assert pool.precheck(t, world).verdict is expected
+            expected = None
+        assert pool.precheck(t, world) is expected
         pool.admit(t, world, policy)
 
 
 def test_admit_never_admits_future_under_cp():
     # no admitted-then-orphaned chains: after any admit with the chain-safe
     # policy, no pending tx is future w.r.t. the pool
-    from mempoolsim import is_future
+    from oracles import is_future
 
     rng = random.Random(3)
     pool = Mempool(capacity=12)

@@ -1,7 +1,7 @@
 """Differential check of the future<->pending flags ``replay`` records.
 
 Around every ``admit`` the pool is snapshotted, and the flags the replay
-records for that arrival must equal ``metrics.transition_flags`` over the
+records for that arrival must equal ``oracles.transition_flags`` over the
 two snapshots: a list-scan oracle that shares no code with the replay's
 per-sender bookkeeping.
 """
@@ -21,7 +21,9 @@ from mempoolsim import (
     gen_xt6,
     replay,
 )
-from mempoolsim.metrics import OutcomeFlags, transition_flags
+from mempoolsim.metrics import OutcomeFlags
+
+from oracles import transition_flags
 
 
 def _random_adversary(seed):

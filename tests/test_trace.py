@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mempoolsim import (
+    AdmissionOutcome,
+    AttackCostReport,
+    ChildlessPricePolicy,
+    OutcomeKind,
     PolicyConfig,
+    Reason,
     ScenarioConfig,
     TraceError,
     arrival,
@@ -22,6 +27,7 @@ from mempoolsim import (
     world_for_trace,
     write_trace,
 )
+from mempoolsim import cli
 from mempoolsim.cli import main
 from mempoolsim.trace import tn1_account_overrides
 
@@ -37,6 +43,12 @@ class TestTraceFormat:
         events = [arrival(tx("A", 0, 5), 1), block_trigger(2), snapshot_marker(3)]
         parsed = parse_trace_text(dump_events(events))
         assert [e.kind for e in parsed] == ["tx_arrival", "block_trigger", "snapshot_marker"]
+
+    def test_source_field_is_the_transaction_label(self):
+        labels = ["adversarial", "benign"]
+        text = dump_events([arrival(tx("A", n, 5, label=label), n) for n, label in enumerate(labels)])
+        assert [json.loads(line)["source"] for line in text.splitlines()] == labels
+        assert [e.tx.label for e in parse_trace_text(text)] == labels
 
     def test_round_trip_is_identity_on_serialized_form(self):
         events = gen_random_adversary({"steps": 100, "seed": 9})
@@ -57,8 +69,9 @@ class TestTraceFormat:
                     data.draw(st.integers(0, 5)),
                     data.draw(st.integers(1, 1000)),
                     value=data.draw(st.integers(0, 100)),
+                    label=data.draw(st.sampled_from(("benign", "adversarial"))),
                 )
-                events.append(arrival(t, ts, source=data.draw(st.sampled_from(("benign", "adversarial")))))
+                events.append(arrival(t, ts))
             elif kind == "block":
                 events.append(block_trigger(ts))
             else:
@@ -207,13 +220,15 @@ class TestReplayHarness:
         assert report.event_count == 120
         assert len(report.outcomes) == sum(1 for e in events if e.kind == "tx_arrival")
 
-    def test_snapshot_markers_and_interval(self):
+    def test_snapshot_markers(self):
         events = [arrival(tx("A", n, 5), n) for n in range(6)]
         events.insert(3, snapshot_marker(2))
-        config = ScenarioConfig(capacity=32, snapshot_every=4)
-        report = replay(config, events)
-        # one marker, one interval snapshot (after event 4), one end snapshot
-        assert len(report.snapshots) == 3
+        events.insert(5, snapshot_marker(3))
+        report = replay(ScenarioConfig(capacity=32), events)
+        # two markers, one end snapshot
+        assert [(s.event_index, len(s.pending)) for s in report.snapshots] == [
+            (3, 3), (5, 4), (8, 6)
+        ]
 
     def test_interleaved_block_triggers(self):
         events = [arrival(tx("A", 0, 5), 0), block_trigger(1), arrival(tx("B", 0, 5), 2)]
@@ -231,8 +246,6 @@ class TestReplayHarness:
             ScenarioConfig(capacity=0)
         with pytest.raises(ValueError):
             ScenarioConfig(drain_mode="lazy")
-        with pytest.raises(ValueError):
-            ScenarioConfig(snapshot_every=0)
 
     def test_bench_single_round(self):
         report = bench(ScenarioConfig(capacity=64), workload_batch_insert(50), rounds=1)
@@ -308,6 +321,31 @@ class TestCli:
         bad.write_text(json.dumps(record) + "\n")
         assert main(["replay", str(bad)]) == 1
         assert "line 1: price must be an integer" in capsys.readouterr().err
+
+    def test_broken_outcome_in_replay_exits_2_with_event_index(self, tmp_path, monkeypatch, capsys):
+        # cp claims an eviction but names no victim once the pool is full
+        decide = ChildlessPricePolicy.decide
+
+        def broken(self, pool, t):
+            if pool.full:
+                return AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, t)
+            return decide(self, pool, t)
+
+        monkeypatch.setattr(ChildlessPricePolicy, "decide", broken)
+        trace = tmp_path / "three.jsonl"
+        write_trace(trace, [arrival(tx(s, 0, 5), i) for i, s in enumerate("ABC")])
+        assert main(["replay", str(trace), "--policy", "cp", "--capacity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: replay aborted at event 2: eviction outcome" in err
+
+    def test_broken_attack_cost_exits_2(self, monkeypatch, capsys):
+        # outside a replay a bare PoolError is an invariant violation too
+        monkeypatch.setattr(
+            cli, "attack_cost", lambda *_: AttackCostReport(fees_charged=2, fees_at_risk=1)
+        )
+        assert main(["attack", "deter_future", "--run", "--capacity", "32"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: charged fees cannot exceed fees at risk" in err
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
