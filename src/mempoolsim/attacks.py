@@ -9,6 +9,7 @@ for the overdraft attack).
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import insort
 from dataclasses import dataclass, field
@@ -44,6 +45,9 @@ class AttackPlan:
     kind: str
     params: Dict = field(default_factory=dict)
     delay_seconds: float = 0.0
+    # random_adversary's (key, (events, seeds)), so that events() and
+    # account_seeds() share one generation; key = (params JSON, start_ms)
+    _random: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
@@ -64,7 +68,7 @@ class AttackPlan:
             return gen_mempurge(self.params, start_ms=self.start_ms)
         if self.kind == "cp_lock":
             return gen_cp_lock(self.params, start_ms=self.start_ms)
-        return gen_random_adversary(self.params, start_ms=self.start_ms)
+        return list(self._random_trace()[0])
 
     def account_seeds(self) -> Dict[str, Tuple[int, int]]:
         """sender -> (balance, confirmed nonce) overrides this attack needs."""
@@ -75,8 +79,16 @@ class AttackPlan:
         if self.kind == "mempurge_overdraft":
             return {"mempurge-0": (mempurge_params(self.params)["balance"], 0)}
         if self.kind == "random_adversary":
-            return _random_adversary(self.params, self.start_ms)[1]
+            return dict(self._random_trace()[1])
         return {}
+
+    def _random_trace(self):
+        """The random_adversary (events, seeds), generated once for the
+        current params and delay; callers get copies."""
+        key = (json.dumps(self.params, sort_keys=True), self.start_ms)
+        if self._random is None or self._random[0] != key:
+            self._random = (key, _random_adversary(self.params, self.start_ms))
+        return self._random[1]
 
 
 def _adv(sender: str, nonce: int, price: int, gas_used: int = 21_000, **kw) -> Transaction:

@@ -5,9 +5,17 @@ is never placed before its in-pool ancestors. Each candidate is tried once,
 only at the current end of the block; on gas overflow or nonce gap it is
 skipped and never revisited.
 
+The order is produced lazily, and with static gas the walk stops as soon as
+the block has less than ``MIN_TX_GAS`` gas left. The stop is exact:
+``Transaction`` rejects ``gas_used < MIN_TX_GAS``, so every later candidate
+would be a gas-overflow skip, and skips change neither the block nor the
+pool. This is the rule geth's miner applies to the same price-and-nonce
+order.
+
 ``gas_fn`` lets a scenario supply context-dependent gas consumption (gas as
 a function of which transactions already precede in the block); the default
-is the transaction's static ``gas_used``.
+is the transaction's static ``gas_used``. A ``gas_fn`` may return less than
+``MIN_TX_GAS``, so with one the builder walks the whole order.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Block, Reason, Transaction, WorldState
+from .core import MIN_TX_GAS, Block, Reason, Transaction, WorldState
 from .pool import Mempool
 
 GasFn = Callable[[Transaction, Sequence[Transaction]], int]
@@ -29,19 +37,22 @@ class BuildResult:
     skipped: List[Tuple[Transaction, str]] = field(default_factory=list)
 
 
-def candidate_order(pool: Mempool) -> List[Transaction]:
-    """Pending txs by price descending (ties oldest first), ancestors promoted
-    ahead of their descendants.
+def candidate_order(pool: Mempool) -> Iterator[Transaction]:
+    """Yield pending txs by price descending (ties oldest first), ancestors
+    promoted ahead of their descendants.
 
     ``pool.pending()`` lists txs in admission order and Python's sort is
     stable also with ``reverse=True``, so one sort on price ranks by
     (-price, admission seq). Walking that ranking, each tx places the
     not-yet-placed part of its sender's chain up to and including itself.
+
+    The ranking is taken when the first tx is requested, but the walk reads
+    the pool's live sender chains: finish with the generator (or drop it)
+    before the pool changes, since it cannot be resumed afterwards.
     """
     ranked = sorted(pool.pending(), key=attrgetter("price"), reverse=True)
     # per sender, how long a prefix of its nonce-sorted chain is placed
     placed: Dict[str, int] = {}
-    order: List[Transaction] = []
     for tx in ranked:
         sender = tx.sender
         start = placed.get(sender, 0)
@@ -49,25 +60,40 @@ def candidate_order(pool: Mempool) -> List[Transaction]:
         txs = chain.txs
         if start < len(txs) and txs[start] is tx:
             # the chain's next unplaced tx: nothing to promote
-            order.append(tx)
             placed[sender] = start + 1
+            yield tx
             continue
         end = bisect_right(chain.nonces, tx.nonce, start)
         if end > start:
-            order.extend(txs[start:end])
             placed[sender] = end
-    return order
+            yield from txs[start:end]
 
 
 def build_block(
     pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None
 ) -> BuildResult:
-    """Build one block; included txs leave the pool and advance world state."""
+    """Build one block; included txs leave the pool and advance world state.
+
+    With static gas (no ``gas_fn``) the walk of ``candidate_order`` stops
+    once the block has less than ``MIN_TX_GAS`` gas left; with a block gas
+    limit below ``MIN_TX_GAS`` that is before the first candidate, and the
+    block is empty. Every tx has ``gas_used >= MIN_TX_GAS``, so each later
+    candidate would only be a gas-overflow skip: the block, the pool and
+    the world end as a full walk leaves them. ``skipped`` holds the
+    (tx, reason) pairs walked before the stop, in walk order, so it is a
+    prefix of a full walk's skips. With a ``gas_fn`` the whole order is
+    walked, since a context-dependent gas may be below ``MIN_TX_GAS``.
+    """
     block = Block()
     skipped: List[Tuple[Transaction, str]] = []
+    limit = world.block_gas_limit
+    # with static gas, the block is full once gas_total passes this
+    full_above = limit - MIN_TX_GAS if gas_fn is None else None
     gas_total = 0
     next_nonce: Dict[str, int] = {}
     for tx in candidate_order(pool):
+        if full_above is not None and gas_total > full_above:
+            break
         expected = next_nonce.get(tx.sender)
         if expected is None:
             expected = world.nonce_of(tx.sender)
@@ -75,7 +101,7 @@ def build_block(
             skipped.append((tx, "nonce-gap"))
             continue
         gas = gas_fn(tx, block.txs) if gas_fn else tx.gas_used
-        if gas_total + gas > world.block_gas_limit:
+        if gas_total + gas > limit:
             skipped.append((tx, "gas-overflow"))
             continue
         gas_total += gas

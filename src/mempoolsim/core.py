@@ -14,6 +14,8 @@ from typing import Dict, List, Tuple
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
 _INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
+# Ethereum's uint256 range: every integer field is below this
+_UINT256 = 2**256
 
 _id_counter = itertools.count(1)
 
@@ -48,16 +50,30 @@ class Transaction:
             raise ValueError(f"sender must be a string, got {self.sender!r}")
         if self.gas_limit == 0:
             object.__setattr__(self, "gas_limit", self.gas_used)
-        if self.nonce < 0:
-            raise ValueError(f"nonce must be non-negative, got {self.nonce}")
-        if self.price <= 0:
-            raise ValueError(f"price must be positive, got {self.price}")
-        if self.gas_used < MIN_TX_GAS:
-            raise ValueError(f"gas_used must be >= {MIN_TX_GAS}, got {self.gas_used}")
-        if self.gas_used > self.gas_limit:
-            raise ValueError("gas_used exceeds gas_limit")
-        if self.value < 0:
-            raise ValueError("value must be non-negative")
+        # one chained test on the common path; _range_error names the field
+        if not (
+            0 <= self.nonce < _UINT256
+            and 0 < self.price < _UINT256
+            and MIN_TX_GAS <= self.gas_used <= self.gas_limit < _UINT256
+            and 0 <= self.value < _UINT256
+        ):
+            raise self._range_error()
+
+    def _range_error(self) -> ValueError:
+        for name, low, rule in (
+            ("nonce", 0, "non-negative"),
+            ("price", 1, "positive"),
+            ("gas_used", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
+            ("gas_limit", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
+            ("value", 0, "non-negative"),
+        ):
+            value = getattr(self, name)
+            if not low <= value < _UINT256:
+                # a value past the range may have more digits than str() takes
+                bits = value.bit_length()
+                shown = value if bits <= 256 else f"a {bits}-bit integer"
+                return ValueError(f"{name} must be {rule} and below 2**256, got {shown}")
+        return ValueError("gas_used exceeds gas_limit")
 
     @property
     def fee(self) -> int:

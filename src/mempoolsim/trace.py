@@ -4,8 +4,8 @@ A trace file is UTF-8 JSON-lines: one object per line with the fields
 {kind, ts_ms, sender, nonce, price, gas_used, gas_limit, value, source}.
 Transaction fields are only present for ``tx_arrival`` events. Parsing is
 strict: unknown fields, timestamp regressions, numbers that are not JSON
-integers, a non-string sender and an unknown source are rejected with the
-offending line number.
+integers or lie outside Ethereum's uint256 range, a non-string sender and an
+unknown source are rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -129,7 +129,9 @@ def parse_trace_text(text: str) -> List[TraceEvent]:
             continue
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer with more digits than Python
+            # converts from a string
             raise TraceError(f"malformed JSON: {exc}", lineno) from exc
         if not isinstance(record, dict):
             raise TraceError("record is not an object", lineno)

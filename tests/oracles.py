@@ -6,7 +6,7 @@ and shares no code with the pool's per-sender chains or order indexes.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mempoolsim import Transaction, WorldState
 from mempoolsim.metrics import OutcomeFlags
@@ -80,3 +80,49 @@ def transition_flags(
             ptf = True
     return OutcomeFlags(future_turn_pending=ftp, pending_turn_future=ptf)
 
+
+
+def candidate_order(
+    pending: Sequence[Transaction], admitted_at: Dict[int, int]
+) -> List[Transaction]:
+    """Rank by (-price, admission order), then let each ranked tx place its
+    sender's unplaced txs up to its own nonce, found by list scans.
+
+    ``admitted_at`` maps tx id -> admission order, counted by the caller.
+    """
+    ranked = sorted(pending, key=lambda t: (-t.price, admitted_at[t.id]))
+    order: List[Transaction] = []
+    for t in ranked:
+        group = [u for u in pending if u.sender == t.sender and u.nonce <= t.nonce]
+        order.extend(sorted((u for u in group if u not in order), key=lambda u: u.nonce))
+    return order
+
+
+def build_block(
+    pending: Sequence[Transaction],
+    admitted_at: Dict[int, int],
+    world: WorldState,
+    gas_fn: Optional[Callable[[Transaction, Sequence[Transaction]], int]] = None,
+) -> Tuple[List[Transaction], List[Tuple[Transaction, str]]]:
+    """Greedy block over the whole eager ``candidate_order``, never stopping
+    early; returns (included txs, skipped (tx, reason) pairs) and advances
+    ``world`` as an inclusion does."""
+    included: List[Transaction] = []
+    skipped: List[Tuple[Transaction, str]] = []
+    gas_total = 0
+    for t in candidate_order(pending, admitted_at):
+        expected = world.nonce_of(t.sender) + sum(u.sender == t.sender for u in included)
+        if t.nonce != expected:
+            skipped.append((t, "nonce-gap"))
+            continue
+        gas = gas_fn(t, included) if gas_fn else t.gas_used
+        if gas_total + gas > world.block_gas_limit:
+            skipped.append((t, "gas-overflow"))
+            continue
+        gas_total += gas
+        included.append(t)
+    for t in included:
+        acct = world.account(t.sender)
+        acct.nonce = t.nonce + 1
+        acct.balance -= t.fee + t.value
+    return included, skipped

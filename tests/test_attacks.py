@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from mempoolsim import attacks
 from mempoolsim import (
     AttackPlan,
     Mempool,
@@ -204,6 +207,40 @@ class TestAttackPlan:
     def test_delay_shifts_timestamps(self):
         plan = AttackPlan(kind="deter_future", params={"count": 3}, delay_seconds=2.5)
         assert plan.events()[0].ts_ms == 2_500
+
+
+    def test_random_adversary_generated_once_per_params(self, monkeypatch):
+        calls = []
+        generate = attacks._random_adversary
+
+        def counted(params, start_ms):
+            calls.append((dict(params), start_ms))
+            return generate(params, start_ms)
+
+        monkeypatch.setattr(attacks, "_random_adversary", counted)
+        plan = AttackPlan(kind="random_adversary", params={"steps": 50, "seed": 3})
+        events, seeds = plan.events(), plan.account_seeds()
+        assert len(calls) == 1
+        # callers get copies, so mutating one leaves the next call intact
+        events.clear()
+        seeds.clear()
+        assert len(plan.events()) == 50 and plan.account_seeds()
+        assert len(calls) == 1
+        # a change of params or delay regenerates
+        plan.params["seed"] = 4
+        plan.events()
+        plan.delay_seconds = 1.0
+        assert plan.account_seeds() and plan.events()[0].ts_ms == 1_000
+        assert calls[1:] == [({"steps": 50, "seed": 4}, 0), ({"steps": 50, "seed": 4}, 1_000)]
+        assert dump_events(plan.events()) == dump_events(generate(plan.params, 1_000)[0])
+
+    def test_random_adversary_trace_and_seeds_pinned(self):
+        # digest recorded from the generator before events() and
+        # account_seeds() shared one generation
+        plan = AttackPlan(kind="random_adversary", params={"steps": 3000, "seed": 1})
+        text = dump_events(plan.events()) + repr(sorted(plan.account_seeds().items()))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "5fea5b94f151c680363841512d60534cae5637fc636c7db569067f6e5e39bf2f"
 
 
 class TestAttackCost:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from mempoolsim import (
     Mempool,
     PolicyConfig,
@@ -12,6 +13,7 @@ from mempoolsim import (
     candidate_order,
     drain,
 )
+from mempoolsim.core import MIN_TX_GAS
 
 from conftest import WEI, fill_pool, rich_world, tx
 
@@ -35,7 +37,7 @@ class TestCandidateOrder:
         assert [t.nonce for t in candidate_order(pool)] == [0, 1]
 
     def test_empty_pool(self):
-        assert candidate_order(Mempool(capacity=1)) == []
+        assert list(candidate_order(Mempool(capacity=1))) == []
 
     def test_ancestors_promoted_as_a_group(self):
         pool, _ = _pool([tx("A", 0, 2), tx("A", 1, 9), tx("B", 0, 5)])
@@ -55,17 +57,6 @@ class TestCandidateOrder:
         for t in candidate_order(pool):
             assert seen.get(t.sender, -1) < t.nonce
             seen[t.sender] = t.nonce
-
-
-def _oracle_candidate_order(pending, admitted_at):
-    """Rank by (-price, admission order), then let each ranked tx place its
-    sender's unplaced txs up to its own nonce, found by list scans."""
-    ranked = sorted(pending, key=lambda t: (-t.price, admitted_at[t.id]))
-    order = []
-    for t in ranked:
-        group = [u for u in pending if u.sender == t.sender and u.nonce <= t.nonce]
-        order.extend(sorted((u for u in group if u not in order), key=lambda u: u.nonce))
-    return order
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
@@ -112,9 +103,88 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
                 admitted_at[t.id] = len(admitted_at)
                 readmitted += (sender, nonce) in evicted
             evicted.update((v.sender, v.nonce) for v in outcome.victims)
-        expected = _oracle_candidate_order(pool.pending(), admitted_at)
+        expected = oracles.candidate_order(pool.pending(), admitted_at)
         assert [t.id for t in candidate_order(pool)] == [t.id for t in expected], step
     assert readmitted > 0 and clones > 0
+
+
+def _random_admit(rng, pool, world, policy, senders, admitted_at, gases):
+    sender = rng.choice(senders)
+    top = world.nonce_of(sender) + len(pool.chain(sender))
+    nonce = rng.randint(world.nonce_of(sender), top + 1)
+    t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice(gases))
+    if pool.admit(t, world, policy).admitted:
+        admitted_at[t.id] = len(admitted_at)
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_early_stop_builds_what_a_full_walk_builds(policy_kind, seed):
+    # mixed gas so a block fills part way through the order; limits from
+    # below one minimum tx to room for a few dozen
+    rng = random.Random(seed)
+    world = WorldState()
+    senders = [f"g{i}" for i in range(8)]
+    for s in senders:
+        world.fund(s, WEI)
+    pool = Mempool(capacity=40)
+    policy = PolicyConfig(kind=policy_kind).build()
+    admitted_at = {}
+    builds = mid_order_stops = 0
+    for step in range(600):
+        if rng.random() >= 0.1:
+            _random_admit(
+                rng, pool, world, policy, senders, admitted_at, (21_000, 50_000, 90_000, 200_000)
+            )
+            continue
+        world.block_gas_limit = rng.choice((MIN_TX_GAS - 1, MIN_TX_GAS, 150_000, 400_000, 900_000))
+        before = pool.pending()
+        expected_world = world.clone()
+        expected_txs, expected_skipped = oracles.build_block(before, admitted_at, expected_world)
+        result = build_block(pool, world)
+        builds += 1
+        assert [t.id for t in result.block.txs] == [t.id for t in expected_txs], step
+        assert result.skipped == expected_skipped[: len(result.skipped)], step
+        assert world.accounts == expected_world.accounts, step
+        included = {t.id for t in expected_txs}
+        assert [t.id for t in pool.pending()] == [t.id for t in before if t.id not in included]
+        if world.block_gas_limit < MIN_TX_GAS:
+            assert result.block.txs == [] and result.skipped == []
+        walked = len(result.block.txs) + len(result.skipped)
+        mid_order_stops += 0 < len(result.block.txs) and walked < len(before)
+    # the stop fired part way through a nonempty order, not only at the ends
+    assert builds > 0 and mid_order_stops > 0
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+def test_gas_fn_below_min_tx_gas_keeps_the_full_walk(policy_kind):
+    # a gas_fn that charges a third of the static gas lets more txs in than
+    # static gas would; the builder must walk past the static stop point
+    def gas_fn(t, preceding):
+        return t.gas_used // 3
+
+    rng = random.Random(7)
+    world = WorldState(block_gas_limit=100_000)
+    senders = [f"h{i}" for i in range(6)]
+    for s in senders:
+        world.fund(s, WEI)
+    pool = Mempool(capacity=24)
+    policy = PolicyConfig(kind=policy_kind).build()
+    admitted_at = {}
+    for _ in range(60):
+        _random_admit(rng, pool, world, policy, senders, admitted_at, (21_000, 30_000))
+    before = pool.pending()
+    expected_world = world.clone()
+    expected_txs, expected_skipped = oracles.build_block(
+        before, admitted_at, expected_world, gas_fn
+    )
+    static_txs, _ = oracles.build_block(before, admitted_at, world.clone())
+    result = build_block(pool, world, gas_fn=gas_fn)
+    assert [t.id for t in result.block.txs] == [t.id for t in expected_txs]
+    assert result.skipped == expected_skipped
+    assert world.accounts == expected_world.accounts
+    assert len(result.block.txs) > len(static_txs)
+    assert len(result.block.txs) + len(result.skipped) == len(before)
 
 
 def _a2a_pool(block_gas_limit):

@@ -37,6 +37,16 @@ class TestTransaction:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             Transaction(**fields)
 
+    @pytest.mark.parametrize("field", ["nonce", "price", "gas_used", "gas_limit", "value"])
+    def test_integer_fields_below_2_256(self, field):
+        top = 2**256 - 1
+        fields = dict(sender="A", nonce=0, price=1, gas_used=21_000, gas_limit=top, value=0)
+        fields[field] = top
+        assert getattr(Transaction(**fields), field) == top
+        fields[field] = top + 1
+        with pytest.raises(ValueError, match=rf"^{field} must be .* below 2\*\*256, got a 257-bit"):
+            Transaction(**fields)
+
     @pytest.mark.parametrize("sender", [5, b"A", None, ("A",)])
     def test_sender_must_be_str(self, sender):
         with pytest.raises(ValueError, match="^sender must be a string, got "):

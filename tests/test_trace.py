@@ -34,6 +34,12 @@ from mempoolsim.trace import tn1_account_overrides
 from conftest import tx
 
 
+def _overlong_price_line():
+    """An arrival line whose price has more digits than Python converts."""
+    line = dump_events([arrival(tx("A", 0, 5), 1)])
+    return line.replace('"price": 5', '"price": ' + "9" * 5000)
+
+
 class TestTraceFormat:
     def test_empty_text(self):
         assert parse_trace_text("") == []
@@ -133,6 +139,21 @@ class TestTraceFormat:
         record[field] = value
         with pytest.raises(TraceError, match=field) as exc:
             parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("field", ["nonce", "price", "gas_used", "gas_limit", "value"])
+    def test_field_at_2_256_rejected(self, field):
+        record = json.loads(dump_events([arrival(tx("A", 0, 5), 1)]))
+        record[field] = 2**256
+        with pytest.raises(TraceError, match=f"{field} must be .* below 2") as exc:
+            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+        assert exc.value.line == 2
+
+    def test_number_too_long_to_convert_rejected_with_line(self):
+        # past Python's int/str digit limit json.loads raises a bare ValueError
+        line = _overlong_price_line()
+        with pytest.raises(TraceError, match="malformed JSON") as exc:
+            parse_trace_text(dump_events([block_trigger(0)]) + line)
         assert exc.value.line == 2
 
     def test_non_integer_trigger_timestamp_rejected(self):
@@ -321,6 +342,12 @@ class TestCli:
         bad.write_text(json.dumps(record) + "\n")
         assert main(["replay", str(bad)]) == 1
         assert "line 1: price must be an integer" in capsys.readouterr().err
+
+    def test_overlong_price_is_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(_overlong_price_line())
+        assert main(["replay", str(bad)]) == 1
+        assert "line 1: malformed JSON" in capsys.readouterr().err
 
     def test_broken_outcome_in_replay_exits_2_with_event_index(self, tmp_path, monkeypatch, capsys):
         # cp claims an eviction but names no victim once the pool is full
