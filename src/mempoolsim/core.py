@@ -20,12 +20,15 @@ _UINT256 = 2**256
 _id_counter = itertools.count(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One transaction: the unit of admission.
 
     ``label`` is a metrics-only tag ({"benign", "adversarial"}) and must never
-    influence admission or block-building decisions.
+    influence admission or block-building decisions. ``fee`` (gas_used *
+    price, the chargeable fee) and ``cost`` (gas_limit * price + value, the
+    worst-case balance reservation) are computed once, after the range check;
+    they cannot be passed in and take no part in repr, equality or hashing.
     """
 
     sender: str
@@ -35,7 +38,9 @@ class Transaction:
     gas_limit: int = 0
     value: int = 0
     label: str = "benign"
-    id: int = field(default_factory=lambda: next(_id_counter))
+    id: int = field(default_factory=_id_counter.__next__)
+    fee: int = field(init=False, repr=False, compare=False)
+    cost: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # exact types, before the ranges: bool is an int subclass, and a float
@@ -58,6 +63,8 @@ class Transaction:
             and 0 <= self.value < _UINT256
         ):
             raise self._range_error()
+        _set_fee(self, self.gas_used * self.price)
+        _set_cost(self, self.gas_limit * self.price + self.value)
 
     def _range_error(self) -> ValueError:
         for name, low, rule in (
@@ -75,16 +82,6 @@ class Transaction:
                 return ValueError(f"{name} must be {rule} and below 2**256, got {shown}")
         return ValueError("gas_used exceeds gas_limit")
 
-    @property
-    def fee(self) -> int:
-        """Chargeable fee: gas consumed times unit price."""
-        return self.gas_used * self.price
-
-    @property
-    def cost(self) -> int:
-        """Worst-case balance reservation: gas_limit * price + value."""
-        return self.gas_limit * self.price + self.value
-
     def __hash__(self) -> int:
         return hash(self.id)
 
@@ -97,7 +94,13 @@ class Transaction:
         return f"<{self.sender}:{self.nonce} @{self.price}>"
 
 
-@dataclass
+# the slots' own setters: like object.__setattr__ they get past the frozen
+# __setattr__, in about half its time, on every Transaction built
+_set_fee = Transaction.fee.__set__
+_set_cost = Transaction.cost.__set__
+
+
+@dataclass(slots=True)
 class AccountState:
     balance: int = 0
     nonce: int = 0

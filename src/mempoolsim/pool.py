@@ -179,9 +179,6 @@ class Mempool:
         """
         return list(self._by_key.values())
 
-    def pending_by_price(self) -> List[Transaction]:
-        return [entry[2] for entry in self._price_index()]
-
     def price_sum(self) -> int:
         return self._price_sum
 
@@ -216,10 +213,6 @@ class Mempool:
         """Pending tx with minimal fee, oldest first among equal fees."""
         index = self._fee_index()
         return index[0][2] if index else None
-
-    def find_childless(self) -> List[Transaction]:
-        """Each sender's maximal-nonce pending transaction, by (price, seq)."""
-        return [entry[2] for entry in self._childless_index()]
 
     def min_price_childless(self) -> Optional[Transaction]:
         """Cheapest childless tx.

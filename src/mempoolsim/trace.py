@@ -5,21 +5,27 @@ A trace file is UTF-8 JSON-lines: one object per line with the fields
 Transaction fields are only present for ``tx_arrival`` events. Parsing is
 strict: unknown fields, timestamp regressions, numbers that are not JSON
 integers or lie outside Ethereum's uint256 range, a non-string sender and an
-unknown source are rejected with the offending line number.
+unknown source are rejected with the offending line number. A key repeated
+within a record keeps its last value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
-from .core import Transaction, WorldState
+from .core import AccountState, Transaction, WorldState
 
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
+_MARKER_FIELDS = frozenset(("kind", "ts_ms"))
 _SOURCES = ("benign", "adversarial")
+# lines per json.loads on the one-decode path: bounds the decoded records
+# alive at once, so the parse's peak memory stays near the per-line loop's
+_DECODE_CHUNK = 64
 
 
 class TraceError(Exception):
@@ -28,7 +34,7 @@ class TraceError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One trace line; an arrival's ``source`` field is its ``tx.label``."""
 
@@ -122,6 +128,82 @@ def write_trace(path, events: Iterable[TraceEvent]) -> None:
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
+    """The events of a trace's text; a ``TraceError`` names the first bad line."""
+    events = _parse_chunks([raw for raw in text.splitlines() if raw.strip()])
+    if events is None:
+        events = _parse_lines(text)
+    return events
+
+
+def _parse_chunks(lines: List[str]) -> Optional[List[TraceEvent]]:
+    """The events of a valid trace's non-blank lines, decoded a chunk of lines
+    per ``json.loads``; None if any line or record is not plainly valid.
+
+    This accepts exactly what ``_parse_lines`` accepts. Every line here starts
+    with ``{`` and ends with ``}``, and no line holds a ``[``. The newline in
+    each ``,\\n`` separator cannot sit in a JSON string, so the separator lies
+    between two values, and the ``{`` after it can only open an element of an
+    array: with no ``[`` in the lines, of the outer array. So every separator
+    ends a record, no record spans two lines, and as many records as lines
+    means one record per line, the object a per-line decode gives. Without
+    these guards one decode would accept what the per-line parser rejects:
+    two bad lines merged into one record, directly or through a nested array,
+    a string cut in two, or two records on one line balancing a merge
+    elsewhere. A valid trace with a ``[`` in a sender just takes the per-line
+    path. On None the caller reruns the per-line parser, which then reports
+    the error and its line.
+    """
+    events: List[TraceEvent] = []
+    append = events.append
+    last_ts = -math.inf
+    for start in range(0, len(lines), _DECODE_CHUNK):
+        chunk = lines[start : start + _DECODE_CHUNK]
+        if not all(raw[0] == "{" and raw[-1] == "}" for raw in chunk):
+            return None
+        body = ",\n".join(chunk)
+        if "[" in body:
+            return None
+        try:
+            records = json.loads("[" + body + "]")
+        except (ValueError, RecursionError):
+            return None
+        if len(records) != len(chunk):
+            return None
+        for record in records:
+            if type(record) is not dict:
+                return None
+            kind = record.get("kind")
+            ts_ms = record.get("ts_ms")
+            if type(ts_ms) is not int or ts_ms < last_ts:
+                return None
+            if kind == "tx_arrival":
+                source = record["source"] if record.keys() == _ALL_FIELDS else None
+                if source not in _SOURCES:
+                    return None
+                try:
+                    tx = Transaction(
+                        record["sender"],
+                        record["nonce"],
+                        record["price"],
+                        record["gas_used"],
+                        record["gas_limit"],
+                        record["value"],
+                        source,
+                    )
+                except ValueError:
+                    return None
+                append(TraceEvent(kind, ts_ms, tx))
+            elif record.keys() == _MARKER_FIELDS and kind in KINDS:
+                append(TraceEvent(kind, ts_ms))
+            else:
+                return None
+            last_ts = ts_ms
+    return events
+
+
+def _parse_lines(text: str) -> List[TraceEvent]:
+    """Per-line parser: one ``json.loads`` per line, and the only path that
+    raises ``TraceError``, with the offending line's number."""
     events: List[TraceEvent] = []
     last_ts = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -129,9 +211,10 @@ def parse_trace_text(text: str) -> List[TraceEvent]:
             continue
         try:
             record = json.loads(raw)
-        except ValueError as exc:
-            # a JSONDecodeError, or an integer with more digits than Python
-            # converts from a string
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer with more digits than Python
+            # converts from a string, or nesting deeper than the decoder's
+            # recursion limit
             raise TraceError(f"malformed JSON: {exc}", lineno) from exc
         if not isinstance(record, dict):
             raise TraceError("record is not an object", lineno)
@@ -156,22 +239,25 @@ def world_for_trace(
     """Default world for a trace: each sender's confirmed nonce is its lowest
     nonce in the trace and its balance covers the summed cost of all its
     transactions. ``overrides`` maps sender -> (balance, nonce)."""
-    world = WorldState()
-    if block_gas_limit is not None:
-        world.block_gas_limit = block_gas_limit
-    min_nonce: Dict[str, int] = {}
-    budget: Dict[str, int] = {}
+    accounts: Dict[str, AccountState] = {}
     for event in events:
         if event.kind != "tx_arrival":
             continue
         tx = event.tx
-        min_nonce[tx.sender] = min(min_nonce.get(tx.sender, tx.nonce), tx.nonce)
-        budget[tx.sender] = budget.get(tx.sender, 0) + tx.cost
-    for sender in min_nonce:
-        world.fund(sender, balance=budget[sender], nonce=min_nonce[sender])
+        acct = accounts.get(tx.sender)
+        if acct is None:
+            accounts[tx.sender] = AccountState(tx.cost, tx.nonce)
+        else:
+            acct.balance += tx.cost
+            if tx.nonce < acct.nonce:
+                acct.nonce = tx.nonce
     if overrides:
+        # an override keeps a trace sender's place; the others follow in order
         for sender, (balance, nonce) in overrides.items():
-            world.fund(sender, balance=balance, nonce=nonce)
+            accounts[sender] = AccountState(balance, nonce)
+    world = WorldState(accounts)
+    if block_gas_limit is not None:
+        world.block_gas_limit = block_gas_limit
     return world
 
 

@@ -1,15 +1,20 @@
 """Brute-force reference predicates the tests check the engine against.
 
-Each one is a linear scan over plain transaction lists or a read-only view,
-and shares no code with the pool's per-sender chains or order indexes.
+Each predicate is a linear scan over plain transaction lists or a read-only
+view, and shares no code with the pool's per-sender chains or order indexes.
+Two test-only readers list a pool's order indexes in full, and
+``parse_trace_lines`` is the per-line trace parser that the library's
+one-decode parser must match.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from mempoolsim import Transaction, WorldState
+from mempoolsim import Mempool, TraceError, TraceEvent, Transaction, WorldState
 from mempoolsim.metrics import OutcomeFlags
+from mempoolsim.trace import _record_to_event
 
 
 class PendingView:
@@ -81,7 +86,6 @@ def transition_flags(
     return OutcomeFlags(future_turn_pending=ftp, pending_turn_future=ptf)
 
 
-
 def candidate_order(
     pending: Sequence[Transaction], admitted_at: Dict[int, int]
 ) -> List[Transaction]:
@@ -126,3 +130,36 @@ def build_block(
         acct.nonce = t.nonce + 1
         acct.balance -= t.fee + t.value
     return included, skipped
+
+
+def pending_by_price(pool: Mempool) -> List[Transaction]:
+    """The pool's price index read in full: pending txs by (price, seq)."""
+    return [entry[2] for entry in pool._price_index()]
+
+
+def find_childless(pool: Mempool) -> List[Transaction]:
+    """The pool's childless index read in full: each sender's maximal-nonce
+    pending tx, by (price, seq)."""
+    return [entry[2] for entry in pool._childless_index()]
+
+
+def parse_trace_lines(text: str) -> List[TraceEvent]:
+    """Reference trace parser: one ``json.loads`` and one record check per
+    line, raising ``TraceError`` with the line number at the first bad line."""
+    events: List[TraceEvent] = []
+    last_ts = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except (ValueError, RecursionError) as exc:
+            raise TraceError(f"malformed JSON: {exc}", lineno) from exc
+        if not isinstance(record, dict):
+            raise TraceError("record is not an object", lineno)
+        event = _record_to_event(record, lineno)
+        if last_ts is not None and event.ts_ms < last_ts:
+            raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
+        last_ts = event.ts_ms
+        events.append(event)
+    return events

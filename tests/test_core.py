@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -62,6 +64,25 @@ class TestTransaction:
     @given(gas=st.integers(21_000, 10**6), price=st.integers(1, 10**9))
     def test_fee_exact_integer(self, gas, price):
         assert tx("A", 0, price, gas=gas).fee == gas * price
+
+    @pytest.mark.parametrize("name", ["fee", "cost"])
+    def test_fee_and_cost_are_derived_not_passed(self, name):
+        with pytest.raises(TypeError):
+            Transaction(sender="A", nonce=0, price=1, **{name: 5})
+        spec = {f.name: f for f in dataclasses.fields(Transaction)}[name]
+        assert (spec.init, spec.repr, spec.compare) == (False, False, False)
+
+    def test_frozen_slotted_and_identified_by_id(self):
+        t = Transaction(sender="A", nonce=0, price=3, gas_limit=30_000, value=4)
+        for name in ("fee", "cost", "price", "gas_limit"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, 1)
+        assert not hasattr(t, "__dict__")
+        twin = dataclasses.replace(t, id=t.id)
+        assert (twin.fee, twin.cost) == (t.fee, t.cost) == (21_000 * 3, 30_000 * 3 + 4)
+        other = Transaction(sender="A", nonce=0, price=3, gas_limit=30_000, value=4)
+        assert twin == t != other and hash(twin) == hash(t)
+        assert repr(t) == "<A:0 @3>"
 
 
 class TestIsFuture:

@@ -11,7 +11,7 @@ from mempoolsim import (
 )
 
 from conftest import WEI, fill_pool, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
-from oracles import is_future
+from oracles import find_childless, is_future
 
 
 def _policy(kind):
@@ -90,8 +90,8 @@ class TestChildlessPrice:
                 continue
             assert len(decision.victims) == 1
             victim = decision.victims[0]
-            assert victim in pool.find_childless()
-            assert victim.price == min(t.price for t in pool.find_childless())
+            assert victim in find_childless(pool)
+            assert victim.price == min(t.price for t in find_childless(pool))
 
 
 class TestMinFeeChainTail:

@@ -22,7 +22,7 @@ from conftest import (
     rich_world,
     tx,
 )
-from oracles import transition_flags
+from oracles import find_childless, pending_by_price, transition_flags
 
 
 class TestPrecheck:
@@ -76,18 +76,18 @@ class TestChildless:
         world.fund("A", WEI, nonce=1)
         world.fund("B", WEI, nonce=1)
         fill_pool(pool, world, txs)
-        got = {(t.sender, t.nonce) for t in pool.find_childless()}
+        got = {(t.sender, t.nonce) for t in find_childless(pool)}
         expected = {(t.sender, t.nonce) for t in oracle_childless(txs)}
         assert got == expected == {("A", 2), ("B", 1)}
 
     def test_empty_pool(self):
-        assert Mempool(capacity=4).find_childless() == []
+        assert find_childless(Mempool(capacity=4)) == []
         assert Mempool(capacity=4).min_price_childless() is None
 
     def test_singleton_is_childless(self):
         pool = Mempool(capacity=4)
         fill_pool(pool, rich_world("A"), [tx("A", 0, 9)])
-        assert [t.nonce for t in pool.find_childless()] == [0]
+        assert [t.nonce for t in find_childless(pool)] == [0]
 
     def test_min_price_childless(self):
         pool = Mempool(capacity=8)
@@ -136,7 +136,7 @@ class TestChildless:
                 price = data.draw(st.integers(1, 50))
                 txs.append(tx(f"s{s}", nonce, price))
         fill_pool(pool, world, txs)
-        got = {t.id for t in pool.find_childless()}
+        got = {t.id for t in find_childless(pool)}
         assert got == {t.id for t in oracle_childless(txs)}
 
 
@@ -188,8 +188,8 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     sender's chain matches recomputation from it."""
     pending = pool.pending()
     ids = {t.id for t in pending}
-    assert {t.id for t in pool.pending_by_price()} == ids
-    tails = {t.id for t in pool.find_childless()}
+    assert {t.id for t in pending_by_price(pool)} == ids
+    tails = {t.id for t in find_childless(pool)}
     assert tails == {t.id for t in oracle_childless(pending)}
     by_sender = {}
     for t in pending:
@@ -406,16 +406,19 @@ def _oracle_orders(pending, admitted_at):
     }
 
 
-# the readers behind each lazily built order index
+# the readers behind each lazily built order index; the full-order readers
+# live in oracles.py
 _INDEX_READERS = {
     "price": ("pending_by_price", "min_price_tx"),
     "fee": ("min_fee_tx",),
     "childless": ("find_childless", "min_price_childless"),
 }
+_ORACLE_READERS = {"pending_by_price": pending_by_price, "find_childless": find_childless}
 
 
 def _read(pool, reader):
-    got = getattr(pool, reader)()
+    oracle = _ORACLE_READERS.get(reader)
+    got = oracle(pool) if oracle else getattr(pool, reader)()
     if isinstance(got, list):
         return [t.id for t in got]
     return got.id if got is not None else None

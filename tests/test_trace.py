@@ -27,11 +27,12 @@ from mempoolsim import (
     world_for_trace,
     write_trace,
 )
-from mempoolsim import cli
+from mempoolsim import cli, trace
 from mempoolsim.cli import main
 from mempoolsim.trace import tn1_account_overrides
 
 from conftest import tx
+from oracles import parse_trace_lines
 
 
 def _overlong_price_line():
@@ -149,6 +150,11 @@ class TestTraceFormat:
             parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
         assert exc.value.line == 2
 
+    def test_nesting_too_deep_to_decode_rejected_with_line(self):
+        deep = '{"kind": ' + "[" * 5000 + "]" * 5000 + ', "ts_ms": 0}'
+        with pytest.raises(TraceError, match="line 2: malformed JSON: maximum recursion"):
+            parse_trace_text(dump_events([block_trigger(0)]) + deep)
+
     def test_number_too_long_to_convert_rejected_with_line(self):
         # past Python's int/str digit limit json.loads raises a bare ValueError
         line = _overlong_price_line()
@@ -167,6 +173,181 @@ class TestTraceFormat:
         assert dump_events(parse_trace(path)) == dump_events(events)
 
 
+def _outcome(parse, text):
+    """What a parser makes of ``text``: the events' fields, or the TraceError's
+    message and line. Any other exception propagates."""
+    try:
+        events = parse(text)
+    except TraceError as exc:
+        return ("error", str(exc), exc.line)
+    return ("events", [_event_fields(e) for e in events])
+
+
+def _event_fields(event):
+    t = event.tx
+    if t is None:
+        return (event.kind, event.ts_ms)
+    fields = (t.sender, t.nonce, t.price, t.gas_used, t.gas_limit, t.value, t.label)
+    return (event.kind, event.ts_ms) + fields + (t.fee, t.cost)
+
+
+def _same_as_per_line(text):
+    got = _outcome(parse_trace_text, text)
+    assert got == _outcome(parse_trace_lines, text)
+    return got
+
+
+_ARRIVAL = json.dumps(
+    {"kind": "tx_arrival", "ts_ms": 1, "sender": "a", "nonce": 0, "price": 5,
+     "gas_used": 21000, "gas_limit": 21000, "value": 0, "source": "benign"}
+)
+_TRIGGER = '{"kind": "block_trigger", "ts_ms": 2}'
+_SPLIT_SENDER = _ARRIVAL.replace('"sender": "a"', '"sender": "a\nb"').split("\n")
+_DEEP = '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"
+_SEPARATED_SENDER = _ARRIVAL.replace('"sender": "a"', '"sender": "}\u2028{"')
+
+
+class TestOneDecodeMatchesPerLine:
+    """``parse_trace_text`` decodes many lines per ``json.loads``; on every
+    input it must give what the per-line reference parser gives."""
+
+    @pytest.mark.parametrize(
+        "lines, line",
+        [
+            # two bad lines that one decode would merge into one good record
+            (['{"kind": "block_trigger"', '"ts_ms": 5}'], 1),
+            # a string cut in two
+            (_SPLIT_SENDER, 1),
+            # two records on one line, balancing a merge further down
+            ([_TRIGGER + "," + _TRIGGER, '{"kind": "block_trigger"', '"ts_ms": 5}'], 1),
+            # two records on one line alone
+            ([_ARRIVAL, _TRIGGER + ", " + _TRIGGER], 2),
+            # the cut string's halves each start with { and end with }
+            (['{"kind": "tx_arrival", "sender": "}', '{", "ts_ms": 1}'], 1),
+            # the same cut by a raw line separator, balanced by two records
+            # on one line: joined by a bare comma, this decodes to 3 records
+            (_SEPARATED_SENDER.splitlines() + [_TRIGGER + ", " + _TRIGGER], 1),
+            # two lines merged through a nested array that a repeated key
+            # then discards, balanced by two records on one line
+            (
+                [
+                    '{"kind": [{"b": 1}',
+                    '{"c": 2}], "kind": "block_trigger", "ts_ms": 1}',
+                    '{"kind": "block_trigger", "ts_ms": 1}, {"kind": "block_trigger", "ts_ms": 1}',
+                ],
+                1,
+            ),
+        ],
+    )
+    def test_hostile_shapes_fail_on_their_line(self, lines, line):
+        got = _same_as_per_line("\n".join(lines) + "\n")
+        assert got[0] == "error" and got[2] == line
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\n\n" + _ARRIVAL + "\n   \n\t\n" + _TRIGGER + "\n\n",
+            "  " + _ARRIVAL + " \n\t" + _TRIGGER + "\t",
+            _ARRIVAL + "\r\n" + _TRIGGER + "\r\n",
+            _ARRIVAL + "\r" + _TRIGGER,
+            "\u00a0\n" + _ARRIVAL + "\n\u2028\n" + _TRIGGER,
+            # an escaped line separator is an ordinary sender character
+            _ARRIVAL.replace('"sender": "a"', '"sender": "a\\u2028b"'),
+            # a bracket in a sender sends a valid trace down the per-line path
+            _ARRIVAL.replace('"sender": "a"', '"sender": "[a]"') + "\n" + _TRIGGER,
+        ],
+    )
+    def test_blank_padded_and_crlf_lines_parse(self, text):
+        assert _same_as_per_line(text)[0] == "events"
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a raw line separator ends the line inside the sender
+            (_ARRIVAL.replace('"sender": "a"', '"sender": "a\u2028b"'), 1),
+            (_TRIGGER + "\n" + _SEPARATED_SENDER, 2),
+            # JSON whitespace pads a line; a no-break space does not
+            (_TRIGGER + "\n\u00a0" + _TRIGGER, 2),
+            (_TRIGGER + "\n" + _overlong_price_line(), 2),
+            (_TRIGGER + "\n[1, 2, 3]", 2),
+            (_TRIGGER + '\n"{}"', 2),
+            (_TRIGGER + "\n{}", 2),
+            (_TRIGGER + '\n{"kind": "block_trigger", "ts_ms": 1}', 2),
+            (_TRIGGER + "\n" + _ARRIVAL.replace(', "value": 0', ""), 2),
+            (_TRIGGER + "\n" + _ARRIVAL.replace('"value": 0', '"value": 0, "tip": 1'), 2),
+            (_TRIGGER + '\n{"kind": "block_trigger", "ts_ms": NaN}', 2),
+            (_TRIGGER + '\n{"kind": "block_trigger", "ts_ms": {"ts_ms": 3}}', 2),
+            (_TRIGGER + '\n{"kind": "snapshot_marker"}', 2),
+            (_TRIGGER + '\n{"kind": "reorg", "ts_ms": 3}', 2),
+            (_TRIGGER + '\n{"kind": "block_trigger", "ts_ms": 3, "sender": "a"}', 2),
+            (_TRIGGER + "\n" + _ARRIVAL.replace('"benign"', '"friendly"'), 2),
+            (_TRIGGER + "\n" + _ARRIVAL.replace('"price": 5', '"price": 0'), 2),
+            (_TRIGGER + "\n" + _ARRIVAL.replace('"nonce": 0', '"nonce": true'), 2),
+            ("\ufeff" + _TRIGGER, 1),
+            # nesting past the decoder's recursion limit, after a bad line
+            ('{"kind": "reorg", "ts_ms": 1}\n' + _DEEP, 1),
+            (_TRIGGER + "\n" + _DEEP, 2),
+        ],
+    )
+    def test_bad_lines_fail_as_per_line(self, text, line):
+        got = _same_as_per_line(text)
+        assert got[0] == "error" and got[2] == line
+
+    def test_errors_and_regressions_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(trace, "_DECODE_CHUNK", 2)
+        triggers = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in (1, 2, 3, 2, 5)]
+        assert _same_as_per_line("\n".join(triggers)) == (
+            "error", "line 4: timestamp regression 2 < 3", 4
+        )
+        events = gen_random_adversary({"steps": 25, "seed": 3})
+        text = dump_events(events)
+        assert _same_as_per_line(text)[0] == "events"
+        lines = text.splitlines()
+        lines[20] = lines[20][:-1]
+        assert _same_as_per_line("\n".join(lines))[2] == 21
+
+    def test_valid_trace_is_decoded_without_the_per_line_parser(self, monkeypatch):
+        def per_line(text):
+            raise AssertionError("valid trace fell back to the per-line parser")
+
+        monkeypatch.setattr(trace, "_parse_lines", per_line)
+        events = gen_random_adversary({"steps": 300, "seed": 1})
+        text = dump_events(events + [block_trigger(events[-1].ts_ms), snapshot_marker(10**9)])
+        assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
+
+    def test_repeated_key_keeps_its_last_value(self):
+        text = _ARRIVAL.replace('"price": 5', '"price": 5, "price": 7') + "\n"
+        text += '{"kind": "block_trigger", "ts_ms": 9, "ts_ms": 3}\n'
+        got = _same_as_per_line(text)
+        assert [(e[0], e[1]) for e in got[1]] == [("tx_arrival", 1), ("block_trigger", 3)]
+        assert got[1][0][4] == 7
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_cut_joined_and_garbled_lines_parse_as_per_line(self, data):
+        base = dump_events(gen_random_adversary({"steps": 6, "seed": 5})).splitlines()
+        base += [_TRIGGER.replace("2", "99"), '{"kind": "snapshot_marker", "ts_ms": 99}']
+        lines = data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=6))
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            op = data.draw(st.sampled_from(("cut", "join", "dup", "insert", "blank")))
+            line = lines[i]
+            at = data.draw(st.integers(0, len(line)))
+            if op == "cut":
+                lines[i : i + 1] = [line[:at], line[at:]]
+            elif op == "join" and i + 1 < len(lines):
+                sep = data.draw(st.sampled_from(("", ",", ", ", " ")))
+                lines[i : i + 2] = [line + sep + lines[i + 1]]
+            elif op == "dup":
+                lines.insert(i, line)
+            elif op == "insert":
+                char = data.draw(st.sampled_from('{}[]",'))
+                lines[i] = line[:at] + char + line[at:]
+            else:
+                lines.insert(i, data.draw(st.sampled_from(("", " ", "\t"))))
+        _same_as_per_line("\n".join(lines) + "\n")
+
+
 class TestWorldForTrace:
     def test_nonce_is_min_seen_and_balance_covers_costs(self):
         txs = [tx("A", 2, 5), tx("A", 3, 5), tx("B", 0, 1)]
@@ -179,6 +360,17 @@ class TestWorldForTrace:
         events = [arrival(tx("A", 2, 5), 0)]
         world = world_for_trace(events, overrides={"A": (77, 1)})
         assert (world.balance_of("A"), world.nonce_of("A")) == (77, 1)
+
+    def test_accounts_in_trace_order_then_override_only_senders(self):
+        txs = [tx("B", 3, 5), tx("A", 1, 2), tx("B", 2, 1), tx("C", 0, 9)]
+        events = [arrival(t, i) for i, t in enumerate(txs)]
+        events.insert(2, block_trigger(1))
+        world = world_for_trace(events, overrides={"Z": (5, 0), "A": (7, 4)}, block_gas_limit=99)
+        assert list(world.accounts) == ["B", "A", "C", "Z"]
+        assert [(a.balance, a.nonce) for a in world.accounts.values()] == [
+            (txs[0].cost + txs[2].cost, 2), (7, 4), (txs[3].cost, 0), (5, 0)
+        ]
+        assert world.block_gas_limit == 99
 
 
 class TestWorkloads:
