@@ -18,7 +18,7 @@ import sys
 from typing import List, Optional
 
 from .attacks import ATTACK_KINDS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
-from .core import PoolError
+from .core import PoolError, WorldState
 from .metrics import eviction_bound_baseline_under_xt6, eviction_bound_cp, gamma
 from .policies import POLICY_KINDS, PolicyConfig
 from .replay import ReplayAbort, ScenarioConfig, bench, replay
@@ -27,7 +27,6 @@ from .trace import (
     parse_trace,
     workload_batch_insert,
     workload_tn1,
-    world_for_trace,
     write_trace,
     tn1_account_overrides,
 )
@@ -47,7 +46,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _scenario(args) -> ScenarioConfig:
-    capacity = args.capacity or (FULL_CAPACITY if args.full else DESK_CAPACITY)
+    capacity = args.capacity
+    if capacity is None:
+        capacity = FULL_CAPACITY if args.full else DESK_CAPACITY
     return ScenarioConfig(
         policy=PolicyConfig(kind=args.policy, per_sender_limit=args.per_sender_limit),
         capacity=capacity,
@@ -80,6 +81,8 @@ def cmd_replay(args) -> int:
 
 def cmd_attack(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError("--params must be a JSON object")
     if args.kind == "xt6" and not params:
         params = dict(XT6_FULL if args.full else XT6_DESK)
     if args.kind == "random_adversary":
@@ -123,7 +126,7 @@ def cmd_bounds(args) -> int:
     config.final_drain = False
     report = replay(config, events)
     pending = report.final_pending
-    world = world_for_trace(events)
+    world = WorldState(block_gas_limit=config.block_gas_limit)
     cp_bound = eviction_bound_cp(pending)
     payload = {
         "pending": len(pending),

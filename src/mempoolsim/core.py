@@ -186,9 +186,5 @@ class Block:
     txs: List[Transaction] = field(default_factory=list)
 
     @property
-    def gas_total(self) -> int:
-        return sum(tx.gas_used for tx in self.txs)
-
-    @property
     def revenue(self) -> int:
         return sum(tx.fee for tx in self.txs)

@@ -57,8 +57,6 @@ def _decline(tx: Transaction, reason: Reason) -> AdmissionOutcome:
 class PriceOnlyPolicy:
     """Evicts the globally cheapest pending tx when a pricier one arrives."""
 
-    name = "baseline"
-
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
             return _free_slot(tx)
@@ -72,8 +70,6 @@ class ChildlessPricePolicy:
     """Evicts only the cheapest childless tx; declines if the arrival's price
     does not strictly exceed it."""
 
-    name = "cp"
-
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
             return _free_slot(tx)
@@ -86,8 +82,6 @@ class ChildlessPricePolicy:
 class MinFeeChainTailPolicy:
     """Seeds eviction at the minimum-fee pending tx and evicts its sender's
     chain tail instead, preserving nonce-chain integrity."""
-
-    name = "map"
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:

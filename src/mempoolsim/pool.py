@@ -138,6 +138,8 @@ class Mempool:
     def __init__(self, capacity: int, per_sender_limit: Optional[int] = None):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        if per_sender_limit is not None and per_sender_limit < 1:
+            raise ValueError("per-sender limit must be positive")
         self.capacity = capacity
         self.per_sender_limit = per_sender_limit
         self._by_key: Dict[Tuple[str, int], Transaction] = {}

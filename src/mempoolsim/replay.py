@@ -18,7 +18,15 @@ from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
-from .core import AdmissionOutcome, Block, OutcomeKind, PoolError, Transaction, WorldState
+from .core import (
+    DEFAULT_BLOCK_GAS_LIMIT,
+    AdmissionOutcome,
+    Block,
+    OutcomeKind,
+    PoolError,
+    Transaction,
+    WorldState,
+)
 from .metrics import OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
 from .pool import Mempool, SenderChain
@@ -38,7 +46,7 @@ class ReplayAbort(Exception):
 class ScenarioConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     capacity: int = 5120
-    block_gas_limit: int = 30_000_000
+    block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
     account_seeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     drain_mode: str = "end_only"  # or "interleaved"
     final_drain: bool = True

@@ -6,7 +6,10 @@ Transaction fields are only present for ``tx_arrival`` events. Parsing is
 strict: unknown fields, timestamp regressions, numbers that are not JSON
 integers or lie outside Ethereum's uint256 range, a non-string sender and an
 unknown source are rejected with the offending line number. A key repeated
-within a record keeps its last value.
+within a record keeps its last value. Lines are decoded a chunk per
+``json.loads``, and a chunk that one decode cannot split exactly into its
+lines is decoded line by line, so the events and errors are those of a
+per-line parse.
 """
 
 from __future__ import annotations
@@ -14,17 +17,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .core import AccountState, Transaction, WorldState
 
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
-_MARKER_FIELDS = frozenset(("kind", "ts_ms"))
 _SOURCES = ("benign", "adversarial")
-# lines per json.loads on the one-decode path: bounds the decoded records
-# alive at once, so the parse's peak memory stays near the per-line loop's
+# lines per json.loads: bounds the decoded records alive at once, so the
+# parse's peak memory stays near a per-line loop's
 _DECODE_CHUNK = 64
 
 
@@ -102,13 +105,13 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
     # Transaction checks the field types (exact int, str sender), then ranges
     try:
         tx = Transaction(
-            sender=record["sender"],
-            nonce=record["nonce"],
-            price=record["price"],
-            gas_used=record["gas_used"],
-            gas_limit=record["gas_limit"],
-            value=record["value"],
-            label=source,
+            record["sender"],
+            record["nonce"],
+            record["price"],
+            record["gas_used"],
+            record["gas_limit"],
+            record["value"],
+            source,
         )
     except ValueError as exc:
         raise TraceError(str(exc), line) from exc
@@ -128,102 +131,71 @@ def write_trace(path, events: Iterable[TraceEvent]) -> None:
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
-    """The events of a trace's text; a ``TraceError`` names the first bad line."""
-    events = _parse_chunks([raw for raw in text.splitlines() if raw.strip()])
-    if events is None:
-        events = _parse_lines(text)
-    return events
+    """The events of a trace's text; a ``TraceError`` names the first bad line.
 
-
-def _parse_chunks(lines: List[str]) -> Optional[List[TraceEvent]]:
-    """The events of a valid trace's non-blank lines, decoded a chunk of lines
-    per ``json.loads``; None if any line or record is not plainly valid.
-
-    This accepts exactly what ``_parse_lines`` accepts. Every line here starts
-    with ``{`` and ends with ``}``, and no line holds a ``[``. The newline in
-    each ``,\\n`` separator cannot sit in a JSON string, so the separator lies
-    between two values, and the ``{`` after it can only open an element of an
-    array: with no ``[`` in the lines, of the outer array. So every separator
-    ends a record, no record spans two lines, and as many records as lines
-    means one record per line, the object a per-line decode gives. Without
-    these guards one decode would accept what the per-line parser rejects:
-    two bad lines merged into one record, directly or through a nested array,
-    a string cut in two, or two records on one line balancing a merge
-    elsewhere. A valid trace with a ``[`` in a sender just takes the per-line
-    path. On None the caller reruns the per-line parser, which then reports
-    the error and its line.
+    Non-blank lines are decoded ``_DECODE_CHUNK`` at a time by one
+    ``json.loads``; a chunk that fails ``_decode_chunk``'s guards is decoded
+    again line by line. Either way each record then passes the one schema
+    check and the one timestamp check, in line order.
     """
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
-    for start in range(0, len(lines), _DECODE_CHUNK):
-        chunk = lines[start : start + _DECODE_CHUNK]
-        if not all(raw[0] == "{" and raw[-1] == "}" for raw in chunk):
-            return None
-        body = ",\n".join(chunk)
-        if "[" in body:
-            return None
-        try:
-            records = json.loads("[" + body + "]")
-        except (ValueError, RecursionError):
-            return None
-        if len(records) != len(chunk):
-            return None
-        for record in records:
-            if type(record) is not dict:
-                return None
-            kind = record.get("kind")
-            ts_ms = record.get("ts_ms")
-            if type(ts_ms) is not int or ts_ms < last_ts:
-                return None
-            if kind == "tx_arrival":
-                source = record["source"] if record.keys() == _ALL_FIELDS else None
-                if source not in _SOURCES:
-                    return None
-                try:
-                    tx = Transaction(
-                        record["sender"],
-                        record["nonce"],
-                        record["price"],
-                        record["gas_used"],
-                        record["gas_limit"],
-                        record["value"],
-                        source,
-                    )
-                except ValueError:
-                    return None
-                append(TraceEvent(kind, ts_ms, tx))
-            elif record.keys() == _MARKER_FIELDS and kind in KINDS:
-                append(TraceEvent(kind, ts_ms))
-            else:
-                return None
-            last_ts = ts_ms
+    numbered = ((n, raw) for n, raw in enumerate(text.splitlines(), 1) if raw.strip())
+    while chunk := list(islice(numbered, _DECODE_CHUNK)):
+        linenos, lines = zip(*chunk)
+        records = _decode_chunk(lines)
+        if records is None:
+            # lazy: a line is decoded only after the lines before it are checked
+            records = map(_decode_line, lines, linenos)
+        for lineno, record in zip(linenos, records):
+            event = _record_to_event(record, lineno)
+            if event.ts_ms < last_ts:
+                raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
+            last_ts = event.ts_ms
+            append(event)
     return events
 
 
-def _parse_lines(text: str) -> List[TraceEvent]:
-    """Per-line parser: one ``json.loads`` per line, and the only path that
-    raises ``TraceError``, with the offending line's number."""
-    events: List[TraceEvent] = []
-    last_ts = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            # a JSONDecodeError, an integer with more digits than Python
-            # converts from a string, or nesting deeper than the decoder's
-            # recursion limit
-            raise TraceError(f"malformed JSON: {exc}", lineno) from exc
-        if not isinstance(record, dict):
-            raise TraceError("record is not an object", lineno)
-        event = _record_to_event(record, lineno)
-        if last_ts is not None and event.ts_ms < last_ts:
-            raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
-        last_ts = event.ts_ms
-        events.append(event)
-    return events
+def _decode_chunk(lines: Sequence[str]) -> Optional[list]:
+    """The records of ``lines`` from one ``json.loads``, exactly what decoding
+    each line alone gives; None if the guards below cannot ensure that.
+
+    Every line here starts with ``{`` and ends with ``}``, and no line holds a
+    ``[``. The newline in each ``,\\n`` separator cannot sit in a JSON string,
+    so the separator lies between two values, and the ``{`` after it can only
+    open an element of an array: with no ``[`` in the lines, of the outer
+    array. So every separator ends a record, no record spans two lines, and as
+    many records as lines means one record per line, the object a per-line
+    decode gives. Without these guards one decode would accept what a per-line
+    decode rejects: two bad lines merged into one record, directly or through
+    a nested array, a string cut in two, or two records on one line balancing
+    a merge elsewhere. A valid chunk with a ``[`` in a sender is just decoded
+    line by line.
+    """
+    if not all(raw[0] == "{" and raw[-1] == "}" for raw in lines):
+        return None
+    body = ",\n".join(lines)
+    if "[" in body:
+        return None
+    try:
+        records = json.loads("[" + body + "]")
+    except (ValueError, RecursionError):
+        return None
+    return records if len(records) == len(lines) else None
+
+
+def _decode_line(raw: str, lineno: int) -> Dict:
+    """One line's record, or a ``TraceError`` naming the line."""
+    try:
+        record = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer with more digits than Python converts
+        # from a string, or nesting deeper than the decoder's recursion limit
+        raise TraceError(f"malformed JSON: {exc}", lineno) from exc
+    if not isinstance(record, dict):
+        raise TraceError("record is not an object", lineno)
+    return record
 
 
 def parse_trace(path) -> List[TraceEvent]:

@@ -4,7 +4,7 @@ Each predicate is a linear scan over plain transaction lists or a read-only
 view, and shares no code with the pool's per-sender chains or order indexes.
 Two test-only readers list a pool's order indexes in full, and
 ``parse_trace_lines`` is the per-line trace parser that the library's
-one-decode parser must match.
+chunked parser, one decode per chunk of lines, must match.
 """
 
 from __future__ import annotations

@@ -176,6 +176,18 @@ class TestApplyAdmission:
         with pytest.raises(PoolError):
             pool.apply_admission(tx("Y", 0, 9), [])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"capacity": 0},
+            {"capacity": 4, "per_sender_limit": 0},
+            {"capacity": 4, "per_sender_limit": -1},
+        ],
+    )
+    def test_bounds_below_one_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be positive"):
+            Mempool(**kwargs)
+
     def test_victim_not_pending(self):
         pool = Mempool(capacity=2)
         fill_pool(pool, rich_world("X"), [tx("X", 0, 5)])

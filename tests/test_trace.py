@@ -207,6 +207,20 @@ _DEEP = '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"
 _SEPARATED_SENDER = _ARRIVAL.replace('"sender": "a"', '"sender": "}\u2028{"')
 
 
+def _per_line_decodes(monkeypatch):
+    """Set 2-line chunks; return the line numbers ``_decode_line`` is called with."""
+    monkeypatch.setattr(trace, "_DECODE_CHUNK", 2)
+    decoded = []
+    decode_line = trace._decode_line
+
+    def per_line(raw, lineno):
+        decoded.append(lineno)
+        return decode_line(raw, lineno)
+
+    monkeypatch.setattr(trace, "_decode_line", per_line)
+    return decoded
+
+
 class TestOneDecodeMatchesPerLine:
     """``parse_trace_text`` decodes many lines per ``json.loads``; on every
     input it must give what the per-line reference parser gives."""
@@ -307,13 +321,42 @@ class TestOneDecodeMatchesPerLine:
         assert _same_as_per_line("\n".join(lines))[2] == 21
 
     def test_valid_trace_is_decoded_without_the_per_line_parser(self, monkeypatch):
-        def per_line(text):
+        def per_line(raw, lineno):
             raise AssertionError("valid trace fell back to the per-line parser")
 
-        monkeypatch.setattr(trace, "_parse_lines", per_line)
+        monkeypatch.setattr(trace, "_decode_line", per_line)
         events = gen_random_adversary({"steps": 300, "seed": 1})
         text = dump_events(events + [block_trigger(events[-1].ts_ms), snapshot_marker(10**9)])
         assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
+
+    def test_only_the_chunk_failing_the_guards_is_decoded_per_line(self, monkeypatch):
+        decoded = _per_line_decodes(monkeypatch)
+        lines = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in range(7)]
+        # line 4 (second in the chunk of lines 3 and 4) holds a bracket
+        lines[3] = _ARRIVAL.replace('"sender": "a"', '"sender": "[a]"').replace(
+            '"ts_ms": 1', '"ts_ms": 3'
+        )
+        got = _same_as_per_line("\n".join(lines))
+        assert got[0] == "events" and len(got[1]) == 7
+        assert decoded == [3, 4]
+
+    def test_bad_last_line_leaves_earlier_chunks_decoded_once(self, monkeypatch):
+        decoded = _per_line_decodes(monkeypatch)
+        chunks = []
+        decode_chunk = trace._decode_chunk
+
+        def one_decode(lines):
+            chunks.append(list(lines))
+            return decode_chunk(lines)
+
+        monkeypatch.setattr(trace, "_decode_chunk", one_decode)
+        lines = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in range(7)]
+        lines[6] = lines[6][:-1]
+        with pytest.raises(TraceError, match="malformed JSON") as err:
+            parse_trace_text("\n".join(lines))
+        assert err.value.line == 7
+        assert chunks == [lines[0:2], lines[2:4], lines[4:6], lines[6:]]
+        assert decoded == [7]
 
     def test_repeated_key_keeps_its_last_value(self):
         text = _ARRIVAL.replace('"price": 5', '"price": 5, "price": 7') + "\n"
@@ -565,6 +608,24 @@ class TestCli:
         assert main(["attack", "deter_future", "--run", "--capacity", "32"]) == 2
         err = capsys.readouterr().err
         assert "invariant violation: charged fees cannot exceed fees at risk" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--capacity", "0"], "capacity must be positive"),
+            (["--per-sender-limit", "0"], "per-sender limit must be positive"),
+            (["--per-sender-limit", "-2"], "per-sender limit must be positive"),
+        ],
+    )
+    def test_bounds_below_one_are_usage_errors(self, argv, message, capsys):
+        assert main(["attack", "cp_lock", "--run"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("kind, params", [("random_adversary", "[1]"), ("xt6", "[]")])
+    def test_params_not_an_object_is_usage_error(self, kind, params, capsys):
+        assert main(["attack", kind, "--params", params]) == 1
+        assert "error: --params must be a JSON object" in capsys.readouterr().err
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
