@@ -10,6 +10,7 @@ for the overdraft attack).
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
@@ -52,8 +53,8 @@ class AttackPlan:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind}")
-        if self.delay_seconds < 0:
-            raise ValueError("delay must be non-negative")
+        if not (math.isfinite(self.delay_seconds) and self.delay_seconds >= 0):
+            raise ValueError(f"delay must be finite and non-negative, got {self.delay_seconds}")
 
     @property
     def start_ms(self) -> int:
@@ -91,6 +92,20 @@ class AttackPlan:
         return self._random[1]
 
 
+def _merge_params(defaults: Dict, params: Optional[Dict], what: str) -> Dict:
+    """``defaults`` updated by ``params``: each key must be known, and a value
+    whose default is an int, or None for an optional int, must be an exact int."""
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"{what} parameters must be a JSON object, got {params!r}")
+    for key, value in (params or {}).items():
+        if key not in defaults:
+            raise ValueError(f"unknown {what} parameter {key!r}; known: {', '.join(defaults)}")
+        wants_int = type(defaults[key]) is int or (defaults[key] is None and value is not None)
+        if wants_int and type(value) is not int:
+            raise ValueError(f"{what} parameter {key!r} must be an integer, got {value!r}")
+    return {**defaults, **(params or {})}
+
+
 def _adv(sender: str, nonce: int, price: int, gas_used: int = 21_000, **kw) -> Transaction:
     return Transaction(
         sender=sender, nonce=nonce, price=price, gas_used=gas_used, label="adversarial", **kw
@@ -109,15 +124,16 @@ def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent
     4. A single final tx evicts the big chain's parent, turning every other
        pending tx future.
     """
-    p = dict(XT6_FULL)
-    p.update(params or {})
+    p = _merge_params(XT6_FULL, params, "xt6")
     n_seq, seq_len = p["n_seq"], p["seq_len"]
     n_parents, big_chain = p["n_parents_evicted"], p["big_chain"]
     schedule = tuple(p["price_schedule"])
     if n_seq < 1 or seq_len < 1 or big_chain < 1:
         raise ValueError("xt6 phase sizes must be >= 1")
-    if len(schedule) != 4 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("price_schedule must be four strictly increasing levels")
+    if len(schedule) != 4 or not all(
+        type(a) is type(b) is int and a < b for a, b in zip(schedule, schedule[1:])
+    ):
+        raise ValueError("price_schedule must be four strictly increasing integer levels")
     if n_parents > n_seq:
         raise ValueError("cannot evict more parents than sequences")
     p1, p2, p3, p4 = schedule
@@ -143,8 +159,7 @@ def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent
 
 
 def deter_params(params: Optional[Dict] = None) -> Dict:
-    p = {"count": 10, "price": 100}
-    p.update(params or {})
+    p = _merge_params({"count": 10, "price": 100}, params, "deter_future")
     if p["count"] < 0:
         raise ValueError("count must be non-negative")
     return p
@@ -160,8 +175,8 @@ def gen_deter_future(params: Optional[Dict] = None, start_ms: int = 0) -> List[T
 
 
 def mempurge_params(params: Optional[Dict] = None) -> Dict:
-    p = {"chain_len": 3, "price": 100, "balance": None}
-    p.update(params or {})
+    defaults = {"chain_len": 3, "price": 100, "balance": None}
+    p = _merge_params(defaults, params, "mempurge_overdraft")
     if p["chain_len"] < 2:
         raise ValueError("chain_len must be >= 2")
     if p["balance"] is None:
@@ -189,8 +204,8 @@ def gen_cp_lock(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceE
     If ``chain_len`` is below the pool capacity ``m``, a second sender pads
     the pool with the same shape so every childless tx stays expensive.
     """
-    p = {"chain_len": 64, "low_price": 1, "high_price": 10_000, "capacity": None}
-    p.update(params or {})
+    defaults = {"chain_len": 64, "low_price": 1, "high_price": 10_000, "capacity": None}
+    p = _merge_params(defaults, params, "cp_lock")
     n, low, high = p["chain_len"], p["low_price"], p["high_price"]
     m = p["capacity"] or n
     if n < 2:
@@ -217,18 +232,15 @@ def gen_cp_lock(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceE
 
 
 def _random_adversary(params: Optional[Dict], start_ms: int):
-    p = {
-        "steps": 1000,
-        "seed": 0,
-        "mix": {"fresh": 4, "chain": 4, "future": 1, "overdraft": 1},
-    }
-    p.update(params or {})
+    default_mix = {"fresh": 4, "chain": 4, "future": 1, "overdraft": 1}
+    p = _merge_params({"steps": 1000, "seed": 0, "mix": default_mix}, params, "random_adversary")
     steps = p["steps"]
     if steps < 0:
         raise ValueError("steps must be non-negative")
     rng = random.Random(p["seed"])
-    mix = p["mix"]
-    choices = [k for k in ("fresh", "chain", "future", "overdraft") if mix.get(k, 0) > 0]
+    # a given mix replaces the default one: a kind it leaves out has weight 0
+    mix = _merge_params(dict.fromkeys(default_mix, 0), p["mix"], "random_adversary mix")
+    choices = [k for k, weight in mix.items() if weight > 0]
     weights = [mix[k] for k in choices]
     events: List[TraceEvent] = []
     seeds: Dict[str, Tuple[int, int]] = {}

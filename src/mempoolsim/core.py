@@ -6,7 +6,6 @@ No floating point is used anywhere in admission logic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Tuple
@@ -17,10 +16,8 @@ _INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 # Ethereum's uint256 range: every integer field is below this
 _UINT256 = 2**256
 
-_id_counter = itertools.count(1)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Transaction:
     """One transaction: the unit of admission.
 
@@ -28,7 +25,10 @@ class Transaction:
     influence admission or block-building decisions. ``fee`` (gas_used *
     price, the chargeable fee) and ``cost`` (gas_limit * price + value, the
     worst-case balance reservation) are computed once, after the range check;
-    they cannot be passed in and take no part in repr, equality or hashing.
+    they cannot be passed in and take no part in repr.
+
+    Transactions compare and hash by identity: a copy with equal fields is a
+    distinct transaction, and the pool and the report key txs by the object.
     """
 
     sender: str
@@ -38,7 +38,6 @@ class Transaction:
     gas_limit: int = 0
     value: int = 0
     label: str = "benign"
-    id: int = field(default_factory=_id_counter.__next__)
     fee: int = field(init=False, repr=False, compare=False)
     cost: int = field(init=False, repr=False, compare=False)
 
@@ -81,14 +80,6 @@ class Transaction:
                 shown = value if bits <= 256 else f"a {bits}-bit integer"
                 return ValueError(f"{name} must be {rule} and below 2**256, got {shown}")
         return ValueError("gas_used exceeds gas_limit")
-
-    def __hash__(self) -> int:
-        return hash(self.id)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Transaction):
-            return NotImplemented
-        return self.id == other.id
 
     def __repr__(self) -> str:
         return f"<{self.sender}:{self.nonce} @{self.price}>"

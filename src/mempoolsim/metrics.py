@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .core import AdmissionOutcome, MIN_TX_GAS, OutcomeKind, Transaction, WorldState
 
@@ -109,6 +109,8 @@ class OutcomeClass(Enum):
     O3 = "evicted-higher-fee"
     O4 = "admitted-free-slot"
     OTHER = "other"
+    # a resident the final drain could not build into any block
+    UNBUILDABLE = "unbuildable"
 
 
 @dataclass(frozen=True)
@@ -148,21 +150,21 @@ class UtilEntry:
 
 @dataclass
 class UtilLedger:
-    per_class: Dict[str, UtilEntry] = field(default_factory=dict)
+    per_class: Dict[OutcomeClass, UtilEntry] = field(default_factory=dict)
     flagged: Dict[str, UtilEntry] = field(default_factory=dict)
     total: UtilEntry = field(default_factory=UtilEntry)
 
-    def record(self, label: str, inside_delta: int, outside_delta: int, flags: Optional[OutcomeFlags] = None) -> None:
-        _entry(self.per_class, label).add(inside_delta, outside_delta)
-        if flags is not None:
-            if flags.future_turn_pending:
-                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
-            if flags.pending_turn_future:
-                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
+    def record(self, outcome_class: OutcomeClass, inside_delta: int, outside_delta: int,
+               flags: OutcomeFlags = OutcomeFlags()) -> None:
+        _entry(self.per_class, outcome_class).add(inside_delta, outside_delta)
+        if flags.future_turn_pending:
+            _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
+        if flags.pending_turn_future:
+            _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
         self.total.add(inside_delta, outside_delta)
 
 
-def _entry(bucket: Dict[str, UtilEntry], key: str) -> UtilEntry:
+def _entry(bucket: Dict, key) -> UtilEntry:
     entry = bucket.get(key)
     if entry is None:
         entry = bucket[key] = UtilEntry()

@@ -144,7 +144,7 @@ class Mempool:
         self.per_sender_limit = per_sender_limit
         self._by_key: Dict[Tuple[str, int], Transaction] = {}
         self._chains: Dict[str, SenderChain] = {}
-        self._seq_of: Dict[int, int] = {}
+        self._seq_of: Dict[Transaction, int] = {}
         self._next_seq = 0
         # order indexes of (key, seq, tx), each built on its first read
         self._by_price: Optional[SortedList] = None
@@ -160,7 +160,7 @@ class Mempool:
         return len(self._by_key)
 
     def __contains__(self, tx: Transaction) -> bool:
-        return self._by_key.get((tx.sender, tx.nonce)) == tx
+        return self._by_key.get((tx.sender, tx.nonce)) is tx
 
     @property
     def full(self) -> bool:
@@ -190,20 +190,20 @@ class Mempool:
     def _price_index(self) -> SortedList:
         if self._by_price is None:
             seq_of = self._seq_of
-            self._by_price = SortedList((t.price, seq_of[t.id], t) for t in self._by_key.values())
+            self._by_price = SortedList((t.price, seq_of[t], t) for t in self._by_key.values())
         return self._by_price
 
     def _fee_index(self) -> SortedList:
         if self._by_fee is None:
             seq_of = self._seq_of
-            self._by_fee = SortedList((t.fee, seq_of[t.id], t) for t in self._by_key.values())
+            self._by_fee = SortedList((t.fee, seq_of[t], t) for t in self._by_key.values())
         return self._by_fee
 
     def _childless_index(self) -> SortedList:
         if self._childless is None:
             seq_of = self._seq_of
             tails = [chain.txs[-1] for chain in self._chains.values()]
-            self._childless = SortedList((t.price, seq_of[t.id], t) for t in tails)
+            self._childless = SortedList((t.price, seq_of[t], t) for t in tails)
         return self._childless
 
     def min_price_tx(self) -> Optional[Transaction]:
@@ -268,7 +268,7 @@ class Mempool:
     def _insert(self, tx: Transaction) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._seq_of[tx.id] = seq
+        self._seq_of[tx] = seq
         self._by_key[(tx.sender, tx.nonce)] = tx
         chain = self._chains.get(tx.sender)
         if chain is None:
@@ -279,7 +279,7 @@ class Mempool:
         childless = self._childless
         if childless is not None and chain.txs[-1] is tx:
             if old_tail is not None:
-                childless.remove((old_tail.price, self._seq_of[old_tail.id], old_tail))
+                childless.remove((old_tail.price, self._seq_of[old_tail], old_tail))
             childless.add((price, seq, tx))
         if self._by_price is not None:
             self._by_price.add((price, seq, tx))
@@ -291,10 +291,10 @@ class Mempool:
 
     def _remove(self, tx: Transaction) -> None:
         key = (tx.sender, tx.nonce)
-        if self._by_key.get(key) != tx:
+        if self._by_key.get(key) is not tx:
             raise PoolError(f"{tx!r} not pending")
         del self._by_key[key]
-        seq = self._seq_of.pop(tx.id)
+        seq = self._seq_of.pop(tx)
         chain = self._chains[tx.sender]
         was_tail = chain.txs[-1] is tx
         chain.remove(tx)
@@ -304,7 +304,7 @@ class Mempool:
             childless.remove((price, seq, tx))
             if chain.txs:
                 tail = chain.txs[-1]
-                childless.add((tail.price, self._seq_of[tail.id], tail))
+                childless.add((tail.price, self._seq_of[tail], tail))
         if not chain.txs:
             del self._chains[tx.sender]
         if self._by_price is not None:

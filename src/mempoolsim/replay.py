@@ -13,6 +13,7 @@ import json
 import statistics
 import time
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,10 +25,11 @@ from .core import (
     Block,
     OutcomeKind,
     PoolError,
+    Reason,
     Transaction,
     WorldState,
 )
-from .metrics import OutcomeFlags, UtilLedger, classify_outcome
+from .metrics import OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
 from .pool import Mempool, SenderChain
 from .trace import TraceEvent, world_for_trace
@@ -73,14 +75,13 @@ class RunReport:
     capacity: int
     event_count: int = 0
     outcomes: List[AdmissionOutcome] = field(default_factory=list)
-    reason_counts: Dict[str, int] = field(default_factory=dict)
     blocks: List[Block] = field(default_factory=list)
     snapshots: List[Snapshot] = field(default_factory=list)
     util: UtilLedger = field(default_factory=UtilLedger)
     flags: List[Tuple[int, OutcomeFlags]] = field(default_factory=list)
     price_sum_series: List[int] = field(default_factory=list)
     final_pending: List[Transaction] = field(default_factory=list)
-    declined: List[Tuple[Transaction, str]] = field(default_factory=list)
+    declined: List[Tuple[Transaction, Reason]] = field(default_factory=list)
     pool_fees_final: int = 0
     block_fees_final: int = 0
     declined_fees_final: int = 0
@@ -89,11 +90,12 @@ class RunReport:
         return [tx for block in self.blocks for tx in block.txs]
 
     def summary(self) -> Dict:
+        reasons = Counter(o.reason for o in self.outcomes)
         return {
             "policy": self.policy,
             "capacity": self.capacity,
             "events": self.event_count,
-            "reasons": dict(sorted(self.reason_counts.items())),
+            "reasons": dict(sorted((r.value, n) for r, n in reasons.items())),
             "blocks": len(self.blocks),
             "block_fees": self.block_fees_final,
             "pool_fees": self.pool_fees_final,
@@ -114,6 +116,7 @@ class RunReport:
         ints, for which ``str`` writes what json writes.
         """
         enc = encode_basestring_ascii
+        labels = {reason: enc(reason.value) for reason in Reason}
         txs: Dict[int, str] = {}
 
         def tx_json(tx: Transaction) -> str:
@@ -133,10 +136,10 @@ class RunReport:
             # enum members are singletons: id() skips Enum.__hash__ and .value
             head = heads.get((id(kind), id(reason)))
             if head is None:
-                head = heads[id(kind), id(reason)] = f"[{enc(kind.value)},{enc(reason.value)},"
+                head = heads[id(kind), id(reason)] = f"[{enc(kind.value)},{labels[reason]},"
             outcomes.append(f"{head}{tx_json(o.tx)},[{','.join(map(tx_json, o.victims))}]]")
         blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
-        declined = ",".join(f"[{tx_json(tx)},{enc(reason)}]" for tx, reason in self.declined)
+        declined = ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in self.declined)
         compact = (",", ":")
         blob = "".join((
             '{"blocks":[', blocks,
@@ -230,9 +233,7 @@ def replay(
                 snapshot(index, event.ts_ms)
             elif event.kind == "block_trigger":
                 if config.drain_mode == "interleaved":
-                    result = build_block(pool, world)
-                    report.blocks.append(result.block)
-                    report.util.record("block", 0, 0)
+                    report.blocks.append(build_block(pool, world).block)
             else:
                 tx = event.tx
                 outcome = pool.admit(tx, world, policy)
@@ -244,30 +245,23 @@ def replay(
                     flags = _admission_flags(pool, world, tx, outcome.victims)
                     if flags.future_turn_pending or flags.pending_turn_future:
                         report.flags.append((index, flags))
-                    if outcome.kind is OutcomeKind.ADMITTED_NO_EVICT:
-                        inside, outside = tx.fee, 0
-                    else:
-                        evicted = sum(v.fee for v in outcome.victims)
-                        inside, outside = tx.fee - evicted, evicted
-                report.util.record(classify_outcome(outcome).value, inside, outside, flags)
+                    evicted = sum(v.fee for v in outcome.victims)
+                    inside, outside = tx.fee - evicted, evicted
+                report.util.record(classify_outcome(outcome), inside, outside, flags)
                 report.outcomes.append(outcome)
-                reason = outcome.reason.value
-                report.reason_counts[reason] = report.reason_counts.get(reason, 0) + 1
                 report.price_sum_series.append(pool.price_sum())
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
 
     report.event_count = len(events)
     snapshot(len(events), events[-1].ts_ms if events else 0)
-    if config.final_drain and (config.drain_mode == "end_only" or len(pool) > 0):
+    if config.final_drain:
         declined_before = len(pool.declined)
-        for block in drain(pool, world):
-            report.blocks.append(block)
-            report.util.record("block", 0, 0)
+        report.blocks.extend(drain(pool, world))
         for tx, _ in pool.declined[declined_before:]:
-            report.util.record("unbuildable", -tx.fee, tx.fee)
+            report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
     report.final_pending = pool.pending()
-    report.declined = [(tx, reason.value) for tx, reason in pool.declined]
+    report.declined = pool.declined
     report.pool_fees_final = pool.fee_sum()
     report.block_fees_final = sum(b.revenue for b in report.blocks)
     report.declined_fees_final = sum(tx.fee for tx, _ in pool.declined)

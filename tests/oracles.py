@@ -72,10 +72,10 @@ def transition_flags(
     """Diff the future status of transactions resident in both states."""
     before_view = ListPendingView(before)
     after_view = ListPendingView(after)
-    before_ids = {tx.id for tx in before}
+    resident_before = set(before)
     ftp = ptf = False
     for tx in after:
-        if tx.id not in before_ids:
+        if tx not in resident_before:
             continue
         was = is_future(tx, before_view, world)
         now = is_future(tx, after_view, world)
@@ -92,9 +92,9 @@ def candidate_order(
     """Rank by (-price, admission order), then let each ranked tx place its
     sender's unplaced txs up to its own nonce, found by list scans.
 
-    ``admitted_at`` maps tx id -> admission order, counted by the caller.
+    ``admitted_at`` maps tx -> admission order, counted by the caller.
     """
-    ranked = sorted(pending, key=lambda t: (-t.price, admitted_at[t.id]))
+    ranked = sorted(pending, key=lambda t: (-t.price, admitted_at[t]))
     order: List[Transaction] = []
     for t in ranked:
         group = [u for u in pending if u.sender == t.sender and u.nonce <= t.nonce]

@@ -334,7 +334,7 @@ def test_criterion_8_builder_scenarios():
         tx2 = Transaction(sender="u2", nonce=0, price=5, gas_used=50_000, gas_limit=50_000)
 
         def gas_fn(t, preceding):
-            if t.id == tx1.id and any(p.id == tx2.id for p in preceding):
+            if t == tx1 and any(p == tx2 for p in preceding):
                 return 2_200
             return t.gas_used
 

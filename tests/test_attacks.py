@@ -15,6 +15,7 @@ from mempoolsim import (
     dump_events,
     gen_cp_lock,
     gen_deter_future,
+    gen_mempurge,
     gen_random_adversary,
     gen_xt6,
     replay,
@@ -81,7 +82,7 @@ class TestDeterFuture:
         plan = AttackPlan(kind="deter_future", params={"count": 10})
         config = ScenarioConfig(capacity=192, account_seeds=plan.account_seeds())
         report = replay(config, plan.events())
-        assert report.reason_counts == {Reason.INVALID_FUTURE.value: 10}
+        assert report.summary()["reasons"] == {Reason.INVALID_FUTURE.value: 10}
         assert report.final_pending == []
 
     def test_unpatched_pool_accepts_the_same_txs(self):
@@ -193,6 +194,15 @@ class TestRandomAdversary:
             t = event.tx
             if t.sender in overdrafters:
                 assert t.cost > seeds[t.sender][0]
+
+    def test_given_mix_replaces_the_default_mix(self):
+        # a kind the given mix leaves out has weight 0, not its default weight
+        events = gen_random_adversary({"steps": 200, "mix": {"fresh": 1}})
+        assert {e.tx.sender[:5] for e in events} == {"rnd-a"}
+
+    def test_optional_int_params_accept_none(self):
+        assert len(gen_cp_lock({"chain_len": 8, "capacity": None})) == 8
+        assert dump_events(gen_mempurge({"balance": None})) == dump_events(gen_mempurge())
 
 
 class TestAttackPlan:

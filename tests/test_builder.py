@@ -72,7 +72,7 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
         world.fund(s, WEI)
     pool = Mempool(capacity=12)
     policy = PolicyConfig(kind=policy_kind).build()
-    admitted_at = {}  # tx id -> admission order, counted here
+    admitted_at = {}  # tx -> admission order, counted here
     evicted = set()  # (sender, nonce) of evicted txs
     readmitted = clones = 0
     for step in range(300):
@@ -100,11 +100,11 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
             t = tx(sender, nonce, price, gas=rng.choice((21_000, 60_000)))
             outcome = pool.admit(t, world, policy)
             if outcome.admitted:
-                admitted_at[t.id] = len(admitted_at)
+                admitted_at[t] = len(admitted_at)
                 readmitted += (sender, nonce) in evicted
             evicted.update((v.sender, v.nonce) for v in outcome.victims)
         expected = oracles.candidate_order(pool.pending(), admitted_at)
-        assert [t.id for t in candidate_order(pool)] == [t.id for t in expected], step
+        assert list(candidate_order(pool)) == list(expected), step
     assert readmitted > 0 and clones > 0
 
 
@@ -114,7 +114,7 @@ def _random_admit(rng, pool, world, policy, senders, admitted_at, gases):
     nonce = rng.randint(world.nonce_of(sender), top + 1)
     t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice(gases))
     if pool.admit(t, world, policy).admitted:
-        admitted_at[t.id] = len(admitted_at)
+        admitted_at[t] = len(admitted_at)
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
@@ -143,11 +143,11 @@ def test_early_stop_builds_what_a_full_walk_builds(policy_kind, seed):
         expected_txs, expected_skipped = oracles.build_block(before, admitted_at, expected_world)
         result = build_block(pool, world)
         builds += 1
-        assert [t.id for t in result.block.txs] == [t.id for t in expected_txs], step
+        assert result.block.txs == expected_txs, step
         assert result.skipped == expected_skipped[: len(result.skipped)], step
         assert world.accounts == expected_world.accounts, step
-        included = {t.id for t in expected_txs}
-        assert [t.id for t in pool.pending()] == [t.id for t in before if t.id not in included]
+        included = set(expected_txs)
+        assert pool.pending() == [t for t in before if t not in included]
         if world.block_gas_limit < MIN_TX_GAS:
             assert result.block.txs == [] and result.skipped == []
         walked = len(result.block.txs) + len(result.skipped)
@@ -180,7 +180,7 @@ def test_gas_fn_below_min_tx_gas_keeps_the_full_walk(policy_kind):
     )
     static_txs, _ = oracles.build_block(before, admitted_at, world.clone())
     result = build_block(pool, world, gas_fn=gas_fn)
-    assert [t.id for t in result.block.txs] == [t.id for t in expected_txs]
+    assert result.block.txs == expected_txs
     assert result.skipped == expected_skipped
     assert world.accounts == expected_world.accounts
     assert len(result.block.txs) > len(static_txs)
@@ -206,13 +206,13 @@ class TestSingleBlockScenarios:
         # the builder skips it and still includes the cheaper third tx
         pool, world, (tx1, tx2, tx3) = _a2a_pool(GAS_LIMIT_30M)
         result = build_block(pool, world)
-        assert [t.id for t in result.block.txs] == [tx1.id, tx3.id]
+        assert result.block.txs == [tx1, tx3]
         assert result.skipped == [(tx2, "gas-overflow")]
 
     def test_tc2_raised_limit_includes_all(self):
         pool, world, (tx1, tx2, tx3) = _a2a_pool(GAS_LIMIT_30M + 42_000)
         result = build_block(pool, world)
-        assert {t.id for t in result.block.txs} == {tx1.id, tx2.id, tx3.id}
+        assert set(result.block.txs) == {tx1, tx2, tx3}
         assert [t.price for t in result.block.txs] == [10, 8, 5]
         assert result.skipped == []
 
@@ -232,7 +232,7 @@ class TestSingleBlockScenarios:
 
         def gas_fn_for(tx1, tx2):
             def gas_fn(t, preceding):
-                if t.id == tx1.id and any(p.id == tx2.id for p in preceding):
+                if t == tx1 and any(p == tx2 for p in preceding):
                     return 2_200
                 return t.gas_used
 
@@ -244,7 +244,7 @@ class TestSingleBlockScenarios:
         pool = Mempool(capacity=2)
         fill_pool(pool, world, [tx1, tx2])
         result = build_block(pool, world, gas_fn=gas_fn_for(tx1, tx2))
-        assert [t.id for t in result.block.txs] == [tx1.id]
+        assert result.block.txs == [tx1]
         assert result.skipped == [(tx2, "gas-overflow")]
 
         # tx2 priced higher: it precedes tx1, whose gas collapses, so both fit
@@ -253,7 +253,7 @@ class TestSingleBlockScenarios:
         pool = Mempool(capacity=2)
         fill_pool(pool, world, [tx1, tx2])
         result = build_block(pool, world, gas_fn=gas_fn_for(tx1, tx2))
-        assert [t.id for t in result.block.txs] == [tx2.id, tx1.id]
+        assert result.block.txs == [tx2, tx1]
         assert result.skipped == []
 
     def test_inclusion_advances_world(self):

@@ -72,16 +72,18 @@ class TestTransaction:
         spec = {f.name: f for f in dataclasses.fields(Transaction)}[name]
         assert (spec.init, spec.repr, spec.compare) == (False, False, False)
 
-    def test_frozen_slotted_and_identified_by_id(self):
+    def test_frozen_slotted_and_identified_by_identity(self):
         t = Transaction(sender="A", nonce=0, price=3, gas_limit=30_000, value=4)
         for name in ("fee", "cost", "price", "gas_limit"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(t, name, 1)
         assert not hasattr(t, "__dict__")
-        twin = dataclasses.replace(t, id=t.id)
-        assert (twin.fee, twin.cost) == (t.fee, t.cost) == (21_000 * 3, 30_000 * 3 + 4)
-        other = Transaction(sender="A", nonce=0, price=3, gas_limit=30_000, value=4)
-        assert twin == t != other and hash(twin) == hash(t)
+        copy = dataclasses.replace(t)
+        fields = [f.name for f in dataclasses.fields(Transaction)]
+        assert [getattr(copy, n) for n in fields] == [getattr(t, n) for n in fields]
+        assert (copy.fee, copy.cost) == (t.fee, t.cost) == (21_000 * 3, 30_000 * 3 + 4)
+        assert copy is not t and copy != t and t == t
+        assert len({t, copy}) == 2 and {t: 1}.get(copy) is None
         assert repr(t) == "<A:0 @3>"
 
 

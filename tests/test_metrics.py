@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,6 +24,7 @@ from mempoolsim.metrics import OutcomeFlags, nearest_rank_percentile
 
 from conftest import random_pool_txs, rich_world, tx
 from oracles import transition_flags
+from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
 
 
 class TestEvictionBounds:
@@ -182,22 +184,22 @@ class TestDutilAccounting:
     def test_decline_contributes_negative_fee(self):
         t = tx("A", 2, 5)  # confirmed nonce 0: a future arrival, declined
         f = t.fee
-        assert self._entry(t, "declined") == (0, f, -f)
+        assert self._entry(t, OutcomeClass.O1) == (0, f, -f)
 
     def test_free_slot_admit_contributes_positive_fee(self):
         t = tx("A", 0, 5)
         f = t.fee
-        assert self._entry(t, "admitted-free-slot") == (f, 0, f)
+        assert self._entry(t, OutcomeClass.O4) == (f, 0, f)
 
     def test_ledger_totals_accumulate(self):
         ledger = UtilLedger()
-        ledger.record("declined", 0, 10)
-        ledger.record("admitted-free-slot", 7, 0)
+        ledger.record(OutcomeClass.O1, 0, 10)
+        ledger.record(OutcomeClass.O4, 7, 0)
         flags = OutcomeFlags(pending_turn_future=True)
-        ledger.record("evicted-lower-fee", 3, 2, flags)
+        ledger.record(OutcomeClass.O2, 3, 2, flags)
         assert ledger.total.dutil == -10 + 7 + 1
         assert ledger.total.count == 3
-        assert ledger.per_class["declined"].dutil == -10
+        assert ledger.per_class[OutcomeClass.O1].dutil == -10
         assert ledger.flagged["pending_turn_future"].count == 1
 
     def test_replay_telescoping_identity(self):
@@ -211,6 +213,31 @@ class TestDutilAccounting:
                 - report.declined_fees_final
             )
             assert report.util.total.dutil == expected
+
+    @pytest.mark.parametrize("trace", sorted(TRACES))
+    def test_per_class_entries_add_up_to_the_total(self, trace):
+        # one entry per arrival and per unbuildable resident, keyed by class
+        capacity, make = TRACES[trace]
+        events, seeds = make()
+        for policy in POLICIES:
+            for drain_mode in DRAIN_MODES:
+                config = ScenarioConfig(
+                    policy=PolicyConfig(kind=policy),
+                    capacity=capacity,
+                    account_seeds=seeds,
+                    drain_mode=drain_mode,
+                )
+                report = replay(config, events)
+                util, cell = report.util, (policy, drain_mode)
+                for name in ("inside_delta", "outside_delta", "dutil", "count"):
+                    parts = sum(getattr(e, name) for e in util.per_class.values())
+                    assert parts == getattr(util.total, name), (cell, name)
+                unbuildable = sum(r is Reason.UNBUILDABLE for _, r in report.declined)
+                assert util.total.count == len(report.outcomes) + unbuildable, cell
+                expected = Counter(map(classify_outcome, report.outcomes))
+                if unbuildable:
+                    expected[OutcomeClass.UNBUILDABLE] = unbuildable
+                assert {c: e.count for c, e in util.per_class.items()} == expected, cell
 
 
 class TestRevenueSeries:

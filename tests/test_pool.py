@@ -136,8 +136,8 @@ class TestChildless:
                 price = data.draw(st.integers(1, 50))
                 txs.append(tx(f"s{s}", nonce, price))
         fill_pool(pool, world, txs)
-        got = {t.id for t in find_childless(pool)}
-        assert got == {t.id for t in oracle_childless(txs)}
+        got = set(find_childless(pool))
+        assert got == set(oracle_childless(txs))
 
 
 class TestDescendantVictim:
@@ -167,7 +167,7 @@ class TestApplyAdmission:
         fill_pool(pool, world, [x, y])
         z = tx("Z", 0, 9)
         pool.apply_admission(z, [y])
-        assert {t.id for t in pool.pending()} == {x.id, z.id}
+        assert set(pool.pending()) == {x, z}
         assert pool.declined[-1][0] == y
 
     def test_capacity_violation(self):
@@ -199,10 +199,9 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     """Index coherence: all views hold exactly the pending set, and every
     sender's chain matches recomputation from it."""
     pending = pool.pending()
-    ids = {t.id for t in pending}
-    assert {t.id for t in pending_by_price(pool)} == ids
-    tails = {t.id for t in find_childless(pool)}
-    assert tails == {t.id for t in oracle_childless(pending)}
+    assert set(pending_by_price(pool)) == set(pending)
+    tails = set(find_childless(pool))
+    assert tails == set(oracle_childless(pending))
     by_sender = {}
     for t in pending:
         by_sender.setdefault(t.sender, []).append(t)
@@ -213,7 +212,7 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     for s in world.accounts:
         chain = pool.chain(s)
         held = sorted(by_sender.get(s, []), key=lambda t: t.nonce)
-        assert [t.id for t in chain.txs] == [t.id for t in held]
+        assert chain.txs == held
         assert chain.nonces == [t.nonce for t in chain.txs]
         assert chain.cost == sum(t.cost for t in held)
         assert chain.fees == dict(Counter(t.fee for t in held))
@@ -399,7 +398,7 @@ def _oracle_orders(pending, admitted_at):
     order), with the admission order counted by the caller."""
 
     def seq(t):
-        return admitted_at[t.id]
+        return admitted_at[t]
 
     by_price = sorted(pending, key=lambda t: (t.price, seq(t)))
     childless = sorted(oracle_childless(pending), key=lambda t: (t.price, seq(t)))
@@ -408,12 +407,12 @@ def _oracle_orders(pending, admitted_at):
         min_fee_of[t.sender] = min(min_fee_of.get(t.sender, t.fee), t.fee)
     lowest = [t for t in childless if t.price == childless[0].price] if childless else []
     return {
-        "pending_by_price": [t.id for t in by_price],
-        "find_childless": [t.id for t in childless],
-        "min_price_tx": by_price[0].id if by_price else None,
-        "min_fee_tx": min(pending, key=lambda t: (t.fee, seq(t))).id if pending else None,
+        "pending_by_price": by_price,
+        "find_childless": childless,
+        "min_price_tx": by_price[0] if by_price else None,
+        "min_fee_tx": min(pending, key=lambda t: (t.fee, seq(t))) if pending else None,
         "min_price_childless": (
-            min(lowest, key=lambda t: (min_fee_of[t.sender], seq(t))).id if lowest else None
+            min(lowest, key=lambda t: (min_fee_of[t.sender], seq(t))) if lowest else None
         ),
     }
 
@@ -430,10 +429,7 @@ _ORACLE_READERS = {"pending_by_price": pending_by_price, "find_childless": find_
 
 def _read(pool, reader):
     oracle = _ORACLE_READERS.get(reader)
-    got = oracle(pool) if oracle else getattr(pool, reader)()
-    if isinstance(got, list):
-        return [t.id for t in got]
-    return got.id if got is not None else None
+    return oracle(pool) if oracle else getattr(pool, reader)()
 
 
 def _built(pool):
@@ -455,8 +451,8 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
     world_b = world_a.clone()
     pool_a, pool_b = Mempool(capacity=16), Mempool(capacity=16)
     policy = PolicyConfig(kind=policy_kind).build()
-    admitted_at = {}  # tx id -> admission order, counted here
-    pending = {}  # tx id -> tx, the pending set mirrored here
+    admitted_at = {}  # tx -> admission order, counted here
+    pending = {}  # tx -> tx, the pending set mirrored here in admission order
     partial_clones = 0
     spares = spare_expected = None
     for step in range(steps):
@@ -464,9 +460,9 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
         if roll < 0.1:
             built_a = build_block(pool_a, world_a).block.txs
             built_b = build_block(pool_b, world_b).block.txs
-            assert [t.id for t in built_a] == [t.id for t in built_b]
+            assert built_a == built_b
             for t in built_a:
-                del pending[t.id]
+                del pending[t]
         elif roll < 0.17:
             partial_clones += 0 < sum(_built(pool_b)) < 3
             clones = pool_a.clone(), pool_b.clone()
@@ -484,12 +480,12 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
             out_b = pool_b.admit(t, world_b, policy)
             assert (out_a.kind, out_a.victims) == (out_b.kind, out_b.victims)
             if out_a.admitted:
-                admitted_at[t.id] = len(admitted_at)
-                pending[t.id] = t
+                admitted_at[t] = len(admitted_at)
+                pending[t] = t
             for victim in out_a.victims:
-                del pending[victim.id]
-        assert {t.id for t in pool_a.pending()} == set(pending)
-        assert {t.id for t in pool_b.pending()} == set(pending)
+                del pending[victim]
+        assert set(pool_a.pending()) == set(pending)
+        assert set(pool_b.pending()) == set(pending)
         expected = _oracle_orders(list(pending.values()), admitted_at)
         if spares and spare_expected is None:
             spare_expected = expected

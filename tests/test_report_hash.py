@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mempoolsim import PolicyConfig, ScenarioConfig, replay
 from mempoolsim.core import AdmissionOutcome, Block, OutcomeKind, Reason, Transaction
+from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
 
 from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
@@ -32,7 +33,7 @@ def canonical(report: RunReport) -> dict:
             for o in report.outcomes
         ],
         "blocks": [[tx_key(tx) for tx in b.txs] for b in report.blocks],
-        "declined": [[tx_key(tx), reason] for tx, reason in report.declined],
+        "declined": [[tx_key(tx), reason.value] for tx, reason in report.declined],
         "price_sums": report.price_sum_series,
     }
 
@@ -89,16 +90,15 @@ def _report(senders, big: int = 1) -> RunReport:
     ]
     report = RunReport(policy="cp", capacity=len(txs), event_count=len(outcomes))
     report.outcomes = outcomes
-    report.reason_counts = {"eviction": 2, "pool-not-full": 1, "price-too-low": 1}
     report.blocks = [Block([shared, arrival]), Block([]), Block(txs[::-1]), Block([])]
-    # reason strings go through the same escaping as senders
-    report.declined = [(shared, "unbuildable"), (txs[-1], senders[0])]
+    # every reason label the declined ledger can hold
+    report.declined = [(shared, Reason.UNBUILDABLE)] + [(txs[-1], r) for r in Reason]
     report.price_sum_series = [big, 0, big * 3, HUGE]
     report.final_pending = txs[1:]
     report.block_fees_final = sum(b.revenue for b in report.blocks)
     report.pool_fees_final = HUGE
     report.declined_fees_final = -HUGE
-    report.util.record("declined", -HUGE, HUGE)
+    report.util.record(OutcomeClass.O1, -HUGE, HUGE)
     return report
 
 
@@ -121,7 +121,7 @@ def test_matches_oracle_on_empty_report():
 
 
 def test_equal_fields_distinct_objects_and_rehash_after_change():
-    # two txs with equal fields but different ids encode the same
+    # two distinct txs with equal fields encode the same
     a = Transaction(sender="s", nonce=0, price=5)
     b = Transaction(sender="s", nonce=0, price=5)
     report = _report(["x", "y"])
@@ -130,7 +130,7 @@ def test_equal_fields_distinct_objects_and_rehash_after_change():
     assert first == oracle_hash(report)
     assert report.report_hash() == first
     # a changed report gets a new digest, still the oracle's
-    report.declined.append((Transaction(sender="s", nonce=1, price=6), "unbuildable"))
+    report.declined.append((Transaction(sender="s", nonce=1, price=6), Reason.UNBUILDABLE))
     assert report.report_hash() == oracle_hash(report) != first
 
 

@@ -466,7 +466,7 @@ class TestWorkloads:
             final_drain=False,
         )
         report = replay(config, events)
-        assert report.reason_counts.get("invalid-future", 0) == 16
+        assert report.summary()["reasons"].get("invalid-future", 0) == 16
 
 
 class TestReplayHarness:
@@ -626,6 +626,37 @@ class TestCli:
     def test_params_not_an_object_is_usage_error(self, kind, params, capsys):
         assert main(["attack", kind, "--params", params]) == 1
         assert "error: --params must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delay", ["inf", "nan", "-1"])
+    def test_delay_not_finite_or_negative_is_usage_error(self, delay, capsys):
+        assert main(["attack", "cp_lock", "--delay", delay, "--capacity", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: delay must be finite and non-negative" in captured.err
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("random_adversary", '{"stepz": 5}', "unknown random_adversary parameter 'stepz'"),
+            ("random_adversary", '{"steps": "5"}', "'steps' must be an integer, got '5'"),
+            ("random_adversary", '{"seed": 1.0}', "'seed' must be an integer, got 1.0"),
+            ("random_adversary", '{"mix": {"chian": 2}}', "unknown random_adversary mix parameter"),
+            ("random_adversary", '{"mix": {"fresh": 0.5}}', "mix parameter 'fresh' must be an int"),
+            ("random_adversary", '{"mix": [1]}', "mix parameters must be a JSON object"),
+            ("cp_lock", '{"bogus": 5}', "unknown cp_lock parameter 'bogus'"),
+            ("cp_lock", '{"capacity": "96"}', "cp_lock parameter 'capacity' must be an integer"),
+            ("xt6", '{"n_seq": true}', "xt6 parameter 'n_seq' must be an integer, got True"),
+            ("xt6", '{"price_schedule": ["a", "b", "c", "d"]}', "strictly increasing integer"),
+            ("deter_future", '{"count": 2.0}', "'count' must be an integer"),
+            ("mempurge_overdraft", '{"balance": "1"}', "'balance' must be an integer"),
+        ],
+    )
+    def test_bad_params_are_usage_errors(self, kind, params, message, capsys):
+        # a misspelt key used to replay the defaults, a wrong type to crash
+        assert main(["attack", kind, "--params", params, "--capacity", "16"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
