@@ -53,12 +53,16 @@ class AttackPlan:
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind}")
-        if not (math.isfinite(self.delay_seconds) and self.delay_seconds >= 0):
-            raise ValueError(f"delay must be finite and non-negative, got {self.delay_seconds}")
+        self.start_ms  # rejects a bad delay at construction
 
     @property
     def start_ms(self) -> int:
-        return int(self.delay_seconds * 1000)
+        # checked on every read: the plan is mutable, and this is the one
+        # place that turns the delay into an integer
+        delay = self.delay_seconds
+        if not (math.isfinite(delay) and delay >= 0):
+            raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        return int(delay * 1000)
 
     def events(self) -> List[TraceEvent]:
         if self.kind == "xt6":

@@ -20,7 +20,7 @@ from typing import List, Optional
 from .attacks import ATTACK_KINDS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
 from .core import PoolError, WorldState
 from .metrics import eviction_bound_baseline_under_xt6, eviction_bound_cp, gamma
-from .policies import POLICY_KINDS, PolicyConfig
+from .policies import POLICIES, PolicyConfig
 from .replay import ReplayAbort, ScenarioConfig, bench, replay
 from .trace import (
     TraceError,
@@ -36,7 +36,7 @@ FULL_CAPACITY = 5120
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--policy", choices=POLICY_KINDS, default="cp")
+    parser.add_argument("--policy", choices=POLICIES, default="cp")
     parser.add_argument("--capacity", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--full", action="store_true", help="full-scale profile (capacity 5120)")

@@ -153,23 +153,36 @@ class Reason(Enum):
     UNBUILDABLE = "unbuildable"
 
 
+_ADMITTING = {
+    Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
+    Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
+}
+
+
 @dataclass(frozen=True)
 class AdmissionOutcome:
     """One admission decision: what a policy's ``decide`` returns and what
-    ``Mempool.admit`` applies, returns and a replay reports."""
+    ``Mempool.admit`` applies, returns and a replay reports.
 
-    kind: OutcomeKind
+    ``reason`` alone fixes the outcome's ``kind``: ``POOL_NOT_FULL`` admits
+    into a free slot, ``EVICTION`` admits by evicting ``victims`` (at least
+    one), and every other reason declines."""
+
     reason: Reason
     tx: Transaction
     victims: Tuple[Transaction, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind is OutcomeKind.ADMITTED_EVICTING and not self.victims:
+        if self.reason is Reason.EVICTION and not self.victims:
             raise PoolError("eviction outcome needs at least one victim")
 
     @property
+    def kind(self) -> OutcomeKind:
+        return _ADMITTING.get(self.reason, OutcomeKind.DECLINED)
+
+    @property
     def admitted(self) -> bool:
-        return self.kind is not OutcomeKind.DECLINED
+        return self.reason is Reason.POOL_NOT_FULL or self.reason is Reason.EVICTION
 
 
 @dataclass

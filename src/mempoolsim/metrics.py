@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Sequence
 
-from .core import AdmissionOutcome, MIN_TX_GAS, OutcomeKind, Transaction, WorldState
+from .core import AdmissionOutcome, MIN_TX_GAS, Reason, Transaction, WorldState
 
 BASIS_CHAIN_SAFE = "cp_21000_price_sum"
 BASIS_PRICE_ONLY = "geth_maxprice_blockgas"
@@ -120,10 +120,10 @@ class OutcomeFlags:
 
 
 def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
-    if outcome.kind is OutcomeKind.DECLINED:
-        return OutcomeClass.O1
-    if outcome.kind is OutcomeKind.ADMITTED_NO_EVICT:
+    if outcome.reason is Reason.POOL_NOT_FULL:
         return OutcomeClass.O4
+    if outcome.reason is not Reason.EVICTION:
+        return OutcomeClass.O1
     if len(outcome.victims) != 1:
         return OutcomeClass.OTHER
     victim = outcome.victims[0]

@@ -23,35 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AdmissionOutcome, OutcomeKind, Reason, Transaction
+from .core import AdmissionOutcome, Reason, Transaction
 from .pool import Mempool
 
 
 @dataclass
 class PolicyConfig:
-    kind: str = "cp"  # one of {"baseline", "cp", "map"}
+    kind: str = "cp"  # a key of POLICIES
     per_sender_limit: Optional[int] = None
 
     def build(self):
-        if self.kind == "baseline":
-            return PriceOnlyPolicy()
-        if self.kind == "cp":
-            return ChildlessPricePolicy()
-        if self.kind == "map":
-            return MinFeeChainTailPolicy()
-        raise ValueError(f"unknown policy kind: {self.kind}")
-
-
-def _free_slot(tx: Transaction) -> AdmissionOutcome:
-    return AdmissionOutcome(OutcomeKind.ADMITTED_NO_EVICT, Reason.POOL_NOT_FULL, tx)
-
-
-def _evict(tx: Transaction, victim: Transaction) -> AdmissionOutcome:
-    return AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, tx, (victim,))
-
-
-def _decline(tx: Transaction, reason: Reason) -> AdmissionOutcome:
-    return AdmissionOutcome(OutcomeKind.DECLINED, reason, tx)
+        policy = POLICIES.get(self.kind)
+        if policy is None:
+            raise ValueError(f"unknown policy kind: {self.kind}")
+        return policy()
 
 
 class PriceOnlyPolicy:
@@ -59,11 +44,11 @@ class PriceOnlyPolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return _free_slot(tx)
+            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
         victim = pool.min_price_tx()
         if tx.price > victim.price:
-            return _evict(tx, victim)
-        return _decline(tx, Reason.PRICE_TOO_LOW)
+            return AdmissionOutcome(Reason.EVICTION, tx, (victim,))
+        return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
 
 
 class ChildlessPricePolicy:
@@ -72,11 +57,11 @@ class ChildlessPricePolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return _free_slot(tx)
+            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
-            return _decline(tx, Reason.PRICE_TOO_LOW)
-        return _evict(tx, victim)
+            return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
+        return AdmissionOutcome(Reason.EVICTION, tx, (victim,))
 
 
 class MinFeeChainTailPolicy:
@@ -85,14 +70,19 @@ class MinFeeChainTailPolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return _free_slot(tx)
+            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
         seed = pool.min_fee_tx()
         if tx.fee <= seed.fee:
-            return _decline(tx, Reason.FEE_TOO_LOW)
+            return AdmissionOutcome(Reason.FEE_TOO_LOW, tx)
         if seed.sender == tx.sender:
             # evicting the arrival's own chain tail would orphan the arrival
-            return _decline(tx, Reason.SELF_EVICTION)
-        return _evict(tx, pool.chain(seed.sender).txs[-1])
+            return AdmissionOutcome(Reason.SELF_EVICTION, tx)
+        return AdmissionOutcome(Reason.EVICTION, tx, (pool.chain(seed.sender).txs[-1],))
 
 
-POLICY_KINDS = ("baseline", "cp", "map")
+# policy kind -> policy class, in the order the CLI lists them
+POLICIES = {
+    "baseline": PriceOnlyPolicy,
+    "cp": ChildlessPricePolicy,
+    "map": MinFeeChainTailPolicy,
+}

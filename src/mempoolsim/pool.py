@@ -8,12 +8,14 @@ unchanged.
 
 The pool always keeps these views of the pending set:
 
-* ``_by_key`` - ``(sender, nonce) -> tx`` in admission order: every insert
-  adds a fresh key, so ``pending()`` lists txs oldest first
+* ``_seq_of`` - the pending set itself, ``tx -> admission seq`` in
+  admission order: every insert adds a fresh key, so ``pending()`` lists
+  txs oldest first
 * one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs in
   ascending nonce order with their running cost and minimum fee, and the
   end of the contiguous nonce run from any start (``run_end``), which is
-  what the future test reads
+  what the future test reads; ``get(sender, nonce)`` and the duplicate
+  test bisect it
 
 and these order indexes, each a ``SortedList`` of ``(key, seq, tx)``
 tuples, where ``seq`` is the tx's unique admission number (so ties go
@@ -24,7 +26,7 @@ oldest first and a comparison never reaches ``tx``):
   chain-safe eviction scans
 
 An order index does not exist until something first reads it; it is then
-built from ``_by_key`` or the chains and kept current by every later
+built from ``_seq_of`` or the chains and kept current by every later
 insert and removal. Each policy reads one order, so a replay maintains
 only the index its policy uses.
 
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from sortedcontainers import SortedList
 
-from .core import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
+from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState
 
 
 class SenderChain:
@@ -142,7 +144,6 @@ class Mempool:
             raise ValueError("per-sender limit must be positive")
         self.capacity = capacity
         self.per_sender_limit = per_sender_limit
-        self._by_key: Dict[Tuple[str, int], Transaction] = {}
         self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[Transaction, int] = {}
         self._next_seq = 0
@@ -152,22 +153,23 @@ class Mempool:
         self._childless: Optional[SortedList] = None
         self.declined: List[Tuple[Transaction, Reason]] = []
         self._price_sum = 0
-        self._fee_sum = 0
 
     # ------------------------------------------------------------- views
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._seq_of)
 
     def __contains__(self, tx: Transaction) -> bool:
-        return self._by_key.get((tx.sender, tx.nonce)) is tx
+        return tx in self._seq_of
 
     @property
     def full(self) -> bool:
-        return len(self._by_key) >= self.capacity
+        return len(self._seq_of) >= self.capacity
 
     def get(self, sender: str, nonce: int) -> Optional[Transaction]:
-        return self._by_key.get((sender, nonce))
+        chain = self.chain(sender)
+        i = bisect_left(chain.nonces, nonce)
+        return chain.txs[i] if i < len(chain.nonces) and chain.nonces[i] == nonce else None
 
     def chain(self, sender: str) -> SenderChain:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""
@@ -176,27 +178,22 @@ class Mempool:
     def pending(self) -> List[Transaction]:
         """All pending txs in admission order, oldest first.
 
-        ``_by_key`` is a dict and every insert adds a fresh key, so its order
+        ``_seq_of`` is a dict and every insert adds a fresh key, so its order
         is ascending admission seq; ``candidate_order`` relies on this.
         """
-        return list(self._by_key.values())
+        return list(self._seq_of)
 
     def price_sum(self) -> int:
         return self._price_sum
 
-    def fee_sum(self) -> int:
-        return self._fee_sum
-
     def _price_index(self) -> SortedList:
         if self._by_price is None:
-            seq_of = self._seq_of
-            self._by_price = SortedList((t.price, seq_of[t], t) for t in self._by_key.values())
+            self._by_price = SortedList((t.price, seq, t) for t, seq in self._seq_of.items())
         return self._by_price
 
     def _fee_index(self) -> SortedList:
         if self._by_fee is None:
-            seq_of = self._seq_of
-            self._by_fee = SortedList((t.fee, seq_of[t], t) for t in self._by_key.values())
+            self._by_fee = SortedList((t.fee, seq, t) for t, seq in self._seq_of.items())
         return self._by_fee
 
     def _childless_index(self) -> SortedList:
@@ -242,23 +239,25 @@ class Mempool:
         """Why ``tx`` is invalid, or None if it is valid.
 
         Checks run in the order stale -> duplicate -> future -> overdraft and
-        read the sender's chain: the future test is one ``run_end`` and the
-        overdraft test sums the chain's cost below ``tx.nonce`` (O(1) when
-        ``tx`` extends the chain).
+        read the sender's chain: one bisect finds ``tx.nonce``'s place in it
+        (none when ``tx`` extends the chain), the future test is one
+        ``run_end``, and the overdraft test sums the chain's cost below that
+        place.
         """
+        nonce = tx.nonce
         confirmed = world.nonce_of(tx.sender)
-        if tx.nonce < confirmed:
+        if nonce < confirmed:
             return Reason.STALE
-        if (tx.sender, tx.nonce) in self._by_key:
-            return Reason.DUPLICATE
         chain = self.chain(tx.sender)
-        if tx.nonce > confirmed and chain.run_end(confirmed) < tx.nonce:
-            return Reason.INVALID_FUTURE
         nonces = chain.nonces
-        if not nonces or tx.nonce > nonces[-1]:
-            below = chain.cost
-        else:
-            below = sum(t.cost for t in chain.txs[: bisect_left(nonces, tx.nonce)])
+        i = len(nonces)
+        if i and nonce <= nonces[-1]:
+            i = bisect_left(nonces, nonce)
+            if nonces[i] == nonce:
+                return Reason.DUPLICATE
+        if nonce > confirmed and chain.run_end(confirmed) < nonce:
+            return Reason.INVALID_FUTURE
+        below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
         if below + tx.cost > world.balance_of(tx.sender):
             return Reason.INVALID_OVERDRAFT
         return None
@@ -269,7 +268,6 @@ class Mempool:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._seq_of[tx] = seq
-        self._by_key[(tx.sender, tx.nonce)] = tx
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
@@ -283,18 +281,14 @@ class Mempool:
             childless.add((price, seq, tx))
         if self._by_price is not None:
             self._by_price.add((price, seq, tx))
-        fee = tx.fee
         if self._by_fee is not None:
-            self._by_fee.add((fee, seq, tx))
+            self._by_fee.add((tx.fee, seq, tx))
         self._price_sum += price
-        self._fee_sum += fee
 
     def _remove(self, tx: Transaction) -> None:
-        key = (tx.sender, tx.nonce)
-        if self._by_key.get(key) is not tx:
+        seq = self._seq_of.pop(tx, None)
+        if seq is None:
             raise PoolError(f"{tx!r} not pending")
-        del self._by_key[key]
-        seq = self._seq_of.pop(tx)
         chain = self._chains[tx.sender]
         was_tail = chain.txs[-1] is tx
         chain.remove(tx)
@@ -309,18 +303,16 @@ class Mempool:
             del self._chains[tx.sender]
         if self._by_price is not None:
             self._by_price.remove((price, seq, tx))
-        fee = tx.fee
         if self._by_fee is not None:
-            self._by_fee.remove((fee, seq, tx))
+            self._by_fee.remove((tx.fee, seq, tx))
         self._price_sum -= price
-        self._fee_sum -= fee
 
     def apply_admission(self, tx: Transaction, victims: Sequence[Transaction]) -> None:
         """Remove ``victims`` (recorded as evicted), then insert ``tx``."""
         for victim in victims:
             if victim not in self:
                 raise PoolError(f"victim {victim!r} not pending")
-        if len(self._by_key) - len(victims) + 1 > self.capacity:
+        if len(self._seq_of) - len(victims) + 1 > self.capacity:
             raise PoolError("admission would exceed capacity")
         for victim in victims:
             self._remove(victim)
@@ -348,12 +340,12 @@ class Mempool:
                 reason = Reason.SENDER_LIMIT
         if reason is not None:
             self.decline(tx, reason)
-            return AdmissionOutcome(OutcomeKind.DECLINED, reason, tx)
+            return AdmissionOutcome(reason, tx)
         outcome = policy.decide(self, tx)
-        if outcome.kind is OutcomeKind.DECLINED:
-            self.decline(tx, outcome.reason)
-        else:
+        if outcome.admitted:
             self.apply_admission(tx, outcome.victims)
+        else:
+            self.decline(tx, outcome.reason)
         return outcome
 
     # ---------------------------------------------------------- snapshot
@@ -361,7 +353,6 @@ class Mempool:
     def clone(self) -> "Mempool":
         """Independent copy; only the order indexes that exist are copied."""
         other = Mempool(self.capacity, self.per_sender_limit)
-        other._by_key = dict(self._by_key)
         other._chains = {s: chain.copy() for s, chain in self._chains.items()}
         other._seq_of = dict(self._seq_of)
         other._next_seq = self._next_seq
@@ -373,5 +364,4 @@ class Mempool:
             other._childless = self._childless.copy()
         other.declined = list(self.declined)
         other._price_sum = self._price_sum
-        other._fee_sum = self._fee_sum
         return other

@@ -23,7 +23,6 @@ from .core import (
     DEFAULT_BLOCK_GAS_LIMIT,
     AdmissionOutcome,
     Block,
-    OutcomeKind,
     PoolError,
     Reason,
     Transaction,
@@ -129,14 +128,14 @@ class RunReport:
                 )
             return text
 
-        heads: Dict[Tuple[int, int], str] = {}
+        heads: Dict[int, str] = {}
         outcomes = []
         for o in self.outcomes:
-            kind, reason = o.kind, o.reason
-            # enum members are singletons: id() skips Enum.__hash__ and .value
-            head = heads.get((id(kind), id(reason)))
+            # a reason fixes its outcome's kind; enum members are singletons,
+            # so id() skips Enum.__hash__ and .value
+            head = heads.get(id(o.reason))
             if head is None:
-                head = heads[id(kind), id(reason)] = f"[{enc(kind.value)},{labels[reason]},"
+                head = heads[id(o.reason)] = f"[{enc(o.kind.value)},{labels[o.reason]},"
             outcomes.append(f"{head}{tx_json(o.tx)},[{','.join(map(tx_json, o.victims))}]]")
         blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
         declined = ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in self.declined)
@@ -223,9 +222,9 @@ def replay(
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
 
     def snapshot(index: int, ts: int) -> None:
-        report.snapshots.append(
-            Snapshot(index, ts, pool.pending(), pool.price_sum(), pool.fee_sum())
-        )
+        pending = pool.pending()
+        fee_sum = sum(t.fee for t in pending)
+        report.snapshots.append(Snapshot(index, ts, pending, pool.price_sum(), fee_sum))
 
     for index, event in enumerate(events):
         try:
@@ -237,16 +236,16 @@ def replay(
             else:
                 tx = event.tx
                 outcome = pool.admit(tx, world, policy)
-                if outcome.kind is OutcomeKind.DECLINED:
-                    # the pool did not change, so no resident changed status
-                    flags = _NO_FLAGS
-                    inside, outside = 0, tx.fee
-                else:
+                if outcome.admitted:
                     flags = _admission_flags(pool, world, tx, outcome.victims)
                     if flags.future_turn_pending or flags.pending_turn_future:
                         report.flags.append((index, flags))
                     evicted = sum(v.fee for v in outcome.victims)
                     inside, outside = tx.fee - evicted, evicted
+                else:
+                    # the pool did not change, so no resident changed status
+                    flags = _NO_FLAGS
+                    inside, outside = 0, tx.fee
                 report.util.record(classify_outcome(outcome), inside, outside, flags)
                 report.outcomes.append(outcome)
                 report.price_sum_series.append(pool.price_sum())
@@ -262,7 +261,7 @@ def replay(
             report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
     report.final_pending = pool.pending()
     report.declined = pool.declined
-    report.pool_fees_final = pool.fee_sum()
+    report.pool_fees_final = sum(tx.fee for tx in report.final_pending)
     report.block_fees_final = sum(b.revenue for b in report.blocks)
     report.declined_fees_final = sum(tx.fee for tx, _ in pool.declined)
     return report
@@ -297,7 +296,8 @@ def bench(
     rounds: int,
     workload: str = "custom",
 ) -> BenchReport:
-    """Wall-clock admission time per round; mean and stdev across rounds."""
+    """Wall-clock time of one whole ``replay`` per round, each on a fresh
+    copy of the trace's world; mean and stdev across rounds."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     try:
@@ -311,13 +311,9 @@ def bench(
     )
     times: List[float] = []
     for _ in range(rounds):
-        pool = Mempool(config.capacity, config.policy.per_sender_limit)
         world = world_template.clone()
-        policy = config.policy.build()
         t0 = time.perf_counter()
-        for event in events:
-            if event.kind == "tx_arrival":
-                pool.admit(event.tx, world, policy)
+        replay(config, events, world)
         times.append(time.perf_counter() - t0)
     mean = statistics.fmean(times)
     stdev = statistics.stdev(times) if rounds > 1 else 0.0

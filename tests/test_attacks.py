@@ -218,6 +218,18 @@ class TestAttackPlan:
         plan = AttackPlan(kind="deter_future", params={"count": 3}, delay_seconds=2.5)
         assert plan.events()[0].ts_ms == 2_500
 
+    @pytest.mark.parametrize("kind", ["deter_future", "random_adversary"])
+    @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -0.5])
+    def test_delay_reassigned_after_construction_rejected(self, kind, delay):
+        # the plan is mutable: a bad delay set later fails the same check
+        plan = AttackPlan(kind=kind)
+        plan.delay_seconds = delay
+        reads = [plan.events, lambda: plan.start_ms]
+        if kind == "random_adversary":  # its seeds come from the same generation
+            reads.append(plan.account_seeds)
+        for read in reads:
+            with pytest.raises(ValueError, match="delay must be finite and non-negative"):
+                read()
 
     def test_random_adversary_generated_once_per_params(self, monkeypatch):
         calls = []

@@ -120,7 +120,7 @@ def _outcome(kind, t, victims=()):
     reason = Reason.EVICTION if victims else (
         Reason.PRICE_TOO_LOW if kind is OutcomeKind.DECLINED else Reason.POOL_NOT_FULL
     )
-    return AdmissionOutcome(kind, reason, t, tuple(victims))
+    return AdmissionOutcome(reason, t, tuple(victims))
 
 
 class TestClassifyOutcome:

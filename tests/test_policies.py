@@ -3,9 +3,11 @@ import random
 import pytest
 
 from mempoolsim import (
+    AdmissionOutcome,
     Mempool,
     OutcomeKind,
     PolicyConfig,
+    PoolError,
     Reason,
     WorldState,
 )
@@ -212,6 +214,22 @@ def test_admit_returns_the_outcome_decide_returned(kind):
             assert pool.declined[-1] == (t, outcome.reason)
         seen.add(outcome.kind)
     assert seen == set(OutcomeKind)
+
+
+@pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
+def test_outcome_kind_follows_from_reason(reason):
+    # only a free slot and an eviction admit; every other reason declines
+    expected = {
+        Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
+        Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
+    }.get(reason, OutcomeKind.DECLINED)
+    victims = (tx("B", 0, 1),) if reason is Reason.EVICTION else ()
+    outcome = AdmissionOutcome(reason, tx("A", 0, 5), victims)
+    assert outcome.kind is expected
+    assert outcome.admitted == (expected is not OutcomeKind.DECLINED)
+    if reason is Reason.EVICTION:
+        with pytest.raises(PoolError, match="needs at least one victim"):
+            AdmissionOutcome(reason, tx("A", 0, 5))
 
 
 def test_config_defaults_and_unknown_kind():

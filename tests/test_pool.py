@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -22,7 +23,7 @@ from conftest import (
     rich_world,
     tx,
 )
-from oracles import find_childless, pending_by_price, transition_flags
+from oracles import ListPendingView, find_childless, is_future, pending_by_price, transition_flags
 
 
 class TestPrecheck:
@@ -200,6 +201,24 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     sender's chain matches recomputation from it."""
     pending = pool.pending()
     assert set(pending_by_price(pool)) == set(pending)
+    # membership, size and (sender, nonce) lookups against a scan of pending()
+    held = {(t.sender, t.nonce): t for t in pending}
+    assert len(pool) == len(held) == len(pending)
+    for t in pending:
+        assert t in pool
+        assert pool.get(t.sender, t.nonce) is t
+        twin = dataclasses.replace(t)  # equal fields, another transaction
+        assert twin not in pool
+        # stale comes first: a clone's world may have moved past its txs
+        stale = t.nonce < world.nonce_of(t.sender)
+        assert pool.precheck(twin, world) is (Reason.STALE if stale else Reason.DUPLICATE)
+    for s in {t.sender for t in pending}:
+        gap = world.nonce_of(s)
+        while (s, gap) in held:
+            gap += 1
+        top = max(n for sender, n in held if sender == s)
+        assert pool.get(s, gap) is None
+        assert pool.get(s, top + 1) is None
     tails = set(find_childless(pool))
     assert tails == set(oracle_childless(pending))
     by_sender = {}
@@ -255,7 +274,8 @@ def _drive_admit_build_clone(policy_kind, seed, capacity):
     """Random admit / ``build_block`` / ``clone`` steps over a few senders
     that re-send and skip nonces. After every step each index is checked
     against recomputation; after every cp or map admission no resident may
-    have turned future, and under cp the price sum may not have fallen.
+    have turned future, after every map admission the admitted tx is not
+    future, and under cp the price sum may not have fallen.
     Returns how many admissions turned a resident future."""
     rng = random.Random(seed)
     pool = Mempool(capacity=capacity)
@@ -281,7 +301,10 @@ def _drive_admit_build_clone(policy_kind, seed, capacity):
             nonce = rng.randint(world.nonce_of(sender), top + 1)
             t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
             before, price_sum = pool.pending(), pool.price_sum()
-            pool.admit(t, world, policy)
+            outcome = pool.admit(t, world, policy)
+            if policy_kind == "map" and outcome.admitted:
+                view = ListPendingView(pool.pending())
+                assert not is_future(t, view, world), (step, "admitted tx is future")
             if transition_flags(before, pool.pending(), world).pending_turn_future:
                 turned_future += 1
                 assert policy_kind == "baseline", (step, "resident turned future")

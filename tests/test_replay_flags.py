@@ -102,6 +102,29 @@ def test_replay_flags_match_list_scan_oracle(monkeypatch, case, policy):
         assert recorded.get(index, OutcomeFlags()) == flags, f"event {index}"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="cp may pick the arrival's own parent (its sender's childless tail) as victim",
+)
+def test_cp_never_evicts_the_arrivals_own_sender():
+    # known at resend_s0 event 38 (r5:3 evicts r5:2) and resend_s1 event 95;
+    # map declines the same case as self-eviction
+    own = []
+    for case in ("resend_s0", "resend_s1"):
+        capacity, drain_mode, (events, seeds) = CASES[case]
+        config = ScenarioConfig(
+            policy=PolicyConfig(kind="cp"),
+            capacity=capacity,
+            account_seeds=seeds,
+            drain_mode=drain_mode,
+        )
+        for outcome in replay(config, events).outcomes:
+            if any(v.sender == outcome.tx.sender for v in outcome.victims):
+                own.append((case, outcome.tx, outcome.victims))
+    assert own == []
+
+
 def test_cases_exercise_both_flags():
     # the differential check is only as strong as the flags it sees
     seen = set()

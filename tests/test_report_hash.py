@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mempoolsim import PolicyConfig, ScenarioConfig, replay
-from mempoolsim.core import AdmissionOutcome, Block, OutcomeKind, Reason, Transaction
+from mempoolsim.core import AdmissionOutcome, Block, Reason, Transaction
 from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
 
@@ -83,10 +83,10 @@ def _report(senders, big: int = 1) -> RunReport:
     shared = txs[0]
     arrival = Transaction(sender="arrival", nonce=HUGE, price=big, gas_limit=42_000 * big)
     outcomes = [
-        AdmissionOutcome(OutcomeKind.ADMITTED_NO_EVICT, Reason.POOL_NOT_FULL, shared),
-        AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, arrival, tuple(txs)),
-        AdmissionOutcome(OutcomeKind.DECLINED, Reason.PRICE_TOO_LOW, txs[-1]),
-        AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, txs[1 % len(txs)], (shared,)),
+        AdmissionOutcome(Reason.POOL_NOT_FULL, shared),
+        AdmissionOutcome(Reason.EVICTION, arrival, tuple(txs)),
+        AdmissionOutcome(Reason.PRICE_TOO_LOW, txs[-1]),
+        AdmissionOutcome(Reason.EVICTION, txs[1 % len(txs)], (shared,)),
     ]
     report = RunReport(policy="cp", capacity=len(txs), event_count=len(outcomes))
     report.outcomes = outcomes

@@ -7,7 +7,6 @@ from mempoolsim import (
     AdmissionOutcome,
     AttackCostReport,
     ChildlessPricePolicy,
-    OutcomeKind,
     PolicyConfig,
     Reason,
     ScenarioConfig,
@@ -590,7 +589,7 @@ class TestCli:
 
         def broken(self, pool, t):
             if pool.full:
-                return AdmissionOutcome(OutcomeKind.ADMITTED_EVICTING, Reason.EVICTION, t)
+                return AdmissionOutcome(Reason.EVICTION, t)
             return decide(self, pool, t)
 
         monkeypatch.setattr(ChildlessPricePolicy, "decide", broken)
