@@ -7,7 +7,8 @@ Subcommands:
   bounds  - eviction-bound estimates for the end-of-trace pool snapshot
   gamma   - locking-bound statistics over trace snapshots
 
-Exit codes: 0 success, 1 usage or I/O error, 2 invariant violation.
+Exit codes: 0 success, 1 usage or I/O error (argparse errors included),
+2 invariant violation.
 """
 
 from __future__ import annotations
@@ -164,8 +165,17 @@ def cmd_gamma(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, not argparse's 2, which is reserved for
+    invariant violations; subparsers are built from this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mempoolsim")
+    parser = _Parser(prog="mempoolsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("replay", help="replay a trace file")

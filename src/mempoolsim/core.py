@@ -166,14 +166,16 @@ class AdmissionOutcome:
 
     ``reason`` alone fixes the outcome's ``kind``: ``POOL_NOT_FULL`` admits
     into a free slot, ``EVICTION`` admits by evicting ``victims`` (at least
-    one), and every other reason declines."""
+    one), and every other reason declines. Only an eviction names victims."""
 
     reason: Reason
     tx: Transaction
     victims: Tuple[Transaction, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.reason is Reason.EVICTION and not self.victims:
+        if (self.reason is Reason.EVICTION) != bool(self.victims):
+            if self.victims:
+                raise PoolError(f"{self.reason.value} outcome cannot name victims")
             raise PoolError("eviction outcome needs at least one victim")
 
     @property

@@ -138,21 +138,35 @@ def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
 class UtilEntry:
     inside_delta: int = 0
     outside_delta: int = 0
-    dutil: int = 0
     count: int = 0
+
+    @property
+    def dutil(self) -> int:
+        return self.inside_delta - self.outside_delta
 
     def add(self, inside_delta: int, outside_delta: int) -> None:
         self.inside_delta += inside_delta
         self.outside_delta += outside_delta
-        self.dutil += inside_delta - outside_delta
         self.count += 1
 
 
 @dataclass
 class UtilLedger:
+    """dUtil per outcome class, and again per transition flag for flagged
+    admissions. Each record lands in exactly one class, so the run's
+    ``total`` is the sum of the class entries."""
+
     per_class: Dict[OutcomeClass, UtilEntry] = field(default_factory=dict)
     flagged: Dict[str, UtilEntry] = field(default_factory=dict)
-    total: UtilEntry = field(default_factory=UtilEntry)
+
+    @property
+    def total(self) -> UtilEntry:
+        entries = self.per_class.values()
+        return UtilEntry(
+            sum(e.inside_delta for e in entries),
+            sum(e.outside_delta for e in entries),
+            sum(e.count for e in entries),
+        )
 
     def record(self, outcome_class: OutcomeClass, inside_delta: int, outside_delta: int,
                flags: OutcomeFlags = OutcomeFlags()) -> None:
@@ -161,7 +175,6 @@ class UtilLedger:
             _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
         if flags.pending_turn_future:
             _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
-        self.total.add(inside_delta, outside_delta)
 
 
 def _entry(bucket: Dict, key) -> UtilEntry:

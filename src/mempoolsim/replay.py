@@ -64,12 +64,22 @@ class Snapshot:
     event_index: int
     ts_ms: int
     pending: List[Transaction]
-    price_sum: int
-    fee_sum: int
 
 
 @dataclass
 class RunReport:
+    """What one replay observed, one record per fact.
+
+    ``outcomes`` holds one admission outcome per arrival, ``blocks`` the
+    blocks built, ``snapshots`` the pending set at each snapshot marker and
+    at the end of the trace, ``util`` the per-arrival dUtil ledger, ``flags``
+    the admissions that flipped a resident's future status, and
+    ``price_sum_series`` the pool's price sum after each arrival.
+    ``final_pending`` and ``declined`` are the pool's pending set and its
+    declined ledger after the run. The fee totals are not stored: each is
+    summed from the records it names when read.
+    """
+
     policy: str
     capacity: int
     event_count: int = 0
@@ -81,9 +91,18 @@ class RunReport:
     price_sum_series: List[int] = field(default_factory=list)
     final_pending: List[Transaction] = field(default_factory=list)
     declined: List[Tuple[Transaction, Reason]] = field(default_factory=list)
-    pool_fees_final: int = 0
-    block_fees_final: int = 0
-    declined_fees_final: int = 0
+
+    @property
+    def pool_fees_final(self) -> int:
+        return sum(tx.fee for tx in self.final_pending)
+
+    @property
+    def block_fees_final(self) -> int:
+        return sum(b.revenue for b in self.blocks)
+
+    @property
+    def declined_fees_final(self) -> int:
+        return sum(tx.fee for tx, _ in self.declined)
 
     def included_txs(self) -> List[Transaction]:
         return [tx for block in self.blocks for tx in block.txs]
@@ -220,16 +239,10 @@ def replay(
         )
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
-
-    def snapshot(index: int, ts: int) -> None:
-        pending = pool.pending()
-        fee_sum = sum(t.fee for t in pending)
-        report.snapshots.append(Snapshot(index, ts, pending, pool.price_sum(), fee_sum))
-
     for index, event in enumerate(events):
         try:
             if event.kind == "snapshot_marker":
-                snapshot(index, event.ts_ms)
+                report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
             elif event.kind == "block_trigger":
                 if config.drain_mode == "interleaved":
                     report.blocks.append(build_block(pool, world).block)
@@ -253,7 +266,8 @@ def replay(
             raise ReplayAbort(index, exc) from exc
 
     report.event_count = len(events)
-    snapshot(len(events), events[-1].ts_ms if events else 0)
+    end_ts = events[-1].ts_ms if events else 0
+    report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
     if config.final_drain:
         declined_before = len(pool.declined)
         report.blocks.extend(drain(pool, world))
@@ -261,9 +275,6 @@ def replay(
             report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
     report.final_pending = pool.pending()
     report.declined = pool.declined
-    report.pool_fees_final = sum(tx.fee for tx in report.final_pending)
-    report.block_fees_final = sum(b.revenue for b in report.blocks)
-    report.declined_fees_final = sum(tx.fee for tx, _ in pool.declined)
     return report
 
 

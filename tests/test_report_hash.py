@@ -95,9 +95,6 @@ def _report(senders, big: int = 1) -> RunReport:
     report.declined = [(shared, Reason.UNBUILDABLE)] + [(txs[-1], r) for r in Reason]
     report.price_sum_series = [big, 0, big * 3, HUGE]
     report.final_pending = txs[1:]
-    report.block_fees_final = sum(b.revenue for b in report.blocks)
-    report.pool_fees_final = HUGE
-    report.declined_fees_final = -HUGE
     report.util.record(OutcomeClass.O1, -HUGE, HUGE)
     return report
 
@@ -132,6 +129,16 @@ def test_equal_fields_distinct_objects_and_rehash_after_change():
     # a changed report gets a new digest, still the oracle's
     report.declined.append((Transaction(sender="s", nonce=1, price=6), Reason.UNBUILDABLE))
     assert report.report_hash() == oracle_hash(report) != first
+
+
+def test_fee_totals_are_read_only_sums_of_the_records():
+    report = _report(["x", "y", "z"])
+    assert report.pool_fees_final == sum(t.fee for t in report.final_pending)
+    assert report.block_fees_final == sum(t.fee for b in report.blocks for t in b.txs)
+    assert report.declined_fees_final == sum(t.fee for t, _ in report.declined)
+    for name in ("pool_fees_final", "block_fees_final", "declined_fees_final"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -559,6 +559,29 @@ class TestCli:
         assert lines[0].startswith("workload,policy,rounds")
         assert lines[1].startswith("batch_insert,cp,2,")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["replay"], 1),
+            (["replay", "t.jsonl", "--policy", "lru"], 1),
+            (["attack", "nope"], 1),
+            (["replay", "t.jsonl", "--capacity", "abc"], 1),
+            (["--help"], 0),
+            (["replay", "--help"], 0),
+        ],
+        ids=[
+            "missing-trace", "unknown-policy", "unknown-attack", "non-integer-capacity",
+            "help", "subcommand-help",
+        ],
+    )
+    def test_argparse_exit_codes(self, argv, code, capsys):
+        # an argparse usage error exits 1: 2 is reserved for invariant violations
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert "usage: mempoolsim" in (captured.err if code else captured.out)
+
     def test_missing_trace_is_usage_error(self, capsys):
         assert main(["replay", "/nonexistent/trace.jsonl"]) == 1
         assert "error:" in capsys.readouterr().err
