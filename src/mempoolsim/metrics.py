@@ -68,8 +68,8 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
 
     gamma(tx) = tx.price / (min price among the sender's pending txs) - 1;
     gamma(s) is the max over the sender's txs. The fee-denominator variant
-    (tx.price / min fee) is emitted alongside for comparison and is not
-    asserted as ground truth.
+    (tx.fee / min fee among the sender's pending txs - 1) is emitted
+    alongside for comparison and is not asserted as ground truth.
     """
     if not pending:
         raise ValueError("gamma of empty snapshot")
@@ -84,7 +84,7 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
     per_sender_fee: Dict[str, float] = {}
     for tx in pending:
         g = tx.price / min_price[tx.sender] - 1
-        gf = tx.price / min_fee[tx.sender] - 1
+        gf = tx.fee / min_fee[tx.sender] - 1
         if tx.sender not in per_sender or g > per_sender[tx.sender]:
             per_sender[tx.sender] = g
         if tx.sender not in per_sender_fee or gf > per_sender_fee[tx.sender]:

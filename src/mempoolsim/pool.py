@@ -17,13 +17,15 @@ The pool always keeps these views of the pending set:
   what the future test reads; ``get(sender, nonce)`` and the duplicate
   test bisect it
 
-and these order indexes, each a ``SortedList`` of ``(key, seq, tx)``
-tuples, where ``seq`` is the tx's unique admission number (so ties go
-oldest first and a comparison never reaches ``tx``):
+and these order indexes, each a ``SortedList`` of tuples that end in
+``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
+go oldest first and a comparison never reaches ``tx``):
 
-* ``_by_price`` / ``_by_fee`` - all pending txs by price or fee
-* ``_childless`` - each sender's maximal-nonce tx by price, which is what
-  chain-safe eviction scans
+* ``_by_price`` / ``_by_fee`` - all pending txs as ``(key, seq, tx)``, by
+  price or fee
+* ``_childless`` - each sender's maximal-nonce tx as ``(price, sender's
+  chain-minimum fee, seq, tx)`` (``_tail_key``), so the first entry is
+  chain-safe eviction's victim
 
 An order index does not exist until something first reads it; it is then
 built from ``_seq_of`` or the chains and kept current by every later
@@ -147,7 +149,7 @@ class Mempool:
         self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[Transaction, int] = {}
         self._next_seq = 0
-        # order indexes of (key, seq, tx), each built on its first read
+        # order indexes of (..., seq, tx), each built on its first read
         self._by_price: Optional[SortedList] = None
         self._by_fee: Optional[SortedList] = None
         self._childless: Optional[SortedList] = None
@@ -196,11 +198,15 @@ class Mempool:
             self._by_fee = SortedList((t.fee, seq, t) for t, seq in self._seq_of.items())
         return self._by_fee
 
+    def _tail_key(self, chain: SenderChain) -> Tuple:
+        """``chain``'s entry in ``_childless``: its tail, keyed by price, then
+        the chain's minimum fee, then admission order."""
+        tail = chain.txs[-1]
+        return (tail.price, chain.min_fee, self._seq_of[tail], tail)
+
     def _childless_index(self) -> SortedList:
         if self._childless is None:
-            seq_of = self._seq_of
-            tails = [chain.txs[-1] for chain in self._chains.values()]
-            self._childless = SortedList((t.price, seq_of[t], t) for t in tails)
+            self._childless = SortedList(map(self._tail_key, self._chains.values()))
         return self._childless
 
     def min_price_tx(self) -> Optional[Transaction]:
@@ -214,24 +220,11 @@ class Mempool:
         return index[0][2] if index else None
 
     def min_price_childless(self) -> Optional[Transaction]:
-        """Cheapest childless tx.
-
-        Among equal prices the tx whose sender holds the smaller chain-minimum
-        fee is preferred, then insertion order (oldest first).
-        """
+        """Cheapest childless tx: the first ``_childless`` entry, so among
+        equal prices the tx whose sender holds the smaller chain-minimum fee,
+        then the oldest."""
         index = self._childless_index()
-        if not index:
-            return None
-        lowest = index[0][0]
-        chains = self._chains
-        best = None
-        for price, seq, tx in index:
-            if price != lowest:
-                break
-            rank = (chains[tx.sender].min_fee, seq)
-            if best is None or rank < best[0]:
-                best = (rank, tx)
-        return best[1]
+        return index[0][3] if index else None
 
     # ------------------------------------------------------------- checks
 
@@ -271,14 +264,17 @@ class Mempool:
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
-        old_tail = chain.txs[-1] if chain.txs else None
-        chain.insert(tx)
-        price = tx.price
         childless = self._childless
-        if childless is not None and chain.txs[-1] is tx:
-            if old_tail is not None:
-                childless.remove((old_tail.price, self._seq_of[old_tail], old_tail))
-            childless.add((price, seq, tx))
+        old = self._tail_key(chain) if childless is not None and chain.txs else None
+        chain.insert(tx)
+        if childless is not None:
+            # the tail or the chain's minimum fee may have moved
+            new = self._tail_key(chain)
+            if new != old:
+                if old is not None:
+                    childless.remove(old)
+                childless.add(new)
+        price = tx.price
         if self._by_price is not None:
             self._by_price.add((price, seq, tx))
         if self._by_fee is not None:
@@ -286,21 +282,23 @@ class Mempool:
         self._price_sum += price
 
     def _remove(self, tx: Transaction) -> None:
-        seq = self._seq_of.pop(tx, None)
+        seq = self._seq_of.get(tx)
         if seq is None:
             raise PoolError(f"{tx!r} not pending")
         chain = self._chains[tx.sender]
-        was_tail = chain.txs[-1] is tx
-        chain.remove(tx)
-        price = tx.price
         childless = self._childless
-        if childless is not None and was_tail:
-            childless.remove((price, seq, tx))
-            if chain.txs:
-                tail = chain.txs[-1]
-                childless.add((tail.price, self._seq_of[tail], tail))
+        old = self._tail_key(chain) if childless is not None else None
+        chain.remove(tx)
+        del self._seq_of[tx]
+        if childless is not None:
+            new = self._tail_key(chain) if chain.txs else None
+            if new != old:
+                childless.remove(old)
+                if new is not None:
+                    childless.add(new)
         if not chain.txs:
             del self._chains[tx.sender]
+        price = tx.price
         if self._by_price is not None:
             self._by_price.remove((price, seq, tx))
         if self._by_fee is not None:

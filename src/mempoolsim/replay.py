@@ -12,7 +12,6 @@ import hashlib
 import json
 import statistics
 import time
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -30,7 +29,7 @@ from .core import (
 )
 from .metrics import OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
-from .pool import Mempool, SenderChain
+from .pool import Mempool
 from .trace import TraceEvent, world_for_trace
 
 
@@ -170,58 +169,34 @@ class RunReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _gap_before(
-    chain: SenderChain, after: int, admitted: Optional[int], removed: Sequence[int]
-) -> int:
-    """First missing nonce from the confirmed one in the chain as it was
-    before ``admitted`` (a nonce or None) joined it and the ``removed``
-    nonces left; ``after`` is the chain's first missing nonce now."""
-    if admitted is not None and admitted < after:
-        return admitted
-    # below ``after`` both states hold the same nonces
-    gap = after
-    while gap in removed:
-        end = chain.run_end(gap + 1)
-        if admitted is not None and gap < admitted < end:
-            return admitted
-        gap = end
-    return gap
-
-
-def _transition(
-    chain: SenderChain, confirmed: int, admitted: Optional[int], removed: Sequence[int]
-) -> Tuple[bool, bool]:
-    """(future turned pending, pending turned future) among one sender's txs
-    resident before and after an admission.
-
-    A resident is future iff its nonce lies above the first gap, so it flips
-    iff it lies strictly between the gap before and the gap after. The
-    admitted nonce never does: it is the gap before, or above both gaps.
-    """
-    after = chain.run_end(confirmed)
-    before = _gap_before(chain, after, admitted, removed)
-    lo, hi = (before, after) if before < after else (after, before)
-    if hi - lo < 2 or bisect_left(chain.nonces, hi) == bisect_right(chain.nonces, lo):
-        return False, False
-    return before < after, after < before
-
-
 _NO_FLAGS = OutcomeFlags(False, False)
 
 
 def _admission_flags(
     pool: Mempool, world: WorldState, tx: Transaction, victims: Sequence[Transaction]
 ) -> OutcomeFlags:
-    """Flags of an admission that inserted ``tx`` and evicted ``victims``."""
-    removed: Dict[str, List[int]] = {tx.sender: []}
+    """Flags of an admission that inserted ``tx`` and evicted ``victims``,
+    read off the pool after it.
+
+    ``tx`` passed ``precheck``, so its nonce was its sender's first missing
+    nonce: one above would be future, one inside the chain a duplicate, one
+    below stale. Only ``tx`` joined, so a resident turned pending iff the
+    sender's run from its confirmed nonce now reaches past ``tx.nonce + 1``.
+    A resident turned future iff a victim was inside its sender's run (the
+    run now ends at the victim) and its next nonce is a resident; a victim
+    above ``tx.nonce`` of ``tx``'s own sender was future already. This
+    holds as long as no two victims share a sender: every policy evicts at
+    most one tx.
+    """
+    sender = tx.sender
+    ftp = pool.chain(sender).run_end(world.nonce_of(sender)) > tx.nonce + 1
+    ptf = False
     for v in victims:
-        removed.setdefault(v.sender, []).append(v.nonce)
-    ftp = ptf = False
-    for sender, nonces in removed.items():
-        admitted = tx.nonce if sender == tx.sender else None
-        f, p = _transition(pool.chain(sender), world.nonce_of(sender), admitted, nonces)
-        ftp |= f
-        ptf |= p
+        if v.sender == sender and v.nonce > tx.nonce:
+            continue
+        if pool.chain(v.sender).run_end(world.nonce_of(v.sender)) == v.nonce:
+            child = pool.get(v.sender, v.nonce + 1)
+            ptf |= child is not None and child is not tx
     if ftp or ptf:
         return OutcomeFlags(ftp, ptf)
     return _NO_FLAGS

@@ -139,8 +139,8 @@ def pending_by_price(pool: Mempool) -> List[Transaction]:
 
 def find_childless(pool: Mempool) -> List[Transaction]:
     """The pool's childless index read in full: each sender's maximal-nonce
-    pending tx, by (price, seq)."""
-    return [entry[2] for entry in pool._childless_index()]
+    pending tx, by (price, sender's chain-minimum fee, seq)."""
+    return [entry[-1] for entry in pool._childless_index()]
 
 
 def parse_trace_lines(text: str) -> List[TraceEvent]:

@@ -417,3 +417,27 @@ def test_criterion_11_performance_sanity():
         f"cp/baseline time ratio {ratio:.3f} <= 1.5; "
         f"baseline {means['baseline']:.3f}s, cp {means['cp']:.3f}s (< 5s each)",
     )
+
+
+@pytest.mark.parametrize(
+    "arrival_price, n_arrivals",
+    [(101, CAPACITY_FULL), (50, 4_000)],
+    ids=["evict_all", "decline_all"],
+)
+def test_criterion_11_hostile_ties(arrival_price, n_arrivals):
+    # criterion 11's batch_insert has one sender, so no two childless txs
+    # tie; here 5,120 one-tx senders share one price, then every arrival
+    # evicts (101) or is declined (50, which costs the attacker nothing)
+    residents = [tx(f"r{i}", 0, 100) for i in range(CAPACITY_FULL)]
+    arrivals = [tx(f"a{i}", 0, arrival_price) for i in range(n_arrivals)]
+    events = [arrival(t, ts_ms=step) for step, t in enumerate(residents + arrivals)]
+    fastest = {}
+    for kind in ("baseline", "cp", "map"):
+        config = ScenarioConfig(
+            policy=PolicyConfig(kind=kind), capacity=CAPACITY_FULL, final_drain=False
+        )
+        # the fastest round is the least disturbed by other load on the host
+        fastest[kind] = min(bench(config, events, rounds=3, workload="ties").times_s)
+    for kind in ("cp", "map"):
+        ratio = fastest[kind] / fastest["baseline"]
+        assert ratio <= 3, f"{kind}/baseline time ratio {ratio:.2f} > 3 ({fastest})"

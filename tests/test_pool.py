@@ -196,6 +196,33 @@ class TestApplyAdmission:
             pool.apply_admission(tx("Y", 0, 9), [tx("W", 0, 1)])
 
 
+@pytest.mark.parametrize(
+    "stranger",
+    [
+        lambda pool: tx("W", 0, 1),  # a sender with nothing pending
+        lambda pool: tx("X", 2, 5),  # the next nonce of a pending chain
+        lambda pool: dataclasses.replace(pool.get("X", 1)),  # copy of a tail
+        lambda pool: dataclasses.replace(pool.get("X", 0)),  # copy of a parent
+    ],
+    ids=["unknown_sender", "next_nonce", "tail_copy", "parent_copy"],
+)
+def test_remove_included_of_a_non_resident_changes_nothing(stranger):
+    pool = Mempool(capacity=8)
+    fill_pool(pool, rich_world("X", "Y"), [tx("X", 0, 5), tx("X", 1, 3), tx("Y", 0, 4)])
+    # build all three order indexes
+    pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
+
+    def views():
+        chains = {s: (list(pool.chain(s).txs), pool.chain(s).min_fee) for s in "XY"}
+        indexes = [list(i) for i in (pool._by_price, pool._by_fee, pool._childless)]
+        return pool.pending(), chains, indexes, pool.price_sum()
+
+    before = views()
+    with pytest.raises(PoolError):
+        pool.remove_included(stranger(pool))
+    assert views() == before
+
+
 def _rebuild_check(pool: Mempool, world: WorldState):
     """Index coherence: all views hold exactly the pending set, and every
     sender's chain matches recomputation from it."""
@@ -424,10 +451,12 @@ def _oracle_orders(pending, admitted_at):
         return admitted_at[t]
 
     by_price = sorted(pending, key=lambda t: (t.price, seq(t)))
-    childless = sorted(oracle_childless(pending), key=lambda t: (t.price, seq(t)))
     min_fee_of = {}
     for t in pending:
         min_fee_of[t.sender] = min(min_fee_of.get(t.sender, t.fee), t.fee)
+    childless = sorted(
+        oracle_childless(pending), key=lambda t: (t.price, min_fee_of[t.sender], seq(t))
+    )
     lowest = [t for t in childless if t.price == childless[0].price] if childless else []
     return {
         "pending_by_price": by_price,

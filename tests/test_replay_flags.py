@@ -31,21 +31,32 @@ def _random_adversary(seed):
     return _with_blocks(plan.events(), 60), plan.account_seeds()
 
 
-def _resends(seed):
-    """Few senders that re-send nonces at random prices: under ``baseline``
-    a re-sent parent refills the gap an eviction left, so residents turn
-    future and back."""
+def _resends(seed, span=3, steps=300):
+    """Few senders that re-send nonces at random prices, each up to ``span``
+    below the sender's highest nonce: under ``baseline`` a re-sent parent
+    refills the gap an eviction left, so residents turn future and back."""
     rng = random.Random(seed)
     senders = [f"r{i}" for i in range(6)]
     top = dict.fromkeys(senders, 0)
     events = []
-    for step in range(300):
+    for step in range(steps):
         sender = rng.choice(senders)
-        nonce = rng.randint(max(0, top[sender] - 3), top[sender])
+        nonce = rng.randint(max(0, top[sender] - span), top[sender])
         top[sender] = max(top[sender], nonce + 1)
         t = Transaction(sender=sender, nonce=nonce, price=rng.randint(1, 500))
         events.append(arrival(t, ts_ms=step))
     return _with_blocks(events, 50), {s: (10**18, 0) for s in senders}
+
+
+def _refill_above_gap():
+    """Capacity 5 under ``baseline``: B:0 evicts A:2, so A:3 and A:4 turn
+    future; the re-sent A:2 then evicts A:3, which lay above the gap and
+    was future already, so no resident flips."""
+    prices = (50, 50, 5, 10, 50)
+    txs = [Transaction(sender="A", nonce=n, price=p) for n, p in enumerate(prices)]
+    txs += [Transaction(sender="B", nonce=0, price=11), Transaction(sender="A", nonce=2, price=60)]
+    events = [arrival(t, ts_ms=step) for step, t in enumerate(txs)]
+    return events, {s: (10**18, 0) for s in "AB"}
 
 
 def _with_blocks(arrivals, every):
@@ -61,6 +72,12 @@ def _with_blocks(arrivals, every):
 CASES = {
     **{f"random_s{seed}": (48, "interleaved", _random_adversary(seed)) for seed in range(3)},
     **{f"resend_s{seed}": (12, "interleaved", _resends(seed)) for seed in range(3)},
+    # small pools: capacities 3-16, re-send spans 1-5
+    **{
+        f"sweep_s{seed}": (3 + seed % 14, "interleaved", _resends(100 + seed, 1 + seed % 5, 200))
+        for seed in range(24)
+    },
+    "refill_above_gap": (5, "end_only", _refill_above_gap()),
     "xt6": (
         32,
         "end_only",
@@ -100,6 +117,20 @@ def test_replay_flags_match_list_scan_oracle(monkeypatch, case, policy):
     assert set(recorded) <= set(expected)
     for index, flags in expected.items():
         assert recorded.get(index, OutcomeFlags()) == flags, f"event {index}"
+
+
+def test_refill_above_gap_flags_only_the_first_eviction():
+    capacity, drain_mode, (events, seeds) = CASES["refill_above_gap"]
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"), capacity=capacity, account_seeds=seeds
+    )
+    report = replay(config, events)
+    evictions = [
+        ((o.tx.sender, o.tx.nonce), [(v.sender, v.nonce) for v in o.victims])
+        for o in report.outcomes[5:]
+    ]
+    assert evictions == [(("B", 0), [("A", 2)]), (("A", 2), [("A", 3)])]
+    assert report.flags == [(5, OutcomeFlags(False, True))]
 
 
 @pytest.mark.xfail(
