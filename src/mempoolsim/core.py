@@ -17,7 +17,15 @@ _INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 _UINT256 = 2**256
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+# The per-event objects are built by hand. A frozen dataclass's generated
+# __init__ sets each field through object.__setattr__, a generic path; the
+# hand-written constructors below run the same checks, then set each slot
+# through its own descriptor setter, which skips that path. The signature,
+# the fields and the error messages stay the dataclass's (tests/test_core.py
+# pins them), and dataclasses.replace goes through the same checks.
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Transaction:
     """One transaction: the unit of admission.
 
@@ -41,52 +49,67 @@ class Transaction:
     fee: int = field(init=False, repr=False, compare=False)
     cost: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, sender: str, nonce: int, price: int, gas_used: int = MIN_TX_GAS,
+                 gas_limit: int = 0, value: int = 0, label: str = "benign") -> None:
         # exact types, before the ranges: bool is an int subclass, and a float
         # or a non-string sender would break integer wei and the report encoding
         if not (
-            type(self.nonce) is type(self.price) is type(self.gas_used)
-            is type(self.gas_limit) is type(self.value) is int
+            type(nonce) is type(price) is type(gas_used) is type(gas_limit) is type(value) is int
         ):
-            name = next(n for n in _INT_FIELDS if type(getattr(self, n)) is not int)
-            raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if type(self.sender) is not str:
-            raise ValueError(f"sender must be a string, got {self.sender!r}")
-        if self.gas_limit == 0:
-            object.__setattr__(self, "gas_limit", self.gas_used)
+            given = dict(zip(_INT_FIELDS, (nonce, price, gas_used, gas_limit, value)))
+            name = next(n for n, v in given.items() if type(v) is not int)
+            raise ValueError(f"{name} must be an integer, got {given[name]!r}")
+        if type(sender) is not str:
+            raise ValueError(f"sender must be a string, got {sender!r}")
+        if gas_limit == 0:
+            gas_limit = gas_used
         # one chained test on the common path; _range_error names the field
         if not (
-            0 <= self.nonce < _UINT256
-            and 0 < self.price < _UINT256
-            and MIN_TX_GAS <= self.gas_used <= self.gas_limit < _UINT256
-            and 0 <= self.value < _UINT256
+            0 <= nonce < _UINT256
+            and 0 < price < _UINT256
+            and MIN_TX_GAS <= gas_used <= gas_limit < _UINT256
+            and 0 <= value < _UINT256
         ):
-            raise self._range_error()
-        _set_fee(self, self.gas_used * self.price)
-        _set_cost(self, self.gas_limit * self.price + self.value)
-
-    def _range_error(self) -> ValueError:
-        for name, low, rule in (
-            ("nonce", 0, "non-negative"),
-            ("price", 1, "positive"),
-            ("gas_used", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
-            ("gas_limit", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
-            ("value", 0, "non-negative"),
-        ):
-            value = getattr(self, name)
-            if not low <= value < _UINT256:
-                # a value past the range may have more digits than str() takes
-                bits = value.bit_length()
-                shown = value if bits <= 256 else f"a {bits}-bit integer"
-                return ValueError(f"{name} must be {rule} and below 2**256, got {shown}")
-        return ValueError("gas_used exceeds gas_limit")
+            raise _range_error(nonce, price, gas_used, gas_limit, value)
+        _set_sender(self, sender)
+        _set_nonce(self, nonce)
+        _set_price(self, price)
+        _set_gas_used(self, gas_used)
+        _set_gas_limit(self, gas_limit)
+        _set_value(self, value)
+        _set_label(self, label)
+        _set_fee(self, gas_used * price)
+        _set_cost(self, gas_limit * price + value)
 
     def __repr__(self) -> str:
         return f"<{self.sender}:{self.nonce} @{self.price}>"
 
 
-# the slots' own setters: like object.__setattr__ they get past the frozen
-# __setattr__, in about half its time, on every Transaction built
+def _range_error(*values: int) -> ValueError:
+    """The error for the first of ``Transaction``'s int fields, in
+    ``_INT_FIELDS`` order, that is out of range."""
+    for (name, low, rule), value in zip((
+        ("nonce", 0, "non-negative"),
+        ("price", 1, "positive"),
+        ("gas_used", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
+        ("gas_limit", MIN_TX_GAS, f">= {MIN_TX_GAS}"),
+        ("value", 0, "non-negative"),
+    ), values):
+        if not low <= value < _UINT256:
+            # a value past the range may have more digits than str() takes
+            bits = value.bit_length()
+            shown = value if bits <= 256 else f"a {bits}-bit integer"
+            return ValueError(f"{name} must be {rule} and below 2**256, got {shown}")
+    return ValueError("gas_used exceeds gas_limit")
+
+
+_set_sender = Transaction.sender.__set__
+_set_nonce = Transaction.nonce.__set__
+_set_price = Transaction.price.__set__
+_set_gas_used = Transaction.gas_used.__set__
+_set_gas_limit = Transaction.gas_limit.__set__
+_set_value = Transaction.value.__set__
+_set_label = Transaction.label.__set__
 _set_fee = Transaction.fee.__set__
 _set_cost = Transaction.cost.__set__
 
@@ -133,13 +156,24 @@ class PoolError(Exception):
     """An engine invariant broke: the pool or a report is inconsistent."""
 
 
+# The enums hash by identity: Enum.__hash__ is a Python function (it hashes
+# the member's name), and the replay hashes a member several times per event
+# (the summary's Counter, the report's labels, the ledger's classes). Members
+# are singletons and compare by identity, so object.__hash__, which runs in
+# C, agrees with that equality.
+
+
 class OutcomeKind(Enum):
+    __hash__ = object.__hash__
+
     DECLINED = "declined"
     ADMITTED_NO_EVICT = "admitted-no-evict"
     ADMITTED_EVICTING = "admitted-evicting"
 
 
 class Reason(Enum):
+    __hash__ = object.__hash__
+
     INVALID_FUTURE = "invalid-future"
     INVALID_OVERDRAFT = "invalid-overdraft"
     STALE = "stale"
@@ -159,7 +193,7 @@ _ADMITTING = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AdmissionOutcome:
     """One admission decision: what a policy's ``decide`` returns and what
     ``Mempool.admit`` applies, returns and a replay reports.
@@ -172,11 +206,16 @@ class AdmissionOutcome:
     tx: Transaction
     victims: Tuple[Transaction, ...] = ()
 
-    def __post_init__(self) -> None:
-        if (self.reason is Reason.EVICTION) != bool(self.victims):
-            if self.victims:
-                raise PoolError(f"{self.reason.value} outcome cannot name victims")
+    def __init__(
+        self, reason: Reason, tx: Transaction, victims: Tuple[Transaction, ...] = ()
+    ) -> None:
+        if (reason is Reason.EVICTION) != bool(victims):
+            if victims:
+                raise PoolError(f"{reason.value} outcome cannot name victims")
             raise PoolError("eviction outcome needs at least one victim")
+        _set_reason(self, reason)
+        _set_tx(self, tx)
+        _set_victims(self, victims)
 
     @property
     def kind(self) -> OutcomeKind:
@@ -185,6 +224,11 @@ class AdmissionOutcome:
     @property
     def admitted(self) -> bool:
         return self.reason is Reason.POOL_NOT_FULL or self.reason is Reason.EVICTION
+
+
+_set_reason = AdmissionOutcome.reason.__set__
+_set_tx = AdmissionOutcome.tx.__set__
+_set_victims = AdmissionOutcome.victims.__set__
 
 
 @dataclass

@@ -104,6 +104,9 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
 
 
 class OutcomeClass(Enum):
+    # hashes by identity, as core's enums do: the ledger keys records by class
+    __hash__ = object.__hash__
+
     O1 = "declined"
     O2 = "evicted-lower-fee"
     O3 = "evicted-higher-fee"
@@ -117,6 +120,11 @@ class OutcomeClass(Enum):
 class OutcomeFlags:
     future_turn_pending: bool = False
     pending_turn_future: bool = False
+
+
+# an unflagged record: the ledger's default, and what replay passes for an
+# admission that changed no resident's status
+NO_FLAGS = OutcomeFlags()
 
 
 def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
@@ -169,12 +177,23 @@ class UtilLedger:
         )
 
     def record(self, outcome_class: OutcomeClass, inside_delta: int, outside_delta: int,
-               flags: OutcomeFlags = OutcomeFlags()) -> None:
-        _entry(self.per_class, outcome_class).add(inside_delta, outside_delta)
-        if flags.future_turn_pending:
-            _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
-        if flags.pending_turn_future:
-            _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
+               flags: OutcomeFlags = NO_FLAGS) -> None:
+        """Add one record to its class's entry and, only when ``flags`` is
+        not ``NO_FLAGS``, to the entry of each flag it sets.
+
+        The class entry is updated inline, not through ``UtilEntry.add``: a
+        replay books one record per arrival, and most carry no flag."""
+        entry = self.per_class.get(outcome_class)
+        if entry is None:
+            entry = self.per_class[outcome_class] = UtilEntry()
+        entry.inside_delta += inside_delta
+        entry.outside_delta += outside_delta
+        entry.count += 1
+        if flags is not NO_FLAGS:
+            if flags.future_turn_pending:
+                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
+            if flags.pending_turn_future:
+                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
 
 
 def _entry(bucket: Dict, key) -> UtilEntry:

@@ -231,17 +231,18 @@ class Mempool:
     def precheck(self, tx: Transaction, world: WorldState) -> Optional[Reason]:
         """Why ``tx`` is invalid, or None if it is valid.
 
-        Checks run in the order stale -> duplicate -> future -> overdraft and
-        read the sender's chain: one bisect finds ``tx.nonce``'s place in it
-        (none when ``tx`` extends the chain), the future test is one
-        ``run_end``, and the overdraft test sums the chain's cost below that
-        place.
+        Checks run in the order stale -> duplicate -> future -> overdraft.
+        They read the sender's account once and its chain: one bisect finds
+        ``tx.nonce``'s place in it (none when ``tx`` extends the chain), the
+        future test is one ``run_end``, and the overdraft test sums the
+        chain's cost below that place.
         """
         nonce = tx.nonce
-        confirmed = world.nonce_of(tx.sender)
+        acct = world.accounts.get(tx.sender)
+        confirmed = acct.nonce if acct is not None else 0
         if nonce < confirmed:
             return Reason.STALE
-        chain = self.chain(tx.sender)
+        chain = self._chains.get(tx.sender, _NO_CHAIN)
         nonces = chain.nonces
         i = len(nonces)
         if i and nonce <= nonces[-1]:
@@ -251,7 +252,7 @@ class Mempool:
         if nonce > confirmed and chain.run_end(confirmed) < nonce:
             return Reason.INVALID_FUTURE
         below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
-        if below + tx.cost > world.balance_of(tx.sender):
+        if below + tx.cost > (acct.balance if acct is not None else 0):
             return Reason.INVALID_OVERDRAFT
         return None
 
@@ -337,13 +338,13 @@ class Mempool:
             if len(self.chain(tx.sender)) >= self.per_sender_limit:
                 reason = Reason.SENDER_LIMIT
         if reason is not None:
-            self.decline(tx, reason)
+            self.declined.append((tx, reason))
             return AdmissionOutcome(reason, tx)
         outcome = policy.decide(self, tx)
         if outcome.admitted:
             self.apply_admission(tx, outcome.victims)
         else:
-            self.decline(tx, outcome.reason)
+            self.declined.append((tx, outcome.reason))
         return outcome
 
     # ---------------------------------------------------------- snapshot

@@ -27,7 +27,7 @@ from .core import (
     Transaction,
     WorldState,
 )
-from .metrics import OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
+from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
 from .pool import Mempool
 from .trace import TraceEvent, world_for_trace
@@ -146,14 +146,13 @@ class RunReport:
                 )
             return text
 
-        heads: Dict[int, str] = {}
+        heads: Dict[Reason, str] = {}
         outcomes = []
         for o in self.outcomes:
-            # a reason fixes its outcome's kind; enum members are singletons,
-            # so id() skips Enum.__hash__ and .value
-            head = heads.get(id(o.reason))
+            # a reason fixes its outcome's kind
+            head = heads.get(o.reason)
             if head is None:
-                head = heads[id(o.reason)] = f"[{enc(o.kind.value)},{labels[o.reason]},"
+                head = heads[o.reason] = f"[{enc(o.kind.value)},{labels[o.reason]},"
             outcomes.append(f"{head}{tx_json(o.tx)},[{','.join(map(tx_json, o.victims))}]]")
         blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
         declined = ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in self.declined)
@@ -169,14 +168,11 @@ class RunReport:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_NO_FLAGS = OutcomeFlags(False, False)
-
-
 def _admission_flags(
     pool: Mempool, world: WorldState, tx: Transaction, victims: Sequence[Transaction]
 ) -> OutcomeFlags:
     """Flags of an admission that inserted ``tx`` and evicted ``victims``,
-    read off the pool after it.
+    read off the pool after it; ``NO_FLAGS`` when no resident changed status.
 
     ``tx`` passed ``precheck``, so its nonce was its sender's first missing
     nonce: one above would be future, one inside the chain a duplicate, one
@@ -199,7 +195,7 @@ def _admission_flags(
             ptf |= child is not None and child is not tx
     if ftp or ptf:
         return OutcomeFlags(ftp, ptf)
-    return _NO_FLAGS
+    return NO_FLAGS
 
 
 def replay(
@@ -214,29 +210,34 @@ def replay(
         )
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
+    # bound once: the arrival branch runs per event
+    admit = pool.admit
+    record = report.util.record
+    append_outcome = report.outcomes.append
+    append_price_sum = report.price_sum_series.append
+    declined_class = OutcomeClass.O1
     for index, event in enumerate(events):
         try:
-            if event.kind == "snapshot_marker":
-                report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
-            elif event.kind == "block_trigger":
-                if config.drain_mode == "interleaved":
-                    report.blocks.append(build_block(pool, world).block)
-            else:
+            kind = event.kind
+            if kind == "tx_arrival":
                 tx = event.tx
-                outcome = pool.admit(tx, world, policy)
+                outcome = admit(tx, world, policy)
                 if outcome.admitted:
                     flags = _admission_flags(pool, world, tx, outcome.victims)
-                    if flags.future_turn_pending or flags.pending_turn_future:
+                    if flags is not NO_FLAGS:
                         report.flags.append((index, flags))
                     evicted = sum(v.fee for v in outcome.victims)
-                    inside, outside = tx.fee - evicted, evicted
+                    record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
                 else:
-                    # the pool did not change, so no resident changed status
-                    flags = _NO_FLAGS
-                    inside, outside = 0, tx.fee
-                report.util.record(classify_outcome(outcome), inside, outside, flags)
-                report.outcomes.append(outcome)
-                report.price_sum_series.append(pool.price_sum())
+                    # every declining reason is O1, and the pool did not
+                    # change, so no resident changed status
+                    record(declined_class, 0, tx.fee)
+                append_outcome(outcome)
+                append_price_sum(pool.price_sum())
+            elif kind == "snapshot_marker":
+                report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
+            elif config.drain_mode == "interleaved":
+                report.blocks.append(build_block(pool, world).block)
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
 

@@ -87,7 +87,7 @@ def transition_flags(
 
 
 def candidate_order(
-    pending: Sequence[Transaction], admitted_at: Dict[int, int]
+    pending: Sequence[Transaction], admitted_at: Dict[Transaction, int]
 ) -> List[Transaction]:
     """Rank by (-price, admission order), then let each ranked tx place its
     sender's unplaced txs up to its own nonce, found by list scans.
@@ -104,7 +104,7 @@ def candidate_order(
 
 def build_block(
     pending: Sequence[Transaction],
-    admitted_at: Dict[int, int],
+    admitted_at: Dict[Transaction, int],
     world: WorldState,
     gas_fn: Optional[Callable[[Transaction, Sequence[Transaction]], int]] = None,
 ) -> Tuple[List[Transaction], List[Tuple[Transaction, str]]]:

@@ -1,9 +1,14 @@
+import copy
 import dataclasses
+import inspect
+import pickle
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mempoolsim import Transaction, WorldState
+from mempoolsim import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
+from mempoolsim.metrics import OutcomeClass
 
 from conftest import tx
 from oracles import ListPendingView, cumulative_cost, is_future
@@ -85,6 +90,115 @@ class TestTransaction:
         assert copy is not t and copy != t and t == t
         assert len({t, copy}) == 2 and {t: 1}.get(copy) is None
         assert repr(t) == "<A:0 @3>"
+
+
+    def test_signature_and_fields_are_the_dataclass_ones(self):
+        params = inspect.signature(Transaction).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            ("sender", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("nonce", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("price", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+            ("gas_used", inspect.Parameter.POSITIONAL_OR_KEYWORD, 21_000),
+            ("gas_limit", inspect.Parameter.POSITIONAL_OR_KEYWORD, 0),
+            ("value", inspect.Parameter.POSITIONAL_OR_KEYWORD, 0),
+            ("label", inspect.Parameter.POSITIONAL_OR_KEYWORD, "benign"),
+        ]
+        assert [(f.name, f.init, f.repr, f.compare) for f in dataclasses.fields(Transaction)] == [
+            ("sender", True, True, True),
+            ("nonce", True, True, True),
+            ("price", True, True, True),
+            ("gas_used", True, True, True),
+            ("gas_limit", True, True, True),
+            ("value", True, True, True),
+            ("label", True, True, True),
+            ("fee", False, False, False),
+            ("cost", False, False, False),
+        ]
+
+    def test_every_field_is_set_and_gas_limit_defaults_to_gas_used(self):
+        t = Transaction("A", 1, 3, 30_000)
+        assert (t.sender, t.nonce, t.price, t.gas_used, t.gas_limit, t.value, t.label) == (
+            "A", 1, 3, 30_000, 30_000, 0, "benign"
+        )
+        t = Transaction("B", 2, 5, 21_000, 50_000, 7, "adversarial")
+        assert (t.sender, t.nonce, t.price, t.gas_used, t.gas_limit, t.value, t.label) == (
+            "B", 2, 5, 21_000, 50_000, 7, "adversarial"
+        )
+        assert (t.fee, t.cost) == (21_000 * 5, 50_000 * 5 + 7)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"nonce": True}, "nonce must be an integer, got True"),
+        ({"gas_limit": False}, "gas_limit must be an integer, got False"),
+        ({"price": 1.0}, "price must be an integer, got 1.0"),
+        # the type check runs before the sender check and the ranges
+        ({"nonce": 1.0, "sender": 5}, "nonce must be an integer, got 1.0"),
+        ({"value": -1}, "value must be non-negative and below 2**256, got -1"),
+        ({"price": 2**256}, "price must be positive and below 2**256, got a 257-bit integer"),
+        ({"price": 2**4000}, "price must be positive and below 2**256, got a 4001-bit integer"),
+        ({"gas_used": 20_999}, "gas_used must be >= 21000 and below 2**256, got 20999"),
+        ({"gas_limit": 20_000}, "gas_limit must be >= 21000 and below 2**256, got 20000"),
+        ({"gas_used": 30_000, "gas_limit": 25_000}, "gas_used exceeds gas_limit"),
+        # the first bad field in (nonce, price, gas_used, gas_limit, value) order
+        ({"nonce": -1, "price": 0}, "nonce must be non-negative and below 2**256, got -1"),
+        ({"sender": 5}, "sender must be a string, got 5"),
+        ({"sender": type("Name", (str,), {})("A")}, "sender must be a string, got 'A'"),
+    ])
+    def test_error_messages_are_pinned(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            Transaction(**{"sender": "A", "nonce": 0, "price": 1, **fields})
+        assert str(info.value) == message
+
+
+class TestAdmissionOutcome:
+    def test_frozen_slotted_and_checked_on_every_construction(self):
+        a, b = Transaction("A", 0, 5), Transaction("B", 0, 1)
+        eviction = AdmissionOutcome(Reason.EVICTION, a, (b,))
+        assert (eviction.reason, eviction.tx, eviction.victims) == (Reason.EVICTION, a, (b,))
+        assert AdmissionOutcome(Reason.STALE, a).victims == ()
+        for name in ("reason", "tx", "victims"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(eviction, name, None)
+        assert not hasattr(eviction, "__dict__")
+        with pytest.raises(PoolError, match="^eviction outcome needs at least one victim$"):
+            dataclasses.replace(eviction, victims=())
+        with pytest.raises(PoolError, match="^pool-not-full outcome cannot name victims$"):
+            dataclasses.replace(eviction, reason=Reason.POOL_NOT_FULL)
+        assert dataclasses.replace(eviction) == eviction
+        names = [f.name for f in dataclasses.fields(AdmissionOutcome)]
+        assert names == ["reason", "tx", "victims"]
+
+
+_ENUM_MEMBERS = {
+    Reason: [
+        "INVALID_FUTURE", "INVALID_OVERDRAFT", "STALE", "DUPLICATE", "SENDER_LIMIT",
+        "PRICE_TOO_LOW", "FEE_TOO_LOW", "SELF_EVICTION", "POOL_NOT_FULL", "EVICTION",
+        "UNBUILDABLE",
+    ],
+    OutcomeKind: ["DECLINED", "ADMITTED_NO_EVICT", "ADMITTED_EVICTING"],
+    OutcomeClass: ["O1", "O2", "O3", "O4", "OTHER", "UNBUILDABLE"],
+}
+
+
+@pytest.mark.parametrize("enum", list(_ENUM_MEMBERS), ids=lambda e: e.__name__)
+class TestEnumIdentityHash:
+    def test_members_unchanged(self, enum):
+        assert "__hash__" not in enum.__members__
+        assert list(enum.__members__) == [m.name for m in enum] == _ENUM_MEMBERS[enum]
+
+    def test_hash_is_identity_and_members_round_trip(self, enum):
+        for member in enum:
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert copy.deepcopy(member) is member
+            assert enum(member.value) is member
+
+    def test_counter_and_dict_keyed_by_members(self, enum):
+        members = list(enum)
+        counts = Counter(m for i, m in enumerate(members) for _ in range(i + 1))
+        assert [counts[m] for m in members] == list(range(1, len(members) + 1))
+        by_member = {m: m.value for m in members}
+        assert all(by_member[enum(m.value)] == m.value for m in members)
+        assert len({*members, *members}) == len(members)
 
 
 class TestIsFuture:
