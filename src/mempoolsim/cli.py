@@ -81,7 +81,11 @@ def cmd_replay(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except (ValueError, RecursionError) as exc:
+        # as for a trace line: nesting past the decoder's recursion limit too
+        raise ValueError(f"--params is malformed JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
     if args.kind == "xt6" and not params:

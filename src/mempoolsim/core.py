@@ -6,6 +6,7 @@ No floating point is used anywhere in admission logic.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Tuple
@@ -15,6 +16,24 @@ DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
 _INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 # Ethereum's uint256 range: every integer field is below this
 _UINT256 = 2**256
+
+# reprlib reads only the first few items of a container and levels of a
+# nesting, so echoing a huge value costs little
+_SHORT = reprlib.Repr()
+_SHORT.maxstring = _SHORT.maxother = _SHORT.maxlong = 60
+_SHORT.maxlevel = 3
+_SHORT_MAX = 100
+
+
+def short_repr(value) -> str:
+    """``repr(value)`` for an error message, at most ``_SHORT_MAX`` characters.
+
+    A scalar, a string whose repr fits in 60 characters or a small, shallow
+    container prints as ``repr`` prints it; a longer string, a larger or
+    deeper container, or a long result is cut and marked with ``...``.
+    """
+    shown = _SHORT.repr(value)
+    return shown if len(shown) <= _SHORT_MAX else shown[: _SHORT_MAX - 3] + "..."
 
 
 # The per-event objects are built by hand. A frozen dataclass's generated
@@ -58,9 +77,9 @@ class Transaction:
         ):
             given = dict(zip(_INT_FIELDS, (nonce, price, gas_used, gas_limit, value)))
             name = next(n for n, v in given.items() if type(v) is not int)
-            raise ValueError(f"{name} must be an integer, got {given[name]!r}")
+            raise ValueError(f"{name} must be an integer, got {short_repr(given[name])}")
         if type(sender) is not str:
-            raise ValueError(f"sender must be a string, got {sender!r}")
+            raise ValueError(f"sender must be a string, got {short_repr(sender)}")
         if gas_limit == 0:
             gas_limit = gas_used
         # one chained test on the common path; _range_error names the field

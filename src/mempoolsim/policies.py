@@ -13,7 +13,7 @@ Three policies are provided:
   the lowest fee, and the actual victim is that sender's chain tail, so no
   resident is ever orphaned.
 
-Each policy's ``decide(pool, tx)`` is a pure function of a pool snapshot
+Each policy's ``decide(pool, tx)`` is a pure function of the pool's state
 and a prechecked arrival: it never mutates the pool and returns the
 ``AdmissionOutcome`` that ``Mempool.admit`` applies and returns.
 """

@@ -32,9 +32,8 @@ built from ``_seq_of`` or the chains and kept current by every later
 insert and removal. Each policy reads one order, so a replay maintains
 only the index its policy uses.
 
-Mutations are single-writer; reads on a snapshot (``clone``) are safe to
-share across threads. A first read builds an index from state no reader
-changes, so two racing first reads build equal indexes.
+A pool has one owner, the replay or test that fills it; there is no
+snapshot, and nothing reads a pool while another caller changes it.
 """
 
 from __future__ import annotations
@@ -66,15 +65,6 @@ class SenderChain:
 
     def __len__(self) -> int:
         return len(self.txs)
-
-    def copy(self) -> "SenderChain":
-        other = SenderChain()
-        other.txs = list(self.txs)
-        other.nonces = list(self.nonces)
-        other.cost = self.cost
-        other.fees = dict(self.fees)
-        other.min_fee = self.min_fee
-        return other
 
     def run_end(self, start: int) -> int:
         """First nonce >= ``start`` that the chain does not hold.
@@ -346,21 +336,3 @@ class Mempool:
         else:
             self.declined.append((tx, outcome.reason))
         return outcome
-
-    # ---------------------------------------------------------- snapshot
-
-    def clone(self) -> "Mempool":
-        """Independent copy; only the order indexes that exist are copied."""
-        other = Mempool(self.capacity, self.per_sender_limit)
-        other._chains = {s: chain.copy() for s, chain in self._chains.items()}
-        other._seq_of = dict(self._seq_of)
-        other._next_seq = self._next_seq
-        if self._by_price is not None:
-            other._by_price = self._by_price.copy()
-        if self._by_fee is not None:
-            other._by_fee = self._by_fee.copy()
-        if self._childless is not None:
-            other._childless = self._childless.copy()
-        other.declined = list(self.declined)
-        other._price_sum = self._price_sum
-        return other

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .core import AccountState, Transaction, WorldState
+from .core import AccountState, Transaction, WorldState, short_repr
 
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
@@ -82,16 +82,16 @@ def _event_to_record(event: TraceEvent) -> Dict:
 
 def _record_to_event(record: Dict, line: int) -> TraceEvent:
     if not _ALL_FIELDS.issuperset(record):
-        raise TraceError(f"unknown fields {sorted(set(record) - _ALL_FIELDS)}", line)
+        raise TraceError(f"unknown fields {short_repr(sorted(set(record) - _ALL_FIELDS))}", line)
     if "kind" not in record or "ts_ms" not in record:
         raise TraceError("missing kind or ts_ms", line)
     kind = record["kind"]
     if kind not in KINDS:
-        raise TraceError(f"unknown event kind {kind!r}", line)
+        raise TraceError(f"unknown event kind {short_repr(kind)}", line)
     ts_ms = record["ts_ms"]
     # bool is an int subclass, and JSON numbers such as 1.0 or 1e3 are floats
     if type(ts_ms) is not int:
-        raise TraceError(f"ts_ms must be an integer, got {ts_ms!r}", line)
+        raise TraceError(f"ts_ms must be an integer, got {short_repr(ts_ms)}", line)
     # the record holds known fields only, so its size tells which are present
     if kind != "tx_arrival":
         if len(record) != 2:
@@ -116,7 +116,7 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
     except ValueError as exc:
         raise TraceError(str(exc), line) from exc
     if source not in _SOURCES:
-        raise TraceError(f"source must be one of {_SOURCES}, got {source!r}", line)
+        raise TraceError(f"source must be one of {_SOURCES}, got {short_repr(source)}", line)
     return TraceEvent(kind, ts_ms, tx)
 
 

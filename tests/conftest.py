@@ -50,13 +50,14 @@ def fill_pool(
     world: WorldState,
     txs: List[Transaction],
     policy_kind: str = "cp",
-) -> None:
+) -> Mempool:
     policy = PolicyConfig(kind=policy_kind).build()
     for t in txs:
         if t.sender not in world.accounts:
             world.fund(t.sender, WEI)
         outcome = pool.admit(t, world, policy)
         assert outcome.admitted, f"setup admission failed: {outcome}"
+    return pool
 
 
 def mdf(pool: Mempool) -> int:

@@ -267,7 +267,6 @@ def test_criterion_7_order_insensitivity():
     held = 0
     violations = 0
     while cases < 10_000:
-        base = Mempool(capacity=6)
         txs = []
         sender_idx = 0
         while len(txs) < 6:
@@ -276,17 +275,16 @@ def test_criterion_7_order_insensitivity():
             sender_idx += 1
             for nonce in range(min(chain, 6 - len(txs))):
                 txs.append(tx(sender, nonce, rng.randint(1, 20)))
-        fill_pool(base, world, txs)
-        mdf0 = mdf(base)
+        mdf0 = mdf(fill_pool(Mempool(capacity=6), world, txs))
         for _ in range(25):
             cases += 1
             tx_a = tx("xa", 0, rng.randint(1, 25))
             tx_b = tx("xb", 0, rng.randint(1, 25))
-            ab = base.clone()
+            ab = fill_pool(Mempool(capacity=6), world, txs)
             ab.admit(tx_a, world, policy)
             mdf_a = mdf(ab)
             ab.admit(tx_b, world, policy)
-            ba = base.clone()
+            ba = fill_pool(Mempool(capacity=6), world, txs)
             ba.admit(tx_b, world, policy)
             mdf_b = mdf(ba)
             ba.admit(tx_a, world, policy)

@@ -63,8 +63,7 @@ class TestCandidateOrder:
 @pytest.mark.parametrize("seed", range(3))
 def test_candidate_order_matches_oracle(policy_kind, seed):
     # random pools whose admission order differs from (sender, nonce) order:
-    # evicted (sender, nonce) pairs are sent again and re-admitted, and the
-    # pool is swapped for its clone now and then
+    # evicted (sender, nonce) pairs are sent again and re-admitted
     rng = random.Random(seed)
     world = WorldState(block_gas_limit=3 * 60_000)
     senders = [f"c{i}" for i in range(5)]
@@ -74,16 +73,11 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
     policy = PolicyConfig(kind=policy_kind).build()
     admitted_at = {}  # tx -> admission order, counted here
     evicted = set()  # (sender, nonce) of evicted txs
-    readmitted = clones = 0
+    readmitted = 0
     for step in range(300):
         roll = rng.random()
         if roll < 0.04:
             build_block(pool, world)
-        elif roll < 0.09:
-            clones += 1
-            copy = pool.clone()
-            if rng.random() < 0.5:
-                pool = copy
         else:
             resend = sorted(
                 (s, n) for s, n in evicted if n >= world.nonce_of(s) and pool.get(s, n) is None
@@ -105,7 +99,7 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
             evicted.update((v.sender, v.nonce) for v in outcome.victims)
         expected = oracles.candidate_order(pool.pending(), admitted_at)
         assert list(candidate_order(pool)) == list(expected), step
-    assert readmitted > 0 and clones > 0
+    assert readmitted > 0
 
 
 def _random_admit(rng, pool, world, policy, senders, admitted_at, gases):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mempoolsim import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
+from mempoolsim.core import short_repr
 from mempoolsim.metrics import OutcomeClass
 
 from conftest import tx
@@ -147,6 +148,23 @@ class TestTransaction:
         with pytest.raises(ValueError) as info:
             Transaction(**{"sender": "A", "nonce": 0, "price": 1, **fields})
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "value", [True, None, 1.5, -7, 10**50, "", "x" * 58, [1, "a"], {"a": [1]}, [[[1]]]]
+)
+def test_short_repr_is_repr_for_small_values(value):
+    assert short_repr(value) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["x" * 100_000, [0] * 50_000, {str(i): i for i in range(1000)}, [["y" * 70] * 6] * 6],
+    ids=["string", "list", "dict", "nested"],
+)
+def test_short_repr_cuts_large_values(value):
+    shown = short_repr(value)
+    assert len(shown) <= 100 and "..." in shown
 
 
 class TestAdmissionOutcome:

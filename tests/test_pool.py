@@ -236,9 +236,7 @@ def _rebuild_check(pool: Mempool, world: WorldState):
         assert pool.get(t.sender, t.nonce) is t
         twin = dataclasses.replace(t)  # equal fields, another transaction
         assert twin not in pool
-        # stale comes first: a clone's world may have moved past its txs
-        stale = t.nonce < world.nonce_of(t.sender)
-        assert pool.precheck(twin, world) is (Reason.STALE if stale else Reason.DUPLICATE)
+        assert pool.precheck(twin, world) is Reason.DUPLICATE
     for s in {t.sender for t in pending}:
         gap = world.nonce_of(s)
         while (s, gap) in held:
@@ -297,8 +295,8 @@ def test_index_coherence_under_random_traffic(policy_kind):
     _rebuild_check(pool, world)
 
 
-def _drive_admit_build_clone(policy_kind, seed, capacity):
-    """Random admit / ``build_block`` / ``clone`` steps over a few senders
+def _drive_admit_build(policy_kind, seed, capacity):
+    """Random admit / ``build_block`` steps over a few senders
     that re-send and skip nonces. After every step each index is checked
     against recomputation; after every cp or map admission no resident may
     have turned future, after every map admission the admitted tx is not
@@ -312,16 +310,11 @@ def _drive_admit_build_clone(policy_kind, seed, capacity):
     senders = [f"c{i}" for i in range(6)]
     for s in senders:
         world.fund(s, WEI)
-    spare = None  # the other side of the last clone, which must not change
     turned_future = 0
     for step in range(300):
         roll = rng.random()
         if roll < 0.1:
             build_block(pool, world)
-        elif roll < 0.15:
-            spare = pool.clone()
-            if rng.random() < 0.5:
-                pool, spare = spare, pool
         else:
             sender = rng.choice(senders)
             top = world.nonce_of(sender) + len(pool.chain(sender))
@@ -338,15 +331,13 @@ def _drive_admit_build_clone(policy_kind, seed, capacity):
             if policy_kind == "cp":
                 assert pool.price_sum() >= price_sum, (step, "price sum fell")
         _rebuild_check(pool, world)
-        if spare is not None:
-            _rebuild_check(spare, world)
     return turned_future
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
 @pytest.mark.parametrize("seed", range(3))
-def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
-    _drive_admit_build_clone(policy_kind, seed, capacity=16)
+def test_sender_chains_coherent_under_admit_build(policy_kind, seed):
+    _drive_admit_build(policy_kind, seed, capacity=16)
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
@@ -354,13 +345,13 @@ def test_sender_chains_coherent_under_admit_build_clone(policy_kind, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_sender_chains_coherent_at_small_capacities(policy_kind, capacity, seed):
     # a small pool is full most of the time, so most admissions evict
-    _drive_admit_build_clone(policy_kind, seed, capacity)
+    _drive_admit_build(policy_kind, seed, capacity)
 
 
 def test_baseline_turns_residents_future_in_random_steps():
     # the cp/map check above can fail: under baseline the same random steps
     # evict parents and turn their residents future
-    assert sum(_drive_admit_build_clone("baseline", seed, 8) for seed in range(3)) > 0
+    assert sum(_drive_admit_build("baseline", seed, 8) for seed in range(3)) > 0
 
 
 def test_declined_ledger_append_only_and_replay_stable():
@@ -492,7 +483,7 @@ def _built(pool):
 @pytest.mark.parametrize("seed", range(3))
 def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
     # pool A reads every order from step 0; pool B reads each order first at
-    # its own random later step and is cloned while only some indexes exist
+    # its own random later step, so for a stretch it keeps only some indexes
     rng = random.Random(100 + seed)
     steps = 300
     first_read = {group: rng.randint(1, steps - 1) for group in _INDEX_READERS}
@@ -505,8 +496,7 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
     policy = PolicyConfig(kind=policy_kind).build()
     admitted_at = {}  # tx -> admission order, counted here
     pending = {}  # tx -> tx, the pending set mirrored here in admission order
-    partial_clones = 0
-    spares = spare_expected = None
+    partial = 0  # steps at which pool B had built some order indexes but not all
     for step in range(steps):
         roll = rng.random()
         if roll < 0.1:
@@ -515,14 +505,6 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
             assert built_a == built_b
             for t in built_a:
                 del pending[t]
-        elif roll < 0.17:
-            partial_clones += 0 < sum(_built(pool_b)) < 3
-            clones = pool_a.clone(), pool_b.clone()
-            assert [_built(c) for c in clones] == [_built(pool_a), _built(pool_b)]
-            if rng.random() < 0.5:
-                (pool_a, pool_b), clones = clones, (pool_a, pool_b)
-            # the side of each clone left behind must keep this step's orders
-            spares, spare_expected = clones, None
         else:
             sender = rng.choice(senders)
             top = world_a.nonce_of(sender) + len(pool_a.chain(sender))
@@ -538,19 +520,14 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
                 del pending[victim]
         assert set(pool_a.pending()) == set(pending)
         assert set(pool_b.pending()) == set(pending)
+        partial += 0 < sum(_built(pool_b)) < 3
         expected = _oracle_orders(list(pending.values()), admitted_at)
-        if spares and spare_expected is None:
-            spare_expected = expected
         for group, readers in _INDEX_READERS.items():
             for reader in readers:
                 assert _read(pool_a, reader) == expected[reader], (step, reader)
-                if spares:
-                    assert _read(spares[0], reader) == spare_expected[reader], (step, reader)
                 if step >= first_read[group]:
                     assert _read(pool_b, reader) == expected[reader], (step, reader)
-                    if spares:
-                        assert _read(spares[1], reader) == spare_expected[reader], (step, reader)
-    assert partial_clones > 0
+    assert partial > 0
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])

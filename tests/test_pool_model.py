@@ -1,11 +1,12 @@
-"""Stateful model of the pool: hypothesis drives admissions, block builds,
-clones and mutations of a clone against a linear-scan reference pool.
+"""Stateful model of the pool: hypothesis drives admissions and block
+builds against a linear-scan reference pool.
 
 The reference keeps the pending set as a plain list in admission order and
 answers every question by scanning it: its precheck and its ``decide`` per
 policy share no code with ``Mempool``'s chains and order indexes. After each
 step the machine compares every outcome, the pending set, each sender's
-chain and all three order indexes with the reference, and checks the
+chain and every order index the pool has built with the reference, checks
+that a pool left to its policy builds no other policy's index, and checks the
 policies' invariants: cp's price sum never falls on an admission, neither
 cp nor map turns a resident future, and map never admits a future tx.
 (cp may evict the arrival's own sender's tail; that case is a known open
@@ -23,7 +24,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -63,6 +63,9 @@ ARRIVALS = st.lists(
 # cost here is a multiple of 21,000 wei so is its balance, so a chain can cost
 # exactly that balance; "e" has no account, so every tx it sends is refused
 BALANCES = {"a": WEI, "b": WEI, "c": WEI, "d": 126_000}
+# the pool's lazily built order indexes, and the one each policy reads
+_INDEXES = ("_by_price", "_by_fee", "_childless")
+_POLICY_INDEX = {"baseline": "_by_price", "cp": "_childless", "map": "_by_fee"}
 
 
 class ReferencePool:
@@ -77,13 +80,6 @@ class ReferencePool:
         # decisions whose victim or seed shared its price (fee under map)
         # with another candidate
         self.ties = 0
-
-    def copy(self) -> "ReferencePool":
-        other = ReferencePool(self.capacity, self.per_sender_limit)
-        other.pending = list(self.pending)
-        other.admitted_at = dict(self.admitted_at)
-        other.declined = list(self.declined)
-        return other
 
     def sender_txs(self, sender: str) -> List[Transaction]:
         return sorted((t for t in self.pending if t.sender == sender), key=lambda t: t.nonce)
@@ -148,9 +144,9 @@ class ReferencePool:
 
 
 def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
-    """``pool`` holds what ``ref`` holds, in every view and index; the
-    indexes are read on a clone, so ``pool`` keeps building only the ones
-    its policy reads."""
+    """``pool`` holds what ``ref`` holds, in every view and in each order
+    index it has built; an index not yet built is left unbuilt, so ``pool``
+    keeps only the ones its readers asked for."""
     assert pool.pending() == ref.pending
     assert len(pool) == len(ref.pending) <= pool.capacity
     assert pool.full == (len(ref.pending) >= ref.capacity)
@@ -165,13 +161,15 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
         for t in txs:
             assert pool.get(sender, t.nonce) is t
     seq = ref.admitted_at.__getitem__
-    view = pool.clone()
-    assert pending_by_price(view) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))
-    assert [e[2] for e in view._fee_index()] == sorted(ref.pending, key=lambda t: (t.fee, seq(t)))
-    tails = [ref.sender_txs(s)[-1] for s in SENDERS if ref.sender_txs(s)]
-    assert find_childless(view) == sorted(
-        tails, key=lambda t: (t.price, ref.min_fee_of(t.sender), seq(t))
-    )
+    if pool._by_price is not None:
+        assert pending_by_price(pool) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))
+    if pool._by_fee is not None:
+        assert [e[2] for e in pool._by_fee] == sorted(ref.pending, key=lambda t: (t.fee, seq(t)))
+    if pool._childless is not None:
+        tails = [ref.sender_txs(s)[-1] for s in SENDERS if ref.sender_txs(s)]
+        assert find_childless(pool) == sorted(
+            tails, key=lambda t: (t.price, ref.min_fee_of(t.sender), seq(t))
+        )
 
 
 class PoolModel(RuleBasedStateMachine):
@@ -197,6 +195,7 @@ class PoolModel(RuleBasedStateMachine):
         self.ref_world = self.world.clone()
         self.pool = Mempool(capacity, self.LIMIT)
         self.ref = ReferencePool(capacity, self.LIMIT)
+        self.every_index = every_index
         if every_index:
             # read every order index now, so the pool keeps all three
             # current from the first admission, not only its policy's
@@ -242,32 +241,19 @@ class PoolModel(RuleBasedStateMachine):
             self.ref.pending.remove(t)
         assert self.world.accounts == self.ref_world.accounts
 
-    @rule()
-    def clone(self):
-        self.pool = self.pool.clone()
-
-    @precondition(lambda self: len(self.pool) > 0)
-    @rule(arrivals=ARRIVALS)
-    def mutate_a_clone(self, arrivals):
-        # admit into a clone and build a block from it; the invariant then
-        # finds the original pool as the reference left it
-        copy, ref = self.pool.clone(), self.ref.copy()
-        world, ref_world = self.world.clone(), self.ref_world.clone()
-        for arrival in arrivals:
-            tx = self._arrival(arrival, copy, world)
-            outcome = copy.admit(tx, world, self.policy)
-            assert (outcome.reason, outcome.victims) == ref.admit(self.KIND, tx, ref_world)
-        self.seen["tie"] += ref.ties
-        result = build_block(copy, world)
-        included, _ = oracles.build_block(ref.pending, ref.admitted_at, ref_world)
-        assert result.block.txs == included
-        for t in included:
-            ref.pending.remove(t)
-        _check_equal(copy, ref)
-
     @invariant()
     def matches_reference(self):
         _check_equal(self.pool, self.ref)
+
+    @invariant()
+    def builds_only_what_is_read(self):
+        built = {name for name in _INDEXES if getattr(self.pool, name) is not None}
+        if self.every_index:
+            assert built == set(_INDEXES)
+        else:
+            assert built <= {_POLICY_INDEX[self.KIND]}, built
+        # matches_reference compares these indexes with the reference
+        self.seen["every index" if self.every_index else "policy index"] += bool(built)
 
     def teardown(self):
         if hasattr(self, "ref"):
@@ -298,8 +284,10 @@ MODEL_SETTINGS = settings(max_examples=20, stateful_step_count=30, derandomize=T
 def test_pool_matches_the_reference(kind, declines, limit):
     model = type(f"{kind}Model", (PoolModel,), {"KIND": kind, "LIMIT": limit, "seen": Counter()})
     run_state_machine_as_test(model, settings=MODEL_SETTINGS)
-    # the run reached every reason its policy and limit can give, and ties
-    expected = _EVERY_POLICY_REASONS | declines | {"tie"}
+    # the run reached every reason its policy and limit can give, and ties,
+    # and compared built indexes both with every index kept and with only
+    # the policy's
+    expected = _EVERY_POLICY_REASONS | declines | {"tie", "every index", "policy index"}
     if limit is not None:
         expected.add(Reason.SENDER_LIMIT)
     assert set(model.seen) >= expected, model.seen

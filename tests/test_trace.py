@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from mempoolsim import (
     AttackCostReport,
     ChildlessPricePolicy,
     PolicyConfig,
+    PriceOnlyPolicy,
     Reason,
     ScenarioConfig,
     TraceError,
@@ -164,6 +166,26 @@ class TestTraceFormat:
     def test_non_integer_trigger_timestamp_rejected(self):
         with pytest.raises(TraceError, match="ts_ms"):
             parse_trace_text(json.dumps({"kind": "block_trigger", "ts_ms": False}))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "x" * 100_000}, "unknown event kind 'xxx"),
+            ({"ts_ms": [0] * 50_000}, "ts_ms must be an integer, got [0, 0"),
+            ({"source": "x" * 100_000}, "source must be one of"),
+            ({"nonce": [0] * 50_000}, "nonce must be an integer, got [0, 0"),
+            ({"sender": [0] * 50_000}, "sender must be a string, got [0, 0"),
+            ({"x" * 100_000: 0}, "unknown fields ['xxx"),
+        ],
+        ids=["kind", "ts_ms", "source", "int-field", "sender", "unknown-field"],
+    )
+    def test_huge_bad_value_is_echoed_cut(self, fields, message):
+        record = {**json.loads(dump_events([arrival(tx("A", 0, 5), 1)])), **fields}
+        with pytest.raises(TraceError) as exc:
+            parse_trace_text(json.dumps(record))
+        assert exc.value.line == 1
+        assert str(exc.value).startswith(f"line 1: {message}")
+        assert len(str(exc.value)) < 200
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -622,6 +644,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "invariant violation: replay aborted at event 2: eviction outcome" in err
 
+    def test_non_pending_victim_in_replay_exits_2_with_event_index(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # once the pool is full, baseline names a victim the pool never held;
+        # the snapshot marker puts that arrival at event 3, not arrival 2
+        stranger = tx("Z", 0, 1)
+        decide = PriceOnlyPolicy.decide
+
+        def broken(self, pool, t):
+            if pool.full:
+                return AdmissionOutcome(Reason.EVICTION, t, (stranger,))
+            return decide(self, pool, t)
+
+        monkeypatch.setattr(PriceOnlyPolicy, "decide", broken)
+        trace = tmp_path / "marked.jsonl"
+        write_trace(trace, [
+            arrival(tx("A", 0, 5), 0), snapshot_marker(1),
+            arrival(tx("B", 0, 5), 2), arrival(tx("C", 0, 9), 3),
+        ])
+        assert main(["replay", str(trace), "--policy", "baseline", "--capacity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: replay aborted at event 3: victim <Z:0 @1> not pending" in err
+
     def test_broken_attack_cost_exits_2(self, monkeypatch, capsys):
         # outside a replay a bare PoolError is an invariant violation too
         monkeypatch.setattr(
@@ -648,6 +693,16 @@ class TestCli:
     def test_params_not_an_object_is_usage_error(self, kind, params, capsys):
         assert main(["attack", kind, "--params", params]) == 1
         assert "error: --params must be a JSON object" in capsys.readouterr().err
+
+    def test_params_nested_too_deep_is_usage_error(self, capsys):
+        # a decoder that stops at its recursion limit gives malformed JSON;
+        # one that decodes this deep (Python 3.13's) gives a list, not an object
+        params = "[" * 5000 + "]" * 5000
+        assert main(["attack", "xt6", "--params", params]) == 1
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^error: --params (is malformed JSON: maximum recursion|must be a JSON object)", err
+        ), err
 
     @pytest.mark.parametrize("delay", ["inf", "nan", "-1"])
     def test_delay_not_finite_or_negative_is_usage_error(self, delay, capsys):
