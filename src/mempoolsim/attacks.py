@@ -9,14 +9,13 @@ for the overdraft attack).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .core import PoolError, Transaction
+from .core import PoolError, Transaction, short_repr
 from .trace import TraceEvent, arrival
 
 ATTACK_KINDS = ("xt6", "deter_future", "mempurge_overdraft", "cp_lock", "random_adversary")
@@ -41,72 +40,54 @@ XT6_DESK = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackPlan:
     kind: str
     params: Dict = field(default_factory=dict)
     delay_seconds: float = 0.0
-    # random_adversary's (key, (events, seeds)), so that events() and
-    # account_seeds() share one generation; key = (params JSON, start_ms)
-    _random: Optional[Tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind}")
-        self.start_ms  # rejects a bad delay at construction
-
-    @property
-    def start_ms(self) -> int:
-        # checked on every read: the plan is mutable, and this is the one
-        # place that turns the delay into an integer
         delay = self.delay_seconds
         if not (math.isfinite(delay) and delay >= 0):
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
-        return int(delay * 1000)
+
+    def generate(self) -> Tuple[List[TraceEvent], Dict[str, Tuple[int, int]]]:
+        """The attack's events and the sender -> (balance, confirmed nonce)
+        overrides they need, from one generation."""
+        start_ms = int(self.delay_seconds * 1000)
+        if self.kind == "xt6":
+            return gen_xt6(self.params, start_ms), {}
+        if self.kind == "cp_lock":
+            return gen_cp_lock(self.params, start_ms), {}
+        if self.kind == "deter_future":
+            return _deter_future(self.params, start_ms)
+        if self.kind == "mempurge_overdraft":
+            return _mempurge(self.params, start_ms)
+        return _random_adversary(self.params, start_ms)
 
     def events(self) -> List[TraceEvent]:
-        if self.kind == "xt6":
-            return gen_xt6(self.params, start_ms=self.start_ms)
-        if self.kind == "deter_future":
-            return gen_deter_future(self.params, start_ms=self.start_ms)
-        if self.kind == "mempurge_overdraft":
-            return gen_mempurge(self.params, start_ms=self.start_ms)
-        if self.kind == "cp_lock":
-            return gen_cp_lock(self.params, start_ms=self.start_ms)
-        return list(self._random_trace()[0])
+        return self.generate()[0]
 
     def account_seeds(self) -> Dict[str, Tuple[int, int]]:
-        """sender -> (balance, confirmed nonce) overrides this attack needs."""
-        if self.kind == "deter_future":
-            p = deter_params(self.params)
-            balance = 10 * 21_000 * p["price"]
-            return {f"deter-{i}": (balance, 0) for i in range(p["count"])}
-        if self.kind == "mempurge_overdraft":
-            return {"mempurge-0": (mempurge_params(self.params)["balance"], 0)}
-        if self.kind == "random_adversary":
-            return dict(self._random_trace()[1])
-        return {}
-
-    def _random_trace(self):
-        """The random_adversary (events, seeds), generated once for the
-        current params and delay; callers get copies."""
-        key = (json.dumps(self.params, sort_keys=True), self.start_ms)
-        if self._random is None or self._random[0] != key:
-            self._random = (key, _random_adversary(self.params, self.start_ms))
-        return self._random[1]
+        return self.generate()[1]
 
 
 def _merge_params(defaults: Dict, params: Optional[Dict], what: str) -> Dict:
     """``defaults`` updated by ``params``: each key must be known, and a value
     whose default is an int, or None for an optional int, must be an exact int."""
     if params is not None and not isinstance(params, dict):
-        raise ValueError(f"{what} parameters must be a JSON object, got {params!r}")
+        raise ValueError(f"{what} parameters must be a JSON object, got {short_repr(params)}")
     for key, value in (params or {}).items():
         if key not in defaults:
-            raise ValueError(f"unknown {what} parameter {key!r}; known: {', '.join(defaults)}")
+            known = ", ".join(defaults)
+            raise ValueError(f"unknown {what} parameter {short_repr(key)}; known: {known}")
         wants_int = type(defaults[key]) is int or (defaults[key] is None and value is not None)
         if wants_int and type(value) is not int:
-            raise ValueError(f"{what} parameter {key!r} must be an integer, got {value!r}")
+            raise ValueError(
+                f"{what} parameter {short_repr(key)} must be an integer, got {short_repr(value)}"
+            )
     return {**defaults, **(params or {})}
 
 
@@ -162,43 +143,45 @@ def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent
     return events
 
 
-def deter_params(params: Optional[Dict] = None) -> Dict:
+def _deter_future(params: Optional[Dict], start_ms: int):
     p = _merge_params({"count": 10, "price": 100}, params, "deter_future")
     if p["count"] < 0:
         raise ValueError("count must be non-negative")
-    return p
+    events = [
+        arrival(_adv(f"deter-{i}", 2, p["price"]), ts_ms=start_ms + i)
+        for i in range(p["count"])
+    ]
+    balance = 10 * 21_000 * p["price"]
+    return events, {f"deter-{i}": (balance, 0) for i in range(p["count"])}
 
 
 def gen_deter_future(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
     """Unchargeable future txs: each sender leaves a nonce gap of two."""
-    p = deter_params(params)
-    return [
-        arrival(_adv(f"deter-{i}", 2, p["price"]), ts_ms=start_ms + i)
-        for i in range(p["count"])
-    ]
+    return _deter_future(params, start_ms)[0]
 
 
-def mempurge_params(params: Optional[Dict] = None) -> Dict:
+def _mempurge(params: Optional[Dict], start_ms: int):
     defaults = {"chain_len": 3, "price": 100, "balance": None}
     p = _merge_params(defaults, params, "mempurge_overdraft")
     if p["chain_len"] < 2:
         raise ValueError("chain_len must be >= 2")
-    if p["balance"] is None:
+    balance = p["balance"]
+    if balance is None:
         # balance covers all but half of the last tx's reservation
         per_tx_cost = 21_000 * p["price"]
-        p["balance"] = per_tx_cost * p["chain_len"] - per_tx_cost // 2
-    return p
+        balance = per_tx_cost * p["chain_len"] - per_tx_cost // 2
+    events = [
+        arrival(_adv("mempurge-0", nonce, p["price"]), ts_ms=start_ms + nonce)
+        for nonce in range(p["chain_len"])
+    ]
+    return events, {"mempurge-0": (balance, 0)}
 
 
 def gen_mempurge(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
     """One chain whose txs are individually affordable but jointly overdraft
     the seeded balance; the chain tail must be declined by a precheck that
     accounts cumulative (latent) costs."""
-    p = mempurge_params(params)
-    return [
-        arrival(_adv("mempurge-0", nonce, p["price"]), ts_ms=start_ms + nonce)
-        for nonce in range(p["chain_len"])
-    ]
+    return _mempurge(params, start_ms)[0]
 
 
 def gen_cp_lock(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:

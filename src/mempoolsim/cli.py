@@ -5,7 +5,7 @@ Subcommands:
   attack  - generate an attack trace (optionally replay it immediately)
   bench   - run a performance workload for N rounds, emit CSV
   bounds  - eviction-bound estimates for the end-of-trace pool snapshot
-  gamma   - locking-bound statistics over trace snapshots
+  gamma   - locking-bound statistics for the end-of-trace pool
 
 Exit codes: 0 success, 1 usage or I/O error (argparse errors included),
 2 invariant violation.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from .attacks import ATTACK_KINDS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
@@ -36,17 +37,17 @@ DESK_CAPACITY = 192
 FULL_CAPACITY = 5120
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, json_report: bool = True) -> None:
     parser.add_argument("--policy", choices=POLICIES, default="cp")
     parser.add_argument("--capacity", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--full", action="store_true", help="full-scale profile (capacity 5120)")
     parser.add_argument("--drain-mode", choices=("end_only", "interleaved"), default="end_only")
     parser.add_argument("--per-sender-limit", type=int, default=None)
-    parser.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
+    if json_report:  # bench writes CSV only
+        parser.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
 
 
-def _scenario(args) -> ScenarioConfig:
+def _scenario(args, **fields) -> ScenarioConfig:
     capacity = args.capacity
     if capacity is None:
         capacity = FULL_CAPACITY if args.full else DESK_CAPACITY
@@ -54,6 +55,7 @@ def _scenario(args) -> ScenarioConfig:
         policy=PolicyConfig(kind=args.policy, per_sender_limit=args.per_sender_limit),
         capacity=capacity,
         drain_mode=args.drain_mode,
+        **fields,
     )
 
 
@@ -93,14 +95,12 @@ def cmd_attack(args) -> int:
     if args.kind == "random_adversary":
         params.setdefault("seed", args.seed)
     plan = AttackPlan(kind=args.kind, params=params, delay_seconds=args.delay)
-    events = plan.events()
+    events, seeds = plan.generate()
     if args.out:
         write_trace(args.out, events)
         print(f"wrote {len(events)} events to {args.out}")
     if args.run or not args.out:
-        config = _scenario(args)
-        config.account_seeds = plan.account_seeds()
-        report = replay(config, events)
+        report = replay(_scenario(args, account_seeds=seeds), events)
         cost = attack_cost(report.included_txs(), report.final_pending)
         payload = report.summary()
         payload["fees_charged"] = cost.fees_charged
@@ -115,7 +115,7 @@ def cmd_bench(args) -> int:
         events = workload_batch_insert(args.n0)
     else:
         events = workload_tn1(args.n1, args.n1_prime, capacity=config.capacity)
-        config.account_seeds = tn1_account_overrides(events)
+        config = replace(config, account_seeds=tn1_account_overrides(events))
     result = bench(config, events, rounds=args.rounds, workload=args.workload)
     print(result.CSV_HEADER)
     print(result.csv_row())
@@ -127,8 +127,7 @@ def cmd_bench(args) -> int:
 
 def cmd_bounds(args) -> int:
     events = parse_trace(args.trace)
-    config = _scenario(args)
-    config.final_drain = False
+    config = _scenario(args, final_drain=False)
     report = replay(config, events)
     pending = report.final_pending
     world = WorldState(block_gas_limit=config.block_gas_limit)
@@ -149,10 +148,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    events = parse_trace(args.trace)
-    config = _scenario(args)
-    config.final_drain = False
-    report = replay(config, events)
+    report = replay(_scenario(args, final_drain=False), parse_trace(args.trace))
     pending = report.final_pending
     if not pending:
         print("empty end-of-trace pool; nothing to report", file=sys.stderr)
@@ -194,6 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delay", type=float, default=0.0, help="block-to-attack delay (seconds)")
     p.add_argument("--out", default=None, help="write the generated trace here")
     p.add_argument("--run", action="store_true", help="replay the trace after generating")
+    p.add_argument("--seed", type=int, default=0, help="random_adversary seed if --params has none")
     _add_common(p)
     p.set_defaults(fn=cmd_attack)
 
@@ -204,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=100, help="tn1 pending transactions")
     p.add_argument("--n1-prime", type=int, default=10, help="tn1 account count")
     p.add_argument("--csv", default=None)
-    _add_common(p)
+    _add_common(p, json_report=False)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("bounds", help="eviction-bound estimates for a trace")
@@ -212,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("gamma", help="locking-bound statistics for a trace")
+    p = sub.add_parser("gamma", help="locking-bound statistics for the end-of-trace pool")
     p.add_argument("trace")
     _add_common(p)
     p.set_defaults(fn=cmd_gamma)

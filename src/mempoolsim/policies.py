@@ -27,7 +27,7 @@ from .core import AdmissionOutcome, Reason, Transaction
 from .pool import Mempool
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyConfig:
     kind: str = "cp"  # a key of POLICIES
     per_sender_limit: Optional[int] = None

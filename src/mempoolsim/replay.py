@@ -42,7 +42,7 @@ class ReplayAbort(Exception):
         super().__init__(f"replay aborted at event {index}: {cause}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     capacity: int = 5120

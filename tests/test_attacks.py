@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -210,9 +211,10 @@ class TestAttackPlan:
         with pytest.raises(ValueError):
             AttackPlan(kind="dust_storm")
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            AttackPlan(kind="xt6", delay_seconds=-1)
+    @pytest.mark.parametrize("delay", [-1, float("inf"), float("nan")])
+    def test_negative_delay_rejected(self, delay):
+        with pytest.raises(ValueError, match="delay must be finite and non-negative"):
+            AttackPlan(kind="xt6", delay_seconds=delay)
 
     def test_delay_shifts_timestamps(self):
         plan = AttackPlan(kind="deter_future", params={"count": 3}, delay_seconds=2.5)
@@ -221,17 +223,13 @@ class TestAttackPlan:
     @pytest.mark.parametrize("kind", ["deter_future", "random_adversary"])
     @pytest.mark.parametrize("delay", [float("inf"), float("nan"), -0.5])
     def test_delay_reassigned_after_construction_rejected(self, kind, delay):
-        # the plan is mutable: a bad delay set later fails the same check
+        # the plan is a value: its delay is checked once, at construction
         plan = AttackPlan(kind=kind)
-        plan.delay_seconds = delay
-        reads = [plan.events, lambda: plan.start_ms]
-        if kind == "random_adversary":  # its seeds come from the same generation
-            reads.append(plan.account_seeds)
-        for read in reads:
-            with pytest.raises(ValueError, match="delay must be finite and non-negative"):
-                read()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.delay_seconds = delay
+        assert plan.delay_seconds == 0.0
 
-    def test_random_adversary_generated_once_per_params(self, monkeypatch):
+    def test_generate_calls_the_generator_once(self, monkeypatch):
         calls = []
         generate = attacks._random_adversary
 
@@ -240,21 +238,35 @@ class TestAttackPlan:
             return generate(params, start_ms)
 
         monkeypatch.setattr(attacks, "_random_adversary", counted)
-        plan = AttackPlan(kind="random_adversary", params={"steps": 50, "seed": 3})
-        events, seeds = plan.events(), plan.account_seeds()
-        assert len(calls) == 1
-        # callers get copies, so mutating one leaves the next call intact
-        events.clear()
-        seeds.clear()
-        assert len(plan.events()) == 50 and plan.account_seeds()
-        assert len(calls) == 1
-        # a change of params or delay regenerates
-        plan.params["seed"] = 4
-        plan.events()
-        plan.delay_seconds = 1.0
-        assert plan.account_seeds() and plan.events()[0].ts_ms == 1_000
-        assert calls[1:] == [({"steps": 50, "seed": 4}, 0), ({"steps": 50, "seed": 4}, 1_000)]
-        assert dump_events(plan.events()) == dump_events(generate(plan.params, 1_000)[0])
+        events, seeds = AttackPlan("random_adversary", {"steps": 50, "seed": 3}).generate()
+        assert calls == [({"steps": 50, "seed": 3}, 0)]
+        assert len(events) == 50 and seeds
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("xt6", XT6_DESK),
+            ("deter_future", {"count": 3}),
+            ("mempurge_overdraft", {}),
+            ("cp_lock", {"chain_len": 8}),
+            ("random_adversary", {"steps": 50, "seed": 3}),
+        ],
+    )
+    def test_events_and_seeds_are_the_parts_of_generate(self, kind, params):
+        plan = AttackPlan(kind, params)
+        events, seeds = plan.generate()
+        assert dump_events(plan.events()) == dump_events(events)
+        assert plan.account_seeds() == seeds
+
+    @pytest.mark.parametrize(
+        "params, delay", [({"steps": 50, "seed": 3}, 1.0), ({"steps": 50, "seed": 4}, 0.0)]
+    )
+    def test_other_params_or_delay_give_their_generators_trace(self, params, delay):
+        plan = AttackPlan("random_adversary", params, delay)
+        events, seeds = attacks._random_adversary(params, int(delay * 1000))
+        assert dump_events(plan.events()) == dump_events(events)
+        assert plan.account_seeds() == seeds
+        assert plan.events()[0].ts_ms == int(delay * 1000)
 
     def test_random_adversary_trace_and_seeds_pinned(self):
         # digest recorded from the generator before events() and

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -28,7 +29,7 @@ from mempoolsim import (
     world_for_trace,
     write_trace,
 )
-from mempoolsim import cli, trace
+from mempoolsim import attacks, cli, trace
 from mempoolsim.cli import main
 from mempoolsim.trace import tn1_account_overrides
 
@@ -524,6 +525,18 @@ class TestReplayHarness:
         with pytest.raises(ValueError):
             ScenarioConfig(drain_mode="lazy")
 
+    @pytest.mark.parametrize(
+        "config",
+        [ScenarioConfig(drain_mode="interleaved"), PolicyConfig()],
+        ids=["scenario", "policy"],
+    )
+    def test_config_fields_cannot_be_reassigned(self, config):
+        # checked once at construction: a later typo such as "interleavd"
+        # cannot slip past the drain-mode check
+        for f in dataclasses.fields(config):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, f.name, "interleavd")
+
     def test_bench_single_round(self):
         report = bench(ScenarioConfig(capacity=64), workload_batch_insert(50), rounds=1)
         assert report.rounds == 1 and report.stdev_s == 0.0
@@ -588,12 +601,14 @@ class TestCli:
             (["replay", "t.jsonl", "--policy", "lru"], 1),
             (["attack", "nope"], 1),
             (["replay", "t.jsonl", "--capacity", "abc"], 1),
+            (["replay", "t.jsonl", "--seed", "99"], 1),
+            (["bench", "batch_insert", "--json", "b.json"], 1),
             (["--help"], 0),
             (["replay", "--help"], 0),
         ],
         ids=[
             "missing-trace", "unknown-policy", "unknown-attack", "non-integer-capacity",
-            "help", "subcommand-help",
+            "seed-off-attack", "json-on-bench", "help", "subcommand-help",
         ],
     )
     def test_argparse_exit_codes(self, argv, code, capsys):
@@ -734,6 +749,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"steps": "x" * 100_000}, "random_adversary parameter 'steps' must be an integer"),
+            ({"x" * 100_000: 1}, "unknown random_adversary parameter 'xxx"),
+        ],
+    )
+    def test_huge_bad_param_is_named_in_a_short_error(self, params, message, capsys):
+        assert main(["attack", "random_adversary", "--params", json.dumps(params)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and len(err) < 200
+
+    def test_attack_run_generates_once(self, monkeypatch, capsys):
+        calls = []
+        generate = attacks._random_adversary
+
+        def counted(params, start_ms):
+            calls.append((dict(params), start_ms))
+            return generate(params, start_ms)
+
+        monkeypatch.setattr(attacks, "_random_adversary", counted)
+        argv = ["attack", "random_adversary", "--params", '{"steps": 60}', "--seed", "2"]
+        assert main(argv + ["--run", "--capacity", "16"]) == 0
+        assert calls == [({"steps": 60, "seed": 2}, 0)]
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["events"] == 60
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
