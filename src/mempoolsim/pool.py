@@ -17,20 +17,37 @@ The pool always keeps these views of the pending set:
   what the future test reads; ``get(sender, nonce)`` and the duplicate
   test bisect it
 
-and these order indexes, each a ``SortedList`` of tuples that end in
+and these order indexes, each a ``heapq`` min-heap of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
 go oldest first and a comparison never reaches ``tx``):
 
-* ``_by_price`` / ``_by_fee`` - all pending txs as ``(key, seq, tx)``, by
-  price or fee
+* ``_by_price`` / ``_by_fee`` - pending txs as ``(key, seq, tx)``, by price
+  or fee
 * ``_childless`` - each sender's maximal-nonce tx as ``(price, sender's
-  chain-minimum fee, seq, tx)`` (``_tail_key``), so the first entry is
-  chain-safe eviction's victim
+  chain-minimum fee, seq, tx)`` (``_tail_key``), so the first live entry
+  is chain-safe eviction's victim
+
+The heaps delete lazily. An insert pushes the tx's entries, and a change
+of a sender's tail key (its tail or its chain-minimum fee moved) pushes
+the new key; a removal takes nothing out. So a heap also holds stale
+entries: a ``_by_price``/``_by_fee`` entry is live while
+``_seq_of.get(tx) == seq``, and a ``_childless`` entry while it equals its
+sender's current ``_tail_key``. ``min_price_tx``, ``min_fee_tx`` and
+``min_price_childless`` pop stale tops until the top is live. A tail key
+that returns to an earlier value (a child evicted, then re-sent) is pushed
+again, so a live key may sit in ``_childless`` twice; equal entries hold
+the same tx, so the minimum is the same.
 
 An order index does not exist until something first reads it; it is then
 built from ``_seq_of`` or the chains and kept current by every later
-insert and removal. Each policy reads one order, so a replay maintains
-only the index its policy uses.
+insert. Once an insert or a removal leaves a heap with more than twice as
+many entries as the pool holds txs, the heap is built again the same way,
+which drops every stale entry and every duplicate. A rebuild costs
+O(pool) and leaves at most one entry per pending tx, so the next one needs
+at least half as many pushes or removals as the pool then held: each costs
+amortised O(log pool).
+Each policy reads one order, so a replay maintains only the index its
+policy uses.
 
 A pool has one owner, the replay or test that fills it; there is no
 snapshot, and nothing reads a pool while another caller changes it.
@@ -39,9 +56,8 @@ snapshot, and nothing reads a pool while another caller changes it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
-
-from sortedcontainers import SortedList
 
 from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState
 
@@ -139,10 +155,10 @@ class Mempool:
         self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[Transaction, int] = {}
         self._next_seq = 0
-        # order indexes of (..., seq, tx), each built on its first read
-        self._by_price: Optional[SortedList] = None
-        self._by_fee: Optional[SortedList] = None
-        self._childless: Optional[SortedList] = None
+        # order heaps of (..., seq, tx), each built on its first read
+        self._by_price: Optional[List[Tuple]] = None
+        self._by_fee: Optional[List[Tuple]] = None
+        self._childless: Optional[List[Tuple]] = None
         self.declined: List[Tuple[Transaction, Reason]] = []
         self._price_sum = 0
 
@@ -178,15 +194,15 @@ class Mempool:
     def price_sum(self) -> int:
         return self._price_sum
 
-    def _price_index(self) -> SortedList:
-        if self._by_price is None:
-            self._by_price = SortedList((t.price, seq, t) for t, seq in self._seq_of.items())
-        return self._by_price
+    def _build_by_price(self) -> List[Tuple]:
+        heap = self._by_price = [(t.price, seq, t) for t, seq in self._seq_of.items()]
+        heapify(heap)
+        return heap
 
-    def _fee_index(self) -> SortedList:
-        if self._by_fee is None:
-            self._by_fee = SortedList((t.fee, seq, t) for t, seq in self._seq_of.items())
-        return self._by_fee
+    def _build_by_fee(self) -> List[Tuple]:
+        heap = self._by_fee = [(t.fee, seq, t) for t, seq in self._seq_of.items()]
+        heapify(heap)
+        return heap
 
     def _tail_key(self, chain: SenderChain) -> Tuple:
         """``chain``'s entry in ``_childless``: its tail, keyed by price, then
@@ -194,27 +210,48 @@ class Mempool:
         tail = chain.txs[-1]
         return (tail.price, chain.min_fee, self._seq_of[tail], tail)
 
-    def _childless_index(self) -> SortedList:
-        if self._childless is None:
-            self._childless = SortedList(map(self._tail_key, self._chains.values()))
-        return self._childless
+    def _build_childless(self) -> List[Tuple]:
+        heap = self._childless = list(map(self._tail_key, self._chains.values()))
+        heapify(heap)
+        return heap
+
+    def _first_live(self, heap: List[Tuple]) -> Optional[Transaction]:
+        """The tx of ``heap``'s first live ``(key, seq, tx)`` entry, popping
+        the stale entries above it."""
+        seq_of = self._seq_of
+        while heap:
+            _, seq, tx = heap[0]
+            if seq_of.get(tx) == seq:
+                return tx
+            heappop(heap)
+        return None
 
     def min_price_tx(self) -> Optional[Transaction]:
         """Globally cheapest pending tx, oldest first among equal prices."""
-        index = self._price_index()
-        return index[0][2] if index else None
+        heap = self._by_price
+        return self._first_live(self._build_by_price() if heap is None else heap)
 
     def min_fee_tx(self) -> Optional[Transaction]:
         """Pending tx with minimal fee, oldest first among equal fees."""
-        index = self._fee_index()
-        return index[0][2] if index else None
+        heap = self._by_fee
+        return self._first_live(self._build_by_fee() if heap is None else heap)
 
     def min_price_childless(self) -> Optional[Transaction]:
-        """Cheapest childless tx: the first ``_childless`` entry, so among
-        equal prices the tx whose sender holds the smaller chain-minimum fee,
-        then the oldest."""
-        index = self._childless_index()
-        return index[0][3] if index else None
+        """Cheapest childless tx: the first live ``_childless`` entry, so
+        among equal prices the tx whose sender holds the smaller
+        chain-minimum fee, then the oldest."""
+        heap = self._childless
+        if heap is None:
+            heap = self._build_childless()
+        seq_of, chains = self._seq_of, self._chains
+        while heap:
+            _, min_fee, seq, tx = heap[0]
+            if seq_of.get(tx) == seq:
+                chain = chains[tx.sender]
+                if chain.txs[-1] is tx and chain.min_fee == min_fee:
+                    return tx
+            heappop(heap)
+        return None
 
     # ------------------------------------------------------------- checks
 
@@ -251,50 +288,62 @@ class Mempool:
     def _insert(self, tx: Transaction) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
-        self._seq_of[tx] = seq
+        seq_of = self._seq_of
+        seq_of[tx] = seq
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
         childless = self._childless
         old = self._tail_key(chain) if childless is not None and chain.txs else None
         chain.insert(tx)
+        # a heap past this many entries is rebuilt without its stale ones
+        limit = 2 * len(seq_of)
         if childless is not None:
             # the tail or the chain's minimum fee may have moved
             new = self._tail_key(chain)
             if new != old:
-                if old is not None:
-                    childless.remove(old)
-                childless.add(new)
+                heappush(childless, new)
+                if len(childless) > limit:
+                    self._build_childless()
         price = tx.price
-        if self._by_price is not None:
-            self._by_price.add((price, seq, tx))
-        if self._by_fee is not None:
-            self._by_fee.add((tx.fee, seq, tx))
+        heap = self._by_price
+        if heap is not None:
+            heappush(heap, (price, seq, tx))
+            if len(heap) > limit:
+                self._build_by_price()
+        heap = self._by_fee
+        if heap is not None:
+            heappush(heap, (tx.fee, seq, tx))
+            if len(heap) > limit:
+                self._build_by_fee()
         self._price_sum += price
 
     def _remove(self, tx: Transaction) -> None:
-        seq = self._seq_of.get(tx)
-        if seq is None:
+        """Take ``tx`` out of ``_seq_of`` and its chain; its heap entries go
+        stale where they are."""
+        seq_of = self._seq_of
+        if tx not in seq_of:
             raise PoolError(f"{tx!r} not pending")
         chain = self._chains[tx.sender]
         childless = self._childless
         old = self._tail_key(chain) if childless is not None else None
         chain.remove(tx)
-        del self._seq_of[tx]
-        if childless is not None:
-            new = self._tail_key(chain) if chain.txs else None
-            if new != old:
-                childless.remove(old)
-                if new is not None:
-                    childless.add(new)
+        del seq_of[tx]
         if not chain.txs:
             del self._chains[tx.sender]
-        price = tx.price
-        if self._by_price is not None:
-            self._by_price.remove((price, seq, tx))
-        if self._by_fee is not None:
-            self._by_fee.remove((tx.fee, seq, tx))
-        self._price_sum -= price
+        limit = 2 * len(seq_of)
+        if childless is not None:
+            if chain.txs:
+                new = self._tail_key(chain)
+                if new != old:
+                    heappush(childless, new)
+            if len(childless) > limit:
+                self._build_childless()
+        if self._by_price is not None and len(self._by_price) > limit:
+            self._build_by_price()
+        if self._by_fee is not None and len(self._by_fee) > limit:
+            self._build_by_fee()
+        self._price_sum -= tx.price
 
     def apply_admission(self, tx: Transaction, victims: Sequence[Transaction]) -> None:
         """Remove ``victims`` (recorded as evicted), then insert ``tx``."""
@@ -311,6 +360,24 @@ class Mempool:
     def remove_included(self, tx: Transaction) -> None:
         """Drop a tx that was included in a block (not an eviction)."""
         self._remove(tx)
+
+    def pop_all(self) -> List[Transaction]:
+        """Empty the pool and return what was pending, in admission order.
+
+        Like removing each tx as included, it records nothing as declined.
+        An order index that was built stays built, empty.
+        """
+        pending = list(self._seq_of)
+        self._seq_of = {}
+        self._chains = {}
+        self._price_sum = 0
+        if self._by_price is not None:
+            self._by_price = []
+        if self._by_fee is not None:
+            self._by_fee = []
+        if self._childless is not None:
+            self._childless = []
+        return pending
 
     def decline(self, tx: Transaction, reason: Reason) -> None:
         self.declined.append((tx, reason))

@@ -2,7 +2,10 @@
 
 Each predicate is a linear scan over plain transaction lists or a read-only
 view, and shares no code with the pool's per-sender chains or order indexes.
-Two test-only readers list a pool's order indexes in full, and
+Three test-only readers list a pool's order heaps in full, live entries
+only, sorted and each once. ``drain`` is the block-at-a-time drain, one
+library ``build_block`` per block (itself checked against this module's
+``build_block``), that the library's one-ranking drain must match, and
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
 """
@@ -12,7 +15,16 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from mempoolsim import Mempool, TraceError, TraceEvent, Transaction, WorldState
+from mempoolsim import (
+    Block,
+    Mempool,
+    Reason,
+    TraceError,
+    TraceEvent,
+    Transaction,
+    WorldState,
+)
+from mempoolsim import builder
 from mempoolsim.metrics import OutcomeFlags
 from mempoolsim.trace import _record_to_event
 
@@ -132,15 +144,61 @@ def build_block(
     return included, skipped
 
 
+def _live_entries(heap: List[Tuple], live: Callable[[Tuple], bool]) -> List[Transaction]:
+    """The txs of ``heap``'s live entries, each entry once, in key order."""
+    return [entry[-1] for entry in sorted({entry for entry in heap if live(entry)})]
+
+
+def drain(
+    pool: Mempool,
+    world: WorldState,
+    gas_fn: Optional[Callable[[Transaction, Sequence[Transaction]], int]] = None,
+) -> List[Block]:
+    """Drain block by block: ``build_block`` on what is left until a block
+    comes out empty, then each leftover, in admission order, removed and
+    declined as unbuildable."""
+    blocks: List[Block] = []
+    while len(pool) > 0:
+        result = builder.build_block(pool, world, gas_fn)
+        if not result.block.txs:
+            for tx in pool.pending():
+                pool.remove_included(tx)
+                pool.decline(tx, Reason.UNBUILDABLE)
+            break
+        blocks.append(result.block)
+    return blocks
+
+
 def pending_by_price(pool: Mempool) -> List[Transaction]:
-    """The pool's price index read in full: pending txs by (price, seq)."""
-    return [entry[2] for entry in pool._price_index()]
+    """The pool's price heap read in full: pending txs by (price, seq)."""
+    heap = pool._build_by_price() if pool._by_price is None else pool._by_price
+    return _live_entries(heap, lambda e: pool._seq_of.get(e[2]) == e[1])
+
+
+def pending_by_fee(pool: Mempool) -> List[Transaction]:
+    """The pool's fee heap read in full: pending txs by (fee, seq)."""
+    heap = pool._build_by_fee() if pool._by_fee is None else pool._by_fee
+    return _live_entries(heap, lambda e: pool._seq_of.get(e[2]) == e[1])
 
 
 def find_childless(pool: Mempool) -> List[Transaction]:
-    """The pool's childless index read in full: each sender's maximal-nonce
-    pending tx, by (price, sender's chain-minimum fee, seq)."""
-    return [entry[-1] for entry in pool._childless_index()]
+    """The pool's childless heap read in full: each sender's maximal-nonce
+    pending tx, by (price, sender's chain-minimum fee, seq). An entry is
+    live while it names its sender's tail, the chain's current minimum fee
+    and the tail's admission seq."""
+
+    def live(entry: Tuple) -> bool:
+        _, min_fee, seq, tail = entry
+        chain = pool.chain(tail.sender)
+        return (
+            bool(chain.txs)
+            and chain.txs[-1] is tail
+            and chain.min_fee == min_fee
+            and pool._seq_of.get(tail) == seq
+        )
+
+    heap = pool._build_childless() if pool._childless is None else pool._childless
+    return _live_entries(heap, live)
 
 
 def parse_trace_lines(text: str) -> List[TraceEvent]:

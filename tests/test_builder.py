@@ -1,4 +1,6 @@
+import gc
 import random
+import time
 
 import pytest
 
@@ -297,3 +299,124 @@ class TestDrain:
         blocks = drain(pool, world)
         assert blocks == [] and sum(b.revenue for b in blocks) == 0
         assert pool.declined[-1] == (t, Reason.UNBUILDABLE)
+
+
+# just over half a block, so a block of these holds one
+HALF_BLOCK_PLUS = GAS_LIMIT_30M // 2 + 1
+
+
+def _one_per_block(n):
+    """n one-tx senders whose txs take one block each (cp)."""
+    txs = [tx(f"s{i}", 0, 1 + i % 7, gas=HALF_BLOCK_PLUS) for i in range(n)]
+    return txs, n, "cp"
+
+
+def _orphans(k):
+    """k senders with nonce 0 at price 1 and nonce 1 at 1000, then k
+    one-block txs at 500 that evict every nonce 0 (baseline): the k orphans
+    rank first in every drain block and none can ever be built."""
+    pairs = [tx(f"o{i}", n, (1, 1000)[n]) for i in range(k) for n in (0, 1)]
+    big = [tx(f"b{i}", 0, 500, gas=HALF_BLOCK_PLUS) for i in range(k)]
+    return pairs + big, 2 * k, "baseline"
+
+
+def _promotion(_):
+    """A buildable prefix (p:0, p:1) priced below everything else, with a
+    gap tx (p:3) above it all: p:3 places p:0 and p:1 first."""
+    txs = [tx("p", 0, 5), tx("p", 1, 6), tx("p", 2, 1), tx("p", 3, 900)]
+    txs += [tx(f"f{i}", 0, 10 + i) for i in range(6)]
+    # the pool is full: this evicts p:2, the cheapest, and leaves the gap
+    txs.append(tx("x", 0, 50))
+    return txs, 10, "baseline"
+
+
+def _filled(make, n, block_gas_limit=GAS_LIMIT_30M):
+    txs, capacity, kind = make(n)
+    pool = Mempool(capacity=capacity)
+    world = WorldState(block_gas_limit=block_gas_limit)
+    fill_pool(pool, world, txs, kind)
+    return pool, world
+
+
+def _assert_drains_alike(pool, world, gas_fn=None):
+    """``drain`` and the block-at-a-time oracle drain the same pool alike:
+    the same blocks, declined ledger and world; both end empty."""
+    txs = pool.pending()
+    twin = Mempool(capacity=pool.capacity)
+    twin_world = world.clone()
+    # the same tx objects, admitted in the same order, give the same seqs
+    for t in txs:
+        twin.apply_admission(t, [])
+    twin.declined = list(pool.declined)
+    blocks = drain(pool, world, gas_fn)
+    expected = oracles.drain(twin, twin_world, gas_fn)
+    assert [b.txs for b in blocks] == [b.txs for b in expected]
+    assert pool.declined == twin.declined
+    assert world.accounts == twin_world.accounts
+    assert len(pool) == len(twin) == 0 and pool.price_sum() == 0
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "make, n, limit",
+    [
+        (_one_per_block, 40, GAS_LIMIT_30M),
+        (_orphans, 20, GAS_LIMIT_30M),
+        (_promotion, 0, 3 * 21_000),
+    ],
+    ids=["one_per_block", "orphans", "promotion"],
+)
+def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
+    pool, world = _filled(make, n, limit)
+    blocks = _assert_drains_alike(pool, world)
+    if make is _promotion:
+        # the gap tx p:3 ranks first, so its prefix leads the first block
+        assert [(t.sender, t.nonce) for t in blocks[0].txs][:2] == [("p", 0), ("p", 1)]
+        assert [(t.sender, t.nonce) for t, _ in pool.declined[-1:]] == [("p", 3)]
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("with_gas_fn", [False, True])
+def test_drain_matches_block_at_a_time_drain(policy_kind, seed, with_gas_fn):
+    # random pools with gaps (baseline evicts parents), mixed gas and
+    # limits from below one minimum tx to room for a few dozen
+    def gas_fn(t, preceding):
+        return t.gas_used // 2 + 1_000 * min(len(preceding), 20)
+
+    rng = random.Random(40 + seed)
+    world = WorldState()
+    senders = [f"d{i}" for i in range(8)]
+    for s in senders:
+        world.fund(s, WEI)
+    pool = Mempool(capacity=40)
+    policy = PolicyConfig(kind=policy_kind).build()
+    for _ in range(400):
+        if rng.random() < 0.05:
+            build_block(pool, world)
+        else:
+            _random_admit(rng, pool, world, policy, senders, {}, (21_000, 50_000, 200_000))
+    world.block_gas_limit = rng.choice((MIN_TX_GAS - 1, 150_000, 400_000, 900_000))
+    _assert_drains_alike(pool, world, gas_fn if with_gas_fn else None)
+
+
+def _drain_seconds(make, n):
+    pool, world = _filled(make, n)
+    gc.disable()  # as timeit does: a collection's cost is the whole process's
+    try:
+        start = time.perf_counter()
+        drain(pool, world)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("make, n", [(_one_per_block, 2_560), (_orphans, 1_280)])
+def test_hostile_drain_scales_near_linearly(make, n):
+    # a drain that re-ranks or walks the whole pool for every block grows as
+    # pool x blocks, 4x per doubling; a near-linear one about 2x. Each round
+    # times both sizes back to back, so a slow spell of the host slows both,
+    # and the median round is compared
+    ratios = sorted(_drain_seconds(make, 2 * n) / _drain_seconds(make, n) for _ in range(7))
+    ratio = ratios[len(ratios) // 2]
+    assert ratio <= 2.5, f"{make.__name__}: median {ratio:.2f}x of {ratios}"

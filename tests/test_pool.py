@@ -121,6 +121,21 @@ class TestChildless:
         # minimum fee, so C's tail is the victim despite arriving later
         assert pool.min_price_childless().sender == "C"
 
+    def test_equal_price_reads_the_current_chain_min_fee(self):
+        # C's cheap parent leaves, so C's chain minimum fee rises past B's:
+        # C's heap entry with the old minimum fee is stale, and B's tail is
+        # now the victim
+        pool = Mempool(capacity=8)
+        parent = tx("C", 0, 1, gas=21_000)
+        fill_pool(
+            pool,
+            rich_world("B", "C"),
+            [parent, tx("C", 1, 3, gas=90_000), tx("B", 0, 3, gas=60_000)],
+        )
+        assert pool.min_price_childless().sender == "C"
+        pool.remove_included(parent)
+        assert pool.min_price_childless().sender == "B"
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_childless_matches_oracle(self, data):
@@ -567,3 +582,63 @@ def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
         "map": [False, True, False],
     }
     assert _built(pool) == expected[policy_kind]
+
+
+@pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
+@pytest.mark.parametrize("seed", range(3))
+def test_heaps_stay_bounded_and_serve_live_minimums(policy_kind, seed):
+    # arrivals, evictions, builds and a tail that leaves and is sent again,
+    # so a sender's tail key goes A -> B -> A and a live A is pushed twice;
+    # after every step each heap holds at most 2 entries per pending tx, and
+    # each min_* equals a scan of pending()
+    rng = random.Random(300 + seed)
+    world = WorldState(block_gas_limit=4 * 60_000)
+    senders = [f"k{i}" for i in range(6)]
+    for s in senders:
+        world.fund(s, WEI)
+    pool = Mempool(capacity=8)
+    pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
+    policy = PolicyConfig(kind=policy_kind).build()
+    admitted_at = {}  # tx -> admission order, counted here
+    gone = []  # tails that left, to send again
+    resent = 0
+    for step in range(500):
+        roll = rng.random()
+        if roll < 0.05:
+            build_block(pool, world)
+        elif roll < 0.3 and len(pool):
+            tail = pool.chain(rng.choice(pool.pending()).sender).txs[-1]
+            pool.remove_included(tail)
+            gone.append(tail)
+        else:
+            sendable = [t for t in gone if pool.chain(t.sender).nonces[-1:] == [t.nonce - 1]]
+            again = bool(sendable) and roll < 0.7
+            if again:
+                t = rng.choice(sendable)
+                gone.remove(t)
+            else:
+                sender = rng.choice(senders)
+                top = world.nonce_of(sender) + len(pool.chain(sender))
+                nonce = rng.randint(world.nonce_of(sender), top + 1)
+                t = tx(sender, nonce, rng.randint(1, 40), gas=rng.choice((21_000, 60_000)))
+            outcome = pool.admit(t, world, policy)
+            if outcome.admitted:
+                admitted_at[t] = len(admitted_at)
+                resent += again
+        for heap in (pool._by_price, pool._by_fee, pool._childless):
+            assert len(heap) <= 2 * len(pool), step
+        if rng.random() < 0.7:
+            # a read pops stale tops; read only now and then, so stale
+            # entries pile up in between
+            continue
+        pending = pool.pending()
+        seq = admitted_at.__getitem__
+        tails = oracle_childless(pending)
+        min_fee_of = {t.sender: min(u.fee for u in pending if u.sender == t.sender) for t in tails}
+        expected = (
+            min(pending, key=lambda t: (t.price, seq(t)), default=None),
+            min(pending, key=lambda t: (t.fee, seq(t)), default=None),
+            min(tails, key=lambda t: (t.price, min_fee_of[t.sender], seq(t)), default=None),
+        )
+        assert (pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()) == expected
+    assert resent > 10

@@ -40,7 +40,14 @@ from mempoolsim import (
 
 import oracles
 from conftest import WEI
-from oracles import ListPendingView, cumulative_cost, find_childless, is_future, pending_by_price
+from oracles import (
+    ListPendingView,
+    cumulative_cost,
+    find_childless,
+    is_future,
+    pending_by_fee,
+    pending_by_price,
+)
 
 SENDERS = ("a", "b", "c", "d", "e")
 # An arrival is (sender, nonce offset, price, gas). The offset is taken
@@ -164,7 +171,7 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
     if pool._by_price is not None:
         assert pending_by_price(pool) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))
     if pool._by_fee is not None:
-        assert [e[2] for e in pool._by_fee] == sorted(ref.pending, key=lambda t: (t.fee, seq(t)))
+        assert pending_by_fee(pool) == sorted(ref.pending, key=lambda t: (t.fee, seq(t)))
     if pool._childless is not None:
         tails = [ref.sender_txs(s)[-1] for s in SENDERS if ref.sender_txs(s)]
         assert find_childless(pool) == sorted(
