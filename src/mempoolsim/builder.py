@@ -12,17 +12,15 @@ would be a gas-overflow skip, and skips change neither the block nor the
 pool. This is the rule geth's miner applies to the same price-and-nonce
 order.
 
-``gas_fn`` lets a scenario supply context-dependent gas consumption (gas as
-a function of which transactions already precede in the block); the default
-is the transaction's static ``gas_used``. A ``gas_fn`` may return less than
-``MIN_TX_GAS``, so with one the builder walks the whole order.
+There is one ranking, ``candidate_order``. ``build_block`` walks it for one
+block; ``drain`` takes it once and walks what is left of it block by block
+(see its docstring), without calling ``build_block``.
 
-``drain`` builds the blocks that calling ``build_block`` until a block comes
-out empty would build, without its per-block cost: it ranks the pool once,
-leaves out the senders that can never be built, counts the taken prefix of
-each chain instead of removing txs, stops each block once the lightest
-buildable tx left no longer fits, and empties the pool in one call at the
-end. It does not call ``build_block`` or ``candidate_order``.
+``gas_fn`` lets a scenario supply context-dependent gas consumption to
+``build_block`` (gas as a function of which transactions already precede in
+the block); the default is the transaction's static ``gas_used``. A
+``gas_fn`` may return less than ``MIN_TX_GAS``, so with one the builder
+walks the whole order. ``drain`` always uses static gas.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .core import MIN_TX_GAS, Block, Reason, Transaction, WorldState
 from .pool import Mempool
@@ -122,7 +120,7 @@ def build_block(
     return BuildResult(block=block, skipped=skipped)
 
 
-def drain(pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None) -> List[Block]:
+def drain(pool: Mempool, world: WorldState) -> List[Block]:
     """Build blocks until the pool is empty or no further tx is buildable.
 
     Leftovers (permanent nonce gaps, per-block gas overflows that can never
@@ -130,95 +128,61 @@ def drain(pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None) -> L
     order, and earn no fees; the pool ends empty.
 
     The blocks are the ones ``build_block`` builds when called until a
-    block comes out empty, but the pool is ranked once and left as it is
-    until one ``pop_all`` at the end. No tx arrives during a drain, and
-    each block takes a prefix of each sender's chain, so the candidate
-    order of what remains is the first ranking without the taken txs;
-    ``taken`` counts, per sender, how long a prefix is in blocks.
+    block comes out empty, but ``candidate_order`` is taken once and the
+    pool is left as it is until one ``pop_all`` at the end. No tx arrives
+    during a drain, and each block takes a prefix of each sender's chain,
+    so the candidate order of what remains is the first order without the
+    taken txs: a tx is placed at the rank of the first of its sender's txs
+    at or above its nonce, and that tx remains.
 
-    * Only a sender whose chain starts at its confirmed nonce can ever be
-      built, and only up to its first nonce gap (``run_end``). Every other
-      sender is left out of the ranking.
-    * A ranked tx places its sender's chain up to itself (the promotion
-      rule of ``candidate_order``), so a tx above a gap places the whole
-      buildable prefix at its own rank, and it stays in the ranking. Each
-      entry is reduced to ``(sender, end)``, the prefix it places; an entry
-      whose prefix an earlier one of its sender already places is dropped,
-      as it could never place anything.
-    * ``start`` moves past the leading entries whose prefix is all taken,
-      so no later block walks them.
+    * Only a sender's buildable run is kept: ``c <= tx.nonce <
+      chain.run_end(c)``, where ``c`` is its confirmed nonce. Every other
+      tx would be a nonce-gap skip in every block.
+    * ``start`` moves past the leading taken txs, so no later block walks
+      them.
     * A tx that overflows the block makes its sender's later txs nonce-gap
       skips for the rest of that block.
-    * With static gas a block stops once the smallest ``gas_used`` among
-      the buildable txs not yet taken no longer fits in the gas left; they
-      are sorted by gas once, and ``lightest`` moves past the taken ones.
-      Every later candidate would be a skip, so the stop is exact. With a
-      ``gas_fn`` the whole ranking is walked.
+    * A block stops once the lightest ``gas_used`` among the buildable txs
+      not yet taken no longer fits in the gas left; they are sorted by gas
+      once, and ``lightest`` moves past the taken ones. Every later
+      candidate would be a skip, so the stop is exact.
     """
     limit = world.block_gas_limit
-    pending = pool.pending()
-    # per buildable sender, by a dense id: its chain's txs and how many of
-    # them are taken
-    txs_of: List[List[Transaction]] = []
-    taken: List[int] = []
-    # a buildable sender's tx -> (sender id, end of the prefix it places)
-    places: Dict[Transaction, Tuple[int, int]] = {}
-    by_gas: List[Tuple[int, int, int]] = []  # (gas_used, sender id, chain index)
-    for sender in dict.fromkeys(tx.sender for tx in pending):
-        chain = pool.chain(sender)
-        nonce = world.nonce_of(sender)
-        if chain.nonces[0] != nonce:
-            continue
-        buildable = chain.run_end(nonce) - nonce
-        sid = len(txs_of)
-        txs_of.append(chain.txs)
-        taken.append(0)
-        for i, tx in enumerate(chain.txs):
-            places[tx] = (sid, i + 1 if i < buildable else buildable)
-            if i < buildable:
-                by_gas.append((tx.gas_used, sid, i))
-    by_gas.sort()
-    ranked: List[Tuple[int, int]] = []
-    covered = [0] * len(txs_of)
-    for tx in sorted((t for t in pending if t in places), key=attrgetter("price"), reverse=True):
-        sid, end = entry = places[tx]
-        if end > covered[sid]:
-            covered[sid] = end
-            ranked.append(entry)
+    runs: Dict[str, Tuple[int, int]] = {}  # sender -> its buildable nonces [c, end)
+    order: List[Transaction] = []
+    for tx in candidate_order(pool):
+        run = runs.get(tx.sender)
+        if run is None:
+            confirmed = world.nonce_of(tx.sender)
+            run = runs[tx.sender] = (confirmed, pool.chain(tx.sender).run_end(confirmed))
+        if run[0] <= tx.nonce < run[1]:
+            order.append(tx)
+    by_gas = sorted(order, key=attrgetter("gas_used"))
 
-    static = gas_fn is None
+    taken: Set[Transaction] = set()
     blocks: List[Block] = []
     start = lightest = 0
     while True:
-        while start < len(ranked) and taken[ranked[start][0]] >= ranked[start][1]:
+        while start < len(order) and order[start] in taken:
             start += 1
         block = Block()
         included = block.txs
         gas_total = 0
-        # per sender walked in this block, where its next placed tx starts;
-        # past the chain's end once a tx of it overflowed
-        placed: Dict[int, int] = {}
-        for k in range(start, len(ranked)):
-            sid, end = ranked[k]
-            begin = placed.get(sid, taken[sid])
-            if end <= begin:
+        overflowed: Set[str] = set()
+        for k in range(start, len(order)):
+            tx = order[k]
+            if tx in taken or tx.sender in overflowed:
                 continue
-            placed[sid] = end
-            txs = txs_of[sid]
-            for i in range(begin, end):
-                tx = txs[i]
-                gas = tx.gas_used if static else gas_fn(tx, included)
-                if gas_total + gas > limit:
-                    placed[sid] = len(txs)
-                    break
-                gas_total += gas
-                included.append(tx)
-                taken[sid] = i + 1
-            if static and taken[sid] > begin:
-                while lightest < len(by_gas) and by_gas[lightest][2] < taken[by_gas[lightest][1]]:
-                    lightest += 1
-                if lightest == len(by_gas) or gas_total + by_gas[lightest][0] > limit:
-                    break
+            if gas_total + tx.gas_used > limit:
+                overflowed.add(tx.sender)
+                continue
+            gas_total += tx.gas_used
+            included.append(tx)
+            taken.add(tx)
+            while lightest < len(by_gas) and by_gas[lightest] in taken:
+                lightest += 1
+            if lightest == len(by_gas) or gas_total + by_gas[lightest].gas_used > limit:
+                break
         if not included:
             break
         blocks.append(block)
@@ -226,8 +190,7 @@ def drain(pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None) -> L
             acct = world.account(tx.sender)
             acct.nonce = tx.nonce + 1
             acct.balance -= tx.fee + tx.value
-    built = {tx for block in blocks for tx in block.txs}
     for tx in pool.pop_all():
-        if tx not in built:
+        if tx not in taken:
             pool.decline(tx, Reason.UNBUILDABLE)
     return blocks

@@ -9,7 +9,7 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
@@ -218,23 +218,24 @@ class AdmissionOutcome:
     ``Mempool.admit`` applies, returns and a replay reports.
 
     ``reason`` alone fixes the outcome's ``kind``: ``POOL_NOT_FULL`` admits
-    into a free slot, ``EVICTION`` admits by evicting ``victims`` (at least
-    one), and every other reason declines. Only an eviction names victims."""
+    into a free slot, ``EVICTION`` admits by evicting ``victim``, and every
+    other reason declines. Only an eviction names a victim, and it names
+    exactly one: every policy evicts at most one tx."""
 
     reason: Reason
     tx: Transaction
-    victims: Tuple[Transaction, ...] = ()
+    victim: Optional[Transaction] = None
 
     def __init__(
-        self, reason: Reason, tx: Transaction, victims: Tuple[Transaction, ...] = ()
+        self, reason: Reason, tx: Transaction, victim: Optional[Transaction] = None
     ) -> None:
-        if (reason is Reason.EVICTION) != bool(victims):
-            if victims:
-                raise PoolError(f"{reason.value} outcome cannot name victims")
-            raise PoolError("eviction outcome needs at least one victim")
+        if (reason is Reason.EVICTION) != (victim is not None):
+            if victim is not None:
+                raise PoolError(f"{reason.value} outcome cannot name a victim")
+            raise PoolError("eviction outcome needs a victim")
         _set_reason(self, reason)
         _set_tx(self, tx)
-        _set_victims(self, victims)
+        _set_victim(self, victim)
 
     @property
     def kind(self) -> OutcomeKind:
@@ -244,10 +245,16 @@ class AdmissionOutcome:
     def admitted(self) -> bool:
         return self.reason is Reason.POOL_NOT_FULL or self.reason is Reason.EVICTION
 
+    @property
+    def victims(self) -> Tuple[Transaction, ...]:
+        """``()`` or ``(victim,)``: a read-only view for callers that count
+        victims."""
+        return () if self.victim is None else (self.victim,)
+
 
 _set_reason = AdmissionOutcome.reason.__set__
 _set_tx = AdmissionOutcome.tx.__set__
-_set_victims = AdmissionOutcome.victims.__set__
+_set_victim = AdmissionOutcome.victim.__set__
 
 
 @dataclass

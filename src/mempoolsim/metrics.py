@@ -132,9 +132,7 @@ def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
         return OutcomeClass.O4
     if outcome.reason is not Reason.EVICTION:
         return OutcomeClass.O1
-    if len(outcome.victims) != 1:
-        return OutcomeClass.OTHER
-    victim = outcome.victims[0]
+    victim = outcome.victim
     if outcome.tx.fee > victim.fee:
         return OutcomeClass.O2
     if outcome.tx.fee < victim.fee:

@@ -47,7 +47,7 @@ class PriceOnlyPolicy:
             return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
         victim = pool.min_price_tx()
         if tx.price > victim.price:
-            return AdmissionOutcome(Reason.EVICTION, tx, (victim,))
+            return AdmissionOutcome(Reason.EVICTION, tx, victim)
         return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
 
 
@@ -61,7 +61,7 @@ class ChildlessPricePolicy:
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
             return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
-        return AdmissionOutcome(Reason.EVICTION, tx, (victim,))
+        return AdmissionOutcome(Reason.EVICTION, tx, victim)
 
 
 class MinFeeChainTailPolicy:
@@ -77,7 +77,7 @@ class MinFeeChainTailPolicy:
         if seed.sender == tx.sender:
             # evicting the arrival's own chain tail would orphan the arrival
             return AdmissionOutcome(Reason.SELF_EVICTION, tx)
-        return AdmissionOutcome(Reason.EVICTION, tx, (pool.chain(seed.sender).txs[-1],))
+        return AdmissionOutcome(Reason.EVICTION, tx, pool.chain(seed.sender).txs[-1])
 
 
 # policy kind -> policy class, in the order the CLI lists them

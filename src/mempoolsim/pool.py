@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState
 
@@ -345,14 +345,14 @@ class Mempool:
             self._build_by_fee()
         self._price_sum -= tx.price
 
-    def apply_admission(self, tx: Transaction, victims: Sequence[Transaction]) -> None:
-        """Remove ``victims`` (recorded as evicted), then insert ``tx``."""
-        for victim in victims:
-            if victim not in self:
-                raise PoolError(f"victim {victim!r} not pending")
-        if len(self._seq_of) - len(victims) + 1 > self.capacity:
+    def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
+        """Remove ``victim``, if any (recorded as evicted), then insert ``tx``."""
+        seq_of = self._seq_of
+        if victim is not None and victim not in seq_of:
+            raise PoolError(f"victim {victim!r} not pending")
+        if len(seq_of) - (victim is not None) >= self.capacity:
             raise PoolError("admission would exceed capacity")
-        for victim in victims:
+        if victim is not None:
             self._remove(victim)
             self.declined.append((victim, Reason.EVICTION))
         self._insert(tx)
@@ -399,7 +399,7 @@ class Mempool:
             return AdmissionOutcome(reason, tx)
         outcome = policy.decide(self, tx)
         if outcome.admitted:
-            self.apply_admission(tx, outcome.victims)
+            self.apply_admission(tx, outcome.victim)
         else:
             self.declined.append((tx, outcome.reason))
         return outcome

@@ -153,7 +153,8 @@ class RunReport:
             head = heads.get(o.reason)
             if head is None:
                 head = heads[o.reason] = f"[{enc(o.kind.value)},{labels[o.reason]},"
-            outcomes.append(f"{head}{tx_json(o.tx)},[{','.join(map(tx_json, o.victims))}]]")
+            victim = "" if o.victim is None else tx_json(o.victim)
+            outcomes.append(f"{head}{tx_json(o.tx)},[{victim}]]")
         blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
         declined = ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in self.declined)
         compact = (",", ":")
@@ -169,30 +170,28 @@ class RunReport:
 
 
 def _admission_flags(
-    pool: Mempool, world: WorldState, tx: Transaction, victims: Sequence[Transaction]
+    pool: Mempool, world: WorldState, tx: Transaction, victim: Optional[Transaction]
 ) -> OutcomeFlags:
-    """Flags of an admission that inserted ``tx`` and evicted ``victims``,
-    read off the pool after it; ``NO_FLAGS`` when no resident changed status.
+    """Flags of an admission that inserted ``tx`` and evicted ``victim``, if
+    any, read off the pool after it; ``NO_FLAGS`` when no resident changed
+    status.
 
     ``tx`` passed ``precheck``, so its nonce was its sender's first missing
     nonce: one above would be future, one inside the chain a duplicate, one
     below stale. Only ``tx`` joined, so a resident turned pending iff the
     sender's run from its confirmed nonce now reaches past ``tx.nonce + 1``.
-    A resident turned future iff a victim was inside its sender's run (the
+    A resident turned future iff the victim was inside its sender's run (the
     run now ends at the victim) and its next nonce is a resident; a victim
-    above ``tx.nonce`` of ``tx``'s own sender was future already. This
-    holds as long as no two victims share a sender: every policy evicts at
-    most one tx.
+    above ``tx.nonce`` of ``tx``'s own sender was future already.
     """
     sender = tx.sender
     ftp = pool.chain(sender).run_end(world.nonce_of(sender)) > tx.nonce + 1
     ptf = False
-    for v in victims:
-        if v.sender == sender and v.nonce > tx.nonce:
-            continue
-        if pool.chain(v.sender).run_end(world.nonce_of(v.sender)) == v.nonce:
-            child = pool.get(v.sender, v.nonce + 1)
-            ptf |= child is not None and child is not tx
+    if victim is not None and not (victim.sender == sender and victim.nonce > tx.nonce):
+        v_sender = victim.sender
+        if pool.chain(v_sender).run_end(world.nonce_of(v_sender)) == victim.nonce:
+            child = pool.get(v_sender, victim.nonce + 1)
+            ptf = child is not None and child is not tx
     if ftp or ptf:
         return OutcomeFlags(ftp, ptf)
     return NO_FLAGS
@@ -223,10 +222,11 @@ def replay(
                 tx = event.tx
                 outcome = admit(tx, world, policy)
                 if outcome.admitted:
-                    flags = _admission_flags(pool, world, tx, outcome.victims)
+                    victim = outcome.victim
+                    flags = _admission_flags(pool, world, tx, victim)
                     if flags is not NO_FLAGS:
                         report.flags.append((index, flags))
-                    evicted = sum(v.fee for v in outcome.victims)
+                    evicted = 0 if victim is None else victim.fee
                     record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
                 else:
                     # every declining reason is O1, and the pool did not

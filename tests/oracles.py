@@ -149,17 +149,13 @@ def _live_entries(heap: List[Tuple], live: Callable[[Tuple], bool]) -> List[Tran
     return [entry[-1] for entry in sorted({entry for entry in heap if live(entry)})]
 
 
-def drain(
-    pool: Mempool,
-    world: WorldState,
-    gas_fn: Optional[Callable[[Transaction, Sequence[Transaction]], int]] = None,
-) -> List[Block]:
+def drain(pool: Mempool, world: WorldState) -> List[Block]:
     """Drain block by block: ``build_block`` on what is left until a block
     comes out empty, then each leftover, in admission order, removed and
     declined as unbuildable."""
     blocks: List[Block] = []
     while len(pool) > 0:
-        result = builder.build_block(pool, world, gas_fn)
+        result = builder.build_block(pool, world)
         if not result.block.txs:
             for tx in pool.pending():
                 pool.remove_included(tx)

@@ -91,7 +91,7 @@ class TestDeterFuture:
         plan = AttackPlan(kind="deter_future", params={"count": 10})
         pool = Mempool(capacity=192)
         for event in plan.events():
-            pool.apply_admission(event.tx, [])
+            pool.apply_admission(event.tx, None)
         assert len(pool) == 10
 
     def test_count_zero_is_empty(self):
@@ -144,7 +144,7 @@ class TestCpLock:
         pool, world, policy = self._locked_pool()
         outcome = pool.admit(tx("probe", 0, 10_001), world, policy)
         assert outcome.admitted
-        assert outcome.victims[0].price == 10_000
+        assert outcome.victim.price == 10_000
 
     def test_baseline_is_not_locked(self):
         events = gen_cp_lock({"chain_len": 64})
@@ -156,7 +156,7 @@ class TestCpLock:
             pool.admit(event.tx, world, cp)
         baseline = PolicyConfig(kind="baseline").build()
         outcome = pool.admit(tx("probe", 0, 2), world, baseline)
-        assert outcome.admitted and outcome.victims[0].price == 1
+        assert outcome.admitted and outcome.victim.price == 1
 
     def test_padding_fills_capacity(self):
         events = gen_cp_lock({"chain_len": 32, "capacity": 48})

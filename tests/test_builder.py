@@ -98,7 +98,8 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
             if outcome.admitted:
                 admitted_at[t] = len(admitted_at)
                 readmitted += (sender, nonce) in evicted
-            evicted.update((v.sender, v.nonce) for v in outcome.victims)
+            if outcome.victim is not None:
+                evicted.add((outcome.victim.sender, outcome.victim.nonce))
         expected = oracles.candidate_order(pool.pending(), admitted_at)
         assert list(candidate_order(pool)) == list(expected), step
     assert readmitted > 0
@@ -330,6 +331,12 @@ def _promotion(_):
     return txs, 10, "baseline"
 
 
+def _stale_head(_):
+    """A:0..3, whose confirmed nonce the test moves to 2 after admission:
+    A:2 and A:3 can be built, A:0 and A:1 never."""
+    return [tx("A", nonce, 5) for nonce in range(4)], 4, "cp"
+
+
 def _filled(make, n, block_gas_limit=GAS_LIMIT_30M):
     txs, capacity, kind = make(n)
     pool = Mempool(capacity=capacity)
@@ -338,7 +345,7 @@ def _filled(make, n, block_gas_limit=GAS_LIMIT_30M):
     return pool, world
 
 
-def _assert_drains_alike(pool, world, gas_fn=None):
+def _assert_drains_alike(pool, world):
     """``drain`` and the block-at-a-time oracle drain the same pool alike:
     the same blocks, declined ledger and world; both end empty."""
     txs = pool.pending()
@@ -346,10 +353,10 @@ def _assert_drains_alike(pool, world, gas_fn=None):
     twin_world = world.clone()
     # the same tx objects, admitted in the same order, give the same seqs
     for t in txs:
-        twin.apply_admission(t, [])
+        twin.apply_admission(t, None)
     twin.declined = list(pool.declined)
-    blocks = drain(pool, world, gas_fn)
-    expected = oracles.drain(twin, twin_world, gas_fn)
+    blocks = drain(pool, world)
+    expected = oracles.drain(twin, twin_world)
     assert [b.txs for b in blocks] == [b.txs for b in expected]
     assert pool.declined == twin.declined
     assert world.accounts == twin_world.accounts
@@ -363,12 +370,20 @@ def _assert_drains_alike(pool, world, gas_fn=None):
         (_one_per_block, 40, GAS_LIMIT_30M),
         (_orphans, 20, GAS_LIMIT_30M),
         (_promotion, 0, 3 * 21_000),
+        (_stale_head, 0, GAS_LIMIT_30M),
     ],
-    ids=["one_per_block", "orphans", "promotion"],
+    ids=["one_per_block", "orphans", "promotion", "stale_head"],
 )
 def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
     pool, world = _filled(make, n, limit)
+    if make is _stale_head:
+        world.account("A").nonce = 2
     blocks = _assert_drains_alike(pool, world)
+    if make is _stale_head:
+        assert [[(t.sender, t.nonce) for t in b.txs] for b in blocks] == [[("A", 2), ("A", 3)]]
+        assert [(t.nonce, r) for t, r in pool.declined] == [
+            (0, Reason.UNBUILDABLE), (1, Reason.UNBUILDABLE)
+        ]
     if make is _promotion:
         # the gap tx p:3 ranks first, so its prefix leads the first block
         assert [(t.sender, t.nonce) for t in blocks[0].txs][:2] == [("p", 0), ("p", 1)]
@@ -376,14 +391,11 @@ def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
-@pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("with_gas_fn", [False, True])
-def test_drain_matches_block_at_a_time_drain(policy_kind, seed, with_gas_fn):
-    # random pools with gaps (baseline evicts parents), mixed gas and
-    # limits from below one minimum tx to room for a few dozen
-    def gas_fn(t, preceding):
-        return t.gas_used // 2 + 1_000 * min(len(preceding), 20)
-
+@pytest.mark.parametrize("seed", range(8))
+def test_drain_matches_block_at_a_time_drain(policy_kind, seed):
+    # random pools with gaps (baseline evicts parents), mixed gas, limits
+    # from below one minimum tx to room for a few dozen, and now and then a
+    # confirmed nonce moved into a sender's chain, so its head is stale
     rng = random.Random(40 + seed)
     world = WorldState()
     senders = [f"d{i}" for i in range(8)]
@@ -397,7 +409,11 @@ def test_drain_matches_block_at_a_time_drain(policy_kind, seed, with_gas_fn):
         else:
             _random_admit(rng, pool, world, policy, senders, {}, (21_000, 50_000, 200_000))
     world.block_gas_limit = rng.choice((MIN_TX_GAS - 1, 150_000, 400_000, 900_000))
-    _assert_drains_alike(pool, world, gas_fn if with_gas_fn else None)
+    for s in senders:
+        chain = pool.chain(s)
+        if len(chain) > 1 and rng.random() < 0.3:
+            world.account(s).nonce = rng.choice(chain.nonces[1:])
+    _assert_drains_alike(pool, world)
 
 
 def _drain_seconds(make, n):

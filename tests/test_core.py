@@ -170,20 +170,28 @@ def test_short_repr_cuts_large_values(value):
 class TestAdmissionOutcome:
     def test_frozen_slotted_and_checked_on_every_construction(self):
         a, b = Transaction("A", 0, 5), Transaction("B", 0, 1)
-        eviction = AdmissionOutcome(Reason.EVICTION, a, (b,))
-        assert (eviction.reason, eviction.tx, eviction.victims) == (Reason.EVICTION, a, (b,))
-        assert AdmissionOutcome(Reason.STALE, a).victims == ()
-        for name in ("reason", "tx", "victims"):
+        eviction = AdmissionOutcome(Reason.EVICTION, a, b)
+        assert (eviction.reason, eviction.tx, eviction.victim) == (Reason.EVICTION, a, b)
+        assert AdmissionOutcome(Reason.STALE, a).victim is None
+        for name in ("reason", "tx", "victim"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(eviction, name, None)
         assert not hasattr(eviction, "__dict__")
-        with pytest.raises(PoolError, match="^eviction outcome needs at least one victim$"):
-            dataclasses.replace(eviction, victims=())
-        with pytest.raises(PoolError, match="^pool-not-full outcome cannot name victims$"):
+        with pytest.raises(PoolError, match="^eviction outcome needs a victim$"):
+            dataclasses.replace(eviction, victim=None)
+        with pytest.raises(PoolError, match="^pool-not-full outcome cannot name a victim$"):
             dataclasses.replace(eviction, reason=Reason.POOL_NOT_FULL)
         assert dataclasses.replace(eviction) == eviction
         names = [f.name for f in dataclasses.fields(AdmissionOutcome)]
-        assert names == ["reason", "tx", "victims"]
+        assert names == ["reason", "tx", "victim"]
+
+    def test_victims_view_holds_the_one_victim_or_nothing(self):
+        # perfbench's traced counters read len(outcome.victims) and
+        # bool(decision.victims), so the view stays while they do
+        a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
+        assert AdmissionOutcome(Reason.PRICE_TOO_LOW, a).victims == ()
+        assert AdmissionOutcome(Reason.POOL_NOT_FULL, a).victims == ()
+        assert AdmissionOutcome(Reason.EVICTION, a, v).victims == (v,)
 
 
 _ENUM_MEMBERS = {

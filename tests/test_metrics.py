@@ -123,11 +123,11 @@ class TestNearestRankPercentile:
             nearest_rank_percentile([], 95)
 
 
-def _outcome(kind, t, victims=()):
-    reason = Reason.EVICTION if victims else (
+def _outcome(kind, t, victim=None):
+    reason = Reason.EVICTION if victim is not None else (
         Reason.PRICE_TOO_LOW if kind is OutcomeKind.DECLINED else Reason.POOL_NOT_FULL
     )
-    return AdmissionOutcome(reason, t, tuple(victims))
+    return AdmissionOutcome(reason, t, victim)
 
 
 class TestClassifyOutcome:
@@ -140,21 +140,21 @@ class TestClassifyOutcome:
         assert classify_outcome(out) is OutcomeClass.O4
 
     def test_evicting_lower_fee_is_o2(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 9), [tx("B", 0, 5)])
+        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 9), tx("B", 0, 5))
         assert classify_outcome(out) is OutcomeClass.O2
 
     def test_evicting_higher_fee_is_o3(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), [tx("B", 0, 9)])
+        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), tx("B", 0, 9))
         assert classify_outcome(out) is OutcomeClass.O3
 
     def test_equal_fee_eviction_is_other(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), [tx("B", 0, 5)])
+        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), tx("B", 0, 5))
         assert classify_outcome(out) is OutcomeClass.OTHER
 
     def test_partition_is_total(self):
         for kind in OutcomeKind:
-            victims = [tx("B", 0, 3)] if kind is OutcomeKind.ADMITTED_EVICTING else ()
-            assert classify_outcome(_outcome(kind, tx("A", 0, 5), victims)) in OutcomeClass
+            victim = tx("B", 0, 3) if kind is OutcomeKind.ADMITTED_EVICTING else None
+            assert classify_outcome(_outcome(kind, tx("A", 0, 5), victim)) in OutcomeClass
 
 
 class TestTransitionFlags:

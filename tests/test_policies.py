@@ -27,7 +27,7 @@ class TestBaseline:
         fill_pool(pool, world, [tx("A", 0, 5), tx("B", 0, 9)])
         decision = _policy("baseline").decide(pool, tx("C", 0, 6))
         assert decision.admitted
-        assert [v.sender for v in decision.victims] == ["A"]
+        assert decision.victim.sender == "A"
 
     def test_equal_price_declined(self):
         pool = Mempool(capacity=1)
@@ -39,7 +39,7 @@ class TestBaseline:
         pool = Mempool(capacity=2)
         fill_pool(pool, rich_world("A"), [tx("A", 0, 5)])
         decision = _policy("baseline").decide(pool, tx("B", 0, 1))
-        assert decision.admitted and decision.victims == ()
+        assert decision.admitted and decision.victim is None
 
     def test_can_orphan_children(self):
         # evicting a parent leaves its child future: the intentional flaw
@@ -66,7 +66,7 @@ class TestChildlessPrice:
         cp = _policy("cp").decide(build(), probe)
         assert not cp.admitted and cp.reason is Reason.PRICE_TOO_LOW
         base = _policy("baseline").decide(build(), probe)
-        assert base.admitted and base.victims[0].price == 1
+        assert base.admitted and base.victim.price == 1
 
     def test_admits_above_childless_min(self):
         pool = Mempool(capacity=2)
@@ -74,12 +74,11 @@ class TestChildlessPrice:
         fill_pool(pool, world, [tx("A", 0, 1), tx("A", 1, 3)])
         decision = _policy("cp").decide(pool, tx("B", 0, 4))
         assert decision.admitted
-        assert len(decision.victims) == 1
-        assert decision.victims[0] == pool.get("A", 1)
+        assert decision.victim is pool.get("A", 1)
 
     def test_empty_pool_admits(self):
         decision = _policy("cp").decide(Mempool(capacity=4), tx("A", 0, 1))
-        assert decision.admitted and decision.victims == ()
+        assert decision.admitted and decision.victim is None
 
     def test_single_childless_victim_fuzz(self):
         rng = random.Random(11)
@@ -90,8 +89,7 @@ class TestChildlessPrice:
             decision = _policy("cp").decide(pool, tx("fresh", 0, rng.randint(1, 40)))
             if not decision.admitted:
                 continue
-            assert len(decision.victims) == 1
-            victim = decision.victims[0]
+            victim = decision.victim
             assert victim in find_childless(pool)
             assert victim.price == min(t.price for t in find_childless(pool))
 
@@ -110,7 +108,7 @@ class TestMinFeeChainTail:
         assert mdf(pool) == 21_000
         decision = _policy("map").decide(pool, tx("C", 0, 2))
         assert decision.admitted
-        assert decision.victims == (pool.get("A", 2),)
+        assert decision.victim is pool.get("A", 2)
 
     def test_fee_equal_to_mdf_declined(self):
         pool = Mempool(capacity=1)
@@ -123,7 +121,7 @@ class TestMinFeeChainTail:
         world = rich_world("A", "B")
         fill_pool(pool, world, [tx("A", 0, 1), tx("B", 0, 9)])
         decision = _policy("map").decide(pool, tx("C", 0, 2))
-        assert decision.victims == (pool.get("A", 0),)
+        assert decision.victim is pool.get("A", 0)
 
     def test_self_eviction_declined(self):
         # the arrival's own chain tail is the designated victim: decline
@@ -209,7 +207,7 @@ def test_admit_returns_the_outcome_decide_returned(kind):
             OutcomeKind.ADMITTED_EVICTING: Reason.EVICTION,
         }.get(outcome.kind)
         assert expected_reason in (None, outcome.reason)
-        assert bool(outcome.victims) == (outcome.kind is OutcomeKind.ADMITTED_EVICTING)
+        assert (outcome.victim is not None) == (outcome.kind is OutcomeKind.ADMITTED_EVICTING)
         if not outcome.admitted:
             assert pool.declined[-1] == (t, outcome.reason)
         seen.add(outcome.kind)
@@ -223,17 +221,17 @@ def test_outcome_kind_follows_from_reason(reason):
         Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
         Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
     }.get(reason, OutcomeKind.DECLINED)
-    victims = (tx("B", 0, 1),) if reason is Reason.EVICTION else ()
-    outcome = AdmissionOutcome(reason, tx("A", 0, 5), victims)
+    victim = tx("B", 0, 1) if reason is Reason.EVICTION else None
+    outcome = AdmissionOutcome(reason, tx("A", 0, 5), victim)
     assert outcome.kind is expected
     assert outcome.admitted == (expected is not OutcomeKind.DECLINED)
-    # only an eviction names victims, and it names at least one
+    # only an eviction names a victim, and it must name one
     if reason is Reason.EVICTION:
-        with pytest.raises(PoolError, match="needs at least one victim"):
+        with pytest.raises(PoolError, match="needs a victim"):
             AdmissionOutcome(reason, tx("A", 0, 5))
     else:
-        with pytest.raises(PoolError, match=f"{reason.value} outcome cannot name victims"):
-            AdmissionOutcome(reason, tx("A", 0, 5), (tx("B", 0, 1),))
+        with pytest.raises(PoolError, match=f"{reason.value} outcome cannot name a victim"):
+            AdmissionOutcome(reason, tx("A", 0, 5), tx("B", 0, 1))
 
 
 def test_config_defaults_and_unknown_kind():

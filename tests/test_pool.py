@@ -182,7 +182,7 @@ class TestApplyAdmission:
         x, y = tx("X", 0, 5), tx("Y", 0, 4)
         fill_pool(pool, world, [x, y])
         z = tx("Z", 0, 9)
-        pool.apply_admission(z, [y])
+        pool.apply_admission(z, y)
         assert set(pool.pending()) == {x, z}
         assert pool.declined[-1][0] == y
 
@@ -190,7 +190,7 @@ class TestApplyAdmission:
         pool = Mempool(capacity=1)
         fill_pool(pool, rich_world("X"), [tx("X", 0, 5)])
         with pytest.raises(PoolError):
-            pool.apply_admission(tx("Y", 0, 9), [])
+            pool.apply_admission(tx("Y", 0, 9), None)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -208,7 +208,7 @@ class TestApplyAdmission:
         pool = Mempool(capacity=2)
         fill_pool(pool, rich_world("X"), [tx("X", 0, 5)])
         with pytest.raises(PoolError):
-            pool.apply_admission(tx("Y", 0, 9), [tx("W", 0, 1)])
+            pool.apply_admission(tx("Y", 0, 9), tx("W", 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -302,7 +302,8 @@ def test_index_coherence_under_random_traffic(policy_kind):
         outcome = pool.admit(t, world, policy)
         if outcome.admitted and nonce == next_nonce[sender]:
             next_nonce[sender] = nonce + 1
-        for victim in outcome.victims:
+        victim = outcome.victim
+        if victim is not None:
             next_nonce[victim.sender] = min(next_nonce[victim.sender], victim.nonce)
         if step % 20 == 0:
             _rebuild_check(pool, world)
@@ -444,8 +445,8 @@ def test_admit_never_admits_future_under_cp():
         outcome = pool.admit(t, world, policy)
         if outcome.admitted:
             next_nonce[sender] = t.nonce + 1
-        for victim in outcome.victims:
-            next_nonce[victim.sender] = victim.nonce
+        if outcome.victim is not None:
+            next_nonce[outcome.victim.sender] = outcome.victim.nonce
         assert not any(is_future(p, pool, world) for p in pool.pending())
 
 
@@ -527,12 +528,12 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
             t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
             out_a = pool_a.admit(t, world_a, policy)
             out_b = pool_b.admit(t, world_b, policy)
-            assert (out_a.kind, out_a.victims) == (out_b.kind, out_b.victims)
+            assert (out_a.kind, out_a.victim) == (out_b.kind, out_b.victim)
             if out_a.admitted:
                 admitted_at[t] = len(admitted_at)
                 pending[t] = t
-            for victim in out_a.victims:
-                del pending[victim]
+            if out_a.victim is not None:
+                del pending[out_a.victim]
         assert set(pool_a.pending()) == set(pending)
         assert set(pool_b.pending()) == set(pending)
         partial += 0 < sum(_built(pool_b)) < 3
@@ -573,7 +574,7 @@ def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
         drain_mode="interleaved",
     )
     report = replay(config, events)
-    assert any(o.victims for o in report.outcomes)  # the pool filled and evicted
+    assert any(o.victim is not None for o in report.outcomes)  # the pool filled and evicted
     (pool,) = pools
     # built: [_by_price, _by_fee, _childless]
     expected = {

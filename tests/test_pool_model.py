@@ -109,45 +109,45 @@ class ReferencePool:
                 return Reason.SENDER_LIMIT
         return None
 
-    def decide(self, kind: str, tx: Transaction) -> Tuple[Reason, Tuple[Transaction, ...]]:
+    def decide(self, kind: str, tx: Transaction) -> Tuple[Reason, Optional[Transaction]]:
         if len(self.pending) < self.capacity:
-            return Reason.POOL_NOT_FULL, ()
+            return Reason.POOL_NOT_FULL, None
         seq = self.admitted_at.__getitem__
         if kind == "baseline":
             victim = min(self.pending, key=lambda t: (t.price, seq(t)))
             self.ties += sum(t.price == victim.price for t in self.pending) > 1
             if tx.price > victim.price:
-                return Reason.EVICTION, (victim,)
-            return Reason.PRICE_TOO_LOW, ()
+                return Reason.EVICTION, victim
+            return Reason.PRICE_TOO_LOW, None
         if kind == "cp":
             childless = [t for t in self.pending if t is self.sender_txs(t.sender)[-1]]
             victim = min(childless, key=lambda t: (t.price, self.min_fee_of(t.sender), seq(t)))
             self.ties += sum(t.price == victim.price for t in childless) > 1
             if tx.price > victim.price:
-                return Reason.EVICTION, (victim,)
-            return Reason.PRICE_TOO_LOW, ()
+                return Reason.EVICTION, victim
+            return Reason.PRICE_TOO_LOW, None
         seed = min(self.pending, key=lambda t: (t.fee, seq(t)))
         self.ties += sum(t.fee == seed.fee for t in self.pending) > 1
         if tx.fee <= seed.fee:
-            return Reason.FEE_TOO_LOW, ()
+            return Reason.FEE_TOO_LOW, None
         if seed.sender == tx.sender:
-            return Reason.SELF_EVICTION, ()
-        return Reason.EVICTION, (self.sender_txs(seed.sender)[-1],)
+            return Reason.SELF_EVICTION, None
+        return Reason.EVICTION, self.sender_txs(seed.sender)[-1]
 
     def admit(self, kind: str, tx: Transaction, world: WorldState):
         reason = self.precheck(tx, world)
-        victims: Tuple[Transaction, ...] = ()
+        victim = None
         if reason is None:
-            reason, victims = self.decide(kind, tx)
+            reason, victim = self.decide(kind, tx)
         if reason is Reason.POOL_NOT_FULL or reason is Reason.EVICTION:
-            for victim in victims:
+            if victim is not None:
                 self.pending.remove(victim)
                 self.declined.append((victim, Reason.EVICTION))
             self.pending.append(tx)
             self.admitted_at[tx] = len(self.admitted_at)
         else:
             self.declined.append((tx, reason))
-        return reason, victims
+        return reason, victim
 
 
 def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
@@ -225,9 +225,9 @@ class PoolModel(RuleBasedStateMachine):
         before = list(self.ref.pending)
         price_sum = self.pool.price_sum()
         outcome = self.pool.admit(tx, self.world, self.policy)
-        reason, victims = self.ref.admit(self.KIND, tx, self.ref_world)
+        reason, victim = self.ref.admit(self.KIND, tx, self.ref_world)
         assert isinstance(outcome, AdmissionOutcome) and outcome.tx is tx
-        assert (outcome.reason, outcome.victims) == (reason, victims)
+        assert (outcome.reason, outcome.victim) == (reason, victim)
         self.seen[reason] += 1
         if not outcome.admitted:
             return

@@ -126,10 +126,10 @@ def test_refill_above_gap_flags_only_the_first_eviction():
     )
     report = replay(config, events)
     evictions = [
-        ((o.tx.sender, o.tx.nonce), [(v.sender, v.nonce) for v in o.victims])
+        ((o.tx.sender, o.tx.nonce), (o.victim.sender, o.victim.nonce))
         for o in report.outcomes[5:]
     ]
-    assert evictions == [(("B", 0), [("A", 2)]), (("A", 2), [("A", 3)])]
+    assert evictions == [(("B", 0), ("A", 2)), (("A", 2), ("A", 3))]
     assert report.flags == [(5, OutcomeFlags(False, True))]
 
 
@@ -151,8 +151,9 @@ def test_cp_never_evicts_the_arrivals_own_sender():
             drain_mode=drain_mode,
         )
         for outcome in replay(config, events).outcomes:
-            if any(v.sender == outcome.tx.sender for v in outcome.victims):
-                own.append((case, outcome.tx, outcome.victims))
+            victim = outcome.victim
+            if victim is not None and victim.sender == outcome.tx.sender:
+                own.append((case, outcome.tx, victim))
     assert own == []
 
 

@@ -29,7 +29,7 @@ def canonical(report: RunReport) -> dict:
     return {
         "summary": report.summary(),
         "outcomes": [
-            [o.kind.value, o.reason.value, tx_key(o.tx), [tx_key(v) for v in o.victims]]
+            [o.kind.value, o.reason.value, tx_key(o.tx), [] if o.victim is None else [tx_key(o.victim)]]
             for o in report.outcomes
         ],
         "blocks": [[tx_key(tx) for tx in b.txs] for b in report.blocks],
@@ -75,7 +75,8 @@ HUGE = 10**30
 
 def _report(senders, big: int = 1) -> RunReport:
     """A report where one tx per sender is an outcome, a victim, a block tx
-    and a declined entry at once, next to multi-victim and empty blocks."""
+    and a declined entry at once, next to repeated arrivals and empty
+    blocks."""
     txs = [
         Transaction(sender=s, nonce=i, price=big + i, gas_used=21_000 * big, value=big - 1)
         for i, s in enumerate(senders)
@@ -84,9 +85,9 @@ def _report(senders, big: int = 1) -> RunReport:
     arrival = Transaction(sender="arrival", nonce=HUGE, price=big, gas_limit=42_000 * big)
     outcomes = [
         AdmissionOutcome(Reason.POOL_NOT_FULL, shared),
-        AdmissionOutcome(Reason.EVICTION, arrival, tuple(txs)),
+        *(AdmissionOutcome(Reason.EVICTION, arrival, victim) for victim in txs),
         AdmissionOutcome(Reason.PRICE_TOO_LOW, txs[-1]),
-        AdmissionOutcome(Reason.EVICTION, txs[1 % len(txs)], (shared,)),
+        AdmissionOutcome(Reason.EVICTION, txs[1 % len(txs)], shared),
     ]
     report = RunReport(policy="cp", capacity=len(txs), event_count=len(outcomes))
     report.outcomes = outcomes

@@ -669,7 +669,7 @@ class TestCli:
 
         def broken(self, pool, t):
             if pool.full:
-                return AdmissionOutcome(Reason.EVICTION, t, (stranger,))
+                return AdmissionOutcome(Reason.EVICTION, t, stranger)
             return decide(self, pool, t)
 
         monkeypatch.setattr(PriceOnlyPolicy, "decide", broken)
