@@ -27,9 +27,6 @@ from .attacks import (
     XT6_FULL,
     attack_cost,
     gen_cp_lock,
-    gen_deter_future,
-    gen_mempurge,
-    gen_random_adversary,
     gen_xt6,
 )
 from .metrics import (

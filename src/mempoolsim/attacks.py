@@ -1,10 +1,12 @@
 """Parameterized generators for adversarial transaction traces.
 
-Each generator is a pure function of its parameters (and seed) and emits a
-replayable event list. Attacks are therefore just traces; the harness makes
-no distinction. ``AttackPlan`` bundles a generator kind with its parameters
-and the account seeding the scenario needs (e.g. deliberately short balances
-for the overdraft attack).
+An attack is a replayable event list plus the ``sender -> (balance,
+confirmed nonce)`` seeds its scenario needs (e.g. deliberately short
+balances for the overdraft attack); the harness makes no other distinction
+between attacks and traces. ``ATTACKS`` maps each kind to one generator
+``(params, start_ms) -> (events, seeds)``, a pure function of its parameters
+(and seed). ``gen_xt6`` and ``gen_cp_lock`` need no seeds and return their
+events alone. ``AttackPlan`` bundles a kind with its parameters and delay.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ import math
 import random
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import PoolError, Transaction, short_repr
 from .trace import TraceEvent, arrival
-
-ATTACK_KINDS = ("xt6", "deter_future", "mempurge_overdraft", "cp_lock", "random_adversary")
 
 # four-phase eviction attack, full-scale parameters
 XT6_FULL = {
@@ -42,30 +43,29 @@ XT6_DESK = {
 
 @dataclass(frozen=True)
 class AttackPlan:
+    """An attack kind with its parameters and delay. ``params`` is kept as a
+    read-only copy, so changing the caller's dict cannot change the trace; a
+    read-only mapping is not hashable, so neither is a plan."""
+
     kind: str
-    params: Dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
     delay_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
+        if self.kind not in ATTACKS:
             raise ValueError(f"unknown attack kind: {self.kind}")
         delay = self.delay_seconds
         if not (math.isfinite(delay) and delay >= 0):
             raise ValueError(f"delay must be finite and non-negative, got {delay}")
+        try:
+            object.__setattr__(self, "params", _read_only(self.params))
+        except RecursionError:
+            raise ValueError("attack parameters are nested too deeply") from None
 
     def generate(self) -> Tuple[List[TraceEvent], Dict[str, Tuple[int, int]]]:
         """The attack's events and the sender -> (balance, confirmed nonce)
         overrides they need, from one generation."""
-        start_ms = int(self.delay_seconds * 1000)
-        if self.kind == "xt6":
-            return gen_xt6(self.params, start_ms), {}
-        if self.kind == "cp_lock":
-            return gen_cp_lock(self.params, start_ms), {}
-        if self.kind == "deter_future":
-            return _deter_future(self.params, start_ms)
-        if self.kind == "mempurge_overdraft":
-            return _mempurge(self.params, start_ms)
-        return _random_adversary(self.params, start_ms)
+        return ATTACKS[self.kind](self.params, int(self.delay_seconds * 1000))
 
     def events(self) -> List[TraceEvent]:
         return self.generate()[0]
@@ -74,10 +74,19 @@ class AttackPlan:
         return self.generate()[1]
 
 
-def _merge_params(defaults: Dict, params: Optional[Dict], what: str) -> Dict:
+def _read_only(value):
+    """A deep copy of ``value`` with read-only mappings and tuples for lists."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_read_only, value))
+    return value
+
+
+def _merge_params(defaults: Dict, params: Optional[Mapping], what: str) -> Dict:
     """``defaults`` updated by ``params``: each key must be known, and a value
     whose default is an int, or None for an optional int, must be an exact int."""
-    if params is not None and not isinstance(params, dict):
+    if params is not None and not isinstance(params, Mapping):
         raise ValueError(f"{what} parameters must be a JSON object, got {short_repr(params)}")
     for key, value in (params or {}).items():
         if key not in defaults:
@@ -97,7 +106,7 @@ def _adv(sender: str, nonce: int, price: int, gas_used: int = 21_000, **kw) -> T
     )
 
 
-def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
+def gen_xt6(params: Optional[Mapping] = None, start_ms: int = 0) -> List[TraceEvent]:
     """Four-phase eviction attack against a price-only pool.
 
     1. ``n_seq`` senders each send a chain of ``seq_len`` txs priced to evict
@@ -143,7 +152,8 @@ def gen_xt6(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent
     return events
 
 
-def _deter_future(params: Optional[Dict], start_ms: int):
+def _deter_future(params: Optional[Mapping], start_ms: int):
+    """Unchargeable future txs: each sender leaves a nonce gap of two."""
     p = _merge_params({"count": 10, "price": 100}, params, "deter_future")
     if p["count"] < 0:
         raise ValueError("count must be non-negative")
@@ -155,12 +165,10 @@ def _deter_future(params: Optional[Dict], start_ms: int):
     return events, {f"deter-{i}": (balance, 0) for i in range(p["count"])}
 
 
-def gen_deter_future(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
-    """Unchargeable future txs: each sender leaves a nonce gap of two."""
-    return _deter_future(params, start_ms)[0]
-
-
-def _mempurge(params: Optional[Dict], start_ms: int):
+def _mempurge(params: Optional[Mapping], start_ms: int):
+    """One chain whose txs are individually affordable but jointly overdraft
+    the seeded balance; the chain tail must be declined by a precheck that
+    accounts cumulative (latent) costs."""
     defaults = {"chain_len": 3, "price": 100, "balance": None}
     p = _merge_params(defaults, params, "mempurge_overdraft")
     if p["chain_len"] < 2:
@@ -177,14 +185,7 @@ def _mempurge(params: Optional[Dict], start_ms: int):
     return events, {"mempurge-0": (balance, 0)}
 
 
-def gen_mempurge(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
-    """One chain whose txs are individually affordable but jointly overdraft
-    the seeded balance; the chain tail must be declined by a precheck that
-    accounts cumulative (latent) costs."""
-    return _mempurge(params, start_ms)[0]
-
-
-def gen_cp_lock(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
+def gen_cp_lock(params: Optional[Mapping] = None, start_ms: int = 0) -> List[TraceEvent]:
     """Locking counterexample: one sender fills the pool with a cheap chain
     whose only childless tx carries an extreme price.
 
@@ -218,7 +219,9 @@ def gen_cp_lock(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceE
     return events
 
 
-def _random_adversary(params: Optional[Dict], start_ms: int):
+def _random_adversary(params: Optional[Mapping], start_ms: int):
+    """Seeded pseudo-random mix of valid, chained, future, and overdrafting
+    arrivals; reproducible from the seed."""
     default_mix = {"fresh": 4, "chain": 4, "future": 1, "overdraft": 1}
     p = _merge_params({"steps": 1000, "seed": 0, "mix": default_mix}, params, "random_adversary")
     steps = p["steps"]
@@ -263,10 +266,14 @@ def _random_adversary(params: Optional[Dict], start_ms: int):
     return events, seeds
 
 
-def gen_random_adversary(params: Optional[Dict] = None, start_ms: int = 0) -> List[TraceEvent]:
-    """Seeded pseudo-random mix of valid, chained, future, and overdrafting
-    arrivals; reproducible from the seed."""
-    return _random_adversary(params, start_ms)[0]
+# each kind's generator (params, start_ms) -> (events, seeds), in the CLI's order
+ATTACKS = {
+    "xt6": lambda params, start_ms: (gen_xt6(params, start_ms), {}),
+    "deter_future": _deter_future,
+    "mempurge_overdraft": _mempurge,
+    "cp_lock": lambda params, start_ms: (gen_cp_lock(params, start_ms), {}),
+    "random_adversary": _random_adversary,
+}
 
 
 # --------------------------------------------------------------- reporting

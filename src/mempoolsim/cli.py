@@ -19,7 +19,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .attacks import ATTACK_KINDS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
+from .attacks import ATTACKS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
 from .core import PoolError, WorldState
 from .metrics import eviction_bound_baseline_under_xt6, eviction_bound_cp, gamma
 from .policies import POLICIES, PolicyConfig
@@ -30,7 +30,6 @@ from .trace import (
     workload_batch_insert,
     workload_tn1,
     write_trace,
-    tn1_account_overrides,
 )
 
 DESK_CAPACITY = 192
@@ -114,8 +113,8 @@ def cmd_bench(args) -> int:
     if args.workload == "batch_insert":
         events = workload_batch_insert(args.n0)
     else:
-        events = workload_tn1(args.n1, args.n1_prime, capacity=config.capacity)
-        config = replace(config, account_seeds=tn1_account_overrides(events))
+        events, seeds = workload_tn1(args.n1, args.n1_prime, capacity=config.capacity)
+        config = replace(config, account_seeds=seeds)
     result = bench(config, events, rounds=args.rounds, workload=args.workload)
     print(result.CSV_HEADER)
     print(result.csv_row())
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("attack", help="generate and/or run an attack trace")
-    p.add_argument("kind", choices=ATTACK_KINDS)
+    p.add_argument("kind", choices=ATTACKS)
     p.add_argument("--params", default=None, help="JSON object of generator parameters")
     p.add_argument("--delay", type=float, default=0.0, help="block-to-attack delay (seconds)")
     p.add_argument("--out", default=None, help="write the generated trace here")

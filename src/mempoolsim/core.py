@@ -157,10 +157,6 @@ class WorldState:
         acct = self.accounts.get(sender)
         return acct.nonce if acct else 0
 
-    def balance_of(self, sender: str) -> int:
-        acct = self.accounts.get(sender)
-        return acct.balance if acct else 0
-
     def fund(self, sender: str, balance: int, nonce: int = 0) -> None:
         self.accounts[sender] = AccountState(balance=balance, nonce=nonce)
 

@@ -15,7 +15,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
 from .core import (
@@ -47,7 +48,9 @@ class ScenarioConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     capacity: int = 5120
     block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
-    account_seeds: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    # sender -> (balance, confirmed nonce), kept as a read-only copy; a
+    # read-only mapping is not hashable, so neither is the config
+    account_seeds: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     drain_mode: str = "end_only"  # or "interleaved"
     final_drain: bool = True
 
@@ -56,6 +59,7 @@ class ScenarioConfig:
             raise ValueError("capacity must be positive")
         if self.drain_mode not in ("end_only", "interleaved"):
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
+        object.__setattr__(self, "account_seeds", MappingProxyType(dict(self.account_seeds)))
 
 
 @dataclass

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .core import AccountState, Transaction, WorldState, short_repr
 
@@ -205,7 +205,7 @@ def parse_trace(path) -> List[TraceEvent]:
 
 def world_for_trace(
     events: Iterable[TraceEvent],
-    overrides: Optional[Dict[str, tuple]] = None,
+    overrides: Optional[Mapping[str, tuple]] = None,
     block_gas_limit: Optional[int] = None,
 ) -> WorldState:
     """Default world for a trace: each sender's confirmed nonce is its lowest
@@ -252,12 +252,14 @@ def workload_tn1(
     capacity: int = 5120,
     n_future: int = 1024,
     start_ms: int = 0,
-) -> List[TraceEvent]:
-    """Chained pending txs, a future-tx burst, fillers, then parent-evicting txs.
+) -> Tuple[List[TraceEvent], Dict[str, tuple]]:
+    """Chained pending txs, a future-tx burst, fillers, then parent-evicting
+    txs: the events and the account seeds they need.
 
     Phase A: ``n1_prime`` accounts, each with a chain of ``n1 / n1_prime`` txs;
     the nonce-1 parents are cheap (1000 wei) and the rest expensive (200000 wei).
-    Phase B: ``n_future`` future txs plus ``capacity - n1`` single-tx fillers.
+    Phase B: ``n_future`` nonce-3 txs, future because their senders are seeded
+    with confirmed nonce 1, plus ``capacity - n1`` single-tx fillers.
     Phase C: ``n1_prime`` txs at 20000 wei that evict the cheap parents.
     """
     if n1_prime < 1 or n1 % n1_prime != 0:
@@ -266,6 +268,7 @@ def workload_tn1(
         raise ValueError("n1 exceeds pool capacity")
     chain_len = n1 // n1_prime
     events: List[TraceEvent] = []
+    seeds: Dict[str, tuple] = {}
     ts = start_ms
     for acct in range(n1_prime):
         sender = f"tn1-a{acct}"
@@ -274,10 +277,9 @@ def workload_tn1(
             events.append(arrival(Transaction(sender=sender, nonce=nonce, price=price), ts_ms=ts))
             ts += 1
     for i in range(n_future):
-        # nonce 3 with confirmed nonce 1 (set by the scenario): a future tx
-        events.append(
-            arrival(Transaction(sender=f"tn1-f{i}", nonce=3, price=50_000), ts_ms=ts)
-        )
+        tx = Transaction(sender=f"tn1-f{i}", nonce=3, price=50_000)
+        events.append(arrival(tx, ts_ms=ts))
+        seeds[tx.sender] = (tx.cost * 4, 1)
         ts += 1
     for i in range(capacity - n1):
         events.append(
@@ -289,13 +291,4 @@ def workload_tn1(
             arrival(Transaction(sender=f"tn1-e{i}", nonce=1, price=20_000), ts_ms=ts)
         )
         ts += 1
-    return events
-
-
-def tn1_account_overrides(events: Iterable[TraceEvent]) -> Dict[str, tuple]:
-    """Confirmed-nonce overrides that make the tn1 burst txs genuinely future."""
-    overrides: Dict[str, tuple] = {}
-    for event in events:
-        if event.kind == "tx_arrival" and event.tx.sender.startswith("tn1-f"):
-            overrides[event.tx.sender] = (event.tx.cost * 4, 1)
-    return overrides
+    return events, seeds

@@ -29,7 +29,6 @@ from mempoolsim import (
     eviction_bound_cp,
     gamma,
     gen_cp_lock,
-    gen_random_adversary,
     replay,
     snapshot_marker,
     workload_batch_insert,
@@ -61,7 +60,7 @@ def adversarial_runs():
     t0 = time.perf_counter()
     runs = []
     for seed in range(5):
-        events = gen_random_adversary({"steps": 2000, "seed": seed})
+        events = AttackPlan("random_adversary", {"steps": 2000, "seed": seed}).events()
         config = ScenarioConfig(policy=PolicyConfig(kind="cp"), capacity=CAPACITY_DESK)
         report = replay(config, events)
         runs.append(report)

@@ -15,9 +15,6 @@ from mempoolsim import (
     attack_cost,
     dump_events,
     gen_cp_lock,
-    gen_deter_future,
-    gen_mempurge,
-    gen_random_adversary,
     gen_xt6,
     replay,
     world_for_trace,
@@ -25,6 +22,31 @@ from mempoolsim import (
 
 from conftest import tx
 from oracles import is_future
+
+# kind -> (params, delay, sha256 of its trace and sorted seeds)
+PINNED = {
+    "xt6": (XT6_DESK, 0.0, "b91650742d6cee542fa7d9fbd3da680d013e72c68ed2bbaed62292008192931e"),
+    "deter_future": (
+        {"count": 3},
+        2.5,
+        "90c177a256fe098da65a4b370793f7a3d723129092b6ef66538b31b0cdfe5953",
+    ),
+    "mempurge_overdraft": (
+        {},
+        0.0,
+        "f9166cea64a3b821afa82817c7b19712b630336932e20d7e2db8cfae3425fa7e",
+    ),
+    "cp_lock": (
+        {"chain_len": 8, "capacity": 12},
+        1.0,
+        "e2edfa712fdac6d9655479e60a826e608ffa64b28385da35078e423daa378107",
+    ),
+    "random_adversary": (
+        {"steps": 3000, "seed": 1},
+        0.0,
+        "5fea5b94f151c680363841512d60534cae5637fc636c7db569067f6e5e39bf2f",
+    ),
+}
 
 
 class TestXt6Generator:
@@ -80,9 +102,8 @@ class TestXt6Generator:
 
 class TestDeterFuture:
     def test_patched_precheck_declines_all(self):
-        plan = AttackPlan(kind="deter_future", params={"count": 10})
-        config = ScenarioConfig(capacity=192, account_seeds=plan.account_seeds())
-        report = replay(config, plan.events())
+        events, seeds = AttackPlan(kind="deter_future", params={"count": 10}).generate()
+        report = replay(ScenarioConfig(capacity=192, account_seeds=seeds), events)
         assert report.summary()["reasons"] == {Reason.INVALID_FUTURE.value: 10}
         assert report.final_pending == []
 
@@ -95,22 +116,20 @@ class TestDeterFuture:
         assert len(pool) == 10
 
     def test_count_zero_is_empty(self):
-        assert gen_deter_future({"count": 0}) == []
+        assert AttackPlan("deter_future", {"count": 0}).events() == []
 
 
 class TestMempurgeOverdraft:
     def test_chain_tail_overdrafts(self):
-        plan = AttackPlan(kind="mempurge_overdraft", params={"chain_len": 3})
-        config = ScenarioConfig(capacity=192, account_seeds=plan.account_seeds())
-        report = replay(config, plan.events())
+        events, seeds = AttackPlan(kind="mempurge_overdraft", params={"chain_len": 3}).generate()
+        report = replay(ScenarioConfig(capacity=192, account_seeds=seeds), events)
         kinds = [o.reason for o in report.outcomes]
         assert kinds[:2] == [Reason.POOL_NOT_FULL, Reason.POOL_NOT_FULL]
         assert kinds[2] is Reason.INVALID_OVERDRAFT
 
     def test_each_tx_individually_affordable(self):
-        plan = AttackPlan(kind="mempurge_overdraft", params={"chain_len": 3})
-        events = plan.events()
-        balance, _ = plan.account_seeds()["mempurge-0"]
+        events, seeds = AttackPlan(kind="mempurge_overdraft", params={"chain_len": 3}).generate()
+        balance, _ = seeds["mempurge-0"]
         assert all(e.tx.cost <= balance for e in events)
         assert sum(e.tx.cost for e in events) > balance
 
@@ -119,8 +138,8 @@ class TestMempurgeOverdraft:
         plan = AttackPlan(
             kind="mempurge_overdraft", params={"chain_len": 2, "balance": 2 * per_tx}
         )
-        config = ScenarioConfig(capacity=192, account_seeds=plan.account_seeds())
-        report = replay(config, plan.events())
+        events, seeds = plan.generate()
+        report = replay(ScenarioConfig(capacity=192, account_seeds=seeds), events)
         assert all(o.admitted for o in report.outcomes)
 
 
@@ -174,36 +193,36 @@ class TestCpLock:
 
 class TestRandomAdversary:
     def test_seed_determinism(self):
-        a = gen_random_adversary({"steps": 300, "seed": 42})
-        b = gen_random_adversary({"steps": 300, "seed": 42})
+        a = AttackPlan("random_adversary", {"steps": 300, "seed": 42}).events()
+        b = AttackPlan("random_adversary", {"steps": 300, "seed": 42}).events()
         assert dump_events(a) == dump_events(b)
 
     def test_different_seeds_differ(self):
-        a = gen_random_adversary({"steps": 300, "seed": 1})
-        b = gen_random_adversary({"steps": 300, "seed": 2})
+        a = AttackPlan("random_adversary", {"steps": 300, "seed": 1}).events()
+        b = AttackPlan("random_adversary", {"steps": 300, "seed": 2}).events()
         assert dump_events(a) != dump_events(b)
 
     def test_zero_steps_empty(self):
-        assert gen_random_adversary({"steps": 0}) == []
+        assert AttackPlan("random_adversary", {"steps": 0}).events() == []
 
     def test_overdraft_senders_really_overdraft(self):
-        plan = AttackPlan(kind="random_adversary", params={"steps": 200, "seed": 5})
-        seeds = plan.account_seeds()
+        events, seeds = AttackPlan("random_adversary", {"steps": 200, "seed": 5}).generate()
         overdrafters = {s for s in seeds if s.startswith("rnd-o")}
         assert overdrafters
-        for event in plan.events():
+        for event in events:
             t = event.tx
             if t.sender in overdrafters:
                 assert t.cost > seeds[t.sender][0]
 
     def test_given_mix_replaces_the_default_mix(self):
         # a kind the given mix leaves out has weight 0, not its default weight
-        events = gen_random_adversary({"steps": 200, "mix": {"fresh": 1}})
+        events = AttackPlan("random_adversary", {"steps": 200, "mix": {"fresh": 1}}).events()
         assert {e.tx.sender[:5] for e in events} == {"rnd-a"}
 
     def test_optional_int_params_accept_none(self):
         assert len(gen_cp_lock({"chain_len": 8, "capacity": None})) == 8
-        assert dump_events(gen_mempurge({"balance": None})) == dump_events(gen_mempurge())
+        unset = AttackPlan("mempurge_overdraft", {"balance": None}).events()
+        assert dump_events(unset) == dump_events(AttackPlan("mempurge_overdraft").events())
 
 
 class TestAttackPlan:
@@ -231,13 +250,13 @@ class TestAttackPlan:
 
     def test_generate_calls_the_generator_once(self, monkeypatch):
         calls = []
-        generate = attacks._random_adversary
+        generate = attacks.ATTACKS["random_adversary"]
 
         def counted(params, start_ms):
             calls.append((dict(params), start_ms))
             return generate(params, start_ms)
 
-        monkeypatch.setattr(attacks, "_random_adversary", counted)
+        monkeypatch.setitem(attacks.ATTACKS, "random_adversary", counted)
         events, seeds = AttackPlan("random_adversary", {"steps": 50, "seed": 3}).generate()
         assert calls == [({"steps": 50, "seed": 3}, 0)]
         assert len(events) == 50 and seeds
@@ -263,18 +282,48 @@ class TestAttackPlan:
     )
     def test_other_params_or_delay_give_their_generators_trace(self, params, delay):
         plan = AttackPlan("random_adversary", params, delay)
-        events, seeds = attacks._random_adversary(params, int(delay * 1000))
+        events, seeds = attacks.ATTACKS["random_adversary"](params, int(delay * 1000))
         assert dump_events(plan.events()) == dump_events(events)
         assert plan.account_seeds() == seeds
         assert plan.events()[0].ts_ms == int(delay * 1000)
 
-    def test_random_adversary_trace_and_seeds_pinned(self):
-        # digest recorded from the generator before events() and
-        # account_seeds() shared one generation
-        plan = AttackPlan(kind="random_adversary", params={"steps": 3000, "seed": 1})
-        text = dump_events(plan.events()) + repr(sorted(plan.account_seeds().items()))
-        digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "5fea5b94f151c680363841512d60534cae5637fc636c7db569067f6e5e39bf2f"
+    @pytest.mark.parametrize("kind", PINNED)
+    def test_random_adversary_trace_and_seeds_pinned(self, kind):
+        # digests recorded from each kind's generator before the kinds
+        # shared one table and one (events, seeds) form
+        params, delay, digest = PINNED[kind]
+        events, seeds = AttackPlan(kind, params, delay).generate()
+        text = dump_events(events) + repr(sorted(seeds.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_changing_the_callers_params_leaves_the_trace(self):
+        params = {"steps": 3, "mix": {"fresh": 1}}
+        plan = AttackPlan("random_adversary", params)
+        before = dump_events(plan.events())
+        params["steps"] = 9
+        params["mix"]["overdraft"] = 5
+        assert dump_events(plan.events()) == before and len(plan.events()) == 3
+
+    def test_params_are_read_only(self):
+        plan = AttackPlan("random_adversary", {"steps": 3, "mix": {"fresh": 1}})
+        with pytest.raises(TypeError):
+            plan.params["steps"] = 7
+        with pytest.raises(TypeError):
+            plan.params["mix"]["fresh"] = 2
+        schedule = [100, 102, 104, 107]
+        plan = AttackPlan("xt6", dict(XT6_DESK, price_schedule=schedule))
+        assert plan.params["price_schedule"] == tuple(schedule)
+        assert dump_events(plan.events()) == dump_events(gen_xt6(XT6_DESK))
+        # a read-only mapping has no hash, so neither has the plan
+        with pytest.raises(TypeError):
+            hash(plan)
+
+    def test_params_nested_too_deeply_rejected(self):
+        deep = []
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(ValueError, match="nested too deeply"):
+            AttackPlan("random_adversary", {"mix": deep})
 
 
 class TestAttackCost:

@@ -255,11 +255,11 @@ class TestSingleBlockScenarios:
 
     def test_inclusion_advances_world(self):
         pool, world = _pool([tx("A", 0, 4, value=7)])
-        before = world.balance_of("A")
+        before = world.accounts["A"].balance
         result = build_block(pool, world)
         assert len(pool) == 0
         assert world.nonce_of("A") == 1
-        assert world.balance_of("A") == before - result.block.txs[0].fee - 7
+        assert world.accounts["A"].balance == before - result.block.txs[0].fee - 7
 
     def test_every_pending_tx_accounted_for(self):
         pool, world, _ = _a2a_pool(GAS_LIMIT_30M)

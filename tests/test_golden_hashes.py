@@ -30,7 +30,6 @@ from mempoolsim import (
     workload_batch_insert,
     workload_tn1,
 )
-from mempoolsim.trace import tn1_account_overrides
 
 POLICIES = ("baseline", "cp", "map")
 DRAIN_MODES = ("end_only", "interleaved")
@@ -42,16 +41,12 @@ XT6_SMALL = {"n_seq": 10, "seq_len": 16, "n_parents_evicted": 2, "big_chain": 12
 def _random_adversary(seed):
     plan = AttackPlan("random_adversary", {"steps": 1500, "seed": seed})
     events = []
-    for step, event in enumerate(plan.events()):
+    arrivals, seeds = plan.generate()
+    for step, event in enumerate(arrivals):
         events.append(event)
         if (step + 1) % 300 == 0:
             events.append(block_trigger(event.ts_ms))
-    return events, plan.account_seeds()
-
-
-def _tn1():
-    events = workload_tn1(64, 16, capacity=192, n_future=32)
-    return events, tn1_account_overrides(events)
+    return events, seeds
 
 
 # name -> (capacity, () -> (events, account seeds))
@@ -59,7 +54,7 @@ TRACES = {
     "xt6_small": (128, lambda: (gen_xt6(XT6_SMALL), {})),
     "cp_lock": (96, lambda: (gen_cp_lock({"chain_len": 64, "capacity": 96}), {})),
     "batch_insert_512": (512, lambda: (workload_batch_insert(512), {})),
-    "tn1": (192, _tn1),
+    "tn1": (192, lambda: workload_tn1(64, 16, capacity=192, n_future=32)),
     **{
         f"random_adversary_s{seed}": (192, lambda seed=seed: _random_adversary(seed))
         for seed in range(3)

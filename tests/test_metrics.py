@@ -18,7 +18,6 @@ from mempoolsim import (
     gamma,
     arrival,
     block_trigger,
-    gen_random_adversary,
     replay,
     PolicyConfig,
     ScenarioConfig,
@@ -215,7 +214,7 @@ class TestDutilAccounting:
         assert ledger.flagged["pending_turn_future"].count == 1
 
     def test_replay_telescoping_identity(self):
-        events = gen_random_adversary({"steps": 800, "seed": 13})
+        events = AttackPlan("random_adversary", {"steps": 800, "seed": 13}).events()
         for kind in ("baseline", "cp", "map"):
             config = ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=64)
             report = replay(config, events)
@@ -234,9 +233,9 @@ class TestDutilAccounting:
     ):
         # the per-arrival ledger against the end state, with a block
         # trigger after every ``cadence`` arrivals
-        plan = AttackPlan("random_adversary", {"steps": steps, "seed": seed})
+        arrivals, seeds = AttackPlan("random_adversary", {"steps": steps, "seed": seed}).generate()
         events = []
-        for step, event in enumerate(plan.events()):
+        for step, event in enumerate(arrivals):
             events.append(event)
             if (step + 1) % cadence == 0:
                 events.append(block_trigger(event.ts_ms))
@@ -244,7 +243,7 @@ class TestDutilAccounting:
             config = ScenarioConfig(
                 policy=PolicyConfig(kind=kind),
                 capacity=capacity,
-                account_seeds=plan.account_seeds(),
+                account_seeds=seeds,
                 drain_mode=drain_mode,
             )
             report = replay(config, events)
@@ -280,7 +279,7 @@ class TestDutilAccounting:
 
 class TestRevenueSeries:
     def test_replay_determinism(self):
-        events = gen_random_adversary({"steps": 300, "seed": 3})
+        events = AttackPlan("random_adversary", {"steps": 300, "seed": 3}).events()
         config = ScenarioConfig(policy=PolicyConfig(kind="cp"), capacity=48)
         a = replay(config, events)
         b = replay(config, events)

@@ -416,7 +416,7 @@ def test_precheck_matches_generic_predicates():
             expected = Reason.DUPLICATE
         elif is_future(t, view, world):
             expected = Reason.INVALID_FUTURE
-        elif cumulative_cost(sender, t.nonce, view) + t.cost > world.balance_of(sender):
+        elif cumulative_cost(sender, t.nonce, view) + t.cost > world.accounts[sender].balance:
             expected = Reason.INVALID_OVERDRAFT
         else:
             expected = None
@@ -561,16 +561,16 @@ def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
             pools.append(self)
 
     monkeypatch.setattr(replay_module, "Mempool", RecordingMempool)
-    plan = AttackPlan("random_adversary", {"steps": 600, "seed": 4})
+    arrivals, seeds = AttackPlan("random_adversary", {"steps": 600, "seed": 4}).generate()
     events = []
-    for step, event in enumerate(plan.events()):
+    for step, event in enumerate(arrivals):
         events.append(event)
         if (step + 1) % 200 == 0:
             events.append(block_trigger(event.ts_ms))
     config = ScenarioConfig(
         policy=PolicyConfig(kind=policy_kind),
         capacity=64,
-        account_seeds=plan.account_seeds(),
+        account_seeds=seeds,
         drain_mode="interleaved",
     )
     report = replay(config, events)

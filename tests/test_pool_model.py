@@ -102,7 +102,9 @@ class ReferencePool:
             return Reason.DUPLICATE
         if is_future(tx, view, world):
             return Reason.INVALID_FUTURE
-        if cumulative_cost(tx.sender, tx.nonce - 1, view) + tx.cost > world.balance_of(tx.sender):
+        acct = world.accounts.get(tx.sender)
+        balance = acct.balance if acct is not None else 0
+        if cumulative_cost(tx.sender, tx.nonce - 1, view) + tx.cost > balance:
             return Reason.INVALID_OVERDRAFT
         if self.per_sender_limit is not None:
             if len(view.sender_txs(tx.sender)) >= self.per_sender_limit:

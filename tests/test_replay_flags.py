@@ -27,8 +27,8 @@ from oracles import transition_flags
 
 
 def _random_adversary(seed):
-    plan = AttackPlan("random_adversary", {"steps": 400, "seed": seed})
-    return _with_blocks(plan.events(), 60), plan.account_seeds()
+    events, seeds = AttackPlan("random_adversary", {"steps": 400, "seed": seed}).generate()
+    return _with_blocks(events, 60), seeds
 
 
 def _resends(seed, span=3, steps=300):

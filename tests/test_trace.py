@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mempoolsim import (
+    AttackPlan,
     AdmissionOutcome,
     AttackCostReport,
     ChildlessPricePolicy,
@@ -19,7 +20,6 @@ from mempoolsim import (
     block_trigger,
     dump_events,
     gen_cp_lock,
-    gen_random_adversary,
     parse_trace,
     parse_trace_text,
     replay,
@@ -31,7 +31,6 @@ from mempoolsim import (
 )
 from mempoolsim import attacks, cli, trace
 from mempoolsim.cli import main
-from mempoolsim.trace import tn1_account_overrides
 
 from conftest import tx
 from oracles import parse_trace_lines
@@ -60,7 +59,7 @@ class TestTraceFormat:
         assert [e.tx.label for e in parse_trace_text(text)] == labels
 
     def test_round_trip_is_identity_on_serialized_form(self):
-        events = gen_random_adversary({"steps": 100, "seed": 9})
+        events = AttackPlan("random_adversary", {"steps": 100, "seed": 9}).events()
         text = dump_events(events)
         assert dump_events(parse_trace_text(text)) == text
 
@@ -335,7 +334,7 @@ class TestOneDecodeMatchesPerLine:
         assert _same_as_per_line("\n".join(triggers)) == (
             "error", "line 4: timestamp regression 2 < 3", 4
         )
-        events = gen_random_adversary({"steps": 25, "seed": 3})
+        events = AttackPlan("random_adversary", {"steps": 25, "seed": 3}).events()
         text = dump_events(events)
         assert _same_as_per_line(text)[0] == "events"
         lines = text.splitlines()
@@ -347,7 +346,7 @@ class TestOneDecodeMatchesPerLine:
             raise AssertionError("valid trace fell back to the per-line parser")
 
         monkeypatch.setattr(trace, "_decode_line", per_line)
-        events = gen_random_adversary({"steps": 300, "seed": 1})
+        events = AttackPlan("random_adversary", {"steps": 300, "seed": 1}).events()
         text = dump_events(events + [block_trigger(events[-1].ts_ms), snapshot_marker(10**9)])
         assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
 
@@ -390,7 +389,8 @@ class TestOneDecodeMatchesPerLine:
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(st.data())
     def test_cut_joined_and_garbled_lines_parse_as_per_line(self, data):
-        base = dump_events(gen_random_adversary({"steps": 6, "seed": 5})).splitlines()
+        events = AttackPlan("random_adversary", {"steps": 6, "seed": 5}).events()
+        base = dump_events(events).splitlines()
         base += [_TRIGGER.replace("2", "99"), '{"kind": "snapshot_marker", "ts_ms": 99}']
         lines = data.draw(st.lists(st.sampled_from(base), min_size=1, max_size=6))
         for _ in range(data.draw(st.integers(0, 4))):
@@ -418,13 +418,13 @@ class TestWorldForTrace:
         txs = [tx("A", 2, 5), tx("A", 3, 5), tx("B", 0, 1)]
         world = world_for_trace([arrival(t, i) for i, t in enumerate(txs)])
         assert world.nonce_of("A") == 2
-        assert world.balance_of("A") == txs[0].cost + txs[1].cost
+        assert world.accounts["A"].balance == txs[0].cost + txs[1].cost
         assert world.nonce_of("B") == 0
 
     def test_overrides_win(self):
         events = [arrival(tx("A", 2, 5), 0)]
         world = world_for_trace(events, overrides={"A": (77, 1)})
-        assert (world.balance_of("A"), world.nonce_of("A")) == (77, 1)
+        assert (world.accounts["A"].balance, world.nonce_of("A")) == (77, 1)
 
     def test_accounts_in_trace_order_then_override_only_senders(self):
         txs = [tx("B", 3, 5), tx("A", 1, 2), tx("B", 2, 1), tx("C", 0, 9)]
@@ -458,13 +458,13 @@ class TestWorkloads:
         assert len(report.final_pending) == 50
 
     def test_tn1_chain_lengths(self):
-        events = workload_tn1(10, 10, capacity=192, n_future=4)
+        events, _ = workload_tn1(10, 10, capacity=192, n_future=4)
         a_events = [e for e in events if e.tx.sender.startswith("tn1-a")]
         assert len(a_events) == 10  # chains of length 1
         assert {e.tx.price for e in a_events} == {1_000}
 
     def test_tn1_phase_prices(self):
-        events = workload_tn1(100, 10, capacity=192, n_future=8)
+        events, _ = workload_tn1(100, 10, capacity=192, n_future=8)
         prices = {}
         for e in events:
             prefix = e.tx.sender.split("-")[1][0]
@@ -480,12 +480,10 @@ class TestWorkloads:
             workload_tn1(7, 10)
 
     def test_tn1_future_burst_declined(self):
-        events = workload_tn1(20, 10, capacity=64, n_future=16)
+        events, seeds = workload_tn1(20, 10, capacity=64, n_future=16)
+        assert list(seeds) == [f"tn1-f{i}" for i in range(16)]
         config = ScenarioConfig(
-            policy=PolicyConfig(kind="cp"),
-            capacity=64,
-            account_seeds=tn1_account_overrides(events),
-            final_drain=False,
+            policy=PolicyConfig(kind="cp"), capacity=64, account_seeds=seeds, final_drain=False
         )
         report = replay(config, events)
         assert report.summary()["reasons"].get("invalid-future", 0) == 16
@@ -493,7 +491,7 @@ class TestWorkloads:
 
 class TestReplayHarness:
     def test_event_count_matches_trace_length(self):
-        events = gen_random_adversary({"steps": 120, "seed": 2})
+        events = AttackPlan("random_adversary", {"steps": 120, "seed": 2}).events()
         report = replay(ScenarioConfig(capacity=32), events)
         assert report.event_count == 120
         assert len(report.outcomes) == sum(1 for e in events if e.kind == "tx_arrival")
@@ -536,6 +534,21 @@ class TestReplayHarness:
         for f in dataclasses.fields(config):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(config, f.name, "interleavd")
+
+    def test_account_seeds_are_a_read_only_copy(self):
+        seeds = {"A": (77, 1)}
+        config = ScenarioConfig(account_seeds=seeds)
+        seeds["A"] = (0, 0)
+        seeds["B"] = (1, 0)
+        assert dict(config.account_seeds) == {"A": (77, 1)}
+        with pytest.raises(TypeError):
+            config.account_seeds["A"] = (0, 0)
+        # replace(), as bench's tn1 seeding uses it, copies the new seeds too
+        other = dataclasses.replace(config, account_seeds=seeds)
+        assert dict(other.account_seeds) == seeds and other.capacity == config.capacity
+        # a read-only mapping has no hash, so neither has the config
+        with pytest.raises(TypeError):
+            hash(config)
 
     def test_bench_single_round(self):
         report = bench(ScenarioConfig(capacity=64), workload_batch_insert(50), rounds=1)
@@ -719,6 +732,14 @@ class TestCli:
             r"^error: --params (is malformed JSON: maximum recursion|must be a JSON object)", err
         ), err
 
+    def test_param_value_nested_too_deep_is_usage_error(self, capsys):
+        # decoded or not, a deep value inside the object is a usage error,
+        # not a RecursionError from copying the params
+        params = '{"mix": ' + "[" * 990 + "]" * 990 + "}"
+        assert main(["attack", "random_adversary", "--params", params]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"^error: (--params is malformed JSON|attack parameters are nested)", err)
+
     @pytest.mark.parametrize("delay", ["inf", "nan", "-1"])
     def test_delay_not_finite_or_negative_is_usage_error(self, delay, capsys):
         assert main(["attack", "cp_lock", "--delay", delay, "--capacity", "16"]) == 1
@@ -764,13 +785,13 @@ class TestCli:
 
     def test_attack_run_generates_once(self, monkeypatch, capsys):
         calls = []
-        generate = attacks._random_adversary
+        generate = attacks.ATTACKS["random_adversary"]
 
         def counted(params, start_ms):
             calls.append((dict(params), start_ms))
             return generate(params, start_ms)
 
-        monkeypatch.setattr(attacks, "_random_adversary", counted)
+        monkeypatch.setitem(attacks.ATTACKS, "random_adversary", counted)
         argv = ["attack", "random_adversary", "--params", '{"steps": 60}', "--seed", "2"]
         assert main(argv + ["--run", "--capacity", "16"]) == 0
         assert calls == [({"steps": 60, "seed": 2}, 0)]
