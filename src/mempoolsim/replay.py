@@ -33,6 +33,9 @@ from .policies import PolicyConfig
 from .pool import Mempool
 from .trace import TraceEvent, world_for_trace
 
+# report entries per sha256 update in report_hash: bounds the text alive at once
+_HASH_BATCH = 2048
+
 
 class ReplayAbort(Exception):
     """An engine invariant broke mid-replay; carries the offending event index."""
@@ -133,44 +136,69 @@ class RunReport:
         ``[sender, nonce, price, gas_used, gas_limit, value]``: what
         ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
         that object. They are written directly instead, each tx encoded once
-        however often the report names it. ``Transaction`` fields are exact
-        ints, for which ``str`` writes what json writes.
+        however often the report names it, and fed to the hash a batch of
+        ``_HASH_BATCH`` entries at a time, so no string of the whole report
+        is built. ``Transaction`` fields are exact ints, for which ``str``
+        writes what json writes.
         """
         enc = encode_basestring_ascii
         labels = {reason: enc(reason.value) for reason in Reason}
-        txs: Dict[int, str] = {}
+        txs: Dict[Transaction, str] = {}
 
         def tx_json(tx: Transaction) -> str:
-            key = id(tx)
-            text = txs.get(key)
+            text = txs.get(tx)
             if text is None:
-                text = txs[key] = (
+                text = txs[tx] = (
                     f"[{enc(tx.sender)},{tx.nonce},{tx.price},"
                     f"{tx.gas_used},{tx.gas_limit},{tx.value}]"
                 )
             return text
 
         heads: Dict[Reason, str] = {}
-        outcomes = []
-        for o in self.outcomes:
-            # a reason fixes its outcome's kind
-            head = heads.get(o.reason)
-            if head is None:
-                head = heads[o.reason] = f"[{enc(o.kind.value)},{labels[o.reason]},"
-            victim = "" if o.victim is None else tx_json(o.victim)
-            outcomes.append(f"{head}{tx_json(o.tx)},[{victim}]]")
-        blocks = ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in self.blocks)
-        declined = ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in self.declined)
+
+        def outcomes_json(batch: Sequence[AdmissionOutcome]) -> str:
+            entries = []
+            for o in batch:
+                # a reason fixes its outcome's kind
+                head = heads.get(o.reason)
+                if head is None:
+                    head = heads[o.reason] = f"[{enc(o.kind.value)},{labels[o.reason]},"
+                victim = "" if o.victim is None else tx_json(o.victim)
+                entries.append(f"{head}{tx_json(o.tx)},[{victim}]]")
+            return ",".join(entries)
+
         compact = (",", ":")
-        blob = "".join((
-            '{"blocks":[', blocks,
-            '],"declined":[', declined,
-            '],"outcomes":[', ",".join(outcomes),
-            '],"price_sums":', json.dumps(self.price_sum_series, separators=compact),
-            ',"summary":', json.dumps(self.summary(), sort_keys=True, separators=compact),
-            "}",
-        ))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        digest = hashlib.sha256()
+        update = digest.update
+
+        def section(head: bytes, items: Sequence, batch_json) -> None:
+            # ``head``, then the items' JSON, comma-separated, a batch per update
+            update(head)
+            for i in range(0, len(items), _HASH_BATCH):
+                if i:
+                    update(b",")
+                update(batch_json(items[i : i + _HASH_BATCH]).encode("utf-8"))
+
+        section(
+            b'{"blocks":[',
+            self.blocks,
+            lambda batch: ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in batch),
+        )
+        section(
+            b'],"declined":[',
+            self.declined,
+            lambda batch: ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in batch),
+        )
+        section(b'],"outcomes":[', self.outcomes, outcomes_json)
+        # a slice's JSON array without its brackets: exactly json's own items
+        section(
+            b'],"price_sums":[',
+            self.price_sum_series,
+            lambda batch: json.dumps(batch, separators=compact)[1:-1],
+        )
+        summary = json.dumps(self.summary(), sort_keys=True, separators=compact)
+        update(f'],"summary":{summary}}}'.encode("utf-8"))
+        return digest.hexdigest()
 
 
 def _admission_flags(

@@ -6,10 +6,15 @@ Transaction fields are only present for ``tx_arrival`` events. Parsing is
 strict: unknown fields, timestamp regressions, numbers that are not JSON
 integers or lie outside Ethereum's uint256 range, a non-string sender and an
 unknown source are rejected with the offending line number. A key repeated
-within a record keeps its last value. Lines are decoded a chunk per
-``json.loads``, and a chunk that one decode cannot split exactly into its
-lines is decoded line by line, so the events and errors are those of a
-per-line parse.
+within a record keeps its last value.
+
+The text is read and cut into lines a block of ``_READ_BLOCK`` characters at
+a time, so no copy of the whole text or list of all its lines is held: a
+parse's transient memory is a block and a chunk, whatever the trace's size.
+The lines are exactly ``str.splitlines``'s, a line cut by a block boundary
+included. Lines are decoded a chunk per ``json.loads``, and a chunk that one
+decode cannot split exactly into its lines is decoded line by line, so the
+events and errors are those of a per-line parse.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import AccountState, Transaction, WorldState, short_repr
 
@@ -29,6 +34,10 @@ _SOURCES = ("benign", "adversarial")
 # lines per json.loads: bounds the decoded records alive at once, so the
 # parse's peak memory stays near a per-line loop's
 _DECODE_CHUNK = 64
+# characters read and cut into lines at a time
+_READ_BLOCK = 1 << 16
+# the characters str.splitlines cuts at; "\r\n" is one break
+_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 class TraceError(Exception):
@@ -37,19 +46,31 @@ class TraceError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceEvent:
-    """One trace line; an arrival's ``source`` field is its ``tx.label``."""
+    """One trace line; an arrival's ``source`` field is its ``tx.label``.
+
+    Built by hand, as ``Transaction`` is: the checks run first, then each
+    slot is set through its own descriptor, not ``object.__setattr__``.
+    """
 
     kind: str
     ts_ms: int = 0
     tx: Optional[Transaction] = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown event kind: {self.kind}")
-        if self.kind == "tx_arrival" and self.tx is None:
+    def __init__(self, kind: str, ts_ms: int = 0, tx: Optional[Transaction] = None) -> None:
+        if kind not in KINDS:
+            raise ValueError(f"unknown event kind: {kind}")
+        if kind == "tx_arrival" and tx is None:
             raise ValueError("tx_arrival event needs a transaction payload")
+        _set_kind(self, kind)
+        _set_ts_ms(self, ts_ms)
+        _set_tx(self, tx)
+
+
+_set_kind = TraceEvent.kind.__set__
+_set_ts_ms = TraceEvent.ts_ms.__set__
+_set_tx = TraceEvent.tx.__set__
 
 
 def arrival(tx: Transaction, ts_ms: int = 0) -> TraceEvent:
@@ -133,15 +154,70 @@ def write_trace(path, events: Iterable[TraceEvent]) -> None:
 def parse_trace_text(text: str) -> List[TraceEvent]:
     """The events of a trace's text; a ``TraceError`` names the first bad line.
 
-    Non-blank lines are decoded ``_DECODE_CHUNK`` at a time by one
-    ``json.loads``; a chunk that fails ``_decode_chunk``'s guards is decoded
-    again line by line. Either way each record then passes the one schema
-    check and the one timestamp check, in line order.
+    The text is cut into lines ``_READ_BLOCK`` characters at a time, as
+    ``parse_trace`` reads a file. Non-blank lines are decoded
+    ``_DECODE_CHUNK`` at a time by one ``json.loads``; a chunk that fails
+    ``_decode_chunk``'s guards is decoded again line by line. Either way each
+    record then passes the one schema check and the one timestamp check, in
+    line order.
     """
+    size = _READ_BLOCK
+    return _parse_blocks(text[i : i + size] for i in range(0, len(text), size))
+
+
+def parse_trace(path) -> List[TraceEvent]:
+    """The events of the trace file at ``path``, read a block at a time in
+    text mode (universal newlines, so a CRLF or CR file reads as LF). Bytes
+    that are not UTF-8 raise a ``TraceError`` naming their offset in the file,
+    unless a bad line read before them raises first."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return _parse_blocks(iter(lambda: fh.read(_READ_BLOCK), ""))
+        except UnicodeDecodeError as exc:
+            # the decoder was given the bytes that end where the file is read to
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            raise TraceError(f"invalid UTF-8 at byte {at}: {exc.reason}") from exc
+
+
+def _split_lines(blocks: Iterable[str]) -> Iterator[str]:
+    """The lines of ``"".join(blocks)``, exactly as ``str.splitlines`` cuts them.
+
+    A line that a block does not end goes on in the next: its parts wait in
+    ``head`` and are joined once, when a block ends the line, so a line longer
+    than many blocks costs time linear in its length. A block that ends in
+    ``\\r`` has ended its line, but a ``\\n`` opening the next block is the
+    second half of that ``\\r\\n`` and ends nothing.
+    """
+    head: List[str] = []
+    after_cr = False
+    for block in blocks:
+        if after_cr and block[:1] == "\n":
+            block = block[1:]
+            after_cr = False
+        if not block:
+            continue
+        lines = block.splitlines()
+        last = block[-1]
+        after_cr = last == "\r"
+        tail = None if last in _LINE_BREAKS else lines.pop()
+        if lines:
+            if head:
+                head.append(lines[0])
+                lines[0] = "".join(head)
+                head.clear()
+            yield from lines
+        if tail is not None:
+            head.append(tail)
+    if head:
+        yield "".join(head)
+
+
+def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
+    """The events of the trace text that ``blocks`` cut; see ``parse_trace_text``."""
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
-    numbered = ((n, raw) for n, raw in enumerate(text.splitlines(), 1) if raw.strip())
+    numbered = ((n, raw) for n, raw in enumerate(_split_lines(blocks), 1) if raw.strip())
     while chunk := list(islice(numbered, _DECODE_CHUNK)):
         linenos, lines = zip(*chunk)
         records = _decode_chunk(lines)
@@ -196,11 +272,6 @@ def _decode_line(raw: str, lineno: int) -> Dict:
     if not isinstance(record, dict):
         raise TraceError("record is not an object", lineno)
     return record
-
-
-def parse_trace(path) -> List[TraceEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace_text(fh.read())
 
 
 def world_for_trace(

@@ -1,0 +1,63 @@
+"""Transient memory of the set-up and the report hash, measured with
+``tracemalloc``: what a call allocates beyond what it leaves behind.
+
+A parse reads the trace a block at a time and ``report_hash`` feeds the hash
+a batch of entries at a time, so neither holds a copy of the whole trace or
+the whole report.
+"""
+
+import gc
+import json
+import tracemalloc
+
+from mempoolsim import (
+    AttackPlan,
+    PolicyConfig,
+    ScenarioConfig,
+    dump_events,
+    parse_trace,
+    parse_trace_text,
+    replay,
+    workload_batch_insert,
+)
+
+from test_report_hash import canonical
+
+
+def _transient(call):
+    """Peak bytes that ``call()`` allocated beyond those alive when it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        # the result is alive when measured, so it counts as kept
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - kept
+
+
+def test_parse_transient_does_not_grow_with_the_trace(tmp_path):
+    transients = {}
+    for lines in (2_000, 8_000):
+        text = dump_events(workload_batch_insert(lines))
+        path = tmp_path / f"trace-{lines}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        transients[lines] = (
+            _transient(lambda: parse_trace(path)),
+            _transient(lambda: parse_trace_text(text)),
+        )
+    for small, large in zip(transients[2_000], transients[8_000]):
+        assert large <= 1.25 * small, transients
+
+
+def test_report_hash_transient_is_at_most_3x_the_canonical_json():
+    plan = AttackPlan("random_adversary", {"steps": 6_000, "seed": 2})
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="cp"), capacity=192, account_seeds=plan.account_seeds()
+    )
+    report = replay(config, plan.events())
+    size = len(json.dumps(canonical(report), sort_keys=True, separators=(",", ":")))
+    transient = _transient(report.report_hash)
+    assert transient <= 3 * size, (transient, size)

@@ -9,6 +9,7 @@ transactions and huge integers.
 """
 
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -20,6 +21,9 @@ from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
 
 from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
+
+# the package's ``replay`` attribute is the function
+replay_module = importlib.import_module("mempoolsim.replay")
 
 
 def canonical(report: RunReport) -> dict:
@@ -140,6 +144,30 @@ def test_fee_totals_are_read_only_sums_of_the_records():
     for name in ("pool_fees_final", "block_fees_final", "declined_fees_final"):
         with pytest.raises(AttributeError):
             setattr(report, name, 0)
+
+
+def _sections_of(n: int) -> RunReport:
+    """A report with ``n`` entries in each of its four list sections."""
+    txs = [Transaction(sender=f"s{i}", nonce=i, price=i + 1) for i in range(n + 1)]
+    report = RunReport(policy="map", capacity=n + 1, event_count=n)
+    report.outcomes = [
+        AdmissionOutcome(Reason.EVICTION, txs[i + 1], txs[i]) if i % 2 else
+        AdmissionOutcome(Reason.POOL_NOT_FULL, txs[i])
+        for i in range(n)
+    ]
+    report.blocks = [Block(txs[i : i + 2]) for i in range(n)]
+    report.declined = [(txs[i], Reason.UNBUILDABLE) for i in range(n)]
+    report.price_sum_series = [10**i for i in range(n)]
+    return report
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+@pytest.mark.parametrize("edge", [0, 1, 2])
+def test_matches_oracle_at_the_batch_edges(monkeypatch, batch, edge):
+    # sections empty, exactly one batch long, and one entry past a batch
+    monkeypatch.setattr(replay_module, "_HASH_BATCH", batch)
+    report = _sections_of((0, batch, batch + 1)[edge])
+    assert report.report_hash() == oracle_hash(report)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 import json
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mempoolsim import (
     AttackPlan,
@@ -15,6 +17,7 @@ from mempoolsim import (
     Reason,
     ScenarioConfig,
     TraceError,
+    TraceEvent,
     arrival,
     bench,
     block_trigger,
@@ -411,6 +414,130 @@ class TestOneDecodeMatchesPerLine:
             else:
                 lines.insert(i, data.draw(st.sampled_from(("", " ", "\t"))))
         _same_as_per_line("\n".join(lines) + "\n")
+
+
+_BREAKS = ["\r", "\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_TRIGGER_0 = _TRIGGER.replace("2", "0")
+_LONG_SENDER = _ARRIVAL.replace('"sender": "a"', '"sender": "' + "s" * 100 + '"')
+_EURO = "\u20ac".encode()
+# multi-byte sender characters, so a character offset is not a byte offset
+_UTF8_LINE = (_ARRIVAL.replace('"sender": "a"', '"sender": "\u00fc\u20ac"') + "\n").encode()
+_RANDOM_TRACE = dump_events(AttackPlan("random_adversary", {"steps": 30, "seed": 2}).events())
+
+
+class TestBlockwiseParse:
+    """``parse_trace`` reads, and ``parse_trace_text`` cuts, the text a block
+    at a time; the lines, events and errors are those of the whole text."""
+
+    def test_line_breaks_are_the_ones_splitlines_cuts_at(self):
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        # no "\r" in it is followed by "\n", so each piece ends in one break
+        ends = {piece[-1] for piece in every_char.splitlines(True)[:-1]}
+        assert ends == trace._LINE_BREAKS
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["{", "}", " "] + _BREAKS), max_size=40),
+        st.lists(st.integers(0, 80), max_size=8),
+    )
+    # a "\r\n" cut in two, then a block that is only its "\n"
+    @example(["{", "\r\n", "}"], [2])
+    @example(["\r", "\n", "\n"], [1, 2])
+    def test_split_lines_is_splitlines_wherever_the_blocks_are_cut(self, pieces, cuts):
+        text = "".join(pieces)
+        # repeated cuts make empty blocks
+        bounds = sorted(min(c, len(text)) for c in cuts)
+        blocks = [text[a:b] for a, b in zip([0, *bounds], [*bounds, len(text)])]
+        assert list(trace._split_lines(blocks)) == text.splitlines()
+
+    def test_a_line_many_blocks_long_is_one_line(self):
+        blocks = ["x" * 7] * 1000 + ["\r", "\n", "y"]
+        assert list(trace._split_lines(blocks)) == ["x" * 7000, "y"]
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            _RANDOM_TRACE,
+            _RANDOM_TRACE.replace("\n", "\r\n"),
+            _RANDOM_TRACE.replace("\n", "\r"),
+            # a line longer than many blocks, after blank and padded lines
+            "\r\n \r\n" + _TRIGGER_0 + "\r\r\n" + _LONG_SENDER + "\r" + _TRIGGER,
+            # a raw line separator and a form feed end lines in text mode too
+            _TRIGGER + "\u2028" + _TRIGGER + "\f" + _TRIGGER.replace("2", "3") + "\n",
+            # bad lines: the error names the same line
+            _RANDOM_TRACE.replace("\n", "\r\n") + '{"kind": "reorg", "ts_ms": 9}\r\n',
+            _TRIGGER_0 + "\r" + _LONG_SENDER + "\r\n" + _LONG_SENDER[:-1] + "\r\n" + _TRIGGER,
+            _TRIGGER.replace("2", "5") + "\r\n\r\n" + _TRIGGER,
+            _TRIGGER + "\n" + _ARRIVAL.replace('"sender": "a"', '"sender": "a\u2028b"'),
+        ],
+    )
+    def test_small_blocks_parse_as_the_whole_text(self, tmp_path, monkeypatch, text, block):
+        expected = _outcome(parse_trace_lines, text)
+        monkeypatch.setattr(trace, "_READ_BLOCK", block)
+        assert _outcome(parse_trace_text, text) == expected
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        # a file is read with universal newlines, as read_text reads it
+        assert _outcome(parse_trace, path) == _outcome(parse_trace_lines, path.read_text("utf-8"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xff\n",
+            _UTF8_LINE + b"\xff",
+            _UTF8_LINE * 300 + b"\xc3\x28",
+            _UTF8_LINE * 3000 + b"\xff",
+            # an incomplete character at the end of the file
+            _UTF8_LINE * 3000 + _EURO[:2],
+            # a character cut between two of the file's reads, then a bad byte
+            b" " * (trace._READ_BLOCK - 1) + _EURO + b"\xff",
+        ],
+        ids=["alone", "after-a-line", "bad-pair", "blocks-in", "cut-at-end", "cut-between-reads"],
+    )
+    def test_invalid_utf8_is_named_by_its_offset_in_the_file(self, tmp_path, data):
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(TraceError, match=f"^invalid UTF-8 at byte {whole.value.start}: "):
+            parse_trace(path)
+
+    def test_bad_line_blocks_before_invalid_utf8_is_named(self, tmp_path):
+        # the bad bytes lie blocks past line 1, which is checked before they are read
+        text = '{"kind": "reorg", "ts_ms": 1}\n' + (_TRIGGER + "\n") * 5000
+        assert len(text) > 2 * trace._READ_BLOCK
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(text.encode() + b"\xff\n")
+        with pytest.raises(TraceError, match="unknown event kind") as err:
+            parse_trace(path)
+        assert err.value.line == 1
+
+
+class TestTraceEvent:
+    def test_signature_fields_and_messages_are_the_dataclass_ones(self):
+        params = inspect.signature(TraceEvent).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("kind", inspect.Parameter.empty), ("ts_ms", 0), ("tx", None)
+        ]
+        assert [f.name for f in dataclasses.fields(TraceEvent)] == ["kind", "ts_ms", "tx"]
+        with pytest.raises(ValueError, match="^unknown event kind: reorg$"):
+            TraceEvent("reorg", 1)
+        with pytest.raises(ValueError, match="^tx_arrival event needs a transaction payload$"):
+            TraceEvent("tx_arrival", 1)
+
+    def test_every_slot_is_set_and_frozen(self):
+        t = tx("A", 0, 5)
+        event = TraceEvent("tx_arrival", 3, t)
+        assert (event.kind, event.ts_ms, event.tx) == ("tx_arrival", 3, t)
+        assert TraceEvent(kind="block_trigger") == block_trigger(0)
+        assert not hasattr(event, "__dict__")
+        for name in ("kind", "ts_ms", "tx"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(event, name, None)
+        assert dataclasses.replace(event, ts_ms=4) == TraceEvent("tx_arrival", 4, t)
+        with pytest.raises(ValueError, match="needs a transaction payload"):
+            dataclasses.replace(event, tx=None)
 
 
 class TestWorldForTrace:
