@@ -1,20 +1,19 @@
-"""Greedy block builder: fixed candidate order, append-only, skip-on-overflow.
+"""Greedy block builder: one price-and-nonce order, walked once per block.
 
 Candidates are walked in price-descending order, except that a transaction
 is never placed before its in-pool ancestors. Each candidate is tried once,
-only at the current end of the block; on gas overflow or nonce gap it is
-skipped and never revisited.
+only at the current end of the block: it is included when its nonce is its
+sender's confirmed nonce and its gas fits in what the block has left, and
+otherwise skipped and never revisited. This is the rule geth's miner
+applies to the same price-and-nonce order.
 
-The order is produced lazily, and with static gas the walk stops as soon as
-the block has less than ``MIN_TX_GAS`` gas left. The stop is exact:
-``Transaction`` rejects ``gas_used < MIN_TX_GAS``, so every later candidate
-would be a gas-overflow skip, and skips change neither the block nor the
-pool. This is the rule geth's miner applies to the same price-and-nonce
-order.
-
-There is one ranking, ``candidate_order``. ``build_block`` walks it for one
-block; ``drain`` takes it once and walks what is left of it block by block
-(see its docstring), without calling ``build_block``.
+``_fill`` is that walk, and ``build_block`` and ``drain`` both run it. An
+inclusion advances the sender's account at once, so the one nonce test
+skips alike a tx already included, a sender's later txs once one of its
+txs overflowed the block, and a real nonce gap. With static gas the walk
+stops once the gas left is below a floor no later candidate comes under:
+every later candidate would be a gas-overflow skip, and skips change
+neither the block, the pool nor the world, so the stop is exact.
 
 ``gas_fn`` lets a scenario supply context-dependent gas consumption to
 ``build_block`` (gas as a function of which transactions already precede in
@@ -28,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import MIN_TX_GAS, Block, Reason, Transaction, WorldState
 from .pool import Mempool
@@ -74,49 +73,62 @@ def candidate_order(pool: Mempool) -> Iterator[Transaction]:
             yield from txs[start:end]
 
 
+def _fill(
+    order: Iterable[Transaction],
+    world: WorldState,
+    skipped: List[Tuple[Transaction, str]],
+    gas_fn: Optional[GasFn] = None,
+    lightest: Optional[Callable[[], int]] = None,
+) -> Block:
+    """Fill one block from ``order``; each inclusion advances ``world``.
+
+    A tx whose nonce is not its sender's confirmed nonce, or whose gas does
+    not fit, is appended to ``skipped`` as ``(tx, "nonce-gap")`` or ``(tx,
+    "gas-overflow")``. With static gas the walk stops once the gas left is
+    below ``MIN_TX_GAS``, or below ``lightest()``, read again after each
+    inclusion, when given; with a ``gas_fn`` it walks all of ``order``.
+    """
+    block = Block()
+    included = block.txs
+    limit = world.block_gas_limit
+    # with static gas, the block is full once gas_total passes this
+    full_above = None if gas_fn else limit - (lightest() if lightest else MIN_TX_GAS)
+    gas_total = 0
+    for tx in order:
+        if full_above is not None and gas_total > full_above:
+            break
+        if tx.nonce != world.nonce_of(tx.sender):
+            skipped.append((tx, "nonce-gap"))
+            continue
+        gas = gas_fn(tx, included) if gas_fn else tx.gas_used
+        if gas_total + gas > limit:
+            skipped.append((tx, "gas-overflow"))
+            continue
+        gas_total += gas
+        included.append(tx)
+        acct = world.account(tx.sender)
+        acct.nonce = tx.nonce + 1
+        acct.balance -= tx.fee + tx.value
+        if lightest:
+            full_above = limit - lightest()
+    return block
+
+
 def build_block(
     pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None
 ) -> BuildResult:
     """Build one block; included txs leave the pool and advance world state.
 
-    With static gas (no ``gas_fn``) the walk of ``candidate_order`` stops
-    once the block has less than ``MIN_TX_GAS`` gas left; with a block gas
-    limit below ``MIN_TX_GAS`` that is before the first candidate, and the
-    block is empty. Every tx has ``gas_used >= MIN_TX_GAS``, so each later
-    candidate would only be a gas-overflow skip: the block, the pool and
-    the world end as a full walk leaves them. ``skipped`` holds the
-    (tx, reason) pairs walked before the stop, in walk order, so it is a
-    prefix of a full walk's skips. With a ``gas_fn`` the whole order is
-    walked, since a context-dependent gas may be below ``MIN_TX_GAS``.
+    ``_fill`` walks ``candidate_order``, with static gas (no ``gas_fn``) up
+    to the ``MIN_TX_GAS`` stop: with a block gas limit below ``MIN_TX_GAS``
+    that is before the first candidate, and the block is empty. ``skipped``
+    holds the (tx, reason) pairs walked before the stop, in walk order, so
+    it is a prefix of a full walk's skips.
     """
-    block = Block()
     skipped: List[Tuple[Transaction, str]] = []
-    limit = world.block_gas_limit
-    # with static gas, the block is full once gas_total passes this
-    full_above = limit - MIN_TX_GAS if gas_fn is None else None
-    gas_total = 0
-    next_nonce: Dict[str, int] = {}
-    for tx in candidate_order(pool):
-        if full_above is not None and gas_total > full_above:
-            break
-        expected = next_nonce.get(tx.sender)
-        if expected is None:
-            expected = world.nonce_of(tx.sender)
-        if tx.nonce != expected:
-            skipped.append((tx, "nonce-gap"))
-            continue
-        gas = gas_fn(tx, block.txs) if gas_fn else tx.gas_used
-        if gas_total + gas > limit:
-            skipped.append((tx, "gas-overflow"))
-            continue
-        gas_total += gas
-        block.txs.append(tx)
-        next_nonce[tx.sender] = tx.nonce + 1
+    block = _fill(candidate_order(pool), world, skipped, gas_fn)
     for tx in block.txs:
         pool.remove_included(tx)
-        acct = world.account(tx.sender)
-        acct.nonce = tx.nonce + 1
-        acct.balance -= tx.fee + tx.value
     return BuildResult(block=block, skipped=skipped)
 
 
@@ -125,71 +137,58 @@ def drain(pool: Mempool, world: WorldState) -> List[Block]:
 
     Leftovers (permanent nonce gaps, per-block gas overflows that can never
     fit) are moved to the declined ledger as unbuildable, in admission
-    order, and earn no fees; the pool ends empty.
+    order, and earn no fees; the pool ends empty. No tx arrives during a
+    drain, so a leftover would be skipped in every further block.
 
     The blocks are the ones ``build_block`` builds when called until a
     block comes out empty, but ``candidate_order`` is taken once and the
-    pool is left as it is until one ``pop_all`` at the end. No tx arrives
-    during a drain, and each block takes a prefix of each sender's chain,
-    so the candidate order of what remains is the first order without the
-    taken txs: a tx is placed at the rank of the first of its sender's txs
-    at or above its nonce, and that tx remains.
+    pool is left as it is until one ``pop_all`` at the end. Each block
+    takes a prefix of each sender's chain, so the candidate order of what
+    remains is the first order without the included txs, which ``_fill``'s
+    nonce test skips: a tx is placed at the rank of the first of its
+    sender's txs at or above its nonce, and that tx remains.
 
     * Only a sender's buildable run is kept: ``c <= tx.nonce <
       chain.run_end(c)``, where ``c`` is its confirmed nonce. Every other
       tx would be a nonce-gap skip in every block.
-    * ``start`` moves past the leading taken txs, so no later block walks
-      them.
-    * A tx that overflows the block makes its sender's later txs nonce-gap
-      skips for the rest of that block.
+    * ``start`` moves past the leading included txs, whose nonces are now
+      below their senders' confirmed nonces, so no later block walks them.
     * A block stops once the lightest ``gas_used`` among the buildable txs
-      not yet taken no longer fits in the gas left; they are sorted by gas
-      once, and ``lightest`` moves past the taken ones. Every later
-      candidate would be a skip, so the stop is exact.
+      not yet included no longer fits in the gas left; they are sorted by
+      gas once, and ``light`` moves past the included ones.
     """
-    limit = world.block_gas_limit
+    nonce_of = world.nonce_of
     runs: Dict[str, Tuple[int, int]] = {}  # sender -> its buildable nonces [c, end)
     order: List[Transaction] = []
     for tx in candidate_order(pool):
         run = runs.get(tx.sender)
         if run is None:
-            confirmed = world.nonce_of(tx.sender)
+            confirmed = nonce_of(tx.sender)
             run = runs[tx.sender] = (confirmed, pool.chain(tx.sender).run_end(confirmed))
         if run[0] <= tx.nonce < run[1]:
             order.append(tx)
     by_gas = sorted(order, key=attrgetter("gas_used"))
+    light = 0
 
-    taken: Set[Transaction] = set()
+    def lightest() -> int:
+        nonlocal light
+        while light < len(by_gas) and by_gas[light].nonce < nonce_of(by_gas[light].sender):
+            light += 1
+        # with nothing left to include, past the limit: every block is full
+        return by_gas[light].gas_used if light < len(by_gas) else world.block_gas_limit + 1
+
     blocks: List[Block] = []
-    start = lightest = 0
+    start = 0
     while True:
-        while start < len(order) and order[start] in taken:
+        while start < len(order) and order[start].nonce < nonce_of(order[start].sender):
             start += 1
-        block = Block()
-        included = block.txs
-        gas_total = 0
-        overflowed: Set[str] = set()
-        for k in range(start, len(order)):
-            tx = order[k]
-            if tx in taken or tx.sender in overflowed:
-                continue
-            if gas_total + tx.gas_used > limit:
-                overflowed.add(tx.sender)
-                continue
-            gas_total += tx.gas_used
-            included.append(tx)
-            taken.add(tx)
-            while lightest < len(by_gas) and by_gas[lightest] in taken:
-                lightest += 1
-            if lightest == len(by_gas) or gas_total + by_gas[lightest].gas_used > limit:
-                break
-        if not included:
+        # indexed from start: islice would walk the included prefix again
+        rest = map(order.__getitem__, range(start, len(order)))
+        block = _fill(rest, world, [], lightest=lightest)
+        if not block.txs:
             break
         blocks.append(block)
-        for tx in included:
-            acct = world.account(tx.sender)
-            acct.nonce = tx.nonce + 1
-            acct.balance -= tx.fee + tx.value
+    taken = {tx for block in blocks for tx in block.txs}
     for tx in pool.pop_all():
         if tx not in taken:
             pool.decline(tx, Reason.UNBUILDABLE)

@@ -3,9 +3,10 @@
 Each predicate is a linear scan over plain transaction lists or a read-only
 view, and shares no code with the pool's per-sender chains or order indexes.
 Three test-only readers list a pool's order heaps in full, live entries
-only, sorted and each once. ``drain`` is the block-at-a-time drain, one
-library ``build_block`` per block (itself checked against this module's
-``build_block``), that the library's one-ranking drain must match, and
+only, sorted and each once. ``drain`` is the block-at-a-time drain, this
+module's ``build_block`` on the pending list once per block, that the
+library's one-ranking drain must match; the library's ``build_block`` and
+``drain`` share one fill loop, so neither can check the other. And
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
 """
@@ -24,7 +25,6 @@ from mempoolsim import (
     Transaction,
     WorldState,
 )
-from mempoolsim import builder
 from mempoolsim.metrics import OutcomeFlags
 from mempoolsim.trace import _record_to_event
 
@@ -150,18 +150,23 @@ def _live_entries(heap: List[Tuple], live: Callable[[Tuple], bool]) -> List[Tran
 
 
 def drain(pool: Mempool, world: WorldState) -> List[Block]:
-    """Drain block by block: ``build_block`` on what is left until a block
-    comes out empty, then each leftover, in admission order, removed and
+    """Drain block by block: ``build_block`` on what is left of the pending
+    list, ranked by its admission order, until a block comes out empty;
+    then the pool is emptied and each leftover, in admission order, is
     declined as unbuildable."""
+    pending = pool.pending()
+    admitted_at = {t: i for i, t in enumerate(pending)}
     blocks: List[Block] = []
-    while len(pool) > 0:
-        result = builder.build_block(pool, world)
-        if not result.block.txs:
-            for tx in pool.pending():
-                pool.remove_included(tx)
-                pool.decline(tx, Reason.UNBUILDABLE)
+    while pending:
+        included, _ = build_block(pending, admitted_at, world)
+        if not included:
             break
-        blocks.append(result.block)
+        blocks.append(Block(included))
+        pending = [t for t in pending if t not in included]
+    for t in pool.pending():
+        pool.remove_included(t)
+    for t in pending:
+        pool.decline(t, Reason.UNBUILDABLE)
     return blocks
 
 

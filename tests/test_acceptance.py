@@ -8,6 +8,7 @@ as a reported-only figure is exact integer arithmetic.
 
 import math
 import random
+import statistics
 import time
 
 import pytest
@@ -403,11 +404,18 @@ def test_criterion_10_gamma_oracle_equivalence():
 
 def test_criterion_11_performance_sanity():
     events = workload_batch_insert(10_000)
-    means = {}
-    for kind in ("baseline", "cp"):
-        config = ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=CAPACITY_FULL)
-        means[kind] = bench(config, events, rounds=3, workload="batch_insert").mean_s
-    ratio = means["cp"] / means["baseline"]
+    configs = {
+        kind: ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=CAPACITY_FULL)
+        for kind in ("baseline", "cp")
+    }
+    # each round times both policies back to back, so a slow spell of the
+    # host slows both, and the median round's ratio is compared
+    rounds = [
+        {kind: bench(config, events, 1, "batch_insert").mean_s for kind, config in configs.items()}
+        for _ in range(7)
+    ]
+    ratio = statistics.median(r["cp"] / r["baseline"] for r in rounds)
+    means = {kind: statistics.fmean(r[kind] for r in rounds) for kind in configs}
     _check(
         11,
         ratio <= 1.5 and max(means.values()) < 5.0,

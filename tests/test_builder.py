@@ -337,6 +337,12 @@ def _stale_head(_):
     return [tx("A", nonce, 5) for nonce in range(4)], 4, "cp"
 
 
+def _overflow_child(_):
+    """b:0 takes 60k of a 100k block, then a:0 (50k) overflows it while its
+    child a:1 (21k) would fit: a:1 waits for a:0, and both fill block 2."""
+    return [tx("b", 0, 100, gas=60_000), tx("a", 0, 50, gas=50_000), tx("a", 1, 40)], 3, "cp"
+
+
 def _filled(make, n, block_gas_limit=GAS_LIMIT_30M):
     txs, capacity, kind = make(n)
     pool = Mempool(capacity=capacity)
@@ -371,8 +377,9 @@ def _assert_drains_alike(pool, world):
         (_orphans, 20, GAS_LIMIT_30M),
         (_promotion, 0, 3 * 21_000),
         (_stale_head, 0, GAS_LIMIT_30M),
+        (_overflow_child, 0, 100_000),
     ],
-    ids=["one_per_block", "orphans", "promotion", "stale_head"],
+    ids=["one_per_block", "orphans", "promotion", "stale_head", "overflow_child"],
 )
 def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
     pool, world = _filled(make, n, limit)
@@ -388,6 +395,10 @@ def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
         # the gap tx p:3 ranks first, so its prefix leads the first block
         assert [(t.sender, t.nonce) for t in blocks[0].txs][:2] == [("p", 0), ("p", 1)]
         assert [(t.sender, t.nonce) for t, _ in pool.declined[-1:]] == [("p", 3)]
+    if make is _overflow_child:
+        assert [[(t.sender, t.nonce) for t in b.txs] for b in blocks] == [
+            [("b", 0)], [("a", 0), ("a", 1)]
+        ]
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])

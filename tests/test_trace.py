@@ -925,6 +925,22 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["events"] == 60
 
+    def test_replay_csv_has_one_row_per_block(self, tmp_path, capsys):
+        # four 10M-gas txs: the final drain fills a 30M block with the three
+        # dearest and builds a second block for the cheapest
+        txs = [tx(f"s{i}", 0, 2 + i, gas=10_000_000) for i in range(4)]
+        trace = tmp_path / "big.jsonl"
+        write_trace(trace, [arrival(t, step) for step, t in enumerate(txs)])
+        csv_path = tmp_path / "blocks.csv"
+        assert main(["replay", str(trace), "--capacity", "16", "--csv", str(csv_path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["blocks"] == 2
+        assert csv_path.read_text().splitlines() == [
+            "block,revenue",
+            f"0,{10_000_000 * (5 + 4 + 3)}",
+            f"1,{10_000_000 * 2}",
+        ]
+
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
         out = tmp_path / "report.json"
