@@ -9,7 +9,9 @@ from __future__ import annotations
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
@@ -80,7 +82,9 @@ class Transaction:
             raise ValueError(f"{name} must be an integer, got {short_repr(given[name])}")
         if type(sender) is not str:
             raise ValueError(f"sender must be a string, got {short_repr(sender)}")
-        if gas_limit == 0:
+        # the gas_used object stands for an equal gas_limit, so a parsed
+        # trace holds one int for both
+        if gas_limit == 0 or gas_limit == gas_used:
             gas_limit = gas_used
         # one chained test on the common path; _range_error names the field
         if not (
@@ -97,8 +101,10 @@ class Transaction:
         _set_gas_limit(self, gas_limit)
         _set_value(self, value)
         _set_label(self, label)
-        _set_fee(self, gas_used * price)
-        _set_cost(self, gas_limit * price + value)
+        fee = gas_used * price
+        _set_fee(self, fee)
+        # an equal cost shares fee's object
+        _set_cost(self, fee if value == 0 and gas_limit is gas_used else gas_limit * price + value)
 
     def __repr__(self) -> str:
         return f"<{self.sender}:{self.nonce} @{self.price}>"
@@ -131,6 +137,7 @@ _set_value = Transaction.value.__set__
 _set_label = Transaction.label.__set__
 _set_fee = Transaction.fee.__set__
 _set_cost = Transaction.cost.__set__
+_fee = attrgetter("fee")
 
 
 @dataclass(slots=True)
@@ -156,9 +163,6 @@ class WorldState:
     def nonce_of(self, sender: str) -> int:
         acct = self.accounts.get(sender)
         return acct.nonce if acct else 0
-
-    def fund(self, sender: str, balance: int, nonce: int = 0) -> None:
-        self.accounts[sender] = AccountState(balance=balance, nonce=nonce)
 
     def clone(self) -> "WorldState":
         return WorldState(
@@ -202,10 +206,12 @@ class Reason(Enum):
     UNBUILDABLE = "unbuildable"
 
 
-_ADMITTING = {
+# the kind each reason fixes: two reasons admit, every other declines
+REASON_KIND: Mapping[Reason, OutcomeKind] = MappingProxyType({
+    **dict.fromkeys(Reason, OutcomeKind.DECLINED),
     Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
     Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
-}
+})
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -235,7 +241,7 @@ class AdmissionOutcome:
 
     @property
     def kind(self) -> OutcomeKind:
-        return _ADMITTING.get(self.reason, OutcomeKind.DECLINED)
+        return REASON_KIND[self.reason]
 
     @property
     def admitted(self) -> bool:
@@ -259,4 +265,4 @@ class Block:
 
     @property
     def revenue(self) -> int:
-        return sum(tx.fee for tx in self.txs)
+        return sum(map(_fee, self.txs))

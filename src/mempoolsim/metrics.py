@@ -150,10 +150,10 @@ class UtilEntry:
     def dutil(self) -> int:
         return self.inside_delta - self.outside_delta
 
-    def add(self, inside_delta: int, outside_delta: int) -> None:
+    def add(self, inside_delta: int, outside_delta: int, count: int = 1) -> None:
         self.inside_delta += inside_delta
         self.outside_delta += outside_delta
-        self.count += 1
+        self.count += count
 
 
 @dataclass
@@ -175,23 +175,26 @@ class UtilLedger:
         )
 
     def record(self, outcome_class: OutcomeClass, inside_delta: int, outside_delta: int,
-               flags: OutcomeFlags = NO_FLAGS) -> None:
-        """Add one record to its class's entry and, only when ``flags`` is
-        not ``NO_FLAGS``, to the entry of each flag it sets.
+               flags: OutcomeFlags = NO_FLAGS, count: int = 1) -> None:
+        """Add ``count`` records of one class and flags, whose deltas sum to
+        ``inside_delta`` and ``outside_delta``, to the class's entry and,
+        only when ``flags`` is not ``NO_FLAGS``, to the entry of each flag it
+        sets. A replay books each admission as it happens and its declines
+        as one call after the trace, with their count.
 
-        The class entry is updated inline, not through ``UtilEntry.add``: a
-        replay books one record per arrival, and most carry no flag."""
+        The class entry is updated inline, not through ``UtilEntry.add``:
+        most admissions carry no flag."""
         entry = self.per_class.get(outcome_class)
         if entry is None:
             entry = self.per_class[outcome_class] = UtilEntry()
         entry.inside_delta += inside_delta
         entry.outside_delta += outside_delta
-        entry.count += 1
+        entry.count += count
         if flags is not NO_FLAGS:
             if flags.future_turn_pending:
-                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta)
+                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta, count)
             if flags.pending_turn_future:
-                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta)
+                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta, count)
 
 
 def _entry(bucket: Dict, key) -> UtilEntry:

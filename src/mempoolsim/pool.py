@@ -262,23 +262,31 @@ class Mempool:
         They read the sender's account once and its chain: one bisect finds
         ``tx.nonce``'s place in it (none when ``tx`` extends the chain), the
         future test is one ``run_end``, and the overdraft test sums the
-        chain's cost below that place.
+        chain's cost below that place. A sender with nothing pending has no
+        chain to read: ``tx`` is future iff its nonce is above the confirmed
+        one, and nothing is reserved below it.
         """
         nonce = tx.nonce
         acct = world.accounts.get(tx.sender)
         confirmed = acct.nonce if acct is not None else 0
         if nonce < confirmed:
             return Reason.STALE
-        chain = self._chains.get(tx.sender, _NO_CHAIN)
-        nonces = chain.nonces
-        i = len(nonces)
-        if i and nonce <= nonces[-1]:
-            i = bisect_left(nonces, nonce)
-            if nonces[i] == nonce:
-                return Reason.DUPLICATE
-        if nonce > confirmed and chain.run_end(confirmed) < nonce:
-            return Reason.INVALID_FUTURE
-        below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
+        chain = self._chains.get(tx.sender)
+        if chain is None:
+            if nonce > confirmed:
+                return Reason.INVALID_FUTURE
+            below = 0
+        else:
+            # a pool keeps no empty chain
+            nonces = chain.nonces
+            i = len(nonces)
+            if nonce <= nonces[-1]:
+                i = bisect_left(nonces, nonce)
+                if nonces[i] == nonce:
+                    return Reason.DUPLICATE
+            if nonce > confirmed and chain.run_end(confirmed) < nonce:
+                return Reason.INVALID_FUTURE
+            below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
         if below + tx.cost > (acct.balance if acct is not None else 0):
             return Reason.INVALID_OVERDRAFT
         return None

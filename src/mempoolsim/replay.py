@@ -15,12 +15,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
 from .core import (
     DEFAULT_BLOCK_GAS_LIMIT,
+    REASON_KIND,
     AdmissionOutcome,
     Block,
     PoolError,
@@ -65,6 +67,34 @@ class ScenarioConfig:
         object.__setattr__(self, "account_seeds", MappingProxyType(dict(self.account_seeds)))
 
 
+_fee = attrgetter("fee")
+_revenue = attrgetter("revenue")
+_reason = attrgetter("reason")
+_tx = attrgetter("tx")
+_first = itemgetter(0)
+
+
+def _tx_json(txs: Iterable[Transaction]) -> Dict[Transaction, str]:
+    """Each tx's report JSON, ``[sender,nonce,price,gas_used,gas_limit,value]``.
+    The fields are exact ints, for which ``str`` writes what json writes."""
+    enc = encode_basestring_ascii
+    return {
+        tx: f"[{enc(tx.sender)},{tx.nonce},{tx.price},{tx.gas_used},{tx.gas_limit},{tx.value}]"
+        for tx in txs
+    }
+
+
+class _TxJson(dict):
+    """tx -> its report JSON, encoded when first looked up: a hit is a plain
+    dict subscript."""
+
+    __slots__ = ()
+
+    def __missing__(self, tx: Transaction) -> str:
+        self.update(_tx_json((tx,)))
+        return self[tx]
+
+
 @dataclass
 class Snapshot:
     event_index: int
@@ -100,21 +130,21 @@ class RunReport:
 
     @property
     def pool_fees_final(self) -> int:
-        return sum(tx.fee for tx in self.final_pending)
+        return sum(map(_fee, self.final_pending))
 
     @property
     def block_fees_final(self) -> int:
-        return sum(b.revenue for b in self.blocks)
+        return sum(map(_revenue, self.blocks))
 
     @property
     def declined_fees_final(self) -> int:
-        return sum(tx.fee for tx, _ in self.declined)
+        return sum(map(_fee, map(_first, self.declined)))
 
     def included_txs(self) -> List[Transaction]:
         return [tx for block in self.blocks for tx in block.txs]
 
     def summary(self) -> Dict:
-        reasons = Counter(o.reason for o in self.outcomes)
+        reasons = Counter(map(_reason, self.outcomes))
         return {
             "policy": self.policy,
             "capacity": self.capacity,
@@ -136,36 +166,24 @@ class RunReport:
         ``[sender, nonce, price, gas_used, gas_limit, value]``: what
         ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
         that object. They are written directly instead, each tx encoded once
-        however often the report names it, and fed to the hash a batch of
-        ``_HASH_BATCH`` entries at a time, so no string of the whole report
-        is built. ``Transaction`` fields are exact ints, for which ``str``
-        writes what json writes.
+        however often the report names it (``_TxJson``), and fed to the hash
+        a batch of ``_HASH_BATCH`` entries at a time, so no string of the
+        whole report is built.
         """
         enc = encode_basestring_ascii
         labels = {reason: enc(reason.value) for reason in Reason}
-        txs: Dict[Transaction, str] = {}
-
-        def tx_json(tx: Transaction) -> str:
-            text = txs.get(tx)
-            if text is None:
-                text = txs[tx] = (
-                    f"[{enc(tx.sender)},{tx.nonce},{tx.price},"
-                    f"{tx.gas_used},{tx.gas_limit},{tx.value}]"
-                )
-            return text
-
-        heads: Dict[Reason, str] = {}
+        # a reason fixes its outcome's kind, so it fixes the entry's head
+        heads = {r: f"[{enc(REASON_KIND[r].value)},{labels[r]}," for r in Reason}
+        # every tx a replay's report names is an arrival's, so one pass over
+        # the outcomes encodes them all with no call per tx; a tx that only
+        # a hand-built report names is encoded on first lookup
+        txs = _TxJson(_tx_json(map(_tx, self.outcomes)))
 
         def outcomes_json(batch: Sequence[AdmissionOutcome]) -> str:
-            entries = []
-            for o in batch:
-                # a reason fixes its outcome's kind
-                head = heads.get(o.reason)
-                if head is None:
-                    head = heads[o.reason] = f"[{enc(o.kind.value)},{labels[o.reason]},"
-                victim = "" if o.victim is None else tx_json(o.victim)
-                entries.append(f"{head}{tx_json(o.tx)},[{victim}]]")
-            return ",".join(entries)
+            return ",".join([
+                f"{heads[o.reason]}{txs[o.tx]},[{'' if o.victim is None else txs[o.victim]}]]"
+                for o in batch
+            ])
 
         compact = (",", ":")
         digest = hashlib.sha256()
@@ -182,12 +200,12 @@ class RunReport:
         section(
             b'{"blocks":[',
             self.blocks,
-            lambda batch: ",".join(f"[{','.join(map(tx_json, b.txs))}]" for b in batch),
+            lambda batch: ",".join([f"[{','.join([txs[tx] for tx in b.txs])}]" for b in batch]),
         )
         section(
             b'],"declined":[',
             self.declined,
-            lambda batch: ",".join(f"[{tx_json(tx)},{labels[reason]}]" for tx, reason in batch),
+            lambda batch: ",".join([f"[{txs[tx]},{labels[reason]}]" for tx, reason in batch]),
         )
         section(b'],"outcomes":[', self.outcomes, outcomes_json)
         # a slice's JSON array without its brackets: exactly json's own items
@@ -234,6 +252,17 @@ def replay(
     events: Sequence[TraceEvent],
     world: Optional[WorldState] = None,
 ) -> RunReport:
+    """Replay ``events`` through a fresh pool under ``config``; ``world``
+    (default: ``world_for_trace``) is advanced as blocks include txs.
+
+    Each arrival gets one outcome and one price sum. An admission books its
+    dUtil record as it happens. The declines, all of class O1 and each
+    ``outside_delta`` its arrival's fee, are summed as the loop runs and
+    booked as one record with their count after it: the sum comes from the
+    arrivals, not from ``pool.declined``, so the dUtil identity still checks
+    two independent sums. With ``final_drain`` the pool is then drained, and
+    each tx the drain found unbuildable is booked as class UNBUILDABLE.
+    """
     pool = Mempool(config.capacity, config.policy.per_sender_limit)
     if world is None:
         world = world_for_trace(
@@ -246,13 +275,18 @@ def replay(
     record = report.util.record
     append_outcome = report.outcomes.append
     append_price_sum = report.price_sum_series.append
-    declined_class = OutcomeClass.O1
+    interleaved = config.drain_mode == "interleaved"
+    # the pool changes only on an admission or a block, so the price sum is
+    # read again only then; declines are summed here and booked once below
+    price_sum = pool.price_sum()
+    declined_fees = declined_count = 0
     for index, event in enumerate(events):
         try:
             kind = event.kind
             if kind == "tx_arrival":
                 tx = event.tx
                 outcome = admit(tx, world, policy)
+                append_outcome(outcome)
                 if outcome.admitted:
                     victim = outcome.victim
                     flags = _admission_flags(pool, world, tx, victim)
@@ -260,18 +294,22 @@ def replay(
                         report.flags.append((index, flags))
                     evicted = 0 if victim is None else victim.fee
                     record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
+                    price_sum = pool.price_sum()
                 else:
                     # every declining reason is O1, and the pool did not
                     # change, so no resident changed status
-                    record(declined_class, 0, tx.fee)
-                append_outcome(outcome)
-                append_price_sum(pool.price_sum())
+                    declined_fees += tx.fee
+                    declined_count += 1
+                append_price_sum(price_sum)
             elif kind == "snapshot_marker":
                 report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
-            elif config.drain_mode == "interleaved":
+            elif interleaved:
                 report.blocks.append(build_block(pool, world).block)
+                price_sum = pool.price_sum()
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
+    if declined_count:
+        record(OutcomeClass.O1, 0, declined_fees, count=declined_count)
 
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0

@@ -30,7 +30,7 @@ from .core import AccountState, Transaction, WorldState, short_repr
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
-_SOURCES = ("benign", "adversarial")
+_SOURCES = _BENIGN, _ADVERSARIAL = ("benign", "adversarial")
 # lines per json.loads: bounds the decoded records alive at once, so the
 # parse's peak memory stays near a per-line loop's
 _DECODE_CHUNK = 64
@@ -123,6 +123,8 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
         missing = [f for f in _TX_FIELDS if f not in record]
         raise TraceError(f"tx_arrival missing fields {missing}", line)
     source = record["source"]
+    # the event holds _SOURCES's string, not the line's copy of it
+    label = _BENIGN if source == _BENIGN else _ADVERSARIAL if source == _ADVERSARIAL else None
     # Transaction checks the field types (exact int, str sender), then ranges
     try:
         tx = Transaction(
@@ -132,13 +134,14 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
             record["gas_used"],
             record["gas_limit"],
             record["value"],
-            source,
+            source if label is None else label,
         )
     except ValueError as exc:
         raise TraceError(str(exc), line) from exc
-    if source not in _SOURCES:
+    if label is None:
         raise TraceError(f"source must be one of {_SOURCES}, got {short_repr(source)}", line)
-    return TraceEvent(kind, ts_ms, tx)
+    # the literal, not the line's copy of the kind
+    return TraceEvent("tx_arrival", ts_ms, tx)
 
 
 def dump_events(events: Iterable[TraceEvent]) -> str:

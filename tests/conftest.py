@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
-from mempoolsim import Mempool, PolicyConfig, Transaction, WorldState
+from mempoolsim import AccountState, Mempool, PolicyConfig, Transaction, WorldState
 
 WEI = 10**18
 
@@ -38,10 +38,15 @@ def tx(sender: str, nonce: int, price: int, gas: int = 21_000, **kw) -> Transact
     return Transaction(sender=sender, nonce=nonce, price=price, gas_used=gas, **kw)
 
 
+def fund(world: WorldState, sender: str, balance: int, nonce: int = 0) -> None:
+    """Give ``sender`` a fresh account in ``world``."""
+    world.accounts[sender] = AccountState(balance, nonce)
+
+
 def rich_world(*senders: str, balance: int = WEI) -> WorldState:
     world = WorldState()
     for s in senders:
-        world.fund(s, balance)
+        fund(world, s, balance)
     return world
 
 
@@ -54,7 +59,7 @@ def fill_pool(
     policy = PolicyConfig(kind=policy_kind).build()
     for t in txs:
         if t.sender not in world.accounts:
-            world.fund(t.sender, WEI)
+            fund(world, t.sender, WEI)
         outcome = pool.admit(t, world, policy)
         assert outcome.admitted, f"setup admission failed: {outcome}"
     return pool

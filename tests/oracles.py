@@ -9,6 +9,10 @@ library's one-ranking drain must match; the library's ``build_block`` and
 ``drain`` share one fill loop, so neither can check the other. And
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
+``replay_per_event`` is the replay loop that books one dUtil record and
+reads the pool's price sum once per arrival; the library's ``replay`` sums
+its declines and books them once, and reads the price sum again only after
+an admission or a block, and must report the same.
 """
 
 from __future__ import annotations
@@ -20,12 +24,18 @@ from mempoolsim import (
     Block,
     Mempool,
     Reason,
+    RunReport,
+    ScenarioConfig,
     TraceError,
     TraceEvent,
     Transaction,
     WorldState,
+    build_block as library_build_block,
+    drain as library_drain,
+    world_for_trace,
 )
-from mempoolsim.metrics import OutcomeFlags
+from mempoolsim.metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, classify_outcome
+from mempoolsim.replay import Snapshot, _admission_flags
 from mempoolsim.trace import _record_to_event
 
 
@@ -222,3 +232,47 @@ def parse_trace_lines(text: str) -> List[TraceEvent]:
         last_ts = event.ts_ms
         events.append(event)
     return events
+
+
+def replay_per_event(
+    config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
+) -> RunReport:
+    """``replay`` with one ``UtilLedger.record`` and one ``pool.price_sum()``
+    per arrival, a declined one included."""
+    pool = Mempool(config.capacity, config.policy.per_sender_limit)
+    if world is None:
+        world = world_for_trace(
+            events, overrides=config.account_seeds, block_gas_limit=config.block_gas_limit
+        )
+    policy = config.policy.build()
+    report = RunReport(policy=config.policy.kind, capacity=config.capacity)
+    for index, event in enumerate(events):
+        if event.kind == "tx_arrival":
+            tx = event.tx
+            outcome = pool.admit(tx, world, policy)
+            if outcome.admitted:
+                victim = outcome.victim
+                flags = _admission_flags(pool, world, tx, victim)
+                if flags is not NO_FLAGS:
+                    report.flags.append((index, flags))
+                evicted = 0 if victim is None else victim.fee
+                report.util.record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
+            else:
+                report.util.record(OutcomeClass.O1, 0, tx.fee)
+            report.outcomes.append(outcome)
+            report.price_sum_series.append(pool.price_sum())
+        elif event.kind == "snapshot_marker":
+            report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
+        elif config.drain_mode == "interleaved":
+            report.blocks.append(library_build_block(pool, world).block)
+    report.event_count = len(events)
+    end_ts = events[-1].ts_ms if events else 0
+    report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
+    if config.final_drain:
+        declined_before = len(pool.declined)
+        report.blocks.extend(library_drain(pool, world))
+        for tx, _ in pool.declined[declined_before:]:
+            report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
+    report.final_pending = pool.pending()
+    report.declined = pool.declined
+    return report

@@ -35,7 +35,7 @@ from mempoolsim import (
     workload_batch_insert,
     world_for_trace,
 )
-from conftest import WEI, fill_pool, mdf, record_criterion, rich_world, tx
+from conftest import WEI, fill_pool, fund, mdf, record_criterion, rich_world, tx
 from oracles import PendingView, is_future
 
 MIN_GAS = 21_000
@@ -240,7 +240,7 @@ def test_criterion_6_cp_locking_counterexample():
     n = 64
     events = gen_cp_lock({"chain_len": n, "high_price": 10_000})
     world = world_for_trace(events)
-    world.fund("probe", WEI)
+    fund(world, "probe", WEI)
     pool = Mempool(capacity=n)
     policy = PolicyConfig(kind="cp").build()
     for event in events:
@@ -308,7 +308,7 @@ def test_criterion_8_builder_scenarios():
     def a2a(limit):
         world = WorldState(block_gas_limit=limit)
         for s in ("u1", "u2", "u3"):
-            world.fund(s, WEI)
+            fund(world, s, WEI)
         tx1 = Transaction(sender="u1", nonce=0, price=10, gas_used=21_000)
         tx2 = Transaction(
             sender="u2", nonce=0, price=8, gas_used=29_999_999, gas_limit=29_999_999
@@ -324,8 +324,8 @@ def test_criterion_8_builder_scenarios():
 
     def a2b(first_price):
         world = WorldState(block_gas_limit=30_000_000)
-        world.fund("u1", WEI)
-        world.fund("u2", WEI)
+        fund(world, "u1", WEI)
+        fund(world, "u2", WEI)
         tx1 = Transaction(
             sender="u1", nonce=0, price=first_price, gas_used=29_999_999, gas_limit=29_999_999
         )

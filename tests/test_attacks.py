@@ -20,7 +20,7 @@ from mempoolsim import (
     world_for_trace,
 )
 
-from conftest import tx
+from conftest import fund, tx
 from oracles import is_future
 
 # kind -> (params, delay, sha256 of its trace and sorted seeds)
@@ -147,7 +147,7 @@ class TestCpLock:
     def _locked_pool(self, n=64):
         events = gen_cp_lock({"chain_len": n})
         world = world_for_trace(events)
-        world.fund("probe", 10**18)
+        fund(world, "probe", 10**18)
         pool = Mempool(capacity=n)
         policy = PolicyConfig(kind="cp").build()
         for event in events:
@@ -168,7 +168,7 @@ class TestCpLock:
     def test_baseline_is_not_locked(self):
         events = gen_cp_lock({"chain_len": 64})
         world = world_for_trace(events)
-        world.fund("probe", 10**18)
+        fund(world, "probe", 10**18)
         pool = Mempool(capacity=64)
         cp = PolicyConfig(kind="cp").build()
         for event in events:

@@ -17,7 +17,7 @@ from mempoolsim import (
 )
 from mempoolsim.core import MIN_TX_GAS
 
-from conftest import WEI, fill_pool, rich_world, tx
+from conftest import WEI, fill_pool, fund, rich_world, tx
 
 GAS_LIMIT_30M = 30_000_000
 
@@ -70,7 +70,7 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
     world = WorldState(block_gas_limit=3 * 60_000)
     senders = [f"c{i}" for i in range(5)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     pool = Mempool(capacity=12)
     policy = PolicyConfig(kind=policy_kind).build()
     admitted_at = {}  # tx -> admission order, counted here
@@ -123,7 +123,7 @@ def test_early_stop_builds_what_a_full_walk_builds(policy_kind, seed):
     world = WorldState()
     senders = [f"g{i}" for i in range(8)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     pool = Mempool(capacity=40)
     policy = PolicyConfig(kind=policy_kind).build()
     admitted_at = {}
@@ -164,7 +164,7 @@ def test_gas_fn_below_min_tx_gas_keeps_the_full_walk(policy_kind):
     world = WorldState(block_gas_limit=100_000)
     senders = [f"h{i}" for i in range(6)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     pool = Mempool(capacity=24)
     policy = PolicyConfig(kind=policy_kind).build()
     admitted_at = {}
@@ -186,9 +186,9 @@ def test_gas_fn_below_min_tx_gas_keeps_the_full_walk(policy_kind):
 
 def _a2a_pool(block_gas_limit):
     world = WorldState(block_gas_limit=block_gas_limit)
-    world.fund("u1", WEI)
-    world.fund("u2", WEI)
-    world.fund("u3", WEI)
+    fund(world, "u1", WEI)
+    fund(world, "u2", WEI)
+    fund(world, "u3", WEI)
     tx1 = Transaction(sender="u1", nonce=0, price=10, gas_used=21_000)
     tx2 = Transaction(sender="u2", nonce=0, price=8, gas_used=29_999_999, gas_limit=29_999_999)
     tx3 = Transaction(sender="u3", nonce=0, price=5, gas_used=21_000)
@@ -222,8 +222,8 @@ class TestSingleBlockScenarios:
         # another specific tx runs first: inclusion depends on block order
         def make():
             world = WorldState(block_gas_limit=GAS_LIMIT_30M)
-            world.fund("u1", WEI)
-            world.fund("u2", WEI)
+            fund(world, "u1", WEI)
+            fund(world, "u2", WEI)
             tx2 = Transaction(sender="u2", nonce=0, price=5, gas_used=50_000, gas_limit=50_000)
             return world, tx2
 
@@ -294,7 +294,7 @@ class TestDrain:
     def test_terminates_on_oversized_tx(self):
         t = Transaction(sender="A", nonce=0, price=1, gas_used=40_000_000, gas_limit=40_000_000)
         world = WorldState(block_gas_limit=GAS_LIMIT_30M)
-        world.fund("A", WEI)
+        fund(world, "A", WEI)
         pool = Mempool(capacity=1)
         fill_pool(pool, world, [t])
         blocks = drain(pool, world)
@@ -411,7 +411,7 @@ def test_drain_matches_block_at_a_time_drain(policy_kind, seed):
     world = WorldState()
     senders = [f"d{i}" for i in range(8)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     pool = Mempool(capacity=40)
     policy = PolicyConfig(kind=policy_kind).build()
     for _ in range(400):

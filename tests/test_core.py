@@ -11,7 +11,7 @@ from mempoolsim import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transac
 from mempoolsim.core import short_repr
 from mempoolsim.metrics import OutcomeClass
 
-from conftest import tx
+from conftest import fund, tx
 from oracles import ListPendingView, cumulative_cost, is_future
 
 
@@ -230,7 +230,7 @@ class TestEnumIdentityHash:
 class TestIsFuture:
     def _world(self, nonce):
         world = WorldState()
-        world.fund("A", 10**18, nonce=nonce)
+        fund(world, "A", 10**18, nonce=nonce)
         return world
 
     def test_complete_chain_is_not_future(self):

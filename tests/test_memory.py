@@ -1,9 +1,11 @@
-"""Transient memory of the set-up and the report hash, measured with
-``tracemalloc``: what a call allocates beyond what it leaves behind.
+"""Memory of the set-up and the report hash, measured with ``tracemalloc``:
+what a call allocates beyond what it leaves behind, and what a parse keeps.
 
 A parse reads the trace a block at a time and ``report_hash`` feeds the hash
 a batch of entries at a time, so neither holds a copy of the whole trace or
-the whole report.
+the whole report. A parsed arrival keeps no copy of what the library already
+holds: its kind and source are the library's strings, and an equal
+``gas_limit`` and ``cost`` are the ``gas_used`` and ``fee`` objects.
 """
 
 import gc
@@ -24,17 +26,22 @@ from mempoolsim import (
 from test_report_hash import canonical
 
 
-def _transient(call):
-    """Peak bytes that ``call()`` allocated beyond those alive when it returned."""
+def _traced(call):
+    """``call()``'s result, the bytes it allocated that are alive when it
+    returned (the result among them), and its peak."""
     gc.collect()
     tracemalloc.start()
     try:
-        # the result is alive when measured, so it counts as kept
         result = call()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    del result
+    return result, kept, peak
+
+
+def _transient(call):
+    """Peak bytes that ``call()`` allocated beyond those alive when it returned."""
+    _, kept, peak = _traced(call)
     return peak - kept
 
 
@@ -50,6 +57,19 @@ def test_parse_transient_does_not_grow_with_the_trace(tmp_path):
         )
     for small, large in zip(transients[2_000], transients[8_000]):
         assert large <= 1.25 * small, transients
+
+
+def test_a_parsed_arrival_keeps_at_most_420_bytes():
+    # ~340 B an arrival: the event, its tx and the tx's sender and ints; a
+    # parse that kept its own copy of each kind, source, gas_limit and cost
+    # would keep ~520 B
+    events, _ = AttackPlan("random_adversary", {"steps": 4_000, "seed": 5}).generate()
+    text = dump_events(events)
+    del events
+    parsed, kept, _ = _traced(lambda: parse_trace_text(text))
+    arrivals = sum(event.kind == "tx_arrival" for event in parsed)
+    assert arrivals == 4_000
+    assert kept / arrivals <= 420, kept / arrivals
 
 
 def test_report_hash_transient_is_at_most_3x_the_canonical_json():

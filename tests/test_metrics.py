@@ -24,7 +24,7 @@ from mempoolsim import (
 )
 from mempoolsim.metrics import OutcomeFlags, nearest_rank_percentile
 
-from conftest import random_pool_txs, rich_world, tx
+from conftest import fund, random_pool_txs, rich_world, tx
 from oracles import transition_flags
 from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
 
@@ -159,7 +159,7 @@ class TestClassifyOutcome:
 class TestTransitionFlags:
     def _world(self):
         world = WorldState()
-        world.fund("A", 10**18)
+        fund(world, "A", 10**18)
         return world
 
     def test_orphaning_sets_pending_turn_future(self):

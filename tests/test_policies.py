@@ -12,7 +12,7 @@ from mempoolsim import (
     WorldState,
 )
 
-from conftest import WEI, fill_pool, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
+from conftest import WEI, fill_pool, fund, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
 from oracles import find_childless, is_future
 
 
@@ -153,7 +153,7 @@ class TestCpMonotonePriceSum:
         for step in range(600):
             sender = f"s{rng.randint(0, 30)}"
             if sender not in world.accounts:
-                world.fund(sender, WEI)
+                fund(world, sender, WEI)
             chain = pool.chain(sender).txs
             base = max((t.nonce for t in chain), default=world.nonce_of(sender) - 1)
             nonce = base + rng.choice((1, 1, 1, 2, 0))
@@ -192,7 +192,7 @@ def test_admit_returns_the_outcome_decide_returned(kind):
     for step in range(300):
         sender = f"s{rng.randint(0, 9)}"
         if sender not in world.accounts:
-            world.fund(sender, WEI)
+            fund(world, sender, WEI)
         nonce = world.nonce_of(sender) + len(pool.chain(sender)) + rng.choice((0, 0, 0, 1))
         t = tx(sender, nonce, rng.randint(1, 200))
         asked = len(decided)

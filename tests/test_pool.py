@@ -18,6 +18,7 @@ from mempoolsim import (
 from conftest import (
     WEI,
     fill_pool,
+    fund,
     oracle_childless,
     oracle_descendant,
     rich_world,
@@ -42,14 +43,14 @@ class TestPrecheck:
         world = WorldState()
         a0 = Transaction(sender="A", nonce=0, price=1, gas_used=21_000, gas_limit=80_000)
         a1 = Transaction(sender="A", nonce=1, price=1, gas_used=21_000, gas_limit=30_000)
-        world.fund("A", a0.cost + a1.cost - 1)
+        fund(world, "A", a0.cost + a1.cost - 1)
         fill_pool(pool, world, [a0])
         assert pool.precheck(a1, world) is Reason.INVALID_OVERDRAFT
 
     def test_stale_nonce(self):
         pool = Mempool(capacity=8)
         world = WorldState()
-        world.fund("A", WEI, nonce=3)
+        fund(world, "A", WEI, nonce=3)
         assert pool.precheck(tx("A", 2, 10), world) is Reason.STALE
 
     def test_duplicate_sender_nonce(self):
@@ -64,7 +65,7 @@ class TestPrecheck:
         pool = Mempool(capacity=8)
         world = WorldState()
         a0 = tx("A", 0, 10)
-        world.fund("A", a0.cost)
+        fund(world, "A", a0.cost)
         fill_pool(pool, world, [a0])
         assert pool.precheck(tx("A", 0, 10**9), world) is Reason.DUPLICATE
 
@@ -74,8 +75,8 @@ class TestChildless:
         pool = Mempool(capacity=8)
         world = rich_world("A", "B")
         txs = [tx("A", 1, 5), tx("A", 2, 5), tx("B", 1, 3)]
-        world.fund("A", WEI, nonce=1)
-        world.fund("B", WEI, nonce=1)
+        fund(world, "A", WEI, nonce=1)
+        fund(world, "B", WEI, nonce=1)
         fill_pool(pool, world, txs)
         got = {(t.sender, t.nonce) for t in find_childless(pool)}
         expected = {(t.sender, t.nonce) for t in oracle_childless(txs)}
@@ -93,8 +94,8 @@ class TestChildless:
     def test_min_price_childless(self):
         pool = Mempool(capacity=8)
         world = rich_world("A", "B")
-        world.fund("A", WEI, nonce=1)
-        world.fund("B", WEI, nonce=1)
+        fund(world, "A", WEI, nonce=1)
+        fund(world, "B", WEI, nonce=1)
         fill_pool(pool, world, [tx("A", 1, 1), tx("A", 2, 5), tx("B", 1, 3)])
         assert pool.min_price_childless().sender == "B"
 
@@ -147,7 +148,7 @@ class TestChildless:
         world = WorldState()
         txs = []
         for s, chain_len in enumerate(chains):
-            world.fund(f"s{s}", WEI)
+            fund(world, f"s{s}", WEI)
             for nonce in range(chain_len):
                 price = data.draw(st.integers(1, 50))
                 txs.append(tx(f"s{s}", nonce, price))
@@ -162,7 +163,7 @@ class TestDescendantVictim:
     def test_walks_to_chain_tail(self):
         pool = Mempool(capacity=8)
         world = rich_world("A")
-        world.fund("A", WEI, nonce=1)
+        fund(world, "A", WEI, nonce=1)
         txs = [tx("A", 1, 5), tx("A", 2, 5), tx("A", 3, 5)]
         fill_pool(pool, world, txs)
         assert pool.chain(txs[0].sender).txs[-1] == txs[2] == oracle_descendant(txs, txs[0])
@@ -295,7 +296,7 @@ def test_index_coherence_under_random_traffic(policy_kind):
             sender = rng.choice(sorted(next_nonce))
         else:
             sender = f"u{step}"
-            world.fund(sender, WEI)
+            fund(world, sender, WEI)
             next_nonce[sender] = 0
         nonce = next_nonce[sender] + rng.choice((0, 0, 0, 1, 2))
         t = tx(sender, nonce, rng.randint(1, 500), gas=rng.choice((21_000, 60_000)))
@@ -325,7 +326,7 @@ def _drive_admit_build(policy_kind, seed, capacity):
     policy = PolicyConfig(kind=policy_kind).build()
     senders = [f"c{i}" for i in range(6)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     turned_future = 0
     for step in range(300):
         roll = rng.random()
@@ -406,7 +407,7 @@ def test_precheck_matches_generic_predicates():
     for step in range(500):
         sender = f"w{rng.randint(0, 12)}"
         if sender not in world.accounts:
-            world.fund(sender, rng.choice((10**18, 90_000 * 800)), nonce=rng.randint(0, 2))
+            fund(world, sender, rng.choice((10**18, 90_000 * 800)), nonce=rng.randint(0, 2))
         t = tx(sender, rng.randint(0, 6), rng.randint(1, 400), gas=rng.choice((21_000, 90_000)))
         view = ListPendingView(pool.pending())
         confirmed = world.nonce_of(sender)
@@ -439,7 +440,7 @@ def test_admit_never_admits_future_under_cp():
             sender = rng.choice(sorted(next_nonce))
         else:
             sender = f"v{step}"
-            world.fund(sender, WEI)
+            fund(world, sender, WEI)
             next_nonce.setdefault(sender, 0)
         t = tx(sender, next_nonce[sender] + rng.choice((0, 0, 1)), rng.randint(1, 99))
         outcome = pool.admit(t, world, policy)
@@ -506,7 +507,7 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
     world_a = WorldState(block_gas_limit=4 * 60_000)
     senders = [f"c{i}" for i in range(6)]
     for s in senders:
-        world_a.fund(s, WEI)
+        fund(world_a, s, WEI)
     world_b = world_a.clone()
     pool_a, pool_b = Mempool(capacity=16), Mempool(capacity=16)
     policy = PolicyConfig(kind=policy_kind).build()
@@ -596,7 +597,7 @@ def test_heaps_stay_bounded_and_serve_live_minimums(policy_kind, seed):
     world = WorldState(block_gas_limit=4 * 60_000)
     senders = [f"k{i}" for i in range(6)]
     for s in senders:
-        world.fund(s, WEI)
+        fund(world, s, WEI)
     pool = Mempool(capacity=8)
     pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
     policy = PolicyConfig(kind=policy_kind).build()

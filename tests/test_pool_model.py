@@ -39,7 +39,7 @@ from mempoolsim import (
 )
 
 import oracles
-from conftest import WEI
+from conftest import WEI, fund
 from oracles import (
     ListPendingView,
     cumulative_cost,
@@ -200,7 +200,7 @@ class PoolModel(RuleBasedStateMachine):
         # a block holds three small txs, so a build leaves most of a full pool
         self.world = WorldState(block_gas_limit=3 * 21_000)
         for sender, balance in BALANCES.items():
-            self.world.fund(sender, balance)
+            fund(self.world, sender, balance)
         self.ref_world = self.world.clone()
         self.pool = Mempool(capacity, self.LIMIT)
         self.ref = ReferencePool(capacity, self.LIMIT)

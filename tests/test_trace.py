@@ -155,9 +155,14 @@ class TestTraceFormat:
         assert exc.value.line == 2
 
     def test_nesting_too_deep_to_decode_rejected_with_line(self):
+        # a decoder that recurses refuses the nesting; one that does not
+        # (CPython 3.13's) decodes it, and the kind, a list, is refused
         deep = '{"kind": ' + "[" * 5000 + "]" * 5000 + ', "ts_ms": 0}'
-        with pytest.raises(TraceError, match="line 2: malformed JSON: maximum recursion"):
+        with pytest.raises(
+            TraceError, match="malformed JSON: maximum recursion|unknown event kind"
+        ) as exc:
             parse_trace_text(dump_events([block_trigger(0)]) + deep)
+        assert exc.value.line == 2
 
     def test_number_too_long_to_convert_rejected_with_line(self):
         # past Python's int/str digit limit json.loads raises a bare ValueError
