@@ -209,13 +209,10 @@ def gen_cp_lock(params: Optional[Mapping] = None, start_ms: int = 0) -> List[Tra
         events.append(arrival(_adv("lock-0", nonce, price), ts_ms=ts))
         ts += 1
     pad = m - n
-    if pad == 1:
-        events.append(arrival(_adv("lock-1", 0, high), ts_ms=ts))
-    elif pad > 1:
-        for nonce in range(pad):
-            price = high if nonce == pad - 1 else low
-            events.append(arrival(_adv("lock-1", nonce, price), ts_ms=ts))
-            ts += 1
+    for nonce in range(pad):
+        price = high if nonce == pad - 1 else low
+        events.append(arrival(_adv("lock-1", nonce, price), ts_ms=ts))
+        ts += 1
     return events
 
 

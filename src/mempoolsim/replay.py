@@ -253,7 +253,10 @@ def replay(
     world: Optional[WorldState] = None,
 ) -> RunReport:
     """Replay ``events`` through a fresh pool under ``config``; ``world``
-    (default: ``world_for_trace``) is advanced as blocks include txs.
+    (default: ``world_for_trace`` with the config's account seeds and block
+    gas limit) is advanced as blocks include txs. A passed world is used as
+    it is: ``config.account_seeds`` is not applied to it, and a
+    ``block_gas_limit`` other than the config's raises ``ValueError``.
 
     Each arrival gets one outcome and one price sum. An admission books its
     dUtil record as it happens. The declines, all of class O1 and each
@@ -263,11 +266,16 @@ def replay(
     two independent sums. With ``final_drain`` the pool is then drained, and
     each tx the drain found unbuildable is booked as class UNBUILDABLE.
     """
-    pool = Mempool(config.capacity, config.policy.per_sender_limit)
     if world is None:
         world = world_for_trace(
             events, overrides=config.account_seeds, block_gas_limit=config.block_gas_limit
         )
+    elif world.block_gas_limit != config.block_gas_limit:
+        raise ValueError(
+            f"world.block_gas_limit {world.block_gas_limit} is not the config's "
+            f"{config.block_gas_limit}"
+        )
+    pool = Mempool(config.capacity, config.policy.per_sender_limit)
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
     # bound once: the arrival branch runs per event

@@ -8,21 +8,24 @@ integers or lie outside Ethereum's uint256 range, a non-string sender and an
 unknown source are rejected with the offending line number. A key repeated
 within a record keeps its last value.
 
-The text is read and cut into lines a block of ``_READ_BLOCK`` characters at
-a time, so no copy of the whole text or list of all its lines is held: a
-parse's transient memory is a block and a chunk, whatever the trace's size.
-The lines are exactly ``str.splitlines``'s, a line cut by a block boundary
-included. Lines are decoded a chunk per ``json.loads``, and a chunk that one
-decode cannot split exactly into its lines is decoded line by line, so the
-events and errors are those of a per-line parse.
+The text is read and cut into lines a block at a time, so no copy of the
+whole text or list of all its lines is held: a parse's transient memory is a
+block and a chunk, whatever the trace's size. A block is at least
+``_READ_BLOCK`` characters and ends just after a line break (or at the end of
+the text), so no line or ``\r\n`` spans two blocks, and ``str.splitlines`` of
+each block in turn gives exactly the lines of the whole text. Lines are
+decoded a chunk per ``json.loads``, and a chunk that one decode cannot split
+exactly into its lines is decoded line by line, so the events and errors are
+those of a per-line parse. A trace is written a line at a time too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .core import AccountState, Transaction, WorldState, short_repr
@@ -34,10 +37,10 @@ _SOURCES = _BENIGN, _ADVERSARIAL = ("benign", "adversarial")
 # lines per json.loads: bounds the decoded records alive at once, so the
 # parse's peak memory stays near a per-line loop's
 _DECODE_CHUNK = 64
-# characters read and cut into lines at a time
+# the fewest characters in a block of text cut into lines at a time
 _READ_BLOCK = 1 << 16
-# the characters str.splitlines cuts at; "\r\n" is one break
-_LINE_BREAKS = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# one line break as str.splitlines cuts at it: "\r\n" first, as it is one break
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class TraceError(Exception):
@@ -144,83 +147,72 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
     return TraceEvent("tx_arrival", ts_ms, tx)
 
 
+def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
+    """Each event's trace line, its line break included."""
+    for event in events:
+        yield json.dumps(_event_to_record(event), sort_keys=True) + "\n"
+
+
 def dump_events(events: Iterable[TraceEvent]) -> str:
-    lines = [json.dumps(_event_to_record(e), sort_keys=True) for e in events]
-    return "".join(line + "\n" for line in lines)
+    return "".join(_event_lines(events))
 
 
 def write_trace(path, events: Iterable[TraceEvent]) -> None:
+    """Write ``events`` to ``path`` as ``dump_events`` gives them, a line at a
+    time, so the whole text is never held."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_events(events))
+        fh.writelines(_event_lines(events))
 
 
 def parse_trace_text(text: str) -> List[TraceEvent]:
     """The events of a trace's text; a ``TraceError`` names the first bad line.
 
-    The text is cut into lines ``_READ_BLOCK`` characters at a time, as
-    ``parse_trace`` reads a file. Non-blank lines are decoded
-    ``_DECODE_CHUNK`` at a time by one ``json.loads``; a chunk that fails
-    ``_decode_chunk``'s guards is decoded again line by line. Either way each
-    record then passes the one schema check and the one timestamp check, in
-    line order.
+    The text is cut into blocks that end just after the first line break at
+    or past ``_READ_BLOCK`` characters, as ``parse_trace`` reads a file, and
+    each block into its lines. Non-blank lines are decoded ``_DECODE_CHUNK``
+    at a time by one ``json.loads``; a chunk that fails ``_decode_chunk``'s
+    guards is decoded again line by line. Either way each record then passes
+    the one schema check and the one timestamp check, in line order.
     """
-    size = _READ_BLOCK
-    return _parse_blocks(text[i : i + size] for i in range(0, len(text), size))
+    return _parse_blocks(_text_blocks(text))
+
+
+def _text_blocks(text: str) -> Iterator[str]:
+    """The blocks of ``text``: each ends just after the first line break that
+    starts ``_READ_BLOCK`` or more characters into it, or at the end. Every
+    break ``str.splitlines`` cuts at ends a block, so a text whose lines end
+    in ``\\r`` alone is cut as finely as one whose lines end in ``\\n``."""
+    start = 0
+    while start < len(text):
+        found = _LINE_BREAK.search(text, start + _READ_BLOCK)
+        end = found.end() if found else len(text)
+        yield text[start:end]
+        start = end
 
 
 def parse_trace(path) -> List[TraceEvent]:
-    """The events of the trace file at ``path``, read a block at a time in
-    text mode (universal newlines, so a CRLF or CR file reads as LF). Bytes
+    """The events of the trace file at ``path``, read in text mode (universal
+    newlines, so a CRLF or CR file reads as LF) a block at a time: at least
+    ``_READ_BLOCK`` characters, then the rest of the line they end in. Bytes
     that are not UTF-8 raise a ``TraceError`` naming their offset in the file,
     unless a bad line read before them raises first."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return _parse_blocks(iter(lambda: fh.read(_READ_BLOCK), ""))
+            return _parse_blocks(iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), ""))
         except UnicodeDecodeError as exc:
             # the decoder was given the bytes that end where the file is read to
             at = fh.buffer.tell() - len(exc.object) + exc.start
             raise TraceError(f"invalid UTF-8 at byte {at}: {exc.reason}") from exc
 
 
-def _split_lines(blocks: Iterable[str]) -> Iterator[str]:
-    """The lines of ``"".join(blocks)``, exactly as ``str.splitlines`` cuts them.
-
-    A line that a block does not end goes on in the next: its parts wait in
-    ``head`` and are joined once, when a block ends the line, so a line longer
-    than many blocks costs time linear in its length. A block that ends in
-    ``\\r`` has ended its line, but a ``\\n`` opening the next block is the
-    second half of that ``\\r\\n`` and ends nothing.
-    """
-    head: List[str] = []
-    after_cr = False
-    for block in blocks:
-        if after_cr and block[:1] == "\n":
-            block = block[1:]
-            after_cr = False
-        if not block:
-            continue
-        lines = block.splitlines()
-        last = block[-1]
-        after_cr = last == "\r"
-        tail = None if last in _LINE_BREAKS else lines.pop()
-        if lines:
-            if head:
-                head.append(lines[0])
-                lines[0] = "".join(head)
-                head.clear()
-            yield from lines
-        if tail is not None:
-            head.append(tail)
-    if head:
-        yield "".join(head)
-
-
 def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
-    """The events of the trace text that ``blocks`` cut; see ``parse_trace_text``."""
+    """The events of the trace text that ``blocks`` cut, each just after a
+    line break; see ``parse_trace_text``."""
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
-    numbered = ((n, raw) for n, raw in enumerate(_split_lines(blocks), 1) if raw.strip())
+    split = chain.from_iterable(map(str.splitlines, blocks))
+    numbered = ((n, raw) for n, raw in enumerate(split, 1) if raw.strip())
     while chunk := list(islice(numbered, _DECODE_CHUNK)):
         linenos, lines = zip(*chunk)
         records = _decode_chunk(lines)

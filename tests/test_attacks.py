@@ -23,25 +23,41 @@ from mempoolsim import (
 from conftest import fund, tx
 from oracles import is_future
 
-# kind -> (params, delay, sha256 of its trace and sorted seeds)
+# case -> (kind, params, delay, sha256 of its trace and sorted seeds)
 PINNED = {
-    "xt6": (XT6_DESK, 0.0, "b91650742d6cee542fa7d9fbd3da680d013e72c68ed2bbaed62292008192931e"),
+    "xt6": (
+        "xt6",
+        XT6_DESK,
+        0.0,
+        "b91650742d6cee542fa7d9fbd3da680d013e72c68ed2bbaed62292008192931e",
+    ),
     "deter_future": (
+        "deter_future",
         {"count": 3},
         2.5,
         "90c177a256fe098da65a4b370793f7a3d723129092b6ef66538b31b0cdfe5953",
     ),
     "mempurge_overdraft": (
+        "mempurge_overdraft",
         {},
         0.0,
         "f9166cea64a3b821afa82817c7b19712b630336932e20d7e2db8cfae3425fa7e",
     ),
     "cp_lock": (
+        "cp_lock",
         {"chain_len": 8, "capacity": 12},
         1.0,
         "e2edfa712fdac6d9655479e60a826e608ffa64b28385da35078e423daa378107",
     ),
+    # a pad of one tx: the second sender's only tx is its childless one
+    "cp_lock_pad_1": (
+        "cp_lock",
+        {"chain_len": 8, "capacity": 9},
+        1.0,
+        "1256b997968dcd48ee079cc93a5fa2f1addda3728c6505e6b733659e40496032",
+    ),
     "random_adversary": (
+        "random_adversary",
         {"steps": 3000, "seed": 1},
         0.0,
         "5fea5b94f151c680363841512d60534cae5637fc636c7db569067f6e5e39bf2f",
@@ -287,11 +303,11 @@ class TestAttackPlan:
         assert plan.account_seeds() == seeds
         assert plan.events()[0].ts_ms == int(delay * 1000)
 
-    @pytest.mark.parametrize("kind", PINNED)
-    def test_random_adversary_trace_and_seeds_pinned(self, kind):
+    @pytest.mark.parametrize("case", PINNED)
+    def test_random_adversary_trace_and_seeds_pinned(self, case):
         # digests recorded from each kind's generator before the kinds
         # shared one table and one (events, seeds) form
-        params, delay, digest = PINNED[kind]
+        kind, params, delay, digest = PINNED[case]
         events, seeds = AttackPlan(kind, params, delay).generate()
         text = dump_events(events) + repr(sorted(seeds.items()))
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,11 +1,12 @@
 """Memory of the set-up and the report hash, measured with ``tracemalloc``:
 what a call allocates beyond what it leaves behind, and what a parse keeps.
 
-A parse reads the trace a block at a time and ``report_hash`` feeds the hash
-a batch of entries at a time, so neither holds a copy of the whole trace or
-the whole report. A parsed arrival keeps no copy of what the library already
-holds: its kind and source are the library's strings, and an equal
-``gas_limit`` and ``cost`` are the ``gas_used`` and ``fee`` objects.
+A parse reads the trace a block at a time, ``write_trace`` writes it a line
+at a time and ``report_hash`` feeds the hash a batch of entries at a time, so
+none holds a copy of the whole trace or the whole report. A parsed arrival
+keeps no copy of what the library already holds: its kind and source are the
+library's strings, and an equal ``gas_limit`` and ``cost`` are the
+``gas_used`` and ``fee`` objects.
 """
 
 import gc
@@ -21,6 +22,7 @@ from mempoolsim import (
     parse_trace_text,
     replay,
     workload_batch_insert,
+    write_trace,
 )
 
 from test_report_hash import canonical
@@ -49,14 +51,30 @@ def test_parse_transient_does_not_grow_with_the_trace(tmp_path):
     transients = {}
     for lines in (2_000, 8_000):
         text = dump_events(workload_batch_insert(lines))
+        # lines ended by "\r" alone are cut into blocks as finely
+        cr_text = text.replace("\n", "\r")
         path = tmp_path / f"trace-{lines}.jsonl"
         path.write_text(text, encoding="utf-8")
+        cr_path = tmp_path / f"trace-{lines}-cr.jsonl"
+        cr_path.write_bytes(cr_text.encode("utf-8"))
         transients[lines] = (
             _transient(lambda: parse_trace(path)),
             _transient(lambda: parse_trace_text(text)),
+            _transient(lambda: parse_trace(cr_path)),
+            _transient(lambda: parse_trace_text(cr_text)),
         )
     for small, large in zip(transients[2_000], transients[8_000]):
         assert large <= 1.25 * small, transients
+
+
+def test_write_trace_transient_does_not_grow_with_the_trace(tmp_path):
+    transients = {}
+    for lines in (2_000, 8_000):
+        events = workload_batch_insert(lines)
+        path = tmp_path / f"trace-{lines}.jsonl"
+        transients[lines] = _transient(lambda: write_trace(path, events))
+        assert path.read_text("utf-8") == dump_events(events)
+    assert transients[8_000] <= 1.25 * transients[2_000], transients
 
 
 def test_a_parsed_arrival_keeps_at_most_420_bytes():

@@ -1,8 +1,11 @@
 import dataclasses
 import inspect
+import io
 import json
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -428,6 +431,25 @@ _EURO = "\u20ac".encode()
 # multi-byte sender characters, so a character offset is not a byte offset
 _UTF8_LINE = (_ARRIVAL.replace('"sender": "a"', '"sender": "\u00fc\u20ac"') + "\n").encode()
 _RANDOM_TRACE = dump_events(AttackPlan("random_adversary", {"steps": 30, "seed": 2}).events())
+# whole lines, valid and hostile, all at ts_ms 1 so any order may parse
+_LINES = [
+    _ARRIVAL,
+    _TRIGGER.replace("2", "1"),
+    '{"kind": "snapshot_marker", "ts_ms": 1}',
+    _LONG_SENDER,
+    _ARRIVAL.replace('"sender": "a"', '"sender": "[a]"'),
+    '{"kind": "reorg", "ts_ms": 1}',
+    '{"kind": "block_trigger", "ts_ms": 1.0}',
+    # a raw line separator ends the line inside the sender
+    _ARRIVAL.replace('"sender": "a"', '"sender": "a\u2028b"'),
+    "",
+    " \t",
+]
+# a replayable mix at one timestamp, the lines above, and bytes that are not UTF-8
+_FILE_LINES = [
+    line.encode()
+    for line in _LINES + re.sub(r'"ts_ms": \d+', '"ts_ms": 1', _RANDOM_TRACE).splitlines()
+] + [b"\xff", b"\xc3(", _EURO[:2]]
 
 
 class TestBlockwiseParse:
@@ -438,26 +460,27 @@ class TestBlockwiseParse:
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))
         # no "\r" in it is followed by "\n", so each piece ends in one break
         ends = {piece[-1] for piece in every_char.splitlines(True)[:-1]}
-        assert ends == trace._LINE_BREAKS
+        assert {m.group() for m in trace._LINE_BREAK.finditer(every_char)} == ends
+        assert trace._LINE_BREAK.split(every_char) == every_char.splitlines()
+        # "\r\n" is one break, "\n\r" two
+        assert trace._LINE_BREAK.findall("a\r\nb\n\rc\r\r\n") == ["\r\n", "\n", "\r", "\r", "\r\n"]
 
     @settings(max_examples=500, deadline=None)
     @given(
         st.lists(st.sampled_from(["{", "}", " "] + _BREAKS), max_size=40),
-        st.lists(st.integers(0, 80), max_size=8),
+        st.integers(1, 12),
     )
-    # a "\r\n" cut in two, then a block that is only its "\n"
-    @example(["{", "\r\n", "}"], [2])
-    @example(["\r", "\n", "\n"], [1, 2])
-    def test_split_lines_is_splitlines_wherever_the_blocks_are_cut(self, pieces, cuts):
+    # a "\r\n" that starts at the block size, and two that it falls inside
+    @example(["{", "\r\n", "}"], 1)
+    @example(["\r", "\n", "\n"], 1)
+    @example(["{", "\r", "\n", "\r", "}"], 2)
+    def test_text_blocks_end_at_line_breaks_and_split_as_the_text(self, pieces, block):
         text = "".join(pieces)
-        # repeated cuts make empty blocks
-        bounds = sorted(min(c, len(text)) for c in cuts)
-        blocks = [text[a:b] for a, b in zip([0, *bounds], [*bounds, len(text)])]
-        assert list(trace._split_lines(blocks)) == text.splitlines()
-
-    def test_a_line_many_blocks_long_is_one_line(self):
-        blocks = ["x" * 7] * 1000 + ["\r", "\n", "y"]
-        assert list(trace._split_lines(blocks)) == ["x" * 7000, "y"]
+        with patch.object(trace, "_READ_BLOCK", block):
+            blocks = list(trace._text_blocks(text))
+        assert "".join(blocks) == text
+        assert all(len(b) > block for b in blocks[:-1])
+        assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     @pytest.mark.parametrize(
@@ -485,6 +508,24 @@ class TestBlockwiseParse:
         path.write_bytes(text.encode("utf-8"))
         # a file is read with universal newlines, as read_text reads it
         assert _outcome(parse_trace, path) == _outcome(parse_trace_lines, path.read_text("utf-8"))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.sampled_from(_LINES), st.sampled_from(_BREAKS)), max_size=10),
+        st.booleans(),
+        st.sampled_from([1, 2, 7, 64, trace._READ_BLOCK]),
+    )
+    def test_lines_cut_anywhere_parse_as_per_line(self, tmp_path_factory, lines, ended, block):
+        text = "".join(line + brk for line, brk in lines)
+        if lines and not ended:
+            text = text[: -len(lines[-1][1])]
+        path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with patch.object(trace, "_READ_BLOCK", block):
+            assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
+            # universal newlines: "\r" and "\r\n" read as "\n", the others stay
+            read = path.read_text("utf-8")
+            assert _outcome(parse_trace, path) == _outcome(parse_trace_lines, read)
 
     @pytest.mark.parametrize(
         "data",
@@ -648,6 +689,17 @@ class TestReplayHarness:
         events = [arrival(tx("A", 0, 5), 0), block_trigger(1), arrival(tx("B", 0, 5), 2)]
         report = replay(ScenarioConfig(capacity=8, drain_mode="end_only"), events)
         assert len(report.blocks) == 1
+
+    def test_a_passed_world_must_have_the_configs_block_gas_limit(self):
+        # a 100k-gas block holds one of four 60k-gas arrivals
+        events = [arrival(tx(s, 0, 5, gas=60_000), 0) for s in "ABCD"] + [block_trigger(1)]
+        config = ScenarioConfig(block_gas_limit=100_000, drain_mode="interleaved")
+        assert len(replay(config, events).blocks[0].txs) == 1
+        world = world_for_trace(events, block_gas_limit=100_000)
+        assert len(replay(config, events, world).blocks[0].txs) == 1
+        message = "^world.block_gas_limit 30000000 is not the config's 100000$"
+        with pytest.raises(ValueError, match=message):
+            replay(config, events, world_for_trace(events))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -945,6 +997,30 @@ class TestCli:
             f"0,{10_000_000 * (5 + 4 + 3)}",
             f"1,{10_000_000 * 2}",
         ]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_FILE_LINES), st.sampled_from([b"\n", b"\r\n", b"\r"])),
+            max_size=12,
+        ),
+        st.integers(1, 4),
+        st.sampled_from(sorted(cli.POLICIES)),
+        st.sampled_from(("end_only", "interleaved")),
+    )
+    def test_replay_of_a_hostile_file_exits_0_or_1(
+        self, tmp_path_factory, lines, capacity, policy, drain_mode
+    ):
+        path = tmp_path_factory.mktemp("cli") / "trace.jsonl"
+        path.write_bytes(b"".join(line + brk for line, brk in lines))
+        argv = ["replay", str(path), "--capacity", str(capacity), "--policy", policy]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv + ["--drain-mode", drain_mode])
+        # 2 means a broken invariant, and must name its event
+        assert code in (0, 1) or (
+            code == 2 and re.search(r"replay aborted at event \d+", err.getvalue())
+        ), (code, err.getvalue())
 
     def test_json_report_written(self, tmp_path):
         trace = tmp_path / "lock.jsonl"
