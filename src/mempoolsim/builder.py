@@ -33,6 +33,8 @@ from .core import MIN_TX_GAS, Block, Reason, Transaction, WorldState
 from .pool import Mempool
 
 GasFn = Callable[[Transaction, Sequence[Transaction]], int]
+# bound once: drain declines each leftover (see the note above core's enums)
+_UNBUILDABLE = Reason.UNBUILDABLE
 
 
 @dataclass
@@ -191,5 +193,5 @@ def drain(pool: Mempool, world: WorldState) -> List[Block]:
     taken = {tx for block in blocks for tx in block.txs}
     for tx in pool.pop_all():
         if tx not in taken:
-            pool.decline(tx, Reason.UNBUILDABLE)
+            pool.decline(tx, _UNBUILDABLE)
     return blocks

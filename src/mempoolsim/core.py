@@ -180,6 +180,16 @@ class PoolError(Exception):
 # (the summary's Counter, the report's labels, the ledger's classes). Members
 # are singletons and compare by identity, so object.__hash__, which runs in
 # C, agrees with that equality.
+#
+# The per-event path (the policies' decide, the pool's precheck and admit,
+# AdmissionOutcome, classify_outcome, the replay and the drain) reads
+# members bound once at import, as private module constants such as
+# _EVICTION, not ``Reason.EVICTION``. On Python 3.10 and 3.11 EnumType
+# defines __getattr__, so every ``Reason.X`` is a slow-path lookup that the
+# interpreter cannot specialise (about 130 ns, against 10 ns for a module
+# global); a replay makes several per arrival. Python 3.12 dropped
+# EnumType.__getattr__, and there the constants are neutral.
+# tests/test_hot_path.py fails if one of those functions loads an enum class.
 
 
 class OutcomeKind(Enum):
@@ -231,7 +241,7 @@ class AdmissionOutcome:
     def __init__(
         self, reason: Reason, tx: Transaction, victim: Optional[Transaction] = None
     ) -> None:
-        if (reason is Reason.EVICTION) != (victim is not None):
+        if (reason is _EVICTION) != (victim is not None):
             if victim is not None:
                 raise PoolError(f"{reason.value} outcome cannot name a victim")
             raise PoolError("eviction outcome needs a victim")
@@ -245,7 +255,7 @@ class AdmissionOutcome:
 
     @property
     def admitted(self) -> bool:
-        return self.reason is Reason.POOL_NOT_FULL or self.reason is Reason.EVICTION
+        return self.reason in _ADMITTING
 
     @property
     def victims(self) -> Tuple[Transaction, ...]:
@@ -257,6 +267,9 @@ class AdmissionOutcome:
 _set_reason = AdmissionOutcome.reason.__set__
 _set_tx = AdmissionOutcome.tx.__set__
 _set_victim = AdmissionOutcome.victim.__set__
+_EVICTION = Reason.EVICTION
+# the reasons whose kind is not DECLINED: POOL_NOT_FULL and EVICTION
+_ADMITTING = frozenset(r for r, k in REASON_KIND.items() if k is not OutcomeKind.DECLINED)
 
 
 @dataclass

@@ -126,18 +126,29 @@ class OutcomeFlags:
 # admission that changed no resident's status
 NO_FLAGS = OutcomeFlags()
 
+# bound once: classify_outcome runs per admission (see the note above core's
+# enums)
+_POOL_NOT_FULL = Reason.POOL_NOT_FULL
+_EVICTION = Reason.EVICTION
+_O1 = OutcomeClass.O1
+_O2 = OutcomeClass.O2
+_O3 = OutcomeClass.O3
+_O4 = OutcomeClass.O4
+_OTHER = OutcomeClass.OTHER
+
 
 def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
-    if outcome.reason is Reason.POOL_NOT_FULL:
-        return OutcomeClass.O4
-    if outcome.reason is not Reason.EVICTION:
-        return OutcomeClass.O1
+    reason = outcome.reason
+    if reason is _POOL_NOT_FULL:
+        return _O4
+    if reason is not _EVICTION:
+        return _O1
     victim = outcome.victim
     if outcome.tx.fee > victim.fee:
-        return OutcomeClass.O2
+        return _O2
     if outcome.tx.fee < victim.fee:
-        return OutcomeClass.O3
-    return OutcomeClass.OTHER
+        return _O3
+    return _OTHER
 
 
 @dataclass

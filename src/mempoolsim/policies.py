@@ -26,6 +26,13 @@ from typing import Optional
 from .core import AdmissionOutcome, Reason, Transaction
 from .pool import Mempool
 
+# bound once: decide runs per arrival (see the note above core's enums)
+_POOL_NOT_FULL = Reason.POOL_NOT_FULL
+_EVICTION = Reason.EVICTION
+_PRICE_TOO_LOW = Reason.PRICE_TOO_LOW
+_FEE_TOO_LOW = Reason.FEE_TOO_LOW
+_SELF_EVICTION = Reason.SELF_EVICTION
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -44,11 +51,11 @@ class PriceOnlyPolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
+            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         victim = pool.min_price_tx()
         if tx.price > victim.price:
-            return AdmissionOutcome(Reason.EVICTION, tx, victim)
-        return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
+            return AdmissionOutcome(_EVICTION, tx, victim)
+        return AdmissionOutcome(_PRICE_TOO_LOW, tx)
 
 
 class ChildlessPricePolicy:
@@ -57,11 +64,11 @@ class ChildlessPricePolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
+            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
-            return AdmissionOutcome(Reason.PRICE_TOO_LOW, tx)
-        return AdmissionOutcome(Reason.EVICTION, tx, victim)
+            return AdmissionOutcome(_PRICE_TOO_LOW, tx)
+        return AdmissionOutcome(_EVICTION, tx, victim)
 
 
 class MinFeeChainTailPolicy:
@@ -70,14 +77,14 @@ class MinFeeChainTailPolicy:
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         if not pool.full:
-            return AdmissionOutcome(Reason.POOL_NOT_FULL, tx)
+            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         seed = pool.min_fee_tx()
         if tx.fee <= seed.fee:
-            return AdmissionOutcome(Reason.FEE_TOO_LOW, tx)
+            return AdmissionOutcome(_FEE_TOO_LOW, tx)
         if seed.sender == tx.sender:
             # evicting the arrival's own chain tail would orphan the arrival
-            return AdmissionOutcome(Reason.SELF_EVICTION, tx)
-        return AdmissionOutcome(Reason.EVICTION, tx, pool.chain(seed.sender).txs[-1])
+            return AdmissionOutcome(_SELF_EVICTION, tx)
+        return AdmissionOutcome(_EVICTION, tx, pool.chain(seed.sender).txs[-1])
 
 
 # policy kind -> policy class, in the order the CLI lists them

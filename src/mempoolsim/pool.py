@@ -142,6 +142,13 @@ class SenderChain:
 
 # returned by ``Mempool.chain`` for a sender with nothing pending; never mutated
 _NO_CHAIN = SenderChain()
+# bound once: precheck and admit run per arrival (see the note above core's enums)
+_STALE = Reason.STALE
+_DUPLICATE = Reason.DUPLICATE
+_INVALID_FUTURE = Reason.INVALID_FUTURE
+_INVALID_OVERDRAFT = Reason.INVALID_OVERDRAFT
+_SENDER_LIMIT = Reason.SENDER_LIMIT
+_EVICTION = Reason.EVICTION
 
 
 class Mempool:
@@ -270,11 +277,11 @@ class Mempool:
         acct = world.accounts.get(tx.sender)
         confirmed = acct.nonce if acct is not None else 0
         if nonce < confirmed:
-            return Reason.STALE
+            return _STALE
         chain = self._chains.get(tx.sender)
         if chain is None:
             if nonce > confirmed:
-                return Reason.INVALID_FUTURE
+                return _INVALID_FUTURE
             below = 0
         else:
             # a pool keeps no empty chain
@@ -283,12 +290,12 @@ class Mempool:
             if nonce <= nonces[-1]:
                 i = bisect_left(nonces, nonce)
                 if nonces[i] == nonce:
-                    return Reason.DUPLICATE
+                    return _DUPLICATE
             if nonce > confirmed and chain.run_end(confirmed) < nonce:
-                return Reason.INVALID_FUTURE
+                return _INVALID_FUTURE
             below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
         if below + tx.cost > (acct.balance if acct is not None else 0):
-            return Reason.INVALID_OVERDRAFT
+            return _INVALID_OVERDRAFT
         return None
 
     # ---------------------------------------------------------- mutation
@@ -362,7 +369,7 @@ class Mempool:
             raise PoolError("admission would exceed capacity")
         if victim is not None:
             self._remove(victim)
-            self.declined.append((victim, Reason.EVICTION))
+            self.declined.append((victim, _EVICTION))
         self._insert(tx)
 
     def remove_included(self, tx: Transaction) -> None:
@@ -401,7 +408,7 @@ class Mempool:
         reason = self.precheck(tx, world)
         if reason is None and self.per_sender_limit is not None:
             if len(self.chain(tx.sender)) >= self.per_sender_limit:
-                reason = Reason.SENDER_LIMIT
+                reason = _SENDER_LIMIT
         if reason is not None:
             self.declined.append((tx, reason))
             return AdmissionOutcome(reason, tx)

@@ -72,6 +72,9 @@ _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
 _tx = attrgetter("tx")
 _first = itemgetter(0)
+# bound once: see the note above core's enums
+_O1 = OutcomeClass.O1
+_UNBUILDABLE = OutcomeClass.UNBUILDABLE
 
 
 def _tx_json(txs: Iterable[Transaction]) -> Dict[Transaction, str]:
@@ -317,7 +320,7 @@ def replay(
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
     if declined_count:
-        record(OutcomeClass.O1, 0, declined_fees, count=declined_count)
+        record(_O1, 0, declined_fees, count=declined_count)
 
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0
@@ -326,7 +329,7 @@ def replay(
         declined_before = len(pool.declined)
         report.blocks.extend(drain(pool, world))
         for tx, _ in pool.declined[declined_before:]:
-            report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
+            report.util.record(_UNBUILDABLE, -tx.fee, tx.fee)
     report.final_pending = pool.pending()
     report.declined = pool.declined
     return report

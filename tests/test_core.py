@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mempoolsim import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
-from mempoolsim.core import short_repr
+from mempoolsim.core import REASON_KIND, short_repr
 from mempoolsim.metrics import OutcomeClass
 
 from conftest import fund, tx
@@ -192,6 +192,12 @@ class TestAdmissionOutcome:
         assert AdmissionOutcome(Reason.PRICE_TOO_LOW, a).victims == ()
         assert AdmissionOutcome(Reason.POOL_NOT_FULL, a).victims == ()
         assert AdmissionOutcome(Reason.EVICTION, a, v).victims == (v,)
+
+    @pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.name)
+    def test_admitted_iff_the_reason_kind_is_not_declined(self, reason):
+        a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
+        outcome = AdmissionOutcome(reason, a, v if reason is Reason.EVICTION else None)
+        assert outcome.admitted is (REASON_KIND[reason] is not OutcomeKind.DECLINED)
 
 
 _ENUM_MEMBERS = {

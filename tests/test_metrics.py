@@ -155,6 +155,24 @@ class TestClassifyOutcome:
             victim = tx("B", 0, 3) if kind is OutcomeKind.ADMITTED_EVICTING else None
             assert classify_outcome(_outcome(kind, tx("A", 0, 5), victim)) in OutcomeClass
 
+    # the arrival's fee against the victim's -> the class, for each reason;
+    # a reason other than EVICTION names no victim, so its fee cannot matter
+    _CLASS_OF = {
+        **{r: dict.fromkeys(("above", "equal", "below"), OutcomeClass.O1) for r in Reason},
+        Reason.POOL_NOT_FULL: dict.fromkeys(("above", "equal", "below"), OutcomeClass.O4),
+        Reason.EVICTION: {
+            "above": OutcomeClass.O2, "equal": OutcomeClass.OTHER, "below": OutcomeClass.O3,
+        },
+    }
+
+    @pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.name)
+    @pytest.mark.parametrize("fee", ["above", "equal", "below"])
+    def test_every_reason_and_fee_order_maps_to_its_class(self, reason, fee):
+        arrival_price = {"above": 9, "equal": 5, "below": 3}[fee]
+        t, victim = tx("A", 0, arrival_price), tx("B", 0, 5)
+        out = AdmissionOutcome(reason, t, victim if reason is Reason.EVICTION else None)
+        assert classify_outcome(out) is self._CLASS_OF[reason][fee]
+
 
 class TestTransitionFlags:
     def _world(self):
