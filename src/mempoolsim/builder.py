@@ -29,12 +29,10 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import MIN_TX_GAS, Block, Reason, Transaction, WorldState
+from .core import MIN_TX_GAS, Block, Transaction, WorldState
 from .pool import Mempool
 
 GasFn = Callable[[Transaction, Sequence[Transaction]], int]
-# bound once: drain declines each leftover (see the note above core's enums)
-_UNBUILDABLE = Reason.UNBUILDABLE
 
 
 @dataclass
@@ -134,13 +132,13 @@ def build_block(
     return BuildResult(block=block, skipped=skipped)
 
 
-def drain(pool: Mempool, world: WorldState) -> List[Block]:
-    """Build blocks until the pool is empty or no further tx is buildable.
+def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transaction]]:
+    """Build blocks until the pool is empty or no further tx is buildable;
+    return them and the leftovers, which earn no fees, in admission order.
 
-    Leftovers (permanent nonce gaps, per-block gas overflows that can never
-    fit) are moved to the declined ledger as unbuildable, in admission
-    order, and earn no fees; the pool ends empty. No tx arrives during a
-    drain, so a leftover would be skipped in every further block.
+    The leftovers are permanent nonce gaps and per-block gas overflows that
+    can never fit: no tx arrives during a drain, so a leftover would be
+    skipped in every further block. The pool ends empty.
 
     The blocks are the ones ``build_block`` builds when called until a
     block comes out empty, but ``candidate_order`` is taken once and the
@@ -191,7 +189,4 @@ def drain(pool: Mempool, world: WorldState) -> List[Block]:
             break
         blocks.append(block)
     taken = {tx for block in blocks for tx in block.txs}
-    for tx in pool.pop_all():
-        if tx not in taken:
-            pool.decline(tx, _UNBUILDABLE)
-    return blocks
+    return blocks, [tx for tx in pool.pop_all() if tx not in taken]

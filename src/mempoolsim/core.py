@@ -182,9 +182,9 @@ class PoolError(Exception):
 # C, agrees with that equality.
 #
 # The per-event path (the policies' decide, the pool's precheck and admit,
-# AdmissionOutcome, classify_outcome, the replay and the drain) reads
-# members bound once at import, as private module constants such as
-# _EVICTION, not ``Reason.EVICTION``. On Python 3.10 and 3.11 EnumType
+# AdmissionOutcome, classify_outcome, the replay and the report's declined
+# ledger) reads members bound once at import, as private module constants
+# such as _EVICTION, not ``Reason.EVICTION``. On Python 3.10 and 3.11 EnumType
 # defines __getattr__, so every ``Reason.X`` is a slow-path lookup that the
 # interpreter cannot specialise (about 130 ns, against 10 ns for a module
 # global); a replay makes several per arrival. Python 3.12 dropped

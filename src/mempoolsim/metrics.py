@@ -190,8 +190,8 @@ class UtilLedger:
         """Add ``count`` records of one class and flags, whose deltas sum to
         ``inside_delta`` and ``outside_delta``, to the class's entry and,
         only when ``flags`` is not ``NO_FLAGS``, to the entry of each flag it
-        sets. A replay books each admission as it happens and its declines
-        as one call after the trace, with their count.
+        sets. A replay books each admission as it happens, and its declines
+        and the final drain's leftovers as one call each, with their count.
 
         The class entry is updated inline, not through ``UtilEntry.add``:
         most admissions carry no flag."""

@@ -6,7 +6,7 @@
 ``admit`` applies (``apply_admission`` for an admission) and returns
 unchanged.
 
-The pool always keeps these views of the pending set:
+The pool keeps only its pending set, always in these views:
 
 * ``_seq_of`` - the pending set itself, ``tx -> admission seq`` in
   admission order: every insert adds a fresh key, so ``pending()`` lists
@@ -148,7 +148,6 @@ _DUPLICATE = Reason.DUPLICATE
 _INVALID_FUTURE = Reason.INVALID_FUTURE
 _INVALID_OVERDRAFT = Reason.INVALID_OVERDRAFT
 _SENDER_LIMIT = Reason.SENDER_LIMIT
-_EVICTION = Reason.EVICTION
 
 
 class Mempool:
@@ -166,7 +165,6 @@ class Mempool:
         self._by_price: Optional[List[Tuple]] = None
         self._by_fee: Optional[List[Tuple]] = None
         self._childless: Optional[List[Tuple]] = None
-        self.declined: List[Tuple[Transaction, Reason]] = []
         self._price_sum = 0
 
     # ------------------------------------------------------------- views
@@ -361,7 +359,7 @@ class Mempool:
         self._price_sum -= tx.price
 
     def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
-        """Remove ``victim``, if any (recorded as evicted), then insert ``tx``."""
+        """Remove ``victim``, if any, then insert ``tx``."""
         seq_of = self._seq_of
         if victim is not None and victim not in seq_of:
             raise PoolError(f"victim {victim!r} not pending")
@@ -369,7 +367,6 @@ class Mempool:
             raise PoolError("admission would exceed capacity")
         if victim is not None:
             self._remove(victim)
-            self.declined.append((victim, _EVICTION))
         self._insert(tx)
 
     def remove_included(self, tx: Transaction) -> None:
@@ -379,7 +376,6 @@ class Mempool:
     def pop_all(self) -> List[Transaction]:
         """Empty the pool and return what was pending, in admission order.
 
-        Like removing each tx as included, it records nothing as declined.
         An order index that was built stays built, empty.
         """
         pending = list(self._seq_of)
@@ -394,9 +390,6 @@ class Mempool:
             self._childless = []
         return pending
 
-    def decline(self, tx: Transaction, reason: Reason) -> None:
-        self.declined.append((tx, reason))
-
     # ---------------------------------------------------------- admission
 
     def admit(self, tx: Transaction, world: WorldState, policy) -> AdmissionOutcome:
@@ -410,11 +403,8 @@ class Mempool:
             if len(self.chain(tx.sender)) >= self.per_sender_limit:
                 reason = _SENDER_LIMIT
         if reason is not None:
-            self.declined.append((tx, reason))
             return AdmissionOutcome(reason, tx)
         outcome = policy.decide(self, tx)
         if outcome.admitted:
             self.apply_admission(tx, outcome.victim)
-        else:
-            self.declined.append((tx, outcome.reason))
         return outcome

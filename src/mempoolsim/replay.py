@@ -15,7 +15,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -71,10 +71,11 @@ _fee = attrgetter("fee")
 _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
 _tx = attrgetter("tx")
-_first = itemgetter(0)
 # bound once: see the note above core's enums
 _O1 = OutcomeClass.O1
-_UNBUILDABLE = OutcomeClass.UNBUILDABLE
+_UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
+_POOL_NOT_FULL = Reason.POOL_NOT_FULL
+_UNBUILDABLE = Reason.UNBUILDABLE
 
 
 def _tx_json(txs: Iterable[Transaction]) -> Dict[Transaction, str]:
@@ -112,11 +113,10 @@ class RunReport:
     ``outcomes`` holds one admission outcome per arrival, ``blocks`` the
     blocks built, ``snapshots`` the pending set at each snapshot marker and
     at the end of the trace, ``util`` the per-arrival dUtil ledger, ``flags``
-    the admissions that flipped a resident's future status, and
-    ``price_sum_series`` the pool's price sum after each arrival.
-    ``final_pending`` and ``declined`` are the pool's pending set and its
-    declined ledger after the run. The fee totals are not stored: each is
-    summed from the records it names when read.
+    the admissions that flipped a resident's future status, ``price_sum_series``
+    the pool's price sum after each arrival, ``unbuildable`` the final drain's
+    leftovers and ``final_pending`` the pending set after the run. ``declined``
+    and the fee totals are derived from these records when read.
     """
 
     policy: str
@@ -128,8 +128,22 @@ class RunReport:
     util: UtilLedger = field(default_factory=UtilLedger)
     flags: List[Tuple[int, OutcomeFlags]] = field(default_factory=list)
     price_sum_series: List[int] = field(default_factory=list)
+    unbuildable: List[Transaction] = field(default_factory=list)
     final_pending: List[Transaction] = field(default_factory=list)
-    declined: List[Tuple[Transaction, Reason]] = field(default_factory=list)
+
+    def _ledger(self) -> Tuple[List[Transaction], List[Reason]]:
+        """``declined`` as its txs and its reasons: two lists that make no
+        object per entry for the garbage collector to count."""
+        declining = [o for o in self.outcomes if o.reason is not _POOL_NOT_FULL]
+        txs = [o.tx if o.victim is None else o.victim for o in declining] + self.unbuildable
+        return txs, list(map(_reason, declining)) + [_UNBUILDABLE] * len(self.unbuildable)
+
+    @property
+    def declined(self) -> List[Tuple[Transaction, Reason]]:
+        """The run's declined ledger: per outcome, nothing for a free-slot
+        admission, ``(victim, EVICTION)`` for an eviction and ``(tx, reason)``
+        for a decline; then ``(tx, UNBUILDABLE)`` per final-drain leftover."""
+        return list(zip(*self._ledger()))
 
     @property
     def pool_fees_final(self) -> int:
@@ -141,7 +155,7 @@ class RunReport:
 
     @property
     def declined_fees_final(self) -> int:
-        return sum(map(_fee, map(_first, self.declined)))
+        return sum(map(_fee, self._ledger()[0]))
 
     def included_txs(self) -> List[Transaction]:
         return [tx for block in self.blocks for tx in block.txs]
@@ -205,10 +219,11 @@ class RunReport:
             self.blocks,
             lambda batch: ",".join([f"[{','.join([txs[tx] for tx in b.txs])}]" for b in batch]),
         )
+        declined, reasons = self._ledger()
         section(
             b'],"declined":[',
-            self.declined,
-            lambda batch: ",".join([f"[{txs[tx]},{labels[reason]}]" for tx, reason in batch]),
+            range(len(declined)),
+            lambda batch: ",".join([f"[{txs[declined[i]]},{labels[reasons[i]]}]" for i in batch]),
         )
         section(b'],"outcomes":[', self.outcomes, outcomes_json)
         # a slice's JSON array without its brackets: exactly json's own items
@@ -264,10 +279,9 @@ def replay(
     Each arrival gets one outcome and one price sum. An admission books its
     dUtil record as it happens. The declines, all of class O1 and each
     ``outside_delta`` its arrival's fee, are summed as the loop runs and
-    booked as one record with their count after it: the sum comes from the
-    arrivals, not from ``pool.declined``, so the dUtil identity still checks
-    two independent sums. With ``final_drain`` the pool is then drained, and
-    each tx the drain found unbuildable is booked as class UNBUILDABLE.
+    booked as one record with their count after it. With ``final_drain``
+    the pool is then drained, and its leftovers are stored as
+    ``unbuildable`` and booked as one class UNBUILDABLE record likewise.
     """
     if world is None:
         world = world_for_trace(
@@ -326,12 +340,12 @@ def replay(
     end_ts = events[-1].ts_ms if events else 0
     report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
     if config.final_drain:
-        declined_before = len(pool.declined)
-        report.blocks.extend(drain(pool, world))
-        for tx, _ in pool.declined[declined_before:]:
-            report.util.record(_UNBUILDABLE, -tx.fee, tx.fee)
+        blocks, report.unbuildable = drain(pool, world)
+        report.blocks.extend(blocks)
+        if report.unbuildable:
+            fees = sum(map(_fee, report.unbuildable))
+            record(_UNBUILDABLE_CLASS, -fees, fees, count=len(report.unbuildable))
     report.final_pending = pool.pending()
-    report.declined = pool.declined
     return report
 
 

@@ -10,9 +10,11 @@ library's one-ranking drain must match; the library's ``build_block`` and
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
 ``replay_per_event`` is the replay loop that books one dUtil record and
-reads the pool's price sum once per arrival; the library's ``replay`` sums
-its declines and books them once, and reads the price sum again only after
-an admission or a block, and must report the same.
+reads the pool's price sum once per arrival, and drains with ``drain``; the
+library's ``replay`` sums its declines and its leftovers and books each sum
+once, and reads the price sum again only after an admission or a block, and
+must report the same. It also keeps the declined ledger as the events
+happen, which the report's derived ``declined`` must equal.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from mempoolsim import (
     Transaction,
     WorldState,
     build_block as library_build_block,
-    drain as library_drain,
     world_for_trace,
 )
 from mempoolsim.metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, classify_outcome
@@ -159,11 +160,11 @@ def _live_entries(heap: List[Tuple], live: Callable[[Tuple], bool]) -> List[Tran
     return [entry[-1] for entry in sorted({entry for entry in heap if live(entry)})]
 
 
-def drain(pool: Mempool, world: WorldState) -> List[Block]:
+def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transaction]]:
     """Drain block by block: ``build_block`` on what is left of the pending
     list, ranked by its admission order, until a block comes out empty;
-    then the pool is emptied and each leftover, in admission order, is
-    declined as unbuildable."""
+    then the pool is emptied. Returns the blocks and the leftovers in
+    admission order."""
     pending = pool.pending()
     admitted_at = {t: i for i, t in enumerate(pending)}
     blocks: List[Block] = []
@@ -175,9 +176,7 @@ def drain(pool: Mempool, world: WorldState) -> List[Block]:
         pending = [t for t in pending if t not in included]
     for t in pool.pending():
         pool.remove_included(t)
-    for t in pending:
-        pool.decline(t, Reason.UNBUILDABLE)
-    return blocks
+    return blocks, pending
 
 
 def pending_by_price(pool: Mempool) -> List[Transaction]:
@@ -236,9 +235,13 @@ def parse_trace_lines(text: str) -> List[TraceEvent]:
 
 def replay_per_event(
     config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
-) -> RunReport:
+) -> Tuple[RunReport, List[Tuple[Transaction, Reason]]]:
     """``replay`` with one ``UtilLedger.record`` and one ``pool.price_sum()``
-    per arrival, a declined one included."""
+    per arrival, a declined one included, and with this module's ``drain``
+    at the end, each leftover booked as its own record. Also returns the
+    declined ledger as the events happen: ``(tx, reason)`` on a decline,
+    ``(victim, EVICTION)`` on an eviction, then the drain's leftovers as
+    ``(tx, UNBUILDABLE)``."""
     pool = Mempool(config.capacity, config.policy.per_sender_limit)
     if world is None:
         world = world_for_trace(
@@ -246,18 +249,22 @@ def replay_per_event(
         )
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
+    ledger: List[Tuple[Transaction, Reason]] = []
     for index, event in enumerate(events):
         if event.kind == "tx_arrival":
             tx = event.tx
             outcome = pool.admit(tx, world, policy)
             if outcome.admitted:
                 victim = outcome.victim
+                if victim is not None:
+                    ledger.append((victim, Reason.EVICTION))
                 flags = _admission_flags(pool, world, tx, victim)
                 if flags is not NO_FLAGS:
                     report.flags.append((index, flags))
                 evicted = 0 if victim is None else victim.fee
                 report.util.record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
             else:
+                ledger.append((tx, outcome.reason))
                 report.util.record(OutcomeClass.O1, 0, tx.fee)
             report.outcomes.append(outcome)
             report.price_sum_series.append(pool.price_sum())
@@ -269,10 +276,11 @@ def replay_per_event(
     end_ts = events[-1].ts_ms if events else 0
     report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
     if config.final_drain:
-        declined_before = len(pool.declined)
-        report.blocks.extend(library_drain(pool, world))
-        for tx, _ in pool.declined[declined_before:]:
+        blocks, leftovers = drain(pool, world)
+        report.blocks.extend(blocks)
+        for tx in leftovers:
+            ledger.append((tx, Reason.UNBUILDABLE))
             report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
+        report.unbuildable = leftovers
     report.final_pending = pool.pending()
-    report.declined = pool.declined
-    return report
+    return report, ledger

@@ -17,6 +17,7 @@ from mempoolsim import (
     AttackPlan,
     Mempool,
     PolicyConfig,
+    RunReport,
     ScenarioConfig,
     Transaction,
     WorldState,
@@ -247,7 +248,9 @@ def test_criterion_6_cp_locking_counterexample():
         assert pool.admit(event.tx, world, policy).admitted
     declined_probe = pool.admit(tx("probe", 0, 10_000), world, policy)
     admitted_probe = pool.admit(tx("probe", 0, 10_001), world, policy)
-    benign_declined = [t for t, _ in pool.declined if t.label == "benign"]
+    # every cp_lock arrival was admitted: the probes' outcomes hold every decline
+    declined = RunReport("cp", n, outcomes=[declined_probe, admitted_probe]).declined
+    benign_declined = [t for t, _ in declined if t.label == "benign"]
     ratio = max(t.price for t in benign_declined) / min(t.price for t in pool.pending())
     _check(
         6,

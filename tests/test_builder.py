@@ -8,7 +8,6 @@ import oracles
 from mempoolsim import (
     Mempool,
     PolicyConfig,
-    Reason,
     Transaction,
     WorldState,
     build_block,
@@ -271,15 +270,15 @@ class TestSingleBlockScenarios:
 class TestDrain:
     def test_single_block_fits(self):
         pool, world = _pool([tx("A", 0, 3), tx("B", 0, 2)])
-        blocks = drain(pool, world)
-        assert len(blocks) == 1 and len(pool) == 0
+        blocks, leftovers = drain(pool, world)
+        assert len(blocks) == 1 and len(pool) == 0 and leftovers == []
         assert sum(b.revenue for b in blocks) == 21_000 * 5
 
     def test_overfull_pool_takes_two_blocks(self):
         txs = [tx(f"s{i}", 0, 2, gas=10_000_000, gas_limit=10_000_000) for i in range(4)]
         pool, world = _pool(txs)
-        blocks = drain(pool, world)
-        assert [len(b.txs) for b in blocks] == [3, 1]
+        blocks, leftovers = drain(pool, world)
+        assert [len(b.txs) for b in blocks] == [3, 1] and leftovers == []
         assert sum(b.revenue for b in blocks) == sum(t.fee for t in txs)
 
     def test_permanent_nonce_gap_becomes_unbuildable(self):
@@ -287,9 +286,10 @@ class TestDrain:
         # stranding the rest of the chain
         pool, world = _pool([tx("A", 0, 3), tx("A", 1, 3)])
         world.account("A").nonce = 5
-        blocks = drain(pool, world)
+        txs = pool.pending()
+        blocks, leftovers = drain(pool, world)
         assert blocks == [] and len(pool) == 0
-        assert {r for _, r in pool.declined} == {Reason.UNBUILDABLE}
+        assert leftovers == txs
 
     def test_terminates_on_oversized_tx(self):
         t = Transaction(sender="A", nonce=0, price=1, gas_used=40_000_000, gas_limit=40_000_000)
@@ -297,9 +297,9 @@ class TestDrain:
         fund(world, "A", WEI)
         pool = Mempool(capacity=1)
         fill_pool(pool, world, [t])
-        blocks = drain(pool, world)
+        blocks, leftovers = drain(pool, world)
         assert blocks == [] and sum(b.revenue for b in blocks) == 0
-        assert pool.declined[-1] == (t, Reason.UNBUILDABLE)
+        assert leftovers == [t] and len(pool) == 0
 
 
 # just over half a block, so a block of these holds one
@@ -353,21 +353,20 @@ def _filled(make, n, block_gas_limit=GAS_LIMIT_30M):
 
 def _assert_drains_alike(pool, world):
     """``drain`` and the block-at-a-time oracle drain the same pool alike:
-    the same blocks, declined ledger and world; both end empty."""
+    the same blocks, leftovers and world; both end empty."""
     txs = pool.pending()
     twin = Mempool(capacity=pool.capacity)
     twin_world = world.clone()
     # the same tx objects, admitted in the same order, give the same seqs
     for t in txs:
         twin.apply_admission(t, None)
-    twin.declined = list(pool.declined)
-    blocks = drain(pool, world)
-    expected = oracles.drain(twin, twin_world)
+    blocks, leftovers = drain(pool, world)
+    expected, expected_leftovers = oracles.drain(twin, twin_world)
     assert [b.txs for b in blocks] == [b.txs for b in expected]
-    assert pool.declined == twin.declined
+    assert leftovers == expected_leftovers
     assert world.accounts == twin_world.accounts
     assert len(pool) == len(twin) == 0 and pool.price_sum() == 0
-    return blocks
+    return blocks, leftovers
 
 
 @pytest.mark.parametrize(
@@ -385,16 +384,14 @@ def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
     pool, world = _filled(make, n, limit)
     if make is _stale_head:
         world.account("A").nonce = 2
-    blocks = _assert_drains_alike(pool, world)
+    blocks, leftovers = _assert_drains_alike(pool, world)
     if make is _stale_head:
         assert [[(t.sender, t.nonce) for t in b.txs] for b in blocks] == [[("A", 2), ("A", 3)]]
-        assert [(t.nonce, r) for t, r in pool.declined] == [
-            (0, Reason.UNBUILDABLE), (1, Reason.UNBUILDABLE)
-        ]
+        assert [(t.sender, t.nonce) for t in leftovers] == [("A", 0), ("A", 1)]
     if make is _promotion:
         # the gap tx p:3 ranks first, so its prefix leads the first block
         assert [(t.sender, t.nonce) for t in blocks[0].txs][:2] == [("p", 0), ("p", 1)]
-        assert [(t.sender, t.nonce) for t, _ in pool.declined[-1:]] == [("p", 3)]
+        assert [(t.sender, t.nonce) for t in leftovers] == [("p", 3)]
     if make is _overflow_child:
         assert [[(t.sender, t.nonce) for t in b.txs] for b in blocks] == [
             [("b", 0)], [("a", 0), ("a", 1)]

@@ -4,12 +4,17 @@ On Python 3.10 and 3.11 ``Reason.X`` goes through ``EnumType.__getattr__``,
 a slow-path lookup of about 130 ns that the interpreter cannot specialise;
 a replay would make several per arrival. So each function below reads
 private module constants (``_EVICTION = Reason.EVICTION``) instead, and this
-test fails once one of them names an enum class again.
+test fails once one of them names an enum class again. A nested function,
+and on Python 3.11 and before a comprehension, has a code object of its own
+among its parent's constants, with its own global loads, so the test reads
+those too.
 """
+
+from types import CodeType
 
 import pytest
 
-from mempoolsim import AdmissionOutcome, Mempool, classify_outcome, replay
+from mempoolsim import AdmissionOutcome, Mempool, Reason, RunReport, classify_outcome, replay
 from mempoolsim.builder import drain
 from mempoolsim.policies import POLICIES
 
@@ -25,10 +30,29 @@ _PER_EVENT = {
     "classify_outcome": classify_outcome,
     "replay": replay,
     "builder.drain": drain,
+    # each runs once per outcome, in a comprehension
+    "RunReport._ledger": RunReport._ledger,
+    "RunReport.declined": RunReport.declined.fget,
 }
+
+
+def _names(code: CodeType) -> set:
+    """The names ``code`` and every code object nested in it load."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, CodeType):
+            names |= _names(const)
+    return names
 
 
 @pytest.mark.parametrize("fn", list(_PER_EVENT.values()), ids=list(_PER_EVENT))
 def test_loads_no_enum_class(fn):
-    loaded = _ENUM_CLASSES.intersection(fn.__code__.co_names)
+    loaded = _ENUM_CLASSES.intersection(_names(fn.__code__))
     assert not loaded, f"{fn.__qualname__} loads {sorted(loaded)}"
+
+
+def test_a_load_in_a_comprehension_is_seen():
+    def evictions(outcomes):
+        return [o for o in outcomes if o.reason is Reason.EVICTION]
+
+    assert "Reason" in _names(evictions.__code__)

@@ -1,12 +1,14 @@
-"""Memory of the set-up and the report hash, measured with ``tracemalloc``:
-what a call allocates beyond what it leaves behind, and what a parse keeps.
+"""Memory of the set-up, the pool and the report hash, measured with
+``tracemalloc``: what a call allocates beyond what it leaves behind, and
+what a parse or a pool keeps.
 
 A parse reads the trace a block at a time, ``write_trace`` writes it a line
 at a time and ``report_hash`` feeds the hash a batch of entries at a time, so
 none holds a copy of the whole trace or the whole report. A parsed arrival
 keeps no copy of what the library already holds: its kind and source are the
 library's strings, and an equal ``gas_limit`` and ``cost`` are the
-``gas_used`` and ``fee`` objects.
+``gas_used`` and ``fee`` objects. A pool keeps only its pending set: the
+outcome ``admit`` returns is the only record of a decline.
 """
 
 import gc
@@ -15,8 +17,10 @@ import tracemalloc
 
 from mempoolsim import (
     AttackPlan,
+    Mempool,
     PolicyConfig,
     ScenarioConfig,
+    Transaction,
     dump_events,
     parse_trace,
     parse_trace_text,
@@ -25,6 +29,7 @@ from mempoolsim import (
     write_trace,
 )
 
+from conftest import fill_pool, rich_world, tx
 from test_report_hash import canonical
 
 
@@ -99,3 +104,23 @@ def test_report_hash_transient_is_at_most_3x_the_canonical_json():
     size = len(json.dumps(canonical(report), sort_keys=True, separators=(",", ":")))
     transient = _transient(report.report_hash)
     assert transient <= 3 * size, (transient, size)
+
+
+def test_a_full_pool_keeps_nothing_of_its_declines():
+    pool, world = Mempool(capacity=4), rich_world("a", "b", "x")
+    fill_pool(pool, world, [tx("a", 0, 5), tx("a", 1, 5), tx("b", 0, 5), tx("b", 1, 5)])
+    policy = PolicyConfig(kind="cp").build()
+
+    def decline(n):
+        # each arrival is made in the call, so a pool that kept it would
+        # keep its bytes too: below the pool's prices (the policy declines)
+        # or a nonce gap (the precheck declines)
+        for i in range(n):
+            outcome = pool.admit(Transaction("x", i % 2, 1), world, policy)
+            assert not outcome.admitted
+
+    # the first admission builds the policy's order index
+    decline(2)
+    kept = {n: _traced(lambda: decline(n))[1] for n in (2_000, 8_000)}
+    assert len(pool) == 4
+    assert kept[8_000] <= 1.25 * kept[2_000], kept

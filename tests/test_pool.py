@@ -10,6 +10,7 @@ from mempoolsim import (
     PolicyConfig,
     PoolError,
     Reason,
+    RunReport,
     Transaction,
     WorldState,
     build_block,
@@ -185,7 +186,7 @@ class TestApplyAdmission:
         z = tx("Z", 0, 9)
         pool.apply_admission(z, y)
         assert set(pool.pending()) == {x, z}
-        assert pool.declined[-1][0] == y
+        assert y not in pool and pool.get("Y", 0) is None and len(pool.chain("Y")) == 0
 
     def test_capacity_violation(self):
         pool = Mempool(capacity=1)
@@ -376,7 +377,7 @@ def test_declined_ledger_append_only_and_replay_stable():
         pool = Mempool(capacity=4)
         world = rich_world("A", "B", "C")
         policy = PolicyConfig(kind="cp").build()
-        lens = []
+        outcomes, ledgers = [], []
         script = [
             tx("A", 0, 5),
             tx("A", 2, 5),  # future
@@ -387,10 +388,14 @@ def test_declined_ledger_append_only_and_replay_stable():
             tx("A", 1, 9),  # full pool, evicts
         ]
         for t in script:
-            pool.admit(t, world, policy)
-            lens.append(len(pool.declined))
-        assert lens == sorted(lens)
-        return [(t.sender, t.nonce, t.price, r.value) for t, r in pool.declined]
+            outcomes.append(pool.admit(t, world, policy))
+            ledgers.append(RunReport("cp", 4, outcomes=list(outcomes)).declined)
+        # each arrival only appends to the ledger derived from the outcomes
+        for before, after in zip(ledgers, ledgers[1:]):
+            assert after[: len(before)] == before
+        ledger = [(t.sender, t.nonce, t.price, r.value) for t, r in ledgers[-1]]
+        assert [r for *_, r in ledger] == ["invalid-future", "duplicate", "eviction"]
+        return ledger
 
     # identical inputs give bit-identical declined ledgers
     assert run() == run()

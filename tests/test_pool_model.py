@@ -83,7 +83,6 @@ class ReferencePool:
         self.per_sender_limit = per_sender_limit
         self.pending: List[Transaction] = []
         self.admitted_at: Dict[Transaction, int] = {}
-        self.declined: List[Tuple[Transaction, Reason]] = []
         # decisions whose victim or seed shared its price (fee under map)
         # with another candidate
         self.ties = 0
@@ -144,11 +143,8 @@ class ReferencePool:
         if reason is Reason.POOL_NOT_FULL or reason is Reason.EVICTION:
             if victim is not None:
                 self.pending.remove(victim)
-                self.declined.append((victim, Reason.EVICTION))
             self.pending.append(tx)
             self.admitted_at[tx] = len(self.admitted_at)
-        else:
-            self.declined.append((tx, reason))
         return reason, victim
 
 
@@ -160,7 +156,6 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
     assert len(pool) == len(ref.pending) <= pool.capacity
     assert pool.full == (len(ref.pending) >= ref.capacity)
     assert pool.price_sum() == sum(t.price for t in ref.pending)
-    assert pool.declined == ref.declined
     for sender in SENDERS:
         chain = pool.chain(sender)
         txs = ref.sender_txs(sender)
@@ -228,6 +223,7 @@ class PoolModel(RuleBasedStateMachine):
         price_sum = self.pool.price_sum()
         outcome = self.pool.admit(tx, self.world, self.policy)
         reason, victim = self.ref.admit(self.KIND, tx, self.ref_world)
+        # the outcome is the only record of a decline or an eviction
         assert isinstance(outcome, AdmissionOutcome) and outcome.tx is tx
         assert (outcome.reason, outcome.victim) == (reason, victim)
         self.seen[reason] += 1

@@ -1,9 +1,12 @@
-"""``replay`` books its declines once, after the trace, and reads the pool's
-price sum again only after an admission or a block. ``oracles.replay_per_event``
-books one record and reads the price sum once per arrival. On random traces,
-with blocks and snapshots anywhere, every policy, both drain modes, the
-final drain on and off and a per-sender limit or none, both must give the
-same ledger, price sums and report hash.
+"""``replay`` books its declines once, after the trace, and its drain's
+leftovers once, after the drain, and reads the pool's price sum again only
+after an admission or a block. ``oracles.replay_per_event`` books one record
+and reads the price sum once per arrival, and keeps the declined ledger as
+the events happen. On random traces, with blocks and snapshots anywhere,
+every policy, both drain modes, the final drain on and off and a per-sender
+limit or none, both must give the same dUtil ledger, price sums and report
+hash, and the report's derived ``declined`` must equal the ledger kept as
+the events happened.
 """
 
 import itertools
@@ -56,7 +59,9 @@ def test_replay_books_as_the_per_event_loop(seed):
         final_drain=final_drain,
     )
     got = replay(config, events)
-    want = replay_per_event(config, events)
+    want, ledger = replay_per_event(config, events)
+    assert got.declined == ledger
+    assert got.unbuildable == want.unbuildable
     assert got.util.per_class == want.util.per_class
     assert got.util.flagged == want.util.flagged
     assert got.flags == want.flags

@@ -75,12 +75,19 @@ HOSTILE_SENDERS = [
     "</script>\n\r\x1f\x7f",
 ]
 HUGE = 10**30
+# the reasons an outcome declines with: all but the two admitting ones and
+# unbuildable, which only the final drain's leftovers get
+DECLINING = [
+    r for r in Reason if r not in (Reason.POOL_NOT_FULL, Reason.EVICTION, Reason.UNBUILDABLE)
+]
 
 
 def _report(senders, big: int = 1) -> RunReport:
     """A report where one tx per sender is an outcome, a victim, a block tx
     and a declined entry at once, next to repeated arrivals and empty
-    blocks."""
+    blocks. Its outcomes and leftovers put every reason label in the hashed
+    bytes: pool-not-full in the outcomes, every other one in the declined
+    ledger."""
     txs = [
         Transaction(sender=s, nonce=i, price=big + i, gas_used=21_000 * big, value=big - 1)
         for i, s in enumerate(senders)
@@ -90,14 +97,13 @@ def _report(senders, big: int = 1) -> RunReport:
     outcomes = [
         AdmissionOutcome(Reason.POOL_NOT_FULL, shared),
         *(AdmissionOutcome(Reason.EVICTION, arrival, victim) for victim in txs),
-        AdmissionOutcome(Reason.PRICE_TOO_LOW, txs[-1]),
+        *(AdmissionOutcome(r, txs[-1]) for r in DECLINING),
         AdmissionOutcome(Reason.EVICTION, txs[1 % len(txs)], shared),
     ]
     report = RunReport(policy="cp", capacity=len(txs), event_count=len(outcomes))
     report.outcomes = outcomes
     report.blocks = [Block([shared, arrival]), Block([]), Block(txs[::-1]), Block([])]
-    # every reason label the declined ledger can hold
-    report.declined = [(shared, Reason.UNBUILDABLE)] + [(txs[-1], r) for r in Reason]
+    report.unbuildable = [shared]
     report.price_sum_series = [big, 0, big * 3, HUGE]
     report.final_pending = txs[1:]
     report.util.record(OutcomeClass.O1, -HUGE, HUGE)
@@ -113,6 +119,9 @@ def test_matches_oracle_on_hostile_sender(sender):
 def test_matches_oracle_on_all_hostile_senders_and_huge_ints():
     report = _report(HOSTILE_SENDERS, big=HUGE)
     assert report.report_hash() == oracle_hash(report)
+    # every reason label the declined ledger can hold
+    assert {r for _, r in report.declined} == set(Reason) - {Reason.POOL_NOT_FULL}
+    assert Reason.POOL_NOT_FULL in {o.reason for o in report.outcomes}
 
 
 def test_matches_oracle_on_empty_report():
@@ -132,7 +141,7 @@ def test_equal_fields_distinct_objects_and_rehash_after_change():
     assert first == oracle_hash(report)
     assert report.report_hash() == first
     # a changed report gets a new digest, still the oracle's
-    report.declined.append((Transaction(sender="s", nonce=1, price=6), Reason.UNBUILDABLE))
+    report.unbuildable.append(Transaction(sender="s", nonce=1, price=6))
     assert report.report_hash() == oracle_hash(report) != first
 
 
@@ -141,7 +150,7 @@ def test_fee_totals_are_read_only_sums_of_the_records():
     assert report.pool_fees_final == sum(t.fee for t in report.final_pending)
     assert report.block_fees_final == sum(t.fee for b in report.blocks for t in b.txs)
     assert report.declined_fees_final == sum(t.fee for t, _ in report.declined)
-    for name in ("pool_fees_final", "block_fees_final", "declined_fees_final"):
+    for name in ("pool_fees_final", "block_fees_final", "declined_fees_final", "declined"):
         with pytest.raises(AttributeError):
             setattr(report, name, 0)
 
@@ -156,8 +165,10 @@ def _sections_of(n: int) -> RunReport:
         for i in range(n)
     ]
     report.blocks = [Block(txs[i : i + 2]) for i in range(n)]
-    report.declined = [(txs[i], Reason.UNBUILDABLE) for i in range(n)]
+    # with the n // 2 evictions, n declined entries
+    report.unbuildable = txs[: n - n // 2]
     report.price_sum_series = [10**i for i in range(n)]
+    assert len(report.declined) == n
     return report
 
 
