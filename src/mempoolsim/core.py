@@ -38,6 +38,15 @@ def short_repr(value) -> str:
     return shown if len(shown) <= _SHORT_MAX else shown[: _SHORT_MAX - 3] + "..."
 
 
+def check_positive_int(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an exact positive int: a
+    bool, a float or a number below 1 is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {short_repr(value)}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {short_repr(value)}")
+
+
 # The per-event objects are built by hand. A frozen dataclass's generated
 # __init__ sets each field through object.__setattr__, a generic path; the
 # hand-written constructors below run the same checks, then set each slot
@@ -46,8 +55,20 @@ def short_repr(value) -> str:
 # pins them), and dataclasses.replace goes through the same checks.
 
 
+class _ReportJsonSlot:
+    """The slot where ``RunReport.report_hash`` caches a tx's report JSON.
+
+    The fragment depends only on the tx's frozen fields, so it cannot go
+    stale, and every report of a trace reads what the first one encoded. A
+    base class's slot, not a dataclass field: the signature, the fields,
+    ``replace`` and ``repr`` do not see it, and construction stores nothing.
+    """
+
+    __slots__ = ("_report_json",)
+
+
 @dataclass(frozen=True, slots=True, eq=False, init=False)
-class Transaction:
+class Transaction(_ReportJsonSlot):
     """One transaction: the unit of admission.
 
     ``label`` is a metrics-only tag ({"benign", "adversarial"}) and must never

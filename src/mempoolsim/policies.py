@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AdmissionOutcome, Reason, Transaction
+from .core import AdmissionOutcome, Reason, Transaction, check_positive_int
 from .pool import Mempool
 
 # bound once: decide runs per arrival (see the note above core's enums)
@@ -38,6 +38,10 @@ _SELF_EVICTION = Reason.SELF_EVICTION
 class PolicyConfig:
     kind: str = "cp"  # a key of POLICIES
     per_sender_limit: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.per_sender_limit is not None:
+            check_positive_int("per-sender limit", self.per_sender_limit)
 
     def build(self):
         policy = POLICIES.get(self.kind)

@@ -12,12 +12,12 @@ import hashlib
 import json
 import statistics
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
 from .core import (
@@ -29,6 +29,7 @@ from .core import (
     Reason,
     Transaction,
     WorldState,
+    check_positive_int,
 )
 from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
@@ -60,8 +61,8 @@ class ScenarioConfig:
     final_drain: bool = True
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+        check_positive_int("capacity", self.capacity)
+        check_positive_int("block_gas_limit", self.block_gas_limit)
         if self.drain_mode not in ("end_only", "interleaved"):
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
         object.__setattr__(self, "account_seeds", MappingProxyType(dict(self.account_seeds)))
@@ -78,25 +79,33 @@ _POOL_NOT_FULL = Reason.POOL_NOT_FULL
 _UNBUILDABLE = Reason.UNBUILDABLE
 
 
-def _tx_json(txs: Iterable[Transaction]) -> Dict[Transaction, str]:
-    """Each tx's report JSON, ``[sender,nonce,price,gas_used,gas_limit,value]``.
-    The fields are exact ints, for which ``str`` writes what json writes."""
+_report_json = attrgetter("_report_json")
+_set_report_json = Transaction._report_json.__set__
+
+
+def _cache_report_json(txs: List[Transaction]) -> None:
+    """Give each of ``txs`` its cached report JSON,
+    ``[sender,nonce,price,gas_used,gas_limit,value]``.
+
+    One C-level read checks that all have it: every later report of a trace
+    does. On a miss, a list whose first tx has none is encoded whole, as a
+    trace's first report is, with no call per tx; a tx that already had one
+    gets an equal string. Else the txs without one are picked one by one.
+    The fields are exact ints, for which ``str`` writes what json writes.
+    """
+    try:
+        deque(map(_report_json, txs), 0)
+        return
+    except AttributeError:
+        pass
+    if hasattr(txs[0], "_report_json"):
+        txs = [tx for tx in txs if not hasattr(tx, "_report_json")]
     enc = encode_basestring_ascii
-    return {
-        tx: f"[{enc(tx.sender)},{tx.nonce},{tx.price},{tx.gas_used},{tx.gas_limit},{tx.value}]"
+    fragments = [
+        f"[{enc(tx.sender)},{tx.nonce},{tx.price},{tx.gas_used},{tx.gas_limit},{tx.value}]"
         for tx in txs
-    }
-
-
-class _TxJson(dict):
-    """tx -> its report JSON, encoded when first looked up: a hit is a plain
-    dict subscript."""
-
-    __slots__ = ()
-
-    def __missing__(self, tx: Transaction) -> str:
-        self.update(_tx_json((tx,)))
-        return self[tx]
+    ]
+    deque(map(_set_report_json, txs, fragments), 0)
 
 
 @dataclass
@@ -161,6 +170,11 @@ class RunReport:
         return [tx for block in self.blocks for tx in block.txs]
 
     def summary(self) -> Dict:
+        return self._summary(self.declined_fees_final)
+
+    def _summary(self, declined_fees: int) -> Dict:
+        """``summary()`` with the declined ledger's fee sum given: the hash
+        derives the ledger once for both."""
         reasons = Counter(map(_reason, self.outcomes))
         return {
             "policy": self.policy,
@@ -170,7 +184,7 @@ class RunReport:
             "blocks": len(self.blocks),
             "block_fees": self.block_fees_final,
             "pool_fees": self.pool_fees_final,
-            "declined_fees": self.declined_fees_final,
+            "declined_fees": declined_fees,
             "dutil_total": self.util.total.dutil,
             "pending": len(self.final_pending),
         }
@@ -182,23 +196,27 @@ class RunReport:
         ``{blocks, declined, outcomes, price_sums, summary}``, each tx as
         ``[sender, nonce, price, gas_used, gas_limit, value]``: what
         ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` writes for
-        that object. They are written directly instead, each tx encoded once
-        however often the report names it (``_TxJson``), and fed to the hash
-        a batch of ``_HASH_BATCH`` entries at a time, so no string of the
-        whole report is built.
+        that object. They are written directly instead, each tx's fragment
+        read from its cache (``_cache_report_json``), so a trace's txs are
+        encoded once for all its reports, and fed to the hash a batch of
+        ``_HASH_BATCH`` entries at a time, so no string of the whole report
+        is built.
         """
         enc = encode_basestring_ascii
         labels = {reason: enc(reason.value) for reason in Reason}
         # a reason fixes its outcome's kind, so it fixes the entry's head
         heads = {r: f"[{enc(REASON_KIND[r].value)},{labels[r]}," for r in Reason}
-        # every tx a replay's report names is an arrival's, so one pass over
-        # the outcomes encodes them all with no call per tx; a tx that only
-        # a hand-built report names is encoded on first lookup
-        txs = _TxJson(_tx_json(map(_tx, self.outcomes)))
+        declined, reasons = self._ledger()
+        # a replay's report names only arrivals, so the outcomes' txs fill
+        # the cache and the second pass reads it; a tx that only a
+        # hand-built report's ledger or blocks name is filled there
+        _cache_report_json(list(map(_tx, self.outcomes)))
+        _cache_report_json(declined + self.included_txs())
 
         def outcomes_json(batch: Sequence[AdmissionOutcome]) -> str:
             return ",".join([
-                f"{heads[o.reason]}{txs[o.tx]},[{'' if o.victim is None else txs[o.victim]}]]"
+                f"{heads[o.reason]}{o.tx._report_json},"
+                f"[{'' if o.victim is None else o.victim._report_json}]]"
                 for o in batch
             ])
 
@@ -217,13 +235,14 @@ class RunReport:
         section(
             b'{"blocks":[',
             self.blocks,
-            lambda batch: ",".join([f"[{','.join([txs[tx] for tx in b.txs])}]" for b in batch]),
+            lambda batch: ",".join([f"[{','.join(map(_report_json, b.txs))}]" for b in batch]),
         )
-        declined, reasons = self._ledger()
         section(
             b'],"declined":[',
             range(len(declined)),
-            lambda batch: ",".join([f"[{txs[declined[i]]},{labels[reasons[i]]}]" for i in batch]),
+            lambda batch: ",".join(
+                [f"[{declined[i]._report_json},{labels[reasons[i]]}]" for i in batch]
+            ),
         )
         section(b'],"outcomes":[', self.outcomes, outcomes_json)
         # a slice's JSON array without its brackets: exactly json's own items
@@ -232,7 +251,8 @@ class RunReport:
             self.price_sum_series,
             lambda batch: json.dumps(batch, separators=compact)[1:-1],
         )
-        summary = json.dumps(self.summary(), sort_keys=True, separators=compact)
+        declined_fees = sum(map(_fee, declined))
+        summary = json.dumps(self._summary(declined_fees), sort_keys=True, separators=compact)
         update(f'],"summary":{summary}}}'.encode("utf-8"))
         return digest.hexdigest()
 
@@ -282,6 +302,9 @@ def replay(
     booked as one record with their count after it. With ``final_drain``
     the pool is then drained, and its leftovers are stored as
     ``unbuildable`` and booked as one class UNBUILDABLE record likewise.
+
+    A ``PoolError`` raises ``ReplayAbort`` with the index of the event that
+    broke, or ``len(events)`` for the final drain.
     """
     if world is None:
         world = world_for_trace(
@@ -340,7 +363,11 @@ def replay(
     end_ts = events[-1].ts_ms if events else 0
     report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
     if config.final_drain:
-        blocks, report.unbuildable = drain(pool, world)
+        try:
+            blocks, report.unbuildable = drain(pool, world)
+        except PoolError as exc:
+            # the final drain runs after the last event: its index is the count
+            raise ReplayAbort(len(events), exc) from exc
         report.blocks.extend(blocks)
         if report.unbuildable:
             fees = sum(map(_fee, report.unbuildable))

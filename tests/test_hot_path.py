@@ -16,6 +16,7 @@ import pytest
 
 from mempoolsim import AdmissionOutcome, Mempool, Reason, RunReport, classify_outcome, replay
 from mempoolsim.builder import drain
+from mempoolsim.replay import _cache_report_json
 from mempoolsim.policies import POLICIES
 
 _ENUM_CLASSES = {"Reason", "OutcomeClass", "OutcomeKind"}
@@ -33,6 +34,8 @@ _PER_EVENT = {
     # each runs once per outcome, in a comprehension
     "RunReport._ledger": RunReport._ledger,
     "RunReport.declined": RunReport.declined.fget,
+    # runs once per tx the report names
+    "replay._cache_report_json": _cache_report_json,
 }
 
 

@@ -106,6 +106,24 @@ def test_report_hash_transient_is_at_most_3x_the_canonical_json():
     assert transient <= 3 * size, (transient, size)
 
 
+def test_report_hash_keeps_one_fragment_per_arrival_for_the_trace():
+    # the first report of a trace caches each arrival's fragment, ~84 B
+    # (one short string); a later report of the same trace reads them
+    plan = AttackPlan("random_adversary", {"steps": 6_000, "seed": 2})
+    events, seeds = plan.generate()
+    reports = [
+        replay(
+            ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=192, account_seeds=seeds),
+            events,
+        )
+        for kind in ("baseline", "cp")
+    ]
+    first = _traced(reports[0].report_hash)[1]
+    second = _traced(reports[1].report_hash)[1]
+    assert first / 6_000 <= 120, first / 6_000
+    assert second / 6_000 <= 8, second / 6_000
+
+
 def test_a_full_pool_keeps_nothing_of_its_declines():
     pool, world = Mempool(capacity=4), rich_world("a", "b", "x")
     fill_pool(pool, world, [tx("a", 0, 5), tx("a", 1, 5), tx("b", 0, 5), tx("b", 1, 5)])

@@ -8,6 +8,7 @@ replay matrix and hand-built reports with hostile strings, shared
 transactions and huge integers.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -20,7 +21,7 @@ from mempoolsim.core import AdmissionOutcome, Block, Reason, Transaction
 from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
 
-from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
+from test_golden_hashes import DRAIN_MODES, GOLDEN, POLICIES, TRACES
 
 # the package's ``replay`` attribute is the function
 replay_module = importlib.import_module("mempoolsim.replay")
@@ -190,3 +191,83 @@ def test_matches_oracle_at_the_batch_edges(monkeypatch, batch, edge):
 def test_matches_oracle_on_random_senders(senders, big):
     report = _report(senders, big)
     assert report.report_hash() == oracle_hash(report)
+
+
+# Each tx caches its report fragment on first hash (``_cache_report_json``):
+# a trace's later reports read what its first one encoded.
+
+
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_cold_and_cached_fragments_give_the_golden_hashes(trace):
+    capacity, make = TRACES[trace]
+    for drain_mode in DRAIN_MODES:
+        for order in (POLICIES, POLICIES[::-1]):
+            # a fresh trace per order: its first report fills the cache
+            events, seeds = make()
+            reports = {
+                policy: replay(
+                    ScenarioConfig(
+                        policy=PolicyConfig(kind=policy),
+                        capacity=capacity,
+                        account_seeds=seeds,
+                        drain_mode=drain_mode,
+                    ),
+                    events,
+                )
+                for policy in order
+            }
+            for _ in range(2):
+                for policy in order:
+                    golden = GOLDEN[trace][f"{policy}/{drain_mode}"][0]
+                    assert reports[policy].report_hash() == golden, (policy, order)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("where", ["block", "unbuildable", "victim"])
+def test_a_tx_outside_the_outcomes_is_encoded(where, warm):
+    report = _report(["x", "y", "z"])
+    if warm:
+        # the outcomes' txs are cached, the outsider is not
+        report.report_hash()
+    outsider = Transaction(sender=f"out{where}", nonce=7, price=3, value=HUGE)
+    if where == "block":
+        report.blocks.append(Block([outsider]))
+    elif where == "unbuildable":
+        report.unbuildable.append(outsider)
+    else:
+        report.outcomes.append(AdmissionOutcome(Reason.EVICTION, report.outcomes[0].tx, outsider))
+    assert outsider not in {o.tx for o in report.outcomes}
+    assert report.report_hash() == oracle_hash(report)
+    assert report.report_hash() == oracle_hash(report)
+
+
+def test_a_replaced_copy_of_a_hashed_tx_hashes_alike():
+    report = _report(["x", "y"])
+    first = report.report_hash()
+    copies = {tx: dataclasses.replace(tx) for tx in report.included_txs()}
+    report.blocks = [Block([copies[tx] for tx in b.txs]) for b in report.blocks]
+    assert report.report_hash() == first == oracle_hash(report)
+    # a copy with a changed field gets its own fragment, not the original's
+    report.blocks.append(Block([dataclasses.replace(report.outcomes[0].tx, price=10**20)]))
+    assert report.report_hash() == oracle_hash(report) != first
+
+
+def test_the_cached_fragment_cannot_be_assigned():
+    # the frozen slots dataclass refuses a name outside its fields: on 3.11
+    # its __setattr__ fails its super() call with TypeError, and a version
+    # that raises FrozenInstanceError raises an AttributeError
+    refused = (AttributeError, TypeError)
+    tx = Transaction(sender="s", nonce=0, price=5)
+    assert not hasattr(tx, "_report_json")
+    with pytest.raises(refused):
+        tx._report_json = "[]"
+    report = RunReport(policy="cp", capacity=1)
+    report.outcomes = [AdmissionOutcome(Reason.POOL_NOT_FULL, tx)]
+    report.report_hash()
+    assert tx._report_json == '["s",0,5,21000,21000,0]'
+    with pytest.raises(refused):
+        tx._report_json = "[]"
+    with pytest.raises(refused):
+        del tx._report_json
+    assert tx._report_json == '["s",0,5,21000,21000,0]'
+    assert "_report_json" not in {f.name for f in dataclasses.fields(Transaction)}

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import io
 import json
@@ -16,8 +17,10 @@ from mempoolsim import (
     AttackCostReport,
     ChildlessPricePolicy,
     PolicyConfig,
+    PoolError,
     PriceOnlyPolicy,
     Reason,
+    ReplayAbort,
     ScenarioConfig,
     TraceError,
     TraceEvent,
@@ -40,6 +43,9 @@ from mempoolsim.cli import main
 
 from conftest import tx
 from oracles import parse_trace_lines
+
+# the package's ``replay`` attribute is the function
+replay_module = importlib.import_module("mempoolsim.replay")
 
 
 def _overlong_price_line():
@@ -708,6 +714,42 @@ class TestReplayHarness:
             ScenarioConfig(drain_mode="lazy")
 
     @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: ScenarioConfig(capacity=True), "capacity must be an integer, got True"),
+            (lambda: ScenarioConfig(capacity=2.5), "capacity must be an integer, got 2.5"),
+            (lambda: ScenarioConfig(capacity="8"), "capacity must be an integer, got '8'"),
+            (lambda: ScenarioConfig(capacity=-3), "capacity must be positive, got -3"),
+            (
+                lambda: ScenarioConfig(block_gas_limit=1.5),
+                "block_gas_limit must be an integer, got 1.5",
+            ),
+            (lambda: ScenarioConfig(block_gas_limit=-1), "block_gas_limit must be positive, got -1"),
+            (lambda: ScenarioConfig(block_gas_limit=0), "block_gas_limit must be positive, got 0"),
+            (
+                lambda: PolicyConfig(per_sender_limit=1.5),
+                "per-sender limit must be an integer, got 1.5",
+            ),
+            (
+                lambda: PolicyConfig(per_sender_limit=False),
+                "per-sender limit must be an integer, got False",
+            ),
+            (lambda: PolicyConfig(per_sender_limit=0), "per-sender limit must be positive, got 0"),
+        ],
+    )
+    def test_config_sizes_must_be_exact_positive_ints(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_config_sizes_accept_exact_positive_ints_and_no_sender_limit(self):
+        config = ScenarioConfig(
+            policy=PolicyConfig(per_sender_limit=None), capacity=1, block_gas_limit=21_000
+        )
+        assert (config.capacity, config.block_gas_limit) == (1, 21_000)
+        assert config.policy.per_sender_limit is None
+        assert PolicyConfig(per_sender_limit=1).per_sender_limit == 1
+
+    @pytest.mark.parametrize(
         "config",
         [ScenarioConfig(drain_mode="interleaved"), PolicyConfig()],
         ids=["scenario", "policy"],
@@ -878,6 +920,22 @@ class TestCli:
         assert main(["replay", str(trace), "--policy", "baseline", "--capacity", "2"]) == 2
         err = capsys.readouterr().err
         assert "invariant violation: replay aborted at event 3: victim <Z:0 @1> not pending" in err
+
+    def test_broken_final_drain_exits_2_with_end_index(self, tmp_path, monkeypatch, capsys):
+        # the final drain runs after the last event: its index is the trace's length
+        def broken(pool, world):
+            raise PoolError("drain broke")
+
+        monkeypatch.setattr(replay_module, "drain", broken)
+        events = [arrival(tx(s, 0, 5), i) for i, s in enumerate("AB")] + [snapshot_marker(2)]
+        with pytest.raises(ReplayAbort) as exc:
+            replay(ScenarioConfig(capacity=2), events)
+        assert exc.value.index == 3 and str(exc.value.cause) == "drain broke"
+        trace = tmp_path / "drained.jsonl"
+        write_trace(trace, events)
+        assert main(["replay", str(trace), "--capacity", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "invariant violation: replay aborted at event 3: drain broke" in err
 
     def test_broken_attack_cost_exits_2(self, monkeypatch, capsys):
         # outside a replay a bare PoolError is an invariant violation too
