@@ -47,6 +47,15 @@ def check_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be positive, got {short_repr(value)}")
 
 
+def check_uint256(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an exact int in ``[0, 2**256)``:
+    a bool, a float or a number out of that range is refused."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {short_repr(value)}")
+    if not 0 <= value < _UINT256:
+        raise ValueError(f"{name} must be non-negative and below 2**256, got {short_repr(value)}")
+
+
 # The per-event objects are built by hand. A frozen dataclass's generated
 # __init__ sets each field through object.__setattr__, a generic path; the
 # hand-written constructors below run the same checks, then set each slot

@@ -59,7 +59,7 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState
+from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState, check_positive_int
 
 
 class SenderChain:
@@ -152,10 +152,9 @@ _SENDER_LIMIT = Reason.SENDER_LIMIT
 
 class Mempool:
     def __init__(self, capacity: int, per_sender_limit: Optional[int] = None):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        if per_sender_limit is not None and per_sender_limit < 1:
-            raise ValueError("per-sender limit must be positive")
+        check_positive_int("capacity", capacity)
+        if per_sender_limit is not None:
+            check_positive_int("per-sender limit", per_sender_limit)
         self.capacity = capacity
         self.per_sender_limit = per_sender_limit
         self._chains: Dict[str, SenderChain] = {}
@@ -165,7 +164,6 @@ class Mempool:
         self._by_price: Optional[List[Tuple]] = None
         self._by_fee: Optional[List[Tuple]] = None
         self._childless: Optional[List[Tuple]] = None
-        self._price_sum = 0
 
     # ------------------------------------------------------------- views
 
@@ -195,9 +193,6 @@ class Mempool:
         is ascending admission seq; ``candidate_order`` relies on this.
         """
         return list(self._seq_of)
-
-    def price_sum(self) -> int:
-        return self._price_sum
 
     def _build_by_price(self) -> List[Tuple]:
         heap = self._by_price = [(t.price, seq, t) for t, seq in self._seq_of.items()]
@@ -318,10 +313,9 @@ class Mempool:
                 heappush(childless, new)
                 if len(childless) > limit:
                     self._build_childless()
-        price = tx.price
         heap = self._by_price
         if heap is not None:
-            heappush(heap, (price, seq, tx))
+            heappush(heap, (tx.price, seq, tx))
             if len(heap) > limit:
                 self._build_by_price()
         heap = self._by_fee
@@ -329,7 +323,6 @@ class Mempool:
             heappush(heap, (tx.fee, seq, tx))
             if len(heap) > limit:
                 self._build_by_fee()
-        self._price_sum += price
 
     def _remove(self, tx: Transaction) -> None:
         """Take ``tx`` out of ``_seq_of`` and its chain; its heap entries go
@@ -356,7 +349,6 @@ class Mempool:
             self._build_by_price()
         if self._by_fee is not None and len(self._by_fee) > limit:
             self._build_by_fee()
-        self._price_sum -= tx.price
 
     def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
         """Remove ``victim``, if any, then insert ``tx``."""
@@ -381,7 +373,6 @@ class Mempool:
         pending = list(self._seq_of)
         self._seq_of = {}
         self._chains = {}
-        self._price_sum = 0
         if self._by_price is not None:
             self._by_price = []
         if self._by_fee is not None:

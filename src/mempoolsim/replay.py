@@ -30,6 +30,8 @@ from .core import (
     Transaction,
     WorldState,
     check_positive_int,
+    check_uint256,
+    short_repr,
 )
 from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
@@ -65,10 +67,24 @@ class ScenarioConfig:
         check_positive_int("block_gas_limit", self.block_gas_limit)
         if self.drain_mode not in ("end_only", "interleaved"):
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
-        object.__setattr__(self, "account_seeds", MappingProxyType(dict(self.account_seeds)))
+        seeds = dict(self.account_seeds)
+        for sender, seed in seeds.items():
+            # the world takes a seed as it is: exact ints keep its wei
+            # arithmetic integer, as a parsed trace's are
+            if type(sender) is not str:
+                raise ValueError(f"account seed sender must be a string, got {short_repr(sender)}")
+            if not isinstance(seed, (tuple, list)) or len(seed) != 2:
+                raise ValueError(
+                    f"account seed of {short_repr(sender)} must be a (balance, nonce) pair, "
+                    f"got {short_repr(seed)}"
+                )
+            check_uint256(f"seeded balance of {short_repr(sender)}", seed[0])
+            check_uint256(f"seeded nonce of {short_repr(sender)}", seed[1])
+        object.__setattr__(self, "account_seeds", MappingProxyType(seeds))
 
 
 _fee = attrgetter("fee")
+_price = attrgetter("price")
 _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
 _tx = attrgetter("tx")
@@ -76,6 +92,7 @@ _tx = attrgetter("tx")
 _O1 = OutcomeClass.O1
 _UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
 _POOL_NOT_FULL = Reason.POOL_NOT_FULL
+_EVICTION = Reason.EVICTION
 _UNBUILDABLE = Reason.UNBUILDABLE
 
 
@@ -108,11 +125,16 @@ def _cache_report_json(txs: List[Transaction]) -> None:
     deque(map(_set_report_json, txs, fragments), 0)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Snapshot:
+    """Where a snapshot was taken: at event ``event_index``, time ``ts_ms``,
+    after the report's first ``outcomes`` outcomes and ``blocks`` blocks.
+    ``RunReport.pending_at`` gives its pending set."""
+
     event_index: int
     ts_ms: int
-    pending: List[Transaction]
+    outcomes: int
+    blocks: int
 
 
 @dataclass
@@ -120,12 +142,13 @@ class RunReport:
     """What one replay observed, one record per fact.
 
     ``outcomes`` holds one admission outcome per arrival, ``blocks`` the
-    blocks built, ``snapshots`` the pending set at each snapshot marker and
-    at the end of the trace, ``util`` the per-arrival dUtil ledger, ``flags``
-    the admissions that flipped a resident's future status, ``price_sum_series``
-    the pool's price sum after each arrival, ``unbuildable`` the final drain's
-    leftovers and ``final_pending`` the pending set after the run. ``declined``
-    and the fee totals are derived from these records when read.
+    blocks built, ``snapshots`` where each snapshot marker and the end of the
+    trace fell among the outcomes and blocks, ``util`` the per-arrival dUtil
+    ledger, ``flags`` the admissions that flipped a resident's future status,
+    ``price_sum_series`` the pool's price sum after each arrival,
+    ``unbuildable`` the final drain's leftovers and ``final_pending`` the
+    pending set after the run. ``declined``, the fee totals and a snapshot's
+    pending set (``pending_at``) are derived from these records when read.
     """
 
     policy: str
@@ -165,6 +188,29 @@ class RunReport:
     @property
     def declined_fees_final(self) -> int:
         return sum(map(_fee, self._ledger()[0]))
+
+    def pending_at(self, snapshot: Snapshot) -> List[Transaction]:
+        """The pending set when ``snapshot`` was taken, oldest first, as the
+        pool's ``pending()`` listed it then.
+
+        The snapshot's first ``outcomes`` outcomes are walked in order, each
+        eviction deleting its victim and each admission adding its tx at the
+        end; then the txs of its first ``blocks`` blocks are dropped. An
+        included tx's nonce is stale from then on, so no later outcome admits
+        it again or names it as a victim.
+        """
+        pending: Dict[Transaction, None] = {}
+        for o in self.outcomes[: snapshot.outcomes]:
+            reason = o.reason
+            if reason is _EVICTION:
+                del pending[o.victim]
+                pending[o.tx] = None
+            elif reason is _POOL_NOT_FULL:
+                pending[o.tx] = None
+        for block in self.blocks[: snapshot.blocks]:
+            for tx in block.txs:
+                del pending[tx]
+        return list(pending)
 
     def included_txs(self) -> List[Transaction]:
         return [tx for block in self.blocks for tx in block.txs]
@@ -296,12 +342,16 @@ def replay(
     it is: ``config.account_seeds`` is not applied to it, and a
     ``block_gas_limit`` other than the config's raises ``ValueError``.
 
-    Each arrival gets one outcome and one price sum. An admission books its
-    dUtil record as it happens. The declines, all of class O1 and each
-    ``outside_delta`` its arrival's fee, are summed as the loop runs and
-    booked as one record with their count after it. With ``final_drain``
-    the pool is then drained, and its leftovers are stored as
-    ``unbuildable`` and booked as one class UNBUILDABLE record likewise.
+    Each arrival gets one outcome and one price sum, which the loop keeps
+    itself: an admission adds its tx's price less its victim's, an
+    interleaved block takes off its txs' prices. A snapshot marker, and the
+    end of the trace, records how many outcomes and blocks the report then
+    holds. An admission books its dUtil record as it happens. The declines,
+    all of class O1 and each ``outside_delta`` its arrival's fee, are summed
+    as the loop runs and booked as one record with their count after it.
+    With ``final_drain`` the pool is then drained, and its leftovers are
+    stored as ``unbuildable`` and booked as one class UNBUILDABLE record
+    likewise.
 
     A ``PoolError`` raises ``ReplayAbort`` with the index of the event that
     broke, or ``len(events)`` for the final drain.
@@ -324,10 +374,9 @@ def replay(
     append_outcome = report.outcomes.append
     append_price_sum = report.price_sum_series.append
     interleaved = config.drain_mode == "interleaved"
-    # the pool changes only on an admission or a block, so the price sum is
-    # read again only then; declines are summed here and booked once below
-    price_sum = pool.price_sum()
-    declined_fees = declined_count = 0
+    # the pool's price sum, moved by each admission and block; declines are
+    # summed here and booked once below
+    price_sum = declined_fees = declined_count = 0
     for index, event in enumerate(events):
         try:
             kind = event.kind
@@ -340,9 +389,13 @@ def replay(
                     flags = _admission_flags(pool, world, tx, victim)
                     if flags is not NO_FLAGS:
                         report.flags.append((index, flags))
-                    evicted = 0 if victim is None else victim.fee
+                    if victim is None:
+                        evicted = 0
+                        price_sum += tx.price
+                    else:
+                        evicted = victim.fee
+                        price_sum += tx.price - victim.price
                     record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
-                    price_sum = pool.price_sum()
                 else:
                     # every declining reason is O1, and the pool did not
                     # change, so no resident changed status
@@ -350,10 +403,13 @@ def replay(
                     declined_count += 1
                 append_price_sum(price_sum)
             elif kind == "snapshot_marker":
-                report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
+                report.snapshots.append(
+                    Snapshot(index, event.ts_ms, len(report.outcomes), len(report.blocks))
+                )
             elif interleaved:
-                report.blocks.append(build_block(pool, world).block)
-                price_sum = pool.price_sum()
+                block = build_block(pool, world).block
+                report.blocks.append(block)
+                price_sum -= sum(map(_price, block.txs))
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
     if declined_count:
@@ -361,7 +417,9 @@ def replay(
 
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0
-    report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
+    report.snapshots.append(
+        Snapshot(len(events), end_ts, len(report.outcomes), len(report.blocks))
+    )
     if config.final_drain:
         try:
             blocks, report.unbuildable = drain(pool, world)

@@ -10,11 +10,12 @@ library's one-ranking drain must match; the library's ``build_block`` and
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
 ``replay_per_event`` is the replay loop that books one dUtil record and
-reads the pool's price sum once per arrival, and drains with ``drain``; the
-library's ``replay`` sums its declines and its leftovers and books each sum
-once, and reads the price sum again only after an admission or a block, and
+sums the pool's pending prices once per arrival, and drains with ``drain``;
+the library's ``replay`` sums its declines and its leftovers and books each
+sum once, and moves a running price sum by each admission and block, and
 must report the same. It also keeps the declined ledger as the events
-happen, which the report's derived ``declined`` must equal.
+happen, and a copy of the pool's pending set at each snapshot, which the
+report's derived ``declined`` and ``pending_at`` must equal.
 """
 
 from __future__ import annotations
@@ -235,13 +236,14 @@ def parse_trace_lines(text: str) -> List[TraceEvent]:
 
 def replay_per_event(
     config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
-) -> Tuple[RunReport, List[Tuple[Transaction, Reason]]]:
-    """``replay`` with one ``UtilLedger.record`` and one ``pool.price_sum()``
-    per arrival, a declined one included, and with this module's ``drain``
-    at the end, each leftover booked as its own record. Also returns the
-    declined ledger as the events happen: ``(tx, reason)`` on a decline,
-    ``(victim, EVICTION)`` on an eviction, then the drain's leftovers as
-    ``(tx, UNBUILDABLE)``."""
+) -> Tuple[RunReport, List[Tuple[Transaction, Reason]], List[List[Transaction]]]:
+    """``replay`` with one ``UtilLedger.record`` and one sum of the pool's
+    pending prices per arrival, a declined one included, and with this
+    module's ``drain`` at the end, each leftover booked as its own record.
+    Also returns the declined ledger as the events happen: ``(tx, reason)``
+    on a decline, ``(victim, EVICTION)`` on an eviction, then the drain's
+    leftovers as ``(tx, UNBUILDABLE)``; and a copy of ``pool.pending()`` per
+    snapshot, at each marker and at the end of the trace."""
     pool = Mempool(config.capacity, config.policy.per_sender_limit)
     if world is None:
         world = world_for_trace(
@@ -250,6 +252,12 @@ def replay_per_event(
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
     ledger: List[Tuple[Transaction, Reason]] = []
+    pendings: List[List[Transaction]] = []
+
+    def snapshot(index: int, ts_ms: int) -> None:
+        pendings.append(pool.pending())
+        report.snapshots.append(Snapshot(index, ts_ms, len(report.outcomes), len(report.blocks)))
+
     for index, event in enumerate(events):
         if event.kind == "tx_arrival":
             tx = event.tx
@@ -267,14 +275,14 @@ def replay_per_event(
                 ledger.append((tx, outcome.reason))
                 report.util.record(OutcomeClass.O1, 0, tx.fee)
             report.outcomes.append(outcome)
-            report.price_sum_series.append(pool.price_sum())
+            report.price_sum_series.append(sum(t.price for t in pool.pending()))
         elif event.kind == "snapshot_marker":
-            report.snapshots.append(Snapshot(index, event.ts_ms, pool.pending()))
+            snapshot(index, event.ts_ms)
         elif config.drain_mode == "interleaved":
             report.blocks.append(library_build_block(pool, world).block)
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0
-    report.snapshots.append(Snapshot(len(events), end_ts, pool.pending()))
+    snapshot(len(events), end_ts)
     if config.final_drain:
         blocks, leftovers = drain(pool, world)
         report.blocks.extend(blocks)
@@ -283,4 +291,4 @@ def replay_per_event(
             report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
         report.unbuildable = leftovers
     report.final_pending = pool.pending()
-    return report, ledger
+    return report, ledger, pendings

@@ -156,7 +156,7 @@ def _run_xt6_baseline(params, capacity):
     one_tx_fee = max(
         e.tx.fee for e in events if e.kind == "tx_arrival" and e.tx.label == "adversarial"
     )
-    pre_attack_fees = sum(t.fee for t in standing.snapshots[0].pending)
+    pre_attack_fees = sum(t.fee for t in standing.pending_at(standing.snapshots[0]))
     return standing, drained, non_future, cost, one_tx_fee, pre_attack_fees
 
 
@@ -198,7 +198,7 @@ def test_criterion_4_xt6_cp_price_sum():
     )
     report = replay(config, events)
     _TELESCOPE_RUNS.append(report)
-    pre_attack = sum(t.price for t in report.snapshots[0].pending)
+    pre_attack = sum(t.price for t in report.pending_at(report.snapshots[0]))
     final = report.price_sum_series[-1]
     _check(
         4,

@@ -365,7 +365,7 @@ def _assert_drains_alike(pool, world):
     assert [b.txs for b in blocks] == [b.txs for b in expected]
     assert leftovers == expected_leftovers
     assert world.accounts == twin_world.accounts
-    assert len(pool) == len(twin) == 0 and pool.price_sum() == 0
+    assert len(pool) == len(twin) == 0
     return blocks, leftovers
 
 

@@ -34,6 +34,7 @@ _PER_EVENT = {
     # each runs once per outcome, in a comprehension
     "RunReport._ledger": RunReport._ledger,
     "RunReport.declined": RunReport.declined.fget,
+    "RunReport.pending_at": RunReport.pending_at,
     # runs once per tx the report names
     "replay._cache_report_json": _cache_report_json,
 }

@@ -8,7 +8,9 @@ none holds a copy of the whole trace or the whole report. A parsed arrival
 keeps no copy of what the library already holds: its kind and source are the
 library's strings, and an equal ``gas_limit`` and ``cost`` are the
 ``gas_used`` and ``fee`` objects. A pool keeps only its pending set: the
-outcome ``admit`` returns is the only record of a decline.
+outcome ``admit`` returns is the only record of a decline. A report's
+snapshot records where it fell among the outcomes and blocks, not a copy of
+the pool.
 """
 
 import gc
@@ -25,6 +27,7 @@ from mempoolsim import (
     parse_trace,
     parse_trace_text,
     replay,
+    snapshot_marker,
     workload_batch_insert,
     write_trace,
 )
@@ -122,6 +125,24 @@ def test_report_hash_keeps_one_fragment_per_arrival_for_the_trace():
     second = _traced(reports[1].report_hash)[1]
     assert first / 6_000 <= 120, first / 6_000
     assert second / 6_000 <= 8, second / 6_000
+
+
+def test_a_snapshot_keeps_its_position_not_a_copy_of_the_pool():
+    # a snapshot is four ints, ~128 B; a copy of the full 5,120-tx pool's
+    # pending list would keep ~41 KB
+    events = workload_batch_insert(5_120)
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"), capacity=5_120, final_drain=False
+    )
+    peaks = {}
+    for markers in (1, 2_000):
+        trace = events + [snapshot_marker(events[-1].ts_ms) for _ in range(markers)]
+        report, _, peaks[markers] = _traced(lambda: replay(config, trace))
+        assert len(report.snapshots) == markers + 1
+        assert len(report.pending_at(report.snapshots[-2])) == 5_120
+        del report
+    per_marker = (peaks[2_000] - peaks[1]) / 1_999
+    assert per_marker <= 256, (per_marker, peaks)
 
 
 def test_a_full_pool_keeps_nothing_of_its_declines():

@@ -158,7 +158,7 @@ class TestCpMonotonePriceSum:
             base = max((t.nonce for t in chain), default=world.nonce_of(sender) - 1)
             nonce = base + rng.choice((1, 1, 1, 2, 0))
             pool.admit(tx(sender, max(nonce, 0), rng.randint(1, 200)), world, policy)
-            cur = pool.price_sum()
+            cur = sum(t.price for t in pool.pending())
             assert cur >= prev
             prev = cur
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -206,6 +207,26 @@ class TestApplyAdmission:
         with pytest.raises(ValueError, match="must be positive"):
             Mempool(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"capacity": 2.5}, "capacity must be an integer, got 2.5"),
+            ({"capacity": True}, "capacity must be an integer, got True"),
+            ({"capacity": "8"}, "capacity must be an integer, got '8'"),
+            (
+                {"capacity": 4, "per_sender_limit": 1.5},
+                "per-sender limit must be an integer, got 1.5",
+            ),
+            (
+                {"capacity": 4, "per_sender_limit": True},
+                "per-sender limit must be an integer, got True",
+            ),
+        ],
+    )
+    def test_sizes_must_be_exact_ints(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Mempool(**kwargs)
+
     def test_victim_not_pending(self):
         pool = Mempool(capacity=2)
         fill_pool(pool, rich_world("X"), [tx("X", 0, 5)])
@@ -232,7 +253,7 @@ def test_remove_included_of_a_non_resident_changes_nothing(stranger):
     def views():
         chains = {s: (list(pool.chain(s).txs), pool.chain(s).min_fee) for s in "XY"}
         indexes = [list(i) for i in (pool._by_price, pool._by_fee, pool._childless)]
-        return pool.pending(), chains, indexes, pool.price_sum()
+        return pool.pending(), chains, indexes
 
     before = views()
     with pytest.raises(PoolError):
@@ -338,7 +359,8 @@ def _drive_admit_build(policy_kind, seed, capacity):
             top = world.nonce_of(sender) + len(pool.chain(sender))
             nonce = rng.randint(world.nonce_of(sender), top + 1)
             t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
-            before, price_sum = pool.pending(), pool.price_sum()
+            before = pool.pending()
+            price_sum = sum(p.price for p in before)
             outcome = pool.admit(t, world, policy)
             if policy_kind == "map" and outcome.admitted:
                 view = ListPendingView(pool.pending())
@@ -347,7 +369,7 @@ def _drive_admit_build(policy_kind, seed, capacity):
                 turned_future += 1
                 assert policy_kind == "baseline", (step, "resident turned future")
             if policy_kind == "cp":
-                assert pool.price_sum() >= price_sum, (step, "price sum fell")
+                assert sum(p.price for p in pool.pending()) >= price_sum, (step, "price sum fell")
         _rebuild_check(pool, world)
     return turned_future
 

@@ -1,12 +1,14 @@
 """``replay`` books its declines once, after the trace, and its drain's
-leftovers once, after the drain, and reads the pool's price sum again only
-after an admission or a block. ``oracles.replay_per_event`` books one record
-and reads the price sum once per arrival, and keeps the declined ledger as
-the events happen. On random traces, with blocks and snapshots anywhere,
-every policy, both drain modes, the final drain on and off and a per-sender
-limit or none, both must give the same dUtil ledger, price sums and report
-hash, and the report's derived ``declined`` must equal the ledger kept as
-the events happened.
+leftovers once, after the drain, moves a running price sum by each admission
+and block, and records only where each snapshot fell.
+``oracles.replay_per_event`` books one record and sums the pool's pending
+prices once per arrival, and keeps the declined ledger and a copy of the
+pending set at each snapshot as the events happen. On random traces, with
+blocks and snapshots anywhere, every policy, both drain modes, the final
+drain on and off and a per-sender limit or none, both must give the same
+dUtil ledger, price sums, final pending set and report hash, and the
+report's derived ``declined`` and each snapshot's ``pending_at`` must equal
+what was kept as the events happened.
 """
 
 import itertools
@@ -59,8 +61,11 @@ def test_replay_books_as_the_per_event_loop(seed):
         final_drain=final_drain,
     )
     got = replay(config, events)
-    want, ledger = replay_per_event(config, events)
+    want, ledger, pendings = replay_per_event(config, events)
     assert got.declined == ledger
+    assert got.snapshots == want.snapshots
+    assert [got.pending_at(s) for s in got.snapshots] == pendings
+    assert got.final_pending == want.final_pending
     assert got.unbuildable == want.unbuildable
     assert got.util.per_class == want.util.per_class
     assert got.util.flagged == want.util.flagged

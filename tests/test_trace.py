@@ -681,7 +681,7 @@ class TestReplayHarness:
         events.insert(5, snapshot_marker(3))
         report = replay(ScenarioConfig(capacity=32), events)
         # two markers, one end snapshot
-        assert [(s.event_index, len(s.pending)) for s in report.snapshots] == [
+        assert [(s.event_index, len(report.pending_at(s))) for s in report.snapshots] == [
             (3, 3), (5, 4), (8, 6)
         ]
 
@@ -775,6 +775,54 @@ class TestReplayHarness:
         # a read-only mapping has no hash, so neither has the config
         with pytest.raises(TypeError):
             hash(config)
+
+    @given(
+        value=st.one_of(
+            st.booleans(),
+            st.floats(),
+            st.integers(max_value=-1),
+            st.integers(min_value=2**256),
+            st.text(max_size=8),
+        ),
+        slot=st.sampled_from((0, 1)),
+    )
+    @example(value=1000000.5, slot=0)
+    @example(value=0.0, slot=1)
+    @example(value=2**256, slot=0)
+    def test_account_seeds_must_be_exact_uint256_ints(self, value, slot):
+        pair = [10**30, 0]
+        pair[slot] = value
+        name = ("balance", "nonce")[slot]
+        with pytest.raises(ValueError, match=f"^seeded {name} of 'a' must be "):
+            ScenarioConfig(account_seeds={"a": tuple(pair)})
+
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ({5: (1, 0)}, "account seed sender must be a string, got 5"),
+            ({None: (1, 0)}, "account seed sender must be a string, got None"),
+            ({"a": (1,)}, "account seed of 'a' must be a (balance, nonce) pair, got (1,)"),
+            (
+                {"a": (1, 0, 0)},
+                "account seed of 'a' must be a (balance, nonce) pair, got (1, 0, 0)",
+            ),
+            ({"a": "10"}, "account seed of 'a' must be a (balance, nonce) pair, got '10'"),
+            ({"a": 7}, "account seed of 'a' must be a (balance, nonce) pair, got 7"),
+        ],
+    )
+    def test_account_seeds_must_be_sender_and_pair(self, seeds, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(account_seeds=seeds)
+
+    @given(
+        balance=st.integers(min_value=0, max_value=2**256 - 1),
+        nonce=st.integers(min_value=0, max_value=2**256 - 1),
+    )
+    def test_account_seeds_of_exact_uint256_ints_are_kept(self, balance, nonce):
+        # a pair read from JSON is a list
+        for pair in ((balance, nonce), [balance, nonce]):
+            config = ScenarioConfig(account_seeds={"a": pair})
+            assert config.account_seeds["a"] is pair
 
     def test_bench_single_round(self):
         report = bench(ScenarioConfig(capacity=64), workload_batch_insert(50), rounds=1)
@@ -958,6 +1006,12 @@ class TestCli:
         assert main(["attack", "cp_lock", "--run"] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and f"error: {message}" in captured.err
+
+    def test_a_negative_seeded_balance_is_a_usage_error(self, capsys):
+        assert main(["attack", "mempurge_overdraft", "--params", '{"balance": -5}', "--run"]) == 1
+        captured = capsys.readouterr()
+        message = "error: seeded balance of 'mempurge-0' must be non-negative and below 2**256"
+        assert captured.out == "" and message in captured.err
 
     @pytest.mark.parametrize("kind, params", [("random_adversary", "[1]"), ("xt6", "[]")])
     def test_params_not_an_object_is_usage_error(self, kind, params, capsys):
