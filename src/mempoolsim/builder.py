@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .core import MIN_TX_GAS, Block, Transaction, WorldState
+from .core import MIN_TX_GAS, AccountState, Block, Transaction, WorldState
 from .pool import Mempool
 
 GasFn = Callable[[Transaction, Sequence[Transaction]], int]
@@ -55,12 +55,14 @@ def candidate_order(pool: Mempool) -> Iterator[Transaction]:
     before the pool changes, since it cannot be resumed afterwards.
     """
     ranked = sorted(pool.pending(), key=attrgetter("price"), reverse=True)
+    # every ranked tx is pending, so its sender has a chain
+    chains = pool.chains()
     # per sender, how long a prefix of its nonce-sorted chain is placed
     placed: Dict[str, int] = {}
     for tx in ranked:
         sender = tx.sender
         start = placed.get(sender, 0)
-        chain = pool.chain(sender)
+        chain = chains[sender]
         txs = chain.txs
         if start < len(txs) and txs[start] is tx:
             # the chain's next unplaced tx: nothing to promote
@@ -87,7 +89,11 @@ def _fill(
     "gas-overflow")``. With static gas the walk stops once the gas left is
     below ``MIN_TX_GAS``, or below ``lightest()``, read again after each
     inclusion, when given; with a ``gas_fn`` it walks all of ``order``.
+
+    Each candidate's account is read once, from ``world.accounts``: a sender
+    with none has confirmed nonce 0, and its account is made on inclusion.
     """
+    accounts = world.accounts
     block = Block()
     included = block.txs
     limit = world.block_gas_limit
@@ -97,7 +103,9 @@ def _fill(
     for tx in order:
         if full_above is not None and gas_total > full_above:
             break
-        if tx.nonce != world.nonce_of(tx.sender):
+        sender = tx.sender
+        acct = accounts.get(sender)
+        if tx.nonce != (0 if acct is None else acct.nonce):
             skipped.append((tx, "nonce-gap"))
             continue
         gas = gas_fn(tx, included) if gas_fn else tx.gas_used
@@ -106,7 +114,8 @@ def _fill(
             continue
         gas_total += gas
         included.append(tx)
-        acct = world.account(tx.sender)
+        if acct is None:
+            acct = accounts[sender] = AccountState()
         acct.nonce = tx.nonce + 1
         acct.balance -= tx.fee + tx.value
         if lightest:
@@ -158,6 +167,7 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
       gas once, and ``light`` moves past the included ones.
     """
     nonce_of = world.nonce_of
+    accounts = world.accounts
     runs: Dict[str, Tuple[int, int]] = {}  # sender -> its buildable nonces [c, end)
     order: List[Transaction] = []
     for tx in candidate_order(pool):
@@ -172,7 +182,12 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
 
     def lightest() -> int:
         nonlocal light
-        while light < len(by_gas) and by_gas[light].nonce < nonce_of(by_gas[light].sender):
+        # an included tx's sender has an account, whose nonce is now above it
+        while light < len(by_gas):
+            tx = by_gas[light]
+            acct = accounts.get(tx.sender)
+            if acct is None or tx.nonce >= acct.nonce:
+                break
             light += 1
         # with nothing left to include, past the limit: every block is full
         return by_gas[light].gas_used if light < len(by_gas) else world.block_gas_limit + 1
@@ -180,7 +195,11 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
     blocks: List[Block] = []
     start = 0
     while True:
-        while start < len(order) and order[start].nonce < nonce_of(order[start].sender):
+        while start < len(order):
+            tx = order[start]
+            acct = accounts.get(tx.sender)
+            if acct is None or tx.nonce >= acct.nonce:
+                break
             start += 1
         # indexed from start: islice would walk the included prefix again
         rest = map(order.__getitem__, range(start, len(order)))

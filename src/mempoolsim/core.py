@@ -6,12 +6,14 @@ No floating point is used anywhere in admission logic.
 
 from __future__ import annotations
 
+import gc
 import reprlib
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
@@ -56,6 +58,50 @@ def check_uint256(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative and below 2**256, got {short_repr(value)}")
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the block, then restore the
+    caller's state, also when the block raises; a collector that was off
+    stays off.
+
+    For the set-up layers that allocate many objects but no cycles (a
+    trace's parse and its world): with the collector on, each burst of
+    allocations would start a collection that walks every object made so
+    far and frees nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _refuse_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen_slots(cls: type) -> type:
+    """Make a frozen slots dataclass refuse every assignment and deletion of
+    an attribute with ``FrozenInstanceError``, as Python 3.12 and later do.
+
+    On 3.10 and 3.11 the generated ``__setattr__`` and ``__delattr__`` pass a
+    name that is not a field to ``super()`` with the class that
+    ``slots=True`` replaced, which raises a misleading ``TypeError``.
+    Construction does not go through them: a hand-written constructor sets
+    each slot through its descriptor, and a generated one through
+    ``object.__setattr__``.
+    """
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
 # The per-event objects are built by hand. A frozen dataclass's generated
 # __init__ sets each field through object.__setattr__, a generic path; the
 # hand-written constructors below run the same checks, then set each slot
@@ -76,6 +122,7 @@ class _ReportJsonSlot:
     __slots__ = ("_report_json",)
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True, eq=False, init=False)
 class Transaction(_ReportJsonSlot):
     """One transaction: the unit of admission.
@@ -254,6 +301,7 @@ REASON_KIND: Mapping[Reason, OutcomeKind] = MappingProxyType({
 })
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class AdmissionOutcome:
     """One admission decision: what a policy's ``decide`` returns and what

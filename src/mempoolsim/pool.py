@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState, check_positive_int
 
@@ -186,6 +186,11 @@ class Mempool:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""
         return self._chains.get(sender, _NO_CHAIN)
 
+    def chains(self) -> Mapping[str, SenderChain]:
+        """Each sender with something pending -> its chain: the pool's own
+        live mapping, read-only, for a caller that reads many chains."""
+        return self._chains
+
     def pending(self) -> List[Transaction]:
         """All pending txs in admission order, oldest first.
 
@@ -261,10 +266,20 @@ class Mempool:
         Checks run in the order stale -> duplicate -> future -> overdraft.
         They read the sender's account once and its chain: one bisect finds
         ``tx.nonce``'s place in it (none when ``tx`` extends the chain), the
-        future test is one ``run_end``, and the overdraft test sums the
-        chain's cost below that place. A sender with nothing pending has no
-        chain to read: ``tx`` is future iff its nonce is above the confirmed
-        one, and nothing is reserved below it.
+        future test compares ``tx.nonce`` with the end of the run from the
+        confirmed nonce, and the overdraft test sums the chain's cost below
+        that place. A sender with nothing pending has no chain to read:
+        ``tx`` is future iff its nonce is above the confirmed one, and
+        nothing is reserved below it.
+
+        The run's end is read off the chain's ends when the chain is
+        contiguous from the confirmed nonce: its first nonce is the confirmed
+        one and its last lies ``len - 1`` above (nonces strictly increase, so
+        none is missing between). The run then ends just past the last
+        nonce; only another chain costs a ``run_end``. Both conditions are
+        needed: once the confirmed nonce moves into the chain, past a tx
+        still pending, the span test alone can take a chain with a gap for
+        contiguous.
         """
         nonce = tx.nonce
         acct = world.accounts.get(tx.sender)
@@ -284,8 +299,14 @@ class Mempool:
                 i = bisect_left(nonces, nonce)
                 if nonces[i] == nonce:
                     return _DUPLICATE
-            if nonce > confirmed and chain.run_end(confirmed) < nonce:
-                return _INVALID_FUTURE
+            if nonce > confirmed:
+                last = nonces[-1]
+                if nonces[0] == confirmed and last - confirmed == len(nonces) - 1:
+                    run_end = last + 1
+                else:
+                    run_end = chain.run_end(confirmed)
+                if run_end < nonce:
+                    return _INVALID_FUTURE
             below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
         if below + tx.cost > (acct.balance if acct is not None else 0):
             return _INVALID_OVERDRAFT

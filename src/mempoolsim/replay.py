@@ -12,6 +12,7 @@ import hashlib
 import json
 import statistics
 import time
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -31,6 +32,7 @@ from .core import (
     WorldState,
     check_positive_int,
     check_uint256,
+    frozen_slots,
     short_repr,
 )
 from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
@@ -125,6 +127,7 @@ def _cache_report_json(txs: List[Transaction]) -> None:
     deque(map(_set_report_json, txs, fragments), 0)
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True)
 class Snapshot:
     """Where a snapshot was taken: at event ``event_index``, time ``ts_ms``,
@@ -310,22 +313,45 @@ def _admission_flags(
     any, read off the pool after it; ``NO_FLAGS`` when no resident changed
     status.
 
-    ``tx`` passed ``precheck``, so its nonce was its sender's first missing
-    nonce: one above would be future, one inside the chain a duplicate, one
-    below stale. Only ``tx`` joined, so a resident turned pending iff the
-    sender's run from its confirmed nonce now reaches past ``tx.nonce + 1``.
-    A resident turned future iff the victim was inside its sender's run (the
-    run now ends at the victim) and its next nonce is a resident; a victim
-    above ``tx.nonce`` of ``tx``'s own sender was future already.
+    Precondition: ``tx`` passed ``precheck``, so its nonce was its sender's
+    first missing nonce: each nonce from the confirmed one up to it was
+    pending, and each resident of the sender above it was future. And no
+    resident's nonce is below its sender's confirmed nonce, as in a replay,
+    where a block includes a sender's txs from its confirmed nonce up and
+    they leave the pool. Only ``tx`` joined and only ``victim`` left, so
+    both answers follow from the two txs' places in their chains:
+
+    * A resident turned pending iff ``tx.nonce + 1`` is now pending, and so
+      reaches the confirmed nonce through ``tx``; never when the victim was
+      the sender's own tx in ``[confirmed, tx.nonce)``, whose gap keeps
+      everything above it future. When ``tx`` is its chain's tail nothing
+      sits above it, and no lookup is made.
+    * A resident turned future only if the victim's ``nonce + 1`` is pending
+      and is not ``tx``: that child was pending iff the victim was, which
+      holds iff its sender's run from the confirmed nonce now ends at the
+      victim. Only then is ``run_end`` read. A victim above ``tx.nonce`` of
+      ``tx``'s own sender was future already, and so were its children.
     """
     sender = tx.sender
-    ftp = pool.chain(sender).run_end(world.nonce_of(sender)) > tx.nonce + 1
+    nonce = tx.nonce
+    nonces = pool.chain(sender).nonces
+    # the chain holds tx: a resident sits above it iff it is not the tail
+    ftp = nonces[-1] != nonce and nonces[bisect_left(nonces, nonce) + 1] == nonce + 1
     ptf = False
-    if victim is not None and not (victim.sender == sender and victim.nonce > tx.nonce):
+    if victim is not None:
         v_sender = victim.sender
-        if pool.chain(v_sender).run_end(world.nonce_of(v_sender)) == victim.nonce:
-            child = pool.get(v_sender, victim.nonce + 1)
-            ptf = child is not None and child is not tx
+        v_nonce = victim.nonce
+        own = v_sender == sender
+        if own and v_nonce < nonce:
+            ftp = False
+        if not (own and v_nonce > nonce):
+            v_chain = pool.chain(v_sender)
+            v_nonces = v_chain.nonces
+            # the victim has left, so its child would sit where it sat
+            i = bisect_left(v_nonces, v_nonce)
+            child = i < len(v_nonces) and v_nonces[i] == v_nonce + 1
+            if child and not (own and v_nonce + 1 == nonce):
+                ptf = v_chain.run_end(world.nonce_of(v_sender)) == v_nonce
     if ftp or ptf:
         return OutcomeFlags(ftp, ptf)
     return NO_FLAGS

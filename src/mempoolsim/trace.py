@@ -28,7 +28,14 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .core import AccountState, Transaction, WorldState, short_repr
+from .core import (
+    AccountState,
+    Transaction,
+    WorldState,
+    _collector_paused,
+    frozen_slots,
+    short_repr,
+)
 
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
@@ -49,6 +56,7 @@ class TraceError(Exception):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+@frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class TraceEvent:
     """One trace line; an arrival's ``source`` field is its ``tx.label``.
@@ -207,24 +215,26 @@ def parse_trace(path) -> List[TraceEvent]:
 
 def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
     """The events of the trace text that ``blocks`` cut, each just after a
-    line break; see ``parse_trace_text``."""
+    line break; see ``parse_trace_text``. The cyclic collector is paused
+    while the events are built: they hold no cycles."""
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
     split = chain.from_iterable(map(str.splitlines, blocks))
     numbered = ((n, raw) for n, raw in enumerate(split, 1) if raw.strip())
-    while chunk := list(islice(numbered, _DECODE_CHUNK)):
-        linenos, lines = zip(*chunk)
-        records = _decode_chunk(lines)
-        if records is None:
-            # lazy: a line is decoded only after the lines before it are checked
-            records = map(_decode_line, lines, linenos)
-        for lineno, record in zip(linenos, records):
-            event = _record_to_event(record, lineno)
-            if event.ts_ms < last_ts:
-                raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
-            last_ts = event.ts_ms
-            append(event)
+    with _collector_paused():
+        while chunk := list(islice(numbered, _DECODE_CHUNK)):
+            linenos, lines = zip(*chunk)
+            records = _decode_chunk(lines)
+            if records is None:
+                # lazy: a line is decoded only after the lines before it are checked
+                records = map(_decode_line, lines, linenos)
+            for lineno, record in zip(linenos, records):
+                event = _record_to_event(record, lineno)
+                if event.ts_ms < last_ts:
+                    raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
+                last_ts = event.ts_ms
+                append(event)
     return events
 
 
@@ -276,19 +286,21 @@ def world_for_trace(
 ) -> WorldState:
     """Default world for a trace: each sender's confirmed nonce is its lowest
     nonce in the trace and its balance covers the summed cost of all its
-    transactions. ``overrides`` maps sender -> (balance, nonce)."""
+    transactions. ``overrides`` maps sender -> (balance, nonce). The cyclic
+    collector is paused while the accounts are built: they hold no cycles."""
     accounts: Dict[str, AccountState] = {}
-    for event in events:
-        if event.kind != "tx_arrival":
-            continue
-        tx = event.tx
-        acct = accounts.get(tx.sender)
-        if acct is None:
-            accounts[tx.sender] = AccountState(tx.cost, tx.nonce)
-        else:
-            acct.balance += tx.cost
-            if tx.nonce < acct.nonce:
-                acct.nonce = tx.nonce
+    with _collector_paused():
+        for event in events:
+            if event.kind != "tx_arrival":
+                continue
+            tx = event.tx
+            acct = accounts.get(tx.sender)
+            if acct is None:
+                accounts[tx.sender] = AccountState(tx.cost, tx.nonce)
+            else:
+                acct.balance += tx.cost
+                if tx.nonce < acct.nonce:
+                    acct.nonce = tx.nonce
     if overrides:
         # an override keeps a trace sender's place; the others follow in order
         for sender, (balance, nonce) in overrides.items():

@@ -10,7 +10,8 @@ library's one-ranking drain must match; the library's ``build_block`` and
 ``parse_trace_lines`` is the per-line trace parser that the library's
 chunked parser, one decode per chunk of lines, must match.
 ``replay_per_event`` is the replay loop that books one dUtil record and
-sums the pool's pending prices once per arrival, and drains with ``drain``;
+sums the pool's pending prices once per arrival, takes each admission's
+flags from ``transition_flags``, and drains with ``drain``;
 the library's ``replay`` sums its declines and its leftovers and books each
 sum once, and moves a running price sum by each admission and block, and
 must report the same. It also keeps the declined ledger as the events
@@ -37,7 +38,7 @@ from mempoolsim import (
     world_for_trace,
 )
 from mempoolsim.metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, classify_outcome
-from mempoolsim.replay import Snapshot, _admission_flags
+from mempoolsim.replay import Snapshot
 from mempoolsim.trace import _record_to_event
 
 
@@ -238,8 +239,10 @@ def replay_per_event(
     config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
 ) -> Tuple[RunReport, List[Tuple[Transaction, Reason]], List[List[Transaction]]]:
     """``replay`` with one ``UtilLedger.record`` and one sum of the pool's
-    pending prices per arrival, a declined one included, and with this
-    module's ``drain`` at the end, each leftover booked as its own record.
+    pending prices per arrival, a declined one included, each admission's
+    flags from ``transition_flags`` over the pending lists around it, and
+    with this module's ``drain`` at the end, each leftover booked as its own
+    record.
     Also returns the declined ledger as the events happen: ``(tx, reason)``
     on a decline, ``(victim, EVICTION)`` on an eviction, then the drain's
     leftovers as ``(tx, UNBUILDABLE)``; and a copy of ``pool.pending()`` per
@@ -261,13 +264,14 @@ def replay_per_event(
     for index, event in enumerate(events):
         if event.kind == "tx_arrival":
             tx = event.tx
+            before = pool.pending()
             outcome = pool.admit(tx, world, policy)
             if outcome.admitted:
                 victim = outcome.victim
                 if victim is not None:
                     ledger.append((victim, Reason.EVICTION))
-                flags = _admission_flags(pool, world, tx, victim)
-                if flags is not NO_FLAGS:
+                flags = transition_flags(before, pool.pending(), world)
+                if flags != NO_FLAGS:
                     report.flags.append((index, flags))
                 evicted = 0 if victim is None else victim.fee
                 report.util.record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)

@@ -291,6 +291,25 @@ class TestDrain:
         assert blocks == [] and len(pool) == 0
         assert leftovers == txs
 
+    def test_a_sender_with_no_account_is_built(self):
+        # apply_admission places txs without a precheck, so a sender may
+        # have no account: its confirmed nonce reads 0, and the account is
+        # made on inclusion, its balance going below zero by the tx's fee
+        for build in ("build_block", "drain"):
+            world = WorldState()
+            pool = Mempool(capacity=3)
+            txs = [tx("A", 0, 5), tx("A", 1, 4), tx("B", 1, 9)]
+            for t in txs:
+                pool.apply_admission(t, None)
+            if build == "build_block":
+                built, left = build_block(pool, world).block.txs, pool.pending()
+            else:
+                blocks, left = drain(pool, world)
+                built = [t for block in blocks for t in block.txs]
+            assert built == txs[:2] and left == txs[2:], build
+            assert (world.accounts["A"].nonce, world.accounts["A"].balance) == (2, -9 * 21_000)
+            assert "B" not in world.accounts
+
     def test_terminates_on_oversized_tx(self):
         t = Transaction(sender="A", nonce=0, price=1, gas_used=40_000_000, gas_limit=40_000_000)
         world = WorldState(block_gas_limit=GAS_LIMIT_30M)

@@ -7,8 +7,17 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from mempoolsim import AdmissionOutcome, OutcomeKind, PoolError, Reason, Transaction, WorldState
+from mempoolsim import (
+    AdmissionOutcome,
+    OutcomeKind,
+    PoolError,
+    Reason,
+    TraceEvent,
+    Transaction,
+    WorldState,
+)
 from mempoolsim.core import REASON_KIND, short_repr
+from mempoolsim.replay import Snapshot
 from mempoolsim.metrics import OutcomeClass
 
 from conftest import fund, tx
@@ -198,6 +207,30 @@ class TestAdmissionOutcome:
         a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
         outcome = AdmissionOutcome(reason, a, v if reason is Reason.EVICTION else None)
         assert outcome.admitted is (REASON_KIND[reason] is not OutcomeKind.DECLINED)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Transaction("A", 0, 5),
+    lambda: AdmissionOutcome(Reason.STALE, Transaction("A", 0, 5)),
+    lambda: TraceEvent("tx_arrival", 3, Transaction("A", 0, 5)),
+    lambda: Snapshot(4, 3, 2, 1),
+], ids=["Transaction", "AdmissionOutcome", "TraceEvent", "Snapshot"])
+def test_frozen_slots_refuse_every_name_with_frozen_instance_error(make):
+    # on Python 3.10 and 3.11 the generated __setattr__ raised a TypeError
+    # from super() for a name that is not a field
+    obj = make()
+    state = copy.copy(obj)
+    field = dataclasses.fields(obj)[0].name
+    for name in (field, "undeclared", "_report_json"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field {name!r}$"):
+            setattr(obj, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field {name!r}$"):
+            delattr(obj, name)
+    assert not hasattr(obj, "_report_json") and not hasattr(obj, "undeclared")
+    assert [getattr(obj, f.name) for f in dataclasses.fields(obj)] == [
+        getattr(state, f.name) for f in dataclasses.fields(obj)
+    ]
+    assert pickle.loads(pickle.dumps(obj)).__class__ is type(obj)
 
 
 _ENUM_MEMBERS = {

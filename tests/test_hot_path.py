@@ -15,8 +15,8 @@ from types import CodeType
 import pytest
 
 from mempoolsim import AdmissionOutcome, Mempool, Reason, RunReport, classify_outcome, replay
-from mempoolsim.builder import drain
-from mempoolsim.replay import _cache_report_json
+from mempoolsim.builder import _fill, candidate_order, drain
+from mempoolsim.replay import _admission_flags, _cache_report_json
 from mempoolsim.policies import POLICIES
 
 _ENUM_CLASSES = {"Reason", "OutcomeClass", "OutcomeKind"}
@@ -30,6 +30,9 @@ _PER_EVENT = {
     "AdmissionOutcome.admitted": AdmissionOutcome.admitted.fget,
     "classify_outcome": classify_outcome,
     "replay": replay,
+    "replay._admission_flags": _admission_flags,
+    "builder.candidate_order": candidate_order,
+    "builder._fill": _fill,
     "builder.drain": drain,
     # each runs once per outcome, in a comprehension
     "RunReport._ledger": RunReport._ledger,

@@ -424,14 +424,22 @@ def test_declined_ledger_append_only_and_replay_stable():
 
 
 def test_precheck_matches_generic_predicates():
-    # the index-backed precheck must agree with the brute-force predicates
+    # the index-backed precheck must agree with the brute-force predicates,
+    # also once a sender's confirmed nonce moves out of band into or past
+    # its pending chain (stale txs stay pending, and a chain with a gap can
+    # span exactly its length from the confirmed nonce)
     from oracles import ListPendingView, cumulative_cost, is_future
 
     rng = random.Random(13)
     pool = Mempool(capacity=32)
     world = WorldState()
     policy = PolicyConfig(kind="baseline").build()
-    for step in range(500):
+    for step in range(2000):
+        if rng.random() < 0.1 and world.accounts:
+            moved = rng.choice(sorted(world.accounts))
+            nonces = pool.chain(moved).nonces
+            if nonces:
+                world.accounts[moved].nonce = rng.randint(nonces[0] + 1, nonces[-1] + 2)
         sender = f"w{rng.randint(0, 12)}"
         if sender not in world.accounts:
             fund(world, sender, rng.choice((10**18, 90_000 * 800)), nonce=rng.randint(0, 2))

@@ -2,11 +2,12 @@
 leftovers once, after the drain, moves a running price sum by each admission
 and block, and records only where each snapshot fell.
 ``oracles.replay_per_event`` books one record and sums the pool's pending
-prices once per arrival, and keeps the declined ledger and a copy of the
+prices once per arrival, takes each admission's flags from the list-scan
+``transition_flags``, and keeps the declined ledger and a copy of the
 pending set at each snapshot as the events happen. On random traces, with
 blocks and snapshots anywhere, every policy, both drain modes, the final
 drain on and off and a per-sender limit or none, both must give the same
-dUtil ledger, price sums, final pending set and report hash, and the
+dUtil ledger, flags, price sums, final pending set and report hash, and the
 report's derived ``declined`` and each snapshot's ``pending_at`` must equal
 what was kept as the events happened.
 """

@@ -59,6 +59,22 @@ def _refill_above_gap():
     return events, {s: (10**18, 0) for s in "AB"}
 
 
+def _own_gap_below():
+    """Capacity 6 under ``baseline``: C:0 evicts A:3, so A:4 turns future;
+    the re-sent A:3 fills that gap but evicts A:1 below it, so A:2 turns
+    future and A:4, which now sits at the arrival's ``nonce + 1``, stays
+    future behind the new gap."""
+    prices = (50, 6, 50, 5, 50)
+    txs = [Transaction(sender="A", nonce=n, price=p) for n, p in enumerate(prices)]
+    txs += [
+        Transaction(sender="B", nonce=0, price=50),
+        Transaction(sender="C", nonce=0, price=7),
+        Transaction(sender="A", nonce=3, price=60),
+    ]
+    events = [arrival(t, ts_ms=step) for step, t in enumerate(txs)]
+    return events, {s: (10**18, 0) for s in "ABC"}
+
+
 def _with_blocks(arrivals, every):
     events = []
     for step, event in enumerate(arrivals):
@@ -78,6 +94,7 @@ CASES = {
         for seed in range(24)
     },
     "refill_above_gap": (5, "end_only", _refill_above_gap()),
+    "own_gap_below": (6, "end_only", _own_gap_below()),
     "xt6": (
         32,
         "end_only",
@@ -131,6 +148,20 @@ def test_refill_above_gap_flags_only_the_first_eviction():
     ]
     assert evictions == [(("B", 0), ("A", 2)), (("A", 2), ("A", 3))]
     assert report.flags == [(5, OutcomeFlags(False, True))]
+
+
+def test_an_own_victim_below_the_filled_gap_turns_nothing_pending():
+    capacity, drain_mode, (events, seeds) = CASES["own_gap_below"]
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"), capacity=capacity, account_seeds=seeds
+    )
+    report = replay(config, events)
+    evictions = [
+        ((o.tx.sender, o.tx.nonce), (o.victim.sender, o.victim.nonce))
+        for o in report.outcomes[6:]
+    ]
+    assert evictions == [(("C", 0), ("A", 3)), (("A", 3), ("A", 1))]
+    assert report.flags == [(6, OutcomeFlags(False, True)), (7, OutcomeFlags(False, True))]
 
 
 @pytest.mark.xfail(

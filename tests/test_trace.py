@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import inspect
 import io
@@ -40,6 +41,7 @@ from mempoolsim import (
 )
 from mempoolsim import attacks, cli, trace
 from mempoolsim.cli import main
+from mempoolsim.core import _collector_paused
 
 from conftest import tx
 from oracles import parse_trace_lines
@@ -615,6 +617,59 @@ class TestWorldForTrace:
             (txs[0].cost + txs[2].cost, 2), (7, 4), (txs[3].cost, 0), (5, 0)
         ]
         assert world.block_gas_limit == 99
+
+
+class TestCollectorPause:
+    """Parsing a trace and building its world pause the cyclic collector and
+    give the caller back the state it had, also after a ``TraceError``."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_callers_state_is_restored(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with _collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+        with pytest.raises(TraceError):
+            with _collector_paused():
+                raise TraceError("bad", 1)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_parse_and_world_run_paused(self, monkeypatch, tmp_path, enabled):
+        (gc.enable if enabled else gc.disable)()
+        seen = []
+        to_event = trace._record_to_event
+
+        def spy(record, line):
+            seen.append(gc.isenabled())
+            return to_event(record, line)
+
+        monkeypatch.setattr(trace, "_record_to_event", spy)
+        text = dump_events([arrival(tx("A", 0, 5), 1), arrival(tx("A", 1, 5), 2)])
+        path = tmp_path / "t.jsonl"
+        path.write_text(text, encoding="utf-8")
+        events = parse_trace_text(text)
+        assert dump_events(parse_trace(path)) == text and seen == [False] * 4
+        assert gc.isenabled() is enabled
+        for bad in (text + "{}\n", text + '{"kind": "tx_arrival", "ts_ms": 0}\n'):
+            with pytest.raises(TraceError):
+                parse_trace_text(bad)
+            assert gc.isenabled() is enabled
+
+        def arrivals():
+            for event in events:
+                seen.append(gc.isenabled())
+                yield event
+
+        seen.clear()
+        world_for_trace(arrivals())
+        assert seen == [False, False] and gc.isenabled() is enabled
 
 
 class TestWorkloads:
