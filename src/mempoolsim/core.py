@@ -58,6 +58,31 @@ def check_uint256(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative and below 2**256, got {short_repr(value)}")
 
 
+def check_account_seed(sender, seed) -> None:
+    """Raise ``ValueError`` unless ``sender`` is an exact ``str`` and ``seed``
+    a ``(balance, nonce)`` pair, a tuple or a list, of exact ints in
+    ``[0, 2**256)``. A message is built only when its check fails: a valid
+    seed costs one chained test."""
+    if (
+        type(sender) is str
+        and isinstance(seed, (tuple, list))
+        and len(seed) == 2
+        and type(seed[0]) is type(seed[1]) is int
+        and 0 <= seed[0] < _UINT256
+        and 0 <= seed[1] < _UINT256
+    ):
+        return
+    if type(sender) is not str:
+        raise ValueError(f"account seed sender must be a string, got {short_repr(sender)}")
+    if not isinstance(seed, (tuple, list)) or len(seed) != 2:
+        raise ValueError(
+            f"account seed of {short_repr(sender)} must be a (balance, nonce) pair, "
+            f"got {short_repr(seed)}"
+        )
+    check_uint256(f"seeded balance of {short_repr(sender)}", seed[0])
+    check_uint256(f"seeded nonce of {short_repr(sender)}", seed[1])
+
+
 @contextmanager
 def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for the block, then restore the

@@ -30,10 +30,9 @@ from .core import (
     Reason,
     Transaction,
     WorldState,
+    check_account_seed,
     check_positive_int,
-    check_uint256,
     frozen_slots,
-    short_repr,
 )
 from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
 from .policies import PolicyConfig
@@ -73,15 +72,7 @@ class ScenarioConfig:
         for sender, seed in seeds.items():
             # the world takes a seed as it is: exact ints keep its wei
             # arithmetic integer, as a parsed trace's are
-            if type(sender) is not str:
-                raise ValueError(f"account seed sender must be a string, got {short_repr(sender)}")
-            if not isinstance(seed, (tuple, list)) or len(seed) != 2:
-                raise ValueError(
-                    f"account seed of {short_repr(sender)} must be a (balance, nonce) pair, "
-                    f"got {short_repr(seed)}"
-                )
-            check_uint256(f"seeded balance of {short_repr(sender)}", seed[0])
-            check_uint256(f"seeded nonce of {short_repr(sender)}", seed[1])
+            check_account_seed(sender, seed)
         object.__setattr__(self, "account_seeds", MappingProxyType(seeds))
 
 
@@ -491,8 +482,7 @@ def bench(
 ) -> BenchReport:
     """Wall-clock time of one whole ``replay`` per round, each on a fresh
     copy of the trace's world; mean and stdev across rounds."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    check_positive_int("rounds", rounds)
     try:
         import resource
 

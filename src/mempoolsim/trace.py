@@ -10,13 +10,13 @@ within a record keeps its last value.
 
 The text is read and cut into lines a block at a time, so no copy of the
 whole text or list of all its lines is held: a parse's transient memory is a
-block and a chunk, whatever the trace's size. A block is at least
-``_READ_BLOCK`` characters and ends just after a line break (or at the end of
-the text), so no line or ``\r\n`` spans two blocks, and ``str.splitlines`` of
-each block in turn gives exactly the lines of the whole text. Lines are
-decoded a chunk per ``json.loads``, and a chunk that one decode cannot split
-exactly into its lines is decoded line by line, so the events and errors are
-those of a per-line parse. A trace is written a line at a time too.
+block, whatever the trace's size. A block is at least ``_READ_BLOCK``
+characters and ends just after a line break (or at the end of the text), so
+no line or ``\r\n`` spans two blocks, and ``str.splitlines`` of each block in
+turn gives exactly the lines of the whole text. An arrival line exactly as
+the writer emits it is read through one compiled pattern, ``_ARRIVAL_LINE``;
+any other line is decoded on its own by ``json.loads``. Both give the events
+and errors of a per-line decode. A trace is written a line at a time too.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .core import (
     AccountState,
     Transaction,
     WorldState,
     _collector_paused,
+    check_account_seed,
     frozen_slots,
     short_repr,
 )
@@ -41,9 +42,6 @@ KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
 _SOURCES = _BENIGN, _ADVERSARIAL = ("benign", "adversarial")
-# lines per json.loads: bounds the decoded records alive at once, so the
-# parse's peak memory stays near a per-line loop's
-_DECODE_CHUNK = 64
 # the fewest characters in a block of text cut into lines at a time
 _READ_BLOCK = 1 << 16
 # one line break as str.splitlines cuts at it: "\r\n" first, as it is one break
@@ -161,6 +159,32 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
         yield json.dumps(_event_to_record(event), sort_keys=True) + "\n"
 
 
+# The one line _event_lines writes for an arrival, and no other: the keys
+# sorted, json.dumps's default ", " and ": " separators, each int 1 to 78
+# ASCII digits with no leading zero (ts_ms alone may be negative), a sender
+# with no character that JSON escapes or refuses raw, and a known source. So
+# a matched line is a JSON object with exactly the arrival fields, each
+# decoded value is its group's text, and ``int`` of at most 78 digits never
+# reaches ``sys.get_int_max_str_digits``. The groups are the values in key
+# order, the literal kind left out.
+_DIGITS = "(?:0|[1-9][0-9]{0,77})"
+_ARRIVAL_VALUE = {
+    "kind": '"tx_arrival"',
+    "ts_ms": f"(-?{_DIGITS})",
+    "sender": r'"([^"\\\x00-\x1f]*)"',
+    "source": f'"({_BENIGN}|{_ADVERSARIAL})"',
+}
+_ARRIVAL_LINE = re.compile(
+    r"\{"
+    + ", ".join(
+        f'"{name}": ' + _ARRIVAL_VALUE.get(name, f"({_DIGITS})") for name in sorted(_ALL_FIELDS)
+    )
+    + r"\}"
+)
+# a matched source's label: the library's string, not the line's copy
+_LABEL = {_BENIGN: _BENIGN, _ADVERSARIAL: _ADVERSARIAL}
+
+
 def dump_events(events: Iterable[TraceEvent]) -> str:
     return "".join(_event_lines(events))
 
@@ -177,10 +201,12 @@ def parse_trace_text(text: str) -> List[TraceEvent]:
 
     The text is cut into blocks that end just after the first line break at
     or past ``_READ_BLOCK`` characters, as ``parse_trace`` reads a file, and
-    each block into its lines. Non-blank lines are decoded ``_DECODE_CHUNK``
-    at a time by one ``json.loads``; a chunk that fails ``_decode_chunk``'s
-    guards is decoded again line by line. Either way each record then passes
-    the one schema check and the one timestamp check, in line order.
+    each block into its lines. A line that ``_ARRIVAL_LINE`` matches builds
+    its arrival from the pattern's groups; any other non-blank line is
+    decoded by ``json.loads`` and passes the schema check. Either way the
+    ``Transaction`` and ``TraceEvent`` constructors and the one timestamp
+    check run in line order, so each error names the line a per-line decode
+    names.
     """
     return _parse_blocks(_text_blocks(text))
 
@@ -220,50 +246,31 @@ def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
-    split = chain.from_iterable(map(str.splitlines, blocks))
-    numbered = ((n, raw) for n, raw in enumerate(split, 1) if raw.strip())
+    arrival_line = _ARRIVAL_LINE.fullmatch
+    lines = chain.from_iterable(map(str.splitlines, blocks))
     with _collector_paused():
-        while chunk := list(islice(numbered, _DECODE_CHUNK)):
-            linenos, lines = zip(*chunk)
-            records = _decode_chunk(lines)
-            if records is None:
-                # lazy: a line is decoded only after the lines before it are checked
-                records = map(_decode_line, lines, linenos)
-            for lineno, record in zip(linenos, records):
-                event = _record_to_event(record, lineno)
-                if event.ts_ms < last_ts:
-                    raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
-                last_ts = event.ts_ms
-                append(event)
+        for lineno, raw in enumerate(lines, 1):
+            match = arrival_line(raw)
+            if match is not None:
+                # the groups in key order: see _ARRIVAL_LINE
+                gas_limit, gas_used, nonce, price, sender, source, ts_ms, value = match.groups()
+                try:
+                    tx = Transaction(
+                        sender, int(nonce), int(price), int(gas_used), int(gas_limit),
+                        int(value), _LABEL[source],
+                    )
+                except ValueError as exc:
+                    raise TraceError(str(exc), lineno) from exc
+                event = TraceEvent("tx_arrival", int(ts_ms), tx)
+            elif raw.strip():
+                event = _record_to_event(_decode_line(raw, lineno), lineno)
+            else:
+                continue
+            if event.ts_ms < last_ts:
+                raise TraceError(f"timestamp regression {event.ts_ms} < {last_ts}", lineno)
+            last_ts = event.ts_ms
+            append(event)
     return events
-
-
-def _decode_chunk(lines: Sequence[str]) -> Optional[list]:
-    """The records of ``lines`` from one ``json.loads``, exactly what decoding
-    each line alone gives; None if the guards below cannot ensure that.
-
-    Every line here starts with ``{`` and ends with ``}``, and no line holds a
-    ``[``. The newline in each ``,\\n`` separator cannot sit in a JSON string,
-    so the separator lies between two values, and the ``{`` after it can only
-    open an element of an array: with no ``[`` in the lines, of the outer
-    array. So every separator ends a record, no record spans two lines, and as
-    many records as lines means one record per line, the object a per-line
-    decode gives. Without these guards one decode would accept what a per-line
-    decode rejects: two bad lines merged into one record, directly or through
-    a nested array, a string cut in two, or two records on one line balancing
-    a merge elsewhere. A valid chunk with a ``[`` in a sender is just decoded
-    line by line.
-    """
-    if not all(raw[0] == "{" and raw[-1] == "}" for raw in lines):
-        return None
-    body = ",\n".join(lines)
-    if "[" in body:
-        return None
-    try:
-        records = json.loads("[" + body + "]")
-    except (ValueError, RecursionError):
-        return None
-    return records if len(records) == len(lines) else None
 
 
 def _decode_line(raw: str, lineno: int) -> Dict:
@@ -286,8 +293,9 @@ def world_for_trace(
 ) -> WorldState:
     """Default world for a trace: each sender's confirmed nonce is its lowest
     nonce in the trace and its balance covers the summed cost of all its
-    transactions. ``overrides`` maps sender -> (balance, nonce). The cyclic
-    collector is paused while the accounts are built: they hold no cycles."""
+    transactions. ``overrides`` maps sender -> (balance, nonce), each checked
+    as ``ScenarioConfig`` checks an account seed. The cyclic collector is
+    paused while the accounts are built: they hold no cycles."""
     accounts: Dict[str, AccountState] = {}
     with _collector_paused():
         for event in events:
@@ -303,8 +311,9 @@ def world_for_trace(
                     acct.nonce = tx.nonce
     if overrides:
         # an override keeps a trace sender's place; the others follow in order
-        for sender, (balance, nonce) in overrides.items():
-            accounts[sender] = AccountState(balance, nonce)
+        for sender, seed in overrides.items():
+            check_account_seed(sender, seed)
+            accounts[sender] = AccountState(seed[0], seed[1])
     world = WorldState(accounts)
     if block_gas_limit is not None:
         world.block_gas_limit = block_gas_limit

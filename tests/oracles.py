@@ -8,7 +8,8 @@ module's ``build_block`` on the pending list once per block, that the
 library's one-ranking drain must match; the library's ``build_block`` and
 ``drain`` share one fill loop, so neither can check the other. And
 ``parse_trace_lines`` is the per-line trace parser that the library's
-chunked parser, one decode per chunk of lines, must match.
+parser, which reads the writer's arrival lines through one pattern, must
+match.
 ``replay_per_event`` is the replay loop that books one dUtil record and
 sums the pool's pending prices once per arrival, takes each admission's
 flags from ``transition_flags``, and drains with ``drain``;

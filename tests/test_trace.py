@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import re
+import string
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
@@ -247,23 +248,26 @@ _DEEP = '{"kind": ' + "[" * 5000 + "]" * 5000 + "}"
 _SEPARATED_SENDER = _ARRIVAL.replace('"sender": "a"', '"sender": "}\u2028{"')
 
 
-def _per_line_decodes(monkeypatch):
-    """Set 2-line chunks; return the line numbers ``_decode_line`` is called with."""
-    monkeypatch.setattr(trace, "_DECODE_CHUNK", 2)
-    decoded = []
-    decode_line = trace._decode_line
-
-    def per_line(raw, lineno):
-        decoded.append(lineno)
-        return decode_line(raw, lineno)
-
-    monkeypatch.setattr(trace, "_decode_line", per_line)
-    return decoded
+# an arrival line as the writer emits it, which the parser's pattern reads
+_SORTED_ARRIVAL = dump_events([arrival(tx("a", 0, 5), 1)]).rstrip("\n")
+# a number with more digits than Python converts: json.dumps cannot write it,
+# so a record holds it as a string that is unquoted after the dump
+_HUGE = "9" * 5000
+_HOSTILE_INTS = st.sampled_from(
+    [0, 2**256 - 1, 2**256, 10**78, 10**78 - 1, -1, -(2**256), True, False, 1.5, 1e300, _HUGE]
+)
+_HOSTILE_SENDERS = st.one_of(
+    st.text(st.sampled_from('a"\\\x00\x1f\x7f\u00fc\u0663\u2028'), max_size=4),
+    st.sampled_from([5, None, ["a"]]),
+)
+_ARRIVAL_INTS = ("ts_ms", "nonce", "price", "gas_used", "gas_limit", "value")
+_SENDER_CHARS = string.ascii_letters + string.digits + "-_:. "
 
 
 class TestOneDecodeMatchesPerLine:
-    """``parse_trace_text`` decodes many lines per ``json.loads``; on every
-    input it must give what the per-line reference parser gives."""
+    """``parse_trace_text`` reads the writer's arrival lines through one
+    pattern and decodes the others by ``json.loads``; on every input it must
+    give what the per-line reference parser gives."""
 
     @pytest.mark.parametrize(
         "lines, line",
@@ -347,8 +351,7 @@ class TestOneDecodeMatchesPerLine:
         got = _same_as_per_line(text)
         assert got[0] == "error" and got[2] == line
 
-    def test_errors_and_regressions_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(trace, "_DECODE_CHUNK", 2)
+    def test_errors_and_regressions_across_chunks(self):
         triggers = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in (1, 2, 3, 2, 5)]
         assert _same_as_per_line("\n".join(triggers)) == (
             "error", "line 4: timestamp regression 2 < 3", 4
@@ -360,43 +363,130 @@ class TestOneDecodeMatchesPerLine:
         lines[20] = lines[20][:-1]
         assert _same_as_per_line("\n".join(lines))[2] == 21
 
-    def test_valid_trace_is_decoded_without_the_per_line_parser(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("random_adversary", {"steps": 300, "seed": 1}),
+            ("xt6", {}),
+            ("cp_lock", {"chain_len": 8}),
+        ],
+    )
+    def test_decode_line_sees_only_the_trigger_and_marker_lines(self, monkeypatch, kind, params):
+        decoded = []
+        decode_line = trace._decode_line
+
         def per_line(raw, lineno):
-            raise AssertionError("valid trace fell back to the per-line parser")
+            decoded.append(raw)
+            return decode_line(raw, lineno)
 
         monkeypatch.setattr(trace, "_decode_line", per_line)
-        events = AttackPlan("random_adversary", {"steps": 300, "seed": 1}).events()
+        events = AttackPlan(kind, params).events()
         text = dump_events(events + [block_trigger(events[-1].ts_ms), snapshot_marker(10**9)])
-        assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
+        assert _same_as_per_line(text)[0] == "events"
+        assert decoded == text.splitlines()[len(events):]
 
-    def test_only_the_chunk_failing_the_guards_is_decoded_per_line(self, monkeypatch):
-        decoded = _per_line_decodes(monkeypatch)
-        lines = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in range(7)]
-        # line 4 (second in the chunk of lines 3 and 4) holds a bracket
-        lines[3] = _ARRIVAL.replace('"sender": "a"', '"sender": "[a]"').replace(
-            '"ts_ms": 1', '"ts_ms": 3'
-        )
-        got = _same_as_per_line("\n".join(lines))
-        assert got[0] == "events" and len(got[1]) == 7
-        assert decoded == [3, 4]
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(_SORTED_ARRIVAL, id="as-written"),
+            pytest.param(" " + _SORTED_ARRIVAL + "\t", id="padded"),
+            # a leading zero, and a digit that int() takes and JSON refuses
+            pytest.param(_SORTED_ARRIVAL.replace('"nonce": 0', '"nonce": 00'), id="nonce-00"),
+            pytest.param(_SORTED_ARRIVAL.replace('"price": 5', '"price": 05'), id="price-05"),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"price": 5', '"price": 5\u0663'), id="arabic-indic-digit"
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"ts_ms": 1', '"ts_ms": \u0661'), id="arabic-indic-ts"
+            ),
+            # 78 digits are read by the pattern, and past 2**256; 79 are decoded
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"price": 5', '"price": 1' + "0" * 77), id="78-digits"
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"price": 5', '"price": 1' + "0" * 78), id="79-digits"
+            ),
+            pytest.param(_SORTED_ARRIVAL.replace('"value": 0', '"value": ' + _HUGE), id="huge"),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"ts_ms": 1', '"ts_ms": -' + _HUGE), id="huge-ts"
+            ),
+            pytest.param(_SORTED_ARRIVAL.replace('"ts_ms": 1', '"ts_ms": -0'), id="ts-minus-0"),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"ts_ms": 1', '"ts_ms": -1' + "0" * 77), id="ts-78-digits"
+            ),
+            pytest.param(_SORTED_ARRIVAL.replace('"nonce": 0', '"nonce": -0'), id="nonce-minus-0"),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"gas_used": 21000', '"gas_used": 21000.0'), id="float"
+            ),
+            # escapes decode to another text; raw non-ASCII is its own text
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"sender": "a"', '"sender": "a\\\\b"'), id="backslash"
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"sender": "a"', '"sender": "a\\"b"'), id="quote"
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"sender": "a"', '"sender": "a\\u00fc"'), id="escape"
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"sender": "a"', '"sender": "a\u00fc\u0663"'),
+                id="raw-non-ascii",
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"sender": "a"', '"sender": "a\tb"'), id="raw-tab"
+            ),
+            pytest.param(_SORTED_ARRIVAL.replace('"sender": "a"', '"sender": ""'), id="no-sender"),
+            pytest.param(
+                _SORTED_ARRIVAL.replace('"benign"', '"adversarial"'), id="adversarial"
+            ),
+            pytest.param(_SORTED_ARRIVAL.replace('"benign"', '"friendly"'), id="friendly"),
+            pytest.param(_SORTED_ARRIVAL.replace('"benign"', '"benign "'), id="benign-space"),
+            pytest.param(_SORTED_ARRIVAL.replace(", ", ","), id="no-spaces"),
+            pytest.param(
+                _SORTED_ARRIVAL + "\n" + _SORTED_ARRIVAL.replace('"ts_ms": 1', '"ts_ms": 0'),
+                id="regression",
+            ),
+            pytest.param(
+                _SORTED_ARRIVAL + "\n" + _SORTED_ARRIVAL.replace('"price": 5', '"price": 0'),
+                id="price-0-on-line-2",
+            ),
+        ],
+    )
+    def test_lines_near_the_arrival_pattern_parse_as_per_line(self, text):
+        _same_as_per_line(text + "\n")
 
-    def test_bad_last_line_leaves_earlier_chunks_decoded_once(self, monkeypatch):
-        decoded = _per_line_decodes(monkeypatch)
-        chunks = []
-        decode_chunk = trace._decode_chunk
-
-        def one_decode(lines):
-            chunks.append(list(lines))
-            return decode_chunk(lines)
-
-        monkeypatch.setattr(trace, "_decode_chunk", one_decode)
-        lines = [json.dumps({"kind": "block_trigger", "ts_ms": ts}) for ts in range(7)]
-        lines[6] = lines[6][:-1]
-        with pytest.raises(TraceError, match="malformed JSON") as err:
-            parse_trace_text("\n".join(lines))
-        assert err.value.line == 7
-        assert chunks == [lines[0:2], lines[2:4], lines[4:6], lines[6:]]
-        assert decoded == [7]
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sorted_arrival_records_parse_as_per_line(self, data):
+        lines = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            gas_used = data.draw(st.integers(21_000, 10**7))
+            record = {
+                "kind": "tx_arrival",
+                "ts_ms": data.draw(st.integers(-3, 3) | st.integers(-(10**77), 10**77)),
+                "sender": data.draw(st.text(_SENDER_CHARS, max_size=6) | st.text(max_size=4)),
+                "nonce": data.draw(st.integers(0, 2**256 - 1)),
+                "price": data.draw(st.integers(1, 2**256 - 1)),
+                "gas_used": gas_used,
+                "gas_limit": data.draw(st.sampled_from((0, gas_used, gas_used + 1))),
+                "value": data.draw(st.integers(0, 2**256 - 1)),
+                "source": data.draw(st.sampled_from(("benign", "adversarial"))),
+            }
+            hostile = data.draw(st.none() | st.sampled_from(("sender", "source") + _ARRIVAL_INTS))
+            if hostile == "sender":
+                record["sender"] = data.draw(_HOSTILE_SENDERS)
+            elif hostile == "source":
+                record["source"] = data.draw(st.sampled_from(("friendly", "", "Benign", 1, None)))
+            elif hostile is not None:
+                record[hostile] = data.draw(_HOSTILE_INTS)
+            line = json.dumps(record, sort_keys=True, ensure_ascii=data.draw(st.booleans()))
+            lines.append(line.replace(f'"{_HUGE}"', _HUGE))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            at = data.draw(st.integers(0, len(lines[i])))
+            char = data.draw(st.sampled_from(("0", "-", "\\", "\u0663", " ")))
+            lines[i] = lines[i][:at] + char + lines[i][at:]
+        _same_as_per_line("\n".join(lines) + "\n")
 
     def test_repeated_key_keeps_its_last_value(self):
         text = _ARRIVAL.replace('"price": 5', '"price": 5, "price": 7') + "\n"
@@ -618,6 +708,56 @@ class TestWorldForTrace:
         ]
         assert world.block_gas_limit == 99
 
+    @given(
+        value=st.one_of(
+            st.booleans(),
+            st.floats(),
+            st.integers(max_value=-1),
+            st.integers(min_value=2**256),
+            st.text(max_size=8),
+        ),
+        slot=st.sampled_from((0, 1)),
+    )
+    @example(value=True, slot=0)
+    @example(value=2.0, slot=1)
+    @example(value=2**256, slot=0)
+    @example(value="7", slot=1)
+    def test_overrides_must_be_exact_uint256_ints(self, value, slot):
+        events = [arrival(tx("A", 2, 5), 0)]
+        pair = [10**30, 0]
+        pair[slot] = value
+        name = ("balance", "nonce")[slot]
+        with pytest.raises(ValueError, match=f"^seeded {name} of 'A' must be "):
+            world_for_trace(events, overrides={"A": tuple(pair)})
+
+    @given(
+        balance=st.integers(min_value=0, max_value=2**256 - 1),
+        nonce=st.integers(min_value=0, max_value=2**256 - 1),
+    )
+    @example(balance=1, nonce=2)
+    @example(balance=2**256 - 1, nonce=0)
+    def test_overrides_of_exact_uint256_ints_build_the_world(self, balance, nonce):
+        events = [arrival(tx("A", 2, 5), 0)]
+        # a pair read from JSON is a list
+        for seed in ((balance, nonce), [balance, nonce]):
+            world = world_for_trace(events, overrides={"A": seed, "Z": seed})
+            assert [(a.balance, a.nonce) for a in world.accounts.values()] == [(balance, nonce)] * 2
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({5: (1, 0)}, "account seed sender must be a string, got 5"),
+            ({b"A": (1, 0)}, "account seed sender must be a string, got b'A'"),
+            ({"A": (1,)}, "account seed of 'A' must be a (balance, nonce) pair, got (1,)"),
+            ({"A": (1, 0, 0)}, "account seed of 'A' must be a (balance, nonce) pair, got (1, 0, 0)"),
+            ({"A": "10"}, "account seed of 'A' must be a (balance, nonce) pair, got '10'"),
+            ({"A": 7}, "account seed of 'A' must be a (balance, nonce) pair, got 7"),
+        ],
+    )
+    def test_overrides_must_be_sender_and_pair(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            world_for_trace([arrival(tx("A", 2, 5), 0)], overrides=overrides)
+
 
 class TestCollectorPause:
     """Parsing a trace and building its world pause the cyclic collector and
@@ -644,13 +784,14 @@ class TestCollectorPause:
     def test_parse_and_world_run_paused(self, monkeypatch, tmp_path, enabled):
         (gc.enable if enabled else gc.disable)()
         seen = []
-        to_event = trace._record_to_event
+        make_tx = trace.Transaction
 
-        def spy(record, line):
+        # both the pattern and the per-line path build each tx through it
+        def spy(*fields):
             seen.append(gc.isenabled())
-            return to_event(record, line)
+            return make_tx(*fields)
 
-        monkeypatch.setattr(trace, "_record_to_event", spy)
+        monkeypatch.setattr(trace, "Transaction", spy)
         text = dump_events([arrival(tx("A", 0, 5), 1), arrival(tx("A", 1, 5), 2)])
         path = tmp_path / "t.jsonl"
         path.write_text(text, encoding="utf-8")
@@ -885,8 +1026,13 @@ class TestReplayHarness:
         assert len(report.csv_row().split(",")) == len(report.CSV_HEADER.split(","))
 
     def test_bench_rejects_zero_rounds(self):
-        with pytest.raises(ValueError):
-            bench(ScenarioConfig(capacity=64), workload_batch_insert(5), rounds=0)
+        for rounds, message in (
+            (0, "rounds must be positive, got 0"),
+            (True, "rounds must be an integer, got True"),
+            (2.5, "rounds must be an integer, got 2.5"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                bench(ScenarioConfig(capacity=64), workload_batch_insert(5), rounds=rounds)
 
 
 class TestCli:
