@@ -33,6 +33,7 @@ from .core import MIN_TX_GAS, AccountState, Block, Transaction, WorldState
 from .pool import Mempool
 
 GasFn = Callable[[Transaction, Sequence[Transaction]], int]
+_nonce = attrgetter("nonce")
 
 
 @dataclass
@@ -62,14 +63,13 @@ def candidate_order(pool: Mempool) -> Iterator[Transaction]:
     for tx in ranked:
         sender = tx.sender
         start = placed.get(sender, 0)
-        chain = chains[sender]
-        txs = chain.txs
+        txs = chains[sender].txs
         if start < len(txs) and txs[start] is tx:
             # the chain's next unplaced tx: nothing to promote
             placed[sender] = start + 1
             yield tx
             continue
-        end = bisect_right(chain.nonces, tx.nonce, start)
+        end = bisect_right(txs, tx.nonce, start, key=_nonce)
         if end > start:
             placed[sender] = end
             yield from txs[start:end]

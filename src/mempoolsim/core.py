@@ -20,6 +20,8 @@ DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
 _INT_FIELDS = ("nonce", "price", "gas_used", "gas_limit", "value")
 # Ethereum's uint256 range: every integer field is below this
 _UINT256 = 2**256
+# a tx's label, its trace line's source
+_LABELS = _BENIGN, _ADVERSARIAL = ("benign", "adversarial")
 
 # reprlib reads only the first few items of a container and levels of a
 # nesting, so echoing a huge value costs little
@@ -152,11 +154,12 @@ class _ReportJsonSlot:
 class Transaction(_ReportJsonSlot):
     """One transaction: the unit of admission.
 
-    ``label`` is a metrics-only tag ({"benign", "adversarial"}) and must never
-    influence admission or block-building decisions. ``fee`` (gas_used *
-    price, the chargeable fee) and ``cost`` (gas_limit * price + value, the
-    worst-case balance reservation) are computed once, after the range check;
-    they cannot be passed in and take no part in repr.
+    ``label`` is a metrics-only tag, one of ``_LABELS`` ("benign",
+    "adversarial"), and must never influence admission or block-building
+    decisions. ``fee`` (gas_used * price, the chargeable fee) and ``cost``
+    (gas_limit * price + value, the worst-case balance reservation) are
+    computed once, after the range check; they cannot be passed in and take
+    no part in repr.
 
     Transactions compare and hash by identity: a copy with equal fields is a
     distinct transaction, and the pool and the report key txs by the object.
@@ -196,6 +199,9 @@ class Transaction(_ReportJsonSlot):
             and 0 <= value < _UINT256
         ):
             raise _range_error(nonce, price, gas_used, gas_limit, value)
+        # identity first: the default and the parser's labels are _LABELS's strings
+        if label is not _BENIGN and label is not _ADVERSARIAL and label not in _LABELS:
+            raise ValueError(f"label must be one of {_LABELS}, got {short_repr(label)}")
         _set_sender(self, sender)
         _set_nonce(self, nonce)
         _set_price(self, price)

@@ -20,7 +20,6 @@ BASIS_PRICE_ONLY = "geth_maxprice_blockgas"
 
 @dataclass(frozen=True)
 class BoundEstimate:
-    policy: str
     bound_wei: int
     basis: str
 
@@ -29,7 +28,7 @@ def eviction_bound_cp(pending: Iterable[Transaction]) -> BoundEstimate:
     """Lower bound on realizable fees under chain-safe admission: minimal gas
     per tx times the pool's price sum, which admissions can only raise."""
     bound = MIN_TX_GAS * sum(tx.price for tx in pending)
-    return BoundEstimate(policy="cp", bound_wei=bound, basis=BASIS_CHAIN_SAFE)
+    return BoundEstimate(bound_wei=bound, basis=BASIS_CHAIN_SAFE)
 
 
 def eviction_bound_baseline_under_xt6(pending: Sequence[Transaction], world: WorldState) -> BoundEstimate:
@@ -38,7 +37,7 @@ def eviction_bound_baseline_under_xt6(pending: Sequence[Transaction], world: Wor
     if not pending:
         raise ValueError("bound undefined on empty pool")
     bound = max(tx.price for tx in pending) * world.block_gas_limit
-    return BoundEstimate(policy="baseline", bound_wei=bound, basis=BASIS_PRICE_ONLY)
+    return BoundEstimate(bound_wei=bound, basis=BASIS_PRICE_ONLY)
 
 
 # ---------------------------------------------------------------- gamma

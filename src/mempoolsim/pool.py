@@ -11,11 +11,12 @@ The pool keeps only its pending set, always in these views:
 * ``_seq_of`` - the pending set itself, ``tx -> admission seq`` in
   admission order: every insert adds a fresh key, so ``pending()`` lists
   txs oldest first
-* one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs in
-  ascending nonce order with their running cost and minimum fee, and the
-  end of the contiguous nonce run from any start (``run_end``), which is
-  what the future test reads; ``get(sender, nonce)`` and the duplicate
-  test bisect it
+* one ``SenderChain`` per sender (``chain(sender)``) - two sorted lists
+  and a sum: the sender's txs in ascending nonce order, their fees in
+  ascending order (the head is the chain-minimum fee, so no removal
+  rescans for it) and their summed cost. ``get(sender, nonce)``, the
+  duplicate test and ``run_end`` (the end of the contiguous nonce run from
+  any start, which is what the future test reads) bisect the txs by nonce
 
 and these order indexes, each a ``heapq`` min-heap of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
@@ -55,89 +56,85 @@ snapshot, and nothing reads a pool while another caller changes it.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import AdmissionOutcome, PoolError, Reason, Transaction, WorldState, check_positive_int
 
+_nonce = attrgetter("nonce")
+
 
 class SenderChain:
-    """One sender's pending transactions, sorted by nonce.
+    """One sender's pending transactions as two sorted lists.
 
-    ``nonces`` mirrors ``txs`` so lookups bisect a plain ``int`` list.
-    ``fees`` counts the chain's txs per fee; ``min_fee`` caches its minimum
-    and is recomputed only when the last tx at that fee leaves.
+    ``txs`` holds the txs in ascending nonce order, bisected by nonce with
+    ``key=_nonce``; ``fees`` holds their fees in ascending order, so the
+    chain's minimum fee is ``fees[0]`` and a removal deletes one copy of its
+    fee wherever it sits. ``cost`` is the txs' summed cost.
     """
 
-    __slots__ = ("txs", "nonces", "cost", "fees", "min_fee")
+    __slots__ = ("txs", "cost", "fees")
 
     def __init__(self) -> None:
         self.txs: List[Transaction] = []
-        self.nonces: List[int] = []
         self.cost = 0
-        self.fees: Dict[int, int] = {}
-        self.min_fee: Optional[int] = None
+        self.fees: List[int] = []
 
     def __len__(self) -> int:
         return len(self.txs)
 
+    @property
+    def min_fee(self) -> Optional[int]:
+        """The chain's lowest fee, None when it is empty."""
+        fees = self.fees
+        return fees[0] if fees else None
+
     def run_end(self, start: int) -> int:
         """First nonce >= ``start`` that the chain does not hold.
 
-        Nonces strictly increase, so ``nonces[i] - i`` never decreases and
+        Nonces strictly increase, so ``txs[i].nonce - i`` never decreases and
         the run that begins at ``start`` is the stretch where it stays equal.
         """
-        nonces = self.nonces
-        i = bisect_left(nonces, start)
-        if i == len(nonces) or nonces[i] != start:
+        txs = self.txs
+        i = bisect_left(txs, start, key=_nonce)
+        if i == len(txs) or txs[i].nonce != start:
             return start
-        last = len(nonces) - 1
+        last = len(txs) - 1
         offset = start - i
-        if nonces[last] - last == offset:
-            return nonces[last] + 1
-        # nonces[hi] - hi > offset; find the first index where it exceeds
+        end = txs[last].nonce
+        if end - last == offset:
+            return end + 1
+        # txs[hi].nonce - hi > offset; find the first index where it exceeds
         lo, hi = i + 1, last
         while lo < hi:
             mid = (lo + hi) // 2
-            if nonces[mid] - mid > offset:
+            if txs[mid].nonce - mid > offset:
                 hi = mid
             else:
                 lo = mid + 1
-        return nonces[lo - 1] + 1
+        return txs[lo - 1].nonce + 1
 
     def insert(self, tx: Transaction) -> None:
+        txs = self.txs
         nonce = tx.nonce
-        if not self.nonces or nonce > self.nonces[-1]:
-            self.txs.append(tx)
-            self.nonces.append(nonce)
+        if not txs or nonce > txs[-1].nonce:
+            txs.append(tx)
         else:
-            i = bisect_left(self.nonces, nonce)
-            self.txs.insert(i, tx)
-            self.nonces.insert(i, nonce)
+            txs.insert(bisect_left(txs, nonce, key=_nonce), tx)
         self.cost += tx.cost
-        fee = tx.fee
-        self.fees[fee] = self.fees.get(fee, 0) + 1
-        if self.min_fee is None or fee < self.min_fee:
-            self.min_fee = fee
+        insort(self.fees, tx.fee)
 
     def remove(self, tx: Transaction) -> None:
-        if self.txs[-1] is tx:
-            self.txs.pop()
-            self.nonces.pop()
+        txs = self.txs
+        if txs[-1] is tx:
+            txs.pop()
         else:
-            i = bisect_left(self.nonces, tx.nonce)
-            del self.txs[i]
-            del self.nonces[i]
+            del txs[bisect_left(txs, tx.nonce, key=_nonce)]
         self.cost -= tx.cost
-        fee = tx.fee
-        left = self.fees[fee] - 1
-        if left:
-            self.fees[fee] = left
-        else:
-            del self.fees[fee]
-            if fee == self.min_fee:
-                self.min_fee = min(self.fees) if self.fees else None
+        fees = self.fees
+        del fees[bisect_left(fees, tx.fee)]
 
 
 # returned by ``Mempool.chain`` for a sender with nothing pending; never mutated
@@ -178,9 +175,9 @@ class Mempool:
         return len(self._seq_of) >= self.capacity
 
     def get(self, sender: str, nonce: int) -> Optional[Transaction]:
-        chain = self.chain(sender)
-        i = bisect_left(chain.nonces, nonce)
-        return chain.txs[i] if i < len(chain.nonces) and chain.nonces[i] == nonce else None
+        txs = self.chain(sender).txs
+        i = bisect_left(txs, nonce, key=_nonce)
+        return txs[i] if i < len(txs) and txs[i].nonce == nonce else None
 
     def chain(self, sender: str) -> SenderChain:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""
@@ -213,7 +210,7 @@ class Mempool:
         """``chain``'s entry in ``_childless``: its tail, keyed by price, then
         the chain's minimum fee, then admission order."""
         tail = chain.txs[-1]
-        return (tail.price, chain.min_fee, self._seq_of[tail], tail)
+        return (tail.price, chain.fees[0], self._seq_of[tail], tail)
 
     def _build_childless(self) -> List[Tuple]:
         heap = self._childless = list(map(self._tail_key, self._chains.values()))
@@ -253,7 +250,7 @@ class Mempool:
             _, min_fee, seq, tx = heap[0]
             if seq_of.get(tx) == seq:
                 chain = chains[tx.sender]
-                if chain.txs[-1] is tx and chain.min_fee == min_fee:
+                if chain.txs[-1] is tx and chain.fees[0] == min_fee:
                     return tx
             heappop(heap)
         return None
@@ -293,21 +290,21 @@ class Mempool:
             below = 0
         else:
             # a pool keeps no empty chain
-            nonces = chain.nonces
-            i = len(nonces)
-            if nonce <= nonces[-1]:
-                i = bisect_left(nonces, nonce)
-                if nonces[i] == nonce:
+            txs = chain.txs
+            i = n = len(txs)
+            last = txs[-1].nonce
+            if nonce <= last:
+                i = bisect_left(txs, nonce, key=_nonce)
+                if txs[i].nonce == nonce:
                     return _DUPLICATE
             if nonce > confirmed:
-                last = nonces[-1]
-                if nonces[0] == confirmed and last - confirmed == len(nonces) - 1:
+                if txs[0].nonce == confirmed and last - confirmed == n - 1:
                     run_end = last + 1
                 else:
                     run_end = chain.run_end(confirmed)
                 if run_end < nonce:
                     return _INVALID_FUTURE
-            below = chain.cost if i == len(nonces) else sum(t.cost for t in chain.txs[:i])
+            below = chain.cost if i == n else sum(t.cost for t in txs[:i])
         if below + tx.cost > (acct.balance if acct is not None else 0):
             return _INVALID_OVERDRAFT
         return None

@@ -81,6 +81,7 @@ _price = attrgetter("price")
 _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
 _tx = attrgetter("tx")
+_nonce = attrgetter("nonce")
 # bound once: see the note above core's enums
 _O1 = OutcomeClass.O1
 _UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
@@ -325,9 +326,9 @@ def _admission_flags(
     """
     sender = tx.sender
     nonce = tx.nonce
-    nonces = pool.chain(sender).nonces
+    txs = pool.chain(sender).txs
     # the chain holds tx: a resident sits above it iff it is not the tail
-    ftp = nonces[-1] != nonce and nonces[bisect_left(nonces, nonce) + 1] == nonce + 1
+    ftp = txs[-1] is not tx and txs[bisect_left(txs, nonce, key=_nonce) + 1].nonce == nonce + 1
     ptf = False
     if victim is not None:
         v_sender = victim.sender
@@ -337,10 +338,10 @@ def _admission_flags(
             ftp = False
         if not (own and v_nonce > nonce):
             v_chain = pool.chain(v_sender)
-            v_nonces = v_chain.nonces
+            v_txs = v_chain.txs
             # the victim has left, so its child would sit where it sat
-            i = bisect_left(v_nonces, v_nonce)
-            child = i < len(v_nonces) and v_nonces[i] == v_nonce + 1
+            i = bisect_left(v_txs, v_nonce, key=_nonce)
+            child = i < len(v_txs) and v_txs[i].nonce == v_nonce + 1
             if child and not (own and v_nonce + 1 == nonce):
                 ptf = v_chain.run_end(world.nonce_of(v_sender)) == v_nonce
     if ftp or ptf:

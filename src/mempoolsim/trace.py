@@ -32,8 +32,10 @@ from .core import (
     AccountState,
     Transaction,
     WorldState,
+    _LABELS,
     _collector_paused,
     check_account_seed,
+    check_positive_int,
     frozen_slots,
     short_repr,
 )
@@ -41,7 +43,7 @@ from .core import (
 KINDS = ("tx_arrival", "block_trigger", "snapshot_marker")
 _TX_FIELDS = ("sender", "nonce", "price", "gas_used", "gas_limit", "value", "source")
 _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
-_SOURCES = _BENIGN, _ADVERSARIAL = ("benign", "adversarial")
+_SOURCES = _BENIGN, _ADVERSARIAL = _LABELS
 # the fewest characters in a block of text cut into lines at a time
 _READ_BLOCK = 1 << 16
 # one line break as str.splitlines cuts at it: "\r\n" first, as it is one break
@@ -134,7 +136,9 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
     source = record["source"]
     # the event holds _SOURCES's string, not the line's copy of it
     label = _BENIGN if source == _BENIGN else _ADVERSARIAL if source == _ADVERSARIAL else None
-    # Transaction checks the field types (exact int, str sender), then ranges
+    # Transaction checks the field types (exact int, str sender), then
+    # ranges; an unknown source passes a valid placeholder, so that the
+    # source's own error below comes after those checks
     try:
         tx = Transaction(
             record["sender"],
@@ -143,7 +147,7 @@ def _record_to_event(record: Dict, line: int) -> TraceEvent:
             record["gas_used"],
             record["gas_limit"],
             record["value"],
-            source if label is None else label,
+            _BENIGN if label is None else label,
         )
     except ValueError as exc:
         raise TraceError(str(exc), line) from exc
@@ -294,8 +298,11 @@ def world_for_trace(
     """Default world for a trace: each sender's confirmed nonce is its lowest
     nonce in the trace and its balance covers the summed cost of all its
     transactions. ``overrides`` maps sender -> (balance, nonce), each checked
-    as ``ScenarioConfig`` checks an account seed. The cyclic collector is
-    paused while the accounts are built: they hold no cycles."""
+    as ``ScenarioConfig`` checks an account seed, and a ``block_gas_limit``
+    other than None must be an exact positive int, as there. The cyclic
+    collector is paused while the accounts are built: they hold no cycles."""
+    if block_gas_limit is not None:
+        check_positive_int("block_gas_limit", block_gas_limit)
     accounts: Dict[str, AccountState] = {}
     with _collector_paused():
         for event in events:

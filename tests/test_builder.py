@@ -439,7 +439,7 @@ def test_drain_matches_block_at_a_time_drain(policy_kind, seed):
     for s in senders:
         chain = pool.chain(s)
         if len(chain) > 1 and rng.random() < 0.3:
-            world.account(s).nonce = rng.choice(chain.nonces[1:])
+            world.account(s).nonce = rng.choice([t.nonce for t in chain.txs[1:]])
     _assert_drains_alike(pool, world)
 
 
@@ -463,3 +463,36 @@ def test_hostile_drain_scales_near_linearly(make, n):
     ratios = sorted(_drain_seconds(make, 2 * n) / _drain_seconds(make, n) for _ in range(7))
     ratio = ratios[len(ratios) // 2]
     assert ratio <= 2.5, f"{make.__name__}: median {ratio:.2f}x of {ratios}"
+
+
+def _chain_build_seconds(kind, rising, n=5_120):
+    """Seconds that ``build_block`` takes to empty a pool of one sender's
+    n-tx chain, its fees rising along its nonces or all equal; under cp the
+    childless index is built first, as a full cp pool has it."""
+    pool = Mempool(capacity=n)
+    world = WorldState(block_gas_limit=GAS_LIMIT_30M)
+    fill_pool(pool, world, [tx("c", i, 1 + i if rising else n) for i in range(n)], kind)
+    if kind == "cp":
+        pool.min_price_childless()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        while len(pool):
+            build_block(pool, world)
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["baseline", "cp"])
+def test_rising_fee_chain_builds_as_fast_as_a_flat_one(kind):
+    # every inclusion takes the chain's head, which on the rising chain holds
+    # its lowest fee: a chain that searched its remaining fees for the new
+    # minimum would pay O(chain) per inclusion there and nothing on the flat
+    # chain. Each round times both chains back to back; the median round is
+    # compared
+    ratios = sorted(
+        _chain_build_seconds(kind, True) / _chain_build_seconds(kind, False) for _ in range(5)
+    )
+    ratio = ratios[len(ratios) // 2]
+    assert ratio <= 2.0, f"{kind}: median {ratio:.2f}x of {ratios}"

@@ -152,6 +152,10 @@ class TestTransaction:
         ({"nonce": -1, "price": 0}, "nonce must be non-negative and below 2**256, got -1"),
         ({"sender": 5}, "sender must be a string, got 5"),
         ({"sender": type("Name", (str,), {})("A")}, "sender must be a string, got 'A'"),
+        ({"label": "whale"}, "label must be one of ('benign', 'adversarial'), got 'whale'"),
+        ({"label": None}, "label must be one of ('benign', 'adversarial'), got None"),
+        # the label check runs after the int and range checks
+        ({"label": "whale", "price": 0}, "price must be positive and below 2**256, got 0"),
     ])
     def test_error_messages_are_pinned(self, fields, message):
         with pytest.raises(ValueError) as info:

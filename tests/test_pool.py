@@ -1,7 +1,6 @@
 import dataclasses
 import random
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,10 +294,9 @@ def _rebuild_check(pool: Mempool, world: WorldState):
         chain = pool.chain(s)
         held = sorted(by_sender.get(s, []), key=lambda t: t.nonce)
         assert chain.txs == held
-        assert chain.nonces == [t.nonce for t in chain.txs]
         assert chain.cost == sum(t.cost for t in held)
-        assert chain.fees == dict(Counter(t.fee for t in held))
-        nonces = set(chain.nonces)
+        assert chain.fees == sorted(t.fee for t in held)
+        nonces = {t.nonce for t in chain.txs}
         for start in range(world.nonce_of(s), max(nonces, default=0) + 2):
             gap = start
             while gap in nonces:
@@ -437,7 +435,7 @@ def test_precheck_matches_generic_predicates():
     for step in range(2000):
         if rng.random() < 0.1 and world.accounts:
             moved = rng.choice(sorted(world.accounts))
-            nonces = pool.chain(moved).nonces
+            nonces = [t.nonce for t in pool.chain(moved).txs]
             if nonces:
                 world.accounts[moved].nonce = rng.randint(nonces[0] + 1, nonces[-1] + 2)
         sender = f"w{rng.randint(0, 12)}"
@@ -648,7 +646,7 @@ def test_heaps_stay_bounded_and_serve_live_minimums(policy_kind, seed):
             pool.remove_included(tail)
             gone.append(tail)
         else:
-            sendable = [t for t in gone if pool.chain(t.sender).nonces[-1:] == [t.nonce - 1]]
+            sendable = [t for t in gone if [u.nonce for u in pool.chain(t.sender).txs[-1:]] == [t.nonce - 1]]
             again = bool(sendable) and roll < 0.7
             if again:
                 t = rng.choice(sendable)

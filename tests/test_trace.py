@@ -213,6 +213,31 @@ class TestTraceFormat:
         write_trace(path, events)
         assert dump_events(parse_trace(path)) == dump_events(events)
 
+    def test_file_round_trip_keeps_each_label(self, tmp_path):
+        # a Transaction takes only a label that the parser reads back
+        path = tmp_path / "trace.jsonl"
+        labels = ["benign", "adversarial"]
+        events = [arrival(tx("A", n, 5, label=label), n) for n, label in enumerate(labels)]
+        write_trace(path, events)
+        parsed = parse_trace(path)
+        assert [e.tx.label for e in parsed] == labels
+        assert dump_events(parsed) == dump_events(events)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"source": "whale"}, "source must be one of ('benign', 'adversarial'), got 'whale'"),
+            ({"source": None}, "source must be one of ('benign', 'adversarial'), got None"),
+            # the field checks run first
+            ({"source": "whale", "price": 0}, "price must be positive and below 2**256, got 0"),
+        ],
+    )
+    def test_unknown_source_is_the_parsers_error(self, fields, message):
+        record = {**json.loads(dump_events([arrival(tx("A", 0, 5), 1)])), **fields}
+        with pytest.raises(TraceError) as exc:
+            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+        assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
+
 
 def _outcome(parse, text):
     """What a parser makes of ``text``: the events' fields, or the TraceError's
@@ -691,6 +716,11 @@ class TestWorldForTrace:
         assert world.nonce_of("A") == 2
         assert world.accounts["A"].balance == txs[0].cost + txs[1].cost
         assert world.nonce_of("B") == 0
+
+    @pytest.mark.parametrize("limit", [2.5, True, 0, -1, "1"])
+    def test_block_gas_limit_must_be_a_positive_int(self, limit):
+        with pytest.raises(ValueError, match="^block_gas_limit must be (an integer|positive), got "):
+            world_for_trace([arrival(tx("A", 0, 5), 0)], block_gas_limit=limit)
 
     def test_overrides_win(self):
         events = [arrival(tx("A", 2, 5), 0)]
