@@ -6,7 +6,6 @@ from .core import (
     AccountState,
     AdmissionOutcome,
     Block,
-    OutcomeKind,
     Reason,
     Transaction,
     PoolError,

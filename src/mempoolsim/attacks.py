@@ -288,7 +288,8 @@ class AttackCostReport:
 
 def attack_cost(included_txs, pending_txs) -> AttackCostReport:
     """Fees the attacker actually paid (txs included in blocks) and the fees
-    it would pay if every pending adversarial tx were included."""
+    it would pay if every pending adversarial tx were included as well; after
+    a final drain, the pending txs are its unbuildable leftovers."""
     charged = sum(tx.fee for tx in included_txs if tx.label == "adversarial")
     at_risk = charged + sum(tx.fee for tx in pending_txs if tx.label == "adversarial")
     return AttackCostReport(fees_charged=charged, fees_at_risk=at_risk)

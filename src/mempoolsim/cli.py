@@ -20,7 +20,7 @@ from dataclasses import replace
 from typing import List, Optional
 
 from .attacks import ATTACKS, XT6_DESK, XT6_FULL, AttackPlan, attack_cost
-from .core import PoolError, WorldState
+from .core import PoolError
 from .metrics import eviction_bound_baseline_under_xt6, eviction_bound_cp, gamma
 from .policies import POLICIES, PolicyConfig
 from .replay import ReplayAbort, ScenarioConfig, bench, replay
@@ -100,7 +100,7 @@ def cmd_attack(args) -> int:
         print(f"wrote {len(events)} events to {args.out}")
     if args.run or not args.out:
         report = replay(_scenario(args, account_seeds=seeds), events)
-        cost = attack_cost(report.included_txs(), report.final_pending)
+        cost = attack_cost(report.included_txs(), report.unbuildable)
         payload = report.summary()
         payload["fees_charged"] = cost.fees_charged
         payload["fees_at_risk"] = cost.fees_at_risk
@@ -129,7 +129,6 @@ def cmd_bounds(args) -> int:
     config = _scenario(args, final_drain=False)
     report = replay(config, events)
     pending = report.final_pending
-    world = WorldState(block_gas_limit=config.block_gas_limit)
     cp_bound = eviction_bound_cp(pending)
     payload = {
         "pending": len(pending),
@@ -137,7 +136,7 @@ def cmd_bounds(args) -> int:
         "cp_basis": cp_bound.basis,
     }
     if pending:
-        base = eviction_bound_baseline_under_xt6(pending, world)
+        base = eviction_bound_baseline_under_xt6(pending, config.block_gas_limit)
         payload["baseline_bound_wei"] = base.bound_wei
         payload["baseline_basis"] = base.basis
         if base.bound_wei:

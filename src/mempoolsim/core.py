@@ -12,8 +12,7 @@ from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from operator import attrgetter
-from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 MIN_TX_GAS = 21_000
 DEFAULT_BLOCK_GAS_LIMIT = 30_000_000
@@ -261,13 +260,6 @@ class WorldState:
     accounts: Dict[str, AccountState] = field(default_factory=dict)
     block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
 
-    def account(self, sender: str) -> AccountState:
-        acct = self.accounts.get(sender)
-        if acct is None:
-            acct = AccountState()
-            self.accounts[sender] = acct
-        return acct
-
     def nonce_of(self, sender: str) -> int:
         acct = self.accounts.get(sender)
         return acct.nonce if acct else 0
@@ -300,14 +292,6 @@ class PoolError(Exception):
 # tests/test_hot_path.py fails if one of those functions loads an enum class.
 
 
-class OutcomeKind(Enum):
-    __hash__ = object.__hash__
-
-    DECLINED = "declined"
-    ADMITTED_NO_EVICT = "admitted-no-evict"
-    ADMITTED_EVICTING = "admitted-evicting"
-
-
 class Reason(Enum):
     __hash__ = object.__hash__
 
@@ -324,23 +308,15 @@ class Reason(Enum):
     UNBUILDABLE = "unbuildable"
 
 
-# the kind each reason fixes: two reasons admit, every other declines
-REASON_KIND: Mapping[Reason, OutcomeKind] = MappingProxyType({
-    **dict.fromkeys(Reason, OutcomeKind.DECLINED),
-    Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
-    Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
-})
-
-
 @frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class AdmissionOutcome:
     """One admission decision: what a policy's ``decide`` returns and what
     ``Mempool.admit`` applies, returns and a replay reports.
 
-    ``reason`` alone fixes the outcome's ``kind``: ``POOL_NOT_FULL`` admits
-    into a free slot, ``EVICTION`` admits by evicting ``victim``, and every
-    other reason declines. Only an eviction names a victim, and it names
+    ``reason`` alone fixes what happened: ``POOL_NOT_FULL`` admits into a
+    free slot, ``EVICTION`` admits by evicting ``victim``, and every other
+    reason declines. Only an eviction names a victim, and it names
     exactly one: every policy evicts at most one tx."""
 
     reason: Reason
@@ -359,10 +335,6 @@ class AdmissionOutcome:
         _set_victim(self, victim)
 
     @property
-    def kind(self) -> OutcomeKind:
-        return REASON_KIND[self.reason]
-
-    @property
     def admitted(self) -> bool:
         return self.reason in _ADMITTING
 
@@ -377,8 +349,8 @@ _set_reason = AdmissionOutcome.reason.__set__
 _set_tx = AdmissionOutcome.tx.__set__
 _set_victim = AdmissionOutcome.victim.__set__
 _EVICTION = Reason.EVICTION
-# the reasons whose kind is not DECLINED: POOL_NOT_FULL and EVICTION
-_ADMITTING = frozenset(r for r, k in REASON_KIND.items() if k is not OutcomeKind.DECLINED)
+# the two reasons that admit; every other declines
+_ADMITTING = frozenset((Reason.POOL_NOT_FULL, _EVICTION))
 
 
 @dataclass

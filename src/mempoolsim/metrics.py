@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, Sequence
 
-from .core import AdmissionOutcome, MIN_TX_GAS, Reason, Transaction, WorldState
+from .core import AdmissionOutcome, MIN_TX_GAS, Reason, Transaction
 
 BASIS_CHAIN_SAFE = "cp_21000_price_sum"
 BASIS_PRICE_ONLY = "geth_maxprice_blockgas"
@@ -31,12 +31,12 @@ def eviction_bound_cp(pending: Iterable[Transaction]) -> BoundEstimate:
     return BoundEstimate(bound_wei=bound, basis=BASIS_CHAIN_SAFE)
 
 
-def eviction_bound_baseline_under_xt6(pending: Sequence[Transaction], world: WorldState) -> BoundEstimate:
+def eviction_bound_baseline_under_xt6(pending: Sequence[Transaction], block_gas_limit: int) -> BoundEstimate:
     """What a price-only pool retains after a successful eviction attack:
     a single transaction worth at most max price times the block gas limit."""
     if not pending:
         raise ValueError("bound undefined on empty pool")
-    bound = max(tx.price for tx in pending) * world.block_gas_limit
+    bound = max(tx.price for tx in pending) * block_gas_limit
     return BoundEstimate(bound_wei=bound, basis=BASIS_PRICE_ONLY)
 
 
@@ -49,8 +49,7 @@ class GammaReport:
     gamma_max: float
     gamma_avg: float
     gamma_p95: float
-    # same statistics with the sender's minimum fee as denominator
-    per_sender_fee_denom: Dict[str, float] = field(default_factory=dict)
+    # gamma_max with the sender's minimum fee as denominator
     gamma_max_fee_denom: float = 0.0
 
 
@@ -66,9 +65,10 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
     """Per-sender dispersion of prices above the sender's chain minimum.
 
     gamma(tx) = tx.price / (min price among the sender's pending txs) - 1;
-    gamma(s) is the max over the sender's txs. The fee-denominator variant
-    (tx.fee / min fee among the sender's pending txs - 1) is emitted
-    alongside for comparison and is not asserted as ground truth.
+    gamma(s) is the max over the sender's txs. Of the fee-denominator
+    variant (tx.fee / min fee among the sender's pending txs - 1) only the
+    max over all pending txs is reported, for comparison; it is not
+    asserted as ground truth.
     """
     if not pending:
         raise ValueError("gamma of empty snapshot")
@@ -80,22 +80,17 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
         if tx.sender not in min_fee or tx.fee < min_fee[tx.sender]:
             min_fee[tx.sender] = tx.fee
     per_sender: Dict[str, float] = {}
-    per_sender_fee: Dict[str, float] = {}
     for tx in pending:
         g = tx.price / min_price[tx.sender] - 1
-        gf = tx.fee / min_fee[tx.sender] - 1
         if tx.sender not in per_sender or g > per_sender[tx.sender]:
             per_sender[tx.sender] = g
-        if tx.sender not in per_sender_fee or gf > per_sender_fee[tx.sender]:
-            per_sender_fee[tx.sender] = gf
     values = list(per_sender.values())
     return GammaReport(
         per_sender=per_sender,
         gamma_max=max(values),
         gamma_avg=sum(values) / len(values),
         gamma_p95=nearest_rank_percentile(values, 95),
-        per_sender_fee_denom=per_sender_fee,
-        gamma_max_fee_denom=max(per_sender_fee.values()),
+        gamma_max_fee_denom=max(tx.fee / min_fee[tx.sender] - 1 for tx in pending),
     )
 
 

@@ -14,9 +14,9 @@ The pool keeps only its pending set, always in these views:
 * one ``SenderChain`` per sender (``chain(sender)``) - two sorted lists
   and a sum: the sender's txs in ascending nonce order, their fees in
   ascending order (the head is the chain-minimum fee, so no removal
-  rescans for it) and their summed cost. ``get(sender, nonce)``, the
-  duplicate test and ``run_end`` (the end of the contiguous nonce run from
-  any start, which is what the future test reads) bisect the txs by nonce
+  rescans for it) and their summed cost. The duplicate test and
+  ``run_end`` (the end of the contiguous nonce run from any start, which is
+  what the future test reads) bisect the txs by nonce
 
 and these order indexes, each a ``heapq`` min-heap of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
@@ -84,12 +84,6 @@ class SenderChain:
 
     def __len__(self) -> int:
         return len(self.txs)
-
-    @property
-    def min_fee(self) -> Optional[int]:
-        """The chain's lowest fee, None when it is empty."""
-        fees = self.fees
-        return fees[0] if fees else None
 
     def run_end(self, start: int) -> int:
         """First nonce >= ``start`` that the chain does not hold.
@@ -173,11 +167,6 @@ class Mempool:
     @property
     def full(self) -> bool:
         return len(self._seq_of) >= self.capacity
-
-    def get(self, sender: str, nonce: int) -> Optional[Transaction]:
-        txs = self.chain(sender).txs
-        i = bisect_left(txs, nonce, key=_nonce)
-        return txs[i] if i < len(txs) and txs[i].nonce == nonce else None
 
     def chain(self, sender: str) -> SenderChain:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .builder import build_block, drain
 from .core import (
     DEFAULT_BLOCK_GAS_LIMIT,
-    REASON_KIND,
     AdmissionOutcome,
     Block,
     PoolError,
@@ -246,7 +245,8 @@ class RunReport:
         enc = encode_basestring_ascii
         labels = {reason: enc(reason.value) for reason in Reason}
         # a reason fixes its outcome's kind, so it fixes the entry's head
-        heads = {r: f"[{enc(REASON_KIND[r].value)},{labels[r]}," for r in Reason}
+        kinds = {_POOL_NOT_FULL: "admitted-no-evict", _EVICTION: "admitted-evicting"}
+        heads = {r: f"[{enc(kinds.get(r, 'declined'))},{labels[r]}," for r in Reason}
         declined, reasons = self._ledger()
         # a replay's report names only arrivals, so the outcomes' txs fill
         # the cache and the second pass reads it; a tx that only a

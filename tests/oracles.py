@@ -26,6 +26,7 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from mempoolsim import (
+    AccountState,
     Block,
     Mempool,
     Reason,
@@ -46,8 +47,8 @@ from mempoolsim.trace import _record_to_event
 class PendingView:
     """Minimal read interface over a set of pending transactions.
 
-    ``is_future`` needs only ``get``, so a ``Mempool`` serves as one too;
-    ``cumulative_cost`` also needs ``sender_txs``.
+    ``is_future`` needs only ``get``; ``cumulative_cost`` also needs
+    ``sender_txs``.
     """
 
     def get(self, sender: str, nonce: int) -> Optional[Transaction]:
@@ -73,12 +74,12 @@ class ListPendingView(PendingView):
         return [tx for tx in self.txs if tx.sender == sender]
 
 
-def is_future(tx: Transaction, pool, world: WorldState) -> bool:
+def is_future(tx: Transaction, pool: PendingView, world: WorldState) -> bool:
     """True iff some ancestor nonce of ``tx`` is neither confirmed nor pending.
 
     The nonce chain from the sender's confirmed nonce up to ``tx.nonce - 1``
     must be fully covered by pending transactions for ``tx`` to be executable.
-    ``pool`` is anything with ``get(sender, nonce)``.
+    ``pool`` is a ``PendingView``: anything with ``get(sender, nonce)``.
     """
     start = world.nonce_of(tx.sender)
     for nonce in range(start, tx.nonce):
@@ -152,7 +153,7 @@ def build_block(
         gas_total += gas
         included.append(t)
     for t in included:
-        acct = world.account(t.sender)
+        acct = world.accounts.setdefault(t.sender, AccountState())
         acct.nonce = t.nonce + 1
         acct.balance -= t.fee + t.value
     return included, skipped
@@ -206,7 +207,7 @@ def find_childless(pool: Mempool) -> List[Transaction]:
         return (
             bool(chain.txs)
             and chain.txs[-1] is tail
-            and chain.min_fee == min_fee
+            and chain.fees[0] == min_fee
             and pool._seq_of.get(tail) == seq
         )
 

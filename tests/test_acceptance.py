@@ -36,6 +36,7 @@ from mempoolsim import (
     workload_batch_insert,
     world_for_trace,
 )
+from mempoolsim.core import DEFAULT_BLOCK_GAS_LIMIT
 from conftest import WEI, fill_pool, fund, mdf, record_criterion, rich_world, tx
 from oracles import PendingView, is_future
 
@@ -152,7 +153,7 @@ def _run_xt6_baseline(params, capacity):
     drained = replay(cfg(True), events)
     _TELESCOPE_RUNS.extend((standing, drained))
     non_future = _non_future_pending(standing, events)
-    cost = attack_cost(drained.included_txs(), drained.final_pending)
+    cost = attack_cost(drained.included_txs(), drained.unbuildable)
     one_tx_fee = max(
         e.tx.fee for e in events if e.kind == "tx_arrival" and e.tx.label == "adversarial"
     )
@@ -214,13 +215,12 @@ def test_criterion_5_bound_separation():
     rng = random.Random(55)
     ratios = []
     for _ in range(20):
-        world = WorldState()
         pending = []
         for i in range(CAPACITY_DESK):
             price = max(1, int(math.exp(rng.uniform(0.0, math.log(10_000)))))
             pending.append(tx(f"s{i}", 0, price))
         cp = eviction_bound_cp(pending)
-        base = eviction_bound_baseline_under_xt6(pending, world)
+        base = eviction_bound_baseline_under_xt6(pending, DEFAULT_BLOCK_GAS_LIMIT)
         prices = [t.price for t in pending]
         assert cp.bound_wei == MIN_GAS * sum(prices)
         assert cp.bound_wei >= MIN_GAS * len(pending) * min(prices)

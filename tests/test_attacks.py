@@ -21,7 +21,7 @@ from mempoolsim import (
 )
 
 from conftest import fund, tx
-from oracles import is_future
+from oracles import ListPendingView, is_future
 
 # case -> (kind, params, delay, sha256 of its trace and sorted seeds)
 PINNED = {
@@ -98,10 +98,8 @@ class TestXt6Generator:
         )
         report = replay(config, events)
         world = world_for_trace(events)
-        pool = Mempool(capacity=192)
-        for t in report.final_pending:
-            pool._insert(t)
-        non_future = [t for t in report.final_pending if not is_future(t, pool, world)]
+        view = ListPendingView(report.final_pending)
+        non_future = [t for t in report.final_pending if not is_future(t, view, world)]
         assert len(report.final_pending) == 192
         assert len(non_future) == 1
 

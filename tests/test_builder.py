@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from mempoolsim import (
+    AccountState,
     Mempool,
     PolicyConfig,
     Transaction,
@@ -81,7 +82,9 @@ def test_candidate_order_matches_oracle(policy_kind, seed):
             build_block(pool, world)
         else:
             resend = sorted(
-                (s, n) for s, n in evicted if n >= world.nonce_of(s) and pool.get(s, n) is None
+                (s, n)
+                for s, n in evicted
+                if n >= world.nonce_of(s) and all(t.nonce != n for t in pool.chain(s).txs)
             )
             if resend and roll < 0.29:
                 # priced up, as a re-sent tx would be, so it can win its slot back
@@ -285,7 +288,7 @@ class TestDrain:
         # world nonce jumps past a pending tx between admission and drain,
         # stranding the rest of the chain
         pool, world = _pool([tx("A", 0, 3), tx("A", 1, 3)])
-        world.account("A").nonce = 5
+        world.accounts.setdefault("A", AccountState()).nonce = 5
         txs = pool.pending()
         blocks, leftovers = drain(pool, world)
         assert blocks == [] and len(pool) == 0
@@ -402,7 +405,7 @@ def _assert_drains_alike(pool, world):
 def test_hostile_drains_match_block_at_a_time_drain(make, n, limit):
     pool, world = _filled(make, n, limit)
     if make is _stale_head:
-        world.account("A").nonce = 2
+        world.accounts.setdefault("A", AccountState()).nonce = 2
     blocks, leftovers = _assert_drains_alike(pool, world)
     if make is _stale_head:
         assert [[(t.sender, t.nonce) for t in b.txs] for b in blocks] == [[("A", 2), ("A", 3)]]
@@ -439,7 +442,8 @@ def test_drain_matches_block_at_a_time_drain(policy_kind, seed):
     for s in senders:
         chain = pool.chain(s)
         if len(chain) > 1 and rng.random() < 0.3:
-            world.account(s).nonce = rng.choice([t.nonce for t in chain.txs[1:]])
+            acct = world.accounts.setdefault(s, AccountState())
+            acct.nonce = rng.choice([t.nonce for t in chain.txs[1:]])
     _assert_drains_alike(pool, world)
 
 

@@ -9,14 +9,13 @@ from hypothesis import given, strategies as st
 
 from mempoolsim import (
     AdmissionOutcome,
-    OutcomeKind,
     PoolError,
     Reason,
     TraceEvent,
     Transaction,
     WorldState,
 )
-from mempoolsim.core import REASON_KIND, short_repr
+from mempoolsim.core import short_repr
 from mempoolsim.replay import Snapshot
 from mempoolsim.metrics import OutcomeClass
 
@@ -210,7 +209,8 @@ class TestAdmissionOutcome:
     def test_admitted_iff_the_reason_kind_is_not_declined(self, reason):
         a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
         outcome = AdmissionOutcome(reason, a, v if reason is Reason.EVICTION else None)
-        assert outcome.admitted is (REASON_KIND[reason] is not OutcomeKind.DECLINED)
+        # only a free slot and an eviction admit
+        assert outcome.admitted is (reason in (Reason.POOL_NOT_FULL, Reason.EVICTION))
 
 
 @pytest.mark.parametrize("make", [
@@ -243,7 +243,6 @@ _ENUM_MEMBERS = {
         "PRICE_TOO_LOW", "FEE_TOO_LOW", "SELF_EVICTION", "POOL_NOT_FULL", "EVICTION",
         "UNBUILDABLE",
     ],
-    OutcomeKind: ["DECLINED", "ADMITTED_NO_EVICT", "ADMITTED_EVICTING"],
     OutcomeClass: ["O1", "O2", "O3", "O4", "OTHER", "UNBUILDABLE"],
 }
 

@@ -19,7 +19,7 @@ from mempoolsim.builder import _fill, candidate_order, drain
 from mempoolsim.replay import _admission_flags, _cache_report_json
 from mempoolsim.policies import POLICIES
 
-_ENUM_CLASSES = {"Reason", "OutcomeClass", "OutcomeKind"}
+_ENUM_CLASSES = {"Reason", "OutcomeClass"}
 
 _PER_EVENT = {
     "Mempool.precheck": Mempool.precheck,

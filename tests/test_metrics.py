@@ -8,7 +8,6 @@ from mempoolsim import (
     AdmissionOutcome,
     AttackPlan,
     OutcomeClass,
-    OutcomeKind,
     Reason,
     UtilLedger,
     WorldState,
@@ -22,6 +21,7 @@ from mempoolsim import (
     PolicyConfig,
     ScenarioConfig,
 )
+from mempoolsim.core import DEFAULT_BLOCK_GAS_LIMIT
 from mempoolsim.metrics import OutcomeFlags, nearest_rank_percentile
 
 from conftest import fund, random_pool_txs, rich_world, tx
@@ -39,19 +39,17 @@ class TestEvictionBounds:
         assert est.basis == "cp_21000_price_sum"
 
     def test_baseline_bound_arithmetic(self):
-        world = WorldState(block_gas_limit=30_000_000)
-        est = eviction_bound_baseline_under_xt6([tx("A", 0, 10), tx("B", 0, 4)], world)
+        est = eviction_bound_baseline_under_xt6([tx("A", 0, 10), tx("B", 0, 4)], 30_000_000)
         assert est.bound_wei == 10 * 30_000_000 == 3 * 10**8
         assert est.basis == "geth_maxprice_blockgas"
 
     def test_baseline_bound_singleton(self):
-        world = WorldState()
-        est = eviction_bound_baseline_under_xt6([tx("A", 0, 7)], world)
-        assert est.bound_wei == 7 * world.block_gas_limit
+        est = eviction_bound_baseline_under_xt6([tx("A", 0, 7)], DEFAULT_BLOCK_GAS_LIMIT)
+        assert est.bound_wei == 7 * DEFAULT_BLOCK_GAS_LIMIT
 
     def test_baseline_bound_empty_errors(self):
         with pytest.raises(ValueError):
-            eviction_bound_baseline_under_xt6([], WorldState())
+            eviction_bound_baseline_under_xt6([], DEFAULT_BLOCK_GAS_LIMIT)
 
 
 def oracle_gamma(pending):
@@ -66,6 +64,11 @@ def oracle_gamma(pending):
         if t.sender not in per_sender or g > per_sender[t.sender]:
             per_sender[t.sender] = g
     return per_sender
+
+
+def oracle_gamma_max_fee_denom(pending):
+    """O(n^2) double loop: the largest per-tx ratio against its sender's min fee."""
+    return max(t.fee / min(u.fee for u in pending if u.sender == t.sender) - 1 for t in pending)
 
 
 class TestGamma:
@@ -89,7 +92,6 @@ class TestGamma:
         for _ in range(20):
             report = gamma(random_pool_txs(rng, n_senders=20, max_chain=5))
             assert all(g >= 0 for g in report.per_sender.values())
-            assert all(g >= 0 for g in report.per_sender_fee_denom.values())
             assert report.gamma_max_fee_denom >= 0
 
     def test_matches_brute_force_on_large_snapshot(self):
@@ -97,10 +99,15 @@ class TestGamma:
         pending = random_pool_txs(rng, n_senders=250, max_chain=4)[:1000]
         assert gamma(pending).per_sender == oracle_gamma(pending)
 
+    def test_fee_denominator_max_matches_brute_force(self):
+        rng = random.Random(9)
+        pending = random_pool_txs(rng, n_senders=250, max_chain=4)[:1000]
+        assert gamma(pending).gamma_max_fee_denom == oracle_gamma_max_fee_denom(pending)
+
     def test_fee_denominator_variant_emitted(self):
         report = gamma([tx("A", 0, 2, gas=21_000), tx("A", 1, 4)])
         # fees 42,000 and 84,000 wei: the larger is twice the sender's minimum
-        assert report.per_sender_fee_denom["A"] == 84_000 / 42_000 - 1 == 1.0
+        assert report.gamma_max_fee_denom == 84_000 / 42_000 - 1 == 1.0
 
     def test_empty_snapshot_errors(self):
         with pytest.raises(ValueError):
@@ -122,38 +129,33 @@ class TestNearestRankPercentile:
             nearest_rank_percentile([], 95)
 
 
-def _outcome(kind, t, victim=None):
-    reason = Reason.EVICTION if victim is not None else (
-        Reason.PRICE_TOO_LOW if kind is OutcomeKind.DECLINED else Reason.POOL_NOT_FULL
-    )
-    return AdmissionOutcome(reason, t, victim)
-
-
 class TestClassifyOutcome:
     def test_declined_is_o1(self):
-        out = _outcome(OutcomeKind.DECLINED, tx("A", 0, 5))
+        out = AdmissionOutcome(Reason.PRICE_TOO_LOW, tx("A", 0, 5))
         assert classify_outcome(out) is OutcomeClass.O1
 
     def test_free_slot_is_o4(self):
-        out = _outcome(OutcomeKind.ADMITTED_NO_EVICT, tx("A", 0, 5))
+        out = AdmissionOutcome(Reason.POOL_NOT_FULL, tx("A", 0, 5))
         assert classify_outcome(out) is OutcomeClass.O4
 
     def test_evicting_lower_fee_is_o2(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 9), tx("B", 0, 5))
+        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 9), tx("B", 0, 5))
         assert classify_outcome(out) is OutcomeClass.O2
 
     def test_evicting_higher_fee_is_o3(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), tx("B", 0, 9))
+        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 5), tx("B", 0, 9))
         assert classify_outcome(out) is OutcomeClass.O3
 
     def test_equal_fee_eviction_is_other(self):
-        out = _outcome(OutcomeKind.ADMITTED_EVICTING, tx("A", 0, 5), tx("B", 0, 5))
+        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 5), tx("B", 0, 5))
         assert classify_outcome(out) is OutcomeClass.OTHER
 
     def test_partition_is_total(self):
-        for kind in OutcomeKind:
-            victim = tx("B", 0, 3) if kind is OutcomeKind.ADMITTED_EVICTING else None
-            assert classify_outcome(_outcome(kind, tx("A", 0, 5), victim)) in OutcomeClass
+        # a decline, an admission into a free slot and an eviction
+        for reason in (Reason.PRICE_TOO_LOW, Reason.POOL_NOT_FULL, Reason.EVICTION):
+            victim = tx("B", 0, 3) if reason is Reason.EVICTION else None
+            out = AdmissionOutcome(reason, tx("A", 0, 5), victim)
+            assert classify_outcome(out) in OutcomeClass
 
     # the arrival's fee against the victim's -> the class, for each reason;
     # a reason other than EVICTION names no victim, so its fee cannot matter

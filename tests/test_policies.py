@@ -5,7 +5,6 @@ import pytest
 from mempoolsim import (
     AdmissionOutcome,
     Mempool,
-    OutcomeKind,
     PolicyConfig,
     PoolError,
     Reason,
@@ -13,7 +12,7 @@ from mempoolsim import (
 )
 
 from conftest import WEI, fill_pool, fund, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
-from oracles import find_childless, is_future
+from oracles import ListPendingView, find_childless, is_future
 
 
 def _policy(kind):
@@ -45,11 +44,11 @@ class TestBaseline:
         # evicting a parent leaves its child future: the intentional flaw
         pool = Mempool(capacity=2)
         world = rich_world("A", "B")
-        fill_pool(pool, world, [tx("A", 0, 1), tx("A", 1, 9)])
+        orphan = tx("A", 1, 9)
+        fill_pool(pool, world, [tx("A", 0, 1), orphan])
         outcome = pool.admit(tx("B", 0, 2), world, _policy("baseline"))
         assert outcome.admitted
-        orphan = pool.get("A", 1)
-        assert orphan is not None and is_future(orphan, pool, world)
+        assert orphan in pool and is_future(orphan, ListPendingView(pool.pending()), world)
 
 
 class TestChildlessPrice:
@@ -71,10 +70,11 @@ class TestChildlessPrice:
     def test_admits_above_childless_min(self):
         pool = Mempool(capacity=2)
         world = rich_world("A", "B")
-        fill_pool(pool, world, [tx("A", 0, 1), tx("A", 1, 3)])
+        child = tx("A", 1, 3)
+        fill_pool(pool, world, [tx("A", 0, 1), child])
         decision = _policy("cp").decide(pool, tx("B", 0, 4))
         assert decision.admitted
-        assert decision.victim is pool.get("A", 1)
+        assert decision.victim is child
 
     def test_empty_pool_admits(self):
         decision = _policy("cp").decide(Mempool(capacity=4), tx("A", 0, 1))
@@ -108,7 +108,7 @@ class TestMinFeeChainTail:
         assert mdf(pool) == 21_000
         decision = _policy("map").decide(pool, tx("C", 0, 2))
         assert decision.admitted
-        assert decision.victim is pool.get("A", 2)
+        assert decision.victim is txs[2]
 
     def test_fee_equal_to_mdf_declined(self):
         pool = Mempool(capacity=1)
@@ -119,9 +119,10 @@ class TestMinFeeChainTail:
     def test_childless_min_fee_is_its_own_victim(self):
         pool = Mempool(capacity=2)
         world = rich_world("A", "B")
-        fill_pool(pool, world, [tx("A", 0, 1), tx("B", 0, 9)])
+        cheapest = tx("A", 0, 1)
+        fill_pool(pool, world, [cheapest, tx("B", 0, 9)])
         decision = _policy("map").decide(pool, tx("C", 0, 2))
-        assert decision.victim is pool.get("A", 0)
+        assert decision.victim is cheapest
 
     def test_self_eviction_declined(self):
         # the arrival's own chain tail is the designated victim: decline
@@ -203,30 +204,25 @@ def test_admit_returns_the_outcome_decide_returned(kind):
             assert outcome is decided[-1]
         else:  # the precheck declined (the pool is unchanged), the policy was not asked
             assert outcome.reason is pool.precheck(t, world) is not None
-        expected_reason = {
-            OutcomeKind.ADMITTED_NO_EVICT: Reason.POOL_NOT_FULL,
-            OutcomeKind.ADMITTED_EVICTING: Reason.EVICTION,
-        }.get(outcome.kind)
-        assert expected_reason in (None, outcome.reason)
-        assert (outcome.victim is not None) == (outcome.kind is OutcomeKind.ADMITTED_EVICTING)
-        if not outcome.admitted:
+        evicting = outcome.victim is not None
+        if outcome.admitted:
+            assert outcome.reason is (Reason.EVICTION if evicting else Reason.POOL_NOT_FULL)
+        else:
+            assert not evicting
             # the outcome is the decline's only record: the pool is unchanged
             assert pool.pending() == before
-        seen.add(outcome.kind)
-    assert seen == set(OutcomeKind)
+        seen.add((outcome.admitted, evicting))
+    # every outcome seen: declined, admitted into a free slot, admitted evicting
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
 def test_outcome_kind_follows_from_reason(reason):
     # only a free slot and an eviction admit; every other reason declines
-    expected = {
-        Reason.POOL_NOT_FULL: OutcomeKind.ADMITTED_NO_EVICT,
-        Reason.EVICTION: OutcomeKind.ADMITTED_EVICTING,
-    }.get(reason, OutcomeKind.DECLINED)
     victim = tx("B", 0, 1) if reason is Reason.EVICTION else None
     outcome = AdmissionOutcome(reason, tx("A", 0, 5), victim)
-    assert outcome.kind is expected
-    assert outcome.admitted == (expected is not OutcomeKind.DECLINED)
+    assert outcome.admitted == (reason in (Reason.POOL_NOT_FULL, Reason.EVICTION))
+    assert outcome.victim is victim
     # only an eviction names a victim, and it must name one
     if reason is Reason.EVICTION:
         with pytest.raises(PoolError, match="needs a victim"):

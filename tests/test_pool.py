@@ -186,7 +186,7 @@ class TestApplyAdmission:
         z = tx("Z", 0, 9)
         pool.apply_admission(z, y)
         assert set(pool.pending()) == {x, z}
-        assert y not in pool and pool.get("Y", 0) is None and len(pool.chain("Y")) == 0
+        assert y not in pool and len(pool.chain("Y")) == 0
 
     def test_capacity_violation(self):
         pool = Mempool(capacity=1)
@@ -238,8 +238,8 @@ class TestApplyAdmission:
     [
         lambda pool: tx("W", 0, 1),  # a sender with nothing pending
         lambda pool: tx("X", 2, 5),  # the next nonce of a pending chain
-        lambda pool: dataclasses.replace(pool.get("X", 1)),  # copy of a tail
-        lambda pool: dataclasses.replace(pool.get("X", 0)),  # copy of a parent
+        lambda pool: dataclasses.replace(pool.chain("X").txs[1]),  # copy of a tail
+        lambda pool: dataclasses.replace(pool.chain("X").txs[0]),  # copy of a parent
     ],
     ids=["unknown_sender", "next_nonce", "tail_copy", "parent_copy"],
 )
@@ -250,7 +250,7 @@ def test_remove_included_of_a_non_resident_changes_nothing(stranger):
     pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
 
     def views():
-        chains = {s: (list(pool.chain(s).txs), pool.chain(s).min_fee) for s in "XY"}
+        chains = {s: (list(pool.chain(s).txs), list(pool.chain(s).fees)) for s in "XY"}
         indexes = [list(i) for i in (pool._by_price, pool._by_fee, pool._childless)]
         return pool.pending(), chains, indexes
 
@@ -265,30 +265,22 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     sender's chain matches recomputation from it."""
     pending = pool.pending()
     assert set(pending_by_price(pool)) == set(pending)
-    # membership, size and (sender, nonce) lookups against a scan of pending()
+    # membership and size against a scan of pending()
     held = {(t.sender, t.nonce): t for t in pending}
     assert len(pool) == len(held) == len(pending)
     for t in pending:
         assert t in pool
-        assert pool.get(t.sender, t.nonce) is t
         twin = dataclasses.replace(t)  # equal fields, another transaction
         assert twin not in pool
         assert pool.precheck(twin, world) is Reason.DUPLICATE
-    for s in {t.sender for t in pending}:
-        gap = world.nonce_of(s)
-        while (s, gap) in held:
-            gap += 1
-        top = max(n for sender, n in held if sender == s)
-        assert pool.get(s, gap) is None
-        assert pool.get(s, top + 1) is None
     tails = set(find_childless(pool))
     assert tails == set(oracle_childless(pending))
     by_sender = {}
     for t in pending:
         by_sender.setdefault(t.sender, []).append(t)
-    assert {s for s in world.accounts if pool.chain(s).min_fee is not None} == set(by_sender)
+    assert {s for s in world.accounts if pool.chain(s).fees} == set(by_sender)
     for s, chain in by_sender.items():
-        assert pool.chain(s).min_fee == min(t.fee for t in chain)
+        assert pool.chain(s).fees[0] == min(t.fee for t in chain)
         assert [t.nonce for t in pool.chain(s).txs] == sorted(t.nonce for t in chain)
     for s in world.accounts:
         chain = pool.chain(s)
@@ -446,7 +438,7 @@ def test_precheck_matches_generic_predicates():
         confirmed = world.nonce_of(sender)
         if t.nonce < confirmed:
             expected = Reason.STALE
-        elif pool.get(sender, t.nonce) is not None:
+        elif view.get(sender, t.nonce) is not None:
             expected = Reason.DUPLICATE
         elif is_future(t, view, world):
             expected = Reason.INVALID_FUTURE
@@ -461,7 +453,7 @@ def test_precheck_matches_generic_predicates():
 def test_admit_never_admits_future_under_cp():
     # no admitted-then-orphaned chains: after any admit with the chain-safe
     # policy, no pending tx is future w.r.t. the pool
-    from oracles import is_future
+    from oracles import ListPendingView, is_future
 
     rng = random.Random(3)
     pool = Mempool(capacity=12)
@@ -481,7 +473,8 @@ def test_admit_never_admits_future_under_cp():
             next_nonce[sender] = t.nonce + 1
         if outcome.victim is not None:
             next_nonce[outcome.victim.sender] = outcome.victim.nonce
-        assert not any(is_future(p, pool, world) for p in pool.pending())
+        view = ListPendingView(pool.pending())
+        assert not any(is_future(p, view, world) for p in view.txs)
 
 
 def _oracle_orders(pending, admitted_at):
@@ -562,7 +555,7 @@ def test_lazy_indexes_match_eager_ones_and_oracle(policy_kind, seed):
             t = tx(sender, nonce, rng.randint(1, 300), gas=rng.choice((21_000, 60_000)))
             out_a = pool_a.admit(t, world_a, policy)
             out_b = pool_b.admit(t, world_b, policy)
-            assert (out_a.kind, out_a.victim) == (out_b.kind, out_b.victim)
+            assert (out_a.reason, out_a.victim) == (out_b.reason, out_b.victim)
             if out_a.admitted:
                 admitted_at[t] = len(admitted_at)
                 pending[t] = t

@@ -160,9 +160,7 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
         txs = ref.sender_txs(sender)
         assert chain.txs == txs
         assert chain.cost == sum(t.cost for t in txs)
-        assert chain.min_fee == (min(t.fee for t in txs) if txs else None)
-        for t in txs:
-            assert pool.get(sender, t.nonce) is t
+        assert chain.fees == sorted(t.fee for t in txs)
     seq = ref.admitted_at.__getitem__
     if pool._by_price is not None:
         assert pending_by_price(pool) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))

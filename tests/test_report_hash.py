@@ -27,6 +27,10 @@ from test_golden_hashes import DRAIN_MODES, GOLDEN, POLICIES, TRACES
 replay_module = importlib.import_module("mempoolsim.replay")
 
 
+# docs/format.md: an outcome's kind follows from its reason value
+KIND_OF_REASON = {"pool-not-full": "admitted-no-evict", "eviction": "admitted-evicting"}
+
+
 def canonical(report: RunReport) -> dict:
     def tx_key(tx: Transaction):
         return [tx.sender, tx.nonce, tx.price, tx.gas_used, tx.gas_limit, tx.value]
@@ -34,7 +38,12 @@ def canonical(report: RunReport) -> dict:
     return {
         "summary": report.summary(),
         "outcomes": [
-            [o.kind.value, o.reason.value, tx_key(o.tx), [] if o.victim is None else [tx_key(o.victim)]]
+            [
+                KIND_OF_REASON.get(o.reason.value, "declined"),
+                o.reason.value,
+                tx_key(o.tx),
+                [] if o.victim is None else [tx_key(o.victim)],
+            ]
             for o in report.outcomes
         ],
         "blocks": [[tx_key(tx) for tx in b.txs] for b in report.blocks],

@@ -1084,6 +1084,16 @@ class TestCli:
         assert summary["reasons"] == {"invalid-future": 10}
         assert summary["fees_charged"] == 0
 
+    def test_attack_run_puts_the_final_drains_leftovers_at_risk(self, capsys):
+        # xt6 strands its adversarial chain in a baseline pool: the final
+        # drain empties the pool but builds one block, and what it leaves
+        # unbuilt is still at risk, never charged
+        assert main(["attack", "xt6", "--run", "--policy", "baseline"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["pending"] == 0
+        assert summary["fees_charged"] == 2_247_000
+        assert summary["fees_at_risk"] == 423_402_000
+
     def test_bounds_subcommand(self, tmp_path, capsys):
         trace = tmp_path / "lock.jsonl"
         main(["attack", "cp_lock", "--out", str(trace), "--capacity", "64"])
