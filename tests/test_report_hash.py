@@ -134,6 +134,17 @@ def test_matches_oracle_on_all_hostile_senders_and_huge_ints():
     assert Reason.POOL_NOT_FULL in {o.reason for o in report.outcomes}
 
 
+@pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
+def test_each_reason_writes_its_documented_kind(reason):
+    # one outcome per report, so the hash's kind table is read for this
+    # reason alone, unbuildable included, which no replay puts in outcomes
+    a, b = Transaction("A", 0, 5), Transaction("B", 0, 1)
+    report = RunReport(policy="baseline", capacity=1, event_count=1)
+    report.outcomes = [AdmissionOutcome(reason, a, b if reason is Reason.EVICTION else None)]
+    assert report.report_hash() == oracle_hash(report)
+    assert report.outcomes[0].admitted is (reason.value in KIND_OF_REASON)
+
+
 def test_matches_oracle_on_empty_report():
     report = RunReport(policy="baseline", capacity=1)
     assert report.report_hash() == oracle_hash(report)
