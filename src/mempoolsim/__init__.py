@@ -45,7 +45,6 @@ from .trace import (
     block_trigger,
     dump_events,
     parse_trace,
-    parse_trace_text,
     snapshot_marker,
     workload_batch_insert,
     workload_tn1,

@@ -41,12 +41,14 @@ the same tx, so the minimum is the same.
 
 An order index does not exist until something first reads it; it is then
 built from ``_seq_of`` or the chains and kept current by every later
-insert. Once an insert or a removal leaves a heap with more than twice as
-many entries as the pool holds txs, the heap is built again the same way,
-which drops every stale entry and every duplicate. A rebuild costs
-O(pool) and leaves at most one entry per pending tx, so the next one needs
-at least half as many pushes or removals as the pool then held: each costs
-amortised O(log pool).
+insert. Every heap holds at most twice as many entries as the pool holds
+txs, and only a removal can push it past that: a build leaves at most one
+entry per pending tx, and an insert pushes at most one entry per heap while
+the pool grows by one. So only ``_remove`` checks the bound, and builds a
+heap past it again the same way, which drops every stale entry and every
+duplicate. A rebuild costs O(pool) and leaves at most one entry per pending
+tx, so the next one needs at least half as many pushes or removals as the
+pool then held: each costs amortised O(log pool).
 Each policy reads one order, so a replay maintains only the index its
 policy uses.
 
@@ -303,33 +305,24 @@ class Mempool:
     def _insert(self, tx: Transaction) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
-        seq_of = self._seq_of
-        seq_of[tx] = seq
+        self._seq_of[tx] = seq
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
         childless = self._childless
         old = self._tail_key(chain) if childless is not None and chain.txs else None
         chain.insert(tx)
-        # a heap past this many entries is rebuilt without its stale ones
-        limit = 2 * len(seq_of)
         if childless is not None:
             # the tail or the chain's minimum fee may have moved
             new = self._tail_key(chain)
             if new != old:
                 heappush(childless, new)
-                if len(childless) > limit:
-                    self._build_childless()
         heap = self._by_price
         if heap is not None:
             heappush(heap, (tx.price, seq, tx))
-            if len(heap) > limit:
-                self._build_by_price()
         heap = self._by_fee
         if heap is not None:
             heappush(heap, (tx.fee, seq, tx))
-            if len(heap) > limit:
-                self._build_by_fee()
 
     def _remove(self, tx: Transaction) -> None:
         """Take ``tx`` out of ``_seq_of`` and its chain; its heap entries go

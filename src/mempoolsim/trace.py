@@ -8,15 +8,16 @@ integers or lie outside Ethereum's uint256 range, a non-string sender and an
 unknown source are rejected with the offending line number. A key repeated
 within a record keeps its last value.
 
-The text is read and cut into lines a block at a time, so no copy of the
+A trace file is read and cut into lines a block at a time, so no copy of the
 whole text or list of all its lines is held: a parse's transient memory is a
-block, whatever the trace's size. A block is at least ``_READ_BLOCK``
-characters and ends just after a line break (or at the end of the text), so
-no line or ``\r\n`` spans two blocks, and ``str.splitlines`` of each block in
-turn gives exactly the lines of the whole text. An arrival line exactly as
-the writer emits it is read through one compiled pattern, ``_ARRIVAL_LINE``;
-any other line is decoded on its own by ``json.loads``. Both give the events
-and errors of a per-line decode. A trace is written a line at a time too.
+block, whatever the trace's size. The file is read with universal newlines,
+so a ``\r\n`` or ``\r`` reads as ``\n``. A block is the next ``_READ_BLOCK``
+characters and then the rest of the line they end in, so no line spans two
+blocks, and ``str.splitlines`` of each block in turn gives exactly the lines
+of the whole text. An arrival line exactly as the writer emits it is read
+through one compiled pattern, ``_ARRIVAL_LINE``; any other line is decoded on
+its own by ``json.loads``. Both give the events and errors of a per-line
+decode. A trace is written a line at a time too.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ _ALL_FIELDS = frozenset(("kind", "ts_ms") + _TX_FIELDS)
 _SOURCES = _BENIGN, _ADVERSARIAL = _LABELS
 # the fewest characters in a block of text cut into lines at a time
 _READ_BLOCK = 1 << 16
-# one line break as str.splitlines cuts at it: "\r\n" first, as it is one break
-_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class TraceError(Exception):
@@ -200,34 +199,6 @@ def write_trace(path, events: Iterable[TraceEvent]) -> None:
         fh.writelines(_event_lines(events))
 
 
-def parse_trace_text(text: str) -> List[TraceEvent]:
-    """The events of a trace's text; a ``TraceError`` names the first bad line.
-
-    The text is cut into blocks that end just after the first line break at
-    or past ``_READ_BLOCK`` characters, as ``parse_trace`` reads a file, and
-    each block into its lines. A line that ``_ARRIVAL_LINE`` matches builds
-    its arrival from the pattern's groups; any other non-blank line is
-    decoded by ``json.loads`` and passes the schema check. Either way the
-    ``Transaction`` and ``TraceEvent`` constructors and the one timestamp
-    check run in line order, so each error names the line a per-line decode
-    names.
-    """
-    return _parse_blocks(_text_blocks(text))
-
-
-def _text_blocks(text: str) -> Iterator[str]:
-    """The blocks of ``text``: each ends just after the first line break that
-    starts ``_READ_BLOCK`` or more characters into it, or at the end. Every
-    break ``str.splitlines`` cuts at ends a block, so a text whose lines end
-    in ``\\r`` alone is cut as finely as one whose lines end in ``\\n``."""
-    start = 0
-    while start < len(text):
-        found = _LINE_BREAK.search(text, start + _READ_BLOCK)
-        end = found.end() if found else len(text)
-        yield text[start:end]
-        start = end
-
-
 def parse_trace(path) -> List[TraceEvent]:
     """The events of the trace file at ``path``, read in text mode (universal
     newlines, so a CRLF or CR file reads as LF) a block at a time: at least
@@ -245,8 +216,14 @@ def parse_trace(path) -> List[TraceEvent]:
 
 def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
     """The events of the trace text that ``blocks`` cut, each just after a
-    line break; see ``parse_trace_text``. The cyclic collector is paused
-    while the events are built: they hold no cycles."""
+    line break or at the end; a ``TraceError`` names the first bad line.
+
+    A line that ``_ARRIVAL_LINE`` matches builds its arrival from the
+    pattern's groups; any other non-blank line is decoded by ``json.loads``
+    and passes the schema check. Either way the ``Transaction`` and
+    ``TraceEvent`` constructors and the one timestamp check run in line
+    order, so each error names the line a per-line decode names. The cyclic
+    collector is paused while the events are built: they hold no cycles."""
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
@@ -330,22 +307,17 @@ def world_for_trace(
 # ------------------------------------------------------------ workloads
 
 
-def workload_batch_insert(n0: int, price: int = 10_000, start_ms: int = 0) -> List[TraceEvent]:
+def workload_batch_insert(n0: int) -> List[TraceEvent]:
     """One sender, nonces 1..n0, fixed price; stresses single-chain admission."""
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
+    check_positive_int("n0", n0)
     return [
-        arrival(Transaction(sender="batch-0", nonce=i, price=price), ts_ms=start_ms + i)
+        arrival(Transaction(sender="batch-0", nonce=i, price=10_000), ts_ms=i)
         for i in range(1, n0 + 1)
     ]
 
 
 def workload_tn1(
-    n1: int,
-    n1_prime: int,
-    capacity: int = 5120,
-    n_future: int = 1024,
-    start_ms: int = 0,
+    n1: int, n1_prime: int, capacity: int = 5120, n_future: int = 1024
 ) -> Tuple[List[TraceEvent], Dict[str, tuple]]:
     """Chained pending txs, a future-tx burst, fillers, then parent-evicting
     txs: the events and the account seeds they need.
@@ -355,15 +327,23 @@ def workload_tn1(
     Phase B: ``n_future`` nonce-3 txs, future because their senders are seeded
     with confirmed nonce 1, plus ``capacity - n1`` single-tx fillers.
     Phase C: ``n1_prime`` txs at 20000 wei that evict the cheap parents.
+
+    ``n1``, ``n1_prime`` and ``capacity`` must be exact positive ints and
+    ``n_future`` an exact non-negative int.
     """
-    if n1_prime < 1 or n1 % n1_prime != 0:
+    check_positive_int("n1", n1)
+    check_positive_int("n1_prime", n1_prime)
+    check_positive_int("capacity", capacity)
+    if type(n_future) is not int or n_future < 0:
+        raise ValueError(f"n_future must be a non-negative integer, got {short_repr(n_future)}")
+    if n1 % n1_prime != 0:
         raise ValueError("n1 must be divisible by n1_prime")
     if n1 > capacity:
         raise ValueError("n1 exceeds pool capacity")
     chain_len = n1 // n1_prime
     events: List[TraceEvent] = []
     seeds: Dict[str, tuple] = {}
-    ts = start_ms
+    ts = 0
     for acct in range(n1_prime):
         sender = f"tn1-a{acct}"
         for nonce in range(1, chain_len + 1):

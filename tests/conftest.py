@@ -1,9 +1,19 @@
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 from typing import List, Optional, Tuple
 
-from mempoolsim import AccountState, Mempool, PolicyConfig, Transaction, WorldState
+from mempoolsim import (
+    AccountState,
+    Mempool,
+    PolicyConfig,
+    TraceEvent,
+    Transaction,
+    WorldState,
+    parse_trace,
+)
 
 WEI = 10**18
 
@@ -14,15 +24,6 @@ ACCEPTANCE_RESULTS: List[Tuple[int, bool, str]] = []
 
 def record_criterion(number: int, passed: bool, detail: str = "") -> None:
     ACCEPTANCE_RESULTS.append((number, passed, detail))
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--full",
-        action="store_true",
-        default=False,
-        help="run the full-scale (capacity 5120) attack regression",
-    )
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -36,6 +37,16 @@ def pytest_terminal_summary(terminalreporter):
 
 def tx(sender: str, nonce: int, price: int, gas: int = 21_000, **kw) -> Transaction:
     return Transaction(sender=sender, nonce=nonce, price=price, gas_used=gas, **kw)
+
+
+def parse_text(text: str) -> List[TraceEvent]:
+    """``parse_trace`` of a file that holds ``text`` as UTF-8, written with
+    no newline translation, so the file holds each line break as is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return parse_trace(path)
 
 
 def fund(world: WorldState, sender: str, balance: int, nonce: int = 0) -> None:

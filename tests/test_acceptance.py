@@ -176,10 +176,6 @@ def test_criterion_3_xt6_baseline_desk():
     assert collapse < 1e-3
 
 
-@pytest.mark.skipif(
-    "not config.getoption('--full')",
-    reason="full-scale profile (capacity 5120); enable with --full",
-)
 def test_criterion_3_xt6_baseline_full():
     t0 = time.perf_counter()
     _, _, non_future, cost, one_tx_fee, _ = _run_xt6_baseline(XT6_FULL, CAPACITY_FULL)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
@@ -19,6 +20,7 @@ from mempoolsim import (
     replay,
     world_for_trace,
 )
+from mempoolsim.cli import main
 
 from conftest import fund, tx
 from oracles import ListPendingView, is_future
@@ -333,6 +335,26 @@ class TestAttackPlan:
         # a read-only mapping has no hash, so neither has the plan
         with pytest.raises(TypeError):
             hash(plan)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("xt6", {"n_seq": 4, "n_parents_evicted": 5}, "cannot evict more parents"),
+            ("xt6", {"price_schedule": [100, 101, 104, 107]}, "price levels leave no room"),
+            ("deter_future", {"count": -1}, "count must be non-negative"),
+            ("mempurge_overdraft", {"chain_len": 1}, "chain_len must be >= 2"),
+            ("cp_lock", {"chain_len": 1}, "chain_len must be >= 2"),
+            ("cp_lock", {"low_price": 5, "high_price": 5}, "high_price must exceed low_price"),
+            ("cp_lock", {"chain_len": 8, "capacity": 4}, "capacity below chain_len"),
+            ("random_adversary", {"steps": -1}, "steps must be non-negative"),
+        ],
+    )
+    def test_each_generators_own_checks_refuse_bad_params(self, kind, params, message, capsys):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            AttackPlan(kind, params).generate()
+        assert main(["attack", kind, "--params", json.dumps(params)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
 
     def test_params_nested_too_deeply_rejected(self):
         deep = []

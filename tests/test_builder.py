@@ -5,6 +5,7 @@ import time
 import pytest
 
 import oracles
+from mempoolsim import builder
 from mempoolsim import (
     AccountState,
     Mempool,
@@ -467,6 +468,37 @@ def test_hostile_drain_scales_near_linearly(make, n):
     ratios = sorted(_drain_seconds(make, 2 * n) / _drain_seconds(make, n) for _ in range(7))
     ratio = ratios[len(ratios) // 2]
     assert ratio <= 2.5, f"{make.__name__}: median {ratio:.2f}x of {ratios}"
+
+
+def _drain_walk(make, n, monkeypatch):
+    """How many candidates ``_fill`` takes from its orders over one ``drain``
+    of the pool that ``make(n)`` fills."""
+    pool, world = _filled(make, n)
+    walked = 0
+    fill = builder._fill
+
+    def counting_fill(order, *args, **kwargs):
+        def counted():
+            nonlocal walked
+            for tx in order:
+                walked += 1
+                yield tx
+
+        return fill(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(builder, "_fill", counting_fill)
+    drain(pool, world)
+    return walked
+
+
+@pytest.mark.parametrize("make, n", [(_one_per_block, 2_560), (_orphans, 1_280)])
+def test_hostile_drain_walks_each_candidate_at_most_twice(make, n, monkeypatch):
+    # the count behind the timed gate above: each one-tx block walks the tx
+    # it includes and the one it stops at, 2n - 1 in all; a drain that
+    # walked each block from the first candidate would walk n^2 / 2
+    for size in (n, 2 * n):
+        walked = _drain_walk(make, size, monkeypatch)
+        assert walked <= 2 * size, f"{make.__name__}({size}): {walked} candidates walked"
 
 
 def _chain_build_seconds(kind, rising, n=5_120):

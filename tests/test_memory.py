@@ -25,14 +25,13 @@ from mempoolsim import (
     Transaction,
     dump_events,
     parse_trace,
-    parse_trace_text,
     replay,
     snapshot_marker,
     workload_batch_insert,
     write_trace,
 )
 
-from conftest import fill_pool, rich_world, tx
+from conftest import fill_pool, parse_text, rich_world, tx
 from test_report_hash import canonical
 
 
@@ -67,9 +66,7 @@ def test_parse_transient_does_not_grow_with_the_trace(tmp_path):
         cr_path.write_bytes(cr_text.encode("utf-8"))
         transients[lines] = (
             _transient(lambda: parse_trace(path)),
-            _transient(lambda: parse_trace_text(text)),
             _transient(lambda: parse_trace(cr_path)),
-            _transient(lambda: parse_trace_text(cr_text)),
         )
     for small, large in zip(transients[2_000], transients[8_000]):
         assert large <= 1.25 * small, transients
@@ -92,7 +89,7 @@ def test_a_parsed_arrival_keeps_at_most_420_bytes():
     events, _ = AttackPlan("random_adversary", {"steps": 4_000, "seed": 5}).generate()
     text = dump_events(events)
     del events
-    parsed, kept, _ = _traced(lambda: parse_trace_text(text))
+    parsed, kept, _ = _traced(lambda: parse_text(text))
     arrivals = sum(event.kind == "tx_arrival" for event in parsed)
     assert arrivals == 4_000
     assert kept / arrivals <= 420, kept / arrivals

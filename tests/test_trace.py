@@ -6,7 +6,6 @@ import io
 import json
 import re
 import string
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest.mock import patch
 
@@ -32,7 +31,6 @@ from mempoolsim import (
     dump_events,
     gen_cp_lock,
     parse_trace,
-    parse_trace_text,
     replay,
     snapshot_marker,
     workload_batch_insert,
@@ -44,7 +42,7 @@ from mempoolsim import attacks, cli, trace
 from mempoolsim.cli import main
 from mempoolsim.core import _collector_paused
 
-from conftest import tx
+from conftest import parse_text, tx
 from oracles import parse_trace_lines
 
 # the package's ``replay`` attribute is the function
@@ -59,24 +57,24 @@ def _overlong_price_line():
 
 class TestTraceFormat:
     def test_empty_text(self):
-        assert parse_trace_text("") == []
-        assert parse_trace_text("\n  \n") == []
+        assert parse_text("") == []
+        assert parse_text("\n  \n") == []
 
     def test_order_preserved(self):
         events = [arrival(tx("A", 0, 5), 1), block_trigger(2), snapshot_marker(3)]
-        parsed = parse_trace_text(dump_events(events))
+        parsed = parse_text(dump_events(events))
         assert [e.kind for e in parsed] == ["tx_arrival", "block_trigger", "snapshot_marker"]
 
     def test_source_field_is_the_transaction_label(self):
         labels = ["adversarial", "benign"]
         text = dump_events([arrival(tx("A", n, 5, label=label), n) for n, label in enumerate(labels)])
         assert [json.loads(line)["source"] for line in text.splitlines()] == labels
-        assert [e.tx.label for e in parse_trace_text(text)] == labels
+        assert [e.tx.label for e in parse_text(text)] == labels
 
     def test_round_trip_is_identity_on_serialized_form(self):
         events = AttackPlan("random_adversary", {"steps": 100, "seed": 9}).events()
         text = dump_events(events)
-        assert dump_events(parse_trace_text(text)) == text
+        assert dump_events(parse_text(text)) == text
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -100,43 +98,43 @@ class TestTraceFormat:
             else:
                 events.append(snapshot_marker(ts))
         text = dump_events(events)
-        assert dump_events(parse_trace_text(text)) == text
+        assert dump_events(parse_text(text)) == text
 
     def test_malformed_json_reports_line(self):
         text = dump_events([arrival(tx("A", 0, 5), 1)]) + "{not json\n"
         with pytest.raises(TraceError) as exc:
-            parse_trace_text(text)
+            parse_text(text)
         assert exc.value.line == 2
 
     def test_unknown_field_rejected(self):
         record = {"kind": "block_trigger", "ts_ms": 0, "priority": 3}
         with pytest.raises(TraceError, match="unknown fields"):
-            parse_trace_text(json.dumps(record))
+            parse_text(json.dumps(record))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(TraceError, match="unknown event kind"):
-            parse_trace_text(json.dumps({"kind": "reorg", "ts_ms": 0}))
+            parse_text(json.dumps({"kind": "reorg", "ts_ms": 0}))
 
     def test_tx_fields_on_trigger_rejected(self):
         record = {"kind": "block_trigger", "ts_ms": 0, "sender": "A"}
         with pytest.raises(TraceError, match="carries tx fields"):
-            parse_trace_text(json.dumps(record))
+            parse_text(json.dumps(record))
 
     def test_missing_tx_fields_rejected(self):
         record = {"kind": "tx_arrival", "ts_ms": 0, "sender": "A"}
         with pytest.raises(TraceError, match="missing fields"):
-            parse_trace_text(json.dumps(record))
+            parse_text(json.dumps(record))
 
     def test_timestamp_regression_rejected(self):
         events = [block_trigger(5), block_trigger(4)]
         lines = dump_events(events)
         with pytest.raises(TraceError, match="regression") as exc:
-            parse_trace_text(lines)
+            parse_text(lines)
         assert exc.value.line == 2
 
     def test_non_object_line_rejected(self):
         with pytest.raises(TraceError, match="not an object"):
-            parse_trace_text("[1, 2, 3]")
+            parse_text("[1, 2, 3]")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -155,7 +153,7 @@ class TestTraceFormat:
         record = json.loads(dump_events([arrival(tx("A", 0, 5), 1)]))
         record[field] = value
         with pytest.raises(TraceError, match=field) as exc:
-            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+            parse_text(dump_events([block_trigger(0)]) + json.dumps(record))
         assert exc.value.line == 2
 
     @pytest.mark.parametrize("field", ["nonce", "price", "gas_used", "gas_limit", "value"])
@@ -163,7 +161,7 @@ class TestTraceFormat:
         record = json.loads(dump_events([arrival(tx("A", 0, 5), 1)]))
         record[field] = 2**256
         with pytest.raises(TraceError, match=f"{field} must be .* below 2") as exc:
-            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+            parse_text(dump_events([block_trigger(0)]) + json.dumps(record))
         assert exc.value.line == 2
 
     def test_nesting_too_deep_to_decode_rejected_with_line(self):
@@ -173,19 +171,19 @@ class TestTraceFormat:
         with pytest.raises(
             TraceError, match="malformed JSON: maximum recursion|unknown event kind"
         ) as exc:
-            parse_trace_text(dump_events([block_trigger(0)]) + deep)
+            parse_text(dump_events([block_trigger(0)]) + deep)
         assert exc.value.line == 2
 
     def test_number_too_long_to_convert_rejected_with_line(self):
         # past Python's int/str digit limit json.loads raises a bare ValueError
         line = _overlong_price_line()
         with pytest.raises(TraceError, match="malformed JSON") as exc:
-            parse_trace_text(dump_events([block_trigger(0)]) + line)
+            parse_text(dump_events([block_trigger(0)]) + line)
         assert exc.value.line == 2
 
     def test_non_integer_trigger_timestamp_rejected(self):
         with pytest.raises(TraceError, match="ts_ms"):
-            parse_trace_text(json.dumps({"kind": "block_trigger", "ts_ms": False}))
+            parse_text(json.dumps({"kind": "block_trigger", "ts_ms": False}))
 
     @pytest.mark.parametrize(
         "fields, message",
@@ -202,7 +200,7 @@ class TestTraceFormat:
     def test_huge_bad_value_is_echoed_cut(self, fields, message):
         record = {**json.loads(dump_events([arrival(tx("A", 0, 5), 1)])), **fields}
         with pytest.raises(TraceError) as exc:
-            parse_trace_text(json.dumps(record))
+            parse_text(json.dumps(record))
         assert exc.value.line == 1
         assert str(exc.value).startswith(f"line 1: {message}")
         assert len(str(exc.value)) < 200
@@ -235,7 +233,7 @@ class TestTraceFormat:
     def test_unknown_source_is_the_parsers_error(self, fields, message):
         record = {**json.loads(dump_events([arrival(tx("A", 0, 5), 1)])), **fields}
         with pytest.raises(TraceError) as exc:
-            parse_trace_text(dump_events([block_trigger(0)]) + json.dumps(record))
+            parse_text(dump_events([block_trigger(0)]) + json.dumps(record))
         assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
 
 
@@ -258,7 +256,7 @@ def _event_fields(event):
 
 
 def _same_as_per_line(text):
-    got = _outcome(parse_trace_text, text)
+    got = _outcome(parse_text, text)
     assert got == _outcome(parse_trace_lines, text)
     return got
 
@@ -290,9 +288,9 @@ _SENDER_CHARS = string.ascii_letters + string.digits + "-_:. "
 
 
 class TestOneDecodeMatchesPerLine:
-    """``parse_trace_text`` reads the writer's arrival lines through one
-    pattern and decodes the others by ``json.loads``; on every input it must
-    give what the per-line reference parser gives."""
+    """``parse_trace`` reads the writer's arrival lines through one pattern
+    and decodes the others by ``json.loads``; on every input it must give
+    what the per-line reference parser gives."""
 
     @pytest.mark.parametrize(
         "lines, line",
@@ -576,34 +574,8 @@ _FILE_LINES = [
 
 
 class TestBlockwiseParse:
-    """``parse_trace`` reads, and ``parse_trace_text`` cuts, the text a block
-    at a time; the lines, events and errors are those of the whole text."""
-
-    def test_line_breaks_are_the_ones_splitlines_cuts_at(self):
-        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
-        # no "\r" in it is followed by "\n", so each piece ends in one break
-        ends = {piece[-1] for piece in every_char.splitlines(True)[:-1]}
-        assert {m.group() for m in trace._LINE_BREAK.finditer(every_char)} == ends
-        assert trace._LINE_BREAK.split(every_char) == every_char.splitlines()
-        # "\r\n" is one break, "\n\r" two
-        assert trace._LINE_BREAK.findall("a\r\nb\n\rc\r\r\n") == ["\r\n", "\n", "\r", "\r", "\r\n"]
-
-    @settings(max_examples=500, deadline=None)
-    @given(
-        st.lists(st.sampled_from(["{", "}", " "] + _BREAKS), max_size=40),
-        st.integers(1, 12),
-    )
-    # a "\r\n" that starts at the block size, and two that it falls inside
-    @example(["{", "\r\n", "}"], 1)
-    @example(["\r", "\n", "\n"], 1)
-    @example(["{", "\r", "\n", "\r", "}"], 2)
-    def test_text_blocks_end_at_line_breaks_and_split_as_the_text(self, pieces, block):
-        text = "".join(pieces)
-        with patch.object(trace, "_READ_BLOCK", block):
-            blocks = list(trace._text_blocks(text))
-        assert "".join(blocks) == text
-        assert all(len(b) > block for b in blocks[:-1])
-        assert [line for b in blocks for line in b.splitlines()] == text.splitlines()
+    """``parse_trace`` reads the text a block at a time; the lines, events
+    and errors are those of the whole text."""
 
     @pytest.mark.parametrize("block", [1, 2, 7])
     @pytest.mark.parametrize(
@@ -624,9 +596,7 @@ class TestBlockwiseParse:
         ],
     )
     def test_small_blocks_parse_as_the_whole_text(self, tmp_path, monkeypatch, text, block):
-        expected = _outcome(parse_trace_lines, text)
         monkeypatch.setattr(trace, "_READ_BLOCK", block)
-        assert _outcome(parse_trace_text, text) == expected
         path = tmp_path / "trace.jsonl"
         path.write_bytes(text.encode("utf-8"))
         # a file is read with universal newlines, as read_text reads it
@@ -645,7 +615,6 @@ class TestBlockwiseParse:
         path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
         path.write_bytes(text.encode("utf-8"))
         with patch.object(trace, "_READ_BLOCK", block):
-            assert _outcome(parse_trace_text, text) == _outcome(parse_trace_lines, text)
             # universal newlines: "\r" and "\r\n" read as "\n", the others stay
             read = path.read_text("utf-8")
             assert _outcome(parse_trace, path) == _outcome(parse_trace_lines, read)
@@ -825,12 +794,12 @@ class TestCollectorPause:
         text = dump_events([arrival(tx("A", 0, 5), 1), arrival(tx("A", 1, 5), 2)])
         path = tmp_path / "t.jsonl"
         path.write_text(text, encoding="utf-8")
-        events = parse_trace_text(text)
-        assert dump_events(parse_trace(path)) == text and seen == [False] * 4
+        events = parse_trace(path)
+        assert dump_events(events) == text and seen == [False] * 2
         assert gc.isenabled() is enabled
         for bad in (text + "{}\n", text + '{"kind": "tx_arrival", "ts_ms": 0}\n'):
             with pytest.raises(TraceError):
-                parse_trace_text(bad)
+                parse_text(bad)
             assert gc.isenabled() is enabled
 
         def arrivals():
@@ -856,6 +825,15 @@ class TestWorkloads:
     def test_batch_insert_rejects_zero(self):
         with pytest.raises(ValueError):
             workload_batch_insert(0)
+
+    @pytest.mark.parametrize(
+        "n0, message",
+        [(-3, "n0 must be positive, got -3"), (True, "n0 must be an integer, got True"),
+         (2.0, "n0 must be an integer, got 2.0")],
+    )
+    def test_batch_insert_rejects_a_size_that_is_not_a_positive_int(self, n0, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            workload_batch_insert(n0)
 
     def test_batch_insert_fills_pool_exactly(self):
         config = ScenarioConfig(policy=PolicyConfig(kind="cp"), capacity=50, final_drain=False)
@@ -883,6 +861,24 @@ class TestWorkloads:
     def test_tn1_divisibility_enforced(self):
         with pytest.raises(ValueError):
             workload_tn1(7, 10)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((-10, 10), {}, "n1 must be positive, got -10"),
+            ((20.0, 10), {}, "n1 must be an integer, got 20.0"),
+            ((20, True), {}, "n1_prime must be an integer, got True"),
+            ((20, 0), {}, "n1_prime must be positive, got 0"),
+            ((20, 10), {"capacity": 0}, "capacity must be positive, got 0"),
+            ((20, 10), {"n_future": -5}, "n_future must be a non-negative integer, got -5"),
+            ((20, 10), {"n_future": True}, "n_future must be a non-negative integer, got True"),
+            ((20, 10), {"n_future": 2.0}, "n_future must be a non-negative integer, got 2.0"),
+            ((200, 10), {"capacity": 192}, "n1 exceeds pool capacity"),
+        ],
+    )
+    def test_tn1_rejects_hostile_sizes(self, args, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            workload_tn1(*args, **kwargs)
 
     def test_tn1_future_burst_declined(self):
         events, seeds = workload_tn1(20, 10, capacity=64, n_future=16)
@@ -1112,6 +1108,14 @@ class TestCli:
         payload = json.loads(out[out.index("{") :])
         assert payload["gamma_max"] == 10_000 / 1 - 1
 
+    def test_gamma_on_an_empty_end_of_trace_pool_is_an_error(self, tmp_path, capsys):
+        # the interleaved block takes the one arrival, so the pool ends empty
+        trace = tmp_path / "emptied.jsonl"
+        write_trace(trace, [arrival(tx("A", 0, 5), 1), block_trigger(2)])
+        assert main(["gamma", str(trace), "--drain-mode", "interleaved"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "empty end-of-trace pool" in captured.err
+
     def test_bench_subcommand_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
         code = main(
@@ -1146,6 +1150,13 @@ class TestCli:
         assert exc.value.code == code
         captured = capsys.readouterr()
         assert "usage: mempoolsim" in (captured.err if code else captured.out)
+
+    def test_bench_tn1_with_a_negative_size_is_usage_error(self, capsys):
+        # capacity - n1 would be 202 fillers for a 192-slot pool
+        argv = ["bench", "tn1", "--n1", "-10", "--n1-prime", "10", "--rounds", "1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: n1 must be positive, got -10" in captured.err
 
     def test_missing_trace_is_usage_error(self, capsys):
         assert main(["replay", "/nonexistent/trace.jsonl"]) == 1
