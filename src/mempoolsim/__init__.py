@@ -25,7 +25,6 @@ from .attacks import (
     XT6_DESK,
     XT6_FULL,
     attack_cost,
-    gen_cp_lock,
     gen_xt6,
 )
 from .metrics import (

@@ -5,8 +5,10 @@ confirmed nonce)`` seeds its scenario needs (e.g. deliberately short
 balances for the overdraft attack); the harness makes no other distinction
 between attacks and traces. ``ATTACKS`` maps each kind to one generator
 ``(params, start_ms) -> (events, seeds)``, a pure function of its parameters
-(and seed). ``gen_xt6`` and ``gen_cp_lock`` need no seeds and return their
-events alone. ``AttackPlan`` bundles a kind with its parameters and delay.
+(and seed). ``gen_xt6`` needs no seeds and returns its events alone; it
+stays public because ``perfbench``'s full-scale workload calls it.
+``AttackPlan`` bundles a kind with its parameters and delay; tests and the
+CLI generate every other attack through it.
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ def _mempurge(params: Optional[Mapping], start_ms: int):
     return events, {"mempurge-0": (balance, 0)}
 
 
-def gen_cp_lock(params: Optional[Mapping] = None, start_ms: int = 0) -> List[TraceEvent]:
+def _cp_lock(params: Optional[Mapping], start_ms: int):
     """Locking counterexample: one sender fills the pool with a cheap chain
     whose only childless tx carries an extreme price.
 
@@ -213,7 +215,7 @@ def gen_cp_lock(params: Optional[Mapping] = None, start_ms: int = 0) -> List[Tra
         price = high if nonce == pad - 1 else low
         events.append(arrival(_adv("lock-1", nonce, price), ts_ms=ts))
         ts += 1
-    return events
+    return events, {}
 
 
 def _random_adversary(params: Optional[Mapping], start_ms: int):
@@ -268,7 +270,7 @@ ATTACKS = {
     "xt6": lambda params, start_ms: (gen_xt6(params, start_ms), {}),
     "deter_future": _deter_future,
     "mempurge_overdraft": _mempurge,
-    "cp_lock": lambda params, start_ms: (gen_cp_lock(params, start_ms), {}),
+    "cp_lock": _cp_lock,
     "random_adversary": _random_adversary,
 }
 

@@ -18,37 +18,27 @@ The pool keeps only its pending set, always in these views:
   ``run_end`` (the end of the contiguous nonce run from any start, which is
   what the future test reads) bisect the txs by nonce
 
-and these order indexes, each a ``heapq`` min-heap of tuples that end in
+and these order indexes, each a sorted list of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
 go oldest first and a comparison never reaches ``tx``):
 
-* ``_by_price`` / ``_by_fee`` - pending txs as ``(key, seq, tx)``, by price
-  or fee
-* ``_childless`` - each sender's maximal-nonce tx as ``(price, sender's
-  chain-minimum fee, seq, tx)`` (``_tail_key``), so the first live entry
-  is chain-safe eviction's victim
-
-The heaps delete lazily. An insert pushes the tx's entries, and a change
-of a sender's tail key (its tail or its chain-minimum fee moved) pushes
-the new key; a removal takes nothing out. So a heap also holds stale
-entries: a ``_by_price``/``_by_fee`` entry is live while
-``_seq_of.get(tx) == seq``, and a ``_childless`` entry while it equals its
-sender's current ``_tail_key``. ``min_price_tx``, ``min_fee_tx`` and
-``min_price_childless`` pop stale tops until the top is live. A tail key
-that returns to an earlier value (a child evicted, then re-sent) is pushed
-again, so a live key may sit in ``_childless`` twice; equal entries hold
-the same tx, so the minimum is the same.
+* ``_by_price`` / ``_by_fee`` - one ``(key, seq, tx)`` entry per pending tx,
+  by price or fee
+* ``_childless`` - one entry per sender, its maximal-nonce tx as ``(price,
+  sender's chain-minimum fee, seq, tx)`` (``_tail_key``), so the first
+  entry is chain-safe eviction's victim
 
 An order index does not exist until something first reads it; it is then
-built from ``_seq_of`` or the chains and kept current by every later
-insert. Every heap holds at most twice as many entries as the pool holds
-txs, and only a removal can push it past that: a build leaves at most one
-entry per pending tx, and an insert pushes at most one entry per heap while
-the pool grows by one. So only ``_remove`` checks the bound, and builds a
-heap past it again the same way, which drops every stale entry and every
-duplicate. A rebuild costs O(pool) and leaves at most one entry per pending
-tx, so the next one needs at least half as many pushes or removals as the
-pool then held: each costs amortised O(log pool).
+built from ``_seq_of`` or the chains and kept exact by every later change:
+an insert adds the tx's entries with ``insort``, and a removal or a change
+of a sender's tail key (its tail or its chain-minimum fee moved) deletes
+the old entry at ``bisect_left`` of its key less ``tx``. A reader takes the
+first entry. A change costs O(log pool) comparisons and one memmove of up
+to ``capacity`` pointers (~40 KB at 5120), against a heap's O(log pool)
+work plus the stale entries and rebuilds of lazy deletion. At the CLI's and
+the benchmark's capacities (192, 2048, 5120) that memmove takes a few
+microseconds at most, small beside what each arrival pays for its policy,
+accounting and hashing.
 Each policy reads one order, so a replay maintains only the index its
 policy uses.
 
@@ -59,7 +49,6 @@ snapshot, and nothing reads a pool while another caller changes it.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -143,6 +132,15 @@ _INVALID_OVERDRAFT = Reason.INVALID_OVERDRAFT
 _SENDER_LIMIT = Reason.SENDER_LIMIT
 
 
+def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> None:
+    """Swap entry ``old`` of sorted ``index`` for ``new``; None is no entry."""
+    if old != new:
+        if old is not None:
+            del index[bisect_left(index, old[:-1])]
+        if new is not None:
+            insort(index, new)
+
+
 class Mempool:
     def __init__(self, capacity: int, per_sender_limit: Optional[int] = None):
         check_positive_int("capacity", capacity)
@@ -153,7 +151,7 @@ class Mempool:
         self._chains: Dict[str, SenderChain] = {}
         self._seq_of: Dict[Transaction, int] = {}
         self._next_seq = 0
-        # order heaps of (..., seq, tx), each built on its first read
+        # sorted order indexes of (..., seq, tx), each built on its first read
         self._by_price: Optional[List[Tuple]] = None
         self._by_fee: Optional[List[Tuple]] = None
         self._childless: Optional[List[Tuple]] = None
@@ -187,64 +185,34 @@ class Mempool:
         """
         return list(self._seq_of)
 
-    def _build_by_price(self) -> List[Tuple]:
-        heap = self._by_price = [(t.price, seq, t) for t, seq in self._seq_of.items()]
-        heapify(heap)
-        return heap
-
-    def _build_by_fee(self) -> List[Tuple]:
-        heap = self._by_fee = [(t.fee, seq, t) for t, seq in self._seq_of.items()]
-        heapify(heap)
-        return heap
-
     def _tail_key(self, chain: SenderChain) -> Tuple:
         """``chain``'s entry in ``_childless``: its tail, keyed by price, then
         the chain's minimum fee, then admission order."""
         tail = chain.txs[-1]
         return (tail.price, chain.fees[0], self._seq_of[tail], tail)
 
-    def _build_childless(self) -> List[Tuple]:
-        heap = self._childless = list(map(self._tail_key, self._chains.values()))
-        heapify(heap)
-        return heap
-
-    def _first_live(self, heap: List[Tuple]) -> Optional[Transaction]:
-        """The tx of ``heap``'s first live ``(key, seq, tx)`` entry, popping
-        the stale entries above it."""
-        seq_of = self._seq_of
-        while heap:
-            _, seq, tx = heap[0]
-            if seq_of.get(tx) == seq:
-                return tx
-            heappop(heap)
-        return None
-
     def min_price_tx(self) -> Optional[Transaction]:
         """Globally cheapest pending tx, oldest first among equal prices."""
-        heap = self._by_price
-        return self._first_live(self._build_by_price() if heap is None else heap)
+        index = self._by_price
+        if index is None:
+            index = self._by_price = sorted((t.price, s, t) for t, s in self._seq_of.items())
+        return index[0][-1] if index else None
 
     def min_fee_tx(self) -> Optional[Transaction]:
         """Pending tx with minimal fee, oldest first among equal fees."""
-        heap = self._by_fee
-        return self._first_live(self._build_by_fee() if heap is None else heap)
+        index = self._by_fee
+        if index is None:
+            index = self._by_fee = sorted((t.fee, s, t) for t, s in self._seq_of.items())
+        return index[0][-1] if index else None
 
     def min_price_childless(self) -> Optional[Transaction]:
-        """Cheapest childless tx: the first live ``_childless`` entry, so
-        among equal prices the tx whose sender holds the smaller
-        chain-minimum fee, then the oldest."""
-        heap = self._childless
-        if heap is None:
-            heap = self._build_childless()
-        seq_of, chains = self._seq_of, self._chains
-        while heap:
-            _, min_fee, seq, tx = heap[0]
-            if seq_of.get(tx) == seq:
-                chain = chains[tx.sender]
-                if chain.txs[-1] is tx and chain.fees[0] == min_fee:
-                    return tx
-            heappop(heap)
-        return None
+        """Cheapest childless tx: the first ``_childless`` entry, so among
+        equal prices the tx whose sender holds the smaller chain-minimum fee,
+        then the oldest."""
+        index = self._childless
+        if index is None:
+            index = self._childless = sorted(map(self._tail_key, self._chains.values()))
+        return index[0][-1] if index else None
 
     # ------------------------------------------------------------- checks
 
@@ -314,19 +282,16 @@ class Mempool:
         chain.insert(tx)
         if childless is not None:
             # the tail or the chain's minimum fee may have moved
-            new = self._tail_key(chain)
-            if new != old:
-                heappush(childless, new)
-        heap = self._by_price
-        if heap is not None:
-            heappush(heap, (tx.price, seq, tx))
-        heap = self._by_fee
-        if heap is not None:
-            heappush(heap, (tx.fee, seq, tx))
+            _replace(childless, old, self._tail_key(chain))
+        index = self._by_price
+        if index is not None:
+            insort(index, (tx.price, seq, tx))
+        index = self._by_fee
+        if index is not None:
+            insort(index, (tx.fee, seq, tx))
 
     def _remove(self, tx: Transaction) -> None:
-        """Take ``tx`` out of ``_seq_of`` and its chain; its heap entries go
-        stale where they are."""
+        """Take ``tx`` out of ``_seq_of``, its chain and every built index."""
         seq_of = self._seq_of
         if tx not in seq_of:
             raise PoolError(f"{tx!r} not pending")
@@ -334,21 +299,17 @@ class Mempool:
         childless = self._childless
         old = self._tail_key(chain) if childless is not None else None
         chain.remove(tx)
-        del seq_of[tx]
+        seq = seq_of.pop(tx)
         if not chain.txs:
             del self._chains[tx.sender]
-        limit = 2 * len(seq_of)
         if childless is not None:
-            if chain.txs:
-                new = self._tail_key(chain)
-                if new != old:
-                    heappush(childless, new)
-            if len(childless) > limit:
-                self._build_childless()
-        if self._by_price is not None and len(self._by_price) > limit:
-            self._build_by_price()
-        if self._by_fee is not None and len(self._by_fee) > limit:
-            self._build_by_fee()
+            _replace(childless, old, self._tail_key(chain) if chain.txs else None)
+        index = self._by_price
+        if index is not None:
+            del index[bisect_left(index, (tx.price, seq))]
+        index = self._by_fee
+        if index is not None:
+            del index[bisect_left(index, (tx.fee, seq))]
 
     def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
         """Remove ``victim``, if any, then insert ``tx``."""

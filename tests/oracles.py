@@ -2,9 +2,10 @@
 
 Each predicate is a linear scan over plain transaction lists or a read-only
 view, and shares no code with the pool's per-sender chains or order indexes.
-Three test-only readers list a pool's order heaps in full, live entries
-only, sorted and each once. ``drain`` is the block-at-a-time drain, this
-module's ``build_block`` on the pending list once per block, that the
+Three test-only readers list a pool's order indexes in full, each entry's
+tx in index order (a read first builds an index not yet built), so a
+duplicate or leftover entry shows. ``drain`` is the block-at-a-time drain,
+this module's ``build_block`` on the pending list once per block, that the
 library's one-ranking drain must match; the library's ``build_block`` and
 ``drain`` share one fill loop, so neither can check the other. And
 ``parse_trace_lines`` is the per-line trace parser that the library's
@@ -159,11 +160,6 @@ def build_block(
     return included, skipped
 
 
-def _live_entries(heap: List[Tuple], live: Callable[[Tuple], bool]) -> List[Transaction]:
-    """The txs of ``heap``'s live entries, each entry once, in key order."""
-    return [entry[-1] for entry in sorted({entry for entry in heap if live(entry)})]
-
-
 def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transaction]]:
     """Drain block by block: ``build_block`` on what is left of the pending
     list, ranked by its admission order, until a block comes out empty;
@@ -184,35 +180,22 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
 
 
 def pending_by_price(pool: Mempool) -> List[Transaction]:
-    """The pool's price heap read in full: pending txs by (price, seq)."""
-    heap = pool._build_by_price() if pool._by_price is None else pool._by_price
-    return _live_entries(heap, lambda e: pool._seq_of.get(e[2]) == e[1])
+    """The pool's price index read in full: pending txs by (price, seq)."""
+    pool.min_price_tx()
+    return [entry[-1] for entry in pool._by_price]
 
 
 def pending_by_fee(pool: Mempool) -> List[Transaction]:
-    """The pool's fee heap read in full: pending txs by (fee, seq)."""
-    heap = pool._build_by_fee() if pool._by_fee is None else pool._by_fee
-    return _live_entries(heap, lambda e: pool._seq_of.get(e[2]) == e[1])
+    """The pool's fee index read in full: pending txs by (fee, seq)."""
+    pool.min_fee_tx()
+    return [entry[-1] for entry in pool._by_fee]
 
 
 def find_childless(pool: Mempool) -> List[Transaction]:
-    """The pool's childless heap read in full: each sender's maximal-nonce
-    pending tx, by (price, sender's chain-minimum fee, seq). An entry is
-    live while it names its sender's tail, the chain's current minimum fee
-    and the tail's admission seq."""
-
-    def live(entry: Tuple) -> bool:
-        _, min_fee, seq, tail = entry
-        chain = pool.chain(tail.sender)
-        return (
-            bool(chain.txs)
-            and chain.txs[-1] is tail
-            and chain.fees[0] == min_fee
-            and pool._seq_of.get(tail) == seq
-        )
-
-    heap = pool._build_childless() if pool._childless is None else pool._childless
-    return _live_entries(heap, live)
+    """The pool's childless index read in full: each sender's maximal-nonce
+    pending tx, by (price, sender's chain-minimum fee, seq)."""
+    pool.min_price_childless()
+    return [entry[-1] for entry in pool._childless]
 
 
 def parse_trace_lines(text: str) -> List[TraceEvent]:

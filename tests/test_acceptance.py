@@ -30,7 +30,6 @@ from mempoolsim import (
     eviction_bound_baseline_under_xt6,
     eviction_bound_cp,
     gamma,
-    gen_cp_lock,
     replay,
     snapshot_marker,
     workload_batch_insert,
@@ -235,7 +234,7 @@ def test_criterion_5_bound_separation():
 
 def test_criterion_6_cp_locking_counterexample():
     n = 64
-    events = gen_cp_lock({"chain_len": n, "high_price": 10_000})
+    events, _ = AttackPlan("cp_lock", {"chain_len": n, "high_price": 10_000}).generate()
     world = world_for_trace(events)
     fund(world, "probe", WEI)
     pool = Mempool(capacity=n)

@@ -15,7 +15,6 @@ from mempoolsim import (
     XT6_FULL,
     attack_cost,
     dump_events,
-    gen_cp_lock,
     gen_xt6,
     replay,
     world_for_trace,
@@ -161,7 +160,7 @@ class TestMempurgeOverdraft:
 
 class TestCpLock:
     def _locked_pool(self, n=64):
-        events = gen_cp_lock({"chain_len": n})
+        events, _ = AttackPlan("cp_lock", {"chain_len": n}).generate()
         world = world_for_trace(events)
         fund(world, "probe", 10**18)
         pool = Mempool(capacity=n)
@@ -182,7 +181,7 @@ class TestCpLock:
         assert outcome.victim.price == 10_000
 
     def test_baseline_is_not_locked(self):
-        events = gen_cp_lock({"chain_len": 64})
+        events, _ = AttackPlan("cp_lock", {"chain_len": 64}).generate()
         world = world_for_trace(events)
         fund(world, "probe", 10**18)
         pool = Mempool(capacity=64)
@@ -194,7 +193,7 @@ class TestCpLock:
         assert outcome.admitted and outcome.victim.price == 1
 
     def test_padding_fills_capacity(self):
-        events = gen_cp_lock({"chain_len": 32, "capacity": 48})
+        events, _ = AttackPlan("cp_lock", {"chain_len": 32, "capacity": 48}).generate()
         assert len(events) == 48
         senders = {e.tx.sender for e in events}
         assert senders == {"lock-0", "lock-1"}
@@ -238,7 +237,7 @@ class TestRandomAdversary:
         assert {e.tx.sender[:5] for e in events} == {"rnd-a"}
 
     def test_optional_int_params_accept_none(self):
-        assert len(gen_cp_lock({"chain_len": 8, "capacity": None})) == 8
+        assert len(AttackPlan("cp_lock", {"chain_len": 8, "capacity": None}).generate()[0]) == 8
         unset = AttackPlan("mempurge_overdraft", {"balance": None}).events()
         assert dump_events(unset) == dump_events(AttackPlan("mempurge_overdraft").events())
 

@@ -24,7 +24,6 @@ from mempoolsim import (
     PolicyConfig,
     ScenarioConfig,
     block_trigger,
-    gen_cp_lock,
     gen_xt6,
     replay,
     workload_batch_insert,
@@ -52,7 +51,7 @@ def _random_adversary(seed):
 # name -> (capacity, () -> (events, account seeds))
 TRACES = {
     "xt6_small": (128, lambda: (gen_xt6(XT6_SMALL), {})),
-    "cp_lock": (96, lambda: (gen_cp_lock({"chain_len": 64, "capacity": 96}), {})),
+    "cp_lock": (96, lambda: AttackPlan("cp_lock", {"chain_len": 64, "capacity": 96}).generate()),
     "batch_insert_512": (512, lambda: (workload_batch_insert(512), {})),
     "tn1": (192, lambda: workload_tn1(64, 16, capacity=192, n_future=32)),
     **{

@@ -125,8 +125,8 @@ class TestChildless:
 
     def test_equal_price_reads_the_current_chain_min_fee(self):
         # C's cheap parent leaves, so C's chain minimum fee rises past B's:
-        # C's heap entry with the old minimum fee is stale, and B's tail is
-        # now the victim
+        # C's _childless entry is re-keyed with the new minimum fee, and B's
+        # tail is now the victim
         pool = Mempool(capacity=8)
         parent = tx("C", 0, 1, gas=21_000)
         fill_pool(
@@ -614,11 +614,12 @@ def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
 @pytest.mark.parametrize("seed", range(3))
-def test_heaps_stay_bounded_and_serve_live_minimums(policy_kind, seed):
+def test_indexes_stay_exact_and_serve_minimums(policy_kind, seed):
     # arrivals, evictions, builds and a tail that leaves and is sent again,
-    # so a sender's tail key goes A -> B -> A and a live A is pushed twice;
-    # after every step each heap holds at most 2 entries per pending tx, and
-    # each min_* equals a scan of pending()
+    # so a sender's tail key goes A -> B -> A; after every step each order
+    # index is exactly its entries rebuilt from pending(), sorted: one per
+    # pending tx, or one per sender in _childless, and no leftover entry;
+    # and each min_* equals a scan of pending()
     rng = random.Random(300 + seed)
     world = WorldState(block_gas_limit=4 * 60_000)
     senders = [f"k{i}" for i in range(6)]
@@ -653,16 +654,16 @@ def test_heaps_stay_bounded_and_serve_live_minimums(policy_kind, seed):
             if outcome.admitted:
                 admitted_at[t] = len(admitted_at)
                 resent += again
-        for heap in (pool._by_price, pool._by_fee, pool._childless):
-            assert len(heap) <= 2 * len(pool), step
-        if rng.random() < 0.7:
-            # a read pops stale tops; read only now and then, so stale
-            # entries pile up in between
-            continue
         pending = pool.pending()
         seq = admitted_at.__getitem__
         tails = oracle_childless(pending)
         min_fee_of = {t.sender: min(u.fee for u in pending if u.sender == t.sender) for t in tails}
+        seq_of = pool._seq_of
+        assert pool._by_price == sorted((t.price, seq_of[t], t) for t in pending), step
+        assert pool._by_fee == sorted((t.fee, seq_of[t], t) for t in pending), step
+        assert pool._childless == sorted(
+            (t.price, min_fee_of[t.sender], seq_of[t], t) for t in tails
+        ), step
         expected = (
             min(pending, key=lambda t: (t.price, seq(t)), default=None),
             min(pending, key=lambda t: (t.fee, seq(t)), default=None),

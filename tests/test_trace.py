@@ -29,7 +29,6 @@ from mempoolsim import (
     bench,
     block_trigger,
     dump_events,
-    gen_cp_lock,
     parse_trace,
     replay,
     snapshot_marker,
@@ -207,7 +206,7 @@ class TestTraceFormat:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        events = gen_cp_lock({"chain_len": 8})
+        events, _ = AttackPlan("cp_lock", {"chain_len": 8}).generate()
         write_trace(path, events)
         assert dump_events(parse_trace(path)) == dump_events(events)
 
