@@ -229,6 +229,21 @@ def _random_adversary(params: Optional[Mapping], start_ms: int):
     rng = random.Random(p["seed"])
     # a given mix replaces the default one: a kind it leaves out has weight 0
     mix = _merge_params(dict.fromkeys(default_mix, 0), p["mix"], "random_adversary mix")
+    for kind, weight in mix.items():
+        if weight < 0:
+            raise ValueError(
+                f"random_adversary mix weight {short_repr(kind)} must be non-negative, "
+                f"got {short_repr(weight)}"
+            )
+    total = sum(mix.values())
+    try:
+        # random.choices draws against the total as a float
+        float(total)
+    except OverflowError:
+        raise ValueError(
+            f"random_adversary mix weights sum to more than a float can hold, "
+            f"got {short_repr(total)}"
+        ) from None
     choices = [k for k, weight in mix.items() if weight > 0]
     weights = [mix[k] for k in choices]
     events: List[TraceEvent] = []

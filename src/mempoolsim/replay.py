@@ -22,6 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .builder import build_block, drain
 from .core import (
+    _ADMITTING,
     DEFAULT_BLOCK_GAS_LIMIT,
     AdmissionOutcome,
     Block,
@@ -89,6 +90,15 @@ _EVICTION = Reason.EVICTION
 _UNBUILDABLE = Reason.UNBUILDABLE
 
 
+# each reason's JSON label, and the head of an outcome entry with it: a
+# reason fixes its outcome's kind, so it fixes the entry's head
+_HASH_LABELS = {reason: encode_basestring_ascii(reason.value) for reason in Reason}
+_HASH_KINDS = {_POOL_NOT_FULL: "admitted-no-evict", _EVICTION: "admitted-evicting"}
+_HASH_HEADS = {
+    reason: f"[{encode_basestring_ascii(_HASH_KINDS.get(reason, 'declined'))},{label},"
+    for reason, label in _HASH_LABELS.items()
+}
+
 _report_json = attrgetter("_report_json")
 _set_report_json = Transaction._report_json.__set__
 
@@ -97,10 +107,10 @@ def _cache_report_json(txs: List[Transaction]) -> None:
     """Give each of ``txs`` its cached report JSON,
     ``[sender,nonce,price,gas_used,gas_limit,value]``.
 
-    One C-level read checks that all have it: every later report of a trace
-    does. On a miss, a list whose first tx has none is encoded whole, as a
-    trace's first report is, with no call per tx; a tx that already had one
-    gets an equal string. Else the txs without one are picked one by one.
+    One C-level read checks that all have it. On a miss, a list whose first
+    tx has none is encoded whole, as a trace's first report is, with no call
+    per tx; a tx that already had one gets an equal string. Else the txs
+    without one are picked one by one.
     The fields are exact ints, for which ``str`` writes what json writes.
     """
     try:
@@ -210,21 +220,26 @@ class RunReport:
         return [tx for block in self.blocks for tx in block.txs]
 
     def summary(self) -> Dict:
-        return self._summary(self.declined_fees_final)
+        return self._summary(*self._ledger())
 
-    def _summary(self, declined_fees: int) -> Dict:
-        """``summary()`` with the declined ledger's fee sum given: the hash
-        derives the ledger once for both."""
-        reasons = Counter(map(_reason, self.outcomes))
+    def _summary(self, declined: List[Transaction], reasons: List[Reason]) -> Dict:
+        """``summary()`` from the declined ledger's two lists: the hash
+        derives the ledger once for both. The outcomes' reasons are the
+        ledger's less its final-drain leftovers, plus one free-slot
+        admission per outcome the ledger has no entry for."""
+        leftovers = len(self.unbuildable)
+        counts = Counter(reasons)
+        counts[_UNBUILDABLE] -= leftovers
+        counts[_POOL_NOT_FULL] = len(self.outcomes) - (len(reasons) - leftovers)
         return {
             "policy": self.policy,
             "capacity": self.capacity,
             "events": self.event_count,
-            "reasons": dict(sorted((r.value, n) for r, n in reasons.items())),
+            "reasons": dict(sorted((r.value, n) for r, n in counts.items() if n)),
             "blocks": len(self.blocks),
             "block_fees": self.block_fees_final,
             "pool_fees": self.pool_fees_final,
-            "declined_fees": declined_fees,
+            "declined_fees": sum(map(_fee, declined)),
             "dutil_total": self.util.total.dutil,
             "pending": len(self.final_pending),
         }
@@ -241,22 +256,30 @@ class RunReport:
         encoded once for all its reports, and fed to the hash a batch of
         ``_HASH_BATCH`` entries at a time, so no string of the whole report
         is built.
+
+        Every report of a trace after its first finds each tx's fragment
+        cached, and is encoded in one pass per section. On the first tx
+        without one, the partial digest is dropped, every tx the report
+        names is given its fragment, and the report is encoded afresh.
         """
-        enc = encode_basestring_ascii
-        labels = {reason: enc(reason.value) for reason in Reason}
-        # a reason fixes its outcome's kind, so it fixes the entry's head
-        kinds = {_POOL_NOT_FULL: "admitted-no-evict", _EVICTION: "admitted-evicting"}
-        heads = {r: f"[{enc(kinds.get(r, 'declined'))},{labels[r]}," for r in Reason}
         declined, reasons = self._ledger()
-        # a replay's report names only arrivals, so the outcomes' txs fill
-        # the cache and the second pass reads it; a tx that only a
-        # hand-built report's ledger or blocks name is filled there
+        try:
+            return self._digest(declined, reasons)
+        except AttributeError:
+            pass
+        # a replay's report names only arrivals, so filling the outcomes'
+        # txs fills the cache and the second fill only reads it; a tx that
+        # only a hand-built report's ledger or blocks name is filled there
         _cache_report_json(list(map(_tx, self.outcomes)))
         _cache_report_json(declined + self.included_txs())
+        return self._digest(declined, reasons)
 
+    def _digest(self, declined: List[Transaction], reasons: List[Reason]) -> str:
+        """``report_hash()`` of a report whose txs all hold their fragment;
+        ``AttributeError`` at the first that does not."""
         def outcomes_json(batch: Sequence[AdmissionOutcome]) -> str:
             return ",".join([
-                f"{heads[o.reason]}{o.tx._report_json},"
+                f"{_HASH_HEADS[o.reason]}{o.tx._report_json},"
                 f"[{'' if o.victim is None else o.victim._report_json}]]"
                 for o in batch
             ])
@@ -282,7 +305,7 @@ class RunReport:
             b'],"declined":[',
             range(len(declined)),
             lambda batch: ",".join(
-                [f"[{declined[i]._report_json},{labels[reasons[i]]}]" for i in batch]
+                [f"[{declined[i]._report_json},{_HASH_LABELS[reasons[i]]}]" for i in batch]
             ),
         )
         section(b'],"outcomes":[', self.outcomes, outcomes_json)
@@ -292,8 +315,7 @@ class RunReport:
             self.price_sum_series,
             lambda batch: json.dumps(batch, separators=compact)[1:-1],
         )
-        declined_fees = sum(map(_fee, declined))
-        summary = json.dumps(self._summary(declined_fees), sort_keys=True, separators=compact)
+        summary = json.dumps(self._summary(declined, reasons), sort_keys=True, separators=compact)
         update(f'],"summary":{summary}}}'.encode("utf-8"))
         return digest.hexdigest()
 
@@ -402,7 +424,7 @@ def replay(
                 tx = event.tx
                 outcome = admit(tx, world, policy)
                 append_outcome(outcome)
-                if outcome.admitted:
+                if outcome.reason in _ADMITTING:
                     victim = outcome.victim
                     flags = _admission_flags(pool, world, tx, victim)
                     if flags is not NO_FLAGS:

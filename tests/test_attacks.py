@@ -236,6 +236,12 @@ class TestRandomAdversary:
         events = AttackPlan("random_adversary", {"steps": 200, "mix": {"fresh": 1}}).events()
         assert {e.tx.sender[:5] for e in events} == {"rnd-a"}
 
+    def test_a_weight_a_float_can_hold_is_drawn(self):
+        # every draw but the first, which has no chain to extend, is "chain"
+        mix = {"chain": 10**300, "fresh": 1}
+        events = AttackPlan("random_adversary", {"steps": 50, "mix": mix}).events()
+        assert {e.tx.sender for e in events} == {"rnd-a0"}
+
     def test_optional_int_params_accept_none(self):
         assert len(AttackPlan("cp_lock", {"chain_len": 8, "capacity": None}).generate()[0]) == 8
         unset = AttackPlan("mempurge_overdraft", {"balance": None}).events()
@@ -346,6 +352,17 @@ class TestAttackPlan:
             ("cp_lock", {"low_price": 5, "high_price": 5}, "high_price must exceed low_price"),
             ("cp_lock", {"chain_len": 8, "capacity": 4}, "capacity below chain_len"),
             ("random_adversary", {"steps": -1}, "steps must be non-negative"),
+            (
+                "random_adversary",
+                {"mix": {"fresh": 4, "chain": -1}},
+                "random_adversary mix weight 'chain' must be non-negative, got -1",
+            ),
+            (
+                # random.choices would raise OverflowError turning it to a float
+                "random_adversary",
+                {"steps": 3, "mix": {"fresh": 10**400}},
+                "random_adversary mix weights sum to more than a float can hold, got 1000",
+            ),
         ],
     )
     def test_each_generators_own_checks_refuse_bad_params(self, kind, params, message, capsys):

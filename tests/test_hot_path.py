@@ -40,6 +40,11 @@ _PER_EVENT = {
     "RunReport.pending_at": RunReport.pending_at,
     # runs once per tx the report names
     "replay._cache_report_json": _cache_report_json,
+    # each encodes every entry of the report, in nested comprehensions
+    "RunReport.report_hash": RunReport.report_hash,
+    "RunReport._digest": RunReport._digest,
+    # counts the declined ledger's reasons
+    "RunReport._summary": RunReport._summary,
 }
 
 

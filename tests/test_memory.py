@@ -17,6 +17,8 @@ import gc
 import json
 import tracemalloc
 
+import pytest
+
 from mempoolsim import (
     AttackPlan,
     Mempool,
@@ -95,12 +97,16 @@ def test_a_parsed_arrival_keeps_at_most_420_bytes():
     assert kept / arrivals <= 420, kept / arrivals
 
 
-def test_report_hash_transient_is_at_most_3x_the_canonical_json():
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_report_hash_transient_is_at_most_3x_the_canonical_json(warm):
+    # a cold report fills its txs' fragments first; a warm one reads them
     plan = AttackPlan("random_adversary", {"steps": 6_000, "seed": 2})
     config = ScenarioConfig(
         policy=PolicyConfig(kind="cp"), capacity=192, account_seeds=plan.account_seeds()
     )
     report = replay(config, plan.events())
+    if warm:
+        report.report_hash()
     size = len(json.dumps(canonical(report), sort_keys=True, separators=(",", ":")))
     transient = _transient(report.report_hash)
     assert transient <= 3 * size, (transient, size)

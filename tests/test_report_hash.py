@@ -242,6 +242,30 @@ def test_cold_and_cached_fragments_give_the_golden_hashes(trace):
                     assert reports[policy].report_hash() == golden, (policy, order)
 
 
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_a_trace_whose_prefix_was_hashed_gives_the_golden_hashes(trace):
+    # the prefix's report fills only the prefix's fragments, so the whole
+    # trace's first hash meets a tx without one part way through: the digest
+    # it had fed by then is dropped, and the report is encoded afresh
+    capacity, make = TRACES[trace]
+    for policy in POLICIES:
+        for drain_mode in DRAIN_MODES:
+            events, seeds = make()
+            config = ScenarioConfig(
+                policy=PolicyConfig(kind=policy),
+                capacity=capacity,
+                account_seeds=seeds,
+                drain_mode=drain_mode,
+            )
+            replay(config, events[: len(events) // 2]).report_hash()
+            report = replay(config, events)
+            arrivals = [o.tx for o in report.outcomes]
+            cached = sum(hasattr(tx, "_report_json") for tx in arrivals)
+            assert 0 < cached < len(arrivals), (policy, drain_mode)
+            golden = GOLDEN[trace][f"{policy}/{drain_mode}"][0]
+            assert report.report_hash() == golden == oracle_hash(report), (policy, drain_mode)
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("where", ["block", "unbuildable", "victim"])
 def test_a_tx_outside_the_outcomes_is_encoded(where, warm):
