@@ -311,8 +311,8 @@ class Reason(Enum):
 @frozen_slots
 @dataclass(frozen=True, slots=True, init=False)
 class AdmissionOutcome:
-    """One admission decision: what a policy's ``decide`` returns and what
-    ``Mempool.admit`` applies, returns and a replay reports.
+    """One admission decision, built by ``Mempool.admit`` or a policy's
+    ``decide``: what ``admit`` applies and returns and a replay reports.
 
     ``reason`` alone fixes what happened: ``POOL_NOT_FULL`` admits into a
     free slot, ``EVICTION`` admits by evicting ``victim``, and every other

@@ -13,9 +13,10 @@ Three policies are provided:
   the lowest fee, and the actual victim is that sender's chain tail, so no
   resident is ever orphaned.
 
-Each policy's ``decide(pool, tx)`` is a pure function of the pool's state
-and a prechecked arrival: it never mutates the pool and returns the
-``AdmissionOutcome`` that ``Mempool.admit`` applies and returns.
+A policy only chooses whom to evict from a full pool. Its ``decide(pool,
+tx)`` requires a full pool and an arrival that passed the precheck and the
+per-sender limit; it is a pure function of both, never mutates the pool,
+and returns the ``AdmissionOutcome`` that ``Mempool.admit`` applies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import AdmissionOutcome, Reason, Transaction, check_positive_int
 from .pool import Mempool
 
 # bound once: decide runs per arrival (see the note above core's enums)
-_POOL_NOT_FULL = Reason.POOL_NOT_FULL
 _EVICTION = Reason.EVICTION
 _PRICE_TOO_LOW = Reason.PRICE_TOO_LOW
 _FEE_TOO_LOW = Reason.FEE_TOO_LOW
@@ -54,8 +54,6 @@ class PriceOnlyPolicy:
     """Evicts the globally cheapest pending tx when a pricier one arrives."""
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
-        if not pool.full:
-            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         victim = pool.min_price_tx()
         if tx.price > victim.price:
             return AdmissionOutcome(_EVICTION, tx, victim)
@@ -67,8 +65,6 @@ class ChildlessPricePolicy:
     does not strictly exceed it."""
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
-        if not pool.full:
-            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
             return AdmissionOutcome(_PRICE_TOO_LOW, tx)
@@ -80,8 +76,6 @@ class MinFeeChainTailPolicy:
     chain tail instead, preserving nonce-chain integrity."""
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
-        if not pool.full:
-            return AdmissionOutcome(_POOL_NOT_FULL, tx)
         seed = pool.min_fee_tx()
         if tx.fee <= seed.fee:
             return AdmissionOutcome(_FEE_TOO_LOW, tx)

@@ -1,10 +1,10 @@
 """Bounded transaction pool with price-ordered and sender/nonce-ordered indexes.
 
 ``Mempool.admit`` is the one admission path: ``precheck`` returns the
-``Reason`` a tx is invalid (None if it is valid), then the policy's
-``decide`` reads the pool and returns an ``AdmissionOutcome``, which
-``admit`` applies (``apply_admission`` for an admission) and returns
-unchanged.
+``Reason`` a tx is invalid (None if it is valid), then the per-sender limit
+applies, then a free slot admits the tx as ``POOL_NOT_FULL``; only at a
+full pool does the policy's ``decide`` choose. ``admit`` applies an
+admission (``apply_admission``) and returns the outcome unchanged.
 
 The pool keeps only its pending set, always in these views:
 
@@ -38,9 +38,9 @@ to ``capacity`` pointers (~40 KB at 5120), against a heap's O(log pool)
 work plus the stale entries and rebuilds of lazy deletion. The memmove
 grows with the pool: one removal plus one ``insort`` reads ~1.2 us on 192
 entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host). Against
-lazy-deletion heaps, these lists read block_cadence's replay (5,120 slots
-kept full, a block every 1,000 arrivals) ~6% slower under each policy
-(125.7k -> 118.3k events/s), while fuzz_churn's (192 slots) gained 2-3%.
+the lazy-deletion heaps they replaced, these lists cost block_cadence (5,120
+slots kept full) ~6% of its events/s (125.7k -> 118.3k, perfbench's run of
+commit ``6282db8`` against its parent) and gained fuzz_churn (192) ~4%.
 Each policy reads one order, so a replay maintains only the index its
 policy uses.
 
@@ -50,7 +50,7 @@ snapshot, and nothing reads a pool while another caller changes it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -101,15 +101,9 @@ class SenderChain:
         end = txs[last].nonce
         if end - last == offset:
             return end + 1
-        # txs[hi].nonce - hi > offset; find the first index where it exceeds
-        lo, hi = i + 1, last
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if txs[mid].nonce - mid > offset:
-                hi = mid
-            else:
-                lo = mid + 1
-        return txs[lo - 1].nonce + 1
+        # the run ends before the first index where nonce - index exceeds offset
+        j = bisect_right(range(len(txs)), offset, i + 1, key=lambda j: txs[j].nonce - j)
+        return txs[j - 1].nonce + 1
 
     def insert(self, tx: Transaction) -> None:
         txs = self.txs
@@ -140,6 +134,7 @@ _DUPLICATE = Reason.DUPLICATE
 _INVALID_FUTURE = Reason.INVALID_FUTURE
 _INVALID_OVERDRAFT = Reason.INVALID_OVERDRAFT
 _SENDER_LIMIT = Reason.SENDER_LIMIT
+_POOL_NOT_FULL = Reason.POOL_NOT_FULL
 
 
 def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> None:
@@ -355,10 +350,12 @@ class Mempool:
     # ---------------------------------------------------------- admission
 
     def admit(self, tx: Transaction, world: WorldState, policy) -> AdmissionOutcome:
-        """Precheck ``tx``, let ``policy.decide`` choose, apply its outcome.
+        """Precheck ``tx``, admit it into a free slot or let ``policy.decide``
+        choose at a full pool, and apply the outcome.
 
-        The outcome returned is the policy's own, or a decline built here
-        when the precheck or the per-sender limit refuses ``tx``.
+        The outcome returned is the policy's own, or one built here: a
+        decline when the precheck or the per-sender limit refuses ``tx``, or
+        ``POOL_NOT_FULL`` when a slot is free.
         """
         reason = self.precheck(tx, world)
         if reason is None and self.per_sender_limit is not None:
@@ -366,7 +363,10 @@ class Mempool:
                 reason = _SENDER_LIMIT
         if reason is not None:
             return AdmissionOutcome(reason, tx)
-        outcome = policy.decide(self, tx)
+        if len(self._seq_of) < self.capacity:
+            outcome = AdmissionOutcome(_POOL_NOT_FULL, tx)
+        else:
+            outcome = policy.decide(self, tx)
         if outcome.reason in _ADMITTING:
             self.apply_admission(tx, outcome.victim)
         return outcome

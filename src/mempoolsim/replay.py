@@ -57,7 +57,8 @@ class ScenarioConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     capacity: int = 5120
     block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
-    # sender -> (balance, confirmed nonce), kept as a read-only copy; a
+    # sender -> (balance, confirmed nonce), kept as a read-only copy of
+    # tuples, so a caller's later change to a list seed does not reach it; a
     # read-only mapping is not hashable, so neither is the config
     account_seeds: Mapping[str, Tuple[int, int]] = field(default_factory=dict)
     drain_mode: str = "end_only"  # or "interleaved"
@@ -70,9 +71,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
         seeds = dict(self.account_seeds)
         for sender, seed in seeds.items():
-            # the world takes a seed as it is: exact ints keep its wei
-            # arithmetic integer, as a parsed trace's are
+            # the world takes a seed's ints as they are: exact ints keep its
+            # wei arithmetic integer, as a parsed trace's are
             check_account_seed(sender, seed)
+            seeds[sender] = tuple(seed)
         object.__setattr__(self, "account_seeds", MappingProxyType(seeds))
 
 

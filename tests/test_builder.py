@@ -532,3 +532,31 @@ def test_rising_fee_chain_builds_as_fast_as_a_flat_one(kind):
     )
     ratio = ratios[len(ratios) // 2]
     assert ratio <= 2.0, f"{kind}: median {ratio:.2f}x of {ratios}"
+
+
+class _ScanCountingList(list):
+    """A list that counts the scans of it: each ``__iter__`` call."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("kind", ["baseline", "cp"])
+def test_rising_fee_chain_builds_without_scanning_its_fees(kind):
+    # the count behind the timed gate above: each inclusion deletes the
+    # chain's head, its lowest fee on the rising chain, and the new minimum
+    # is the sorted list's next head, so no inclusion reads the whole list
+    n = 2_000
+    pool = Mempool(capacity=n)
+    world = WorldState(block_gas_limit=GAS_LIMIT_30M)
+    fill_pool(pool, world, [tx("c", i, 1 + i) for i in range(n)], kind)
+    if kind == "cp":
+        pool.min_price_childless()
+    chain = pool.chain("c")
+    chain.fees = fees = _ScanCountingList(chain.fees)
+    while len(pool):
+        build_block(pool, world)
+    assert fees.scans == 0, f"{kind}: {fees.scans} scans of the chain's fees"

@@ -19,6 +19,16 @@ def _policy(kind):
     return PolicyConfig(kind=kind).build()
 
 
+def _recording(kind):
+    """A ``kind`` policy whose ``decide`` appends each outcome it returns to
+    the list returned beside it."""
+    policy = _policy(kind)
+    decided = []
+    decide = policy.decide
+    policy.decide = lambda p, t: decided.append(decide(p, t)) or decided[-1]
+    return policy, decided
+
+
 class TestBaseline:
     def test_full_pool_higher_price_evicts_global_min(self):
         pool = Mempool(capacity=2)
@@ -36,9 +46,15 @@ class TestBaseline:
 
     def test_free_slot_admits_without_victims(self):
         pool = Mempool(capacity=2)
-        fill_pool(pool, rich_world("A"), [tx("A", 0, 5)])
-        decision = _policy("baseline").decide(pool, tx("B", 0, 1))
-        assert decision.admitted and decision.victim is None
+        world = rich_world("A", "B")
+        resident = tx("A", 0, 5)
+        fill_pool(pool, world, [resident])
+        policy, decided = _recording("baseline")
+        arrival = tx("B", 0, 1)
+        outcome = pool.admit(arrival, world, policy)
+        assert outcome.reason is Reason.POOL_NOT_FULL and outcome.victim is None
+        assert pool.pending() == [resident, arrival]
+        assert decided == []  # a free slot admits without asking the policy
 
     def test_can_orphan_children(self):
         # evicting a parent leaves its child future: the intentional flaw
@@ -77,8 +93,13 @@ class TestChildlessPrice:
         assert decision.victim is child
 
     def test_empty_pool_admits(self):
-        decision = _policy("cp").decide(Mempool(capacity=4), tx("A", 0, 1))
-        assert decision.admitted and decision.victim is None
+        pool = Mempool(capacity=4)
+        policy, decided = _recording("cp")
+        arrival = tx("A", 0, 1)
+        outcome = pool.admit(arrival, rich_world("A"), policy)
+        assert outcome.reason is Reason.POOL_NOT_FULL and outcome.victim is None
+        assert pool.pending() == [arrival]
+        assert decided == []
 
     def test_single_childless_victim_fuzz(self):
         rng = random.Random(11)
@@ -183,12 +204,9 @@ def test_cp_locking_counterexample():
 @pytest.mark.parametrize("kind", ["baseline", "cp", "map"])
 def test_admit_returns_the_outcome_decide_returned(kind):
     rng = random.Random(5)
-    pool = Mempool(capacity=6)
+    pool = Mempool(capacity=6, per_sender_limit=2)
     world = WorldState()
-    policy = _policy(kind)
-    decided = []
-    decide = policy.decide
-    policy.decide = lambda p, t: decided.append(decide(p, t)) or decided[-1]
+    policy, decided = _recording(kind)
     seen = set()
     for step in range(300):
         sender = f"s{rng.randint(0, 9)}"
@@ -196,14 +214,22 @@ def test_admit_returns_the_outcome_decide_returned(kind):
             fund(world, sender, WEI)
         nonce = world.nonce_of(sender) + len(pool.chain(sender)) + rng.choice((0, 0, 0, 1))
         t = tx(sender, nonce, rng.randint(1, 200))
+        refused = pool.precheck(t, world)
+        if refused is None and len(pool.chain(sender)) >= pool.per_sender_limit:
+            refused = Reason.SENDER_LIMIT
+        full = len(pool) == pool.capacity
         asked = len(decided)
         before = pool.pending()
         outcome = pool.admit(t, world, policy)
         assert outcome.tx is t
+        # the policy is asked exactly about a valid arrival at a full pool
+        assert (len(decided) > asked) == (refused is None and full)
         if len(decided) > asked:
-            assert outcome is decided[-1]
-        else:  # the precheck declined (the pool is unchanged), the policy was not asked
-            assert outcome.reason is pool.precheck(t, world) is not None
+            assert len(decided) == asked + 1 and outcome is decided[-1]
+        elif refused is None:  # a free slot: admitted without asking the policy
+            assert outcome.reason is Reason.POOL_NOT_FULL
+        else:  # declined before the policy (the pool is unchanged)
+            assert outcome.reason is refused
         evicting = outcome.victim is not None
         if outcome.admitted:
             assert outcome.reason is (Reason.EVICTION if evicting else Reason.POOL_NOT_FULL)

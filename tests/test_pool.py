@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 
@@ -15,6 +16,7 @@ from mempoolsim import (
     WorldState,
     build_block,
 )
+from mempoolsim.pool import SenderChain
 
 from conftest import (
     WEI,
@@ -294,6 +296,27 @@ def _rebuild_check(pool: Mempool, world: WorldState):
             while gap in nonces:
                 gap += 1
             assert chain.run_end(start) == gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(min_value=0, max_value=6),
+    steps=st.lists(st.sampled_from((1, 1, 1, 2, 5)), max_size=30),
+    order=st.randoms(use_true_random=False),
+)
+def test_run_end_matches_a_scan_from_any_start(base, steps, order):
+    # runs of consecutive nonces split by gaps, inserted in any order, read
+    # from starts below, inside and above the chain
+    nonces = list(itertools.accumulate(steps, initial=base))
+    chain = SenderChain()
+    for nonce in order.sample(nonces, len(nonces)):
+        chain.insert(tx("A", nonce, 1))
+    held = set(nonces)
+    for start in range(max(0, base - 3), nonces[-1] + 4):
+        end = start
+        while end in held:
+            end += 1
+        assert chain.run_end(start) == end
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])

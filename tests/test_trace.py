@@ -1040,10 +1040,21 @@ class TestReplayHarness:
         nonce=st.integers(min_value=0, max_value=2**256 - 1),
     )
     def test_account_seeds_of_exact_uint256_ints_are_kept(self, balance, nonce):
-        # a pair read from JSON is a list
+        # a pair read from JSON is a list; either is kept as a tuple of the
+        # same int objects
         for pair in ((balance, nonce), [balance, nonce]):
             config = ScenarioConfig(account_seeds={"a": pair})
-            assert config.account_seeds["a"] is pair
+            kept = config.account_seeds["a"]
+            assert type(kept) is tuple and kept == tuple(pair)
+            assert kept[0] is pair[0] and kept[1] is pair[1]
+
+    def test_a_list_seed_changed_after_construction_does_not_reach_the_config(self):
+        seed = [10**18, 0]
+        config = ScenarioConfig(account_seeds={"a": seed})
+        seed[1] = 5
+        assert config.account_seeds["a"] == (10**18, 0)
+        report = replay(config, [arrival(tx("a", 0, 5), 0)])
+        assert [o.reason for o in report.outcomes] == [Reason.POOL_NOT_FULL]
 
     def test_bench_single_round(self):
         report = bench(ScenarioConfig(capacity=64), workload_batch_insert(50), rounds=1)
