@@ -317,21 +317,19 @@ class AdmissionOutcome:
     ``reason`` alone fixes what happened: ``POOL_NOT_FULL`` admits into a
     free slot, ``EVICTION`` admits by evicting ``victim``, and every other
     reason declines. Only an eviction names a victim, and it names
-    exactly one: every policy evicts at most one tx."""
+    exactly one: every policy evicts at most one tx. The arrival is not
+    named (a report keeps it in ``arrivals``), so every other reason has
+    one outcome, ``_OUTCOMES[reason]``, shared by every arrival."""
 
     reason: Reason
-    tx: Transaction
     victim: Optional[Transaction] = None
 
-    def __init__(
-        self, reason: Reason, tx: Transaction, victim: Optional[Transaction] = None
-    ) -> None:
+    def __init__(self, reason: Reason, victim: Optional[Transaction] = None) -> None:
         if (reason is _EVICTION) != (victim is not None):
             if victim is not None:
                 raise PoolError(f"{reason.value} outcome cannot name a victim")
             raise PoolError("eviction outcome needs a victim")
         _set_reason(self, reason)
-        _set_tx(self, tx)
         _set_victim(self, victim)
 
     @property
@@ -346,13 +344,14 @@ class AdmissionOutcome:
 
 
 _set_reason = AdmissionOutcome.reason.__set__
-_set_tx = AdmissionOutcome.tx.__set__
 _set_victim = AdmissionOutcome.victim.__set__
 _EVICTION = Reason.EVICTION
 # the two reasons that admit; every other declines. The per-arrival paths
 # (``replay``, ``Mempool.admit``) test ``reason in _ADMITTING`` themselves,
 # at about half the cost of the ``admitted`` property call
 _ADMITTING = frozenset((Reason.POOL_NOT_FULL, _EVICTION))
+# each reason but EVICTION -> its one outcome, shared by every arrival
+_OUTCOMES = {reason: AdmissionOutcome(reason) for reason in Reason if reason is not _EVICTION}
 
 
 @dataclass

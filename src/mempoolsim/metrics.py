@@ -131,16 +131,16 @@ _O4 = OutcomeClass.O4
 _OTHER = OutcomeClass.OTHER
 
 
-def classify_outcome(outcome: AdmissionOutcome) -> OutcomeClass:
+def classify_outcome(outcome: AdmissionOutcome, tx: Transaction) -> OutcomeClass:
     reason = outcome.reason
     if reason is _POOL_NOT_FULL:
         return _O4
     if reason is not _EVICTION:
         return _O1
     victim = outcome.victim
-    if outcome.tx.fee > victim.fee:
+    if tx.fee > victim.fee:
         return _O2
-    if outcome.tx.fee < victim.fee:
+    if tx.fee < victim.fee:
         return _O3
     return _OTHER
 

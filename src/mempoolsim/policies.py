@@ -24,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import AdmissionOutcome, Reason, Transaction, check_positive_int
+from .core import _OUTCOMES, AdmissionOutcome, Reason, Transaction, check_positive_int
 from .pool import Mempool
 
 # bound once: decide runs per arrival (see the note above core's enums)
 _EVICTION = Reason.EVICTION
-_PRICE_TOO_LOW = Reason.PRICE_TOO_LOW
-_FEE_TOO_LOW = Reason.FEE_TOO_LOW
-_SELF_EVICTION = Reason.SELF_EVICTION
+_PRICE_TOO_LOW = _OUTCOMES[Reason.PRICE_TOO_LOW]
+_FEE_TOO_LOW = _OUTCOMES[Reason.FEE_TOO_LOW]
+_SELF_EVICTION = _OUTCOMES[Reason.SELF_EVICTION]
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class PriceOnlyPolicy:
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         victim = pool.min_price_tx()
         if tx.price > victim.price:
-            return AdmissionOutcome(_EVICTION, tx, victim)
-        return AdmissionOutcome(_PRICE_TOO_LOW, tx)
+            return AdmissionOutcome(_EVICTION, victim)
+        return _PRICE_TOO_LOW
 
 
 class ChildlessPricePolicy:
@@ -67,8 +67,8 @@ class ChildlessPricePolicy:
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         victim = pool.min_price_childless()
         if tx.price <= victim.price:
-            return AdmissionOutcome(_PRICE_TOO_LOW, tx)
-        return AdmissionOutcome(_EVICTION, tx, victim)
+            return _PRICE_TOO_LOW
+        return AdmissionOutcome(_EVICTION, victim)
 
 
 class MinFeeChainTailPolicy:
@@ -78,11 +78,11 @@ class MinFeeChainTailPolicy:
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         seed = pool.min_fee_tx()
         if tx.fee <= seed.fee:
-            return AdmissionOutcome(_FEE_TOO_LOW, tx)
+            return _FEE_TOO_LOW
         if seed.sender == tx.sender:
             # evicting the arrival's own chain tail would orphan the arrival
-            return AdmissionOutcome(_SELF_EVICTION, tx)
-        return AdmissionOutcome(_EVICTION, tx, pool.chain(seed.sender).txs[-1])
+            return _SELF_EVICTION
+        return AdmissionOutcome(_EVICTION, pool.chain(seed.sender).txs[-1])
 
 
 # policy kind -> policy class, in the order the CLI lists them

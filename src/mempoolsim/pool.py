@@ -37,12 +37,9 @@ first entry. A change costs O(log pool) comparisons and one memmove of up
 to ``capacity`` pointers (~40 KB at 5120), against a heap's O(log pool)
 work plus the stale entries and rebuilds of lazy deletion. The memmove
 grows with the pool: one removal plus one ``insort`` reads ~1.2 us on 192
-entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host). Against
-the lazy-deletion heaps they replaced, these lists cost block_cadence (5,120
-slots kept full) ~6% of its events/s (125.7k -> 118.3k, perfbench's run of
-commit ``6282db8`` against its parent) and gained fuzz_churn (192) ~4%.
-Each policy reads one order, so a replay maintains only the index its
-policy uses.
+entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host). Each
+policy reads one order, so a replay maintains only the index its policy
+uses.
 
 A pool has one owner, the replay or test that fills it; there is no
 snapshot, and nothing reads a pool while another caller changes it.
@@ -56,6 +53,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .core import (
     _ADMITTING,
+    _OUTCOMES,
     AdmissionOutcome,
     PoolError,
     Reason,
@@ -133,8 +131,8 @@ _STALE = Reason.STALE
 _DUPLICATE = Reason.DUPLICATE
 _INVALID_FUTURE = Reason.INVALID_FUTURE
 _INVALID_OVERDRAFT = Reason.INVALID_OVERDRAFT
-_SENDER_LIMIT = Reason.SENDER_LIMIT
-_POOL_NOT_FULL = Reason.POOL_NOT_FULL
+_SENDER_LIMIT = _OUTCOMES[Reason.SENDER_LIMIT]
+_POOL_NOT_FULL = _OUTCOMES[Reason.POOL_NOT_FULL]
 
 
 def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> None:
@@ -168,10 +166,6 @@ class Mempool:
 
     def __contains__(self, tx: Transaction) -> bool:
         return tx in self._seq_of
-
-    @property
-    def full(self) -> bool:
-        return len(self._seq_of) >= self.capacity
 
     def chain(self, sender: str) -> SenderChain:
         """``sender``'s pending chain (read-only; empty if nothing is pending)."""
@@ -353,18 +347,18 @@ class Mempool:
         """Precheck ``tx``, admit it into a free slot or let ``policy.decide``
         choose at a full pool, and apply the outcome.
 
-        The outcome returned is the policy's own, or one built here: a
-        decline when the precheck or the per-sender limit refuses ``tx``, or
-        ``POOL_NOT_FULL`` when a slot is free.
+        The outcome returned is the policy's own, or the shared one of its
+        reason: a decline when the precheck or the per-sender limit refuses
+        ``tx``, or ``POOL_NOT_FULL`` when a slot is free.
         """
         reason = self.precheck(tx, world)
-        if reason is None and self.per_sender_limit is not None:
-            if len(self.chain(tx.sender)) >= self.per_sender_limit:
-                reason = _SENDER_LIMIT
         if reason is not None:
-            return AdmissionOutcome(reason, tx)
+            return _OUTCOMES[reason]
+        limit = self.per_sender_limit
+        if limit is not None and len(self.chain(tx.sender)) >= limit:
+            return _SENDER_LIMIT
         if len(self._seq_of) < self.capacity:
-            outcome = AdmissionOutcome(_POOL_NOT_FULL, tx)
+            outcome = _POOL_NOT_FULL
         else:
             outcome = policy.decide(self, tx)
         if outcome.reason in _ADMITTING:

@@ -82,7 +82,6 @@ _fee = attrgetter("fee")
 _price = attrgetter("price")
 _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
-_tx = attrgetter("tx")
 _nonce = attrgetter("nonce")
 # bound once: see the note above core's enums
 _O1 = OutcomeClass.O1
@@ -147,7 +146,8 @@ class Snapshot:
 class RunReport:
     """What one replay observed, one record per fact.
 
-    ``outcomes`` holds one admission outcome per arrival, ``blocks`` the
+    ``outcomes`` holds one admission outcome per arrival and ``arrivals``
+    the arrivals' txs, side by side in trace order, ``blocks`` the
     blocks built, ``snapshots`` where each snapshot marker and the end of the
     trace fell among the outcomes and blocks, ``util`` the per-arrival dUtil
     ledger, ``flags`` the admissions that flipped a resident's future status,
@@ -161,6 +161,7 @@ class RunReport:
     capacity: int
     event_count: int = 0
     outcomes: List[AdmissionOutcome] = field(default_factory=list)
+    arrivals: List[Transaction] = field(default_factory=list)
     blocks: List[Block] = field(default_factory=list)
     snapshots: List[Snapshot] = field(default_factory=list)
     util: UtilLedger = field(default_factory=UtilLedger)
@@ -171,10 +172,12 @@ class RunReport:
 
     def _ledger(self) -> Tuple[List[Transaction], List[Reason]]:
         """``declined`` as its txs and its reasons: two lists that make no
-        object per entry for the garbage collector to count."""
-        declining = [o for o in self.outcomes if o.reason is not _POOL_NOT_FULL]
-        txs = [o.tx if o.victim is None else o.victim for o in declining] + self.unbuildable
-        return txs, list(map(_reason, declining)) + [_UNBUILDABLE] * len(self.unbuildable)
+        object per entry for the garbage collector to count; ``ValueError``
+        unless the report has one outcome per arrival."""
+        pairs = zip(self.outcomes, self.arrivals, strict=True)
+        txs = [o.victim or tx for o, tx in pairs if o.reason is not _POOL_NOT_FULL]
+        reasons = [r for r in map(_reason, self.outcomes) if r is not _POOL_NOT_FULL]
+        return txs + self.unbuildable, reasons + [_UNBUILDABLE] * len(self.unbuildable)
 
     @property
     def declined(self) -> List[Tuple[Transaction, Reason]]:
@@ -206,13 +209,14 @@ class RunReport:
         it again or names it as a victim.
         """
         pending: Dict[Transaction, None] = {}
-        for o in self.outcomes[: snapshot.outcomes]:
+        n = snapshot.outcomes
+        for o, tx in zip(self.outcomes[:n], self.arrivals[:n], strict=True):
             reason = o.reason
             if reason is _EVICTION:
                 del pending[o.victim]
-                pending[o.tx] = None
+                pending[tx] = None
             elif reason is _POOL_NOT_FULL:
-                pending[o.tx] = None
+                pending[tx] = None
         for block in self.blocks[: snapshot.blocks]:
             for tx in block.txs:
                 del pending[tx]
@@ -269,21 +273,22 @@ class RunReport:
             return self._digest(declined, reasons)
         except AttributeError:
             pass
-        # a replay's report names only arrivals, so filling the outcomes'
-        # txs fills the cache and the second fill only reads it; a tx that
-        # only a hand-built report's ledger or blocks name is filled there
-        _cache_report_json(list(map(_tx, self.outcomes)))
+        # every tx a replay's report names is an arrival, so the second fill
+        # only reads the cache; it fills a tx only a hand-built report names
+        _cache_report_json(self.arrivals)
         _cache_report_json(declined + self.included_txs())
         return self._digest(declined, reasons)
 
     def _digest(self, declined: List[Transaction], reasons: List[Reason]) -> str:
         """``report_hash()`` of a report whose txs all hold their fragment;
         ``AttributeError`` at the first that does not."""
-        def outcomes_json(batch: Sequence[AdmissionOutcome]) -> str:
+        def outcomes_json(batch: range) -> str:
+            outcomes = self.outcomes[batch.start : batch.stop]
+            arrivals = self.arrivals[batch.start : batch.stop]
             return ",".join([
-                f"{_HASH_HEADS[o.reason]}{o.tx._report_json},"
+                f"{_HASH_HEADS[o.reason]}{tx._report_json},"
                 f"[{'' if o.victim is None else o.victim._report_json}]]"
-                for o in batch
+                for o, tx in zip(outcomes, arrivals, strict=True)
             ])
 
         compact = (",", ":")
@@ -310,7 +315,7 @@ class RunReport:
                 [f"[{declined[i]._report_json},{_HASH_LABELS[reasons[i]]}]" for i in batch]
             ),
         )
-        section(b'],"outcomes":[', self.outcomes, outcomes_json)
+        section(b'],"outcomes":[', range(len(self.outcomes)), outcomes_json)
         # a slice's JSON array without its brackets: exactly json's own items
         section(
             b'],"price_sums":[',
@@ -414,6 +419,7 @@ def replay(
     admit = pool.admit
     record = report.util.record
     append_outcome = report.outcomes.append
+    append_arrival = report.arrivals.append
     append_price_sum = report.price_sum_series.append
     interleaved = config.drain_mode == "interleaved"
     # the pool's price sum, moved by each admission and block; declines are
@@ -426,6 +432,7 @@ def replay(
                 tx = event.tx
                 outcome = admit(tx, world, policy)
                 append_outcome(outcome)
+                append_arrival(tx)
                 if outcome.reason in _ADMITTING:
                     victim = outcome.victim
                     flags = _admission_flags(pool, world, tx, victim)
@@ -437,7 +444,7 @@ def replay(
                     else:
                         evicted = victim.fee
                         price_sum += tx.price - victim.price
-                    record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
+                    record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
                 else:
                     # every declining reason is O1, and the pool did not
                     # change, so no resident changed status

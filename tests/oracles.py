@@ -259,11 +259,12 @@ def replay_per_event(
                 if flags != NO_FLAGS:
                     report.flags.append((index, flags))
                 evicted = 0 if victim is None else victim.fee
-                report.util.record(classify_outcome(outcome), tx.fee - evicted, evicted, flags)
+                report.util.record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
             else:
                 ledger.append((tx, outcome.reason))
                 report.util.record(OutcomeClass.O1, 0, tx.fee)
             report.outcomes.append(outcome)
+            report.arrivals.append(tx)
             report.price_sum_series.append(sum(t.price for t in pool.pending()))
         elif event.kind == "snapshot_marker":
             snapshot(index, event.ts_ms)

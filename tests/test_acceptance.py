@@ -241,10 +241,12 @@ def test_criterion_6_cp_locking_counterexample():
     policy = PolicyConfig(kind="cp").build()
     for event in events:
         assert pool.admit(event.tx, world, policy).admitted
-    declined_probe = pool.admit(tx("probe", 0, 10_000), world, policy)
-    admitted_probe = pool.admit(tx("probe", 0, 10_001), world, policy)
+    probes = [tx("probe", 0, 10_000), tx("probe", 0, 10_001)]
+    declined_probe, admitted_probe = (pool.admit(t, world, policy) for t in probes)
     # every cp_lock arrival was admitted: the probes' outcomes hold every decline
-    declined = RunReport("cp", n, outcomes=[declined_probe, admitted_probe]).declined
+    declined = RunReport(
+        "cp", n, outcomes=[declined_probe, admitted_probe], arrivals=probes
+    ).declined
     benign_declined = [t for t, _ in declined if t.label == "benign"]
     ratio = max(t.price for t in benign_declined) / min(t.price for t in pool.pending())
     _check(

@@ -201,9 +201,10 @@ class TestCpLock:
     def test_asymmetry_ratio(self):
         pool, world, policy = self._locked_pool()
         # every cp_lock arrival was admitted, so the probe is the one decline
-        outcome = pool.admit(tx("probe", 0, 9_999), world, policy)
+        probe = tx("probe", 0, 9_999)
+        outcome = pool.admit(probe, world, policy)
         assert not outcome.admitted
-        max_declined = outcome.tx.price
+        max_declined = probe.price
         min_pending = min(t.price for t in pool.pending())
         assert max_declined / min_pending >= 9_999
 

@@ -181,11 +181,11 @@ def test_short_repr_cuts_large_values(value):
 
 class TestAdmissionOutcome:
     def test_frozen_slotted_and_checked_on_every_construction(self):
-        a, b = Transaction("A", 0, 5), Transaction("B", 0, 1)
-        eviction = AdmissionOutcome(Reason.EVICTION, a, b)
-        assert (eviction.reason, eviction.tx, eviction.victim) == (Reason.EVICTION, a, b)
-        assert AdmissionOutcome(Reason.STALE, a).victim is None
-        for name in ("reason", "tx", "victim"):
+        b = Transaction("B", 0, 1)
+        eviction = AdmissionOutcome(Reason.EVICTION, b)
+        assert (eviction.reason, eviction.victim) == (Reason.EVICTION, b)
+        assert AdmissionOutcome(Reason.STALE).victim is None
+        for name in ("reason", "victim"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(eviction, name, None)
         assert not hasattr(eviction, "__dict__")
@@ -195,27 +195,29 @@ class TestAdmissionOutcome:
             dataclasses.replace(eviction, reason=Reason.POOL_NOT_FULL)
         assert dataclasses.replace(eviction) == eviction
         names = [f.name for f in dataclasses.fields(AdmissionOutcome)]
-        assert names == ["reason", "tx", "victim"]
+        # the arrival is not a field: a report keeps it in ``arrivals``
+        assert names == ["reason", "victim"]
+        assert not hasattr(eviction, "tx")
 
     def test_victims_view_holds_the_one_victim_or_nothing(self):
         # perfbench's traced counters read len(outcome.victims) and
         # bool(decision.victims), so the view stays while they do
-        a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
-        assert AdmissionOutcome(Reason.PRICE_TOO_LOW, a).victims == ()
-        assert AdmissionOutcome(Reason.POOL_NOT_FULL, a).victims == ()
-        assert AdmissionOutcome(Reason.EVICTION, a, v).victims == (v,)
+        v = Transaction("B", 0, 1)
+        assert AdmissionOutcome(Reason.PRICE_TOO_LOW).victims == ()
+        assert AdmissionOutcome(Reason.POOL_NOT_FULL).victims == ()
+        assert AdmissionOutcome(Reason.EVICTION, v).victims == (v,)
 
     @pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.name)
     def test_admitted_iff_the_reason_kind_is_not_declined(self, reason):
-        a, v = Transaction("A", 0, 5), Transaction("B", 0, 1)
-        outcome = AdmissionOutcome(reason, a, v if reason is Reason.EVICTION else None)
+        v = Transaction("B", 0, 1)
+        outcome = AdmissionOutcome(reason, v if reason is Reason.EVICTION else None)
         # only a free slot and an eviction admit
         assert outcome.admitted is (reason in (Reason.POOL_NOT_FULL, Reason.EVICTION))
 
 
 @pytest.mark.parametrize("make", [
     lambda: Transaction("A", 0, 5),
-    lambda: AdmissionOutcome(Reason.STALE, Transaction("A", 0, 5)),
+    lambda: AdmissionOutcome(Reason.STALE),
     lambda: TraceEvent("tx_arrival", 3, Transaction("A", 0, 5)),
     lambda: Snapshot(4, 3, 2, 1),
 ], ids=["Transaction", "AdmissionOutcome", "TraceEvent", "Snapshot"])

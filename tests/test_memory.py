@@ -8,9 +8,10 @@ none holds a copy of the whole trace or the whole report. A parsed arrival
 keeps no copy of what the library already holds: its kind and source are the
 library's strings, and an equal ``gas_limit`` and ``cost`` are the
 ``gas_used`` and ``fee`` objects. A pool keeps only its pending set: the
-outcome ``admit`` returns is the only record of a decline. A report's
-snapshot records where it fell among the outcomes and blocks, not a copy of
-the pool.
+outcome ``admit`` returns, beside the arrival in ``report.arrivals``, is the
+only record of a decline, and that outcome is its reason's shared constant.
+A report's snapshot records where it fell among the outcomes and blocks, not
+a copy of the pool.
 """
 
 import gc
@@ -25,6 +26,7 @@ from mempoolsim import (
     PolicyConfig,
     ScenarioConfig,
     Transaction,
+    arrival,
     dump_events,
     parse_trace,
     replay,
@@ -128,6 +130,25 @@ def test_report_hash_keeps_one_fragment_per_arrival_for_the_trace():
     second = _traced(reports[1].report_hash)[1]
     assert first / 6_000 <= 120, first / 6_000
     assert second / 6_000 <= 8, second / 6_000
+
+
+def test_a_decline_only_report_keeps_at_most_32_bytes_per_arrival():
+    # a decline's outcome is its reason's shared constant, so the report
+    # keeps three pointers per arrival (its outcome, its tx and its price
+    # sum), ~26 B with the lists' spare room; an object per decline kept ~73 B
+    n = 20_000
+    events = [
+        arrival(Transaction("poor", 0, 5) if i % 2 else Transaction("gap", 1 + i, 5), i)
+        for i in range(n)
+    ]
+    # "poor" cannot pay, and "gap"'s nonces all lie above its confirmed 0
+    seeds = {"poor": (0, 0), "gap": (10**30, 0)}
+    for kind in ("baseline", "cp", "map"):
+        config = ScenarioConfig(policy=PolicyConfig(kind=kind), capacity=16, account_seeds=seeds)
+        report, kept, _ = _traced(lambda: replay(config, events))
+        assert report.summary()["reasons"] == {"invalid-future": n // 2, "invalid-overdraft": n // 2}
+        assert kept / n <= 32, (kind, kept / n)
+        del report
 
 
 def test_a_snapshot_keeps_its_position_not_a_copy_of_the_pool():

@@ -131,31 +131,31 @@ class TestNearestRankPercentile:
 
 class TestClassifyOutcome:
     def test_declined_is_o1(self):
-        out = AdmissionOutcome(Reason.PRICE_TOO_LOW, tx("A", 0, 5))
-        assert classify_outcome(out) is OutcomeClass.O1
+        out = AdmissionOutcome(Reason.PRICE_TOO_LOW)
+        assert classify_outcome(out, tx("A", 0, 5)) is OutcomeClass.O1
 
     def test_free_slot_is_o4(self):
-        out = AdmissionOutcome(Reason.POOL_NOT_FULL, tx("A", 0, 5))
-        assert classify_outcome(out) is OutcomeClass.O4
+        out = AdmissionOutcome(Reason.POOL_NOT_FULL)
+        assert classify_outcome(out, tx("A", 0, 5)) is OutcomeClass.O4
 
     def test_evicting_lower_fee_is_o2(self):
-        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 9), tx("B", 0, 5))
-        assert classify_outcome(out) is OutcomeClass.O2
+        out = AdmissionOutcome(Reason.EVICTION, tx("B", 0, 5))
+        assert classify_outcome(out, tx("A", 0, 9)) is OutcomeClass.O2
 
     def test_evicting_higher_fee_is_o3(self):
-        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 5), tx("B", 0, 9))
-        assert classify_outcome(out) is OutcomeClass.O3
+        out = AdmissionOutcome(Reason.EVICTION, tx("B", 0, 9))
+        assert classify_outcome(out, tx("A", 0, 5)) is OutcomeClass.O3
 
     def test_equal_fee_eviction_is_other(self):
-        out = AdmissionOutcome(Reason.EVICTION, tx("A", 0, 5), tx("B", 0, 5))
-        assert classify_outcome(out) is OutcomeClass.OTHER
+        out = AdmissionOutcome(Reason.EVICTION, tx("B", 0, 5))
+        assert classify_outcome(out, tx("A", 0, 5)) is OutcomeClass.OTHER
 
     def test_partition_is_total(self):
         # a decline, an admission into a free slot and an eviction
         for reason in (Reason.PRICE_TOO_LOW, Reason.POOL_NOT_FULL, Reason.EVICTION):
             victim = tx("B", 0, 3) if reason is Reason.EVICTION else None
-            out = AdmissionOutcome(reason, tx("A", 0, 5), victim)
-            assert classify_outcome(out) in OutcomeClass
+            out = AdmissionOutcome(reason, victim)
+            assert classify_outcome(out, tx("A", 0, 5)) in OutcomeClass
 
     # the arrival's fee against the victim's -> the class, for each reason;
     # a reason other than EVICTION names no victim, so its fee cannot matter
@@ -172,8 +172,8 @@ class TestClassifyOutcome:
     def test_every_reason_and_fee_order_maps_to_its_class(self, reason, fee):
         arrival_price = {"above": 9, "equal": 5, "below": 3}[fee]
         t, victim = tx("A", 0, arrival_price), tx("B", 0, 5)
-        out = AdmissionOutcome(reason, t, victim if reason is Reason.EVICTION else None)
-        assert classify_outcome(out) is self._CLASS_OF[reason][fee]
+        out = AdmissionOutcome(reason, victim if reason is Reason.EVICTION else None)
+        assert classify_outcome(out, t) is self._CLASS_OF[reason][fee]
 
 
 class TestTransitionFlags:
@@ -291,7 +291,7 @@ class TestDutilAccounting:
                 assert util.total.dutil == _end_state_dutil(report), cell
                 unbuildable = sum(r is Reason.UNBUILDABLE for _, r in report.declined)
                 assert util.total.count == len(report.outcomes) + unbuildable, cell
-                expected = Counter(map(classify_outcome, report.outcomes))
+                expected = Counter(map(classify_outcome, report.outcomes, report.arrivals))
                 if unbuildable:
                     expected[OutcomeClass.UNBUILDABLE] = unbuildable
                 assert {c: e.count for c, e in util.per_class.items()} == expected, cell

@@ -10,6 +10,7 @@ from mempoolsim import (
     Reason,
     WorldState,
 )
+from mempoolsim.core import _OUTCOMES
 
 from conftest import WEI, fill_pool, fund, mdf, oracle_min_fee, random_pool_txs, rich_world, tx
 from oracles import ListPendingView, find_childless, is_future
@@ -221,7 +222,6 @@ def test_admit_returns_the_outcome_decide_returned(kind):
         asked = len(decided)
         before = pool.pending()
         outcome = pool.admit(t, world, policy)
-        assert outcome.tx is t
         # the policy is asked exactly about a valid arrival at a full pool
         assert (len(decided) > asked) == (refused is None and full)
         if len(decided) > asked:
@@ -231,6 +231,10 @@ def test_admit_returns_the_outcome_decide_returned(kind):
         else:  # declined before the policy (the pool is unchanged)
             assert outcome.reason is refused
         evicting = outcome.victim is not None
+        # the outcome names no arrival: the tx passed in is pending iff it
+        # was admitted, and only an eviction is an outcome of its own
+        assert (t in pool) is outcome.admitted
+        assert evicting or outcome is _OUTCOMES[outcome.reason]
         if outcome.admitted:
             assert outcome.reason is (Reason.EVICTION if evicting else Reason.POOL_NOT_FULL)
         else:
@@ -246,16 +250,16 @@ def test_admit_returns_the_outcome_decide_returned(kind):
 def test_outcome_kind_follows_from_reason(reason):
     # only a free slot and an eviction admit; every other reason declines
     victim = tx("B", 0, 1) if reason is Reason.EVICTION else None
-    outcome = AdmissionOutcome(reason, tx("A", 0, 5), victim)
+    outcome = AdmissionOutcome(reason, victim)
     assert outcome.admitted == (reason in (Reason.POOL_NOT_FULL, Reason.EVICTION))
     assert outcome.victim is victim
     # only an eviction names a victim, and it must name one
     if reason is Reason.EVICTION:
         with pytest.raises(PoolError, match="needs a victim"):
-            AdmissionOutcome(reason, tx("A", 0, 5))
+            AdmissionOutcome(reason)
     else:
         with pytest.raises(PoolError, match=f"{reason.value} outcome cannot name a victim"):
-            AdmissionOutcome(reason, tx("A", 0, 5), tx("B", 0, 1))
+            AdmissionOutcome(reason, tx("B", 0, 1))
 
 
 def test_config_defaults_and_unknown_kind():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -412,7 +414,7 @@ def test_declined_ledger_append_only_and_replay_stable():
         pool = Mempool(capacity=4)
         world = rich_world("A", "B", "C")
         policy = PolicyConfig(kind="cp").build()
-        outcomes, ledgers = [], []
+        outcomes, arrivals, ledgers = [], [], []
         script = [
             tx("A", 0, 5),
             tx("A", 2, 5),  # future
@@ -424,7 +426,9 @@ def test_declined_ledger_append_only_and_replay_stable():
         ]
         for t in script:
             outcomes.append(pool.admit(t, world, policy))
-            ledgers.append(RunReport("cp", 4, outcomes=list(outcomes)).declined)
+            arrivals.append(t)
+            report = RunReport("cp", 4, outcomes=list(outcomes), arrivals=list(arrivals))
+            ledgers.append(report.declined)
         # each arrival only appends to the ledger derived from the outcomes
         for before, after in zip(ledgers, ledgers[1:]):
             assert after[: len(before)] == before
@@ -434,6 +438,60 @@ def test_declined_ledger_append_only_and_replay_stable():
 
     # identical inputs give bit-identical declined ledgers
     assert run() == run()
+
+
+def test_an_outcome_without_a_victim_is_its_reasons_shared_constant():
+    pool = Mempool(capacity=2, per_sender_limit=1)
+    world = rich_world("A", "B", "C")
+    fund(world, "poor", 0)
+    cp = PolicyConfig(kind="cp").build()
+
+    def twice(make):
+        first, second = (pool.admit(make(), world, cp) for _ in range(2))
+        assert first is second and first.victim is None
+        return first.reason
+
+    # a free slot: each admission inserts a distinct tx, yet shares the outcome
+    free = iter([tx("A", 0, 5), tx("B", 0, 5)])
+    assert twice(lambda: next(free)) is Reason.POOL_NOT_FULL
+    assert twice(lambda: tx("A", 5, 9)) is Reason.INVALID_FUTURE
+    assert twice(lambda: tx("poor", 0, 9)) is Reason.INVALID_OVERDRAFT
+    assert twice(lambda: tx("A", 1, 9)) is Reason.SENDER_LIMIT
+    pool.per_sender_limit = None
+    assert twice(lambda: tx("C", 0, 1)) is Reason.PRICE_TOO_LOW
+    # only an eviction builds an outcome of its own
+    evictions = [pool.admit(tx("C", n, 9 + n), world, cp) for n in range(2)]
+    assert [o.reason for o in evictions] == [Reason.EVICTION] * 2
+    assert evictions[0] is not evictions[1]
+
+
+def test_declining_admit_calls_keep_nothing():
+    # each call returns its reason's shared outcome: holding 1,000 of them
+    # keeps no byte, where an object per decline kept ~56 KB
+    pool, world = Mempool(capacity=4), rich_world("a", "b", "x")
+    fill_pool(pool, world, [tx("a", 0, 5), tx("a", 1, 5), tx("b", 0, 5), tx("b", 1, 5)])
+    policy = PolicyConfig(kind="cp").build()
+    # below the pool's prices (the policy declines) or a nonce gap (the
+    # precheck declines)
+    arrivals = [Transaction("x", i % 2, 1) for i in range(1_000)]
+    outcomes = [None] * len(arrivals)
+
+    def decline():
+        for i, t in enumerate(arrivals):
+            outcomes[i] = pool.admit(t, world, policy)
+
+    # the first call builds the policy's order index
+    decline()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        decline()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert {o.reason for o in outcomes} == {Reason.PRICE_TOO_LOW, Reason.INVALID_FUTURE}
+    assert len(pool) == 4
+    assert kept <= 1_000, kept
 
 
 def test_precheck_matches_generic_predicates():

@@ -154,7 +154,7 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
     keeps only the ones its readers asked for."""
     assert pool.pending() == ref.pending
     assert len(pool) == len(ref.pending) <= pool.capacity
-    assert pool.full == (len(ref.pending) >= ref.capacity)
+    assert (len(pool) >= pool.capacity) == (len(ref.pending) >= ref.capacity)
     for sender in SENDERS:
         chain = pool.chain(sender)
         txs = ref.sender_txs(sender)
@@ -220,8 +220,10 @@ class PoolModel(RuleBasedStateMachine):
         price_sum = sum(t.price for t in self.pool.pending())
         outcome = self.pool.admit(tx, self.world, self.policy)
         reason, victim = self.ref.admit(self.KIND, tx, self.ref_world)
-        # the outcome is the only record of a decline or an eviction
-        assert isinstance(outcome, AdmissionOutcome) and outcome.tx is tx
+        # the outcome, beside the arrival passed in, is the only record of a
+        # decline or an eviction: it names no arrival, and the arrival is
+        # pending iff it was admitted
+        assert isinstance(outcome, AdmissionOutcome) and (tx in self.pool) is outcome.admitted
         assert (outcome.reason, outcome.victim) == (reason, victim)
         self.seen[reason] += 1
         if not outcome.admitted:

@@ -143,8 +143,8 @@ def test_refill_above_gap_flags_only_the_first_eviction():
     )
     report = replay(config, events)
     evictions = [
-        ((o.tx.sender, o.tx.nonce), (o.victim.sender, o.victim.nonce))
-        for o in report.outcomes[5:]
+        ((t.sender, t.nonce), (o.victim.sender, o.victim.nonce))
+        for o, t in zip(report.outcomes[5:], report.arrivals[5:], strict=True)
     ]
     assert evictions == [(("B", 0), ("A", 2)), (("A", 2), ("A", 3))]
     assert report.flags == [(5, OutcomeFlags(False, True))]
@@ -157,8 +157,8 @@ def test_an_own_victim_below_the_filled_gap_turns_nothing_pending():
     )
     report = replay(config, events)
     evictions = [
-        ((o.tx.sender, o.tx.nonce), (o.victim.sender, o.victim.nonce))
-        for o in report.outcomes[6:]
+        ((t.sender, t.nonce), (o.victim.sender, o.victim.nonce))
+        for o, t in zip(report.outcomes[6:], report.arrivals[6:], strict=True)
     ]
     assert evictions == [(("C", 0), ("A", 3)), (("A", 3), ("A", 1))]
     assert report.flags == [(6, OutcomeFlags(False, True)), (7, OutcomeFlags(False, True))]
@@ -181,10 +181,11 @@ def test_cp_never_evicts_the_arrivals_own_sender():
             account_seeds=seeds,
             drain_mode=drain_mode,
         )
-        for outcome in replay(config, events).outcomes:
+        report = replay(config, events)
+        for outcome, arrival in zip(report.outcomes, report.arrivals, strict=True):
             victim = outcome.victim
-            if victim is not None and victim.sender == outcome.tx.sender:
-                own.append((case, outcome.tx, victim))
+            if victim is not None and victim.sender == arrival.sender:
+                own.append((case, arrival, victim))
     assert own == []
 
 

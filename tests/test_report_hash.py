@@ -16,7 +16,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mempoolsim import PolicyConfig, ScenarioConfig, replay
+from mempoolsim import PolicyConfig, ScenarioConfig, arrival, replay
 from mempoolsim.core import AdmissionOutcome, Block, Reason, Transaction
 from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
@@ -41,10 +41,10 @@ def canonical(report: RunReport) -> dict:
             [
                 KIND_OF_REASON.get(o.reason.value, "declined"),
                 o.reason.value,
-                tx_key(o.tx),
+                tx_key(tx),
                 [] if o.victim is None else [tx_key(o.victim)],
             ]
-            for o in report.outcomes
+            for o, tx in zip(report.outcomes, report.arrivals, strict=True)
         ],
         "blocks": [[tx_key(tx) for tx in b.txs] for b in report.blocks],
         "declined": [[tx_key(tx), reason.value] for tx, reason in report.declined],
@@ -93,7 +93,7 @@ DECLINING = [
 
 
 def _report(senders, big: int = 1) -> RunReport:
-    """A report where one tx per sender is an outcome, a victim, a block tx
+    """A report where one tx per sender is an arrival, a victim, a block tx
     and a declined entry at once, next to repeated arrivals and empty
     blocks. Its outcomes and leftovers put every reason label in the hashed
     bytes: pool-not-full in the outcomes, every other one in the declined
@@ -104,14 +104,15 @@ def _report(senders, big: int = 1) -> RunReport:
     ]
     shared = txs[0]
     arrival = Transaction(sender="arrival", nonce=HUGE, price=big, gas_limit=42_000 * big)
-    outcomes = [
-        AdmissionOutcome(Reason.POOL_NOT_FULL, shared),
-        *(AdmissionOutcome(Reason.EVICTION, arrival, victim) for victim in txs),
-        *(AdmissionOutcome(r, txs[-1]) for r in DECLINING),
-        AdmissionOutcome(Reason.EVICTION, txs[1 % len(txs)], shared),
+    entries = [
+        (AdmissionOutcome(Reason.POOL_NOT_FULL), shared),
+        *((AdmissionOutcome(Reason.EVICTION, victim), arrival) for victim in txs),
+        *((AdmissionOutcome(r), txs[-1]) for r in DECLINING),
+        (AdmissionOutcome(Reason.EVICTION, shared), txs[1 % len(txs)]),
     ]
-    report = RunReport(policy="cp", capacity=len(txs), event_count=len(outcomes))
-    report.outcomes = outcomes
+    report = RunReport(policy="cp", capacity=len(txs), event_count=len(entries))
+    report.outcomes = [o for o, _ in entries]
+    report.arrivals = [t for _, t in entries]
     report.blocks = [Block([shared, arrival]), Block([]), Block(txs[::-1]), Block([])]
     report.unbuildable = [shared]
     report.price_sum_series = [big, 0, big * 3, HUGE]
@@ -140,7 +141,8 @@ def test_each_reason_writes_its_documented_kind(reason):
     # reason alone, unbuildable included, which no replay puts in outcomes
     a, b = Transaction("A", 0, 5), Transaction("B", 0, 1)
     report = RunReport(policy="baseline", capacity=1, event_count=1)
-    report.outcomes = [AdmissionOutcome(reason, a, b if reason is Reason.EVICTION else None)]
+    report.outcomes = [AdmissionOutcome(reason, b if reason is Reason.EVICTION else None)]
+    report.arrivals = [a]
     assert report.report_hash() == oracle_hash(report)
     assert report.outcomes[0].admitted is (reason.value in KIND_OF_REASON)
 
@@ -166,6 +168,42 @@ def test_equal_fields_distinct_objects_and_rehash_after_change():
     assert report.report_hash() == oracle_hash(report) != first
 
 
+@pytest.mark.parametrize("change", [-1, 1], ids=["arrival_missing", "arrival_extra"])
+def test_a_report_without_one_outcome_per_arrival_raises(change):
+    # outcome i belongs to arrival i: a report whose two lists differ in
+    # length is refused, where a plain zip would hash a shorter report
+    events = [
+        arrival(Transaction(sender, 0, price), ts)
+        for ts, (sender, price) in enumerate([("A", 5), ("B", 6), ("C", 9), ("D", 1)])
+    ]
+    config = ScenarioConfig(policy=PolicyConfig(kind="baseline"), capacity=2, final_drain=False)
+    report = replay(config, events)
+    assert [o.reason for o in report.outcomes][2:] == [Reason.EVICTION, Reason.PRICE_TOO_LOW]
+    assert report.pending_at(report.snapshots[-1]) == [events[1].tx, events[2].tx]
+    # warm: every tx holds its fragment, so ``_digest`` reads them all
+    report.report_hash()
+    ledger = report._ledger()
+    if change < 0:
+        report.arrivals.pop()
+    else:
+        report.arrivals.append(report.arrivals[0])
+    for read in (
+        report.report_hash,
+        lambda: report.declined,
+        report.summary,
+        lambda: report.declined_fees_final,
+    ):
+        with pytest.raises(ValueError, match="zip"):
+            read()
+    if change < 0:
+        # a snapshot reads its prefix of both lists, and the outcomes
+        # section its batches of both: each meets the missing arrival
+        with pytest.raises(ValueError, match="zip"):
+            report.pending_at(report.snapshots[-1])
+        with pytest.raises(ValueError, match="zip"):
+            report._digest(*ledger)
+
+
 def test_fee_totals_are_read_only_sums_of_the_records():
     report = _report(["x", "y", "z"])
     assert report.pool_fees_final == sum(t.fee for t in report.final_pending)
@@ -181,10 +219,11 @@ def _sections_of(n: int) -> RunReport:
     txs = [Transaction(sender=f"s{i}", nonce=i, price=i + 1) for i in range(n + 1)]
     report = RunReport(policy="map", capacity=n + 1, event_count=n)
     report.outcomes = [
-        AdmissionOutcome(Reason.EVICTION, txs[i + 1], txs[i]) if i % 2 else
-        AdmissionOutcome(Reason.POOL_NOT_FULL, txs[i])
+        AdmissionOutcome(Reason.EVICTION, txs[i]) if i % 2 else
+        AdmissionOutcome(Reason.POOL_NOT_FULL)
         for i in range(n)
     ]
+    report.arrivals = [txs[i + 1] if i % 2 else txs[i] for i in range(n)]
     report.blocks = [Block(txs[i : i + 2]) for i in range(n)]
     # with the n // 2 evictions, n declined entries
     report.unbuildable = txs[: n - n // 2]
@@ -259,9 +298,8 @@ def test_a_trace_whose_prefix_was_hashed_gives_the_golden_hashes(trace):
             )
             replay(config, events[: len(events) // 2]).report_hash()
             report = replay(config, events)
-            arrivals = [o.tx for o in report.outcomes]
-            cached = sum(hasattr(tx, "_report_json") for tx in arrivals)
-            assert 0 < cached < len(arrivals), (policy, drain_mode)
+            cached = sum(hasattr(tx, "_report_json") for tx in report.arrivals)
+            assert 0 < cached < len(report.arrivals), (policy, drain_mode)
             golden = GOLDEN[trace][f"{policy}/{drain_mode}"][0]
             assert report.report_hash() == golden == oracle_hash(report), (policy, drain_mode)
 
@@ -279,8 +317,9 @@ def test_a_tx_outside_the_outcomes_is_encoded(where, warm):
     elif where == "unbuildable":
         report.unbuildable.append(outsider)
     else:
-        report.outcomes.append(AdmissionOutcome(Reason.EVICTION, report.outcomes[0].tx, outsider))
-    assert outsider not in {o.tx for o in report.outcomes}
+        report.outcomes.append(AdmissionOutcome(Reason.EVICTION, outsider))
+        report.arrivals.append(report.arrivals[0])
+    assert outsider not in report.arrivals
     assert report.report_hash() == oracle_hash(report)
     assert report.report_hash() == oracle_hash(report)
 
@@ -292,7 +331,7 @@ def test_a_replaced_copy_of_a_hashed_tx_hashes_alike():
     report.blocks = [Block([copies[tx] for tx in b.txs]) for b in report.blocks]
     assert report.report_hash() == first == oracle_hash(report)
     # a copy with a changed field gets its own fragment, not the original's
-    report.blocks.append(Block([dataclasses.replace(report.outcomes[0].tx, price=10**20)]))
+    report.blocks.append(Block([dataclasses.replace(report.arrivals[0], price=10**20)]))
     assert report.report_hash() == oracle_hash(report) != first
 
 
@@ -306,7 +345,8 @@ def test_the_cached_fragment_cannot_be_assigned():
     with pytest.raises(refused):
         tx._report_json = "[]"
     report = RunReport(policy="cp", capacity=1)
-    report.outcomes = [AdmissionOutcome(Reason.POOL_NOT_FULL, tx)]
+    report.outcomes = [AdmissionOutcome(Reason.POOL_NOT_FULL)]
+    report.arrivals = [tx]
     report.report_hash()
     assert tx._report_json == '["s",0,5,21000,21000,0]'
     with pytest.raises(refused):

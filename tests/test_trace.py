@@ -1197,8 +1197,8 @@ class TestCli:
         decide = ChildlessPricePolicy.decide
 
         def broken(self, pool, t):
-            if pool.full:
-                return AdmissionOutcome(Reason.EVICTION, t)
+            if len(pool) >= pool.capacity:
+                return AdmissionOutcome(Reason.EVICTION)
             return decide(self, pool, t)
 
         monkeypatch.setattr(ChildlessPricePolicy, "decide", broken)
@@ -1217,8 +1217,8 @@ class TestCli:
         decide = PriceOnlyPolicy.decide
 
         def broken(self, pool, t):
-            if pool.full:
-                return AdmissionOutcome(Reason.EVICTION, t, stranger)
+            if len(pool) >= pool.capacity:
+                return AdmissionOutcome(Reason.EVICTION, stranger)
             return decide(self, pool, t)
 
         monkeypatch.setattr(PriceOnlyPolicy, "decide", broken)
