@@ -51,8 +51,9 @@ def _scenario(args, **fields) -> ScenarioConfig:
     if capacity is None:
         capacity = FULL_CAPACITY if args.full else DESK_CAPACITY
     return ScenarioConfig(
-        policy=PolicyConfig(kind=args.policy, per_sender_limit=args.per_sender_limit),
+        policy=PolicyConfig(kind=args.policy),
         capacity=capacity,
+        per_sender_limit=args.per_sender_limit,
         drain_mode=args.drain_mode,
         **fields,
     )
@@ -139,8 +140,7 @@ def cmd_bounds(args) -> int:
         base = eviction_bound_baseline_under_xt6(pending, config.block_gas_limit)
         payload["baseline_bound_wei"] = base.bound_wei
         payload["baseline_basis"] = base.basis
-        if base.bound_wei:
-            payload["cp_over_baseline"] = cp_bound.bound_wei / base.bound_wei
+        payload["cp_over_baseline"] = cp_bound.bound_wei / base.bound_wei
     _emit(payload, args.json_out)
     return 0
 
@@ -149,8 +149,7 @@ def cmd_gamma(args) -> int:
     report = replay(_scenario(args, final_drain=False), parse_trace(args.trace))
     pending = report.final_pending
     if not pending:
-        print("empty end-of-trace pool; nothing to report", file=sys.stderr)
-        return 1
+        raise ValueError("empty end-of-trace pool; nothing to report")
     g = gamma(pending)
     payload = {
         "senders": len(g.per_sender),

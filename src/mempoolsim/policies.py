@@ -17,14 +17,15 @@ A policy only chooses whom to evict from a full pool. Its ``decide(pool,
 tx)`` requires a full pool and an arrival that passed the precheck and the
 per-sender limit; it is a pure function of both, never mutates the pool,
 and returns the ``AdmissionOutcome`` that ``Mempool.admit`` applies.
+A policy has no settings: ``PolicyConfig`` only names one, and the pool's
+two limits, its capacity and per-sender limit, are set on ``ScenarioConfig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import _OUTCOMES, AdmissionOutcome, Reason, Transaction, check_positive_int
+from .core import _OUTCOMES, AdmissionOutcome, Reason, Transaction
 from .pool import Mempool
 
 # bound once: decide runs per arrival (see the note above core's enums)
@@ -37,11 +38,6 @@ _SELF_EVICTION = _OUTCOMES[Reason.SELF_EVICTION]
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str = "cp"  # a key of POLICIES
-    per_sender_limit: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.per_sender_limit is not None:
-            check_positive_int("per-sender limit", self.per_sender_limit)
 
     def build(self):
         policy = POLICIES.get(self.kind)

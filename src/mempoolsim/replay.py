@@ -56,6 +56,7 @@ class ReplayAbort(Exception):
 class ScenarioConfig:
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     capacity: int = 5120
+    per_sender_limit: Optional[int] = None  # txs one sender may hold in the pool
     block_gas_limit: int = DEFAULT_BLOCK_GAS_LIMIT
     # sender -> (balance, confirmed nonce), kept as a read-only copy of
     # tuples, so a caller's later change to a list seed does not reach it; a
@@ -66,6 +67,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         check_positive_int("capacity", self.capacity)
+        if self.per_sender_limit is not None:
+            check_positive_int("per-sender limit", self.per_sender_limit)
         check_positive_int("block_gas_limit", self.block_gas_limit)
         if self.drain_mode not in ("end_only", "interleaved"):
             raise ValueError(f"unknown drain mode: {self.drain_mode}")
@@ -226,22 +229,17 @@ class RunReport:
         return [tx for block in self.blocks for tx in block.txs]
 
     def summary(self) -> Dict:
-        return self._summary(*self._ledger())
+        return self._summary(self._ledger()[0])
 
-    def _summary(self, declined: List[Transaction], reasons: List[Reason]) -> Dict:
-        """``summary()`` from the declined ledger's two lists: the hash
-        derives the ledger once for both. The outcomes' reasons are the
-        ledger's less its final-drain leftovers, plus one free-slot
-        admission per outcome the ledger has no entry for."""
-        leftovers = len(self.unbuildable)
-        counts = Counter(reasons)
-        counts[_UNBUILDABLE] -= leftovers
-        counts[_POOL_NOT_FULL] = len(self.outcomes) - (len(reasons) - leftovers)
+    def _summary(self, declined: List[Transaction]) -> Dict:
+        """``summary()`` from the declined ledger's txs: the hash derives the
+        ledger once for both. ``reasons`` counts the outcomes' reasons."""
+        counts = Counter(map(_reason, self.outcomes))
         return {
             "policy": self.policy,
             "capacity": self.capacity,
             "events": self.event_count,
-            "reasons": dict(sorted((r.value, n) for r, n in counts.items() if n)),
+            "reasons": dict(sorted((r.value, n) for r, n in counts.items())),
             "blocks": len(self.blocks),
             "block_fees": self.block_fees_final,
             "pool_fees": self.pool_fees_final,
@@ -322,7 +320,7 @@ class RunReport:
             self.price_sum_series,
             lambda batch: json.dumps(batch, separators=compact)[1:-1],
         )
-        summary = json.dumps(self._summary(declined, reasons), sort_keys=True, separators=compact)
+        summary = json.dumps(self._summary(declined), sort_keys=True, separators=compact)
         update(f'],"summary":{summary}}}'.encode("utf-8"))
         return digest.hexdigest()
 
@@ -412,7 +410,7 @@ def replay(
             f"world.block_gas_limit {world.block_gas_limit} is not the config's "
             f"{config.block_gas_limit}"
         )
-    pool = Mempool(config.capacity, config.policy.per_sender_limit)
+    pool = Mempool(config.capacity, config.per_sender_limit)
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
     # bound once: the arrival branch runs per event

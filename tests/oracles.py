@@ -232,7 +232,7 @@ def replay_per_event(
     on a decline, ``(victim, EVICTION)`` on an eviction, then the drain's
     leftovers as ``(tx, UNBUILDABLE)``; and a copy of ``pool.pending()`` per
     snapshot, at each marker and at the end of the trace."""
-    pool = Mempool(config.capacity, config.policy.per_sender_limit)
+    pool = Mempool(config.capacity, config.per_sender_limit)
     if world is None:
         world = world_for_trace(
             events, overrides=config.account_seeds, block_gas_limit=config.block_gas_limit

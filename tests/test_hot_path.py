@@ -43,7 +43,7 @@ _PER_EVENT = {
     # each encodes every entry of the report, in nested comprehensions
     "RunReport.report_hash": RunReport.report_hash,
     "RunReport._digest": RunReport._digest,
-    # counts the declined ledger's reasons
+    # counts the outcomes' reasons
     "RunReport._summary": RunReport._summary,
 }
 

@@ -55,8 +55,9 @@ def test_replay_books_as_the_per_event_loop(seed):
     policy, drain_mode, final_drain, limit = SETTINGS[seed % len(SETTINGS)]
     events, seeds = _trace(seed)
     config = ScenarioConfig(
-        policy=PolicyConfig(kind=policy, per_sender_limit=limit),
+        policy=PolicyConfig(kind=policy),
         capacity=random.Random(-seed).randint(4, 24),
+        per_sender_limit=limit,
         account_seeds=seeds,
         drain_mode=drain_mode,
         final_drain=final_drain,

@@ -948,14 +948,14 @@ class TestReplayHarness:
             (lambda: ScenarioConfig(block_gas_limit=-1), "block_gas_limit must be positive, got -1"),
             (lambda: ScenarioConfig(block_gas_limit=0), "block_gas_limit must be positive, got 0"),
             (
-                lambda: PolicyConfig(per_sender_limit=1.5),
+                lambda: ScenarioConfig(per_sender_limit=1.5),
                 "per-sender limit must be an integer, got 1.5",
             ),
             (
-                lambda: PolicyConfig(per_sender_limit=False),
+                lambda: ScenarioConfig(per_sender_limit=False),
                 "per-sender limit must be an integer, got False",
             ),
-            (lambda: PolicyConfig(per_sender_limit=0), "per-sender limit must be positive, got 0"),
+            (lambda: ScenarioConfig(per_sender_limit=0), "per-sender limit must be positive, got 0"),
         ],
     )
     def test_config_sizes_must_be_exact_positive_ints(self, make, message):
@@ -963,12 +963,19 @@ class TestReplayHarness:
             make()
 
     def test_config_sizes_accept_exact_positive_ints_and_no_sender_limit(self):
-        config = ScenarioConfig(
-            policy=PolicyConfig(per_sender_limit=None), capacity=1, block_gas_limit=21_000
-        )
+        config = ScenarioConfig(capacity=1, per_sender_limit=None, block_gas_limit=21_000)
         assert (config.capacity, config.block_gas_limit) == (1, 21_000)
-        assert config.policy.per_sender_limit is None
-        assert PolicyConfig(per_sender_limit=1).per_sender_limit == 1
+        assert config.per_sender_limit is None
+        assert ScenarioConfig(per_sender_limit=1).per_sender_limit == 1
+
+    def test_replay_applies_the_config_sender_limit(self):
+        events = [arrival(tx("A", 0, 5), 1), arrival(tx("A", 1, 5), 2), arrival(tx("B", 0, 5), 3)]
+        report = replay(ScenarioConfig(capacity=4, per_sender_limit=1), events)
+        assert [o.reason for o in report.outcomes] == [
+            Reason.POOL_NOT_FULL,
+            Reason.SENDER_LIMIT,
+            Reason.POOL_NOT_FULL,
+        ]
 
     @pytest.mark.parametrize(
         "config",
@@ -1124,7 +1131,8 @@ class TestCli:
         write_trace(trace, [arrival(tx("A", 0, 5), 1), block_trigger(2)])
         assert main(["gamma", str(trace), "--drain-mode", "interleaved"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "empty end-of-trace pool" in captured.err
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: empty end-of-trace pool; nothing to report"
 
     def test_bench_subcommand_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "bench.csv"
