@@ -126,7 +126,8 @@ def _fill(
 def build_block(
     pool: Mempool, world: WorldState, gas_fn: Optional[GasFn] = None
 ) -> BuildResult:
-    """Build one block; included txs leave the pool and advance world state.
+    """Build one block; its txs advance world state and leave the pool in one
+    ``remove_included`` call.
 
     ``_fill`` walks ``candidate_order``, with static gas (no ``gas_fn``) up
     to the ``MIN_TX_GAS`` stop: with a block gas limit below ``MIN_TX_GAS``
@@ -136,8 +137,7 @@ def build_block(
     """
     skipped: List[Tuple[Transaction, str]] = []
     block = _fill(candidate_order(pool), world, skipped, gas_fn)
-    for tx in block.txs:
-        pool.remove_included(tx)
+    pool.remove_included(block.txs)
     return BuildResult(block=block, skipped=skipped)
 
 

@@ -11,12 +11,12 @@ The pool keeps only its pending set, always in these views:
 * ``_seq_of`` - the pending set itself, ``tx -> admission seq`` in
   admission order: every insert adds a fresh key, so ``pending()`` lists
   txs oldest first
-* one ``SenderChain`` per sender (``chain(sender)``) - two sorted lists
-  and a sum: the sender's txs in ascending nonce order, their fees in
-  ascending order (the head is the chain-minimum fee, so no removal
-  rescans for it) and their summed cost. The duplicate test and
-  ``run_end`` (the end of the contiguous nonce run from any start, which is
-  what the future test reads) bisect the txs by nonce
+* one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs
+  in ascending nonce order and their summed cost, and, once ``_childless``
+  is built, their fees in ascending order (the head is the chain-minimum
+  fee, so no removal rescans for it). The duplicate test and ``run_end``
+  (the end of the contiguous nonce run from any start, which is what the
+  future test reads) bisect the txs by nonce
 
 and these order indexes, each a sorted list of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
@@ -30,16 +30,24 @@ go oldest first and a comparison never reaches ``tx``):
 
 An order index does not exist until something first reads it; it is then
 built from ``_seq_of`` or the chains and kept exact by every later change:
-an insert adds the tx's entries with ``insort``, and a removal or a change
-of a sender's tail key (its tail or its chain-minimum fee moved) deletes
-the old entry at ``bisect_left`` of its key less ``tx``. A reader takes the
-first entry. A change costs O(log pool) comparisons and one memmove of up
-to ``capacity`` pointers (~40 KB at 5120), against a heap's O(log pool)
-work plus the stale entries and rebuilds of lazy deletion. The memmove
-grows with the pool: one removal plus one ``insort`` reads ~1.2 us on 192
-entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host). Each
-policy reads one order, so a replay maintains only the index its policy
-uses.
+an insert adds the tx's entries with ``insort``, and an eviction or a
+change of a sender's tail key (its tail or its chain-minimum fee moved)
+deletes the old entry at ``bisect_left`` of its key less ``tx``. A reader
+takes the first entry. A change costs O(log pool) comparisons and one
+memmove of up to ``capacity`` pointers (~40 KB at 5120), against a heap's
+O(log pool) work plus the stale entries and rebuilds of lazy deletion. The
+memmove grows with the pool: one removal plus one ``insort`` reads ~1.2 us
+on 192 entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host).
+Each policy reads one order, so a replay maintains only the index its
+policy uses, and only cp's ``_childless``, whose key reads a chain's
+minimum fee, makes the chains keep fee lists: building it gives each chain
+its sorted fees, and a chain made after that starts with an empty list.
+
+A block leaves the pool in one ``remove_included`` call. It re-keys each
+touched sender's ``_childless`` entry once and filters each built price or
+fee index in one pass, in place of a bisect and a ``del`` per tx: a block
+takes hundreds of txs from a pool of thousands, and one pass costs less
+than a memmove per tx.
 
 A pool has one owner, the replay or test that fills it; there is no
 snapshot, and nothing reads a pool while another caller changes it.
@@ -49,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     _ADMITTING,
@@ -63,15 +71,17 @@ from .core import (
 )
 
 _nonce = attrgetter("nonce")
+_fee = attrgetter("fee")
 
 
 class SenderChain:
-    """One sender's pending transactions as two sorted lists.
+    """One sender's pending transactions, in ascending nonce order.
 
-    ``txs`` holds the txs in ascending nonce order, bisected by nonce with
-    ``key=_nonce``; ``fees`` holds their fees in ascending order, so the
+    ``txs`` holds the txs, bisected by nonce with ``key=_nonce``; ``cost`` is
+    their summed cost. ``fees`` is None until the pool's ``_childless`` index
+    is built, and from then on holds the txs' fees in ascending order, so the
     chain's minimum fee is ``fees[0]`` and a removal deletes one copy of its
-    fee wherever it sits. ``cost`` is the txs' summed cost.
+    fee wherever it sits.
     """
 
     __slots__ = ("txs", "cost", "fees")
@@ -79,7 +89,7 @@ class SenderChain:
     def __init__(self) -> None:
         self.txs: List[Transaction] = []
         self.cost = 0
-        self.fees: List[int] = []
+        self.fees: Optional[List[int]] = None
 
     def __len__(self) -> int:
         return len(self.txs)
@@ -111,7 +121,9 @@ class SenderChain:
         else:
             txs.insert(bisect_left(txs, nonce, key=_nonce), tx)
         self.cost += tx.cost
-        insort(self.fees, tx.fee)
+        fees = self.fees
+        if fees is not None:
+            insort(fees, tx.fee)
 
     def remove(self, tx: Transaction) -> None:
         txs = self.txs
@@ -121,7 +133,8 @@ class SenderChain:
             del txs[bisect_left(txs, tx.nonce, key=_nonce)]
         self.cost -= tx.cost
         fees = self.fees
-        del fees[bisect_left(fees, tx.fee)]
+        if fees is not None:
+            del fees[bisect_left(fees, tx.fee)]
 
 
 # returned by ``Mempool.chain`` for a sender with nothing pending; never mutated
@@ -142,6 +155,14 @@ def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> 
             del index[bisect_left(index, old[:-1])]
         if new is not None:
             insort(index, new)
+
+
+def _without(index: Optional[List[Tuple]], seqs: set) -> Optional[List[Tuple]]:
+    """A new ``index`` of ``(key, seq, tx)`` entries less those whose seq is in
+    ``seqs``; None if the index is not built. A new list, not one filtered in
+    place: the slice assignment read ~0.4 MB more peak RSS on perfbench's
+    block_cadence (Python 3.11, a shared 2-CPU host)."""
+    return None if index is None else [entry for entry in index if entry[1] not in seqs]
 
 
 class Mempool:
@@ -207,10 +228,13 @@ class Mempool:
     def min_price_childless(self) -> Optional[Transaction]:
         """Cheapest childless tx: the first ``_childless`` entry, so among
         equal prices the tx whose sender holds the smaller chain-minimum fee,
-        then the oldest."""
+        then the oldest. Its first read gives each chain its fee list."""
         index = self._childless
         if index is None:
-            index = self._childless = sorted(map(self._tail_key, self._chains.values()))
+            chains = self._chains.values()
+            for chain in chains:
+                chain.fees = sorted(map(_fee, chain.txs))
+            index = self._childless = sorted(map(self._tail_key, chains))
         return index[0][-1] if index else None
 
     # ------------------------------------------------------------- checks
@@ -273,10 +297,12 @@ class Mempool:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._seq_of[tx] = seq
+        childless = self._childless
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
-        childless = self._childless
+            if childless is not None:
+                chain.fees = []
         old = self._tail_key(chain) if childless is not None and chain.txs else None
         chain.insert(tx)
         if childless is not None:
@@ -290,7 +316,8 @@ class Mempool:
             insort(index, (tx.fee, seq, tx))
 
     def _remove(self, tx: Transaction) -> None:
-        """Take ``tx`` out of ``_seq_of``, its chain and every built index."""
+        """Take ``tx`` out of ``_seq_of``, its chain and every built index: an
+        eviction's victim."""
         seq_of = self._seq_of
         if tx not in seq_of:
             raise PoolError(f"{tx!r} not pending")
@@ -321,24 +348,55 @@ class Mempool:
             self._remove(victim)
         self._insert(tx)
 
-    def remove_included(self, tx: Transaction) -> None:
-        """Drop a tx that was included in a block (not an eviction)."""
-        self._remove(tx)
+    def remove_included(self, txs: Sequence[Transaction]) -> None:
+        """Drop the txs a block included (not evictions), in one call.
+
+        Each tx must be pending and named once; otherwise ``PoolError`` is
+        raised before anything changes. Each tx then leaves ``_seq_of`` and
+        its chain, each touched sender's ``_childless`` entry is re-keyed
+        once, and each built price or fee index is filtered once.
+        """
+        seq_of = self._seq_of
+        gone = set()  # the txs' admission seqs
+        for tx in txs:
+            seq = seq_of.get(tx)
+            if seq is None:
+                raise PoolError(f"{tx!r} not pending")
+            if seq in gone:
+                raise PoolError(f"{tx!r} named twice")
+            gone.add(seq)
+        chains = self._chains
+        childless = self._childless
+        old_keys: Dict[str, Tuple] = {}  # touched sender -> its _childless entry
+        for tx in txs:
+            sender = tx.sender
+            chain = chains[sender]
+            if childless is not None and sender not in old_keys:
+                # the sender's txs are all still in _seq_of
+                old_keys[sender] = self._tail_key(chain)
+            chain.remove(tx)
+            del seq_of[tx]
+            if not chain.txs:
+                del chains[sender]
+        for sender, old in old_keys.items():
+            chain = chains.get(sender)
+            _replace(childless, old, None if chain is None else self._tail_key(chain))
+        self._by_price = _without(self._by_price, gone)
+        self._by_fee = _without(self._by_fee, gone)
 
     def pop_all(self) -> List[Transaction]:
         """Empty the pool and return what was pending, in admission order.
 
-        An order index that was built stays built, empty.
+        The pool's mappings are cleared in place, so one held from
+        ``chains()`` stays the pool's own. An order index that was built
+        stays built, empty.
         """
         pending = list(self._seq_of)
-        self._seq_of = {}
-        self._chains = {}
-        if self._by_price is not None:
-            self._by_price = []
-        if self._by_fee is not None:
-            self._by_fee = []
-        if self._childless is not None:
-            self._childless = []
+        self._seq_of.clear()
+        self._chains.clear()
+        for index in (self._by_price, self._by_fee, self._childless):
+            if index is not None:
+                index.clear()
         return pending
 
     # ---------------------------------------------------------- admission

@@ -88,6 +88,7 @@ _reason = attrgetter("reason")
 _nonce = attrgetter("nonce")
 # bound once: see the note above core's enums
 _O1 = OutcomeClass.O1
+_O4 = OutcomeClass.O4
 _UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
 _POOL_NOT_FULL = Reason.POOL_NOT_FULL
 _EVICTION = Reason.EVICTION
@@ -330,7 +331,9 @@ def _admission_flags(
 ) -> OutcomeFlags:
     """Flags of an admission that inserted ``tx`` and evicted ``victim``, if
     any, read off the pool after it; ``NO_FLAGS`` when no resident changed
-    status.
+    status. The replay asks only when a resident could have changed: a
+    free-slot admission at its chain's tail has no victim and nothing above
+    ``tx``, so its flags are ``NO_FLAGS`` without a call.
 
     Precondition: ``tx`` passed ``precheck``, so its nonce was its sender's
     first missing nonce: each nonce from the confirmed one up to it was
@@ -415,6 +418,7 @@ def replay(
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
     # bound once: the arrival branch runs per event
     admit = pool.admit
+    chains = pool.chains()
     record = report.util.record
     append_outcome = report.outcomes.append
     append_arrival = report.arrivals.append
@@ -433,16 +437,22 @@ def replay(
                 append_arrival(tx)
                 if outcome.reason in _ADMITTING:
                     victim = outcome.victim
-                    flags = _admission_flags(pool, world, tx, victim)
-                    if flags is not NO_FLAGS:
-                        report.flags.append((index, flags))
-                    if victim is None:
-                        evicted = 0
+                    if victim is None and chains[tx.sender].txs[-1] is tx:
+                        # a free slot filled at its chain's tail: class O4,
+                        # and nothing sits above tx to turn pending
                         price_sum += tx.price
+                        record(_O4, tx.fee, 0)
                     else:
-                        evicted = victim.fee
-                        price_sum += tx.price - victim.price
-                    record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
+                        flags = _admission_flags(pool, world, tx, victim)
+                        if flags is not NO_FLAGS:
+                            report.flags.append((index, flags))
+                        if victim is None:
+                            evicted = 0
+                            price_sum += tx.price
+                        else:
+                            evicted = victim.fee
+                            price_sum += tx.price - victim.price
+                        record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
                 else:
                     # every declining reason is O1, and the pool did not
                     # change, so no resident changed status

@@ -174,8 +174,7 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
             break
         blocks.append(Block(included))
         pending = [t for t in pending if t not in included]
-    for t in pool.pending():
-        pool.remove_included(t)
+    pool.remove_included(pool.pending())
     return blocks, pending
 
 

@@ -139,7 +139,7 @@ class TestChildless:
             [parent, tx("C", 1, 3, gas=90_000), tx("B", 0, 3, gas=60_000)],
         )
         assert pool.min_price_childless().sender == "C"
-        pool.remove_included(parent)
+        pool.remove_included([parent])
         assert pool.min_price_childless().sender == "B"
 
     @settings(max_examples=200, deadline=None)
@@ -240,12 +240,16 @@ class TestApplyAdmission:
 @pytest.mark.parametrize(
     "stranger",
     [
-        lambda pool: tx("W", 0, 1),  # a sender with nothing pending
-        lambda pool: tx("X", 2, 5),  # the next nonce of a pending chain
-        lambda pool: dataclasses.replace(pool.chain("X").txs[1]),  # copy of a tail
-        lambda pool: dataclasses.replace(pool.chain("X").txs[0]),  # copy of a parent
+        lambda pool: [tx("W", 0, 1)],  # a sender with nothing pending
+        lambda pool: [tx("X", 2, 5)],  # the next nonce of a pending chain
+        lambda pool: [dataclasses.replace(pool.chain("X").txs[1])],  # copy of a tail
+        lambda pool: [dataclasses.replace(pool.chain("X").txs[0])],  # copy of a parent
+        # residents first, then a stranger: the residents stay
+        lambda pool: [*pool.chain("X").txs, pool.chain("Y").txs[0], tx("W", 0, 1)],
+        # every tx resident, but one named twice
+        lambda pool: [pool.chain("X").txs[0], pool.chain("Y").txs[0], pool.chain("X").txs[0]],
     ],
-    ids=["unknown_sender", "next_nonce", "tail_copy", "parent_copy"],
+    ids=["unknown_sender", "next_nonce", "tail_copy", "parent_copy", "mixed_batch", "repeat"],
 )
 def test_remove_included_of_a_non_resident_changes_nothing(stranger):
     pool = Mempool(capacity=8)
@@ -264,9 +268,86 @@ def test_remove_included_of_a_non_resident_changes_nothing(stranger):
     assert views() == before
 
 
+def _pool_of(txs, readers, read_first):
+    """A pool that admitted ``txs`` in order, with the order indexes that the
+    named readers build built before the first admission or after the last."""
+    pool = Mempool(capacity=len(txs) + 1)
+    read = lambda: [getattr(pool, reader)() for reader in sorted(readers)]
+    if read_first:
+        read()
+    for t in txs:
+        pool.apply_admission(t, None)
+    if not read_first:
+        read()
+    return pool
+
+
+def _seqless_views(pool):
+    """Everything a removal changes, each index entry without its admission
+    seq: pools that admitted the same txs in the same order compare equal."""
+    chains = {s: (list(c.txs), c.cost, c.fees) for s, c in pool.chains().items()}
+    indexes = [
+        None if index is None else [entry[:-2] + entry[-1:] for entry in index]
+        for index in (pool._by_price, pool._by_fee, pool._childless)
+    ]
+    return pool.pending(), chains, indexes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    readers=st.sets(st.sampled_from(("min_price_tx", "min_fee_tx", "min_price_childless"))),
+    read_first=st.booleans(),
+    as_a_block=st.booleans(),
+    data=st.data(),
+)
+def test_remove_included_leaves_the_pool_that_never_admitted_the_batch(
+    lengths, readers, read_first, as_a_block, data
+):
+    # chains admitted in any order, 0-3 indexes built; the batch is either
+    # a prefix of each chain, the chains interleaved as a block takes them,
+    # or any subset in any order, as the public call allows
+    gas = st.sampled_from((21_000, 42_000))
+    txs = [
+        tx(f"s{s}", nonce, data.draw(st.integers(1, 9)), gas=data.draw(gas))
+        for s, length in enumerate(lengths)
+        for nonce in range(length)
+    ]
+    txs = data.draw(st.permutations(txs))
+    pool = _pool_of(txs, readers, read_first)
+    if as_a_block:
+        cuts = {s: data.draw(st.integers(0, len(c))) for s, c in pool.chains().items()}
+        turns = data.draw(st.permutations([s for s, cut in cuts.items() for _ in range(cut)]))
+        heads = {s: iter(c.txs) for s, c in pool.chains().items()}
+        batch = [next(heads[s]) for s in turns]
+    else:
+        batch = data.draw(st.lists(st.sampled_from(txs), unique=True))
+    pool.remove_included(batch)
+    gone = set(batch)
+    assert _seqless_views(pool) == _seqless_views(
+        _pool_of([t for t in txs if t not in gone], readers, read_first)
+    )
+
+
+def test_pop_all_empties_the_mapping_chains_returned():
+    pool = Mempool(capacity=8)
+    world = rich_world("X", "Y", "Z")
+    fill_pool(pool, world, [tx("X", 0, 5), tx("X", 1, 3), tx("Y", 0, 4)])
+    held = pool.chains()
+    assert len(pool.pop_all()) == 3
+    assert held is pool.chains() and dict(held) == {} and len(pool) == 0
+    # it stays the pool's own live mapping
+    fill_pool(pool, world, [tx("Z", 0, 5)])
+    assert list(held) == ["Z"]
+
+
 def _rebuild_check(pool: Mempool, world: WorldState):
     """Index coherence: all views hold exactly the pending set, and every
-    sender's chain matches recomputation from it."""
+    sender's chain matches recomputation from it. A chain keeps a fee list
+    once ``_childless`` is built, which ``find_childless`` below does, and
+    not before."""
+    if pool._childless is None:
+        assert all(chain.fees is None for chain in pool.chains().values())
     pending = pool.pending()
     assert set(pending_by_price(pool)) == set(pending)
     # membership and size against a scan of pending()
@@ -282,7 +363,7 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     by_sender = {}
     for t in pending:
         by_sender.setdefault(t.sender, []).append(t)
-    assert {s for s in world.accounts if pool.chain(s).fees} == set(by_sender)
+    assert {s for s in world.accounts if pool.chain(s).txs} == set(by_sender)
     for s, chain in by_sender.items():
         assert pool.chain(s).fees[0] == min(t.fee for t in chain)
         assert [t.nonce for t in pool.chain(s).txs] == sorted(t.nonce for t in chain)
@@ -291,7 +372,8 @@ def _rebuild_check(pool: Mempool, world: WorldState):
         held = sorted(by_sender.get(s, []), key=lambda t: t.nonce)
         assert chain.txs == held
         assert chain.cost == sum(t.cost for t in held)
-        assert chain.fees == sorted(t.fee for t in held)
+        if held:
+            assert chain.fees == sorted(t.fee for t in held)
         nonces = {t.nonce for t in chain.txs}
         for start in range(world.nonce_of(s), max(nonces, default=0) + 2):
             gap = start
@@ -718,7 +800,7 @@ def test_indexes_stay_exact_and_serve_minimums(policy_kind, seed):
             build_block(pool, world)
         elif roll < 0.3 and len(pool):
             tail = pool.chain(rng.choice(pool.pending()).sender).txs[-1]
-            pool.remove_included(tail)
+            pool.remove_included([tail])
             gone.append(tail)
         else:
             sendable = [t for t in gone if [u.nonce for u in pool.chain(t.sender).txs[-1:]] == [t.nonce - 1]]

@@ -160,7 +160,8 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
         txs = ref.sender_txs(sender)
         assert chain.txs == txs
         assert chain.cost == sum(t.cost for t in txs)
-        assert chain.fees == sorted(t.fee for t in txs)
+        if pool._childless is not None and txs:
+            assert chain.fees == sorted(t.fee for t in txs)
     seq = ref.admitted_at.__getitem__
     if pool._by_price is not None:
         assert pending_by_price(pool) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))
@@ -256,6 +257,10 @@ class PoolModel(RuleBasedStateMachine):
             assert built == set(_INDEXES)
         else:
             assert built <= {_POLICY_INDEX[self.KIND]}, built
+        # only _childless's key reads a chain's minimum fee: until it is
+        # built, no chain keeps a fee list
+        if "_childless" not in built:
+            assert all(chain.fees is None for chain in self.pool.chains().values())
         # matches_reference compares these indexes with the reference
         self.seen["every index" if self.every_index else "policy index"] += bool(built)
 

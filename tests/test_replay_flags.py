@@ -14,6 +14,7 @@ from mempoolsim import (
     AttackPlan,
     Mempool,
     PolicyConfig,
+    Reason,
     ScenarioConfig,
     Transaction,
     arrival,
@@ -190,9 +191,13 @@ def test_cp_never_evicts_the_arrivals_own_sender():
 
 
 def test_cases_exercise_both_flags():
-    # the differential check is only as strong as the flags it sees
+    # the differential check is only as strong as the flags it sees. A
+    # flagged free-slot admission is one below its chain's tail, which the
+    # replay's free-slot fast path leaves to the flag path
     seen = set()
+    free_slot_flagged = 0  # case and policy pairs with one
     for capacity, drain_mode, (events, seeds) in CASES.values():
+        arrivals = [i for i, event in enumerate(events) if event.kind == "tx_arrival"]
         for policy in ("baseline", "cp", "map"):
             config = ScenarioConfig(
                 policy=PolicyConfig(kind=policy),
@@ -200,6 +205,12 @@ def test_cases_exercise_both_flags():
                 account_seeds=seeds,
                 drain_mode=drain_mode,
             )
-            for _, flags in replay(config, events).flags:
+            report = replay(config, events)
+            reason_at = {i: o.reason for i, o in zip(arrivals, report.outcomes, strict=True)}
+            for index, flags in report.flags:
                 seen.add((flags.future_turn_pending, flags.pending_turn_future))
+            free_slot_flagged += any(
+                reason_at[index] is Reason.POOL_NOT_FULL for index, _ in report.flags
+            )
     assert any(ftp for ftp, _ in seen) and any(ptf for _, ptf in seen)
+    assert free_slot_flagged
