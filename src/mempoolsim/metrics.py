@@ -98,7 +98,7 @@ def gamma(pending: Sequence[Transaction]) -> GammaReport:
 
 
 class OutcomeClass(Enum):
-    # hashes by identity, as core's enums do: the ledger keys records by class
+    # hashes by identity, as core's enums do: the ledger keys entries by class
     __hash__ = object.__hash__
 
     O1 = "declined"
@@ -116,8 +116,8 @@ class OutcomeFlags:
     pending_turn_future: bool = False
 
 
-# an unflagged record: the ledger's default, and what replay passes for an
-# admission that changed no resident's status
+# what the replay's flag reader returns for an admission that changed no
+# resident's status: such an admission is booked under no flag
 NO_FLAGS = OutcomeFlags()
 
 # bound once: classify_outcome runs per admission (see the note above core's
@@ -155,17 +155,18 @@ class UtilEntry:
     def dutil(self) -> int:
         return self.inside_delta - self.outside_delta
 
-    def add(self, inside_delta: int, outside_delta: int, count: int = 1) -> None:
+    def add(self, inside_delta: int, outside_delta: int) -> None:
         self.inside_delta += inside_delta
         self.outside_delta += outside_delta
-        self.count += count
+        self.count += 1
 
 
 @dataclass
 class UtilLedger:
     """dUtil per outcome class, and again per transition flag for flagged
-    admissions. Each record lands in exactly one class, so the run's
-    ``total`` is the sum of the class entries."""
+    admissions, as ``RunReport.util`` derives it from a replay's report.
+    Each arrival and each final-drain leftover lands in exactly one class,
+    so the run's ``total`` is the sum of the class entries."""
 
     per_class: Dict[OutcomeClass, UtilEntry] = field(default_factory=dict)
     flagged: Dict[str, UtilEntry] = field(default_factory=dict)
@@ -178,32 +179,3 @@ class UtilLedger:
             sum(e.outside_delta for e in entries),
             sum(e.count for e in entries),
         )
-
-    def record(self, outcome_class: OutcomeClass, inside_delta: int, outside_delta: int,
-               flags: OutcomeFlags = NO_FLAGS, count: int = 1) -> None:
-        """Add ``count`` records of one class and flags, whose deltas sum to
-        ``inside_delta`` and ``outside_delta``, to the class's entry and,
-        only when ``flags`` is not ``NO_FLAGS``, to the entry of each flag it
-        sets. A replay books each admission as it happens, and its declines
-        and the final drain's leftovers as one call each, with their count.
-
-        The class entry is updated inline, not through ``UtilEntry.add``:
-        most admissions carry no flag."""
-        entry = self.per_class.get(outcome_class)
-        if entry is None:
-            entry = self.per_class[outcome_class] = UtilEntry()
-        entry.inside_delta += inside_delta
-        entry.outside_delta += outside_delta
-        entry.count += count
-        if flags is not NO_FLAGS:
-            if flags.future_turn_pending:
-                _entry(self.flagged, "future_turn_pending").add(inside_delta, outside_delta, count)
-            if flags.pending_turn_future:
-                _entry(self.flagged, "pending_turn_future").add(inside_delta, outside_delta, count)
-
-
-def _entry(bucket: Dict, key) -> UtilEntry:
-    entry = bucket.get(key)
-    if entry is None:
-        entry = bucket[key] = UtilEntry()
-    return entry

@@ -14,7 +14,7 @@ import statistics
 import time
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
@@ -34,7 +34,7 @@ from .core import (
     check_positive_int,
     frozen_slots,
 )
-from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilLedger, classify_outcome
+from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
 from .policies import PolicyConfig
 from .pool import Mempool
 from .trace import TraceEvent, world_for_trace
@@ -87,8 +87,6 @@ _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
 _nonce = attrgetter("nonce")
 # bound once: see the note above core's enums
-_O1 = OutcomeClass.O1
-_O4 = OutcomeClass.O4
 _UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
 _POOL_NOT_FULL = Reason.POOL_NOT_FULL
 _EVICTION = Reason.EVICTION
@@ -153,12 +151,14 @@ class RunReport:
     ``outcomes`` holds one admission outcome per arrival and ``arrivals``
     the arrivals' txs, side by side in trace order, ``blocks`` the
     blocks built, ``snapshots`` where each snapshot marker and the end of the
-    trace fell among the outcomes and blocks, ``util`` the per-arrival dUtil
-    ledger, ``flags`` the admissions that flipped a resident's future status,
-    ``price_sum_series`` the pool's price sum after each arrival,
-    ``unbuildable`` the final drain's leftovers and ``final_pending`` the
-    pending set after the run. ``declined``, the fee totals and a snapshot's
-    pending set (``pending_at``) are derived from these records when read.
+    trace fell among the outcomes and blocks, ``flags`` the admissions that
+    flipped a resident's future status, ``price_sum_series`` the pool's
+    price sum after each arrival, ``unbuildable`` the final drain's
+    leftovers and ``final_pending`` the pending set after the run.
+    ``declined``, the fee totals, the dUtil ledger (``util``) and a
+    snapshot's pending set (``pending_at``) are derived from these records
+    when read. Only the flagged admissions' dUtil is booked as the replay
+    runs: ``flags`` is keyed by event index, which no outcome records.
     """
 
     policy: str
@@ -168,11 +168,12 @@ class RunReport:
     arrivals: List[Transaction] = field(default_factory=list)
     blocks: List[Block] = field(default_factory=list)
     snapshots: List[Snapshot] = field(default_factory=list)
-    util: UtilLedger = field(default_factory=UtilLedger)
     flags: List[Tuple[int, OutcomeFlags]] = field(default_factory=list)
     price_sum_series: List[int] = field(default_factory=list)
     unbuildable: List[Transaction] = field(default_factory=list)
     final_pending: List[Transaction] = field(default_factory=list)
+    # flag name -> dUtil of the admissions that set it, booked by ``_flag``
+    _flagged: Dict[str, UtilEntry] = field(default_factory=dict, init=False, repr=False)
 
     def _ledger(self) -> Tuple[List[Transaction], List[Reason]]:
         """``declined`` as its txs and its reasons: two lists that make no
@@ -189,6 +190,43 @@ class RunReport:
         admission, ``(victim, EVICTION)`` for an eviction and ``(tx, reason)``
         for a decline; then ``(tx, UNBUILDABLE)`` per final-drain leftover."""
         return list(zip(*self._ledger()))
+
+    @property
+    def util(self) -> UtilLedger:
+        """The run's dUtil ledger, a fresh copy per read. Each outcome adds
+        to its class's entry: an admission its fee less its victim's inside
+        and its victim's fee outside, a decline its fee outside. The final
+        drain's leftovers make one UNBUILDABLE entry, their fees both taken
+        from inside and counted outside. The flagged entries are the
+        replay's bookings (``_flag``). ``ValueError`` unless the report has
+        one outcome per arrival."""
+        per_class: Dict[OutcomeClass, UtilEntry] = {}
+        for o, tx in zip(self.outcomes, self.arrivals, strict=True):
+            outcome_class = classify_outcome(o, tx)
+            entry = per_class.get(outcome_class)
+            if entry is None:
+                entry = per_class[outcome_class] = UtilEntry()
+            if o.reason in _ADMITTING:
+                evicted = 0 if o.victim is None else o.victim.fee
+                entry.add(tx.fee - evicted, evicted)
+            else:
+                entry.add(0, tx.fee)
+        if self.unbuildable:
+            fees = sum(map(_fee, self.unbuildable))
+            per_class[_UNBUILDABLE_CLASS] = UtilEntry(-fees, fees, len(self.unbuildable))
+        return UtilLedger(per_class, {name: replace(e) for name, e in self._flagged.items()})
+
+    def _flag(
+        self, index: int, flags: OutcomeFlags, tx: Transaction, victim: Optional[Transaction]
+    ) -> None:
+        """Record that the admission of ``tx`` at event ``index``, evicting
+        ``victim`` if any, set ``flags``, and book its dUtil under each flag
+        it sets."""
+        self.flags.append((index, flags))
+        evicted = 0 if victim is None else victim.fee
+        for name in ("future_turn_pending", "pending_turn_future"):
+            if getattr(flags, name):
+                self._flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
 
     @property
     def pool_fees_final(self) -> int:
@@ -236,6 +274,7 @@ class RunReport:
         """``summary()`` from the declined ledger's txs: the hash derives the
         ledger once for both. ``reasons`` counts the outcomes' reasons."""
         counts = Counter(map(_reason, self.outcomes))
+        declined_fees = sum(map(_fee, declined))
         return {
             "policy": self.policy,
             "capacity": self.capacity,
@@ -244,8 +283,11 @@ class RunReport:
             "blocks": len(self.blocks),
             "block_fees": self.block_fees_final,
             "pool_fees": self.pool_fees_final,
-            "declined_fees": sum(map(_fee, declined)),
-            "dutil_total": self.util.total.dutil,
+            "declined_fees": declined_fees,
+            # ``util.total.dutil`` in two C-level sums: each arrival's fee
+            # counts once, and each fee in the declined ledger is taken back
+            # and counted as lost
+            "dutil_total": sum(map(_fee, self.arrivals)) - 2 * declined_fees,
             "pending": len(self.final_pending),
         }
 
@@ -394,12 +436,10 @@ def replay(
     itself: an admission adds its tx's price less its victim's, an
     interleaved block takes off its txs' prices. A snapshot marker, and the
     end of the trace, records how many outcomes and blocks the report then
-    holds. An admission books its dUtil record as it happens. The declines,
-    all of class O1 and each ``outside_delta`` its arrival's fee, are summed
-    as the loop runs and booked as one record with their count after it.
-    With ``final_drain`` the pool is then drained, and its leftovers are
-    stored as ``unbuildable`` and booked as one class UNBUILDABLE record
-    likewise.
+    holds. The loop books no dUtil but a flagged admission's (see
+    ``RunReport.util``, which derives the rest from the outcomes). With
+    ``final_drain`` the pool is then drained, and its leftovers are stored
+    as ``unbuildable``.
 
     A ``PoolError`` raises ``ReplayAbort`` with the index of the event that
     broke, or ``len(events)`` for the final drain.
@@ -419,14 +459,12 @@ def replay(
     # bound once: the arrival branch runs per event
     admit = pool.admit
     chains = pool.chains()
-    record = report.util.record
     append_outcome = report.outcomes.append
     append_arrival = report.arrivals.append
     append_price_sum = report.price_sum_series.append
     interleaved = config.drain_mode == "interleaved"
-    # the pool's price sum, moved by each admission and block; declines are
-    # summed here and booked once below
-    price_sum = declined_fees = declined_count = 0
+    # the pool's price sum, moved by each admission and block
+    price_sum = 0
     for index, event in enumerate(events):
         try:
             kind = event.kind
@@ -435,29 +473,22 @@ def replay(
                 outcome = admit(tx, world, policy)
                 append_outcome(outcome)
                 append_arrival(tx)
+                # only an admission changes the pool, so only it can change
+                # a resident's status
                 if outcome.reason in _ADMITTING:
                     victim = outcome.victim
                     if victim is None and chains[tx.sender].txs[-1] is tx:
-                        # a free slot filled at its chain's tail: class O4,
-                        # and nothing sits above tx to turn pending
+                        # a free slot filled at its chain's tail: nothing
+                        # sits above tx to turn pending
                         price_sum += tx.price
-                        record(_O4, tx.fee, 0)
                     else:
                         flags = _admission_flags(pool, world, tx, victim)
                         if flags is not NO_FLAGS:
-                            report.flags.append((index, flags))
+                            report._flag(index, flags, tx, victim)
                         if victim is None:
-                            evicted = 0
                             price_sum += tx.price
                         else:
-                            evicted = victim.fee
                             price_sum += tx.price - victim.price
-                        record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
-                else:
-                    # every declining reason is O1, and the pool did not
-                    # change, so no resident changed status
-                    declined_fees += tx.fee
-                    declined_count += 1
                 append_price_sum(price_sum)
             elif kind == "snapshot_marker":
                 report.snapshots.append(
@@ -469,8 +500,6 @@ def replay(
                 price_sum -= sum(map(_price, block.txs))
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
-    if declined_count:
-        record(_O1, 0, declined_fees, count=declined_count)
 
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0
@@ -484,9 +513,6 @@ def replay(
             # the final drain runs after the last event: its index is the count
             raise ReplayAbort(len(events), exc) from exc
         report.blocks.extend(blocks)
-        if report.unbuildable:
-            fees = sum(map(_fee, report.unbuildable))
-            record(_UNBUILDABLE_CLASS, -fees, fees, count=len(report.unbuildable))
     report.final_pending = pool.pending()
     return report
 

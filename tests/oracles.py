@@ -11,14 +11,15 @@ library's one-ranking drain must match; the library's ``build_block`` and
 ``parse_trace_lines`` is the per-line trace parser that the library's
 parser, which reads the writer's arrival lines through one pattern, must
 match.
-``replay_per_event`` is the replay loop that books one dUtil record and
-sums the pool's pending prices once per arrival, takes each admission's
-flags from ``transition_flags``, and drains with ``drain``;
-the library's ``replay`` sums its declines and its leftovers and books each
-sum once, and moves a running price sum by each admission and block, and
-must report the same. It also keeps the declined ledger as the events
-happen, and a copy of the pool's pending set at each snapshot, which the
-report's derived ``declined`` and ``pending_at`` must equal.
+``replay_per_event`` is the replay loop that books one dUtil record into a
+ledger of its own and sums the pool's pending prices once per arrival,
+takes each admission's flags from ``transition_flags``, and drains with
+``drain``; the library's ``replay`` books only its flagged admissions'
+dUtil, derives the rest from the report when ``util`` is read, and moves a
+running price sum by each admission and block, and must report the same.
+It also keeps the declined ledger as the events happen, and a copy of the
+pool's pending set at each snapshot, which the report's derived
+``declined`` and ``pending_at`` must equal.
 """
 
 from __future__ import annotations
@@ -40,7 +41,14 @@ from mempoolsim import (
     build_block as library_build_block,
     world_for_trace,
 )
-from mempoolsim.metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, classify_outcome
+from mempoolsim.metrics import (
+    NO_FLAGS,
+    OutcomeClass,
+    OutcomeFlags,
+    UtilEntry,
+    UtilLedger,
+    classify_outcome,
+)
 from mempoolsim.replay import Snapshot
 from mempoolsim.trace import _record_to_event
 
@@ -219,18 +227,34 @@ def parse_trace_lines(text: str) -> List[TraceEvent]:
     return events
 
 
+def book(
+    util: UtilLedger,
+    outcome_class: OutcomeClass,
+    inside_delta: int,
+    outside_delta: int,
+    flags: OutcomeFlags = NO_FLAGS,
+) -> None:
+    """Book one record into ``util``: its deltas to its class's entry and to
+    the entry of each flag it sets."""
+    util.per_class.setdefault(outcome_class, UtilEntry()).add(inside_delta, outside_delta)
+    for name in ("future_turn_pending", "pending_turn_future"):
+        if getattr(flags, name):
+            util.flagged.setdefault(name, UtilEntry()).add(inside_delta, outside_delta)
+
+
 def replay_per_event(
     config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
-) -> Tuple[RunReport, List[Tuple[Transaction, Reason]], List[List[Transaction]]]:
-    """``replay`` with one ``UtilLedger.record`` and one sum of the pool's
-    pending prices per arrival, a declined one included, each admission's
-    flags from ``transition_flags`` over the pending lists around it, and
-    with this module's ``drain`` at the end, each leftover booked as its own
-    record.
+) -> Tuple[RunReport, List[Tuple[Transaction, Reason]], List[List[Transaction]], UtilLedger]:
+    """``replay`` with one sum of the pool's pending prices per arrival, a
+    declined one included, each admission's flags from ``transition_flags``
+    over the pending lists around it, and with this module's ``drain`` at
+    the end.
     Also returns the declined ledger as the events happen: ``(tx, reason)``
     on a decline, ``(victim, EVICTION)`` on an eviction, then the drain's
-    leftovers as ``(tx, UNBUILDABLE)``; and a copy of ``pool.pending()`` per
-    snapshot, at each marker and at the end of the trace."""
+    leftovers as ``(tx, UNBUILDABLE)``; a copy of ``pool.pending()`` per
+    snapshot, at each marker and at the end of the trace; and the dUtil
+    ledger it books with ``book``, one record per arrival and per
+    leftover."""
     pool = Mempool(config.capacity, config.per_sender_limit)
     if world is None:
         world = world_for_trace(
@@ -239,6 +263,7 @@ def replay_per_event(
     policy = config.policy.build()
     report = RunReport(policy=config.policy.kind, capacity=config.capacity)
     ledger: List[Tuple[Transaction, Reason]] = []
+    util = UtilLedger()
     pendings: List[List[Transaction]] = []
 
     def snapshot(index: int, ts_ms: int) -> None:
@@ -258,10 +283,10 @@ def replay_per_event(
                 if flags != NO_FLAGS:
                     report.flags.append((index, flags))
                 evicted = 0 if victim is None else victim.fee
-                report.util.record(classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
+                book(util, classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
             else:
                 ledger.append((tx, outcome.reason))
-                report.util.record(OutcomeClass.O1, 0, tx.fee)
+                book(util, OutcomeClass.O1, 0, tx.fee)
             report.outcomes.append(outcome)
             report.arrivals.append(tx)
             report.price_sum_series.append(sum(t.price for t in pool.pending()))
@@ -277,7 +302,7 @@ def replay_per_event(
         report.blocks.extend(blocks)
         for tx in leftovers:
             ledger.append((tx, Reason.UNBUILDABLE))
-            report.util.record(OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
+            book(util, OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
         report.unbuildable = leftovers
     report.final_pending = pool.pending()
-    return report, ledger, pendings
+    return report, ledger, pendings, util

@@ -38,6 +38,8 @@ _PER_EVENT = {
     "RunReport._ledger": RunReport._ledger,
     "RunReport.declined": RunReport.declined.fget,
     "RunReport.pending_at": RunReport.pending_at,
+    # walks every outcome
+    "RunReport.util": RunReport.util.fget,
     # runs once per tx the report names
     "replay._cache_report_json": _cache_report_json,
     # each encodes every entry of the report, in nested comprehensions

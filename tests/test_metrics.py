@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -9,6 +10,7 @@ from mempoolsim import (
     AttackPlan,
     OutcomeClass,
     Reason,
+    RunReport,
     UtilLedger,
     WorldState,
     classify_outcome,
@@ -22,11 +24,11 @@ from mempoolsim import (
     ScenarioConfig,
 )
 from mempoolsim.core import DEFAULT_BLOCK_GAS_LIMIT
-from mempoolsim.metrics import OutcomeFlags, nearest_rank_percentile
+from mempoolsim.metrics import OutcomeFlags, UtilEntry, nearest_rank_percentile
 
 from conftest import fund, random_pool_txs, rich_world, tx
 from oracles import transition_flags
-from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES
+from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES, _random_adversary
 
 
 class TestEvictionBounds:
@@ -223,15 +225,44 @@ class TestDutilAccounting:
         assert self._entry(t, OutcomeClass.O4) == (f, 0, f)
 
     def test_ledger_totals_accumulate(self):
-        ledger = UtilLedger()
-        ledger.record(OutcomeClass.O1, 0, 10)
-        ledger.record(OutcomeClass.O4, 7, 0)
-        flags = OutcomeFlags(pending_turn_future=True)
-        ledger.record(OutcomeClass.O2, 3, 2, flags)
+        ledger = UtilLedger({
+            OutcomeClass.O1: UtilEntry(0, 10, 1),
+            OutcomeClass.O4: UtilEntry(7, 0, 1),
+            OutcomeClass.O2: UtilEntry(3, 2, 1),
+        })
         assert ledger.total.dutil == -10 + 7 + 1
         assert ledger.total.count == 3
         assert ledger.per_class[OutcomeClass.O1].dutil == -10
-        assert ledger.flagged["pending_turn_future"].count == 1
+        # a flagged admission books its deltas under each flag it sets
+        report = RunReport(policy="cp", capacity=4)
+        a, victim = tx("A", 0, 5), tx("B", 0, 2)
+        report._flag(3, OutcomeFlags(pending_turn_future=True), a, victim)
+        report._flag(7, OutcomeFlags(True, True), a, None)
+        assert report.flags == [(3, OutcomeFlags(False, True)), (7, OutcomeFlags(True, True))]
+        assert report.util.flagged == {
+            "future_turn_pending": UtilEntry(a.fee, 0, 1),
+            "pending_turn_future": UtilEntry(2 * a.fee - victim.fee, victim.fee, 2),
+        }
+
+    def test_an_edit_to_a_read_ledger_reaches_no_later_read(self):
+        # ``util`` is derived per read, its flagged entries copied from the
+        # replay's bookings: an edit to one read leaves the report as it was;
+        # baseline flags some of its evictions
+        events, seeds = _random_adversary(0)
+        config = ScenarioConfig(
+            policy=PolicyConfig(kind="baseline"), capacity=192, account_seeds=seeds
+        )
+        report = replay(config, events)
+        digest, util = report.report_hash(), report.util
+        want = copy.deepcopy(util)
+        assert util.per_class and util.flagged
+        for entry in [*util.per_class.values(), *util.flagged.values()]:
+            entry.add(10**30, -(10**30))
+        assert report.util == want
+        util.per_class.clear()
+        util.flagged.clear()
+        assert report.util == want
+        assert report.report_hash() == digest
 
     def test_replay_telescoping_identity(self):
         events = AttackPlan("random_adversary", {"steps": 800, "seed": 13}).events()
@@ -269,6 +300,7 @@ class TestDutilAccounting:
             report = replay(config, events)
             cell = (kind, seed, steps, capacity, drain_mode, cadence)
             assert report.util.total.dutil == _end_state_dutil(report), cell
+            assert report.summary()["dutil_total"] == report.util.total.dutil, cell
             ended = len(report.final_pending) + len(report.included_txs()) + len(report.declined)
             assert ended == steps, cell
 
@@ -289,6 +321,7 @@ class TestDutilAccounting:
                 report = replay(config, events)
                 util, cell = report.util, (policy, drain_mode)
                 assert util.total.dutil == _end_state_dutil(report), cell
+                assert report.summary()["dutil_total"] == util.total.dutil, cell
                 unbuildable = sum(r is Reason.UNBUILDABLE for _, r in report.declined)
                 assert util.total.count == len(report.outcomes) + unbuildable, cell
                 expected = Counter(map(classify_outcome, report.outcomes, report.arrivals))

@@ -1,15 +1,18 @@
-"""``replay`` books its declines once, after the trace, and its drain's
-leftovers once, after the drain, moves a running price sum by each admission
-and block, and records only where each snapshot fell.
-``oracles.replay_per_event`` books one record and sums the pool's pending
-prices once per arrival, takes each admission's flags from the list-scan
+"""``replay`` books only its flagged admissions' dUtil, derives the rest of
+the dUtil ledger from the report when ``util`` is read, moves a running
+price sum by each admission and block, and records only where each
+snapshot fell.
+``oracles.replay_per_event`` books one dUtil record per arrival and per
+leftover into a ledger of its own, sums the pool's pending prices once per
+arrival, takes each admission's flags from the list-scan
 ``transition_flags``, and keeps the declined ledger and a copy of the
 pending set at each snapshot as the events happen. On random traces, with
 blocks and snapshots anywhere, every policy, both drain modes, the final
 drain on and off and a per-sender limit or none, both must give the same
-dUtil ledger, flags, price sums, final pending set and report hash, and the
-report's derived ``declined`` and each snapshot's ``pending_at`` must equal
-what was kept as the events happened.
+flags, price sums, final pending set and report hash, the report's
+``util`` must equal the oracle's booked ledger, and the report's derived
+``declined`` and each snapshot's ``pending_at`` must equal what was kept
+as the events happened.
 """
 
 import itertools
@@ -63,14 +66,14 @@ def test_replay_books_as_the_per_event_loop(seed):
         final_drain=final_drain,
     )
     got = replay(config, events)
-    want, ledger, pendings = replay_per_event(config, events)
+    want, ledger, pendings, util = replay_per_event(config, events)
     assert got.declined == ledger
     assert got.snapshots == want.snapshots
     assert [got.pending_at(s) for s in got.snapshots] == pendings
     assert got.final_pending == want.final_pending
     assert got.unbuildable == want.unbuildable
-    assert got.util.per_class == want.util.per_class
-    assert got.util.flagged == want.util.flagged
+    assert got.util.per_class == util.per_class
+    assert got.util.flagged == util.flagged
     assert got.flags == want.flags
     assert got.price_sum_series == want.price_sum_series
     assert got.report_hash() == want.report_hash()

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from mempoolsim import PolicyConfig, ScenarioConfig, arrival, replay
 from mempoolsim.core import AdmissionOutcome, Block, Reason, Transaction
-from mempoolsim.metrics import OutcomeClass
 from mempoolsim.replay import RunReport
 
 from test_golden_hashes import DRAIN_MODES, GOLDEN, POLICIES, TRACES
@@ -117,7 +116,6 @@ def _report(senders, big: int = 1) -> RunReport:
     report.unbuildable = [shared]
     report.price_sum_series = [big, 0, big * 3, HUGE]
     report.final_pending = txs[1:]
-    report.util.record(OutcomeClass.O1, -HUGE, HUGE)
     return report
 
 
