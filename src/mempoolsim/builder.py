@@ -87,8 +87,14 @@ def _fill(
     A tx whose nonce is not its sender's confirmed nonce, or whose gas does
     not fit, is appended to ``skipped`` as ``(tx, "nonce-gap")`` or ``(tx,
     "gas-overflow")``. With static gas the walk stops once the gas left is
-    below ``MIN_TX_GAS``, or below ``lightest()``, read again after each
-    inclusion, when given; with a ``gas_fn`` it walks all of ``order``.
+    below ``MIN_TX_GAS``, or below ``lightest()`` when given; with a
+    ``gas_fn`` it walks all of ``order``.
+
+    ``lightest()`` can only rise as txs are included, so it is read again
+    after a gas-overflow skip only, not after each inclusion: a stale value
+    can only stop the walk later. Past the exact stop every candidate is a
+    nonce-gap skip or an overflow, since none fits, and the first overflow
+    reads the exact value and stops the walk, so the block is the same.
 
     Each candidate's account is read once, from ``world.accounts``: a sender
     with none has confirmed nonce 0, and its account is made on inclusion.
@@ -111,6 +117,8 @@ def _fill(
         gas = gas_fn(tx, included) if gas_fn else tx.gas_used
         if gas_total + gas > limit:
             skipped.append((tx, "gas-overflow"))
+            if lightest:
+                full_above = limit - lightest()
             continue
         gas_total += gas
         included.append(tx)
@@ -118,8 +126,6 @@ def _fill(
             acct = accounts[sender] = AccountState()
         acct.nonce = tx.nonce + 1
         acct.balance -= tx.fee + tx.value
-        if lightest:
-            full_above = limit - lightest()
     return block
 
 
@@ -164,7 +170,8 @@ def drain(pool: Mempool, world: WorldState) -> Tuple[List[Block], List[Transacti
       below their senders' confirmed nonces, so no later block walks them.
     * A block stops once the lightest ``gas_used`` among the buildable txs
       not yet included no longer fits in the gas left; they are sorted by
-      gas once, and ``light`` moves past the included ones.
+      gas once, and ``light`` moves past the included ones. ``_fill`` reads
+      it at the start of a block and after each gas-overflow skip.
     """
     nonce_of = world.nonce_of
     accounts = world.accounts

@@ -137,12 +137,20 @@ def frozen_slots(cls: type) -> type:
 
 
 class _ReportJsonSlot:
-    """The slot where ``RunReport.report_hash`` caches a tx's report JSON.
+    """The slot that holds a tx's report fragment, the one definition of its
+    format: ``[sender,nonce,price,gas_used,gas_limit,value]`` with no
+    spaces, the sender as ``json.encoder.encode_basestring_ascii`` writes
+    it and each int in decimal, as ``str`` writes it.
 
-    The fragment depends only on the tx's frozen fields, so it cannot go
-    stale, and every report of a trace reads what the first one encoded. A
-    base class's slot, not a dataclass field: the signature, the fields,
-    ``replace`` and ``repr`` do not see it, and construction stores nothing.
+    Two writers fill it, each through the slot's descriptor
+    (``_set_report_json``): the trace parser, for an arrival line it reads
+    through its pattern, from the line's own texts, and
+    ``RunReport.report_hash``, through ``replay._cache_report_json``, for
+    every other tx it names, on its first hash. The fragment depends only on
+    the tx's frozen fields, so it cannot go stale, and every report of a
+    trace reads what was written first. A base class's slot, not a dataclass
+    field: the signature, the fields, ``replace`` and ``repr`` do not see
+    it, and construction stores nothing.
     """
 
     __slots__ = ("_report_json",)
@@ -244,6 +252,7 @@ _set_value = Transaction.value.__set__
 _set_label = Transaction.label.__set__
 _set_fee = Transaction.fee.__set__
 _set_cost = Transaction.cost.__set__
+_set_report_json = Transaction._report_json.__set__
 _fee = attrgetter("fee")
 
 

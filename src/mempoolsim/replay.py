@@ -30,6 +30,7 @@ from .core import (
     Reason,
     Transaction,
     WorldState,
+    _set_report_json,
     check_account_seed,
     check_positive_int,
     frozen_slots,
@@ -103,12 +104,12 @@ _HASH_HEADS = {
 }
 
 _report_json = attrgetter("_report_json")
-_set_report_json = Transaction._report_json.__set__
 
 
 def _cache_report_json(txs: List[Transaction]) -> None:
-    """Give each of ``txs`` its cached report JSON,
-    ``[sender,nonce,price,gas_used,gas_limit,value]``.
+    """Give each of ``txs`` its report fragment (``core._ReportJsonSlot``
+    defines it): a parsed trace's arrivals hold theirs from the parse, and a
+    generated or hand-built tx gets its own here, on its first hash.
 
     One C-level read checks that all have it. On a miss, a list whose first
     tx has none is encoded whole, as a trace's first report is, with no call

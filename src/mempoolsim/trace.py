@@ -14,10 +14,12 @@ block, whatever the trace's size. The file is read with universal newlines,
 so a ``\r\n`` or ``\r`` reads as ``\n``. A block is the next ``_READ_BLOCK``
 characters and then the rest of the line they end in, so no line spans two
 blocks, and ``str.splitlines`` of each block in turn gives exactly the lines
-of the whole text. An arrival line exactly as the writer emits it is read
-through one compiled pattern, ``_ARRIVAL_LINE``; any other line is decoded on
-its own by ``json.loads``. Both give the events and errors of a per-line
-decode. A trace is written a line at a time too.
+of the whole text. An arrival line exactly as the writer emits it, with a
+sender of printable ASCII that needed no escape, is read through one compiled
+pattern, ``_ARRIVAL_LINE``, and its tx keeps its report fragment written from
+the line's own texts; any other line is decoded on its own by ``json.loads``.
+Both give the events and errors of a per-line decode. A trace is written a
+line at a time too.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
     WorldState,
     _LABELS,
     _collector_paused,
+    _set_report_json,
     check_account_seed,
     check_positive_int,
     frozen_slots,
@@ -162,19 +165,22 @@ def _event_lines(events: Iterable[TraceEvent]) -> Iterator[str]:
         yield json.dumps(_event_to_record(event), sort_keys=True) + "\n"
 
 
-# The one line _event_lines writes for an arrival, and no other: the keys
-# sorted, json.dumps's default ", " and ": " separators, each int 1 to 78
-# ASCII digits with no leading zero (ts_ms alone may be negative), a sender
-# with no character that JSON escapes or refuses raw, and a known source. So
-# a matched line is a JSON object with exactly the arrival fields, each
-# decoded value is its group's text, and ``int`` of at most 78 digits never
-# reaches ``sys.get_int_max_str_digits``. The groups are the values in key
-# order, the literal kind left out.
+# The one line _event_lines writes for an arrival whose sender needs no
+# escape, and no other: the keys sorted, json.dumps's default ", " and ": "
+# separators, each int 1 to 78 ASCII digits with no leading zero (ts_ms alone
+# may be negative), a sender of printable ASCII other than '"' and '\' (the
+# writer escapes every other character), and a known source. So a matched
+# line is a JSON object with exactly the arrival fields, each decoded value
+# is its group's text, the texts are what the report fragment writes (``str``
+# of each int, the sender as ``encode_basestring_ascii`` writes it, quotes
+# aside), and ``int`` of at most 78 digits never reaches
+# ``sys.get_int_max_str_digits``. The groups are the values in key order,
+# the literal kind left out.
 _DIGITS = "(?:0|[1-9][0-9]{0,77})"
 _ARRIVAL_VALUE = {
     "kind": '"tx_arrival"',
     "ts_ms": f"(-?{_DIGITS})",
-    "sender": r'"([^"\\\x00-\x1f]*)"',
+    "sender": r'"([ !#-\[\]-~]*)"',
     "source": f'"({_BENIGN}|{_ADVERSARIAL})"',
 }
 _ARRIVAL_LINE = re.compile(
@@ -219,11 +225,14 @@ def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
     line break or at the end; a ``TraceError`` names the first bad line.
 
     A line that ``_ARRIVAL_LINE`` matches builds its arrival from the
-    pattern's groups; any other non-blank line is decoded by ``json.loads``
-    and passes the schema check. Either way the ``Transaction`` and
-    ``TraceEvent`` constructors and the one timestamp check run in line
-    order, so each error names the line a per-line decode names. The cyclic
-    collector is paused while the events are built: they hold no cycles."""
+    pattern's groups, and its tx's report fragment (``_ReportJsonSlot``)
+    from their texts, so no report of the trace encodes that tx again; any
+    other non-blank line is decoded by ``json.loads`` and passes the schema
+    check, and its tx gets its fragment at its first hash. Either way the
+    ``Transaction`` and ``TraceEvent`` constructors and the one timestamp
+    check run in line order, so each error names the line a per-line decode
+    names. The cyclic collector is paused while the events are built: they
+    hold no cycles."""
     events: List[TraceEvent] = []
     append = events.append
     last_ts = -math.inf
@@ -235,13 +244,23 @@ def _parse_blocks(blocks: Iterable[str]) -> List[TraceEvent]:
             if match is not None:
                 # the groups in key order: see _ARRIVAL_LINE
                 gas_limit, gas_used, nonce, price, sender, source, ts_ms, value = match.groups()
+                # Transaction reads a gas_limit of 0 as gas_used, and so must
+                # the fragment
+                if gas_limit == "0":
+                    gas_limit = gas_used
+                used = int(gas_used)
                 try:
                     tx = Transaction(
-                        sender, int(nonce), int(price), int(gas_used), int(gas_limit),
-                        int(value), _LABEL[source],
+                        sender, int(nonce), int(price), used,
+                        used if gas_limit == gas_used else int(gas_limit),
+                        0 if value == "0" else int(value), _LABEL[source],
                     )
                 except ValueError as exc:
                     raise TraceError(str(exc), lineno) from exc
+                # each text is what the fragment writes: see _ARRIVAL_LINE
+                _set_report_json(
+                    tx, f'["{sender}",{nonce},{price},{gas_used},{gas_limit},{value}]'
+                )
                 event = TraceEvent("tx_arrival", int(ts_ms), tx)
             elif raw.strip():
                 event = _record_to_event(_decode_line(raw, lineno), lineno)

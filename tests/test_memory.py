@@ -86,17 +86,35 @@ def test_write_trace_transient_does_not_grow_with_the_trace(tmp_path):
     assert transients[8_000] <= 1.25 * transients[2_000], transients
 
 
-def test_a_parsed_arrival_keeps_at_most_420_bytes():
-    # ~340 B an arrival: the event, its tx and the tx's sender and ints; a
-    # parse that kept its own copy of each kind, source, gas_limit and cost
-    # would keep ~520 B
-    events, _ = AttackPlan("random_adversary", {"steps": 4_000, "seed": 5}).generate()
-    text = dump_events(events)
-    del events
+def _written_random_adversary():
+    """The text of a 4,000-arrival random_adversary trace as the writer
+    writes it, and the account seeds it needs."""
+    events, seeds = AttackPlan("random_adversary", {"steps": 4_000, "seed": 5}).generate()
+    return dump_events(events), seeds
+
+
+def test_a_parsed_arrival_keeps_at_most_500_bytes():
+    # ~432 B an arrival: the event, its tx, the tx's sender and ints (~349 B)
+    # and the tx's report fragment (~83 B), which the parse writes in place
+    # of the first report_hash; a parse that also kept its own copy of each
+    # kind, source, gas_limit and cost would keep ~550 B
+    text, _ = _written_random_adversary()
     parsed, kept, _ = _traced(lambda: parse_text(text))
     arrivals = sum(event.kind == "tx_arrival" for event in parsed)
     assert arrivals == 4_000
-    assert kept / arrivals <= 420, kept / arrivals
+    assert kept / arrivals <= 500, kept / arrivals
+
+
+def test_the_first_report_hash_of_a_parsed_trace_keeps_at_most_8_bytes_per_arrival():
+    # the parse wrote each arrival's fragment, so the first hash, like any
+    # later one, encodes no tx: a hash that filled the fragments would keep
+    # ~84 B an arrival
+    text, seeds = _written_random_adversary()
+    events = parse_text(text)
+    config = ScenarioConfig(policy=PolicyConfig(kind="baseline"), capacity=192, account_seeds=seeds)
+    report = replay(config, events)
+    first = _traced(report.report_hash)[1]
+    assert first / 4_000 <= 8, first / 4_000
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])

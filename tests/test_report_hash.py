@@ -16,10 +16,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mempoolsim import PolicyConfig, ScenarioConfig, arrival, replay
+from mempoolsim import PolicyConfig, ScenarioConfig, arrival, dump_events, replay
 from mempoolsim.core import AdmissionOutcome, Block, Reason, Transaction
 from mempoolsim.replay import RunReport
 
+from conftest import parse_text
 from test_golden_hashes import DRAIN_MODES, GOLDEN, POLICIES, TRACES
 
 # the package's ``replay`` attribute is the function
@@ -250,13 +251,13 @@ def test_matches_oracle_on_random_senders(senders, big):
     assert report.report_hash() == oracle_hash(report)
 
 
-# Each tx caches its report fragment on first hash (``_cache_report_json``):
-# a trace's later reports read what its first one encoded.
+# Each tx holds its report fragment from the parse, when the pattern read its
+# line, or from its first hash (``_cache_report_json``): a trace's later
+# reports read it.
 
 
-@pytest.mark.parametrize("trace", sorted(TRACES))
-def test_cold_and_cached_fragments_give_the_golden_hashes(trace):
-    capacity, make = TRACES[trace]
+def _assert_cold_and_cached_give_the_golden_hashes(trace, make):
+    capacity = TRACES[trace][0]
     for drain_mode in DRAIN_MODES:
         for order in (POLICIES, POLICIES[::-1]):
             # a fresh trace per order: its first report fills the cache
@@ -277,6 +278,24 @@ def test_cold_and_cached_fragments_give_the_golden_hashes(trace):
                 for policy in order:
                     golden = GOLDEN[trace][f"{policy}/{drain_mode}"][0]
                     assert reports[policy].report_hash() == golden, (policy, order)
+
+
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_cold_and_cached_fragments_give_the_golden_hashes(trace):
+    _assert_cold_and_cached_give_the_golden_hashes(trace, TRACES[trace][1])
+
+
+@pytest.mark.parametrize("trace", sorted(TRACES))
+def test_a_written_and_parsed_trace_gives_the_golden_hashes(trace):
+    # the parse writes every arrival's fragment, so even a trace's first
+    # report encodes no tx: each tx it names is an arrival
+    def make():
+        events, seeds = TRACES[trace][1]()
+        parsed = parse_text(dump_events(events))
+        assert all(hasattr(e.tx, "_report_json") for e in parsed if e.tx is not None)
+        return parsed, seeds
+
+    _assert_cold_and_cached_give_the_golden_hashes(trace, make)
 
 
 @pytest.mark.parametrize("trace", sorted(TRACES))

@@ -25,6 +25,7 @@ from mempoolsim import (
     ScenarioConfig,
     TraceError,
     TraceEvent,
+    Transaction,
     arrival,
     bench,
     block_trigger,
@@ -39,7 +40,8 @@ from mempoolsim import (
 )
 from mempoolsim import attacks, cli, trace
 from mempoolsim.cli import main
-from mempoolsim.core import _collector_paused
+from mempoolsim.core import MIN_TX_GAS, _collector_paused
+from mempoolsim.replay import _cache_report_json
 
 from conftest import parse_text, tx
 from oracles import parse_trace_lines
@@ -542,6 +544,58 @@ class TestOneDecodeMatchesPerLine:
             else:
                 lines.insert(i, data.draw(st.sampled_from(("", " ", "\t"))))
         _same_as_per_line("\n".join(lines) + "\n")
+
+
+_UINT256_MAX = 2**256 - 1
+
+
+class TestParsedFragment:
+    """The parser writes a pattern-read arrival's report fragment from the
+    line's texts, a second writer of the format ``_cache_report_json``
+    writes (``core._ReportJsonSlot``); both must write the same string."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_written_arrival_holds_the_fragment_the_hash_writes(self, data):
+        gas_used = data.draw(st.integers(MIN_TX_GAS, _UINT256_MAX))
+        fields = {
+            # printable ASCII, the empty sender, '"' and '\' among them
+            "sender": data.draw(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))),
+            # small ints, and up to 78 digits below 2**256
+            "nonce": data.draw(st.integers(0, 9) | st.integers(0, _UINT256_MAX)),
+            "price": data.draw(st.integers(1, 9) | st.integers(1, _UINT256_MAX)),
+            "gas_used": gas_used,
+            "gas_limit": data.draw(
+                st.sampled_from((0, gas_used)) | st.integers(gas_used, _UINT256_MAX)
+            ),
+            "value": data.draw(st.integers(0, 9) | st.integers(0, _UINT256_MAX)),
+        }
+        # the writer's form, written from a record: a Transaction's own
+        # gas_limit is never 0, but a line's may be
+        record = {"kind": "tx_arrival", "ts_ms": 1, "source": "benign", **fields}
+        (event,) = parse_text(json.dumps(record, sort_keys=True) + "\n")
+        hand_built = Transaction(**fields)
+        _cache_report_json([hand_built])
+        if '"' in fields["sender"] or "\\" in fields["sender"]:
+            # written escaped: json.loads reads the line, and the first hash
+            # writes the fragment
+            assert not hasattr(event.tx, "_report_json")
+            _cache_report_json([event.tx])
+        assert event.tx._report_json == hand_built._report_json
+
+    @pytest.mark.parametrize("raw, escaped", [("é", "\\u00e9"), ("\x7f", "\\u007f")])
+    def test_a_raw_sender_outside_the_pattern_gets_its_fragment_at_the_first_hash(
+        self, raw, escaped
+    ):
+        # the writer escapes both characters; a line with either raw is
+        # still a valid trace, read by json.loads
+        text = _SORTED_ARRIVAL.replace('"sender": "a"', f'"sender": "a{raw}"') + "\n"
+        _same_as_per_line(text)
+        (event,) = parse_text(text)
+        assert event.tx.sender == "a" + raw
+        assert not hasattr(event.tx, "_report_json")
+        replay(ScenarioConfig(capacity=4), [event]).report_hash()
+        assert event.tx._report_json == f'["a{escaped}",0,5,21000,21000,0]'
 
 
 _BREAKS = ["\r", "\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
