@@ -116,10 +116,6 @@ class OutcomeFlags:
     pending_turn_future: bool = False
 
 
-# what the replay's flag reader returns for an admission that changed no
-# resident's status: such an admission is booked under no flag
-NO_FLAGS = OutcomeFlags()
-
 # bound once: classify_outcome runs per admission (see the note above core's
 # enums)
 _POOL_NOT_FULL = Reason.POOL_NOT_FULL

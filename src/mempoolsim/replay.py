@@ -1,5 +1,6 @@
 """Deterministic trace replay: feeds events through pool admission, builds
-blocks on triggers (or at end-of-trace), and folds the metrics ledgers.
+blocks on triggers (or at end-of-trace), and records what it observed; the
+report derives its metrics from those records when read.
 
 The same (config, events) pair always produces a byte-identical report;
 ``RunReport.report_hash()``, the sha256 of the report's canonical JSON
@@ -14,7 +15,7 @@ import statistics
 import time
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
@@ -35,7 +36,7 @@ from .core import (
     check_positive_int,
     frozen_slots,
 )
-from .metrics import NO_FLAGS, OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
+from .metrics import OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
 from .policies import PolicyConfig
 from .pool import Mempool
 from .trace import TraceEvent, world_for_trace
@@ -86,7 +87,6 @@ _fee = attrgetter("fee")
 _price = attrgetter("price")
 _revenue = attrgetter("revenue")
 _reason = attrgetter("reason")
-_nonce = attrgetter("nonce")
 # bound once: see the note above core's enums
 _UNBUILDABLE_CLASS = OutcomeClass.UNBUILDABLE
 _POOL_NOT_FULL = Reason.POOL_NOT_FULL
@@ -137,7 +137,8 @@ def _cache_report_json(txs: List[Transaction]) -> None:
 class Snapshot:
     """Where a snapshot was taken: at event ``event_index``, time ``ts_ms``,
     after the report's first ``outcomes`` outcomes and ``blocks`` blocks.
-    ``RunReport.pending_at`` gives its pending set."""
+    ``RunReport.pending_sets`` gives its pending set; its event index is
+    also what places the arrivals after it (``_flag_walk``)."""
 
     event_index: int
     ts_ms: int
@@ -152,14 +153,15 @@ class RunReport:
     ``outcomes`` holds one admission outcome per arrival and ``arrivals``
     the arrivals' txs, side by side in trace order, ``blocks`` the
     blocks built, ``snapshots`` where each snapshot marker and the end of the
-    trace fell among the outcomes and blocks, ``flags`` the admissions that
-    flipped a resident's future status, ``price_sum_series`` the pool's
-    price sum after each arrival, ``unbuildable`` the final drain's
-    leftovers and ``final_pending`` the pending set after the run.
-    ``declined``, the fee totals, the dUtil ledger (``util``) and a
-    snapshot's pending set (``pending_at``) are derived from these records
-    when read. Only the flagged admissions' dUtil is booked as the replay
-    runs: ``flags`` is keyed by event index, which no outcome records.
+    trace fell among the outcomes and blocks, ``triggers`` the event index
+    of each block trigger, ``interleaved`` whether each trigger built a
+    block (``blocks[i]`` at ``triggers[i]``) or none, ``price_sum_series``
+    the pool's price sum after each arrival, ``unbuildable`` the final
+    drain's leftovers and ``final_pending`` the pending set after the run.
+    ``declined``, the fee totals, the dUtil ledger (``util``), the
+    admissions that flipped a resident's future status (``flags``) and the
+    snapshots' pending sets (``pending_sets``) are derived from these
+    records when read; the replay books none of them.
     """
 
     policy: str
@@ -169,12 +171,11 @@ class RunReport:
     arrivals: List[Transaction] = field(default_factory=list)
     blocks: List[Block] = field(default_factory=list)
     snapshots: List[Snapshot] = field(default_factory=list)
-    flags: List[Tuple[int, OutcomeFlags]] = field(default_factory=list)
+    triggers: List[int] = field(default_factory=list)
+    interleaved: bool = False
     price_sum_series: List[int] = field(default_factory=list)
     unbuildable: List[Transaction] = field(default_factory=list)
     final_pending: List[Transaction] = field(default_factory=list)
-    # flag name -> dUtil of the admissions that set it, booked by ``_flag``
-    _flagged: Dict[str, UtilEntry] = field(default_factory=dict, init=False, repr=False)
 
     def _ledger(self) -> Tuple[List[Transaction], List[Reason]]:
         """``declined`` as its txs and its reasons: two lists that make no
@@ -198,9 +199,9 @@ class RunReport:
         to its class's entry: an admission its fee less its victim's inside
         and its victim's fee outside, a decline its fee outside. The final
         drain's leftovers make one UNBUILDABLE entry, their fees both taken
-        from inside and counted outside. The flagged entries are the
-        replay's bookings (``_flag``). ``ValueError`` unless the report has
-        one outcome per arrival."""
+        from inside and counted outside. A flagged admission's dUtil is
+        added again under each flag it sets (``_flag_walk``). ``ValueError``
+        unless the report has one outcome per arrival."""
         per_class: Dict[OutcomeClass, UtilEntry] = {}
         for o, tx in zip(self.outcomes, self.arrivals, strict=True):
             outcome_class = classify_outcome(o, tx)
@@ -215,19 +216,14 @@ class RunReport:
         if self.unbuildable:
             fees = sum(map(_fee, self.unbuildable))
             per_class[_UNBUILDABLE_CLASS] = UtilEntry(-fees, fees, len(self.unbuildable))
-        return UtilLedger(per_class, {name: replace(e) for name, e in self._flagged.items()})
+        return UtilLedger(per_class, _flag_walk(self)[1])
 
-    def _flag(
-        self, index: int, flags: OutcomeFlags, tx: Transaction, victim: Optional[Transaction]
-    ) -> None:
-        """Record that the admission of ``tx`` at event ``index``, evicting
-        ``victim`` if any, set ``flags``, and book its dUtil under each flag
-        it sets."""
-        self.flags.append((index, flags))
-        evicted = 0 if victim is None else victim.fee
-        for name in ("future_turn_pending", "pending_turn_future"):
-            if getattr(flags, name):
-                self._flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
+    @property
+    def flags(self) -> List[Tuple[int, OutcomeFlags]]:
+        """``(event index, flags)`` per admission that turned a resident
+        future to pending or pending to future, in trace order, derived per
+        read (``_flag_walk``)."""
+        return _flag_walk(self)[0]
 
     @property
     def pool_fees_final(self) -> int:
@@ -241,29 +237,42 @@ class RunReport:
     def declined_fees_final(self) -> int:
         return sum(map(_fee, self._ledger()[0]))
 
-    def pending_at(self, snapshot: Snapshot) -> List[Transaction]:
-        """The pending set when ``snapshot`` was taken, oldest first, as the
-        pool's ``pending()`` listed it then.
+    def pending_sets(
+        self, snapshots: Optional[Sequence[Snapshot]] = None
+    ) -> List[List[Transaction]]:
+        """The pending set when each of ``snapshots`` (default: the
+        report's own, which are in report order, as given ones must be) was
+        taken, oldest first, as the pool's ``pending()`` listed it then.
 
-        The snapshot's first ``outcomes`` outcomes are walked in order, each
-        eviction deleting its victim and each admission adding its tx at the
-        end; then the txs of its first ``blocks`` blocks are dropped. An
-        included tx's nonce is stale from then on, so no later outcome admits
-        it again or names it as a victim.
+        One pass: from one snapshot to the next, the outcomes up to its
+        ``outcomes`` are walked in order, each eviction deleting its victim
+        and each admission adding its tx at the end; then the txs of the
+        blocks up to its ``blocks`` are dropped. An included tx's nonce is
+        stale from then on, so no later outcome admits it again or names it
+        as a victim.
         """
         pending: Dict[Transaction, None] = {}
-        n = snapshot.outcomes
-        for o, tx in zip(self.outcomes[:n], self.arrivals[:n], strict=True):
-            reason = o.reason
-            if reason is _EVICTION:
-                del pending[o.victim]
-                pending[tx] = None
-            elif reason is _POOL_NOT_FULL:
-                pending[tx] = None
-        for block in self.blocks[: snapshot.blocks]:
-            for tx in block.txs:
-                del pending[tx]
-        return list(pending)
+        sets: List[List[Transaction]] = []
+        n = b = 0
+        for snapshot in self.snapshots if snapshots is None else snapshots:
+            end = snapshot.outcomes
+            for o, tx in zip(self.outcomes[n:end], self.arrivals[n:end], strict=True):
+                reason = o.reason
+                if reason is _EVICTION:
+                    del pending[o.victim]
+                    pending[tx] = None
+                elif reason is _POOL_NOT_FULL:
+                    pending[tx] = None
+            for block in self.blocks[b : snapshot.blocks]:
+                for tx in block.txs:
+                    del pending[tx]
+            n, b = end, snapshot.blocks
+            sets.append(list(pending))
+        return sets
+
+    def pending_at(self, snapshot: Snapshot) -> List[Transaction]:
+        """The pending set when ``snapshot`` was taken (``pending_sets``)."""
+        return self.pending_sets([snapshot])[0]
 
     def included_txs(self) -> List[Transaction]:
         return [tx for block in self.blocks for tx in block.txs]
@@ -369,57 +378,95 @@ class RunReport:
         return digest.hexdigest()
 
 
-def _admission_flags(
-    pool: Mempool, world: WorldState, tx: Transaction, victim: Optional[Transaction]
-) -> OutcomeFlags:
-    """Flags of an admission that inserted ``tx`` and evicted ``victim``, if
-    any, read off the pool after it; ``NO_FLAGS`` when no resident changed
-    status. The replay asks only when a resident could have changed: a
-    free-slot admission at its chain's tail has no victim and nothing above
-    ``tx``, so its flags are ``NO_FLAGS`` without a call.
+def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[str, UtilEntry]]:
+    """``report.flags`` and ``report.util.flagged``, from one walk over the
+    arrivals in order; no world is needed.
 
-    Precondition: ``tx`` passed ``precheck``, so its nonce was its sender's
-    first missing nonce: each nonce from the confirmed one up to it was
-    pending, and each resident of the sender above it was future. And no
-    resident's nonce is below its sender's confirmed nonce, as in a replay,
-    where a block includes a sender's txs from its confirmed nonce up and
-    they leave the pool. Only ``tx`` joined and only ``victim`` left, so
-    both answers follow from the two txs' places in their chains:
+    Arrival ``k``'s event index is ``k`` plus the events before it that are
+    not arrivals: the snapshot markers and the triggers, whose event indices
+    the report records (the end-of-trace snapshot lies past every arrival).
+    An interleaved block is applied at its trigger. Per sender the walk
+    keeps the resident nonces, ascending, and the confirmed nonce, which
+    follow from the report alone: precheck admits a tx into an empty chain
+    only at its sender's confirmed nonce; a block includes a pending prefix
+    of a chain, so the confirmed nonce is then its last included one + 1;
+    and no resident lies below its sender's confirmed nonce.
 
-    * A resident turned pending iff ``tx.nonce + 1`` is now pending, and so
-      reaches the confirmed nonce through ``tx``; never when the victim was
-      the sender's own tx in ``[confirmed, tx.nonce)``, whose gap keeps
-      everything above it future. When ``tx`` is its chain's tail nothing
-      sits above it, and no lookup is made.
-    * A resident turned future only if the victim's ``nonce + 1`` is pending
-      and is not ``tx``: that child was pending iff the victim was, which
-      holds iff its sender's run from the confirmed nonce now ends at the
-      victim. Only then is ``run_end`` read. A victim above ``tx.nonce`` of
-      ``tx``'s own sender was future already, and so were its children.
+    An admitted tx filled its sender's first missing nonce, so each nonce
+    from the confirmed one up to it was pending and each resident above it
+    future. Only the tx joined and only the victim left, so both flags
+    follow from the two txs' places among their senders' residents:
+
+    * A resident turned pending iff ``nonce + 1`` is resident after the
+      insert, and so reaches the confirmed nonce through the tx; never when
+      the victim was the sender's own tx below ``nonce``, whose gap keeps
+      everything above it future.
+    * A resident turned future iff the victim's ``nonce + 1`` is resident
+      and is not the tx, and the victim was pending: that child was pending
+      iff the victim was. The victim was pending iff the ``i`` residents of
+      its sender below it, after its removal, fill every nonce from the
+      confirmed one up to it: ``v_nonce - i == confirmed``. A victim above
+      ``nonce`` of the tx's own sender was future already, and so were its
+      children.
+
+    The report must be one a replay made: an outcome that evicts a tx no
+    earlier outcome admitted raises ``KeyError``.
     """
-    sender = tx.sender
-    nonce = tx.nonce
-    txs = pool.chain(sender).txs
-    # the chain holds tx: a resident sits above it iff it is not the tail
-    ftp = txs[-1] is not tx and txs[bisect_left(txs, nonce, key=_nonce) + 1].nonce == nonce + 1
-    ptf = False
-    if victim is not None:
-        v_sender = victim.sender
-        v_nonce = victim.nonce
-        own = v_sender == sender
-        if own and v_nonce < nonce:
-            ftp = False
-        if not (own and v_nonce > nonce):
-            v_chain = pool.chain(v_sender)
-            v_txs = v_chain.txs
-            # the victim has left, so its child would sit where it sat
-            i = bisect_left(v_txs, v_nonce, key=_nonce)
-            child = i < len(v_txs) and v_txs[i].nonce == v_nonce + 1
-            if child and not (own and v_nonce + 1 == nonce):
-                ptf = v_chain.run_end(world.nonce_of(v_sender)) == v_nonce
-    if ftp or ptf:
-        return OutcomeFlags(ftp, ptf)
-    return NO_FLAGS
+    flags: List[Tuple[int, OutcomeFlags]] = []
+    flagged: Dict[str, UtilEntry] = {}
+    residents: Dict[str, List[int]] = {}  # sender -> resident nonces, ascending
+    confirmed: Dict[str, int] = {}
+    # the event indices of the events that are not arrivals, ascending
+    shifts = sorted([s.event_index for s in report.snapshots] + report.triggers)
+    n_shifts = len(shifts)
+    # each interleaved block by its trigger's event index; the final drain's
+    # blocks, after every arrival, pair with no trigger
+    block_at = dict(zip(report.triggers, report.blocks)) if report.interleaved else {}
+    j = 0  # the shifts before the next arrival
+    for k, (o, tx) in enumerate(zip(report.outcomes, report.arrivals, strict=True)):
+        while j < n_shifts and shifts[j] == k + j:
+            block = block_at.get(k + j)
+            if block is not None:
+                for included in block.txs:
+                    sender = included.sender
+                    nonces = residents[sender]
+                    del nonces[bisect_left(nonces, included.nonce)]
+                    confirmed[sender] = included.nonce + 1
+            j += 1
+        if o.reason not in _ADMITTING:
+            continue
+        sender = tx.sender
+        nonce = tx.nonce
+        nonces = residents.get(sender)
+        if not nonces:
+            nonces = residents[sender] = []
+            confirmed[sender] = nonce
+        victim = o.victim
+        if victim is not None:
+            v_nonces = residents[victim.sender]
+            del v_nonces[bisect_left(v_nonces, victim.nonce)]
+        i = bisect_left(nonces, nonce)
+        nonces.insert(i, nonce)
+        ftp = i + 1 < len(nonces) and nonces[i + 1] == nonce + 1
+        ptf = False
+        if victim is not None:
+            v_nonce = victim.nonce
+            own = victim.sender == sender
+            if own and v_nonce < nonce:
+                ftp = False
+            if not (own and v_nonce > nonce):
+                # the victim has left, so its child would sit where it sat
+                i = bisect_left(v_nonces, v_nonce)
+                child = i < len(v_nonces) and v_nonces[i] == v_nonce + 1
+                if child and not (own and v_nonce + 1 == nonce):
+                    ptf = v_nonce - i == confirmed[victim.sender]
+        if ftp or ptf:
+            flags.append((k + j, OutcomeFlags(ftp, ptf)))
+            evicted = 0 if victim is None else victim.fee
+            for name, on in (("future_turn_pending", ftp), ("pending_turn_future", ptf)):
+                if on:
+                    flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
+    return flags, flagged
 
 
 def replay(
@@ -437,10 +484,10 @@ def replay(
     itself: an admission adds its tx's price less its victim's, an
     interleaved block takes off its txs' prices. A snapshot marker, and the
     end of the trace, records how many outcomes and blocks the report then
-    holds. The loop books no dUtil but a flagged admission's (see
-    ``RunReport.util``, which derives the rest from the outcomes). With
-    ``final_drain`` the pool is then drained, and its leftovers are stored
-    as ``unbuildable``.
+    holds, and a block trigger its event index. The loop books nothing
+    else: ``RunReport`` derives the dUtil ledger, the flags and the pending
+    sets from these records when read. With ``final_drain`` the pool is
+    then drained, and its leftovers are stored as ``unbuildable``.
 
     A ``PoolError`` raises ``ReplayAbort`` with the index of the event that
     broke, or ``len(events)`` for the final drain.
@@ -456,14 +503,15 @@ def replay(
         )
     pool = Mempool(config.capacity, config.per_sender_limit)
     policy = config.policy.build()
-    report = RunReport(policy=config.policy.kind, capacity=config.capacity)
+    interleaved = config.drain_mode == "interleaved"
+    report = RunReport(
+        policy=config.policy.kind, capacity=config.capacity, interleaved=interleaved
+    )
     # bound once: the arrival branch runs per event
     admit = pool.admit
-    chains = pool.chains()
     append_outcome = report.outcomes.append
     append_arrival = report.arrivals.append
     append_price_sum = report.price_sum_series.append
-    interleaved = config.drain_mode == "interleaved"
     # the pool's price sum, moved by each admission and block
     price_sum = 0
     for index, event in enumerate(events):
@@ -474,31 +522,22 @@ def replay(
                 outcome = admit(tx, world, policy)
                 append_outcome(outcome)
                 append_arrival(tx)
-                # only an admission changes the pool, so only it can change
-                # a resident's status
-                if outcome.reason in _ADMITTING:
-                    victim = outcome.victim
-                    if victim is None and chains[tx.sender].txs[-1] is tx:
-                        # a free slot filled at its chain's tail: nothing
-                        # sits above tx to turn pending
-                        price_sum += tx.price
-                    else:
-                        flags = _admission_flags(pool, world, tx, victim)
-                        if flags is not NO_FLAGS:
-                            report._flag(index, flags, tx, victim)
-                        if victim is None:
-                            price_sum += tx.price
-                        else:
-                            price_sum += tx.price - victim.price
+                reason = outcome.reason
+                if reason is _POOL_NOT_FULL:
+                    price_sum += tx.price
+                elif reason is _EVICTION:
+                    price_sum += tx.price - outcome.victim.price
                 append_price_sum(price_sum)
             elif kind == "snapshot_marker":
                 report.snapshots.append(
                     Snapshot(index, event.ts_ms, len(report.outcomes), len(report.blocks))
                 )
-            elif interleaved:
-                block = build_block(pool, world).block
-                report.blocks.append(block)
-                price_sum -= sum(map(_price, block.txs))
+            else:
+                report.triggers.append(index)
+                if interleaved:
+                    block = build_block(pool, world).block
+                    report.blocks.append(block)
+                    price_sum -= sum(map(_price, block.txs))
         except PoolError as exc:
             raise ReplayAbort(index, exc) from exc
 

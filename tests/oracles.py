@@ -13,13 +13,13 @@ parser, which reads the writer's arrival lines through one pattern, must
 match.
 ``replay_per_event`` is the replay loop that books one dUtil record into a
 ledger of its own and sums the pool's pending prices once per arrival,
-takes each admission's flags from ``transition_flags``, and drains with
-``drain``; the library's ``replay`` books only its flagged admissions'
-dUtil, derives the rest from the report when ``util`` is read, and moves a
-running price sum by each admission and block, and must report the same.
-It also keeps the declined ledger as the events happen, and a copy of the
-pool's pending set at each snapshot, which the report's derived
-``declined`` and ``pending_at`` must equal.
+takes each admission's flags from ``transition_flags`` into a list of its
+own, and drains with ``drain``; the library's ``replay`` moves a running
+price sum by each admission and block and books nothing else, its report
+deriving the dUtil ledger and the flags when read, and both must report
+the same. It also keeps the declined ledger as the events happen,
+and a copy of the pool's pending set at each snapshot, which the report's
+derived ``declined`` and ``pending_sets`` must equal.
 """
 
 from __future__ import annotations
@@ -41,16 +41,12 @@ from mempoolsim import (
     build_block as library_build_block,
     world_for_trace,
 )
-from mempoolsim.metrics import (
-    NO_FLAGS,
-    OutcomeClass,
-    OutcomeFlags,
-    UtilEntry,
-    UtilLedger,
-    classify_outcome,
-)
+from mempoolsim.metrics import OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
 from mempoolsim.replay import Snapshot
 from mempoolsim.trace import _record_to_event
+
+# the flags of an admission that changed no resident's status
+NO_FLAGS = OutcomeFlags()
 
 
 class PendingView:
@@ -244,27 +240,37 @@ def book(
 
 def replay_per_event(
     config: ScenarioConfig, events: Sequence[TraceEvent], world: Optional[WorldState] = None
-) -> Tuple[RunReport, List[Tuple[Transaction, Reason]], List[List[Transaction]], UtilLedger]:
+) -> Tuple[
+    RunReport,
+    List[Tuple[Transaction, Reason]],
+    List[List[Transaction]],
+    UtilLedger,
+    List[Tuple[int, OutcomeFlags]],
+]:
     """``replay`` with one sum of the pool's pending prices per arrival, a
-    declined one included, each admission's flags from ``transition_flags``
-    over the pending lists around it, and with this module's ``drain`` at
-    the end.
+    declined one included, and with this module's ``drain`` at the end.
     Also returns the declined ledger as the events happen: ``(tx, reason)``
     on a decline, ``(victim, EVICTION)`` on an eviction, then the drain's
     leftovers as ``(tx, UNBUILDABLE)``; a copy of ``pool.pending()`` per
-    snapshot, at each marker and at the end of the trace; and the dUtil
-    ledger it books with ``book``, one record per arrival and per
-    leftover."""
+    snapshot, at each marker and at the end of the trace; the dUtil ledger
+    it books with ``book``, one record per arrival and per leftover; and
+    ``(event index, flags)`` per admission whose ``transition_flags``, over
+    the pending lists around it, are not ``NO_FLAGS``."""
     pool = Mempool(config.capacity, config.per_sender_limit)
     if world is None:
         world = world_for_trace(
             events, overrides=config.account_seeds, block_gas_limit=config.block_gas_limit
         )
     policy = config.policy.build()
-    report = RunReport(policy=config.policy.kind, capacity=config.capacity)
+    report = RunReport(
+        policy=config.policy.kind,
+        capacity=config.capacity,
+        interleaved=config.drain_mode == "interleaved",
+    )
     ledger: List[Tuple[Transaction, Reason]] = []
     util = UtilLedger()
     pendings: List[List[Transaction]] = []
+    flag_list: List[Tuple[int, OutcomeFlags]] = []
 
     def snapshot(index: int, ts_ms: int) -> None:
         pendings.append(pool.pending())
@@ -281,7 +287,7 @@ def replay_per_event(
                     ledger.append((victim, Reason.EVICTION))
                 flags = transition_flags(before, pool.pending(), world)
                 if flags != NO_FLAGS:
-                    report.flags.append((index, flags))
+                    flag_list.append((index, flags))
                 evicted = 0 if victim is None else victim.fee
                 book(util, classify_outcome(outcome, tx), tx.fee - evicted, evicted, flags)
             else:
@@ -292,8 +298,10 @@ def replay_per_event(
             report.price_sum_series.append(sum(t.price for t in pool.pending()))
         elif event.kind == "snapshot_marker":
             snapshot(index, event.ts_ms)
-        elif config.drain_mode == "interleaved":
-            report.blocks.append(library_build_block(pool, world).block)
+        else:
+            report.triggers.append(index)
+            if report.interleaved:
+                report.blocks.append(library_build_block(pool, world).block)
     report.event_count = len(events)
     end_ts = events[-1].ts_ms if events else 0
     snapshot(len(events), end_ts)
@@ -305,4 +313,4 @@ def replay_per_event(
             book(util, OutcomeClass.UNBUILDABLE, -tx.fee, tx.fee)
         report.unbuildable = leftovers
     report.final_pending = pool.pending()
-    return report, ledger, pendings, util
+    return report, ledger, pendings, util, flag_list

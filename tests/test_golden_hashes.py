@@ -3,7 +3,8 @@ matrix of traces x policies x drain modes.
 
 The ``report_hash`` JSON (docs/format.md) leaves out the future<->pending
 flags, so each cell also pins a sha256 over ``report.flags`` and
-``report.util.flagged``.
+``report.util.flagged``: both come from the report's walk over its
+outcomes (``replay._flag_walk``), so that digest pins the walk.
 A change to the pool, builder or replay that keeps every value here keeps
 the simulator's observable behaviour.
 

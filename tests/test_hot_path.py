@@ -16,7 +16,7 @@ import pytest
 
 from mempoolsim import AdmissionOutcome, Mempool, Reason, RunReport, classify_outcome, replay
 from mempoolsim.builder import _fill, candidate_order, drain
-from mempoolsim.replay import _admission_flags, _cache_report_json
+from mempoolsim.replay import _cache_report_json, _flag_walk
 from mempoolsim.policies import POLICIES
 
 _ENUM_CLASSES = {"Reason", "OutcomeClass"}
@@ -30,16 +30,16 @@ _PER_EVENT = {
     "AdmissionOutcome.admitted": AdmissionOutcome.admitted.fget,
     "classify_outcome": classify_outcome,
     "replay": replay,
-    "replay._admission_flags": _admission_flags,
     "builder.candidate_order": candidate_order,
     "builder._fill": _fill,
     "builder.drain": drain,
     # each runs once per outcome, in a comprehension
     "RunReport._ledger": RunReport._ledger,
     "RunReport.declined": RunReport.declined.fget,
-    "RunReport.pending_at": RunReport.pending_at,
-    # walks every outcome
+    # each walks every outcome
+    "RunReport.pending_sets": RunReport.pending_sets,
     "RunReport.util": RunReport.util.fget,
+    "replay._flag_walk": _flag_walk,
     # runs once per tx the report names
     "replay._cache_report_json": _cache_report_json,
     # each encodes every entry of the report, in nested comprehensions

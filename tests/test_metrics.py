@@ -10,7 +10,6 @@ from mempoolsim import (
     AttackPlan,
     OutcomeClass,
     Reason,
-    RunReport,
     UtilLedger,
     WorldState,
     classify_outcome,
@@ -29,6 +28,7 @@ from mempoolsim.metrics import OutcomeFlags, UtilEntry, nearest_rank_percentile
 from conftest import fund, random_pool_txs, rich_world, tx
 from oracles import transition_flags
 from test_golden_hashes import DRAIN_MODES, POLICIES, TRACES, _random_adversary
+from test_replay_flags import _own_gap_below
 
 
 class TestEvictionBounds:
@@ -233,21 +233,28 @@ class TestDutilAccounting:
         assert ledger.total.dutil == -10 + 7 + 1
         assert ledger.total.count == 3
         assert ledger.per_class[OutcomeClass.O1].dutil == -10
-        # a flagged admission books its deltas under each flag it sets
-        report = RunReport(policy="cp", capacity=4)
-        a, victim = tx("A", 0, 5), tx("B", 0, 2)
-        report._flag(3, OutcomeFlags(pending_turn_future=True), a, victim)
-        report._flag(7, OutcomeFlags(True, True), a, None)
-        assert report.flags == [(3, OutcomeFlags(False, True)), (7, OutcomeFlags(True, True))]
+        # a flagged admission adds its deltas under each flag it sets: C:0
+        # evicts A:3, then the re-sent A:3 evicts A:1, each orphaning a
+        # resident
+        events, seeds = _own_gap_below()
+        config = ScenarioConfig(
+            policy=PolicyConfig(kind="baseline"), capacity=6, account_seeds=seeds
+        )
+        report = replay(config, events)
+        (c0, a3), (resent, a1) = [
+            (t, o.victim) for o, t in zip(report.outcomes[6:], report.arrivals[6:], strict=True)
+        ]
+        assert report.flags == [(6, OutcomeFlags(False, True)), (7, OutcomeFlags(False, True))]
         assert report.util.flagged == {
-            "future_turn_pending": UtilEntry(a.fee, 0, 1),
-            "pending_turn_future": UtilEntry(2 * a.fee - victim.fee, victim.fee, 2),
+            "pending_turn_future": UtilEntry(
+                c0.fee - a3.fee + resent.fee - a1.fee, a3.fee + a1.fee, 2
+            ),
         }
 
     def test_an_edit_to_a_read_ledger_reaches_no_later_read(self):
-        # ``util`` is derived per read, its flagged entries copied from the
-        # replay's bookings: an edit to one read leaves the report as it was;
-        # baseline flags some of its evictions
+        # ``util`` is derived per read, its flagged entries too: an edit to
+        # one read leaves the report as it was; baseline flags some of its
+        # evictions
         events, seeds = _random_adversary(0)
         config = ScenarioConfig(
             policy=PolicyConfig(kind="baseline"), capacity=192, account_seeds=seeds

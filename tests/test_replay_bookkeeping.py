@@ -1,18 +1,18 @@
-"""``replay`` books only its flagged admissions' dUtil, derives the rest of
-the dUtil ledger from the report when ``util`` is read, moves a running
-price sum by each admission and block, and records only where each
-snapshot fell.
+"""``replay`` books nothing but its records: it moves a running price sum
+by each admission and block, and records where each snapshot and each
+block trigger fell; the report derives the dUtil ledger, the flags and the
+snapshots' pending sets from those records when read.
 ``oracles.replay_per_event`` books one dUtil record per arrival and per
 leftover into a ledger of its own, sums the pool's pending prices once per
 arrival, takes each admission's flags from the list-scan
-``transition_flags``, and keeps the declined ledger and a copy of the
-pending set at each snapshot as the events happen. On random traces, with
-blocks and snapshots anywhere, every policy, both drain modes, the final
-drain on and off and a per-sender limit or none, both must give the same
-flags, price sums, final pending set and report hash, the report's
-``util`` must equal the oracle's booked ledger, and the report's derived
-``declined`` and each snapshot's ``pending_at`` must equal what was kept
-as the events happened.
+``transition_flags`` into a list of its own, and keeps the declined ledger
+and a copy of the pending set at each snapshot as the events happen. On
+random traces, with blocks and snapshots anywhere, every policy, both drain
+modes, the final drain on and off and a per-sender limit or none, both must
+give the same price sums, final pending set and report hash, the report's
+``util`` must equal the oracle's booked ledger, its derived ``flags`` the
+oracle's list, and its derived ``declined`` and ``pending_sets`` what was
+kept as the events happened.
 """
 
 import itertools
@@ -66,14 +66,16 @@ def test_replay_books_as_the_per_event_loop(seed):
         final_drain=final_drain,
     )
     got = replay(config, events)
-    want, ledger, pendings, util = replay_per_event(config, events)
+    want, ledger, pendings, util, flags = replay_per_event(config, events)
     assert got.declined == ledger
     assert got.snapshots == want.snapshots
-    assert [got.pending_at(s) for s in got.snapshots] == pendings
+    assert (got.triggers, got.interleaved) == (want.triggers, want.interleaved)
+    assert got.pending_sets() == pendings
+    assert got.pending_at(got.snapshots[0]) == pendings[0]
     assert got.final_pending == want.final_pending
     assert got.unbuildable == want.unbuildable
     assert got.util.per_class == util.per_class
     assert got.util.flagged == util.flagged
-    assert got.flags == want.flags
+    assert got.flags == flags
     assert got.price_sum_series == want.price_sum_series
     assert got.report_hash() == want.report_hash()

@@ -1,9 +1,10 @@
-"""Differential check of the future<->pending flags ``replay`` records.
+"""Differential check of the future<->pending flags a replay's report
+derives.
 
-Around every ``admit`` the pool is snapshotted, and the flags the replay
-records for that arrival must equal ``oracles.transition_flags`` over the
-two snapshots: a list-scan oracle that shares no code with the replay's
-per-sender bookkeeping.
+Around every ``admit`` the pool is snapshotted, and the flags the report
+derives for that arrival must equal ``oracles.transition_flags`` over the
+two snapshots: a list-scan oracle that shares no code with the report's
+walk over its outcomes.
 """
 
 import random
@@ -11,20 +12,23 @@ import random
 import pytest
 
 from mempoolsim import (
+    AdmissionOutcome,
     AttackPlan,
     Mempool,
     PolicyConfig,
     Reason,
+    RunReport,
     ScenarioConfig,
     Transaction,
     arrival,
     block_trigger,
     gen_xt6,
     replay,
+    snapshot_marker,
 )
 from mempoolsim.metrics import OutcomeFlags
 
-from oracles import transition_flags
+from oracles import replay_per_event, transition_flags
 
 
 def _random_adversary(seed):
@@ -192,8 +196,7 @@ def test_cp_never_evicts_the_arrivals_own_sender():
 
 def test_cases_exercise_both_flags():
     # the differential check is only as strong as the flags it sees. A
-    # flagged free-slot admission is one below its chain's tail, which the
-    # replay's free-slot fast path leaves to the flag path
+    # flagged free-slot admission is one below its chain's tail
     seen = set()
     free_slot_flagged = 0  # case and policy pairs with one
     for capacity, drain_mode, (events, seeds) in CASES.values():
@@ -214,3 +217,95 @@ def test_cases_exercise_both_flags():
             )
     assert any(ftp for ftp, _ in seen) and any(ptf for _, ptf in seen)
     assert free_slot_flagged
+
+
+# The walk places each arrival at its event index from the recorded snapshot
+# markers and triggers, and applies each interleaved block at its trigger;
+# each case below also checks it against ``replay_per_event``'s flags, which
+# the per-event loop keys by the index it is at.
+
+
+def _flags_of(events, seeds, capacity, drain_mode, **kw):
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"),
+        capacity=capacity,
+        account_seeds=seeds,
+        drain_mode=drain_mode,
+        **kw,
+    )
+    report = replay(config, events)
+    assert report.flags == replay_per_event(config, events)[4]
+    return report
+
+
+@pytest.mark.parametrize("drain_mode", ["end_only", "interleaved"])
+def test_a_trace_may_begin_with_a_trigger_and_a_marker(drain_mode):
+    events, seeds = _own_gap_below()
+    events = [block_trigger(0), snapshot_marker(0), *events]
+    report = _flags_of(events, seeds, 6, drain_mode)
+    assert report.triggers == [0]
+    assert report.flags == [(8, OutcomeFlags(False, True)), (9, OutcomeFlags(False, True))]
+
+
+def _two_blocks_then_an_orphan():
+    """A:0-2, then two triggers whose one-tx blocks (gas limit 21000)
+    include A:0 and A:1, so A's confirmed nonce is 2; A:3, B:0 and C:0
+    fill the 4-slot pool, and D:0 evicts A:2, the cheapest, orphaning A:3."""
+    txs = [Transaction(sender="A", nonce=n, price=p) for n, p in enumerate((50, 50, 5))]
+    events = [arrival(t, ts_ms=0) for t in txs]
+    events += [block_trigger(1), block_trigger(1)]
+    txs = [Transaction("A", 3, 50), Transaction("B", 0, 50), Transaction("C", 0, 50)]
+    events += [arrival(t, ts_ms=2) for t in txs + [Transaction("D", 0, 10)]]
+    return events, {s: (10**18, 0) for s in "ABCD"}
+
+
+def test_two_triggers_in_a_row_each_apply_their_block():
+    events, seeds = _two_blocks_then_an_orphan()
+    report = _flags_of(events, seeds, 4, "interleaved", block_gas_limit=21_000)
+    assert report.triggers == [3, 4]
+    assert [[(t.sender, t.nonce) for t in b.txs] for b in report.blocks[:2]] == [
+        [("A", 0)],
+        [("A", 1)],
+    ]
+    victim = report.outcomes[-1].victim
+    assert (victim.sender, victim.nonce) == ("A", 2)
+    assert report.flags == [(8, OutcomeFlags(False, True))]
+
+
+def test_end_only_triggers_build_nothing_but_shift_the_index():
+    events, seeds = _own_gap_below()
+    events = events[:6] + [block_trigger(5)] * 3 + events[6:]
+    report = _flags_of(events, seeds, 6, "end_only", final_drain=False)
+    assert (report.triggers, report.blocks) == ([6, 7, 8], [])
+    assert report.flags == [(9, OutcomeFlags(False, True)), (10, OutcomeFlags(False, True))]
+
+
+@pytest.mark.parametrize("drain_mode", ["end_only", "interleaved"])
+def test_a_trace_without_arrivals_has_no_flags(drain_mode):
+    events = [block_trigger(0), snapshot_marker(0), block_trigger(1)]
+    report = _flags_of(events, {}, 4, drain_mode)
+    assert report.triggers == [0, 2]
+    assert (report.flags, report.util.flagged) == ([], {})
+    assert report.pending_sets() == [[], []]
+
+
+def test_a_hand_built_report_without_triggers_has_no_flags():
+    assert RunReport(policy="baseline", capacity=4).flags == []
+    # free-slot admissions at their chains' tails turn no resident
+    report = RunReport(policy="baseline", capacity=4)
+    report.arrivals = [Transaction("A", 0, 5), Transaction("A", 1, 5), Transaction("B", 0, 5)]
+    report.outcomes = [AdmissionOutcome(Reason.POOL_NOT_FULL)] * 3
+    assert (report.flags, report.util.flagged) == ([], {})
+
+
+def test_a_victim_above_a_gap_orphans_nothing():
+    # capacity 5: C:0 evicts A:1, orphaning A:2 and A:3; D:0 then evicts A:2,
+    # which lies above that gap, so its child A:3 was future already, even
+    # though A's residents below A:2 begin at the confirmed nonce
+    prices = (50, 6, 7, 50)
+    txs = [Transaction(sender="A", nonce=n, price=p) for n, p in enumerate(prices)]
+    txs += [Transaction("B", 0, 50), Transaction("C", 0, 10), Transaction("D", 0, 10)]
+    events = [arrival(t, ts_ms=step) for step, t in enumerate(txs)]
+    report = _flags_of(events, {s: (10**18, 0) for s in "ABCD"}, 5, "end_only")
+    assert [(o.victim.sender, o.victim.nonce) for o in report.outcomes[5:]] == [("A", 1), ("A", 2)]
+    assert report.flags == [(5, OutcomeFlags(False, True))]
