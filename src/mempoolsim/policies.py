@@ -5,13 +5,16 @@ Three policies are provided:
 * ``baseline`` - price-only eviction of the globally cheapest pending tx,
   regardless of descendants. Evicting a parent orphans its children; this
   vulnerability is intentional and exercised by the eviction-attack
-  regression tests.
+  regression tests. It reads the pool's ``_by_price`` index, one entry
+  per pending tx.
 * ``cp``   - chain-safe price policy: only childless transactions are
   eviction candidates, which keeps the pool's price sum monotonically
-  non-decreasing across admissions.
+  non-decreasing across admissions. It reads ``_childless``, one entry per
+  sender (its chain's tail).
 * ``map``  - minimum-fee policy: the eviction seed is the pending tx with
   the lowest fee, and the actual victim is that sender's chain tail, so no
-  resident is ever orphaned.
+  resident is ever orphaned. It reads ``_fee_heads``, one entry per sender
+  (its chain's lowest fee).
 
 A policy only chooses whom to evict from a full pool. Its ``decide(pool,
 tx)`` requires a full pool and an arrival that passed the precheck and the
@@ -69,7 +72,14 @@ class ChildlessPricePolicy:
 
 class MinFeeChainTailPolicy:
     """Seeds eviction at the minimum-fee pending tx and evicts its sender's
-    chain tail instead, preserving nonce-chain integrity."""
+    chain tail instead, preserving nonce-chain integrity.
+
+    The seed is the first entry of the pool's per-sender lowest-fee index
+    (``Mempool.min_fee_tx``): one ``(fee, seq, tx)`` entry per sender, the
+    head of its chain's fee list, kept together with the chain as the
+    paper's Geth note has it. The lowest ``(fee, seq)`` over the heads is
+    the lowest over all pending txs, so the seed is the oldest pending tx
+    of minimal fee."""
 
     def decide(self, pool: Mempool, tx: Transaction) -> AdmissionOutcome:
         seed = pool.min_fee_tx()

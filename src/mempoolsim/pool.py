@@ -12,42 +12,46 @@ The pool keeps only its pending set, always in these views:
   admission order: every insert adds a fresh key, so ``pending()`` lists
   txs oldest first
 * one ``SenderChain`` per sender (``chain(sender)``) - the sender's txs
-  in ascending nonce order and their summed cost, and, once ``_childless``
-  is built, their fees in ascending order (the head is the chain-minimum
-  fee, so no removal rescans for it). The duplicate test and ``run_end``
-  (the end of the contiguous nonce run from any start, which is what the
-  future test reads) bisect the txs by nonce
+  in ascending nonce order and their summed cost, and, once a per-sender
+  index is built, their fees as ascending ``(fee, seq, tx)`` entries (the
+  head is the chain's lowest fee, so no removal rescans for it). The
+  duplicate test and ``run_end`` (the end of the contiguous nonce run from
+  any start, which is what the future test reads) bisect the txs by nonce
 
 and these order indexes, each a sorted list of tuples that end in
 ``(seq, tx)``, where ``seq`` is the tx's unique admission number (so ties
-go oldest first and a comparison never reaches ``tx``):
+go oldest first and a comparison never reaches ``tx``). Each serves one
+policy:
 
-* ``_by_price`` / ``_by_fee`` - one ``(key, seq, tx)`` entry per pending tx,
-  by price or fee
-* ``_childless`` - one entry per sender, its maximal-nonce tx as ``(price,
-  sender's chain-minimum fee, seq, tx)`` (``_tail_key``), so the first
+* ``_by_price`` (baseline) - one ``(price, seq, tx)`` entry per pending tx
+* ``_fee_heads`` (map) - one entry per sender, the head of its chain's fee
+  list, so the first entry is the pending tx of lowest ``(fee, seq)``, the
+  eviction seed: the paper's per-sender lowest-fee index
+* ``_childless`` (cp) - one entry per sender, its maximal-nonce tx as
+  ``(price, chain's lowest fee, seq, tx)`` (``_tail_key``), so the first
   entry is chain-safe eviction's victim
 
 An order index does not exist until something first reads it; it is then
-built from ``_seq_of`` or the chains and kept exact by every later change:
-an insert adds the tx's entries with ``insort``, and an eviction or a
-change of a sender's tail key (its tail or its chain-minimum fee moved)
-deletes the old entry at ``bisect_left`` of its key less ``tx``. A reader
-takes the first entry. A change costs O(log pool) comparisons and one
-memmove of up to ``capacity`` pointers (~40 KB at 5120), against a heap's
-O(log pool) work plus the stale entries and rebuilds of lazy deletion. The
-memmove grows with the pool: one removal plus one ``insort`` reads ~1.2 us
-on 192 entries and ~2.7 us on 5,120 (Python 3.11, a shared 2-CPU host).
-Each policy reads one order, so a replay maintains only the index its
-policy uses, and only cp's ``_childless``, whose key reads a chain's
-minimum fee, makes the chains keep fee lists: building it gives each chain
-its sorted fees, and a chain made after that starts with an empty list.
+built from ``_seq_of`` or the chains and kept exact by every later change.
+``_by_price`` takes an insert's entry with ``insort`` and deletes an
+eviction's at ``bisect_left`` of its key less ``tx``. A per-sender index
+changes only where a chain's entry does: each chain keeps the entries it
+holds in them, and ``_rekey`` swaps those for the chain's current ones
+after each change to the chain, which is a no-op unless its tail or its
+fee head moved. A reader takes the first entry. A change costs O(log pool)
+comparisons and one memmove of up to ``capacity`` pointers (~40 KB at
+5120), against a heap's O(log pool) work plus the stale entries and
+rebuilds of lazy deletion. The memmove grows with the index: one removal
+plus one ``insort`` reads ~1.2 us on 192 entries and ~2.7 us on 5,120
+(Python 3.11, a shared 2-CPU host). Each policy reads one order, so a
+replay maintains only the index its policy uses, and only a per-sender
+index makes the chains keep fee lists: building one gives each chain its
+sorted entries, and a chain made after that starts with an empty list.
 
 A block leaves the pool in one ``remove_included`` call. It re-keys each
-touched sender's ``_childless`` entry once and filters each built price or
-fee index in one pass, in place of a bisect and a ``del`` per tx: a block
-takes hundreds of txs from a pool of thousands, and one pass costs less
-than a memmove per tx.
+touched chain once and filters a built price index in one pass, in place
+of a bisect and a ``del`` per tx: a block takes hundreds of txs from a pool
+of thousands, and one pass costs less than a memmove per tx.
 
 A pool has one owner, the replay or test that fills it; there is no
 snapshot, and nothing reads a pool while another caller changes it.
@@ -57,7 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .core import (
     _ADMITTING,
@@ -71,25 +75,28 @@ from .core import (
 )
 
 _nonce = attrgetter("nonce")
-_fee = attrgetter("fee")
 
 
 class SenderChain:
     """One sender's pending transactions, in ascending nonce order.
 
     ``txs`` holds the txs, bisected by nonce with ``key=_nonce``; ``cost`` is
-    their summed cost. ``fees`` is None until the pool's ``_childless`` index
-    is built, and from then on holds the txs' fees in ascending order, so the
-    chain's minimum fee is ``fees[0]`` and a removal deletes one copy of its
-    fee wherever it sits.
+    their summed cost. ``fees`` is None until the pool builds a per-sender
+    index (``_fee_heads`` or ``_childless``), and from then on holds one
+    ``(fee, seq, tx)`` entry per tx in ascending order: its head is the
+    chain's lowest fee, oldest first, and a removal deletes the tx's entry
+    at its bisected place. ``head`` and ``tail`` are the chain's entries in
+    ``_fee_heads`` and ``_childless`` as last keyed (None while unkeyed).
     """
 
-    __slots__ = ("txs", "cost", "fees")
+    __slots__ = ("txs", "cost", "fees", "head", "tail")
 
     def __init__(self) -> None:
         self.txs: List[Transaction] = []
         self.cost = 0
-        self.fees: Optional[List[int]] = None
+        self.fees: Optional[List[Tuple[int, int, Transaction]]] = None
+        self.head: Optional[Tuple] = None
+        self.tail: Optional[Tuple] = None
 
     def __len__(self) -> int:
         return len(self.txs)
@@ -113,7 +120,7 @@ class SenderChain:
         j = bisect_right(range(len(txs)), offset, i + 1, key=lambda j: txs[j].nonce - j)
         return txs[j - 1].nonce + 1
 
-    def insert(self, tx: Transaction) -> None:
+    def insert(self, tx: Transaction, seq: int) -> None:
         txs = self.txs
         nonce = tx.nonce
         if not txs or nonce > txs[-1].nonce:
@@ -123,9 +130,9 @@ class SenderChain:
         self.cost += tx.cost
         fees = self.fees
         if fees is not None:
-            insort(fees, tx.fee)
+            insort(fees, (tx.fee, seq, tx))
 
-    def remove(self, tx: Transaction) -> None:
+    def remove(self, tx: Transaction, seq: int) -> None:
         txs = self.txs
         if txs[-1] is tx:
             txs.pop()
@@ -134,7 +141,7 @@ class SenderChain:
         self.cost -= tx.cost
         fees = self.fees
         if fees is not None:
-            del fees[bisect_left(fees, tx.fee)]
+            del fees[bisect_left(fees, (tx.fee, seq))]
 
 
 # returned by ``Mempool.chain`` for a sender with nothing pending; never mutated
@@ -148,21 +155,14 @@ _SENDER_LIMIT = _OUTCOMES[Reason.SENDER_LIMIT]
 _POOL_NOT_FULL = _OUTCOMES[Reason.POOL_NOT_FULL]
 
 
-def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> None:
-    """Swap entry ``old`` of sorted ``index`` for ``new``; None is no entry."""
+def _replace(index: List[Tuple], old: Optional[Tuple], new: Optional[Tuple]) -> Optional[Tuple]:
+    """Swap entry ``old`` of sorted ``index`` for ``new`` (None: no entry); return ``new``."""
     if old != new:
         if old is not None:
             del index[bisect_left(index, old[:-1])]
         if new is not None:
             insort(index, new)
-
-
-def _without(index: Optional[List[Tuple]], seqs: set) -> Optional[List[Tuple]]:
-    """A new ``index`` of ``(key, seq, tx)`` entries less those whose seq is in
-    ``seqs``; None if the index is not built. A new list, not one filtered in
-    place: the slice assignment read ~0.4 MB more peak RSS on perfbench's
-    block_cadence (Python 3.11, a shared 2-CPU host)."""
-    return None if index is None else [entry for entry in index if entry[1] not in seqs]
+    return new
 
 
 class Mempool:
@@ -177,7 +177,7 @@ class Mempool:
         self._next_seq = 0
         # sorted order indexes of (..., seq, tx), each built on its first read
         self._by_price: Optional[List[Tuple]] = None
-        self._by_fee: Optional[List[Tuple]] = None
+        self._fee_heads: Optional[List[Tuple]] = None
         self._childless: Optional[List[Tuple]] = None
 
     # ------------------------------------------------------------- views
@@ -209,7 +209,7 @@ class Mempool:
         """``chain``'s entry in ``_childless``: its tail, keyed by price, then
         the chain's minimum fee, then admission order."""
         tail = chain.txs[-1]
-        return (tail.price, chain.fees[0], self._seq_of[tail], tail)
+        return (tail.price, chain.fees[0][0], self._seq_of[tail], tail)
 
     def min_price_tx(self) -> Optional[Transaction]:
         """Globally cheapest pending tx, oldest first among equal prices."""
@@ -218,11 +218,23 @@ class Mempool:
             index = self._by_price = sorted((t.price, s, t) for t, s in self._seq_of.items())
         return index[0][-1] if index else None
 
+    def _keyed(self, slot: str, key: Callable[[SenderChain], Tuple]) -> List[Tuple]:
+        """A new per-sender index: each chain, given its fee list if it has
+        none yet, keeps ``key(chain)`` in ``slot`` as its entry."""
+        seq_of = self._seq_of
+        chains = self._chains.values()
+        for chain in chains:
+            if chain.fees is None:
+                chain.fees = sorted((t.fee, seq_of[t], t) for t in chain.txs)
+            setattr(chain, slot, key(chain))
+        return sorted(map(attrgetter(slot), chains))
+
     def min_fee_tx(self) -> Optional[Transaction]:
-        """Pending tx with minimal fee, oldest first among equal fees."""
-        index = self._by_fee
+        """Pending tx with minimal fee, oldest first among equal fees: the lowest
+        chain head in ``_fee_heads``. Its first read gives each chain its fee list."""
+        index = self._fee_heads
         if index is None:
-            index = self._by_fee = sorted((t.fee, s, t) for t, s in self._seq_of.items())
+            index = self._fee_heads = self._keyed("head", lambda chain: chain.fees[0])
         return index[0][-1] if index else None
 
     def min_price_childless(self) -> Optional[Transaction]:
@@ -231,10 +243,7 @@ class Mempool:
         then the oldest. Its first read gives each chain its fee list."""
         index = self._childless
         if index is None:
-            chains = self._chains.values()
-            for chain in chains:
-                chain.fees = sorted(map(_fee, chain.txs))
-            index = self._childless = sorted(map(self._tail_key, chains))
+            index = self._childless = self._keyed("tail", self._tail_key)
         return index[0][-1] if index else None
 
     # ------------------------------------------------------------- checks
@@ -293,27 +302,31 @@ class Mempool:
 
     # ---------------------------------------------------------- mutation
 
+    def _rekey(self, chain: SenderChain) -> None:
+        """Swap ``chain``'s entries in each built per-sender index for its
+        current ones: its fee head, its tail key, or none once it is empty."""
+        index = self._fee_heads
+        if index is not None:
+            chain.head = _replace(index, chain.head, chain.fees[0] if chain.txs else None)
+        index = self._childless
+        if index is not None:
+            chain.tail = _replace(index, chain.tail, self._tail_key(chain) if chain.txs else None)
+
     def _insert(self, tx: Transaction) -> None:
         seq = self._next_seq
         self._next_seq = seq + 1
         self._seq_of[tx] = seq
-        childless = self._childless
         chain = self._chains.get(tx.sender)
         if chain is None:
             chain = self._chains[tx.sender] = SenderChain()
-            if childless is not None:
+            if self._fee_heads is not None or self._childless is not None:
                 chain.fees = []
-        old = self._tail_key(chain) if childless is not None and chain.txs else None
-        chain.insert(tx)
-        if childless is not None:
-            # the tail or the chain's minimum fee may have moved
-            _replace(childless, old, self._tail_key(chain))
+        chain.insert(tx, seq)
+        if chain.fees is not None:
+            self._rekey(chain)
         index = self._by_price
         if index is not None:
             insort(index, (tx.price, seq, tx))
-        index = self._by_fee
-        if index is not None:
-            insort(index, (tx.fee, seq, tx))
 
     def _remove(self, tx: Transaction) -> None:
         """Take ``tx`` out of ``_seq_of``, its chain and every built index: an
@@ -322,20 +335,15 @@ class Mempool:
         if tx not in seq_of:
             raise PoolError(f"{tx!r} not pending")
         chain = self._chains[tx.sender]
-        childless = self._childless
-        old = self._tail_key(chain) if childless is not None else None
-        chain.remove(tx)
         seq = seq_of.pop(tx)
+        chain.remove(tx, seq)
         if not chain.txs:
             del self._chains[tx.sender]
-        if childless is not None:
-            _replace(childless, old, self._tail_key(chain) if chain.txs else None)
+        if chain.fees is not None:
+            self._rekey(chain)
         index = self._by_price
         if index is not None:
             del index[bisect_left(index, (tx.price, seq))]
-        index = self._by_fee
-        if index is not None:
-            del index[bisect_left(index, (tx.fee, seq))]
 
     def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
         """Remove ``victim``, if any, then insert ``tx``."""
@@ -353,8 +361,8 @@ class Mempool:
 
         Each tx must be pending and named once; otherwise ``PoolError`` is
         raised before anything changes. Each tx then leaves ``_seq_of`` and
-        its chain, each touched sender's ``_childless`` entry is re-keyed
-        once, and each built price or fee index is filtered once.
+        its chain, each touched chain is re-keyed once, and a built price
+        index is filtered once.
         """
         seq_of = self._seq_of
         gone = set()  # the txs' admission seqs
@@ -366,23 +374,20 @@ class Mempool:
                 raise PoolError(f"{tx!r} named twice")
             gone.add(seq)
         chains = self._chains
-        childless = self._childless
-        old_keys: Dict[str, Tuple] = {}  # touched sender -> its _childless entry
+        touched = {tx.sender: chains[tx.sender] for tx in txs}
         for tx in txs:
-            sender = tx.sender
-            chain = chains[sender]
-            if childless is not None and sender not in old_keys:
-                # the sender's txs are all still in _seq_of
-                old_keys[sender] = self._tail_key(chain)
-            chain.remove(tx)
-            del seq_of[tx]
+            chain = touched[tx.sender]
+            chain.remove(tx, seq_of.pop(tx))
             if not chain.txs:
-                del chains[sender]
-        for sender, old in old_keys.items():
-            chain = chains.get(sender)
-            _replace(childless, old, None if chain is None else self._tail_key(chain))
-        self._by_price = _without(self._by_price, gone)
-        self._by_fee = _without(self._by_fee, gone)
+                del chains[tx.sender]
+        for chain in touched.values():
+            self._rekey(chain)
+        index = self._by_price
+        if index is not None:
+            # a new list, not one filtered in place: the slice assignment read
+            # ~0.4 MB more peak RSS on perfbench's block_cadence (Python 3.11,
+            # a shared 2-CPU host)
+            self._by_price = [entry for entry in index if entry[1] not in gone]
 
     def pop_all(self) -> List[Transaction]:
         """Empty the pool and return what was pending, in admission order.
@@ -394,7 +399,7 @@ class Mempool:
         pending = list(self._seq_of)
         self._seq_of.clear()
         self._chains.clear()
-        for index in (self._by_price, self._by_fee, self._childless):
+        for index in (self._by_price, self._fee_heads, self._childless):
             if index is not None:
                 index.clear()
         return pending

@@ -201,7 +201,8 @@ class RunReport:
         drain's leftovers make one UNBUILDABLE entry, their fees both taken
         from inside and counted outside. A flagged admission's dUtil is
         added again under each flag it sets (``_flag_walk``). ``ValueError``
-        unless the report has one outcome per arrival."""
+        unless the report has one outcome per arrival, and for a report that
+        evicts or includes a tx that is not resident."""
         per_class: Dict[OutcomeClass, UtilEntry] = {}
         for o, tx in zip(self.outcomes, self.arrivals, strict=True):
             outcome_class = classify_outcome(o, tx)
@@ -222,7 +223,8 @@ class RunReport:
     def flags(self) -> List[Tuple[int, OutcomeFlags]]:
         """``(event index, flags)`` per admission that turned a resident
         future to pending or pending to future, in trace order, derived per
-        read (``_flag_walk``)."""
+        read (``_flag_walk``); ``ValueError`` for a report that evicts or
+        includes a tx that is not resident."""
         return _flag_walk(self)[0]
 
     @property
@@ -378,6 +380,17 @@ class RunReport:
         return digest.hexdigest()
 
 
+def _drop(residents: Dict[str, List[int]], tx: Transaction, k: int, role: str) -> List[int]:
+    """Take ``tx``'s nonce out of its sender's resident nonces and return
+    them; ``ValueError`` if ``tx`` is not resident at arrival ``k``."""
+    nonces = residents.get(tx.sender, [])
+    i = bisect_left(nonces, tx.nonce)
+    if i == len(nonces) or nonces[i] != tx.nonce:
+        raise ValueError(f"arrival {k}: {role} {tx!r} is not resident")
+    del nonces[i]
+    return nonces
+
+
 def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[str, UtilEntry]]:
     """``report.flags`` and ``report.util.flagged``, from one walk over the
     arrivals in order; no world is needed.
@@ -409,8 +422,9 @@ def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[
       ``nonce`` of the tx's own sender was future already, and so were its
       children.
 
-    The report must be one a replay made: an outcome that evicts a tx no
-    earlier outcome admitted raises ``KeyError``.
+    The report must be one a replay made: a victim or an applied block tx
+    that is not resident raises ``ValueError`` naming the arrival index and
+    the tx (for a block tx, the arrival after its block).
     """
     flags: List[Tuple[int, OutcomeFlags]] = []
     flagged: Dict[str, UtilEntry] = {}
@@ -428,10 +442,8 @@ def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[
             block = block_at.get(k + j)
             if block is not None:
                 for included in block.txs:
-                    sender = included.sender
-                    nonces = residents[sender]
-                    del nonces[bisect_left(nonces, included.nonce)]
-                    confirmed[sender] = included.nonce + 1
+                    _drop(residents, included, k, "block tx")
+                    confirmed[included.sender] = included.nonce + 1
             j += 1
         if o.reason not in _ADMITTING:
             continue
@@ -443,8 +455,7 @@ def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[
             confirmed[sender] = nonce
         victim = o.victim
         if victim is not None:
-            v_nonces = residents[victim.sender]
-            del v_nonces[bisect_left(v_nonces, victim.nonce)]
+            v_nonces = _drop(residents, victim, k, "victim")
         i = bisect_left(nonces, nonce)
         nonces.insert(i, nonce)
         ftp = i + 1 < len(nonces) and nonces[i + 1] == nonce + 1

@@ -188,10 +188,11 @@ def pending_by_price(pool: Mempool) -> List[Transaction]:
     return [entry[-1] for entry in pool._by_price]
 
 
-def pending_by_fee(pool: Mempool) -> List[Transaction]:
-    """The pool's fee index read in full: pending txs by (fee, seq)."""
+def fee_heads(pool: Mempool) -> List[Transaction]:
+    """The pool's fee-head index read in full: each sender's pending tx of
+    lowest (fee, seq), by (fee, seq)."""
     pool.min_fee_tx()
-    return [entry[-1] for entry in pool._by_fee]
+    return [entry[-1] for entry in pool._fee_heads]
 
 
 def find_childless(pool: Mempool) -> List[Transaction]:

@@ -501,15 +501,20 @@ def test_hostile_drain_walks_each_candidate_at_most_twice(make, n, monkeypatch):
         assert walked <= 2 * size, f"{make.__name__}({size}): {walked} candidates walked"
 
 
+# the reader that builds each policy's per-sender index, and with it the
+# chains' fee lists, as a full pool under that policy has them
+_BUILD_FEE_LISTS = {"cp": Mempool.min_price_childless, "map": Mempool.min_fee_tx}
+
+
 def _chain_build_seconds(kind, rising, n=5_120):
     """Seconds that ``build_block`` takes to empty a pool of one sender's
-    n-tx chain, its fees rising along its nonces or all equal; under cp the
-    childless index is built first, as a full cp pool has it."""
+    n-tx chain, its fees rising along its nonces or all equal; under cp and
+    map the policy's per-sender index is built first."""
     pool = Mempool(capacity=n)
     world = WorldState(block_gas_limit=GAS_LIMIT_30M)
     fill_pool(pool, world, [tx("c", i, 1 + i if rising else n) for i in range(n)], kind)
-    if kind == "cp":
-        pool.min_price_childless()
+    if kind in _BUILD_FEE_LISTS:
+        _BUILD_FEE_LISTS[kind](pool)
     gc.disable()
     try:
         start = time.perf_counter()
@@ -520,7 +525,7 @@ def _chain_build_seconds(kind, rising, n=5_120):
         gc.enable()
 
 
-@pytest.mark.parametrize("kind", ["baseline", "cp"])
+@pytest.mark.parametrize("kind", ["baseline", "cp", "map"])
 def test_rising_fee_chain_builds_as_fast_as_a_flat_one(kind):
     # every inclusion takes the chain's head, which on the rising chain holds
     # its lowest fee: a chain that searched its remaining fees for the new
@@ -544,20 +549,20 @@ class _ScanCountingList(list):
         return super().__iter__()
 
 
-@pytest.mark.parametrize("kind", ["baseline", "cp"])
+@pytest.mark.parametrize("kind", ["baseline", "cp", "map"])
 def test_rising_fee_chain_builds_without_scanning_its_fees(kind):
     # the count behind the timed gate above: each inclusion deletes the
     # chain's head, its lowest fee on the rising chain, and the new minimum
     # is the sorted list's next head, so no inclusion reads the whole list.
-    # Only cp's childless index reads the minimum, so under baseline the
-    # chain keeps no fee list at all
+    # Only cp's childless index and map's fee-head index read the minimum,
+    # so under baseline the chain keeps no fee list at all
     n = 2_000
     pool = Mempool(capacity=n)
     world = WorldState(block_gas_limit=GAS_LIMIT_30M)
     fill_pool(pool, world, [tx("c", i, 1 + i) for i in range(n)], kind)
     chain = pool.chain("c")
-    if kind == "cp":
-        pool.min_price_childless()
+    if kind in _BUILD_FEE_LISTS:
+        _BUILD_FEE_LISTS[kind](pool)
         chain.fees = _ScanCountingList(chain.fees)
     while len(pool):
         build_block(pool, world)

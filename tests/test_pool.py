@@ -29,7 +29,14 @@ from conftest import (
     rich_world,
     tx,
 )
-from oracles import ListPendingView, find_childless, is_future, pending_by_price, transition_flags
+from oracles import (
+    ListPendingView,
+    fee_heads,
+    find_childless,
+    is_future,
+    pending_by_price,
+    transition_flags,
+)
 
 
 class TestPrecheck:
@@ -259,7 +266,7 @@ def test_remove_included_of_a_non_resident_changes_nothing(stranger):
 
     def views():
         chains = {s: (list(pool.chain(s).txs), list(pool.chain(s).fees)) for s in "XY"}
-        indexes = [list(i) for i in (pool._by_price, pool._by_fee, pool._childless)]
+        indexes = [list(i) for i in (pool._by_price, pool._fee_heads, pool._childless)]
         return pool.pending(), chains, indexes
 
     before = views()
@@ -283,13 +290,15 @@ def _pool_of(txs, readers, read_first):
 
 
 def _seqless_views(pool):
-    """Everything a removal changes, each index entry without its admission
-    seq: pools that admitted the same txs in the same order compare equal."""
-    chains = {s: (list(c.txs), c.cost, c.fees) for s, c in pool.chains().items()}
-    indexes = [
-        None if index is None else [entry[:-2] + entry[-1:] for entry in index]
-        for index in (pool._by_price, pool._by_fee, pool._childless)
-    ]
+    """Everything a removal changes, each index and fee-list entry without its
+    admission seq: pools that admitted the same txs in the same order compare
+    equal."""
+
+    def seqless(entries):
+        return None if entries is None else [e[:-2] + e[-1:] for e in entries]
+
+    chains = {s: (list(c.txs), c.cost, seqless(c.fees)) for s, c in pool.chains().items()}
+    indexes = [seqless(index) for index in (pool._by_price, pool._fee_heads, pool._childless)]
     return pool.pending(), chains, indexes
 
 
@@ -344,11 +353,12 @@ def test_pop_all_empties_the_mapping_chains_returned():
 def _rebuild_check(pool: Mempool, world: WorldState):
     """Index coherence: all views hold exactly the pending set, and every
     sender's chain matches recomputation from it. A chain keeps a fee list
-    once ``_childless`` is built, which ``find_childless`` below does, and
-    not before."""
-    if pool._childless is None:
+    once a per-sender index (``_fee_heads`` or ``_childless``) is built,
+    which ``fee_heads`` and ``find_childless`` below do, and not before."""
+    if pool._fee_heads is None and pool._childless is None:
         assert all(chain.fees is None for chain in pool.chains().values())
     pending = pool.pending()
+    seq = {t: i for i, t in enumerate(pending)}.__getitem__  # admission order
     assert set(pending_by_price(pool)) == set(pending)
     # membership and size against a scan of pending()
     held = {(t.sender, t.nonce): t for t in pending}
@@ -364,8 +374,11 @@ def _rebuild_check(pool: Mempool, world: WorldState):
     for t in pending:
         by_sender.setdefault(t.sender, []).append(t)
     assert {s for s in world.accounts if pool.chain(s).txs} == set(by_sender)
+    # one entry per sender: its chain's lowest (fee, seq)
+    heads = [min(chain, key=lambda t: (t.fee, seq(t))) for chain in by_sender.values()]
+    assert fee_heads(pool) == sorted(heads, key=lambda t: (t.fee, seq(t)))
     for s, chain in by_sender.items():
-        assert pool.chain(s).fees[0] == min(t.fee for t in chain)
+        assert pool.chain(s).fees[0][0] == min(t.fee for t in chain)
         assert [t.nonce for t in pool.chain(s).txs] == sorted(t.nonce for t in chain)
     for s in world.accounts:
         chain = pool.chain(s)
@@ -373,7 +386,8 @@ def _rebuild_check(pool: Mempool, world: WorldState):
         assert chain.txs == held
         assert chain.cost == sum(t.cost for t in held)
         if held:
-            assert chain.fees == sorted(t.fee for t in held)
+            assert chain.fees == sorted((t.fee, pool._seq_of[t], t) for t in held)
+            assert [e[-1] for e in chain.fees] == sorted(held, key=lambda t: (t.fee, seq(t)))
         nonces = {t.nonce for t in chain.txs}
         for start in range(world.nonce_of(s), max(nonces, default=0) + 2):
             gap = start
@@ -393,8 +407,8 @@ def test_run_end_matches_a_scan_from_any_start(base, steps, order):
     # from starts below, inside and above the chain
     nonces = list(itertools.accumulate(steps, initial=base))
     chain = SenderChain()
-    for nonce in order.sample(nonces, len(nonces)):
-        chain.insert(tx("A", nonce, 1))
+    for seq, nonce in enumerate(order.sample(nonces, len(nonces))):
+        chain.insert(tx("A", nonce, 1), seq)
     held = set(nonces)
     for start in range(max(0, base - 3), nonces[-1] + 4):
         end = start
@@ -654,12 +668,16 @@ def _oracle_orders(pending, admitted_at):
     childless = sorted(
         oracle_childless(pending), key=lambda t: (t.price, min_fee_of[t.sender], seq(t))
     )
+    by_fee = sorted(pending, key=lambda t: (t.fee, seq(t)))
+    heads = list({t.sender: t for t in reversed(by_fee)}.values())  # each sender's first
+    heads.sort(key=lambda t: (t.fee, seq(t)))
     lowest = [t for t in childless if t.price == childless[0].price] if childless else []
     return {
         "pending_by_price": by_price,
+        "fee_heads": heads,
         "find_childless": childless,
         "min_price_tx": by_price[0] if by_price else None,
-        "min_fee_tx": min(pending, key=lambda t: (t.fee, seq(t))) if pending else None,
+        "min_fee_tx": by_fee[0] if by_fee else None,
         "min_price_childless": (
             min(lowest, key=lambda t: (min_fee_of[t.sender], seq(t))) if lowest else None
         ),
@@ -670,10 +688,14 @@ def _oracle_orders(pending, admitted_at):
 # live in oracles.py
 _INDEX_READERS = {
     "price": ("pending_by_price", "min_price_tx"),
-    "fee": ("min_fee_tx",),
+    "fee": ("fee_heads", "min_fee_tx"),
     "childless": ("find_childless", "min_price_childless"),
 }
-_ORACLE_READERS = {"pending_by_price": pending_by_price, "find_childless": find_childless}
+_ORACLE_READERS = {
+    "pending_by_price": pending_by_price,
+    "fee_heads": fee_heads,
+    "find_childless": find_childless,
+}
 
 
 def _read(pool, reader):
@@ -682,7 +704,7 @@ def _read(pool, reader):
 
 
 def _built(pool):
-    return [index is not None for index in (pool._by_price, pool._by_fee, pool._childless)]
+    return [index is not None for index in (pool._by_price, pool._fee_heads, pool._childless)]
 
 
 @pytest.mark.parametrize("policy_kind", ["baseline", "cp", "map"])
@@ -766,7 +788,7 @@ def test_replay_builds_only_its_policy_index(monkeypatch, policy_kind):
     report = replay(config, events)
     assert any(o.victim is not None for o in report.outcomes)  # the pool filled and evicted
     (pool,) = pools
-    # built: [_by_price, _by_fee, _childless]
+    # built: [_by_price, _fee_heads, _childless]
     expected = {
         "baseline": [True, False, False],
         "cp": [False, False, True],
@@ -781,8 +803,9 @@ def test_indexes_stay_exact_and_serve_minimums(policy_kind, seed):
     # arrivals, evictions, builds and a tail that leaves and is sent again,
     # so a sender's tail key goes A -> B -> A; after every step each order
     # index is exactly its entries rebuilt from pending(), sorted: one per
-    # pending tx, or one per sender in _childless, and no leftover entry;
-    # and each min_* equals a scan of pending()
+    # pending tx in _by_price, one per sender in _fee_heads (its chain's
+    # lowest (fee, seq)) and _childless, and no leftover entry; each chain's
+    # fee list is its txs' entries; and each min_* equals a scan of pending()
     rng = random.Random(300 + seed)
     world = WorldState(block_gas_limit=4 * 60_000)
     senders = [f"k{i}" for i in range(6)]
@@ -823,7 +846,12 @@ def test_indexes_stay_exact_and_serve_minimums(policy_kind, seed):
         min_fee_of = {t.sender: min(u.fee for u in pending if u.sender == t.sender) for t in tails}
         seq_of = pool._seq_of
         assert pool._by_price == sorted((t.price, seq_of[t], t) for t in pending), step
-        assert pool._by_fee == sorted((t.fee, seq_of[t], t) for t in pending), step
+        heads = {}  # sender -> its chain's lowest (fee, seq) entry
+        for entry in sorted((t.fee, seq_of[t], t) for t in pending):
+            heads.setdefault(entry[-1].sender, entry)
+        assert pool._fee_heads == sorted(heads.values()), step
+        for sender, chain in pool.chains().items():
+            assert chain.fees == sorted((t.fee, seq_of[t], t) for t in chain.txs), step
         assert pool._childless == sorted(
             (t.price, min_fee_of[t.sender], seq_of[t], t) for t in tails
         ), step

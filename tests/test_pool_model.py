@@ -43,9 +43,9 @@ from conftest import WEI, fund
 from oracles import (
     ListPendingView,
     cumulative_cost,
+    fee_heads,
     find_childless,
     is_future,
-    pending_by_fee,
     pending_by_price,
 )
 
@@ -71,8 +71,8 @@ ARRIVALS = st.lists(
 # exactly that balance; "e" has no account, so every tx it sends is refused
 BALANCES = {"a": WEI, "b": WEI, "c": WEI, "d": 126_000}
 # the pool's lazily built order indexes, and the one each policy reads
-_INDEXES = ("_by_price", "_by_fee", "_childless")
-_POLICY_INDEX = {"baseline": "_by_price", "cp": "_childless", "map": "_by_fee"}
+_INDEXES = ("_by_price", "_fee_heads", "_childless")
+_POLICY_INDEX = {"baseline": "_by_price", "cp": "_childless", "map": "_fee_heads"}
 
 
 class ReferencePool:
@@ -160,13 +160,19 @@ def _check_equal(pool: Mempool, ref: ReferencePool) -> None:
         txs = ref.sender_txs(sender)
         assert chain.txs == txs
         assert chain.cost == sum(t.cost for t in txs)
-        if pool._childless is not None and txs:
-            assert chain.fees == sorted(t.fee for t in txs)
+        if (pool._fee_heads is not None or pool._childless is not None) and txs:
+            assert chain.fees == sorted((t.fee, pool._seq_of[t], t) for t in txs)
     seq = ref.admitted_at.__getitem__
     if pool._by_price is not None:
         assert pending_by_price(pool) == sorted(ref.pending, key=lambda t: (t.price, seq(t)))
-    if pool._by_fee is not None:
-        assert pending_by_fee(pool) == sorted(ref.pending, key=lambda t: (t.fee, seq(t)))
+    if pool._fee_heads is not None:
+        # one entry per sender: its chain's lowest (fee, seq)
+        heads = [
+            min(ref.sender_txs(s), key=lambda t: (t.fee, seq(t)))
+            for s in SENDERS
+            if ref.sender_txs(s)
+        ]
+        assert fee_heads(pool) == sorted(heads, key=lambda t: (t.fee, seq(t)))
     if pool._childless is not None:
         tails = [ref.sender_txs(s)[-1] for s in SENDERS if ref.sender_txs(s)]
         assert find_childless(pool) == sorted(
@@ -257,9 +263,9 @@ class PoolModel(RuleBasedStateMachine):
             assert built == set(_INDEXES)
         else:
             assert built <= {_POLICY_INDEX[self.KIND]}, built
-        # only _childless's key reads a chain's minimum fee: until it is
-        # built, no chain keeps a fee list
-        if "_childless" not in built:
+        # only the per-sender indexes read a chain's fee list: until one of
+        # them is built, no chain keeps one
+        if not built & {"_fee_heads", "_childless"}:
             assert all(chain.fees is None for chain in self.pool.chains().values())
         # matches_reference compares these indexes with the reference
         self.seen["every index" if self.every_index else "policy index"] += bool(built)

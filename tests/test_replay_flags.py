@@ -8,12 +8,14 @@ walk over its outcomes.
 """
 
 import random
+import re
 
 import pytest
 
 from mempoolsim import (
     AdmissionOutcome,
     AttackPlan,
+    Block,
     Mempool,
     PolicyConfig,
     Reason,
@@ -309,3 +311,50 @@ def test_a_victim_above_a_gap_orphans_nothing():
     report = _flags_of(events, {s: (10**18, 0) for s in "ABCD"}, 5, "end_only")
     assert [(o.victim.sender, o.victim.nonce) for o in report.outcomes[5:]] == [("A", 1), ("A", 2)]
     assert report.flags == [(5, OutcomeFlags(False, True))]
+
+
+def _a0_then(*entries, blocks=(), triggers=()):
+    """A hand-built report whose first arrival, A:0, takes a free slot, and
+    whose later arrivals are ``(tx, victim)`` pairs: a free-slot admission
+    where ``victim`` is None, an eviction of ``victim`` otherwise."""
+    report = RunReport(policy="baseline", capacity=4, interleaved=bool(blocks))
+    report.arrivals = [Transaction("A", 0, 5)] + [t for t, _ in entries]
+    report.outcomes = [AdmissionOutcome(Reason.POOL_NOT_FULL)] + [
+        AdmissionOutcome(Reason.POOL_NOT_FULL) if v is None else AdmissionOutcome(Reason.EVICTION, v)
+        for _, v in entries
+    ]
+    report.blocks, report.triggers = list(blocks), list(triggers)
+    return report
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        # the victim's nonce lies above every resident of its sender
+        (_a0_then((Transaction("B", 0, 9), Transaction("A", 5, 1))), "arrival 1: victim <A:5 @1>"),
+        # A:1 sits in the gap between residents A:0 and A:2, which the walk
+        # used to delete in its place
+        (
+            _a0_then(
+                (Transaction("A", 2, 5), None), (Transaction("B", 0, 9), Transaction("A", 1, 1))
+            ),
+            "arrival 2: victim <A:1 @1>",
+        ),
+        # the victim's sender has nothing resident
+        (_a0_then((Transaction("B", 0, 9), Transaction("C", 0, 1))), "arrival 1: victim <C:0 @1>"),
+        # an interleaved block, at event 1 before arrival 1, includes A:1
+        (
+            _a0_then(
+                (Transaction("B", 0, 9), None),
+                blocks=[Block([Transaction("A", 1, 1)])],
+                triggers=[1],
+            ),
+            "arrival 1: block tx <A:1 @1>",
+        ),
+    ],
+    ids=["victim_above_every_resident", "victim_in_a_gap", "victim_of_no_sender", "block_tx"],
+)
+def test_a_report_no_replay_could_make_raises_at_its_first_stranger(report, message):
+    for read in (lambda r: r.flags, lambda r: r.util):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not resident$"):
+            read(report)

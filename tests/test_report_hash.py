@@ -167,6 +167,18 @@ def test_equal_fields_distinct_objects_and_rehash_after_change():
     assert report.report_hash() == oracle_hash(report) != first
 
 
+def test_a_report_no_replay_could_make_hashes_but_its_walk_raises():
+    # arrival 2 evicts y:1, which no earlier outcome admitted: the hash and
+    # the declined ledger read the records as they are, while the flags and
+    # the dUtil ledger, which walk the residents, name the outcome
+    report = _report(["x", "y", "z"])
+    assert report.report_hash() == oracle_hash(report)
+    assert len(report.declined) == len(report.outcomes) - 1 + len(report.unbuildable)
+    for read in (lambda r: r.flags, lambda r: r.util):
+        with pytest.raises(ValueError, match=r"^arrival 2: victim <y:1 @\d+> is not resident$"):
+            read(report)
+
+
 @pytest.mark.parametrize("change", [-1, 1], ids=["arrival_missing", "arrival_extra"])
 def test_a_report_without_one_outcome_per_arrival_raises(change):
     # outcome i belongs to arrival i: a report whose two lists differ in
