@@ -90,8 +90,9 @@ def cmd_attack(args) -> int:
         raise ValueError(f"--params is malformed JSON: {exc}") from exc
     if not isinstance(params, dict):
         raise ValueError("--params must be a JSON object")
-    if args.kind == "xt6" and not params:
-        params = dict(XT6_FULL if args.full else XT6_DESK)
+    if args.kind == "xt6":
+        # given params override the profile --full picks, not always the full one
+        params = {**(XT6_FULL if args.full else XT6_DESK), **params}
     if args.kind == "random_adversary":
         params.setdefault("seed", args.seed)
     plan = AttackPlan(kind=args.kind, params=params, delay_seconds=args.delay)

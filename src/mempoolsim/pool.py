@@ -49,9 +49,10 @@ index makes the chains keep fee lists: building one gives each chain its
 sorted entries, and a chain made after that starts with an empty list.
 
 A block leaves the pool in one ``remove_included`` call. It re-keys each
-touched chain once and filters a built price index in one pass, in place
-of a bisect and a ``del`` per tx: a block takes hundreds of txs from a pool
-of thousands, and one pass costs less than a memmove per tx.
+touched chain once when a per-sender index is built and filters a built
+price index in one pass, in place of a bisect and a ``del`` per tx: a
+block takes hundreds of txs from a pool of thousands, and one pass costs
+less than a memmove per tx.
 
 A pool has one owner, the replay or test that fills it; there is no
 snapshot, and nothing reads a pool while another caller changes it.
@@ -351,7 +352,7 @@ class Mempool:
         if victim is not None and victim not in seq_of:
             raise PoolError(f"victim {victim!r} not pending")
         if len(seq_of) - (victim is not None) >= self.capacity:
-            raise PoolError("admission would exceed capacity")
+            raise PoolError(f"admitting {tx!r} would exceed capacity {self.capacity}")
         if victim is not None:
             self._remove(victim)
         self._insert(tx)
@@ -361,8 +362,8 @@ class Mempool:
 
         Each tx must be pending and named once; otherwise ``PoolError`` is
         raised before anything changes. Each tx then leaves ``_seq_of`` and
-        its chain, each touched chain is re-keyed once, and a built price
-        index is filtered once.
+        its chain, each touched chain is re-keyed once if a per-sender index
+        is built, and a built price index is filtered once.
         """
         seq_of = self._seq_of
         gone = set()  # the txs' admission seqs
@@ -380,8 +381,9 @@ class Mempool:
             chain.remove(tx, seq_of.pop(tx))
             if not chain.txs:
                 del chains[tx.sender]
-        for chain in touched.values():
-            self._rekey(chain)
+        if self._fee_heads is not None or self._childless is not None:
+            for chain in touched.values():
+                self._rekey(chain)
         index = self._by_price
         if index is not None:
             # a new list, not one filtered in place: the slice assignment read

@@ -13,7 +13,6 @@ import hashlib
 import json
 import statistics
 import time
-from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -43,6 +42,11 @@ from .trace import TraceEvent, world_for_trace
 
 # report entries per sha256 update in report_hash: bounds the text alive at once
 _HASH_BATCH = 2048
+# the pool calls of a report's walk (``_walk``), bound at import: a read of
+# the report is no replay, so a profiler that wraps ``Mempool``'s methods to
+# time a replay's layers (perfbench's traced run) must not count it
+_apply_admission = Mempool.apply_admission
+_remove_included = Mempool.remove_included
 
 
 class ReplayAbort(Exception):
@@ -137,8 +141,9 @@ def _cache_report_json(txs: List[Transaction]) -> None:
 class Snapshot:
     """Where a snapshot was taken: at event ``event_index``, time ``ts_ms``,
     after the report's first ``outcomes`` outcomes and ``blocks`` blocks.
-    ``RunReport.pending_sets`` gives its pending set; its event index is
-    also what places the arrivals after it (``_flag_walk``)."""
+    Its event index is what places it, and the arrivals after it, in the
+    report's walk (``_walk``), which ``RunReport.pending_sets`` reads its
+    pending set from."""
 
     event_index: int
     ts_ms: int
@@ -161,7 +166,9 @@ class RunReport:
     ``declined``, the fee totals, the dUtil ledger (``util``), the
     admissions that flipped a resident's future status (``flags``) and the
     snapshots' pending sets (``pending_sets``) are derived from these
-    records when read; the replay books none of them.
+    records when read; the replay books none of them. The last three come
+    from one walk that replays the records through a fresh pool
+    (``_walk``).
     """
 
     policy: str
@@ -200,9 +207,9 @@ class RunReport:
         and its victim's fee outside, a decline its fee outside. The final
         drain's leftovers make one UNBUILDABLE entry, their fees both taken
         from inside and counted outside. A flagged admission's dUtil is
-        added again under each flag it sets (``_flag_walk``). ``ValueError``
+        added again under each flag it sets (``_walk``). ``ValueError``
         unless the report has one outcome per arrival, and for a report that
-        evicts or includes a tx that is not resident."""
+        no replay could make (``_walk``)."""
         per_class: Dict[OutcomeClass, UtilEntry] = {}
         for o, tx in zip(self.outcomes, self.arrivals, strict=True):
             outcome_class = classify_outcome(o, tx)
@@ -217,15 +224,15 @@ class RunReport:
         if self.unbuildable:
             fees = sum(map(_fee, self.unbuildable))
             per_class[_UNBUILDABLE_CLASS] = UtilEntry(-fees, fees, len(self.unbuildable))
-        return UtilLedger(per_class, _flag_walk(self)[1])
+        return UtilLedger(per_class, _walk(self, ())[1])
 
     @property
     def flags(self) -> List[Tuple[int, OutcomeFlags]]:
         """``(event index, flags)`` per admission that turned a resident
         future to pending or pending to future, in trace order, derived per
-        read (``_flag_walk``); ``ValueError`` for a report that evicts or
-        includes a tx that is not resident."""
-        return _flag_walk(self)[0]
+        read (``_walk``); ``ValueError`` for a report that no replay could
+        make."""
+        return _walk(self, ())[0]
 
     @property
     def pool_fees_final(self) -> int:
@@ -244,33 +251,11 @@ class RunReport:
     ) -> List[List[Transaction]]:
         """The pending set when each of ``snapshots`` (default: the
         report's own, which are in report order, as given ones must be) was
-        taken, oldest first, as the pool's ``pending()`` listed it then.
-
-        One pass: from one snapshot to the next, the outcomes up to its
-        ``outcomes`` are walked in order, each eviction deleting its victim
-        and each admission adding its tx at the end; then the txs of the
-        blocks up to its ``blocks`` are dropped. An included tx's nonce is
-        stale from then on, so no later outcome admits it again or names it
-        as a victim.
-        """
-        pending: Dict[Transaction, None] = {}
-        sets: List[List[Transaction]] = []
-        n = b = 0
-        for snapshot in self.snapshots if snapshots is None else snapshots:
-            end = snapshot.outcomes
-            for o, tx in zip(self.outcomes[n:end], self.arrivals[n:end], strict=True):
-                reason = o.reason
-                if reason is _EVICTION:
-                    del pending[o.victim]
-                    pending[tx] = None
-                elif reason is _POOL_NOT_FULL:
-                    pending[tx] = None
-            for block in self.blocks[b : snapshot.blocks]:
-                for tx in block.txs:
-                    del pending[tx]
-            n, b = end, snapshot.blocks
-            sets.append(list(pending))
-        return sets
+        taken, oldest first, as the pool's ``pending()`` listed it then: the
+        walk's pool (``_walk``) at the snapshot's event index. ``ValueError``
+        for a snapshot that is not one of the report's, in order, and for a
+        report that no replay could make."""
+        return _walk(self, snapshots)[2]
 
     def pending_at(self, snapshot: Snapshot) -> List[Transaction]:
         """The pending set when ``snapshot`` was taken (``pending_sets``)."""
@@ -380,104 +365,97 @@ class RunReport:
         return digest.hexdigest()
 
 
-def _drop(residents: Dict[str, List[int]], tx: Transaction, k: int, role: str) -> List[int]:
-    """Take ``tx``'s nonce out of its sender's resident nonces and return
-    them; ``ValueError`` if ``tx`` is not resident at arrival ``k``."""
-    nonces = residents.get(tx.sender, [])
-    i = bisect_left(nonces, tx.nonce)
-    if i == len(nonces) or nonces[i] != tx.nonce:
-        raise ValueError(f"arrival {k}: {role} {tx!r} is not resident")
-    del nonces[i]
-    return nonces
-
-
-def _flag_walk(report: RunReport) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[str, UtilEntry]]:
-    """``report.flags`` and ``report.util.flagged``, from one walk over the
-    arrivals in order; no world is needed.
+def _walk(
+    report: RunReport, snapshots: Optional[Sequence[Snapshot]] = None
+) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[str, UtilEntry], List[List[Transaction]]]:
+    """``report.flags``, ``report.util.flagged`` and the pending set at each
+    of ``snapshots`` (default: the report's own), from one replay of the
+    report's records through a fresh ``Mempool``; no world is needed.
 
     Arrival ``k``'s event index is ``k`` plus the events before it that are
     not arrivals: the snapshot markers and the triggers, whose event indices
     the report records (the end-of-trace snapshot lies past every arrival).
-    An interleaved block is applied at its trigger. Per sender the walk
-    keeps the resident nonces, ascending, and the confirmed nonce, which
-    follow from the report alone: precheck admits a tx into an empty chain
-    only at its sender's confirmed nonce; a block includes a pending prefix
-    of a chain, so the confirmed nonce is then its last included one + 1;
-    and no resident lies below its sender's confirmed nonce.
+    Each admission goes through ``apply_admission``, each interleaved block
+    through ``remove_included`` at its trigger, and a snapshot's set is the
+    pool's ``pending()`` at its event index. Per sender the walk keeps the
+    confirmed nonce, which follows from the report alone: precheck admits a
+    tx into an empty chain only at its sender's confirmed nonce, and a block
+    includes a pending prefix of a chain, so the confirmed nonce is then its
+    last included one + 1. A tx is pending iff its chain's run from the
+    confirmed nonce passes it (``SenderChain.run_end``), so:
 
-    An admitted tx filled its sender's first missing nonce, so each nonce
-    from the confirmed one up to it was pending and each resident above it
-    future. Only the tx joined and only the victim left, so both flags
-    follow from the two txs' places among their senders' residents:
+    * A resident turned future iff, before the admission, the victim's run
+      passed the victim's ``nonce + 1``: that child was pending, and the
+      victim's leaving cuts the run below it.
+    * A resident turned pending iff, after the admission, the tx's run
+      passes the tx's ``nonce + 1``: the tx filled its sender's first
+      missing nonce, so that child was future before.
 
-    * A resident turned pending iff ``nonce + 1`` is resident after the
-      insert, and so reaches the confirmed nonce through the tx; never when
-      the victim was the sender's own tx below ``nonce``, whose gap keeps
-      everything above it future.
-    * A resident turned future iff the victim's ``nonce + 1`` is resident
-      and is not the tx, and the victim was pending: that child was pending
-      iff the victim was. The victim was pending iff the ``i`` residents of
-      its sender below it, after its removal, fill every nonce from the
-      confirmed one up to it: ``v_nonce - i == confirmed``. A victim above
-      ``nonce`` of the tx's own sender was future already, and so were its
-      children.
-
-    The report must be one a replay made: a victim or an applied block tx
-    that is not resident raises ``ValueError`` naming the arrival index and
-    the tx (for a block tx, the arrival after its block).
+    The report must be one a replay made: a victim or a block tx that is not
+    resident, or an admission the pool refuses, raises ``ValueError`` naming
+    the arrival index (for a block tx, the arrival after its block), and so
+    does a given snapshot that is not one of the report's.
     """
+    pool = Mempool(report.capacity)
+    chain = pool.chain
+    confirmed: Dict[str, int] = {}
     flags: List[Tuple[int, OutcomeFlags]] = []
     flagged: Dict[str, UtilEntry] = {}
-    residents: Dict[str, List[int]] = {}  # sender -> resident nonces, ascending
-    confirmed: Dict[str, int] = {}
+    sets: List[List[Transaction]] = []
+    wanted = deque(report.snapshots if snapshots is None else snapshots)
     # the event indices of the events that are not arrivals, ascending
     shifts = sorted([s.event_index for s in report.snapshots] + report.triggers)
-    n_shifts = len(shifts)
     # each interleaved block by its trigger's event index; the final drain's
     # blocks, after every arrival, pair with no trigger
     block_at = dict(zip(report.triggers, report.blocks)) if report.interleaved else {}
+
+    def shift(index: int, k: int) -> None:
+        """Apply the event at ``index``, before arrival ``k``: its block, if
+        it built one, or its snapshot, if one is wanted."""
+        block = block_at.get(index)
+        if block is not None:
+            for tx in block.txs:
+                if tx not in pool:
+                    raise ValueError(f"arrival {k}: block tx {tx!r} is not resident")
+                confirmed[tx.sender] = tx.nonce + 1
+            _remove_included(pool, block.txs)
+        while wanted and wanted[0].event_index == index:
+            sets.append(pool.pending())
+            wanted.popleft()
+
     j = 0  # the shifts before the next arrival
-    for k, (o, tx) in enumerate(zip(report.outcomes, report.arrivals, strict=True)):
-        while j < n_shifts and shifts[j] == k + j:
-            block = block_at.get(k + j)
-            if block is not None:
-                for included in block.txs:
-                    _drop(residents, included, k, "block tx")
-                    confirmed[included.sender] = included.nonce + 1
-            j += 1
-        if o.reason not in _ADMITTING:
-            continue
-        sender = tx.sender
-        nonce = tx.nonce
-        nonces = residents.get(sender)
-        if not nonces:
-            nonces = residents[sender] = []
-            confirmed[sender] = nonce
-        victim = o.victim
-        if victim is not None:
-            v_nonces = _drop(residents, victim, k, "victim")
-        i = bisect_left(nonces, nonce)
-        nonces.insert(i, nonce)
-        ftp = i + 1 < len(nonces) and nonces[i + 1] == nonce + 1
-        ptf = False
-        if victim is not None:
-            v_nonce = victim.nonce
-            own = victim.sender == sender
-            if own and v_nonce < nonce:
-                ftp = False
-            if not (own and v_nonce > nonce):
-                # the victim has left, so its child would sit where it sat
-                i = bisect_left(v_nonces, v_nonce)
-                child = i < len(v_nonces) and v_nonces[i] == v_nonce + 1
-                if child and not (own and v_nonce + 1 == nonce):
-                    ptf = v_nonce - i == confirmed[victim.sender]
-        if ftp or ptf:
-            flags.append((k + j, OutcomeFlags(ftp, ptf)))
-            evicted = 0 if victim is None else victim.fee
-            for name, on in (("future_turn_pending", ftp), ("pending_turn_future", ptf)):
-                if on:
-                    flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
-    return flags, flagged
+    try:
+        for k, (o, tx) in enumerate(zip(report.outcomes, report.arrivals, strict=True)):
+            while j < len(shifts) and shifts[j] == k + j:
+                shift(shifts[j], k)
+                j += 1
+            if o.reason not in _ADMITTING:
+                continue
+            sender = tx.sender
+            victim = o.victim
+            ptf = False
+            if victim is not None:
+                if victim not in pool:
+                    raise ValueError(f"arrival {k}: victim {victim!r} is not resident")
+                ptf = chain(victim.sender).run_end(confirmed[victim.sender]) > victim.nonce + 1
+            if not chain(sender):
+                confirmed[sender] = tx.nonce
+            _apply_admission(pool, tx, victim)
+            ftp = chain(sender).run_end(confirmed[sender]) > tx.nonce + 1
+            if ftp or ptf:
+                flags.append((k + j, OutcomeFlags(ftp, ptf)))
+                evicted = 0 if victim is None else victim.fee
+                for name, on in (("future_turn_pending", ftp), ("pending_turn_future", ptf)):
+                    if on:
+                        flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
+        k = len(report.outcomes)
+        for index in shifts[j:]:
+            shift(index, k)
+    except PoolError as exc:
+        raise ValueError(f"arrival {k}: {exc}") from None
+    if wanted:
+        raise ValueError(f"{wanted[0]!r} is not one of the report's snapshots, in order")
+    return flags, flagged, sets
 
 
 def replay(

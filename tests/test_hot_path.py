@@ -16,7 +16,7 @@ import pytest
 
 from mempoolsim import AdmissionOutcome, Mempool, Reason, RunReport, classify_outcome, replay
 from mempoolsim.builder import _fill, candidate_order, drain
-from mempoolsim.replay import _cache_report_json, _flag_walk
+from mempoolsim.replay import _cache_report_json, _walk
 from mempoolsim.policies import POLICIES
 
 _ENUM_CLASSES = {"Reason", "OutcomeClass"}
@@ -39,7 +39,7 @@ _PER_EVENT = {
     # each walks every outcome
     "RunReport.pending_sets": RunReport.pending_sets,
     "RunReport.util": RunReport.util.fget,
-    "replay._flag_walk": _flag_walk,
+    "replay._walk": _walk,
     # runs once per tx the report names
     "replay._cache_report_json": _cache_report_json,
     # each encodes every entry of the report, in nested comprehensions

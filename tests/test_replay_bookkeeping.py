@@ -1,20 +1,23 @@
 """``replay`` books nothing but its records: it moves a running price sum
 by each admission and block, and records where each snapshot and each
-block trigger fell; the report derives the dUtil ledger, the flags and the
-snapshots' pending sets from those records when read.
+block trigger fell; the report derives the dUtil ledger from its outcomes,
+and the flags and the snapshots' pending sets from one walk that replays
+its records through a fresh pool, when read.
 ``oracles.replay_per_event`` books one dUtil record per arrival and per
 leftover into a ledger of its own, sums the pool's pending prices once per
 arrival, takes each admission's flags from the list-scan
 ``transition_flags`` into a list of its own, and keeps the declined ledger
 and a copy of the pending set at each snapshot as the events happen. On
-random traces, with blocks and snapshots anywhere, every policy, both drain
-modes, the final drain on and off and a per-sender limit or none, both must
-give the same price sums, final pending set and report hash, the report's
-``util`` must equal the oracle's booked ledger, its derived ``flags`` the
-oracle's list, and its derived ``declined`` and ``pending_sets`` what was
-kept as the events happened.
+random traces, with blocks, snapshots and re-sent txs anywhere, every
+policy, both drain modes, the final drain on and off and a per-sender
+limit or none, both must give the same price sums, final pending set and
+report hash, the report's ``util`` must equal the oracle's booked ledger,
+its derived ``flags`` the oracle's list, and its derived ``declined`` and
+``pending_sets`` what was kept as the events happened. The re-sends make
+the traces turn residents future to pending as well as back.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -24,6 +27,7 @@ from mempoolsim import (
     AttackPlan,
     PolicyConfig,
     ScenarioConfig,
+    arrival,
     block_trigger,
     replay,
     snapshot_marker,
@@ -37,27 +41,35 @@ SETTINGS = list(
 
 
 def _trace(seed):
-    """A random_adversary trace with block triggers and snapshot markers
-    dropped between its arrivals, and the seeds it needs."""
+    """A random_adversary trace with block triggers, snapshot markers and
+    re-sends dropped between its arrivals, and the seeds it needs. A re-send
+    is a fresh copy of each tx one sender has sent so far, half of them
+    priced up: the copy of a victim can then refill the gap its eviction
+    left and turn the residents above it pending again, which the trace's
+    own arrivals, one per nonce, never do."""
     rng = random.Random(seed)
     arrivals, seeds = AttackPlan(
         "random_adversary", {"steps": rng.randint(80, 240), "seed": seed}
     ).generate()
     events = []
+    sent = {}  # sender -> the txs it has sent, in trace order
     for event in arrivals:
         if rng.random() < 0.08:
             events.append(block_trigger(event.ts_ms))
         if rng.random() < 0.03:
             events.append(snapshot_marker(event.ts_ms))
+        if sent and rng.random() < 0.2:
+            for old in sent[rng.choice(sorted(sent))]:
+                price = old.price + (rng.randint(1, 10_000) if rng.random() < 0.5 else 0)
+                events.append(arrival(dataclasses.replace(old, price=price), event.ts_ms))
         events.append(event)
+        sent.setdefault(event.tx.sender, []).append(event.tx)
     return events, seeds
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_replay_books_as_the_per_event_loop(seed):
+def _config(seed, seeds):
     policy, drain_mode, final_drain, limit = SETTINGS[seed % len(SETTINGS)]
-    events, seeds = _trace(seed)
-    config = ScenarioConfig(
+    return ScenarioConfig(
         policy=PolicyConfig(kind=policy),
         capacity=random.Random(-seed).randint(4, 24),
         per_sender_limit=limit,
@@ -65,6 +77,12 @@ def test_replay_books_as_the_per_event_loop(seed):
         drain_mode=drain_mode,
         final_drain=final_drain,
     )
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_replay_books_as_the_per_event_loop(seed):
+    events, seeds = _trace(seed)
+    config = _config(seed, seeds)
     got = replay(config, events)
     want, ledger, pendings, util, flags = replay_per_event(config, events)
     assert got.declined == ledger
@@ -79,3 +97,15 @@ def test_replay_books_as_the_per_event_loop(seed):
     assert got.flags == flags
     assert got.price_sum_series == want.price_sum_series
     assert got.report_hash() == want.report_hash()
+
+
+def test_the_traces_turn_residents_both_ways():
+    # the oracle check is only as strong as the flags it sees: across the
+    # seeds, some admission turns a resident pending and some turns one future
+    kinds = {"future_turn_pending": 0, "pending_turn_future": 0}
+    for seed in range(50):
+        events, seeds = _trace(seed)
+        for _, flags in replay(_config(seed, seeds), events).flags:
+            for name in kinds:
+                kinds[name] += getattr(flags, name)
+    assert all(kinds.values()), kinds

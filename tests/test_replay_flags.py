@@ -29,6 +29,7 @@ from mempoolsim import (
     snapshot_marker,
 )
 from mempoolsim.metrics import OutcomeFlags
+from mempoolsim.replay import Snapshot
 
 from oracles import replay_per_event, transition_flags
 
@@ -291,6 +292,45 @@ def test_a_trace_without_arrivals_has_no_flags(drain_mode):
     assert report.pending_sets() == [[], []]
 
 
+def test_a_report_read_calls_no_pool_method_through_the_class(monkeypatch):
+    # perfbench's traced run wraps Mempool's methods on the class to time a
+    # replay's layers, and its layer times must add up to the replay's: the
+    # walk behind a report's reads calls the methods it bound at import, so
+    # a read after the replay lands in no layer
+    events, seeds = _resends(0)
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"),
+        capacity=12,
+        account_seeds=seeds,
+        drain_mode="interleaved",
+    )
+    report = replay(config, events)
+    assert report.blocks and report.flags
+    calls = []
+    for name in ("apply_admission", "remove_included"):
+        method = getattr(Mempool, name)
+        monkeypatch.setattr(
+            Mempool, name, lambda *args, _n=name, _m=method: calls.append(_n) or _m(*args)
+        )
+    assert report.pending_sets() and report.flags and report.util.flagged
+    assert calls == []
+
+
+def test_a_snapshot_the_walk_never_reaches_is_refused():
+    # the walk takes a snapshot's set at its event index: one that no
+    # snapshot of the report holds, or one given out of report order, gets
+    # no set, and the read says so instead of returning fewer sets
+    events = [arrival(Transaction(s, 0, 5), ts) for ts, s in enumerate("AB")]
+    events.insert(1, snapshot_marker(1))
+    report = replay(ScenarioConfig(capacity=4), events)
+    first, end = report.snapshots
+    assert (first.event_index, end.event_index) == (1, 3)
+    assert report.pending_sets([first, end]) == [[events[0].tx], [events[0].tx, events[2].tx]]
+    for snapshots in ([Snapshot(2, 2, 1, 0)], [end, first]):
+        with pytest.raises(ValueError, match=r"is not one of the report's snapshots, in order$"):
+            report.pending_sets(snapshots)
+
+
 def test_a_hand_built_report_without_triggers_has_no_flags():
     assert RunReport(policy="baseline", capacity=4).flags == []
     # free-slot admissions at their chains' tails turn no resident
@@ -331,17 +371,23 @@ def _a0_then(*entries, blocks=(), triggers=()):
     "report, message",
     [
         # the victim's nonce lies above every resident of its sender
-        (_a0_then((Transaction("B", 0, 9), Transaction("A", 5, 1))), "arrival 1: victim <A:5 @1>"),
+        (
+            _a0_then((Transaction("B", 0, 9), Transaction("A", 5, 1))),
+            "arrival 1: victim <A:5 @1> is not resident",
+        ),
         # A:1 sits in the gap between residents A:0 and A:2, which the walk
         # used to delete in its place
         (
             _a0_then(
                 (Transaction("A", 2, 5), None), (Transaction("B", 0, 9), Transaction("A", 1, 1))
             ),
-            "arrival 2: victim <A:1 @1>",
+            "arrival 2: victim <A:1 @1> is not resident",
         ),
         # the victim's sender has nothing resident
-        (_a0_then((Transaction("B", 0, 9), Transaction("C", 0, 1))), "arrival 1: victim <C:0 @1>"),
+        (
+            _a0_then((Transaction("B", 0, 9), Transaction("C", 0, 1))),
+            "arrival 1: victim <C:0 @1> is not resident",
+        ),
         # an interleaved block, at event 1 before arrival 1, includes A:1
         (
             _a0_then(
@@ -349,12 +395,26 @@ def _a0_then(*entries, blocks=(), triggers=()):
                 blocks=[Block([Transaction("A", 1, 1)])],
                 triggers=[1],
             ),
-            "arrival 1: block tx <A:1 @1>",
+            "arrival 1: block tx <A:1 @1> is not resident",
+        ),
+        # a fifth free-slot admission into the capacity-4 pool, which the
+        # walk's pool refuses
+        (
+            _a0_then(*((Transaction(s, 0, 5), None) for s in "BCDE")),
+            "arrival 4: admitting <E:0 @5> would exceed capacity 4",
         ),
     ],
-    ids=["victim_above_every_resident", "victim_in_a_gap", "victim_of_no_sender", "block_tx"],
+    ids=[
+        "victim_above_every_resident",
+        "victim_in_a_gap",
+        "victim_of_no_sender",
+        "block_tx",
+        "over_capacity",
+    ],
 )
 def test_a_report_no_replay_could_make_raises_at_its_first_stranger(report, message):
-    for read in (lambda r: r.flags, lambda r: r.util):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)} is not resident$"):
+    for read in (lambda r: r.flags, lambda r: r.util, lambda r: r.pending_sets()):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
             read(report)
+        # a ValueError of its own, never a pool's error passed through
+        assert type(exc.value) is ValueError

@@ -1161,6 +1161,19 @@ class TestCli:
         assert summary["fees_charged"] == 2_247_000
         assert summary["fees_at_risk"] == 423_402_000
 
+    def test_attack_xt6_params_override_the_profile_full_picks(self, tmp_path):
+        # a partial --params is merged into the desk profile, or with --full
+        # into the full one: seq_len 8 is the desk value, 16 the full one
+        def lines(*argv):
+            out = tmp_path / "xt6.jsonl"
+            assert main(["attack", "xt6", *argv, "--out", str(out)]) == 0
+            return out.read_text().splitlines()
+
+        plain = lines()
+        assert len(plain) == 390
+        assert lines("--params", '{"seq_len": 8}') == plain
+        assert len(lines("--full", "--params", '{"seq_len": 16}')) == 11_334
+
     def test_bounds_subcommand(self, tmp_path, capsys):
         trace = tmp_path / "lock.jsonl"
         main(["attack", "cp_lock", "--out", str(trace), "--capacity", "64"])
