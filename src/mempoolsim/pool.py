@@ -347,10 +347,13 @@ class Mempool:
             del index[bisect_left(index, (tx.price, seq))]
 
     def apply_admission(self, tx: Transaction, victim: Optional[Transaction]) -> None:
-        """Remove ``victim``, if any, then insert ``tx``."""
+        """Remove ``victim``, if any, then insert ``tx``; ``PoolError``, before
+        anything changes, unless ``victim`` is pending and ``tx`` is not."""
         seq_of = self._seq_of
         if victim is not None and victim not in seq_of:
             raise PoolError(f"victim {victim!r} not pending")
+        if tx in seq_of:
+            raise PoolError(f"{tx!r} already pending")
         if len(seq_of) - (victim is not None) >= self.capacity:
             raise PoolError(f"admitting {tx!r} would exceed capacity {self.capacity}")
         if victim is not None:

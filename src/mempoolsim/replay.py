@@ -15,6 +15,7 @@ import statistics
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
@@ -33,7 +34,6 @@ from .core import (
     _set_report_json,
     check_account_seed,
     check_positive_int,
-    frozen_slots,
 )
 from .metrics import OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
 from .policies import PolicyConfig
@@ -136,30 +136,15 @@ def _cache_report_json(txs: List[Transaction]) -> None:
     deque(map(_set_report_json, txs, fragments), 0)
 
 
-@frozen_slots
-@dataclass(frozen=True, slots=True)
-class Snapshot:
-    """Where a snapshot was taken: at event ``event_index``, time ``ts_ms``,
-    after the report's first ``outcomes`` outcomes and ``blocks`` blocks.
-    Its event index is what places it, and the arrivals after it, in the
-    report's walk (``_walk``), which ``RunReport.pending_sets`` reads its
-    pending set from."""
-
-    event_index: int
-    ts_ms: int
-    outcomes: int
-    blocks: int
-
-
 @dataclass
 class RunReport:
     """What one replay observed, one record per fact.
 
     ``outcomes`` holds one admission outcome per arrival and ``arrivals``
     the arrivals' txs, side by side in trace order, ``blocks`` the
-    blocks built, ``snapshots`` where each snapshot marker and the end of the
-    trace fell among the outcomes and blocks, ``triggers`` the event index
-    of each block trigger, ``interleaved`` whether each trigger built a
+    blocks built, ``snapshots`` the event index of each snapshot marker and
+    then ``event_count`` for the end of the trace, ``triggers`` the event
+    index of each block trigger, ``interleaved`` whether each trigger built a
     block (``blocks[i]`` at ``triggers[i]``) or none, ``price_sum_series``
     the pool's price sum after each arrival, ``unbuildable`` the final
     drain's leftovers and ``final_pending`` the pending set after the run.
@@ -167,8 +152,7 @@ class RunReport:
     admissions that flipped a resident's future status (``flags``) and the
     snapshots' pending sets (``pending_sets``) are derived from these
     records when read; the replay books none of them. The last three come
-    from one walk that replays the records through a fresh pool
-    (``_walk``).
+    from a walk that replays the records through a fresh pool (``_walk``).
     """
 
     policy: str
@@ -177,7 +161,7 @@ class RunReport:
     outcomes: List[AdmissionOutcome] = field(default_factory=list)
     arrivals: List[Transaction] = field(default_factory=list)
     blocks: List[Block] = field(default_factory=list)
-    snapshots: List[Snapshot] = field(default_factory=list)
+    snapshots: List[int] = field(default_factory=list)
     triggers: List[int] = field(default_factory=list)
     interleaved: bool = False
     price_sum_series: List[int] = field(default_factory=list)
@@ -224,7 +208,7 @@ class RunReport:
         if self.unbuildable:
             fees = sum(map(_fee, self.unbuildable))
             per_class[_UNBUILDABLE_CLASS] = UtilEntry(-fees, fees, len(self.unbuildable))
-        return UtilLedger(per_class, _walk(self, ())[1])
+        return UtilLedger(per_class, _walk(self)[1])
 
     @property
     def flags(self) -> List[Tuple[int, OutcomeFlags]]:
@@ -232,7 +216,7 @@ class RunReport:
         future to pending or pending to future, in trace order, derived per
         read (``_walk``); ``ValueError`` for a report that no replay could
         make."""
-        return _walk(self, ())[0]
+        return _walk(self)[0]
 
     @property
     def pool_fees_final(self) -> int:
@@ -246,19 +230,19 @@ class RunReport:
     def declined_fees_final(self) -> int:
         return sum(map(_fee, self._ledger()[0]))
 
-    def pending_sets(
-        self, snapshots: Optional[Sequence[Snapshot]] = None
-    ) -> List[List[Transaction]]:
-        """The pending set when each of ``snapshots`` (default: the
-        report's own, which are in report order, as given ones must be) was
-        taken, oldest first, as the pool's ``pending()`` listed it then: the
-        walk's pool (``_walk``) at the snapshot's event index. ``ValueError``
-        for a snapshot that is not one of the report's, in order, and for a
-        report that no replay could make."""
-        return _walk(self, snapshots)[2]
+    def pending_sets(self, snapshots: Optional[Sequence[int]] = None) -> List[List[Transaction]]:
+        """The pending set at each of ``snapshots``, event indices of the
+        report's snapshots (default: all of them, which are in report order,
+        as given ones must be), oldest first, as the pool's ``pending()``
+        listed it then: the walk's pool (``_walk``) at that event index. The
+        walk stops at the last of them. ``ValueError`` for an index that is
+        not one of the report's snapshots, in order, and for a report that
+        no replay could make up to there."""
+        return _walk(self, self.snapshots if snapshots is None else snapshots)[2]
 
-    def pending_at(self, snapshot: Snapshot) -> List[Transaction]:
-        """The pending set when ``snapshot`` was taken (``pending_sets``)."""
+    def pending_at(self, snapshot: int) -> List[Transaction]:
+        """The pending set at the snapshot of event index ``snapshot``
+        (``pending_sets``)."""
         return self.pending_sets([snapshot])[0]
 
     def included_txs(self) -> List[Transaction]:
@@ -366,11 +350,13 @@ class RunReport:
 
 
 def _walk(
-    report: RunReport, snapshots: Optional[Sequence[Snapshot]] = None
+    report: RunReport, snapshots: Optional[Sequence[int]] = None
 ) -> Tuple[List[Tuple[int, OutcomeFlags]], Dict[str, UtilEntry], List[List[Transaction]]]:
-    """``report.flags``, ``report.util.flagged`` and the pending set at each
-    of ``snapshots`` (default: the report's own), from one replay of the
-    report's records through a fresh ``Mempool``; no world is needed.
+    """``report.flags`` and ``report.util.flagged``, from one replay of the
+    report's records through a fresh ``Mempool`` (no world is needed); or,
+    given ``snapshots``, event indices of the report's snapshots, the
+    pending set at each, from a replay that runs no flag test and stops at
+    the last of them.
 
     Arrival ``k``'s event index is ``k`` plus the events before it that are
     not arrivals: the snapshot markers and the triggers, whose event indices
@@ -391,20 +377,29 @@ def _walk(
       passes the tx's ``nonce + 1``: the tx filled its sender's first
       missing nonce, so that child was future before.
 
-    The report must be one a replay made: a victim or a block tx that is not
-    resident, or an admission the pool refuses, raises ``ValueError`` naming
-    the arrival index (for a block tx, the arrival after its block), and so
-    does a given snapshot that is not one of the report's.
+    The report must be one a replay made, up to where the walk stops: a
+    victim or a block tx that is not resident, or an admission the pool
+    refuses, raises ``ValueError`` naming the arrival index (for a block tx,
+    the arrival after its block), and so does a given index that is not one
+    of the report's snapshots, in order.
     """
+    wanted = deque(snapshots or ())
+    own = set(report.snapshots)
+    for index in wanted:
+        if index not in own:
+            raise ValueError(f"{index!r} is not one of the report's snapshots, in order")
     pool = Mempool(report.capacity)
     chain = pool.chain
     confirmed: Dict[str, int] = {}
     flags: List[Tuple[int, OutcomeFlags]] = []
     flagged: Dict[str, UtilEntry] = {}
     sets: List[List[Transaction]] = []
-    wanted = deque(report.snapshots if snapshots is None else snapshots)
-    # the event indices of the events that are not arrivals, ascending
-    shifts = sorted([s.event_index for s in report.snapshots] + report.triggers)
+    # the event indices of the events that are not arrivals, ascending; a
+    # set-only read walks them up to its last snapshot, and the arrivals before
+    shifts = sorted(report.snapshots + report.triggers)
+    last = max(wanted, default=None)
+    shifts = shifts if last is None else shifts[: shifts.index(last) + 1]
+    stop = None if last is None else last + 1 - len(shifts)
     # each interleaved block by its trigger's event index; the final drain's
     # blocks, after every arrival, pair with no trigger
     block_at = dict(zip(report.triggers, report.blocks)) if report.interleaved else {}
@@ -419,25 +414,29 @@ def _walk(
                     raise ValueError(f"arrival {k}: block tx {tx!r} is not resident")
                 confirmed[tx.sender] = tx.nonce + 1
             _remove_included(pool, block.txs)
-        while wanted and wanted[0].event_index == index:
+        while wanted and wanted[0] == index:
             sets.append(pool.pending())
             wanted.popleft()
 
-    j = 0  # the shifts before the next arrival
+    k, j = -1, 0  # the arrival the walk is at, and the shifts before it
     try:
-        for k, (o, tx) in enumerate(zip(report.outcomes, report.arrivals, strict=True)):
+        pairs = zip(report.outcomes, report.arrivals, strict=True)
+        for k, (o, tx) in enumerate(islice(pairs, stop)):
             while j < len(shifts) and shifts[j] == k + j:
                 shift(shifts[j], k)
                 j += 1
             if o.reason not in _ADMITTING:
                 continue
-            sender = tx.sender
             victim = o.victim
-            ptf = False
-            if victim is not None:
-                if victim not in pool:
-                    raise ValueError(f"arrival {k}: victim {victim!r} is not resident")
-                ptf = chain(victim.sender).run_end(confirmed[victim.sender]) > victim.nonce + 1
+            if victim is not None and victim not in pool:
+                raise ValueError(f"arrival {k}: victim {victim!r} is not resident")
+            if snapshots is not None:
+                _apply_admission(pool, tx, victim)
+                continue
+            sender = tx.sender
+            ptf = victim is not None and (
+                chain(victim.sender).run_end(confirmed[victim.sender]) > victim.nonce + 1
+            )
             if not chain(sender):
                 confirmed[sender] = tx.nonce
             _apply_admission(pool, tx, victim)
@@ -448,7 +447,7 @@ def _walk(
                 for name, on in (("future_turn_pending", ftp), ("pending_turn_future", ptf)):
                     if on:
                         flagged.setdefault(name, UtilEntry()).add(tx.fee - evicted, evicted)
-        k = len(report.outcomes)
+        k += 1
         for index in shifts[j:]:
             shift(index, k)
     except PoolError as exc:
@@ -471,9 +470,9 @@ def replay(
 
     Each arrival gets one outcome and one price sum, which the loop keeps
     itself: an admission adds its tx's price less its victim's, an
-    interleaved block takes off its txs' prices. A snapshot marker, and the
-    end of the trace, records how many outcomes and blocks the report then
-    holds, and a block trigger its event index. The loop books nothing
+    interleaved block takes off its txs' prices. A snapshot marker and a
+    block trigger record their event index, and the end of the trace
+    records ``len(events)`` as the last snapshot. The loop books nothing
     else: ``RunReport`` derives the dUtil ledger, the flags and the pending
     sets from these records when read. With ``final_drain`` the pool is
     then drained, and its leftovers are stored as ``unbuildable``.
@@ -518,9 +517,7 @@ def replay(
                     price_sum += tx.price - outcome.victim.price
                 append_price_sum(price_sum)
             elif kind == "snapshot_marker":
-                report.snapshots.append(
-                    Snapshot(index, event.ts_ms, len(report.outcomes), len(report.blocks))
-                )
+                report.snapshots.append(index)
             else:
                 report.triggers.append(index)
                 if interleaved:
@@ -531,10 +528,7 @@ def replay(
             raise ReplayAbort(index, exc) from exc
 
     report.event_count = len(events)
-    end_ts = events[-1].ts_ms if events else 0
-    report.snapshots.append(
-        Snapshot(len(events), end_ts, len(report.outcomes), len(report.blocks))
-    )
+    report.snapshots.append(len(events))
     if config.final_drain:
         try:
             blocks, report.unbuildable = drain(pool, world)

@@ -42,7 +42,6 @@ from mempoolsim import (
     world_for_trace,
 )
 from mempoolsim.metrics import OutcomeClass, OutcomeFlags, UtilEntry, UtilLedger, classify_outcome
-from mempoolsim.replay import Snapshot
 from mempoolsim.trace import _record_to_event
 
 # the flags of an admission that changed no resident's status
@@ -273,9 +272,9 @@ def replay_per_event(
     pendings: List[List[Transaction]] = []
     flag_list: List[Tuple[int, OutcomeFlags]] = []
 
-    def snapshot(index: int, ts_ms: int) -> None:
+    def snapshot(index: int) -> None:
         pendings.append(pool.pending())
-        report.snapshots.append(Snapshot(index, ts_ms, len(report.outcomes), len(report.blocks)))
+        report.snapshots.append(index)
 
     for index, event in enumerate(events):
         if event.kind == "tx_arrival":
@@ -298,14 +297,13 @@ def replay_per_event(
             report.arrivals.append(tx)
             report.price_sum_series.append(sum(t.price for t in pool.pending()))
         elif event.kind == "snapshot_marker":
-            snapshot(index, event.ts_ms)
+            snapshot(index)
         else:
             report.triggers.append(index)
             if report.interleaved:
                 report.blocks.append(library_build_block(pool, world).block)
     report.event_count = len(events)
-    end_ts = events[-1].ts_ms if events else 0
-    snapshot(len(events), end_ts)
+    snapshot(len(events))
     if config.final_drain:
         blocks, leftovers = drain(pool, world)
         report.blocks.extend(blocks)

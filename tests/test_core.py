@@ -16,7 +16,6 @@ from mempoolsim import (
     WorldState,
 )
 from mempoolsim.core import short_repr
-from mempoolsim.replay import Snapshot
 from mempoolsim.metrics import OutcomeClass
 
 from conftest import fund, tx
@@ -219,8 +218,7 @@ class TestAdmissionOutcome:
     lambda: Transaction("A", 0, 5),
     lambda: AdmissionOutcome(Reason.STALE),
     lambda: TraceEvent("tx_arrival", 3, Transaction("A", 0, 5)),
-    lambda: Snapshot(4, 3, 2, 1),
-], ids=["Transaction", "AdmissionOutcome", "TraceEvent", "Snapshot"])
+], ids=["Transaction", "AdmissionOutcome", "TraceEvent"])
 def test_frozen_slots_refuse_every_name_with_frozen_instance_error(make):
     # on Python 3.10 and 3.11 the generated __setattr__ raised a TypeError
     # from super() for a name that is not a field

@@ -170,8 +170,8 @@ def test_a_decline_only_report_keeps_at_most_32_bytes_per_arrival():
 
 
 def test_a_snapshot_keeps_its_position_not_a_copy_of_the_pool():
-    # a snapshot is four ints, ~128 B; a copy of the full 5,120-tx pool's
-    # pending list would keep ~41 KB
+    # a snapshot is its event index, one int and a list slot; a copy of the
+    # full 5,120-tx pool's pending list would keep ~41 KB
     events = workload_batch_insert(5_120)
     config = ScenarioConfig(
         policy=PolicyConfig(kind="baseline"), capacity=5_120, final_drain=False

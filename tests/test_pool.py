@@ -243,6 +243,27 @@ class TestApplyAdmission:
         with pytest.raises(PoolError):
             pool.apply_admission(tx("Y", 0, 9), tx("W", 0, 1))
 
+    @pytest.mark.parametrize("victim", [None, 0, 2], ids=["free_slot", "itself", "other"])
+    def test_a_pending_tx_is_refused_and_changes_nothing(self, victim):
+        # admitted twice, a tx would sit twice in its chain
+        pool = Mempool(capacity=4)
+        txs = [tx("X", 0, 5), tx("X", 1, 3), tx("Y", 0, 4)]
+        fill_pool(pool, rich_world("X", "Y"), txs)
+        # build all three order indexes
+        pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
+        before = _views(pool)
+        with pytest.raises(PoolError, match=r"^<X:0 @5> already pending$"):
+            pool.apply_admission(txs[0], None if victim is None else txs[victim])
+        assert _views(pool) == before
+
+
+def _views(pool):
+    """The pool's pending list, each chain's txs and fee list, and its three
+    order indexes: everything a refused change must leave as it was."""
+    chains = {s: (list(c.txs), list(c.fees)) for s, c in pool.chains().items()}
+    indexes = [list(i) for i in (pool._by_price, pool._fee_heads, pool._childless)]
+    return pool.pending(), chains, indexes
+
 
 @pytest.mark.parametrize(
     "stranger",
@@ -263,16 +284,10 @@ def test_remove_included_of_a_non_resident_changes_nothing(stranger):
     fill_pool(pool, rich_world("X", "Y"), [tx("X", 0, 5), tx("X", 1, 3), tx("Y", 0, 4)])
     # build all three order indexes
     pool.min_price_tx(), pool.min_fee_tx(), pool.min_price_childless()
-
-    def views():
-        chains = {s: (list(pool.chain(s).txs), list(pool.chain(s).fees)) for s in "XY"}
-        indexes = [list(i) for i in (pool._by_price, pool._fee_heads, pool._childless)]
-        return pool.pending(), chains, indexes
-
-    before = views()
+    before = _views(pool)
     with pytest.raises(PoolError):
         pool.remove_included(stranger(pool))
-    assert views() == before
+    assert _views(pool) == before
 
 
 def _pool_of(txs, readers, read_first):

@@ -7,6 +7,7 @@ two snapshots: a list-scan oracle that shares no code with the report's
 walk over its outcomes.
 """
 
+import importlib
 import random
 import re
 
@@ -29,9 +30,12 @@ from mempoolsim import (
     snapshot_marker,
 )
 from mempoolsim.metrics import OutcomeFlags
-from mempoolsim.replay import Snapshot
+from mempoolsim.pool import SenderChain
 
 from oracles import replay_per_event, transition_flags
+
+# the module, which the package's ``replay`` function shadows as an attribute
+replay_module = importlib.import_module("mempoolsim.replay")
 
 
 def _random_adversary(seed):
@@ -317,18 +321,59 @@ def test_a_report_read_calls_no_pool_method_through_the_class(monkeypatch):
 
 
 def test_a_snapshot_the_walk_never_reaches_is_refused():
-    # the walk takes a snapshot's set at its event index: one that no
-    # snapshot of the report holds, or one given out of report order, gets
-    # no set, and the read says so instead of returning fewer sets
+    # the walk takes a snapshot's set at its event index: an index that no
+    # snapshot of the report holds (an arrival's, a trigger's), or one given
+    # out of report order, gets no set, and the read says so instead of
+    # returning fewer sets or another event's
     events = [arrival(Transaction(s, 0, 5), ts) for ts, s in enumerate("AB")]
     events.insert(1, snapshot_marker(1))
+    events.append(block_trigger(2))
     report = replay(ScenarioConfig(capacity=4), events)
     first, end = report.snapshots
-    assert (first.event_index, end.event_index) == (1, 3)
+    assert (first, end, report.triggers) == (1, 4, [3])
     assert report.pending_sets([first, end]) == [[events[0].tx], [events[0].tx, events[2].tx]]
-    for snapshots in ([Snapshot(2, 2, 1, 0)], [end, first]):
+    for snapshots in ([2], [report.triggers[0]], [end, first]):
         with pytest.raises(ValueError, match=r"is not one of the report's snapshots, in order$"):
             report.pending_sets(snapshots)
+
+
+def test_a_set_only_read_stops_at_its_last_snapshot(monkeypatch):
+    # a pending-set read runs no flag test, and applies no admission past
+    # the last snapshot it wants
+    events, seeds = _resends(0)
+    middle = len(events) // 2
+    events.insert(middle, snapshot_marker(events[middle].ts_ms))
+    config = ScenarioConfig(
+        policy=PolicyConfig(kind="baseline"),
+        capacity=12,
+        account_seeds=seeds,
+        drain_mode="interleaved",
+    )
+    report = replay(config, events)
+    first = report.snapshots[0]
+    before = first - sum(t < first for t in report.triggers)  # the arrivals before it
+    admitted = [o.admitted for o in report.outcomes]
+    assert any(admitted[before:])
+    want = report.pending_sets()[0]
+    calls = {"run_end": 0, "apply_admission": 0}
+
+    def counted(name, method):
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or method(*args)
+
+    monkeypatch.setattr(SenderChain, "run_end", counted("run_end", SenderChain.run_end))
+    monkeypatch.setattr(
+        replay_module,
+        "_apply_admission",
+        counted("apply_admission", replay_module._apply_admission),
+    )
+    assert report.pending_at(first) == want
+    assert calls == {"run_end": 0, "apply_admission": sum(admitted[:before])}
+    # the flags still walk every admission: one flag test per admission, and
+    # one more per eviction
+    calls.update(run_end=0, apply_admission=0)
+    assert report.flags
+    evictions = sum(o.victim is not None for o in report.outcomes)
+    assert calls == {"run_end": sum(admitted) + evictions, "apply_admission": sum(admitted)}
 
 
 def test_a_hand_built_report_without_triggers_has_no_flags():
@@ -364,6 +409,13 @@ def _a0_then(*entries, blocks=(), triggers=()):
         for _, v in entries
     ]
     report.blocks, report.triggers = list(blocks), list(triggers)
+    return report
+
+
+def _twice_admitted():
+    report = _a0_then()
+    report.arrivals.append(report.arrivals[0])
+    report.outcomes.append(AdmissionOutcome(Reason.POOL_NOT_FULL))
     return report
 
 
@@ -403,6 +455,11 @@ def _a0_then(*entries, blocks=(), triggers=()):
             _a0_then(*((Transaction(s, 0, 5), None) for s in "BCDE")),
             "arrival 4: admitting <E:0 @5> would exceed capacity 4",
         ),
+        # A:0, the very tx, admitted again while it is resident
+        (
+            _twice_admitted(),
+            "arrival 1: <A:0 @5> already pending",
+        ),
     ],
     ids=[
         "victim_above_every_resident",
@@ -410,6 +467,7 @@ def _a0_then(*entries, blocks=(), triggers=()):
         "victim_of_no_sender",
         "block_tx",
         "over_capacity",
+        "twice_admitted",
     ],
 )
 def test_a_report_no_replay_could_make_raises_at_its_first_stranger(report, message):

@@ -956,7 +956,7 @@ class TestReplayHarness:
         events.insert(5, snapshot_marker(3))
         report = replay(ScenarioConfig(capacity=32), events)
         # two markers, one end snapshot
-        assert [(s.event_index, len(report.pending_at(s))) for s in report.snapshots] == [
+        assert [(s, len(report.pending_at(s))) for s in report.snapshots] == [
             (3, 3), (5, 4), (8, 6)
         ]
 
